@@ -38,7 +38,6 @@ from .patterns import (
     Equals,
     Interval,
     Pattern,
-    Region,
     closure,
     condition_key,
     condition_tids,
@@ -46,7 +45,6 @@ from .patterns import (
     jaccard,
     matches,
     region,
-    region_of,
     support,
 )
 from .pipeline import (

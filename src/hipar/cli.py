@@ -59,7 +59,6 @@ def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
     overrides = tuple(x.strip() for x in args.categorical.split(",") if x.strip())
     return RunConfig(
         target=args.target,
-        input_path=args.input,
         categorical_overrides=overrides,
         theta=args.theta,
         sigma=args.sigma,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -126,12 +126,6 @@ class Pattern:
 TOP = Pattern()
 
 
-@dataclass(frozen=True)
-class Region:
-    pattern: Pattern
-    row_indices: np.ndarray
-
-
 def _check_condition(c: Condition, d: Dataset) -> None:
     attr = d.attribute(c.attribute)
     if isinstance(c, Equals) and attr.kind != CATEGORICAL:
@@ -171,10 +165,6 @@ def region(p: Pattern, d: Dataset) -> np.ndarray:
         else:
             mask &= (col >= c.lo) & (col < c.hi)
     return np.nonzero(mask)[0]
-
-
-def region_of(p: Pattern, d: Dataset) -> Region:
-    return Region(pattern=p, row_indices=region(p, d))
 
 
 def support(p: Pattern, d: Dataset) -> tuple[int, float]:

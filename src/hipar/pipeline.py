@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import AttributeSchema, DataError, Dataset, k_folds
-from .enumeration import CandidateSet, EnumConfig, HybridRule, enumerate_candidates, hipar_init
+from .enumeration import EnumConfig, HybridRule, enumerate_candidates, hipar_init
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
 from .regression import FittedRuleModel, LinearModel, check_metric, evaluate, fit_ols, metric_value
@@ -31,7 +30,6 @@ class RunConfig:
     (theta=0.1, sigma=1, omega=1, RMSE, 10 folds)."""
 
     target: str
-    input_path: str | None = None
     categorical_overrides: tuple[str, ...] = ()
     theta: float = 0.1
     sigma: float = 1.0
@@ -45,8 +43,6 @@ class RunConfig:
     regional_rediscretization_support: bool = False
     exhaustive: bool = False
     include_default_in_coverage: bool = False
-    rules_out: str | None = None
-    report_out: str | None = None
 
     def enum_config(self) -> EnumConfig:
         return EnumConfig(

@@ -1,14 +1,19 @@
 """Per-region linear models: OLS baseline, LASSO, OMP, and the local contest.
 
-All fits standardize features to zero mean / unit (population) variance and map
-coefficients back to the original scale; the target is centered but not scaled,
-so LASSO's lambda is expressed in target units (the kill point is
-lambda_max = max_j |x_j^T (y - ybar)| / n on standardized features).
+Every fit goes through one core, ``_fit``, which returns one model per
+hyperparameter of one method. It standardizes the rows once: features to zero
+mean / unit (population) variance, dropping those with zero variance; the
+target is centered but not scaled, so LASSO's lambda is expressed in target
+units (the kill point is lambda_max = max_j |x_j^T (y - ybar)| / n on
+standardized features). From that one standardization it fits OLS by one
+least-squares solve, LASSO by one coordinate-descent solve per lambda, and OMP
+by one greedy path whose first k steps give the k-term model. Coefficients are
+mapped back to the original scale. Fewer than 2 rows, a constant target or no
+varying feature yield the intercept-only MEAN model for every hyperparameter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -93,8 +98,9 @@ def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float
     return metric_value(residuals, metric)
 
 
-def _mean_model(rows: np.ndarray, d: Dataset, y: str) -> LinearModel:
-    return LinearModel(intercept=float(np.mean(d.column(y)[rows])), coefficients={}, method=MEAN)
+def _mean_model(rows: np.ndarray, d: Dataset, y: str, hyper: float | None = None) -> LinearModel:
+    return LinearModel(intercept=float(np.mean(d.column(y)[rows])), coefficients={}, method=MEAN,
+                       hyper=hyper)
 
 
 def _feature_names(d: Dataset, y: str) -> list[str]:
@@ -129,26 +135,6 @@ def _to_original_scale(
     )
 
 
-def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
-    """Least-squares fit on standardized features (min-norm for rank-deficient
-    systems); zero-variance features are dropped. Degenerate inputs fall back
-    to the intercept-only MEAN model."""
-    idx = np.asarray(sorted(rows), dtype=int)
-    if len(idx) == 0:
-        raise DataError("fit_ols needs at least 1 row")
-    names = _feature_names(d, y)
-    yv = d.column(y)[idx]
-    if np.std(yv) == 0.0:
-        return _mean_model(idx, d, y)
-    kept, Xs, mean, std = _standardize(d, idx, names)
-    if not kept:
-        return _mean_model(idx, d, y)
-    y_bar = float(np.mean(yv))
-    beta, *_ = np.linalg.lstsq(Xs, yv - y_bar, rcond=None)
-    standardization = {n: (float(m), float(s)) for n, m, s in zip(kept, mean, std)}
-    return _to_original_scale(kept, beta, mean, std, y_bar, OLS, standardization)
-
-
 def _soft_threshold(x: float, t: float) -> float:
     if x > t:
         return x - t
@@ -181,20 +167,65 @@ def _lasso_cd(Xs: np.ndarray, y_c: np.ndarray, lam: float,
     return beta
 
 
-def _fit_lasso_at(idx: np.ndarray, d: Dataset, y: str, lam: float) -> LinearModel:
-    names = _feature_names(d, y)
+def _omp_path(Xs: np.ndarray, y_c: np.ndarray, k: int) -> list[np.ndarray]:
+    """Greedy forward selection: add the feature most correlated with the
+    residual, refit OLS on the active set; stops early on a ~zero residual.
+    Returns the coefficient vector after each step, led by the empty model, so
+    the k-term model is ``path[min(k, len(path) - 1)]``."""
+    n, p = Xs.shape
+    active: list[int] = []
+    path = [np.zeros(p)]
+    resid = y_c.copy()
+    scale = float(np.max(np.abs(y_c))) if len(y_c) else 0.0
+    for _ in range(min(k, p)):
+        if scale == 0.0 or float(np.max(np.abs(resid))) <= 1e-12 * scale:
+            break
+        corr = np.abs(Xs.T @ resid)
+        corr[active] = -1.0
+        j = int(np.argmax(corr))
+        active.append(j)
+        sub, *_ = np.linalg.lstsq(Xs[:, active], y_c, rcond=None)
+        resid = y_c - Xs[:, active] @ sub
+        beta = np.zeros(p)
+        beta[active] = sub
+        path.append(beta)
+    return path
+
+
+def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
+         hypers: Sequence[float | None]) -> list[LinearModel]:
+    """One ``method`` model on the rows per hyperparameter in ``hypers``: the
+    single ``None`` for OLS, lambdas for LASSO, term counts (>= 1) for OMP.
+    Fewer than 2 rows, a constant target or no feature with positive variance
+    give the MEAN model for each hyperparameter, recording it as ``hyper``."""
     yv = d.column(y)[idx]
-    if len(idx) < 2 or np.std(yv) == 0.0:
-        m = _mean_model(idx, d, y)
-        return LinearModel(m.intercept, {}, MEAN, hyper=lam)
-    kept, Xs, mean, std = _standardize(d, idx, names)
+    kept: list[str] = []
+    if len(idx) >= 2 and np.std(yv) != 0.0:
+        kept, Xs, mean, std = _standardize(d, idx, _feature_names(d, y))
     if not kept:
-        m = _mean_model(idx, d, y)
-        return LinearModel(m.intercept, {}, MEAN, hyper=lam)
+        return [_mean_model(idx, d, y, h) for h in hypers]
     y_bar = float(np.mean(yv))
-    beta = _lasso_cd(Xs, yv - y_bar, lam)
-    standardization = {n: (float(m_), float(s)) for n, m_, s in zip(kept, mean, std)}
-    return _to_original_scale(kept, beta, mean, std, y_bar, LASSO, standardization, hyper=lam)
+    y_c = yv - y_bar
+    if method == OLS:
+        betas = [np.linalg.lstsq(Xs, y_c, rcond=None)[0]]
+    elif method == LASSO:
+        betas = [_lasso_cd(Xs, y_c, lam) for lam in hypers]
+    else:
+        path = _omp_path(Xs, y_c, max(hypers))
+        betas = [path[min(k, len(path) - 1)] for k in hypers]
+    standardization = {n: (float(m), float(s)) for n, m, s in zip(kept, mean, std)}
+    return [_to_original_scale(kept, beta, mean, std, y_bar, method, standardization, hyper=h)
+            for beta, h in zip(betas, hypers)]
+
+
+def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
+    """Least-squares fit on standardized features (min-norm for rank-deficient
+    systems); zero-variance features are dropped. Degenerate inputs fall back
+    to the intercept-only MEAN model."""
+    idx = np.asarray(sorted(rows), dtype=int)
+    if len(idx) == 0:
+        raise DataError("fit_ols needs at least 1 row")
+    return _fit(idx, d, y, OLS, [None])[0]
 
 
 def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
@@ -208,52 +239,11 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
     if not lambda_grid:
         raise DataError("lambda grid must be nonempty")
     best: tuple[float, float, LinearModel] | None = None
-    for lam in lambda_grid:
-        model = _fit_lasso_at(idx, d, y, float(lam))
+    for model in _fit(idx, d, y, LASSO, [float(lam) for lam in lambda_grid]):
         err = evaluate(model, hold, d, y, metric)
-        if best is None or err < best[0] or (err == best[0] and lam > best[1]):
-            best = (err, float(lam), model)
+        if best is None or err < best[0] or (err == best[0] and model.hyper > best[1]):
+            best = (err, model.hyper, model)
     return best[2]
-
-
-def _fit_omp_at(idx: np.ndarray, d: Dataset, y: str, k: int) -> LinearModel:
-    names = _feature_names(d, y)
-    yv = d.column(y)[idx]
-    if k <= 0 or len(idx) < 2 or np.std(yv) == 0.0:
-        m = _mean_model(idx, d, y)
-        return LinearModel(m.intercept, {}, MEAN, hyper=k)
-    kept, Xs, mean, std = _standardize(d, idx, names)
-    if not kept:
-        m = _mean_model(idx, d, y)
-        return LinearModel(m.intercept, {}, MEAN, hyper=k)
-    y_bar = float(np.mean(yv))
-    y_c = yv - y_bar
-    active = _omp_path(Xs, y_c, min(k, len(kept)))
-    beta = np.zeros(len(kept))
-    if active:
-        sub, *_ = np.linalg.lstsq(Xs[:, active], y_c, rcond=None)
-        beta[active] = sub
-    standardization = {n: (float(m_), float(s)) for n, m_, s in zip(kept, mean, std)}
-    return _to_original_scale(kept, beta, mean, std, y_bar, OMP, standardization, hyper=k)
-
-
-def _omp_path(Xs: np.ndarray, y_c: np.ndarray, k: int) -> list[int]:
-    """Greedy forward selection: add the feature most correlated with the
-    residual, refit OLS on the active set; stops early on a ~zero residual."""
-    n, p = Xs.shape
-    active: list[int] = []
-    resid = y_c.copy()
-    scale = float(np.max(np.abs(y_c))) if len(y_c) else 0.0
-    for _ in range(min(k, p)):
-        if scale == 0.0 or float(np.max(np.abs(resid))) <= 1e-12 * scale:
-            break
-        corr = np.abs(Xs.T @ resid)
-        corr[active] = -1.0
-        j = int(np.argmax(corr))
-        active.append(j)
-        sub, *_ = np.linalg.lstsq(Xs[:, active], y_c, rcond=None)
-        resid = y_c - Xs[:, active] @ sub
-    return active
 
 
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
@@ -266,23 +256,13 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
     if max_terms == 0:
-        m = _mean_model(idx, d, y)
-        return LinearModel(m.intercept, {}, MEAN, hyper=0)
-    best: tuple[float, int, LinearModel] | None = None
-    for k in range(1, max_terms + 1):
-        model = _fit_omp_at(idx, d, y, k)
+        return _mean_model(idx, d, y, hyper=0)
+    best: tuple[float, LinearModel] | None = None
+    for model in _fit(idx, d, y, OMP, range(1, max_terms + 1)):
         err = evaluate(model, hold, d, y, metric)
         if best is None or err < best[0]:
-            best = (err, k, model)
-    return best[2]
-
-
-def _refit(idx: np.ndarray, d: Dataset, y: str, winner: LinearModel) -> LinearModel:
-    if winner.method == LASSO:
-        return _fit_lasso_at(idx, d, y, float(winner.hyper))
-    if winner.method == OMP:
-        return _fit_omp_at(idx, d, y, int(winner.hyper))
-    return _mean_model(idx, d, y)
+            best = (err, model)
+    return best[1]
 
 
 def best_local_model(
@@ -326,7 +306,10 @@ def best_local_model(
     omp_err = evaluate(omp, hold, d, y, metric)
     winner, holdout_error = (lasso, lasso_err) if lasso_err <= omp_err else (omp, omp_err)
 
-    refit = _refit(idx, d, y, winner)
+    if winner.method == MEAN:
+        refit = _mean_model(idx, d, y)
+    else:
+        refit = _fit(idx, d, y, winner.method, [winner.hyper])[0]
     return FittedRuleModel(
         refit,
         train_error=evaluate(refit, idx, d, y, metric),

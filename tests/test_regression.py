@@ -202,13 +202,39 @@ def test_omp_training_error_non_increasing_in_k():
     cols = {f"x{j}": rng.normal(size=n) for j in range(p)}
     cols["y"] = sum((j + 1) * cols[f"x{j}"] for j in range(p)) + rng.normal(0, 0.2, n)
     d = _dataset(cols)
-    from hipar.regression import _fit_omp_at
+    from hipar.regression import OMP, _fit
 
     rows = np.arange(40)
-    errors = [
-        evaluate(_fit_omp_at(rows, d, "y", k), rows, d, "y", "rmse") for k in range(1, p + 1)
-    ]
+    errors = [evaluate(m, rows, d, "y", "rmse") for m in _fit(rows, d, "y", OMP, range(1, p + 1))]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
+
+
+_DEGENERATE_FITS = {
+    # fit rows 0..7, holdout rows 8..9
+    "constant features": ({"x1": [2.0] * 8 + [1.0, 3.0], "x2": [5.0] * 8 + [0.0, 9.0],
+                           "y": [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0, 6.0, 2.0, 9.0]}, range(8)),
+    "constant target": ({"x1": np.arange(10.0), "x2": np.arange(10.0) ** 2,
+                         "y": [3.0] * 8 + [1.0, 5.0]}, range(8)),
+    "single row": ({"x1": np.arange(10.0), "x2": np.arange(10.0) ** 2,
+                    "y": np.arange(10.0) * 2.0}, [4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_FITS))
+@pytest.mark.parametrize("fitter, hyper", [
+    (lambda rows, d: fit_ols(rows, d, "y"), None),
+    (lambda rows, d: fit_lasso(rows, d, "y", [0.001, 0.01, 0.1, 1.0], range(8, 10)), 1.0),
+    (lambda rows, d: fit_omp(rows, d, "y", 2, range(8, 10)), 1),
+    (lambda rows, d: fit_omp(rows, d, "y", 3, range(8, 10)), 1),
+], ids=["ols", "lasso", "omp2", "omp3"])
+def test_degenerate_fit_falls_back_to_mean(case, fitter, hyper):
+    cols, rows = _DEGENERATE_FITS[case]
+    d = _dataset(cols)
+    m = fitter(rows, d)
+    assert m.method == "MEAN"
+    assert m.coefficients == {}
+    assert m.intercept == pytest.approx(float(np.mean(d.column("y")[list(rows)])))
+    assert m.hyper == hyper
 
 
 # ---------------------------------------------------------------- evaluate
