@@ -32,6 +32,13 @@ def _parse_real(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def sorted_rows(rows: Iterable[int]) -> np.ndarray:
+    """Row indices as a new sorted int array; accepts an array or any iterable of ints."""
+    if not isinstance(rows, np.ndarray):
+        rows = np.fromiter(rows, dtype=int)
+    return np.sort(rows.astype(int, copy=False))
+
+
 @dataclass(frozen=True)
 class AttributeSchema:
     name: str
@@ -111,7 +118,7 @@ class Dataset:
         return out
 
     def subset(self, rows: Iterable[int]) -> "Dataset":
-        idx = np.asarray(sorted(rows), dtype=int)
+        idx = sorted_rows(rows)
         cols = {a.name: self._columns[a.name][idx].copy() for a in self.schema}
         return Dataset(self.schema, cols)
 
@@ -223,7 +230,7 @@ def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.n
 
     Deterministic given the seed; the two sides partition the input.
     """
-    idx = np.asarray(sorted(rows), dtype=int)
+    idx = sorted_rows(rows)
     if len(idx) < 2:
         raise DataError("holdout_split needs at least 2 rows")
     if not 0.0 < fraction < 1.0:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, holdout_split
+from .data import DataError, Dataset, holdout_split, sorted_rows
 
 RMSE = "rmse"
 MEAE = "meae"
@@ -91,7 +91,7 @@ class FittedRuleModel:
 
 def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
     """Error of the model's predictions over the rows under the metric."""
-    idx = np.asarray(sorted(rows), dtype=int)
+    idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("evaluate needs a nonempty row set")
     residuals = d.column(y)[idx] - model.predict_rows(d, idx)
@@ -222,7 +222,7 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     """Least-squares fit on standardized features (min-norm for rank-deficient
     systems); zero-variance features are dropped. Degenerate inputs fall back
     to the intercept-only MEAN model."""
-    idx = np.asarray(sorted(rows), dtype=int)
+    idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
     return _fit(idx, d, y, OLS, [None])[0]
@@ -232,8 +232,10 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
               metric: str = RMSE) -> LinearModel:
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
-    idx = np.asarray(sorted(rows), dtype=int)
-    hold = np.asarray(sorted(holdout), dtype=int)
+    idx = sorted_rows(rows)
+    if len(idx) == 0:
+        raise DataError("fit_lasso needs at least 1 row")
+    hold = sorted_rows(holdout)
     if len(np.intersect1d(idx, hold)) > 0:
         raise DataError("fit rows and holdout rows must be disjoint")
     if not lambda_grid:
@@ -249,8 +251,10 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    idx = np.asarray(sorted(rows), dtype=int)
-    hold = np.asarray(sorted(holdout), dtype=int)
+    idx = sorted_rows(rows)
+    if len(idx) == 0:
+        raise DataError("fit_omp needs at least 1 row")
+    hold = sorted_rows(holdout)
     if len(np.intersect1d(idx, hold)) > 0:
         raise DataError("fit rows and holdout rows must be disjoint")
     if max_terms < 0:
@@ -278,7 +282,7 @@ def best_local_model(
     fewer than 5 rows or a degenerate target fall back to the MEAN model.
     """
     metric = check_metric(metric)
-    idx = np.asarray(sorted(rows), dtype=int)
+    idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
     if max_terms is None:

@@ -15,7 +15,7 @@ from hipar import (
 )
 from hipar.discretization import CutPointSet
 
-from .oracles import mdlp_oracle
+from .oracles import _entropy, mdlp_oracle
 
 
 def _xy_dataset(x, y):
@@ -97,6 +97,35 @@ def test_mdlp_matches_oracle_random():
         tb = _direct_binarization(n, labels)
         got = list(mdlp_cuts("x", range(n), d, tb).cuts)
         assert got == mdlp_oracle(x, labels)
+
+
+def test_mdlp_matches_oracle_recursive_cuts():
+    # four label stripes over ~300 distinct values with 5% label noise: the
+    # accepted cuts recurse at least two levels deep
+    rng = np.random.default_rng(31)
+    n = 300
+    x = np.round(rng.uniform(0, 100, n), 3)
+    labels = ((x // 25) % 2 == 1) ^ (rng.random(n) < 0.05)
+    d = _xy_dataset(x, np.zeros(n))
+    got = list(mdlp_cuts("x", range(n), d, _direct_binarization(n, labels)).cuts)
+    assert len(np.unique(x)) > 250
+    assert len(got) >= 3
+    assert got == mdlp_oracle(x, labels)
+
+
+def test_mdlp_entropy_tie_tries_smaller_cut():
+    # the cuts 4.5 and 6.5 have equal weighted entropy; whichever is tried
+    # first is accepted and leaves the other one's side too small to split
+    x = list(range(1, 11))
+    labels = [0, 0, 0, 0, 1, 0, 1, 1, 1, 1]
+
+    def split_entropy(cut):
+        left = [l for v, l in zip(x, labels) if v < cut]
+        right = [l for v, l in zip(x, labels) if v >= cut]
+        return (len(left) * _entropy(left) + len(right) * _entropy(right)) / len(x)
+
+    assert split_entropy(4.5) == split_entropy(6.5)
+    assert _cuts(x, labels) == mdlp_oracle(x, labels) == [4.5]
 
 
 def test_mdlp_deterministic():

@@ -157,6 +157,12 @@ def test_lasso_kkt_random_instances():
         assert kkt_violation(m, d, rows, "y", lam) < 1e-5
 
 
+def test_lasso_empty_fit_rows_rejected():
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
+    with pytest.raises(DataError):
+        fit_lasso([], d, "y", [0.1], [0, 1])
+
+
 def test_lasso_disjointness_required():
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
     with pytest.raises(DataError):
@@ -194,6 +200,13 @@ def test_omp_zero_terms_is_mean():
     m = fit_omp(range(8), d, "y", 0, range(8, 10))
     assert m.method == "MEAN"
     assert m.coefficients == {}
+
+
+@pytest.mark.parametrize("max_terms", [0, 2])
+def test_omp_empty_fit_rows_rejected(max_terms):
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
+    with pytest.raises(DataError):
+        fit_omp([], d, "y", max_terms, [0, 1])
 
 
 def test_omp_training_error_non_increasing_in_k():
