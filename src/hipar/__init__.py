@@ -2,12 +2,9 @@
 linear consequent) from mixed categorical/numerical tabular data."""
 
 from .data import (
-    CATEGORICAL,
-    NUMERICAL,
     AttributeSchema,
     DataError,
     Dataset,
-    FoldPlan,
     holdout_split,
     k_folds,
     load_csv,
@@ -22,11 +19,9 @@ from .discretization import (
     mdlp_cuts,
 )
 from .enumeration import (
-    CandidateSet,
     EnumConfig,
     EnumStats,
     HybridRule,
-    derive_seed,
     enumerate_candidates,
     hipar_init,
     leftmost_parent_check,
@@ -34,22 +29,16 @@ from .enumeration import (
 )
 from .patterns import (
     TOP,
-    Condition,
     Equals,
     Interval,
     Pattern,
     closure,
-    condition_key,
     condition_tids,
     interclass_variance,
-    jaccard,
-    matches,
     region,
     support,
 )
 from .pipeline import (
-    EvaluationReport,
-    FoldResult,
     RunConfig,
     count_elements,
     cross_validate,
@@ -61,9 +50,6 @@ from .pipeline import (
 )
 from .prediction import Predictor, covering_rules, predict, predict_batch
 from .regression import (
-    DEFAULT_LAMBDA_GRID,
-    MEAE,
-    METRICS,
     RMSE,
     FittedRuleModel,
     LinearModel,
@@ -72,10 +58,8 @@ from .regression import (
     fit_lasso,
     fit_ols,
     fit_omp,
-    metric_value,
 )
 from .selection import (
-    EXACT_LIMIT,
     SelectedRuleSet,
     SelectionProblem,
     build_problem,

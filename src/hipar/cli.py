@@ -10,7 +10,7 @@ import csv
 import sys
 import traceback
 
-from .data import NUMERICAL, DataError, load_csv
+from .data import NUMERICAL, DataError, _parse_real, load_csv
 from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
 from .prediction import predict
 
@@ -119,12 +119,12 @@ def _read_observations(path: str, predictor) -> list[dict]:
             if cell == "":
                 raise DataError(f"{path}: row {i + 1} has a missing value in column {name!r}")
             if name in numeric:
-                try:
-                    obs[name] = float(cell)
-                except ValueError:
+                value = _parse_real(cell)
+                if value is None:
                     raise DataError(
-                        f"{path}: row {i + 1}, column {name!r}: {cell!r} is not numeric"
-                    ) from None
+                        f"{path}: row {i + 1}, column {name!r}: {cell!r} is not a finite number"
+                    )
+                obs[name] = value
             else:
                 obs[name] = cell
         observations.append(obs)

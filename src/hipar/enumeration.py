@@ -36,6 +36,10 @@ from .regression import FittedRuleModel, best_local_model, check_metric, evaluat
 
 Trace = Callable[[str], None]
 
+# Interval extensions whose interclass variance does not exceed this percentile
+# of the node's single-condition variances are pruned.
+IV_PERCENTILE = 85.0
+
 
 @dataclass(frozen=True)
 class HybridRule:
@@ -54,13 +58,9 @@ class HybridRule:
 
 @dataclass(frozen=True)
 class EnumConfig:
-    theta: float  # relative support threshold in (0, 1]
-    iv_percentile: float = 85.0
+    theta: float  # relative support threshold in (0, 1], always read against the full dataset
     metric: str = "rmse"
     seed: int = 0
-    # Re-discretized conditions are support-filtered on the full dataset by
-    # default; True reads the threshold against the node's region instead.
-    regional_rediscretization_support: bool = False
     # True explores subtrees below rules that fail the parent-improvement test
     # (the early-stopping heuristic switched off).
     exhaustive: bool = False
@@ -100,8 +100,6 @@ def _validate(d: Dataset, y: str, cfg: EnumConfig) -> None:
         raise DataError(f"theta must lie in (0, 1], got {cfg.theta}")
     if cfg.theta * d.n < 1.0 - 1e-9:
         raise DataError(f"theta*n = {cfg.theta * d.n:.3g} is below one row")
-    if not 0.0 <= cfg.iv_percentile <= 100.0:
-        raise DataError(f"iv_percentile must lie in [0, 100], got {cfg.iv_percentile}")
     check_metric(cfg.metric)
 
 
@@ -117,15 +115,12 @@ def _interval_conditions(
         labels = binarize_target(rows, d, y)
     except DegenerateTarget:
         return []
-    theta_abs = cfg.theta * (len(rows) if cfg.regional_rediscretization_support else d.n)
+    theta_abs = cfg.theta * d.n
     out: list[Interval] = []
     for attr in attrs:
         conds = conditions_from_cuts(mdlp_cuts(attr, rows, d, labels))
         col = d.column(attr)
-        base = col[rows] if cfg.regional_rediscretization_support else col
-        survivors = [
-            c for c in conds if _frequent(int(((base >= c.lo) & (base < c.hi)).sum()), theta_abs)
-        ]
+        survivors = [c for c in conds if _frequent(int(c.mask(col).sum()), theta_abs)]
         if len(survivors) > 1:
             out.extend(survivors)
     return out
@@ -258,7 +253,7 @@ class _Search:
     def walk(self, pattern: Pattern, rows: np.ndarray, conds: Sequence[Condition]) -> None:
         ivs = [self.iv_single(c) for c in conds if isinstance(c, Interval)]
         # a percentile of fewer than two values is unstable; disable iv pruning
-        nu = float(np.percentile(ivs, self.cfg.iv_percentile)) if len(ivs) >= 2 else -math.inf
+        nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
         taken = pattern.attributes()
         for i, c in enumerate(conds):
             if c.attribute in taken:

@@ -1,4 +1,9 @@
-"""Conditions, patterns and regions: support, closure, interclass variance, Jaccard."""
+"""Conditions, patterns and regions: membership, support, closure, interclass variance.
+
+Membership is decided in one place per condition kind: ``mask`` takes either one
+observation's value (a Python scalar) or a whole column (a numpy array), so
+mining and prediction apply the same rule.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERICAL, DataError, Dataset
+from .data import CATEGORICAL, NUMERICAL, AttributeSchema, DataError, Dataset
 
 
 def _num(x: float) -> str:
@@ -29,8 +34,8 @@ class Equals:
     def render(self) -> str:
         return f'{self.attribute}="{self.value}"'
 
-    def matches_value(self, v: object) -> bool:
-        return v == self.value
+    def mask(self, values):
+        return values == self.value
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,8 @@ class Interval:
             return f"{self.attribute} in ({_num(self.lo)},inf)"
         return f"{self.attribute} in [{_num(self.lo)},{_num(self.hi)}]"
 
-    def matches_value(self, v: object) -> bool:
-        x = float(v)  # type: ignore[arg-type]
-        return self.lo <= x < self.hi
+    def mask(self, values):
+        return (self.lo <= values) & (values < self.hi)
 
 
 Condition = Union[Equals, Interval]
@@ -114,56 +118,41 @@ class Pattern:
     def render(self) -> str:
         return self.key
 
-    def matches(self, obs: Mapping[str, object]) -> bool:
+    def mask(self, columns: Mapping[str, object]):
+        """AND of the conditions' masks over one observation or over columns;
+        True for the empty pattern."""
+        out = True
         for c in self.conditions:
-            if c.attribute not in obs:
-                raise DataError(f"observation is missing attribute {c.attribute!r}")
-            if not c.matches_value(obs[c.attribute]):
-                return False
-        return True
+            out = out & c.mask(columns[c.attribute])
+        return out
 
 
 TOP = Pattern()
 
 
-def _check_condition(c: Condition, d: Dataset) -> None:
-    attr = d.attribute(c.attribute)
+def check_condition(c: Condition, attr: AttributeSchema) -> None:
+    """Equality needs a categorical attribute, an interval a numerical one."""
     if isinstance(c, Equals) and attr.kind != CATEGORICAL:
         raise DataError(f"equality condition on non-categorical attribute {c.attribute!r}")
     if isinstance(c, Interval) and attr.kind != NUMERICAL:
         raise DataError(f"interval condition on non-numerical attribute {c.attribute!r}")
 
 
-def matches(c: Condition, row: Mapping[str, object], d: Dataset | None = None) -> bool:
-    """Does the condition hold on the observation? Kind-checked when d is given."""
-    if d is not None:
-        _check_condition(c, d)
-    if c.attribute not in row:
-        raise DataError(f"observation is missing attribute {c.attribute!r}")
-    return c.matches_value(row[c.attribute])
+def _column_mask(c: Condition, d: Dataset) -> np.ndarray:
+    check_condition(c, d.attribute(c.attribute))
+    return c.mask(d.column(c.attribute))
 
 
 def condition_tids(c: Condition, d: Dataset) -> np.ndarray:
     """Sorted row indices where the condition holds."""
-    _check_condition(c, d)
-    col = d.column(c.attribute)
-    if isinstance(c, Equals):
-        mask = col == c.value
-    else:
-        mask = (col >= c.lo) & (col < c.hi)
-    return np.nonzero(mask)[0]
+    return np.nonzero(_column_mask(c, d))[0]
 
 
 def region(p: Pattern, d: Dataset) -> np.ndarray:
     """Sorted row indices of the pattern's region (all rows for the empty pattern)."""
     mask = np.ones(d.n, dtype=bool)
     for c in p.conditions:
-        _check_condition(c, d)
-        col = d.column(c.attribute)
-        if isinstance(c, Equals):
-            mask &= col == c.value
-        else:
-            mask &= (col >= c.lo) & (col < c.hi)
+        mask &= _column_mask(c, d)
     return np.nonzero(mask)[0]
 
 
@@ -236,12 +225,3 @@ def iv_from_region(rows: np.ndarray, y_values: np.ndarray) -> float:
     mu_in = part / s
     mu_out = (total - part) / (n - s)
     return s * (mu - mu_in) ** 2 + (n - s) * (mu - mu_out) ** 2
-
-
-def jaccard(p: Pattern, q: Pattern, d: Dataset) -> float:
-    """Jaccard coefficient of the two regions; 0 when both are empty."""
-    rp = region(p, d)
-    rq = region(q, d)
-    inter = len(np.intersect1d(rp, rq, assume_unique=True))
-    union = len(rp) + len(rq) - inter
-    return inter / union if union else 0.0

@@ -39,20 +39,9 @@ class RunConfig:
     sd_q: int | None = None
     folds: int = 10
     seed: int = 0
-    iv_percentile: float = 85.0
-    regional_rediscretization_support: bool = False
-    exhaustive: bool = False
-    include_default_in_coverage: bool = False
 
     def enum_config(self) -> EnumConfig:
-        return EnumConfig(
-            theta=self.theta,
-            iv_percentile=self.iv_percentile,
-            metric=check_metric(self.metric),
-            seed=self.seed,
-            regional_rediscretization_support=self.regional_rediscretization_support,
-            exhaustive=self.exhaustive,
-        )
+        return EnumConfig(theta=self.theta, metric=check_metric(self.metric), seed=self.seed)
 
 
 def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
@@ -88,7 +77,6 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
         normalized_errors=ebar,
         schema=list(d.schema),
         metric=enum_cfg.metric,
-        include_default_in_coverage=cfg.include_default_in_coverage,
     )
     return selected, predictor
 
@@ -282,6 +270,13 @@ def _rule_to_json(rule: HybridRule, ebar: float, chosen: bool) -> dict:
     }
 
 
+def _flag(value: object) -> bool:
+    """A JSON true/false; anything else would read as true or false silently."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _rule_from_json(obj: dict, metric: str) -> HybridRule:
     m = obj["model"]
     model = LinearModel(
@@ -303,7 +298,7 @@ def _rule_from_json(obj: dict, metric: str) -> HybridRule:
         fitted=fitted,
         support_abs=int(obj["support_abs"]),
         support_rel=float(obj["support_rel"]),
-        is_default=bool(obj["is_default"]),
+        is_default=_flag(obj["is_default"]),
     )
 
 
@@ -327,7 +322,6 @@ def serialize_rules(pred: Predictor, path: str) -> None:
         "format": "hipar-rules-v1",
         "target": target,
         "metric": pred.metric,
-        "include_default_in_coverage": pred.include_default_in_coverage,
         "schema": [{"name": a.name, "kind": a.kind, "role": a.role} for a in pred.schema],
         "selection": {
             "objective_value": pred.rules.objective_value,
@@ -357,25 +351,30 @@ def deserialize_rules(path: str) -> Predictor:
     if not isinstance(doc, dict) or doc.get("format") != "hipar-rules-v1":
         raise DataError(f"{path} is not a hipar rule file")
 
-    metric = check_metric(doc["metric"])
-    schema = [AttributeSchema(s["name"], s["kind"], s["role"]) for s in doc["schema"]]
-    rules = [_rule_from_json(obj, metric) for obj in doc["rules"]]
+    if doc.get("include_default_in_coverage", False) is not False:
+        raise DataError(f"{path}: the default rule no longer joins the vote "
+                        "(include_default_in_coverage must be false or absent)")
+    try:
+        metric = check_metric(doc["metric"])
+        schema = [AttributeSchema(s["name"], s["kind"], s["role"]) for s in doc["schema"]]
+        rules = [_rule_from_json(obj, metric) for obj in doc["rules"]]
+        chosen = [r for r, obj in zip(rules, doc["rules"]) if _flag(obj["chosen"])]
+        selected = SelectedRuleSet(
+            chosen=chosen,
+            objective_value=float(doc["selection"]["objective_value"]),
+            solver=doc["selection"]["solver"],
+            proof=_flag(doc["selection"]["proof"]),
+        )
+        ebar = {obj["pattern"]: float(obj["normalized_error"]) for obj in doc["rules"]}
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path} is not a valid rule file: {type(exc).__name__}: {exc}") from exc
     defaults = [r for r in rules if r.is_default]
     if len(defaults) != 1:
         raise DataError(f"{path} must carry exactly one default rule")
-    chosen = [r for r, obj in zip(rules, doc["rules"]) if obj["chosen"]]
-    selected = SelectedRuleSet(
-        chosen=chosen,
-        objective_value=float(doc["selection"]["objective_value"]),
-        solver=doc["selection"]["solver"],
-        proof=bool(doc["selection"]["proof"]),
-    )
-    ebar = {obj["pattern"]: float(obj["normalized_error"]) for obj in doc["rules"]}
     return Predictor(
         rules=selected,
         default_rule=defaults[0],
         normalized_errors=ebar,
         schema=schema,
         metric=metric,
-        include_default_in_coverage=bool(doc["include_default_in_coverage"]),
     )

@@ -62,18 +62,13 @@ class LinearModel:
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
     hyper: float | None = None
 
-    def predict_obs(self, obs: Mapping[str, object]) -> float:
+    def predict(self, columns: Mapping[str, object]):
+        """intercept + sum of coef * value over one observation (floats) or
+        over columns (arrays); reads only the coefficients' attributes."""
         out = self.intercept
         for name, coef in self.coefficients.items():
-            if name not in obs:
-                raise DataError(f"observation is missing attribute {name!r}")
-            out += coef * float(obs[name])  # type: ignore[arg-type]
-        return out
-
-    def predict_rows(self, d: Dataset, rows: np.ndarray) -> np.ndarray:
-        out = np.full(len(rows), self.intercept)
-        for name, coef in self.coefficients.items():
-            out += coef * d.column(name)[rows]
+            # the first step rebinds the float to a new array; later steps add in place
+            out += coef * columns[name]
         return out
 
     def n_nonzero(self) -> int:
@@ -94,7 +89,8 @@ def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float
     idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("evaluate needs a nonempty row set")
-    residuals = d.column(y)[idx] - model.predict_rows(d, idx)
+    columns = {name: d.column(name)[idx] for name in model.coefficients}
+    residuals = d.column(y)[idx] - model.predict(columns)
     return metric_value(residuals, metric)
 
 

@@ -93,13 +93,51 @@ def test_help_is_exit_0(capsys):
     assert "fit" in capsys.readouterr().out
 
 
-def test_corrupt_rule_file_is_exit_1(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
+def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
+    rules = tmp_path / "rules.json"
+    assert main(["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 "--seed", "3", "--rules-out", str(rules)]) == 0
+    good = json.loads(rules.read_text())
+    no_chosen = json.loads(rules.read_text())
+    del no_chosen["rules"][0]["chosen"]
+    bad_intercept = json.loads(rules.read_text())
+    bad_intercept["rules"][0]["model"]["intercept"] = "high"
+    bad_coefficients = json.loads(rules.read_text())
+    bad_coefficients["rules"][0]["model"]["coefficients"] = [1.0]
+    string_flag = json.loads(rules.read_text())
+    string_flag["rules"][-1]["chosen"] = "no"  # a non-empty string would read as true
+    votes_default = dict(good, include_default_in_coverage=True)
     features = tmp_path / "features.csv"
-    features.write_text("x\n1\n")
-    assert main(["predict", "--rules", str(bad), "--input", str(features),
+    features.write_text("segment,x\nA,0.5\n")
+    for doc in ({}, no_chosen, bad_intercept, bad_coefficients, string_flag,
+                {**good, "rules": 5}, votes_default):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--rules", str(bad), "--input", str(features),
+                     "--out", str(tmp_path / "o.txt")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+    # rule files that still carry the retired switch at its only supported value load
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(dict(good, include_default_in_coverage=False)))
+    assert main(["predict", "--rules", str(legacy), "--input", str(features),
+                 "--out", str(tmp_path / "legacy.txt")]) == 0
+    assert main(["predict", "--rules", str(rules), "--input", str(features),
+                 "--out", str(tmp_path / "o.txt")]) == 0
+    assert (tmp_path / "legacy.txt").read_text() == (tmp_path / "o.txt").read_text()
+
+
+def test_predict_underscore_numeral_is_exit_1(tmp_path, segment_csv, capsys):
+    rules = tmp_path / "rules.json"
+    main(["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+          "--seed", "3", "--rules-out", str(rules)])
+    features = tmp_path / "features.csv"
+    features.write_text("segment,x\nA,0.5\nB,1_0\n")
+    capsys.readouterr()
+    assert main(["predict", "--rules", str(rules), "--input", str(features),
                  "--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert "row 2" in err and "'x'" in err and "'1_0'" in err
 
 
 def test_predict_missing_feature_column_is_exit_1(tmp_path, segment_csv):

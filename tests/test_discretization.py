@@ -189,7 +189,7 @@ def test_conditions_partition_real_line():
         cuts = tuple(sorted(rng.choice(np.arange(-5.0, 5.0, 0.5), size=3, replace=False)))
         conds = conditions_from_cuts(CutPointSet("a", cuts))
         for v in rng.uniform(-10, 10, 50).tolist() + list(cuts):
-            assert sum(c.matches_value(v) for c in conds) == 1
+            assert sum(c.mask(v) for c in conds) == 1
 
 
 def test_mdlp_requires_numeric_attribute(toy):

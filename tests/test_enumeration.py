@@ -271,11 +271,10 @@ def test_raising_theta_never_increases_visits():
     assert all(b <= a for a, b in zip(visited, visited[1:]))
 
 
-def test_regional_rediscretization_switch():
+def test_rediscretized_intervals_filtered_on_full_dataset_support():
     # within a region, intervals that are frequent locally but rare globally
-    # survive only under the regional reading of the support filter
+    # are dropped: the support threshold is theta * n of the full dataset
     rng = np.random.default_rng(23)
-    n = 200
     seg = np.array(["A"] * 40 + ["B"] * 160, dtype=object)
     x = np.concatenate([np.linspace(0, 1, 40), rng.uniform(5, 6, 160)])
     y = np.concatenate([np.where(np.linspace(0, 1, 40) < 0.5, 0.0, 10.0),
@@ -291,15 +290,10 @@ def test_regional_rediscretization_switch():
     from hipar.enumeration import _interval_conditions
 
     rows = np.arange(40)  # segment A only; its x-split intervals hold 20 rows each
-    literal = _interval_conditions(
-        d, "y", rows, ["x"], EnumConfig(theta=0.15, seed=0)
-    )
-    regional = _interval_conditions(
-        d, "y", rows, ["x"],
-        EnumConfig(theta=0.15, seed=0, regional_rediscretization_support=True),
-    )
-    assert literal == []  # 20 rows < 0.15 * 200 on the full dataset
-    assert len(regional) >= 2  # 20 rows >= 0.15 * 40 within the region
+    rare = _interval_conditions(d, "y", rows, ["x"], EnumConfig(theta=0.15, seed=0))
+    frequent = _interval_conditions(d, "y", rows, ["x"], EnumConfig(theta=0.1, seed=0))
+    assert rare == []  # 20 rows < 0.15 * 200, though 20 >= 0.15 * 40 within the region
+    assert len(frequent) >= 2  # 20 rows >= 0.1 * 200
 
 
 def test_enumeration_deterministic(two_segment):

@@ -13,8 +13,6 @@ from hipar import (
     closure,
     condition_tids,
     interclass_variance,
-    jaccard,
-    matches,
     region,
     support,
 )
@@ -28,29 +26,52 @@ CATS = [COTTAGE, APARTMENT, GOOD, VGOOD, EXCELLENT]
 
 
 def test_matches_equality(toy):
-    assert matches(COTTAGE, toy.row(0), toy)
-    assert not matches(COTTAGE, toy.row(3), toy)
+    assert COTTAGE.mask(toy.row(0)["property-type"])
+    assert not COTTAGE.mask(toy.row(3)["property-type"])
+    assert list(condition_tids(COTTAGE, toy)) == [0, 1, 2]
 
 
 def test_matches_interval_bounds(toy):
     small = Interval("surface", -math.inf, 60.0)
-    assert not matches(small, toy.row(0), toy)  # surface 120
-    assert matches(small, toy.row(1), toy)  # surface 55
+    assert not small.mask(toy.row(0)["surface"])  # surface 120
+    assert small.mask(toy.row(1)["surface"])  # surface 55
     half = Interval("surface", 50.0, 60.0)
-    assert matches(half, {"surface": 50.0})  # closed low end
-    assert not matches(half, {"surface": 60.0})  # open high end
+    assert half.mask(50.0)  # closed low end
+    assert not half.mask(60.0)  # open high end
+    assert list(condition_tids(half, toy)) == [1, 2, 4]  # surfaces 55, 50, 52
 
 
 def test_matches_kind_mismatch(toy):
     with pytest.raises(DataError):
-        matches(Equals("surface", "50"), toy.row(0), toy)
+        condition_tids(Equals("surface", "50"), toy)
     with pytest.raises(DataError):
-        matches(Interval("state", 0.0, 1.0), toy.row(0), toy)
+        condition_tids(Interval("state", 0.0, 1.0), toy)
+    with pytest.raises(DataError):
+        region(Pattern([COTTAGE, Interval("state", 0.0, 1.0)]), toy)
 
 
 def test_empty_pattern_matches_everything(toy):
     for i in range(toy.n):
-        assert TOP.matches(toy.row(i))
+        assert TOP.mask(toy.row(i))
+    assert list(region(TOP, toy)) == list(range(toy.n))
+
+
+def test_scalar_mask_equals_column_mask():
+    # one observation's value and a whole column go through the same mask
+    col = np.array([-math.inf, -1.0, 0.0, np.nextafter(2.0, 0.0), 2.0, 3.0, math.inf])
+    for c in [Interval("x", 0.0, 2.0), Interval("x", -math.inf, 2.0),
+              Interval("x", 0.0, math.inf), Interval("x", -math.inf, math.inf)]:
+        assert [bool(c.mask(float(v))) for v in col] == c.mask(col).tolist()
+    cats = np.array(["a", "b", "never-seen"], dtype=object)
+    c = Equals("g", "a")
+    assert [bool(c.mask(v)) for v in cats] == c.mask(cats).tolist() == [True, False, False]
+
+
+def test_pattern_mask_is_and_of_conditions(toy):
+    p = Pattern([COTTAGE, Interval("surface", -math.inf, 60.0)])
+    columns = {a.name: toy.column(a.name) for a in toy.schema}
+    assert list(np.nonzero(p.mask(columns))[0]) == list(region(p, toy)) == [1, 2]
+    assert [bool(p.mask(toy.row(i))) for i in range(toy.n)] == p.mask(columns).tolist()
 
 
 def test_pattern_rejects_two_conditions_on_one_attribute():
@@ -136,20 +157,6 @@ def test_interclass_variance_nonnegative_random(toy):
         value = rng.choice(["cottage", "apartment"])
         p = Pattern([Equals("property-type", str(value))])
         assert interclass_variance(p, toy, "price") >= 0.0
-
-
-def test_jaccard_identity_disjoint_and_example(toy):
-    c = Pattern([COTTAGE])
-    v = Pattern([VGOOD])
-    assert jaccard(c, c, toy) == 1.0
-    assert jaccard(c, Pattern([GOOD]), toy) == 0.0  # disjoint regions
-    assert jaccard(c, v, toy) == pytest.approx(2 / 3)
-    assert jaccard(c, v, toy) == jaccard(v, c, toy)  # symmetric
-
-
-def test_jaccard_both_empty(toy):
-    p = Pattern([Equals("state", "zzz")])
-    assert jaccard(p, p, toy) == 0.0
 
 
 def test_condition_tids_sorted(toy):

@@ -8,6 +8,7 @@ from hipar import (
     Dataset,
     Equals,
     FittedRuleModel,
+    Interval,
     HybridRule,
     LinearModel,
     Pattern,
@@ -30,7 +31,7 @@ def _rule(pattern, model, is_default=False):
     return HybridRule(pattern, fitted, 4, 0.4, is_default=is_default)
 
 
-def _predictor(rules, ebar, default_value=100.0, include_default=False, default_chosen=False):
+def _predictor(rules, ebar, default_value=100.0, default_chosen=False, schema=SCHEMA):
     default = _rule(TOP, LinearModel(default_value, {}, "MEAN"), is_default=True)
     chosen = list(rules) + ([default] if default_chosen else [])
     errors = dict(ebar)
@@ -39,9 +40,8 @@ def _predictor(rules, ebar, default_value=100.0, include_default=False, default_
         rules=SelectedRuleSet(chosen=chosen, objective_value=0.0, solver="exact", proof=True),
         default_rule=default,
         normalized_errors=errors,
-        schema=SCHEMA,
+        schema=schema,
         metric="rmse",
-        include_default_in_coverage=include_default,
     )
 
 
@@ -54,7 +54,8 @@ def test_covering_none():
 def test_covering_match_and_order():
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
     r2 = _rule(Pattern([Equals("g", "a"), Equals("g2", "zz")]), LinearModel(2.0, {}, "MEAN"))
-    pred = _predictor([r2, r1], {r1.key: 0.5, r2.key: 0.5})
+    schema = SCHEMA + [AttributeSchema("g2", "categorical")]
+    pred = _predictor([r2, r1], {r1.key: 0.5, r2.key: 0.5}, schema=schema)
     got = covering_rules(pred, {"g": "a", "g2": "zz", "x": 1.0})
     assert [r.key for r in got] == sorted([r1.key, r2.key])
 
@@ -81,15 +82,9 @@ def test_predict_single_rule_weight_one():
 def test_predict_two_rules_weighted_vote():
     # ebar 0.2 / 0.4 with votes 10 / 16: weights 2/3 and 1/3, answer exactly 12
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(10.0, {}, "MEAN"))
-    r2 = _rule(Pattern([Interval_x()]), LinearModel(16.0, {}, "MEAN"))
+    r2 = _rule(Pattern([Interval("x", 0.0, 1.0)]), LinearModel(16.0, {}, "MEAN"))
     pred = _predictor([r1, r2], {r1.key: 0.2, r2.key: 0.4})
     assert predict(pred, {"g": "a", "x": 0.5}) == 12.0
-
-
-def Interval_x():
-    from hipar import Interval
-
-    return Interval("x", 0.0, 1.0)
 
 
 def test_predict_fallback_to_default():
@@ -133,7 +128,7 @@ def test_weights_sum_to_one_random():
 
 def test_prediction_invariant_to_rule_order():
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(5.0, {}, "MEAN"))
-    r2 = _rule(Pattern([Interval_x()]), LinearModel(9.0, {}, "MEAN"))
+    r2 = _rule(Pattern([Interval("x", 0.0, 1.0)]), LinearModel(9.0, {}, "MEAN"))
     ebar = {r1.key: 0.3, r2.key: 0.6}
     p_ab = _predictor([r1, r2], ebar)
     p_ba = _predictor([r2, r1], ebar)
@@ -141,21 +136,38 @@ def test_prediction_invariant_to_rule_order():
     assert predict(p_ab, obs) == predict(p_ba, obs)
 
 
-def test_default_excluded_from_vote_unless_switched():
+def test_chosen_default_excluded_from_vote():
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(10.0, {}, "MEAN"))
     covered = {"g": "a", "x": 0.0}
-    # default chosen by the selector but excluded from the vote by default
+    # the default rule answers only for uncovered points, even when chosen
     pred = _predictor([rule], {rule.key: 0.2}, default_value=0.0, default_chosen=True)
     assert predict(pred, covered) == 10.0
-    # with the switch on, a chosen default joins every vote
-    pred_on = _predictor(
-        [rule], {rule.key: 0.2}, default_value=0.0, default_chosen=True, include_default=True
-    )
-    got = predict(pred_on, covered)
-    assert 0.0 < got < 10.0
-    # switch on but default NOT chosen: stays out of the vote
-    pred_unchosen = _predictor([rule], {rule.key: 0.2}, default_value=0.0, include_default=True)
-    assert predict(pred_unchosen, covered) == 10.0
+    assert covering_rules(pred, covered) == [rule]
+    assert predict(pred, {"g": "b", "x": 0.0}) == 0.0
+
+
+def test_rule_on_non_feature_rejected_at_construction():
+    on_g2 = _rule(Pattern([Equals("g2", "a")]), LinearModel(1.0, {}, "MEAN"))
+    with pytest.raises(DataError, match="g2"):
+        _predictor([on_g2], {on_g2.key: 0.5})
+    on_target = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {"y": 2.0}, "OLS"))
+    with pytest.raises(DataError, match="'y'"):
+        _predictor([on_target], {on_target.key: 0.5})
+    on_category = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {"g": 2.0}, "OLS"))
+    with pytest.raises(DataError, match="'g'"):
+        _predictor([on_category], {on_category.key: 0.5})
+    interval_on_category = _rule(Pattern([Interval("g", 0.0, 1.0)]), LinearModel(1.0, {}, "MEAN"))
+    with pytest.raises(DataError, match="'g'"):
+        _predictor([interval_on_category], {interval_on_category.key: 0.5})
+    # the default rule is checked too
+    with pytest.raises(DataError, match="'z'"):
+        Predictor(
+            rules=SelectedRuleSet([], 0.0, "exact", True),
+            default_rule=_rule(TOP, LinearModel(0.0, {"z": 1.0}, "OLS"), is_default=True),
+            normalized_errors={"TRUE": 1.0},
+            schema=SCHEMA,
+            metric="rmse",
+        )
 
 
 def test_predict_batch_error_carries_row_index(two_segment):
@@ -170,7 +182,7 @@ def test_predict_batch_matches_pointwise(two_segment):
     from hipar import RunConfig, run_hipar
 
     rs, pred = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3))
-    rows = np.array([0, 5, 150, 199])
+    rows = np.arange(two_segment.n)
     batch = predict_batch(pred, two_segment, rows)
     single = [predict(pred, two_segment.row(int(i))) for i in rows]
     assert np.array_equal(batch, np.array(single))

@@ -30,7 +30,7 @@ def kkt_violation(model: LinearModel, d, rows, y, lam):
     coordinates: |g_j| <= lam for inactive j, g_j = lam*sign(beta_j) for active."""
     idx = np.sort(np.asarray(list(rows), dtype=int))
     n = len(idx)
-    resid = d.column(y)[idx] - model.predict_rows(d, idx)
+    resid = d.column(y)[idx] - model.predict({n: d.column(n)[idx] for n in model.coefficients})
     worst = 0.0
     for name, (mean, std) in model.standardization.items():
         xs = (d.column(name)[idx] - mean) / std
@@ -79,6 +79,19 @@ def test_ols_zero_variance_feature_dropped():
     assert m.coefficients["x"] == pytest.approx(2.0)
 
 
+def test_predict_one_observation_equals_columns():
+    # one evaluator: per-row floats and whole columns give the same bits,
+    # and the caller's columns are left as they were
+    rng = np.random.default_rng(8)
+    cols = {"a": rng.normal(0, 1e3, 50), "b": rng.normal(5, 1e-3, 50)}
+    cols["a"].flags.writeable = False
+    cols["b"].flags.writeable = False
+    for m in (LinearModel(0.1, {"a": 0.3, "b": -7.0}, "OLS"), LinearModel(2.5, {}, "MEAN")):
+        together = np.broadcast_to(m.predict(cols), (50,))
+        single = [m.predict({"a": float(a), "b": float(b)}) for a, b in zip(cols["a"], cols["b"])]
+        assert together.tolist() == single
+
+
 def test_standardization_round_trip():
     # predicting through original coordinates must equal the standardized path
     rng = np.random.default_rng(4)
@@ -87,7 +100,7 @@ def test_standardization_round_trip():
     d = _dataset(cols)
     m = fit_ols(range(40), d, "y")
     rows = np.arange(40)
-    direct = m.predict_rows(d, rows)
+    direct = m.predict({n: d.column(n)[rows] for n in m.coefficients})
     y_bar = float(np.mean(d.column("y")))
     via_std = np.full(40, y_bar)
     for name, (mean, std) in m.standardization.items():

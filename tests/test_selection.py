@@ -83,6 +83,25 @@ def test_build_problem_hand_arithmetic():
     assert sp.overlap[0, 1] == 0.0  # disjoint regions
 
 
+def test_overlap_identity_disjoint_and_toy_example(toy):
+    # overlap is the Jaccard coefficient of the rule regions on the training rows
+    cottage = Pattern([Equals("property-type", "cottage")])  # rows 0, 1, 2
+    very_good = Pattern([Equals("state", "very good")])  # rows 0, 1
+    good = Pattern([Equals("state", "good")])  # rows 4, 5
+    rules = [_rule(p, 1.0, 2, 6) for p in (cottage, cottage, very_good, good)]
+    sp = build_problem(rules, sigma=1.0, omega=1.0, d=toy)
+    assert sp.overlap[0, 1] == 1.0  # identical regions
+    assert sp.overlap[0, 3] == 0.0  # disjoint regions
+    assert sp.overlap[0, 2] == pytest.approx(2 / 3)
+    assert np.array_equal(sp.overlap, sp.overlap.T)  # symmetric
+
+
+def test_overlap_of_two_empty_regions_is_zero(toy):
+    rules = [_rule(Pattern([Equals("state", v)]), 1.0, 1, 6) for v in ("zzz", "yyy")]
+    sp = build_problem(rules, sigma=1.0, omega=1.0, d=toy)
+    assert sp.overlap[0, 1] == sp.overlap[1, 0] == 0.0
+
+
 def test_build_problem_sigma_zero_ignores_support():
     d = _two_col_dataset()
     rules = [
