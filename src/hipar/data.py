@@ -50,8 +50,11 @@ class Dataset:
     """Immutable column-typed table with one designated numerical target.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
-    object (str) arrays for categorical ones. Instances are safe to share
-    across threads once constructed.
+    object (str) arrays for categorical ones. ``masks`` is a lazily filled,
+    read-only memo of condition row masks, keyed by condition and filled by
+    ``patterns.condition_mask``. Instances are safe to share across threads
+    once constructed: two threads may at worst compute the same read-only
+    mask twice.
     """
 
     def __init__(self, schema: Sequence[AttributeSchema], columns: dict[str, np.ndarray]):
@@ -82,6 +85,7 @@ class Dataset:
             col.flags.writeable = False
             self._columns[attr.name] = col
         self._by_name = {a.name: a for a in self.schema}
+        self.masks: dict[object, np.ndarray] = {}
 
     @property
     def target(self) -> str:

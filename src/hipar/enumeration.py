@@ -28,6 +28,7 @@ from .patterns import (
     Pattern,
     closure,
     condition_key,
+    condition_mask,
     condition_tids,
     iv_from_region,
     region,
@@ -119,8 +120,9 @@ def _interval_conditions(
     out: list[Interval] = []
     for attr in attrs:
         conds = conditions_from_cuts(mdlp_cuts(attr, rows, d, labels))
-        col = d.column(attr)
-        survivors = [c for c in conds if _frequent(int(c.mask(col).sum()), theta_abs)]
+        survivors = [
+            c for c in conds if _frequent(int(np.count_nonzero(condition_mask(c, d))), theta_abs)
+        ]
         if len(survivors) > 1:
             out.extend(survivors)
     return out
@@ -180,29 +182,22 @@ class _Search:
         self.theta_abs = cfg.theta * d.n
         self.stats = EnumStats()
         self.accepted: list[HybridRule] = []
-        self._tids: dict[Condition, np.ndarray] = {}
         self._iv1: dict[Condition, float] = {}
-        self._memo: dict[str, HybridRule] = {}
-        self._visited: set[str] = set()
+        # keyed by the exact conditions: rendered text can collide
+        self._memo: dict[Pattern, HybridRule] = {}
+        self._visited: set[Pattern] = set()
         self.cat_universe: list[Condition] = []
         self.default_rule: HybridRule | None = None
-
-    def tids(self, c: Condition) -> np.ndarray:
-        t = self._tids.get(c)
-        if t is None:
-            t = condition_tids(c, self.d)
-            self._tids[c] = t
-        return t
 
     def iv_single(self, c: Condition) -> float:
         v = self._iv1.get(c)
         if v is None:
-            v = iv_from_region(self.tids(c), self.yv)
+            v = iv_from_region(condition_tids(c, self.d), self.yv)
             self._iv1[c] = v
         return v
 
     def rule_for(self, pattern: Pattern, rows: np.ndarray | None = None) -> HybridRule:
-        rule = self._memo.get(pattern.key)
+        rule = self._memo.get(pattern)
         if rule is not None:
             return rule
         if rows is None:
@@ -217,40 +212,38 @@ class _Search:
             support_rel=len(rows) / self.d.n,
             is_default=pattern.is_empty,
         )
-        self._memo[pattern.key] = rule
+        self._memo[pattern] = rule
         return rule
 
     def node_universe(self, p_hat_conditions: Iterable[Condition], conds: Sequence[Condition]):
         universe = list(self.cat_universe)
         universe.extend(c for c in conds if isinstance(c, Interval))
         universe.extend(p_hat_conditions)
-        universe = list(dict.fromkeys(universe))
-        for c in universe:
-            self.tids(c)
-        return universe
+        return list(dict.fromkeys(universe))
 
     def parent_rules(self, p_closed: Pattern, universe: Sequence[Condition]) -> list[HybridRule]:
         """Rules of the immediate closed ancestors (closure of the pattern minus
         one condition); the default rule stands in when nothing else remains."""
-        parents: dict[str, HybridRule] = {}
+        parents: dict[Pattern, HybridRule] = {}
         for c in p_closed.conditions:
             sub = p_closed.without(c)
             if sub.is_empty:
-                parents[TOP.key] = self.default_rule
+                parents[TOP] = self.default_rule
                 continue
-            par = closure(sub, self.d, universe, _tids=self._tids)
+            par = closure(sub, self.d, universe)
             if par == p_closed:
                 continue  # c is implied by the rest; not a proper ancestor
-            parents[par.key] = self.rule_for(par)
+            parents[par] = self.rule_for(par)
         if not parents:
-            parents[TOP.key] = self.default_rule
+            parents[TOP] = self.default_rule
         return list(parents.values())
 
     def emit(self, rendered: str, support: int, iv: float, decision: str) -> None:
         if self.trace is not None:
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
-    def walk(self, pattern: Pattern, rows: np.ndarray, conds: Sequence[Condition]) -> None:
+    def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
+        """Extend ``pattern``, whose region is the boolean row mask ``inside``."""
         ivs = [self.iv_single(c) for c in conds if isinstance(c, Interval)]
         # a percentile of fewer than two values is unstable; disable iv pruning
         nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
@@ -261,7 +254,8 @@ class _Search:
                 self.stats.pruned_support += 1
                 self.emit(_render_with(pattern, c), 0, 0.0, "pruned-support")
                 continue
-            ext = np.intersect1d(rows, self.tids(c), assume_unique=True)
+            ext_inside = inside & condition_mask(c, self.d)
+            ext = np.nonzero(ext_inside)[0]
             iv = iv_from_region(ext, self.yv)
             if not _frequent(len(ext), self.theta_abs):
                 self.stats.pruned_support += 1
@@ -273,15 +267,15 @@ class _Search:
                 continue
             p_hat = pattern.extend(c)
             universe = self.node_universe(p_hat.conditions, conds)
-            p_closed = closure(p_hat, self.d, universe, _tids=self._tids)
-            if not leftmost_parent_check(pattern, c, p_closed) or p_closed.key in self._visited:
+            p_closed = closure(p_hat, self.d, universe)
+            if not leftmost_parent_check(pattern, c, p_closed) or p_closed in self._visited:
                 # second clause: independently re-discretized branches can in
                 # principle converge on one closed pattern; visit it once
                 self.stats.pruned_leftmost += 1
                 self.emit(p_closed.key, len(ext), iv, "pruned-leftmost")
                 continue
             self.stats.visited += 1
-            self._visited.add(p_closed.key)
+            self._visited.add(p_closed)
             self.stats.visited_keys.append(p_closed.key)
             rule = self.rule_for(p_closed, rows=ext)
             parents = self.parent_rules(p_closed, universe)
@@ -306,7 +300,7 @@ class _Search:
                 child_num = _interval_conditions(self.d, self.y, ext, free_numeric, self.cfg)
                 children = sorted(child_cat + child_num, key=condition_key)
                 if children:
-                    self.walk(p_closed, ext, children)
+                    self.walk(p_closed, ext_inside, children)
 
 
 def _render_with(pattern: Pattern, c: Condition) -> str:
@@ -334,5 +328,5 @@ def enumerate_candidates(
     )
     conds = sorted(init_conditions, key=condition_key)
     if conds:
-        search.walk(TOP, np.arange(d.n), conds)
+        search.walk(TOP, np.ones(d.n, dtype=bool), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

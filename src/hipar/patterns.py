@@ -138,48 +138,42 @@ def check_condition(c: Condition, attr: AttributeSchema) -> None:
         raise DataError(f"interval condition on non-numerical attribute {c.attribute!r}")
 
 
-def _column_mask(c: Condition, d: Dataset) -> np.ndarray:
-    check_condition(c, d.attribute(c.attribute))
-    return c.mask(d.column(c.attribute))
+def condition_mask(c: Condition, d: Dataset) -> np.ndarray:
+    """Read-only boolean row mask of the condition, computed once per dataset."""
+    mask = d.masks.get(c)
+    if mask is None:
+        check_condition(c, d.attribute(c.attribute))
+        mask = c.mask(d.column(c.attribute))
+        mask.flags.writeable = False
+        d.masks[c] = mask
+    return mask
 
 
 def condition_tids(c: Condition, d: Dataset) -> np.ndarray:
     """Sorted row indices where the condition holds."""
-    return np.nonzero(_column_mask(c, d))[0]
+    return np.nonzero(condition_mask(c, d))[0]
+
+
+def region_mask(p: Pattern, d: Dataset) -> np.ndarray:
+    """Boolean row mask of the pattern's region (all True for the empty pattern)."""
+    mask = np.ones(d.n, dtype=bool)
+    for c in p.conditions:
+        mask &= condition_mask(c, d)
+    return mask
 
 
 def region(p: Pattern, d: Dataset) -> np.ndarray:
     """Sorted row indices of the pattern's region (all rows for the empty pattern)."""
-    mask = np.ones(d.n, dtype=bool)
-    for c in p.conditions:
-        mask &= _column_mask(c, d)
-    return np.nonzero(mask)[0]
+    return np.nonzero(region_mask(p, d))[0]
 
 
 def support(p: Pattern, d: Dataset) -> tuple[int, float]:
     """(absolute, relative) support of the pattern on the dataset."""
-    s = len(region(p, d))
+    s = int(np.count_nonzero(region_mask(p, d)))
     return s, s / d.n
 
 
-def _contains_sorted(tids: np.ndarray, rows: np.ndarray) -> bool:
-    # rows subset-of tids, both sorted unique
-    if len(rows) > len(tids):
-        return False
-    pos = np.searchsorted(tids, rows)
-    if len(tids) == 0:
-        return len(rows) == 0
-    pos = np.minimum(pos, len(tids) - 1)
-    return bool(np.all(tids[pos] == rows))
-
-
-def closure(
-    p: Pattern,
-    d: Dataset,
-    universe: Sequence[Condition],
-    *,
-    _tids: dict[Condition, np.ndarray] | None = None,
-) -> Pattern:
+def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
     """Closed pattern of p's region relative to an explicit condition universe.
 
     Adds every universe condition that holds on every row of the region; the
@@ -188,15 +182,12 @@ def closure(
     cover the region (nested intervals), canonical order wins to preserve the
     one-condition-per-attribute invariant.
     """
-    rows = region(p, d)
-    if len(rows) == 0:
+    outside = ~region_mask(p, d)
+    if outside.all():
         raise DataError(f"closure of pattern with empty region: {p.key}")
     taken = {c.attribute: c for c in p.conditions}
     for c in sorted(universe, key=condition_key):
-        if c.attribute in taken:
-            continue
-        tids = _tids[c] if _tids is not None else condition_tids(c, d)
-        if _contains_sorted(tids, rows):
+        if c.attribute not in taken and (outside | condition_mask(c, d)).all():
             taken[c.attribute] = c
     return Pattern(taken.values())
 

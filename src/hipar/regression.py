@@ -232,7 +232,7 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
     if len(idx) == 0:
         raise DataError("fit_lasso needs at least 1 row")
     hold = sorted_rows(holdout)
-    if len(np.intersect1d(idx, hold)) > 0:
+    if np.isin(hold, idx).any():
         raise DataError("fit rows and holdout rows must be disjoint")
     if not lambda_grid:
         raise DataError("lambda grid must be nonempty")
@@ -251,7 +251,7 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
     if len(idx) == 0:
         raise DataError("fit_omp needs at least 1 row")
     hold = sorted_rows(holdout)
-    if len(np.intersect1d(idx, hold)) > 0:
+    if np.isin(hold, idx).any():
         raise DataError("fit rows and holdout rows must be disjoint")
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import DataError, Dataset
 from .enumeration import HybridRule
-from .patterns import region
+from .patterns import region_mask
 
 EXACT_LIMIT = 25
 _LOCAL_SEARCH_STARTS = 16
@@ -67,14 +67,16 @@ def build_problem(
     sbar = supports / supports.sum()
     alpha = sbar**sigma / ebar
 
-    regions = [region(r.pattern, d) for r in candidates]
+    # regions as packed bitsets: intersections are word-wise AND + popcount
+    bits = np.array([np.packbits(region_mask(r.pattern, d)) for r in candidates])
+    sizes = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     k = len(candidates)
     overlap = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            inter = len(np.intersect1d(regions[i], regions[j], assume_unique=True))
-            union = len(regions[i]) + len(regions[j]) - inter
-            overlap[i, j] = overlap[j, i] = inter / union if union else 0.0
+    for i in range(k - 1):
+        inter = np.bitwise_count(bits[i] & bits[i + 1 :]).sum(axis=1, dtype=np.int64)
+        union = sizes[i] + sizes[i + 1 :] - inter
+        row = np.divide(inter, union, out=np.zeros(len(union)), where=union > 0)
+        overlap[i, i + 1 :] = overlap[i + 1 :, i] = row
     return SelectionProblem(
         candidates=list(candidates),
         alpha=alpha,

@@ -306,3 +306,25 @@ def test_enumeration_deterministic(two_segment):
     assert [r.fitted.holdout_error for r in a.rules] == [r.fitted.holdout_error for r in b.rules]
     # closedness implies distinct regions: no key may appear twice
     assert len(set(a.stats.visited_keys)) == len(a.stats.visited_keys)
+
+
+def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
+    # both bounds render as 1e+06; the memo must tell the patterns apart
+    rng = np.random.default_rng(5)
+    x = 1e6 + rng.uniform(0.0, 0.4, 200)
+    d = Dataset(
+        [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
+        {"x": x, "y": rng.normal(0.0, 1.0, 200)},
+    )
+    low = Pattern([Interval("x", -math.inf, 1000000.15)])
+    high = Pattern([Interval("x", -math.inf, 1000000.25)])
+    assert low.key == high.key and low != high
+    from hipar.enumeration import _Search
+
+    search = _Search(d, "y", EnumConfig(theta=0.05), None)
+    rule_low = search.rule_for(low)
+    rule_high = search.rule_for(high)
+    assert rule_high is not rule_low
+    assert rule_high.pattern == high
+    assert rule_low.support_abs == len(region(low, d))
+    assert rule_high.support_abs == len(region(high, d)) > rule_low.support_abs
