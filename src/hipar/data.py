@@ -127,14 +127,8 @@ class Dataset:
         return Dataset(self.schema, cols)
 
 
-def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) -> Dataset:
-    """Load an RFC-4180-style CSV (UTF-8, header row mandatory) into a Dataset.
-
-    A column is numerical iff every cell parses as a finite real, unless it is
-    named in ``categorical_overrides``. Rows containing a missing (empty) cell
-    are rejected with a row-indexed error; there is no imputation.
-    """
-    overrides = set(categorical_overrides)
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """Stripped header names and data rows of a UTF-8 CSV with a mandatory header row."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -143,12 +137,97 @@ def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) 
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
+    return header, rows
+
+
+def _real_column(cells: list[str]) -> np.ndarray | None:
+    """The cells as floats if every one is a finite real by ``_parse_real``'s
+    rule, else None. ``float()`` strips whitespace as ``str.strip`` does, except
+    for the separators \\x1c-\\x1f: a column it rejects is tried again stripped.
+    The underscore and finiteness checks are made once for the whole column."""
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        try:
+            values = np.fromiter(map(float, map(str.strip, cells)), float, len(cells))
+        except ValueError:
+            return None
+    if "_" in "".join(cells) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _bad_row(path: str, header: list[str], rows: list[list[str]], kinds: dict[str, str | None]):
+    """The error for the first row, in file order, that breaks a cell rule:
+    wrong length, a missing cell in a read column, or a NUMERICAL column's
+    cell that is not a finite real. Columns are checked in ``kinds`` order."""
+    cols = [(header.index(name), name, kind == NUMERICAL) for name, kind in kinds.items()]
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            return DataError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        for j, name, real in cols:
+            cell = row[j].strip()
+            if not cell:
+                return DataError(f"{path}: row {i} has a missing value in column {name!r}")
+            if real and _parse_real(cell) is None:
+                return DataError(
+                    f"{path}: row {i}, column {name!r}: {cell!r} is not a finite number"
+                )
+    raise AssertionError(f"{path}: no row breaks a cell rule")
+
+
+def _columns(
+    path: str, header: list[str], rows: list[list[str]], kinds: dict[str, str | None]
+) -> dict[str, np.ndarray]:
+    """The columns named in ``kinds``, by the cell rules ``load_csv`` and ``hipar
+    predict`` share.
+
+    Every row must have one cell per header name, and no read cell may be empty
+    or whitespace. A NUMERICAL column must hold finite reals (float64 array); a
+    CATEGORICAL one gives its stripped cells (object array); None makes the
+    column NUMERICAL if every cell is a finite real, else CATEGORICAL. A broken
+    rule raises a DataError naming the first bad row.
+    """
+    missing = [name for name in kinds if name not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    if any(len(row) != len(header) for row in rows):
+        raise _bad_row(path, header, rows, kinds)
+    columns: dict[str, np.ndarray] = {}
+    for name, kind in kinds.items():
+        j = header.index(name)
+        cells = [row[j] for row in rows]
+        values = None if kind == CATEGORICAL else _real_column(cells)
+        if values is None:
+            cells = [c.strip() for c in cells]
+            if kind == NUMERICAL or not all(cells):
+                raise _bad_row(path, header, rows, kinds)
+            values = np.array(cells, dtype=object)
+        columns[name] = values
+    return columns
+
+
+def read_columns(path: str, kinds: dict[str, str | None]) -> tuple[dict[str, np.ndarray], int]:
+    """The named columns of a CSV by ``load_csv``'s cell rules (see ``_columns``),
+    and the number of data rows; other columns are ignored."""
+    header, rows = _read_rows(path)
+    return _columns(path, header, rows, kinds), len(rows)
+
+
+def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) -> Dataset:
+    """Load an RFC-4180-style CSV (UTF-8, header row mandatory) into a Dataset.
+
+    A column is numerical iff every cell parses as a finite real, unless it is
+    named in ``categorical_overrides``. Rows containing a missing (empty) cell
+    are rejected with a row-indexed error; there is no imputation.
+    """
+    overrides = set(categorical_overrides)
+    header, rows = _read_rows(path)
     if target not in header:
         raise DataError(f"target column {target!r} not found (columns: {', '.join(header)})")
     unknown = overrides - set(header)
@@ -159,31 +238,18 @@ def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) 
     if not rows:
         raise DataError(f"{path}: empty table, no data rows")
 
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
-            if cell.strip() == "":
-                raise DataError(f"{path}: row {i + 1} has a missing value in column {header[j]!r}")
-
-    schema: list[AttributeSchema] = []
-    columns: dict[str, np.ndarray] = {}
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        parsed = [_parse_real(c) for c in cells]
-        numeric = all(v is not None for v in parsed) and name not in overrides
-        if name == target:
-            if not numeric:
-                raise DataError(f"target column {target!r} is not numerical")
-            schema.append(AttributeSchema(name, NUMERICAL, role="target"))
-            columns[name] = np.array(parsed, dtype=float)
-        elif numeric:
-            schema.append(AttributeSchema(name, NUMERICAL))
-            columns[name] = np.array(parsed, dtype=float)
-        else:
-            schema.append(AttributeSchema(name, CATEGORICAL))
-            columns[name] = np.array([c.strip() for c in cells], dtype=object)
-
+    kinds = {name: CATEGORICAL if name in overrides else None for name in header}
+    columns = _columns(path, header, rows, kinds)
+    if columns[target].dtype != float:
+        raise DataError(f"target column {target!r} is not numerical")
+    schema = [
+        AttributeSchema(
+            name,
+            NUMERICAL if col.dtype == float else CATEGORICAL,
+            role="target" if name == target else "feature",
+        )
+        for name, col in columns.items()
+    ]
     if not any(a.role == "feature" for a in schema):
         raise DataError("no feature columns remain besides the target")
     return Dataset(schema, columns)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -31,11 +32,23 @@ class Equals:
     attribute: str
     value: str
 
+    def __post_init__(self):
+        if isinstance(self.value, str) and "\x00" in self.value:
+            object.__setattr__(self, "mask", partial(_equals_with_nul, self.value))
+
     def render(self) -> str:
         return f'{self.attribute}="{self.value}"'
 
     def mask(self, values):
         return values == self.value
+
+
+def _equals_with_nul(value: str, values):
+    """Equals.mask for a value holding a NUL. numpy turns a str operand into a
+    fixed-width string, which drops trailing NULs; an object operand keeps them."""
+    if isinstance(values, np.ndarray):
+        return values == np.array(value, dtype=object)
+    return values == value
 
 
 @dataclass(frozen=True)

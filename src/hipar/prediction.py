@@ -49,6 +49,11 @@ class Predictor:
                     raise DataError(f"rule {rule.key!r} has a coefficient on {name!r}, "
                                     "not a numerical feature")
         voting = sorted((r for r in self.rules.chosen if not r.is_default), key=lambda r: r.key)
+        for r in voting:  # the vote relies on positive, finite weights 1/ebar
+            e = self.normalized_errors[r.key]
+            if not (0.0 < e < math.inf and 1.0 / e < math.inf):
+                raise DataError(f"rule {r.key!r} has normalized error {e!r}; "
+                                "a vote weight needs a positive, finite 1/ebar")
         voters = tuple((r, 1.0 / self.normalized_errors[r.key]) for r in voting)
         object.__setattr__(self, "voters", voters)
 
@@ -84,22 +89,69 @@ def covering_rules(pred: Predictor, x: Mapping[str, object]) -> list[HybridRule]
 
 def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     """Weighted vote of the covering rules; the default model answers alone
-    when nothing covers x. Weights are ebar^-1 renormalized over the cover."""
+    when nothing covers x. Weights are ebar^-1 renormalized over the cover;
+    votes and weights are added left to right in voter order, as ``_vote`` does."""
     obs = _observation(pred, x)
-    covering = [(r, w) for r, w in pred.voters if r.pattern.mask(obs)]
-    if not covering:
+    num = den = 0.0
+    for r, w in pred.voters:
+        if r.pattern.mask(obs):
+            num += w * r.fitted.model.predict(obs)
+            den += w
+    if den == 0.0:  # weights are positive: nothing covers x
         return pred.default_rule.fitted.model.predict(obs)
-    votes = [w * r.fitted.model.predict(obs) for r, w in covering]
-    return float(sum(votes) / sum(w for _, w in covering))
+    return float(num / den)
+
+
+def _vote(pred: Predictor, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """``predict`` over n observations given as feature columns, bit for bit:
+    numerical columns hold finite floats, categorical ones compare with ==."""
+    num = np.zeros(n)
+    den = np.zeros(n)
+    for r, w in pred.voters:
+        m = np.broadcast_to(r.pattern.mask(columns), n)
+        model = r.fitted.model
+        num[m] += w * model.predict({name: columns[name][m] for name in model.coefficients})
+        den[m] += w
+    covered = den > 0.0
+    out = np.empty(n)
+    out[covered] = num[covered] / den[covered]
+    rest = ~covered
+    model = pred.default_rule.fitted.model
+    out[rest] = model.predict({name: columns[name][rest] for name in model.coefficients})
+    return out
+
+
+def _feature_column(attr: AttributeSchema, d: Dataset, idx: np.ndarray) -> np.ndarray:
+    """The dataset's values of a predictor feature on rows idx, converted as
+    ``_observation`` converts one row's; DataError if some row fails it."""
+    col = d.column(attr.name)[idx]
+    if attr.kind != NUMERICAL:
+        return col.astype(object, copy=False)
+    if d.attribute(attr.name).kind == NUMERICAL:
+        return col
+    try:
+        values = np.fromiter(map(float, col), float, len(col))
+    except (TypeError, ValueError):
+        raise DataError(f"feature {attr.name!r} is not numeric") from None
+    if not np.isfinite(values).all():
+        raise DataError(f"feature {attr.name!r} is not finite")
+    return values
 
 
 def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:
-    """Elementwise predict over dataset rows, order preserved."""
+    """``predict`` over dataset rows, order preserved, bit for bit. A DataError
+    names the first row, in the given order, that ``predict`` would reject."""
     idx = np.asarray(rows, dtype=int)
-    out = np.empty(len(idx))
-    for pos, i in enumerate(idx):
-        try:
-            out[pos] = predict(pred, d.row(int(i)))
-        except DataError as exc:
-            raise DataError(f"row {int(i)}: {exc}") from exc
-    return out
+    if len(idx) == 0:
+        return np.empty(0)
+    features = [a for a in pred.schema if a.role == "feature"]
+    try:
+        columns = {a.name: _feature_column(a, d, idx) for a in features}
+    except DataError:
+        for i in idx:
+            try:
+                _observation(pred, d.row(int(i)))
+            except DataError as exc:
+                raise DataError(f"row {int(i)}: {exc}") from exc
+        raise
+    return _vote(pred, columns, len(idx))

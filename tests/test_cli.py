@@ -8,6 +8,7 @@ import pytest
 from hipar.cli import main
 
 from .conftest import TOY_CSV, make_two_segment
+from .test_data import CELLS, MISSING
 
 
 @pytest.fixture
@@ -107,10 +108,16 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     string_flag = json.loads(rules.read_text())
     string_flag["rules"][-1]["chosen"] = "no"  # a non-empty string would read as true
     votes_default = dict(good, include_default_in_coverage=True)
+    bad_errors = []  # a vote weight is 1/ebar: it must be positive and finite
+    for value in (0.0, -1.0, float("inf"), float("nan"), 5e-324):
+        doc = json.loads(rules.read_text())
+        next(r for r in doc["rules"] if r["chosen"] and not r["is_default"])[
+            "normalized_error"] = value
+        bad_errors.append(doc)
     features = tmp_path / "features.csv"
     features.write_text("segment,x\nA,0.5\n")
     for doc in ({}, no_chosen, bad_intercept, bad_coefficients, string_flag,
-                {**good, "rules": 5}, votes_default):
+                {**good, "rules": 5}, votes_default, *bad_errors):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -205,3 +212,119 @@ def test_categorical_override_flag(tmp_path):
     doc = json.loads(rules.read_text())
     kinds = {s["name"]: s["kind"] for s in doc["schema"]}
     assert kinds["rooms"] == "categorical"
+
+
+@pytest.fixture
+def segment_rules(tmp_path, segment_csv):
+    rules = tmp_path / "rules.json"
+    assert main(["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 "--seed", "3", "--rules-out", str(rules)]) == 0
+    return str(rules)
+
+
+def _predict_file(tmp_path, rules, text):
+    features = tmp_path / "features.csv"
+    features.write_text(text, encoding="utf-8")
+    out = tmp_path / "pred.txt"
+    code = main(["predict", "--rules", rules, "--input", str(features), "--out", str(out)])
+    return code, out.read_text() if code == 0 else None
+
+
+@pytest.mark.parametrize("cell,value", CELLS)
+def test_predict_cell_verdicts_match_load_csv(tmp_path, segment_rules, cell, value, capsys):
+    from hipar import deserialize_rules, predict
+
+    capsys.readouterr()
+    code, text = _predict_file(tmp_path, segment_rules, f"segment,x\nA,0.5\nB,{cell}\n")
+    if value is None:
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"row 2, column 'x': {cell.strip()!r} is not a finite number" in err
+    else:
+        assert code == 0
+        pred = deserialize_rules(segment_rules)
+        want = [predict(pred, {"segment": "A", "x": 0.5}), predict(pred, {"segment": "B", "x": value})]
+        assert text == "".join(f"{v!r}\n" for v in want)
+
+
+@pytest.mark.parametrize("cell", MISSING)
+def test_predict_missing_cell_names_row_and_column(tmp_path, segment_rules, cell, capsys):
+    capsys.readouterr()
+    code, _ = _predict_file(tmp_path, segment_rules, f"segment,x\nA,0.5\n{cell},0.5\n")
+    assert code == 1
+    assert "row 2 has a missing value in column 'segment'" in capsys.readouterr().err
+
+
+def test_predict_reports_first_bad_row(tmp_path, segment_rules, capsys):
+    # features are checked in schema order (segment, x) within a row
+    for body, message in (
+        ("A,0.5\nA,0.5\nA,1_0\n,0.5\n", "row 3, column 'x': '1_0'"),
+        ("A,0.5\nA,nan\n,0.5\n", "row 2, column 'x': 'nan'"),
+        ("A,0.5\n,nan\nA,inf\n", "row 2 has a missing value in column 'segment'"),
+        ("A,0.5\nA,abc\nB\n", "row 2, column 'x': 'abc'"),
+        ("A,0.5\nB\nA,abc\n", "row 2 has 1 cells, expected 2"),
+    ):
+        capsys.readouterr()
+        assert _predict_file(tmp_path, segment_rules, "segment,x\n" + body)[0] == 1
+        assert message in capsys.readouterr().err
+    # schema order, not file order
+    capsys.readouterr()
+    assert _predict_file(tmp_path, segment_rules, "x,segment\n0.5,A\nnan,\n")[0] == 1
+    assert "row 2 has a missing value in column 'segment'" in capsys.readouterr().err
+
+
+def test_predict_csv_edge_cases(tmp_path, segment_rules, capsys):
+    _, plain = _predict_file(tmp_path, segment_rules, "segment,x\nA,0.5\nB,0.25\n")
+    # extra columns, the target among them, are ignored: order, text, empty cells
+    code, extra = _predict_file(tmp_path, segment_rules,
+                                " y , x ,note,segment\nnope,0.5,,A\n,0.25,hi,B\n")
+    assert code == 0 and extra == plain
+    for text, message in (
+        ("segment,x,x\nA,0.5,0.5\n", "duplicate column names"),
+        ("segment,x,note\nA,0.5,n\nB,0.25\n", "row 2 has 2 cells, expected 3"),
+        ("segment,x\nA,0.5,7\n", "row 1 has 3 cells, expected 2"),
+        ("segment\nA\n", "missing columns ['x']"),
+        ("", "empty file"),
+        # a blank line is a row without cells, for hipar predict as for load_csv
+        ("segment,x\nA,0.5\n\nB,0.25\n", "row 2 has 0 cells, expected 2"),
+        ("segment,x\nA,0.5\nB,0.25\n\n", "row 3 has 0 cells, expected 2"),
+    ):
+        capsys.readouterr()
+        assert _predict_file(tmp_path, segment_rules, text)[0] == 1
+        assert message in capsys.readouterr().err
+    # a header alone gives no predictions
+    assert _predict_file(tmp_path, segment_rules, "segment,x\n") == (0, "")
+
+
+def test_predict_file_equals_predict_batch(tmp_path, segment_csv, segment_rules):
+    from hipar import deserialize_rules, load_csv, predict_batch
+
+    d = load_csv(segment_csv, target="y")
+    code, text = _predict_file(tmp_path, segment_rules, open(segment_csv).read())
+    assert code == 0
+    batch = predict_batch(deserialize_rules(segment_rules), d, range(d.n))
+    assert text == "".join(f"{v!r}\n" for v in batch.tolist())
+
+
+def test_predict_nul_in_category_compares_exactly(tmp_path, segment_rules):
+    # numpy fixed-width strings drop trailing NULs: "A\x00" must not match "A"
+    from hipar import deserialize_rules, predict
+
+    code, text = _predict_file(tmp_path, segment_rules, "segment,x\nA\x00,0.5\nA,0.5\n")
+    assert code == 0
+    pred = deserialize_rules(segment_rules)
+    want = [predict(pred, {"segment": s, "x": 0.5}) for s in ("A\x00", "A")]
+    assert text == "".join(f"{v!r}\n" for v in want)
+    assert want[0] != want[1]
+    # and a rule on "A\x00" must not match "A"
+    doc = json.loads(open(segment_rules).read())
+    rule = next(r for r in doc["rules"] if r["pattern"] == 'segment="A"')
+    rule["conditions"][0]["value"] = "A\x00"
+    rule["pattern"] = 'segment="A\x00"'
+    rules = tmp_path / "nul.json"
+    rules.write_text(json.dumps(doc))
+    pred = deserialize_rules(str(rules))
+    code, text = _predict_file(tmp_path, str(rules), "segment,x\nA,0.5\nA\x00,0.5\n")
+    want = [predict(pred, {"segment": s, "x": 0.5}) for s in ("A", "A\x00")]
+    assert code == 0 and text == "".join(f"{v!r}\n" for v in want)
+    assert want[0] != want[1]

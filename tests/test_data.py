@@ -139,3 +139,94 @@ def test_holdout_partition_and_determinism():
 def test_holdout_too_few_rows():
     with pytest.raises(DataError):
         holdout_split([1], 0.2, seed=0)
+
+
+# (cell, value of a finite real or None); empty cells are missing values instead
+CELLS = [
+    ("1_0", None), ("nan", None), ("inf", None), ("-Infinity", None), ("1e309", None),
+    (" 2.5 ", 2.5), ("+.5", 0.5), ("5.", 5.0), ("0x10", None),
+    ("١٢", 12.0),  # Arabic-Indic digits: float() reads them
+    ("\x1c7", 7.0),  # str.strip() removes \x1c, float() alone does not
+]
+MISSING = ["", "   "]
+
+
+@pytest.mark.parametrize("cell,value", CELLS)
+def test_load_csv_type_inference_per_cell(tmp_path, cell, value):
+    from hipar.data import _parse_real
+
+    assert _parse_real(cell) == value
+    path = tmp_path / "cells.csv"
+    path.write_text(f"a,y\n1,1\n{cell},2\n", encoding="utf-8")
+    d = load_csv(str(path), target="y")
+    if value is None:
+        assert d.attribute("a").kind == "categorical"
+        assert d.column("a").tolist() == ["1", cell.strip()]
+    else:
+        assert d.attribute("a").kind == "numerical"
+        assert d.column("a").tolist() == [1.0, value]
+
+
+@pytest.mark.parametrize("cell", MISSING)
+def test_load_csv_missing_cell_per_cell(tmp_path, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"a,y\n1,1\n{cell},2\n")
+    with pytest.raises(DataError, match="row 2 has a missing value in column 'a'"):
+        load_csv(str(path), target="y")
+
+
+def test_real_column_agrees_with_parse_real_cell_by_cell():
+    from hipar.data import _parse_real, _real_column
+
+    rng = np.random.default_rng(5)
+    alphabet = list("0123456789+-.eE_ xaIinfNn") + ["\t", " ", "\x1c", "٣", "\x00"]
+    cells = [c for c, _ in CELLS] + MISSING
+    cells += ["".join(rng.choice(alphabet, int(rng.integers(1, 7)))) for _ in range(3000)]
+    for cell in cells:
+        column = _real_column([cell])
+        want = _parse_real(cell)
+        assert (column is None) == (want is None), cell
+        if want is not None:
+            assert column.tolist() == [want], cell
+    # a column is real only if every cell is
+    assert _real_column(["1", "2", "1_0"]) is None
+    assert _real_column(["1", "nan"]) is None
+    assert _real_column(["1", " 2 "]).tolist() == [1.0, 2.0]
+
+
+def test_first_bad_row_is_reported(tmp_path):
+    path = tmp_path / "bad.csv"
+    # a later column's missing cell comes first in row order; ragged rows count too
+    for body, message in (
+        ("1,2,3\n4,5,6\n7,8,\n1,,3\n", "row 3 has a missing value in column 'y'"),
+        ("1,2,3\n4,,6\n7,8\n", "row 2 has a missing value in column 'b'"),
+        ("1,2,3\n4,5\n7,8,\n", "row 2 has 2 cells, expected 3"),
+        ("1,2,3\n , ,6\n", "row 2 has a missing value in column 'a'"),
+    ):
+        path.write_text("a,b,y\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_csv(str(path), target="y")
+
+
+def test_blank_line_is_a_row_without_cells(tmp_path):
+    path = tmp_path / "blank.csv"
+    for body, row in (("1,2\n\n3,4\n", 2), ("1,2\n3,4\n\n", 3)):
+        path.write_text("a,y\n" + body)
+        with pytest.raises(DataError, match=f"row {row} has 0 cells, expected 2"):
+            load_csv(str(path), target="y")
+
+
+def test_duplicate_header_and_header_whitespace(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a, a ,y\n1,2,3\n")
+    with pytest.raises(DataError, match="duplicate column names"):
+        load_csv(str(path), target="y")
+    path.write_text(" a , y\n1,2\n2,3\n")
+    assert [a.name for a in load_csv(str(path), target="y").schema] == ["a", "y"]
+
+
+def test_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,y\ncafé,1\n".encode("latin-1"))
+    with pytest.raises(DataError, match="cannot read"):
+        load_csv(str(path), target="y")

@@ -67,6 +67,18 @@ def test_scalar_mask_equals_column_mask():
     assert [bool(c.mask(v)) for v in cats] == c.mask(cats).tolist() == [True, False, False]
 
 
+def test_equality_with_nul_is_exact_on_every_input():
+    # numpy would compare against a fixed-width string, which drops trailing NULs
+    cats = ["a", "a\x00", "a\x00\x00", "b"]
+    for value in cats:
+        want = [v == value for v in cats]
+        c = Equals("g", value)
+        assert [bool(c.mask(v)) for v in cats] == want
+        assert c.mask(np.array(cats, dtype=object)).tolist() == want
+        assert c.mask(np.array(["a", "b"])).tolist() == [value == "a", value == "b"]
+    assert Equals("g", "a\x00") == Equals("g", "a\x00") != Equals("g", "a")
+
+
 def test_pattern_mask_is_and_of_conditions(toy):
     p = Pattern([COTTAGE, Interval("surface", -math.inf, 60.0)])
     columns = {a.name: toy.column(a.name) for a in toy.schema}

@@ -191,3 +191,100 @@ def test_predict_batch_matches_pointwise(two_segment):
     assert np.array_equal(predict_batch(pred, two_segment, perm), batch[::-1])
     assert len(predict_batch(pred, two_segment, np.empty(0, dtype=int))) == 0
     assert np.all(np.isfinite(batch))
+
+
+def test_vote_adds_left_to_right_in_voter_order():
+    # a compensated sum (Python 3.12's sum()) would give (1e16 + 1 - 1e16) / 3 = 1/3
+    schema = [AttributeSchema(f"x{i}", "numerical") for i in (1, 2, 3)]
+    schema.append(AttributeSchema("y", "numerical", role="target"))
+    rules = [
+        _rule(Pattern([Interval(f"x{i}", -np.inf, np.inf)]), LinearModel(v, {}, "MEAN"))
+        for i, v in ((1, 1e16), (2, 1.0), (3, -1e16))
+    ]
+    pred = _predictor(rules, {r.key: 1.0 for r in rules}, schema=schema)
+    assert [r.fitted.model.intercept for r, _ in pred.voters] == [1e16, 1.0, -1e16]
+    d = Dataset(schema, {a.name: np.zeros(1) for a in schema})
+    assert predict(pred, d.row(0)) == 0.0
+    assert predict_batch(pred, d, [0]).tolist() == [0.0]
+
+
+LEVELS = ("a", "b", "c", "d")  # rules test a..c only: "d" is a category no rule has seen
+
+
+def _random_case(rng, n):
+    """A mixed dataset and a predictor of 3..6 overlapping voters with linear
+    models; a narrow default-free cover leaves rows to the default model."""
+    schema = [
+        AttributeSchema("g", "categorical"),
+        AttributeSchema("h", "categorical"),
+        AttributeSchema("u", "numerical"),
+        AttributeSchema("v", "numerical"),
+        AttributeSchema("y", "numerical", role="target"),
+    ]
+    d = Dataset(schema, {
+        "g": rng.choice(LEVELS, n).astype(object),
+        "h": rng.choice(LEVELS, n).astype(object),
+        "u": np.round(rng.uniform(0.0, 10.0, n), 1),
+        "v": rng.normal(0.0, 3.0, n),
+        "y": rng.normal(0.0, 1.0, n),
+    })
+    conds = [Equals(a, v) for a in ("g", "h") for v in LEVELS[:3]]
+    conds += [Interval("u", -np.inf, 4.0), Interval("u", 2.5, 7.5), Interval("v", 0.0, np.inf)]
+    rules = {}
+    while len(rules) < int(rng.integers(3, 7)):
+        by_attr = {}
+        for i in rng.permutation(len(conds))[: int(rng.integers(1, 3))]:
+            by_attr.setdefault(conds[i].attribute, conds[i])
+        coefs = {a: float(rng.normal(0.0, 2.0)) for a in ("u", "v") if rng.random() < 0.6}
+        model = LinearModel(float(rng.normal(0.0, 10.0)), coefs, "OLS" if coefs else "MEAN")
+        rule = _rule(Pattern(by_attr.values()), model)
+        rules[rule.key] = rule
+    ebar = {k: float(rng.uniform(0.05, 2.0)) for k in rules}
+    default = _rule(TOP, LinearModel(float(rng.normal()), {"u": 0.3, "v": -1.7}, "OLS"),
+                    is_default=True)
+    ebar["TRUE"] = 1.0
+    pred = Predictor(rules=SelectedRuleSet(list(rules.values()), 0.0, "exact", True),
+                     default_rule=default, normalized_errors=ebar, schema=schema, metric="rmse")
+    return d, pred
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_predict_batch_equals_row_wise_predict_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    d, pred = _random_case(rng, int(rng.integers(20, 300)))
+    assert len(pred.voters) >= 3
+    for rows in (np.arange(d.n), rng.permutation(d.n), rng.choice(d.n, d.n // 3),
+                 np.empty(0, dtype=int)):
+        batch = predict_batch(pred, d, rows)
+        single = [predict(pred, d.row(int(i))) for i in rows]
+        assert batch.tolist() == single  # == on floats: equal bits, as none is NaN
+    covers = [len(covering_rules(pred, d.row(i))) for i in range(d.n)]
+    assert 0 in covers and max(covers) >= 2
+    assert "d" in d.column("g").tolist()
+
+
+def test_predict_batch_converts_a_mismatched_column_like_predict():
+    rng = np.random.default_rng(11)
+    d, pred = _random_case(rng, 40)
+    # the dataset holds "u" as text and "g" as numbers, against the predictor's kinds
+    schema = [AttributeSchema(a.name, {"u": "categorical", "g": "numerical"}.get(a.name, a.kind),
+                              a.role) for a in d.schema]
+    text_u = np.array([f" {x!r} " for x in d.column("u").tolist()], dtype=object)
+    text_u[7] = "1_5"  # float() accepts underscores: library predict takes it as 15.0
+    columns = {a.name: d.column(a.name) for a in d.schema}
+    other = Dataset(schema, {**columns, "u": text_u, "g": np.arange(40.0)})
+    rows = rng.permutation(40)
+    batch = predict_batch(pred, other, rows)
+    assert batch.tolist() == [predict(pred, other.row(int(i))) for i in rows]
+
+    bad_u = text_u.copy()
+    bad_u[[5, 9, 30]] = ["abc", "inf", "x"]
+    bad = Dataset(schema, {**columns, "u": bad_u, "g": np.arange(40.0)})
+    for rows, first in (([0, 1, 9, 5, 30], "row 9: feature 'u' is not finite"),
+                        ([30, 5], "row 30: feature 'u' is not numeric: 'x'"),
+                        ([2, 5, 9], "row 5: feature 'u' is not numeric: 'abc'")):
+        with pytest.raises(DataError, match=f"^{first}"):
+            predict_batch(pred, bad, rows)
+    assert predict_batch(pred, bad, [0, 1, 2]).tolist() == [
+        predict(pred, bad.row(i)) for i in (0, 1, 2)
+    ]
