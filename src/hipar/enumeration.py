@@ -238,8 +238,13 @@ class _Search:
             parents[TOP] = self.default_rule
         return list(parents.values())
 
-    def emit(self, rendered: str, support: int, iv: float, decision: str) -> None:
+    def emit(self, decision: str, support: int, iv: float, pattern: Pattern,
+             c: Condition | None = None) -> None:
+        """Trace one decision on ``pattern``, or on ``pattern`` extended by ``c``
+        when the extension was pruned before its closure. Renders only when a
+        trace is attached."""
         if self.trace is not None:
+            rendered = pattern.key if c is None else _render_with(pattern, c)
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
     def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
@@ -252,18 +257,19 @@ class _Search:
             if c.attribute in taken:
                 # sibling condition on a pinned attribute: the region is empty
                 self.stats.pruned_support += 1
-                self.emit(_render_with(pattern, c), 0, 0.0, "pruned-support")
+                self.emit("pruned-support", 0, 0.0, pattern, c)
                 continue
             ext_inside = inside & condition_mask(c, self.d)
             ext = np.nonzero(ext_inside)[0]
-            iv = iv_from_region(ext, self.yv)
             if not _frequent(len(ext), self.theta_abs):
                 self.stats.pruned_support += 1
-                self.emit(_render_with(pattern, c), len(ext), iv, "pruned-support")
+                if self.trace is not None:  # an infrequent region's IV is only traced
+                    self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern, c)
                 continue
+            iv = iv_from_region(ext, self.yv)
             if not iv > nu:
                 self.stats.pruned_iv += 1
-                self.emit(_render_with(pattern, c), len(ext), iv, "pruned-iv")
+                self.emit("pruned-iv", len(ext), iv, pattern, c)
                 continue
             p_hat = pattern.extend(c)
             universe = self.node_universe(p_hat.conditions, conds)
@@ -272,7 +278,7 @@ class _Search:
                 # second clause: independently re-discretized branches can in
                 # principle converge on one closed pattern; visit it once
                 self.stats.pruned_leftmost += 1
-                self.emit(p_closed.key, len(ext), iv, "pruned-leftmost")
+                self.emit("pruned-leftmost", len(ext), iv, p_closed)
                 continue
             self.stats.visited += 1
             self._visited.add(p_closed)
@@ -285,10 +291,10 @@ class _Search:
             if ok:
                 self.accepted.append(rule)
                 self.stats.accepted += 1
-                self.emit(p_closed.key, len(ext), iv, "accepted")
+                self.emit("accepted", len(ext), iv, p_closed)
             else:
                 self.stats.rejected_occam += 1
-                self.emit(p_closed.key, len(ext), iv, "rejected-occam")
+                self.emit("rejected-occam", len(ext), iv, p_closed)
             if ok or self.cfg.exhaustive:
                 closed_conds = set(p_closed.conditions)
                 child_cat = [

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,20 +121,7 @@ class EvaluationReport:
             "mean_reduction": self.mean_reduction,
             "median_reduction": self.median_reduction,
             "config": self.config,
-            "folds": [
-                {
-                    "fold": f.fold,
-                    "baseline_error": f.baseline_error,
-                    "model_error": f.model_error,
-                    "reduction": f.reduction,
-                    "rules": f.rules,
-                    "elements": f.elements,
-                    "seconds": f.seconds,
-                    "skipped": f.skipped,
-                    "note": f.note,
-                }
-                for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
         }
 
     def to_json(self) -> str:

@@ -224,16 +224,24 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     return _fit(idx, d, y, OLS, [None])[0]
 
 
+def _checked_rows(rows, holdout, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted fit and holdout rows; the fit rows must be nonempty and disjoint
+    from the holdout rows."""
+    idx = sorted_rows(rows)
+    if len(idx) == 0:
+        raise DataError(f"{caller} needs at least 1 row")
+    hold = sorted_rows(holdout)
+    # a holdout row is a fit row iff its left and right insertion points differ
+    if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
+        raise DataError("fit rows and holdout rows must be disjoint")
+    return idx, hold
+
+
 def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
               metric: str = RMSE) -> LinearModel:
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
-    idx = sorted_rows(rows)
-    if len(idx) == 0:
-        raise DataError("fit_lasso needs at least 1 row")
-    hold = sorted_rows(holdout)
-    if np.isin(hold, idx).any():
-        raise DataError("fit rows and holdout rows must be disjoint")
+    idx, hold = _checked_rows(rows, holdout, "fit_lasso")
     if not lambda_grid:
         raise DataError("lambda grid must be nonempty")
     best: tuple[float, float, LinearModel] | None = None
@@ -247,12 +255,7 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    idx = sorted_rows(rows)
-    if len(idx) == 0:
-        raise DataError("fit_omp needs at least 1 row")
-    hold = sorted_rows(holdout)
-    if np.isin(hold, idx).any():
-        raise DataError("fit rows and holdout rows must be disjoint")
+    idx, hold = _checked_rows(rows, holdout, "fit_omp")
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
     if max_terms == 0:
@@ -266,9 +269,7 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
 
 
 def best_local_model(
-    rows, d: Dataset, y: str, metric: str, seed: int,
-    lambda_grid: Sequence[float] = DEFAULT_LAMBDA_GRID,
-    max_terms: int | None = None,
+    rows, d: Dataset, y: str, metric: str, seed: int, max_terms: int | None = None
 ) -> FittedRuleModel:
     """LASSO vs OMP contest on an 80/20 split of the rows.
 
@@ -300,7 +301,7 @@ def best_local_model(
             metric=metric, holdout_rows=hold,
         )
 
-    lasso = fit_lasso(train, d, y, lambda_grid, hold, metric)
+    lasso = fit_lasso(train, d, y, DEFAULT_LAMBDA_GRID, hold, metric)
     omp = fit_omp(train, d, y, max_terms, hold, metric)
     lasso_err = evaluate(lasso, hold, d, y, metric)
     omp_err = evaluate(omp, hold, d, y, metric)

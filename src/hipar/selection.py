@@ -2,18 +2,21 @@
 
 Selecting a nonempty subset S of candidate rules minimizes
 
-    sum_{p in S} -alpha_p  +  sum_{p<q in S} omega * J(p,q) * (alpha_p + alpha_q)
+    sum_{p in S} -alpha_p  +  sum_{p<q in S} P[p,q],  P[p,q] = omega * J(p,q) * (alpha_p + alpha_q)
 
 with alpha_p = sbar(p)^sigma / ebar(r_p). Since the penalty coefficients are
 nonnegative, the pair variables of the integer program collapse to products and
-the problem is quadratic pseudo-boolean minimization, solved exactly by
-branch-and-bound up to EXACT_LIMIT rules and by multi-start steepest-descent
-local search beyond that.
+the problem is quadratic pseudo-boolean minimization over the penalty matrix P,
+computed once per problem. Both solvers carry load[v] = sum_{u in S} P[u,v]:
+adding v changes the objective by load[v] - alpha[v]. Branch-and-bound (up to
+EXACT_LIMIT rules) bounds a partial assignment by its objective minus
+sum_{v undecided} max(0, alpha[v] - load[v]), since penalties only add; beyond
+that, multi-start steepest-descent local search flips one bit at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +38,13 @@ class SelectionProblem:
     omega: float
     normalized_errors: np.ndarray  # ebar, sums to 1
     normalized_supports: np.ndarray  # sbar, sums to 1
+    # omega * overlap[i, j] * (alpha[i] + alpha[j]), zero diagonal
+    penalty: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def penalty(self, i: int, j: int) -> float:
-        return self.omega * float(self.overlap[i, j]) * float(self.alpha[i] + self.alpha[j])
+    def __post_init__(self):
+        penalty = self.omega * self.overlap * (self.alpha[:, None] + self.alpha[None, :])
+        np.fill_diagonal(penalty, 0.0)
+        object.__setattr__(self, "penalty", penalty)
 
 
 @dataclass(frozen=True)
@@ -96,81 +103,60 @@ def subset_objective(indices: Sequence[int], sp: SelectionProblem) -> float:
     total = 0.0
     for i in idx:
         total += -float(sp.alpha[i])
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            total += sp.penalty(idx[a], idx[b])
+    for a, row in enumerate(sp.penalty[np.ix_(idx, idx)].tolist()):
+        for p in row[a + 1 :]:
+            total += p
     return total
 
 
-def _tie_key(indices: Sequence[int], sp: SelectionProblem) -> tuple[int, tuple[str, ...]]:
-    # fewer rules first, then lexicographically smallest canonical keys
-    return (len(indices), tuple(sorted(sp.candidates[i].key for i in indices)))
+def _rank(indices: Sequence[int], sp: SelectionProblem) -> tuple[float, int, tuple[str, ...]]:
+    """Subsets order by objective, then fewer rules, then smallest canonical keys."""
+    return (
+        subset_objective(indices, sp),
+        len(indices),
+        tuple(sorted(sp.candidates[i].key for i in indices)),
+    )
 
 
-def _better(obj_a: float, key_a, obj_b: float, key_b) -> bool:
-    """Is (obj_a, key_a) strictly preferable to (obj_b, key_b)?"""
-    if obj_a != obj_b:
-        return obj_a < obj_b
-    return key_a < key_b
-
-
-def _solve_exact(sp: SelectionProblem) -> tuple[list[int], float]:
+def _solve_exact(sp: SelectionProblem) -> list[int]:
     n = len(sp.candidates)
-    order = sorted(range(n), key=lambda i: -float(sp.alpha[i]))
-    alpha = sp.alpha
-    suffix_alpha = np.zeros(n + 1)
-    for pos in range(n - 1, -1, -1):
-        suffix_alpha[pos] = suffix_alpha[pos + 1] + float(alpha[order[pos]])
+    order = np.argsort(-sp.alpha, kind="stable")  # branch on large alpha first
+    alpha = sp.alpha[order]
+    P = sp.penalty[np.ix_(order, order)]
+    best = None  # rank and members of the best leaf so far
 
-    best_set: list[int] = []
-    best_obj = float("inf")
-    best_key = None
-
-    def consider(chosen: list[int]) -> None:
-        nonlocal best_set, best_obj, best_key
-        if not chosen:
-            return
-        obj = subset_objective(chosen, sp)
-        key = _tie_key(chosen, sp)
-        if best_key is None or _better(obj, key, best_obj, best_key):
-            best_set, best_obj, best_key = list(chosen), obj, key
-
-    def dfs(pos: int, chosen: list[int], partial: float) -> None:
-        # partial is the incremental objective of `chosen`; every undecided
-        # variable can lower it by at most its alpha, penalties only add
-        slack = 1e-9 * (1.0 + abs(best_obj)) if best_obj != float("inf") else float("inf")
-        if partial - suffix_alpha[pos] > best_obj + slack:
-            return
+    def dfs(pos: int, chosen: list[int], partial: float, load: np.ndarray) -> None:
+        # partial is the objective of `chosen` and load[v] its penalty against
+        # v, both over positions in `order`
+        nonlocal best
+        if best is not None:
+            best_obj = best[0][0]
+            bound = partial - np.maximum(alpha[pos:] - load[pos:], 0.0).sum()
+            if bound > best_obj + 1e-9 * (1.0 + abs(best_obj)):
+                return
         if pos == n:
-            consider(chosen)
+            if chosen:
+                members = order[chosen].tolist()
+                rank = _rank(members, sp)
+                if best is None or rank < best[0]:
+                    best = rank, members
             return
-        v = order[pos]
-        delta = -float(alpha[v])
-        for u in chosen:
-            delta += sp.penalty(min(u, v), max(u, v))
-        chosen.append(v)
-        dfs(pos + 1, chosen, partial + delta)
+        chosen.append(pos)
+        dfs(pos + 1, chosen, partial + (load[pos] - alpha[pos]), load + P[pos])
         chosen.pop()
-        dfs(pos + 1, chosen, partial)
+        dfs(pos + 1, chosen, partial, load)
 
-    dfs(0, [], 0.0)
-    return best_set, best_obj
-
-
-def _penalty_matrix(sp: SelectionProblem) -> np.ndarray:
-    P = sp.omega * sp.overlap * (sp.alpha[:, None] + sp.alpha[None, :])
-    np.fill_diagonal(P, 0.0)
-    return P
+    dfs(0, [], 0.0, np.zeros(n))
+    return best[1]
 
 
-def _descend(mask: np.ndarray, sp: SelectionProblem, P: np.ndarray) -> np.ndarray:
+def _descend(mask: np.ndarray, sp: SelectionProblem) -> np.ndarray:
     """Steepest-descent single-bit flips, keeping the set nonempty.
 
     Flip deltas are maintained incrementally: adding v changes the objective by
-    load[v] - alpha[v] and removing it by alpha[v] - load[v], where load[v] is
-    v's total pairwise penalty against the current members.
+    load[v] - alpha[v] and removing it by alpha[v] - load[v].
     """
-    alpha = sp.alpha
+    alpha, P = sp.alpha, sp.penalty
     load = P[:, mask].sum(axis=1)
     size = int(mask.sum())
     for _ in range(200 + 20 * len(mask)):  # flip budget; drift cannot cycle forever
@@ -191,7 +177,7 @@ def _descend(mask: np.ndarray, sp: SelectionProblem, P: np.ndarray) -> np.ndarra
     return mask
 
 
-def _solve_local(sp: SelectionProblem) -> tuple[list[int], float]:
+def _solve_local(sp: SelectionProblem) -> list[int]:
     n = len(sp.candidates)
     rng = np.random.default_rng(9)
     starts = [np.zeros(n, dtype=bool)]
@@ -201,19 +187,8 @@ def _solve_local(sp: SelectionProblem) -> tuple[list[int], float]:
         if not mask.any():
             mask[int(np.argmax(sp.alpha))] = True
         starts.append(mask)
-
-    P = _penalty_matrix(sp)
-    best_set: list[int] | None = None
-    best_obj = float("inf")
-    best_key = None
-    for mask in starts:
-        mask = _descend(mask.copy(), sp, P)
-        chosen = list(np.nonzero(mask)[0])
-        obj = subset_objective(chosen, sp)
-        key = _tie_key(chosen, sp)
-        if best_key is None or _better(obj, key, best_obj, best_key):
-            best_set, best_obj, best_key = chosen, obj, key
-    return best_set, best_obj
+    ends = [np.flatnonzero(_descend(mask, sp)).tolist() for mask in starts]
+    return min(ends, key=lambda members: _rank(members, sp))
 
 
 def solve(sp: SelectionProblem) -> SelectedRuleSet:
@@ -224,12 +199,13 @@ def solve(sp: SelectionProblem) -> SelectedRuleSet:
     then lexicographically smallest canonical keys.
     """
     n = len(sp.candidates)
+    if n == 0:
+        raise DataError("selection needs at least one candidate rule")
     exact = n <= EXACT_LIMIT
-    chosen_idx, objective = _solve_exact(sp) if exact else _solve_local(sp)
-    chosen = [sp.candidates[i] for i in sorted(chosen_idx)]
+    chosen_idx = sorted(_solve_exact(sp) if exact else _solve_local(sp))
     return SelectedRuleSet(
-        chosen=chosen,
-        objective_value=objective,
+        chosen=[sp.candidates[i] for i in chosen_idx],
+        objective_value=subset_objective(chosen_idx, sp),
         solver="exact" if exact else "local-search",
         proof=exact,
     )

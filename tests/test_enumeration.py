@@ -184,6 +184,36 @@ def test_trace_format(toy):
         assert decision in decisions
 
 
+def test_trace_does_not_change_the_search():
+    # traced decisions are rendered lazily; the search itself must not differ
+    rng = np.random.default_rng(5)
+    n = 400
+    seg = rng.choice(np.array(["a", "b", "c"], dtype=object), n)
+    kind = rng.choice(np.array(["u", "v"], dtype=object), n)
+    x, z = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    y = np.where(seg == "a", 1 + 2 * x, np.where(seg == "b", 10 - 3 * x, 4 + z))
+    y = y + np.where(kind == "u", 0.0, 2 * z) + rng.normal(0.0, 0.2, n)
+    d = Dataset(
+        [AttributeSchema("seg", "categorical"), AttributeSchema("kind", "categorical")]
+        + [AttributeSchema(a, "numerical") for a in ("x", "z")]
+        + [AttributeSchema("y", "numerical", role="target")],
+        {"seg": seg, "kind": kind, "x": x, "z": z, "y": y},
+    )
+    cfg = EnumConfig(theta=0.1, seed=0, exhaustive=True)
+    conds = hipar_init(d, "y", cfg)
+    lines: list[str] = []
+    traced = enumerate_candidates(d, "y", conds, cfg, trace=lines.append)
+    plain = enumerate_candidates(d, "y", conds, cfg)
+    assert {ln.split("\t")[3] for ln in lines} >= {"pruned-support", "pruned-iv", "accepted"}
+
+    def summary(cands):
+        return [(r.key, r.support_abs, r.fitted.model, r.fitted.holdout_error)
+                for r in [cands.default_rule, *cands.rules]]
+
+    assert summary(traced) == summary(plain)
+    assert traced.stats == plain.stats
+
+
 def test_visited_patterns_match_closed_miner_toy(toy):
     # categorical-only view of the toy table (no numeric columns, so no
     # re-discretization inside the search)

@@ -222,6 +222,34 @@ def test_omp_empty_fit_rows_rejected(max_terms):
         fit_omp([], d, "y", max_terms, [0, 1])
 
 
+_HOLDOUT_FITS = {
+    "lasso": lambda rows, hold, d: fit_lasso(rows, d, "y", [0.1], hold),
+    "omp": lambda rows, hold, d: fit_omp(rows, d, "y", 2, hold),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_HOLDOUT_FITS))
+@pytest.mark.parametrize(
+    "rows, hold",
+    [
+        (range(8), [9, 0]),  # the first fit row
+        (range(8), [7]),  # the last fit row
+        ([9, 2, 5], [1, 3, 9]),  # the table's last row, fit rows unsorted
+    ],
+)
+def test_fit_rows_overlapping_holdout_rejected(method, rows, hold):
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) ** 2})
+    with pytest.raises(DataError, match="disjoint"):
+        _HOLDOUT_FITS[method](rows, hold, d)
+
+
+@pytest.mark.parametrize("method", sorted(_HOLDOUT_FITS))
+def test_fit_rows_interleaved_with_holdout_accepted(method):
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) ** 2})
+    model = _HOLDOUT_FITS[method]([8, 0, 4, 2, 6], [9, 1, 7, 3], d)
+    assert np.isfinite(model.intercept)
+
+
 def test_omp_training_error_non_increasing_in_k():
     rng = np.random.default_rng(9)
     n, p = 50, 4

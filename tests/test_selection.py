@@ -67,6 +67,23 @@ def _dummy_problem(rng, n_rules, omega=None, m_rows=40):
     )
 
 
+def _tied_problem(rng, n_rules):
+    """Equal alphas, and rule 2k+1 repeats rule 2k's region: a subset holding
+    one of the twins ties bit for bit with the one holding the other. Keys run
+    against index order, so the tie-break cannot follow the search order."""
+    base = _dummy_problem(rng, n_rules)
+    twin_of = [i - i % 2 for i in range(n_rules)]
+    return SelectionProblem(
+        candidates=base.candidates[::-1],
+        alpha=np.full(n_rules, 1.5),
+        overlap=base.overlap[np.ix_(twin_of, twin_of)],
+        sigma=1.0,
+        omega=float(rng.choice([0.25, 0.5, 1.0, 2.0])),
+        normalized_errors=base.normalized_errors,
+        normalized_supports=base.normalized_supports,
+    )
+
+
 # --------------------------------------------------------------- build_problem
 
 
@@ -94,6 +111,17 @@ def test_overlap_identity_disjoint_and_toy_example(toy):
     assert sp.overlap[0, 3] == 0.0  # disjoint regions
     assert sp.overlap[0, 2] == pytest.approx(2 / 3)
     assert np.array_equal(sp.overlap, sp.overlap.T)  # symmetric
+
+
+def test_penalty_matrix_is_the_pair_formula():
+    rng = np.random.default_rng(37)
+    sp = _dummy_problem(rng, 9)
+    assert np.all(np.diag(sp.penalty) == 0.0)
+    for i in range(9):
+        for j in range(9):
+            if i != j:
+                want = sp.omega * sp.overlap[i, j] * (sp.alpha[i] + sp.alpha[j])
+                assert sp.penalty[i, j] == want
 
 
 def test_overlap_of_two_empty_regions_is_zero(toy):
@@ -190,6 +218,23 @@ def test_exact_matches_exhaustive_oracle():
         assert rs.proof and rs.solver == "exact"
 
 
+def test_exact_ties_match_oracle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    swaps = 0
+    for n in (2, 3, 5, 8, 11, 14, 14):
+        sp = _tied_problem(rng, n)
+        rs = solve(sp)
+        want_set, want_obj = best_subset_oracle(sp)
+        assert [r.key for r in rs.chosen] == [sp.candidates[i].key for i in want_set]
+        assert rs.objective_value == want_obj
+        for i in want_set:  # a member whose twin is out ties with the twin
+            twin = i ^ 1
+            if twin < n and twin not in want_set:
+                assert subset_objective(sorted(set(want_set) - {i} | {twin}), sp) == want_obj
+                swaps += 1
+    assert swaps  # the tie-break decided at least once
+
+
 def test_objective_decomposition_identity():
     rng = np.random.default_rng(7)
     sp = _dummy_problem(rng, 10)
@@ -221,6 +266,13 @@ def test_solver_always_nonempty():
     for _ in range(10):
         sp = _dummy_problem(rng, int(rng.integers(1, 8)), omega=2.0)
         assert len(solve(sp).chosen) >= 1
+
+
+def test_solve_rejects_a_problem_without_candidates():
+    empty = np.zeros(0)
+    sp = SelectionProblem([], empty, np.eye(0), 1.0, 1.0, empty, empty)
+    with pytest.raises(DataError):
+        solve(sp)
 
 
 def test_local_search_above_exact_limit():
