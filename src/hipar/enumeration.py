@@ -27,7 +27,6 @@ from .patterns import (
     Interval,
     Pattern,
     closure,
-    condition_key,
     condition_mask,
     condition_tids,
     iv_from_region,
@@ -141,18 +140,17 @@ def hipar_init(d: Dataset, y: str, cfg: EnumConfig) -> list[Condition]:
         )
     rows = np.arange(d.n)
     conditions.extend(_interval_conditions(d, y, rows, d.numerical_features(), cfg))
-    return sorted(conditions, key=condition_key)
+    return sorted(conditions, key=lambda c: c.order)
 
 
 def leftmost_parent_check(p: Pattern, c_prime: Condition, p_closed: Pattern) -> bool:
     """Prefix-preservation test: every condition of the closure that precedes
-    c_prime in canonical order must already belong to p."""
-    ck = condition_key(c_prime)
+    c_prime in canonical order must already belong to p. Requires c_prime in
+    p_closed: as its only condition on that attribute, c_prime then follows
+    exactly the conditions whose attributes sort first."""
     own = set(p.conditions)
-    for cond in p_closed.conditions:
-        if condition_key(cond) < ck and cond not in own:
-            return False
-    return True
+    return all(cond in own for cond in p_closed.conditions
+               if cond.attribute < c_prime.attribute)
 
 
 def occam_test(
@@ -304,13 +302,13 @@ class _Search:
                     a for a in self.d.numerical_features() if a not in p_closed.attributes()
                 ]
                 child_num = _interval_conditions(self.d, self.y, ext, free_numeric, self.cfg)
-                children = sorted(child_cat + child_num, key=condition_key)
+                children = sorted(child_cat + child_num, key=lambda c: c.order)
                 if children:
                     self.walk(p_closed, ext_inside, children)
 
 
 def _render_with(pattern: Pattern, c: Condition) -> str:
-    conds = sorted(pattern.conditions + (c,), key=condition_key)
+    conds = sorted(pattern.conditions + (c,), key=lambda x: x.order)
     return " & ".join(x.render() for x in conds)
 
 
@@ -329,10 +327,8 @@ def enumerate_candidates(
     _validate(d, y, cfg)
     search = _Search(d, y, cfg, trace)
     search.default_rule = search.rule_for(TOP, rows=np.arange(d.n))
-    search.cat_universe = sorted(
-        (c for c in init_conditions if isinstance(c, Equals)), key=condition_key
-    )
-    conds = sorted(init_conditions, key=condition_key)
+    conds = sorted(init_conditions, key=lambda c: c.order)
+    search.cat_universe = [c for c in conds if isinstance(c, Equals)]
     if conds:
         search.walk(TOP, np.ones(d.n, dtype=bool), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

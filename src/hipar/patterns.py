@@ -3,12 +3,19 @@
 Membership is decided in one place per condition kind: ``mask`` takes either one
 observation's value (a Python scalar) or a whole column (a numpy array), so
 mining and prediction apply the same rule.
+
+Identity is exact: equal conditions or patterns are the same, and memos, visited
+sets and ebar maps are keyed by them. A condition builds its text and its order
+key (attribute, text, then lo, hi for intervals) once; the order sorts like the
+text where texts differ and never ties two distinct conditions. Text is for
+output, and decides results only in ``derive_seed``, the selection tie-break and
+a ``Predictor``'s voter order (the order of its float sums).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -17,27 +24,23 @@ import numpy as np
 from .data import CATEGORICAL, NUMERICAL, AttributeSchema, DataError, Dataset
 
 
-def _num(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return "%.6g" % x
-
-
 @dataclass(frozen=True)
 class Equals:
     """Categorical equality condition ``attr = value``."""
 
     attribute: str
     value: str
+    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, text)
 
     def __post_init__(self):
-        if isinstance(self.value, str) and "\x00" in self.value:
+        if not isinstance(self.value, str):  # else 1 and "1" would share a text
+            raise DataError(f"equality value must be a string, got {self.value!r}")
+        object.__setattr__(self, "order", (self.attribute, f'{self.attribute}="{self.value}"'))
+        if "\x00" in self.value:
             object.__setattr__(self, "mask", partial(_equals_with_nul, self.value))
 
     def render(self) -> str:
-        return f'{self.attribute}="{self.value}"'
+        return self.order[1]
 
     def mask(self, values):
         return values == self.value
@@ -62,17 +65,22 @@ class Interval:
     attribute: str
     lo: float
     hi: float
+    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, text, lo, hi)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DataError(f"interval bounds must satisfy lo < hi, got [{self.lo}, {self.hi})")
+        if self.lo == -math.inf:
+            text = f"{self.attribute} in (-inf,{self.hi:.6g})"
+        elif self.hi == math.inf:
+            text = f"{self.attribute} in ({self.lo:.6g},inf)"
+        else:
+            text = f"{self.attribute} in [{self.lo:.6g},{self.hi:.6g}]"
+        # the bounds break ties between intervals whose texts collide
+        object.__setattr__(self, "order", (self.attribute, text, self.lo, self.hi))
 
     def render(self) -> str:
-        if self.lo == -math.inf:
-            return f"{self.attribute} in (-inf,{_num(self.hi)})"
-        if self.hi == math.inf:
-            return f"{self.attribute} in ({_num(self.lo)},inf)"
-        return f"{self.attribute} in [{_num(self.lo)},{_num(self.hi)}]"
+        return self.order[1]
 
     def mask(self, values):
         return (self.lo <= values) & (values < self.hi)
@@ -81,19 +89,14 @@ class Interval:
 Condition = Union[Equals, Interval]
 
 
-def condition_key(c: Condition) -> tuple[str, str]:
-    """Total order on conditions: attribute name, then rendered predicate."""
-    return (c.attribute, c.render())
-
-
 class Pattern:
-    """Conjunction of conditions, at most one per attribute; the empty pattern
-    matches everything and renders as TRUE."""
+    """Conjunction of conditions, at most one per attribute and in attribute
+    order; the empty pattern matches everything and renders as TRUE."""
 
     __slots__ = ("conditions", "key")
 
     def __init__(self, conditions: Iterable[Condition] = ()):
-        conds = tuple(sorted(conditions, key=condition_key))
+        conds = tuple(sorted(conditions, key=lambda c: c.attribute))
         attrs = [c.attribute for c in conds]
         if len(set(attrs)) != len(attrs):
             raise DataError("pattern holds more than one condition on an attribute")
@@ -199,7 +202,7 @@ def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
     if outside.all():
         raise DataError(f"closure of pattern with empty region: {p.key}")
     taken = {c.attribute: c for c in p.conditions}
-    for c in sorted(universe, key=condition_key):
+    for c in sorted(universe, key=lambda c: c.order):
         if c.attribute not in taken and (outside | condition_mask(c, d)).all():
             taken[c.attribute] = c
     return Pattern(taken.values())

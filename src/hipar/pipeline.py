@@ -69,7 +69,7 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
         selected = solve(problem)
 
     ebar = {
-        rule.key: float(e) for rule, e in zip(problem.candidates, problem.normalized_errors)
+        rule.pattern: float(e) for rule, e in zip(problem.candidates, problem.normalized_errors)
     }
     predictor = Predictor(
         rules=selected,
@@ -273,6 +273,8 @@ def _rule_from_json(obj: dict, metric: str) -> HybridRule:
         standardization={k: (float(v[0]), float(v[1])) for k, v in m["standardization"].items()},
         hyper=m["hyper"],
     )
+    if not all(map(math.isfinite, [model.intercept, *model.coefficients.values()])):
+        raise ValueError("a model has a non-finite intercept or coefficient")
     fitted = FittedRuleModel(
         model=model,
         train_error=float(obj["train_error"]),
@@ -292,9 +294,9 @@ def _rule_from_json(obj: dict, metric: str) -> HybridRule:
 def serialize_rules(pred: Predictor, path: str) -> None:
     """Write the rule file: readable text block plus machine fields, one JSON doc."""
     target = next(a.name for a in pred.schema if a.role == "target")
-    chosen_keys = {r.key for r in pred.rules.chosen}
+    chosen = {r.pattern for r in pred.rules.chosen}
     entries = list(pred.rules.chosen)
-    if pred.default_rule.key not in chosen_keys:
+    if pred.default_rule.pattern not in chosen:
         entries.append(pred.default_rule)
 
     blocks = []
@@ -317,7 +319,7 @@ def serialize_rules(pred: Predictor, path: str) -> None:
         },
         "text": "\n\n".join(blocks),
         "rules": [
-            _rule_to_json(r, pred.normalized_errors[r.key], chosen=r.key in chosen_keys)
+            _rule_to_json(r, pred.normalized_errors[r.pattern], chosen=r.pattern in chosen)
             for r in entries
         ],
     }
@@ -352,9 +354,11 @@ def deserialize_rules(path: str) -> Predictor:
             solver=doc["selection"]["solver"],
             proof=_flag(doc["selection"]["proof"]),
         )
-        ebar = {obj["pattern"]: float(obj["normalized_error"]) for obj in doc["rules"]}
+        ebar = {r.pattern: float(obj["normalized_error"]) for r, obj in zip(rules, doc["rules"])}
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path} is not a valid rule file: {type(exc).__name__}: {exc}") from exc
+    if len(ebar) != len(rules):
+        raise DataError(f"{path}: two rules share a pattern")
     defaults = [r for r in rules if r.is_default]
     if len(defaults) != 1:
         raise DataError(f"{path} must carry exactly one default rule")

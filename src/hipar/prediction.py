@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import NUMERICAL, AttributeSchema, DataError, Dataset
 from .enumeration import HybridRule
-from .patterns import check_condition
+from .patterns import Pattern, check_condition
 from .selection import SelectedRuleSet
 
 
@@ -19,7 +19,7 @@ from .selection import SelectedRuleSet
 class Predictor:
     """Immutable prediction model over a selected rule set.
 
-    ``normalized_errors`` maps canonical pattern keys to ebar as computed over
+    ``normalized_errors`` maps each rule's ``Pattern`` to ebar as computed over
     the full training candidate pool at selection time; covering rules vote
     with weights proportional to 1/ebar. The default rule never joins the vote,
     even when the selector chose it: it answers alone for points no other
@@ -29,16 +29,16 @@ class Predictor:
 
     rules: SelectedRuleSet
     default_rule: HybridRule
-    normalized_errors: dict[str, float]
+    normalized_errors: dict[Pattern, float]
     schema: list[AttributeSchema]
     metric: str
-    # (rule, 1/ebar) for the chosen non-default rules in canonical key order
+    # (rule, 1/ebar) for the chosen non-default rules in rendered-key order
     voters: tuple[tuple[HybridRule, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         features = {a.name: a for a in self.schema if a.role == "feature"}
         for rule in list(self.rules.chosen) + [self.default_rule]:
-            if rule.key not in self.normalized_errors:
+            if rule.pattern not in self.normalized_errors:
                 raise DataError(f"rule {rule.key!r} has no recorded normalized error")
             for c in rule.pattern.conditions:
                 if c.attribute not in features:
@@ -50,11 +50,11 @@ class Predictor:
                                     "not a numerical feature")
         voting = sorted((r for r in self.rules.chosen if not r.is_default), key=lambda r: r.key)
         for r in voting:  # the vote relies on positive, finite weights 1/ebar
-            e = self.normalized_errors[r.key]
+            e = self.normalized_errors[r.pattern]
             if not (0.0 < e < math.inf and 1.0 / e < math.inf):
                 raise DataError(f"rule {r.key!r} has normalized error {e!r}; "
                                 "a vote weight needs a positive, finite 1/ebar")
-        voters = tuple((r, 1.0 / self.normalized_errors[r.key]) for r in voting)
+        voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)
         object.__setattr__(self, "voters", voters)
 
 

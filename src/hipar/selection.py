@@ -62,8 +62,8 @@ def build_problem(
     pairwise region overlaps on the training data."""
     if not candidates:
         raise DataError("selection needs at least one candidate rule")
-    if sigma < 0 or omega < 0:
-        raise DataError("sigma and omega must be >= 0")
+    if not (0 <= sigma < np.inf and 0 <= omega < np.inf):  # False for NaN too
+        raise DataError(f"sigma and omega must be finite and >= 0, got {sigma} and {omega}")
     errors = np.array([r.fitted.holdout_error for r in candidates], dtype=float)
     if not np.all(np.isfinite(errors)):
         raise DataError("candidate rules carry non-finite errors")

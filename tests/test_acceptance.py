@@ -221,8 +221,8 @@ def test_criterion_6_prediction_weights():
                     Pattern([Equals(f"g{i}", "a")]), fitted(LinearModel(1.0, {}, "MEAN")), 2, 0.2
                 )
                 rules.append(r)
-                ebar[r.key] = float(rng.uniform(1e-3, 1.0))
-            ebar["TRUE"] = 0.5
+                ebar[r.pattern] = float(rng.uniform(1e-3, 1.0))
+            ebar[TOP] = 0.5
             schema = [AttributeSchema(f"g{i}", "categorical") for i in range(k)]
             schema.append(AttributeSchema("y", "numerical", role="target"))
             default = HybridRule(TOP, fitted(LinearModel(0.0, {}, "MEAN")), 10, 1.0, True)
@@ -253,7 +253,7 @@ def test_criterion_6_prediction_weights():
         pred = Predictor(
             rules=SelectedRuleSet([r1, r2], 0.0, "exact", True),
             default_rule=default,
-            normalized_errors={r1.key: 0.2, r2.key: 0.4, "TRUE": 0.4},
+            normalized_errors={r1.pattern: 0.2, r2.pattern: 0.4, TOP: 0.4},
             schema=schema,
             metric="rmse",
         )

@@ -107,6 +107,20 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     bad_coefficients["rules"][0]["model"]["coefficients"] = [1.0]
     string_flag = json.loads(rules.read_text())
     string_flag["rules"][-1]["chosen"] = "no"  # a non-empty string would read as true
+    non_finite_models = []  # json reads NaN and Infinity
+    for value in (float("nan"), float("inf")):
+        doc = json.loads(rules.read_text())
+        doc["rules"][0]["model"]["intercept"] = value
+        non_finite_models.append(doc)
+        doc = json.loads(rules.read_text())
+        doc["rules"][0]["model"]["coefficients"] = {"x": value}
+        non_finite_models.append(doc)
+    numeric_value = json.loads(rules.read_text())
+    next(r for r in numeric_value["rules"] if r["conditions"])["conditions"][0] = {
+        "attribute": "segment", "op": "eq", "value": 1}
+    two_with_one_pattern = json.loads(rules.read_text())
+    two_with_one_pattern["rules"].append(
+        next(r for r in two_with_one_pattern["rules"] if not r["is_default"]))
     votes_default = dict(good, include_default_in_coverage=True)
     bad_errors = []  # a vote weight is 1/ebar: it must be positive and finite
     for value in (0.0, -1.0, float("inf"), float("nan"), 5e-324):
@@ -117,7 +131,8 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     features = tmp_path / "features.csv"
     features.write_text("segment,x\nA,0.5\n")
     for doc in ({}, no_chosen, bad_intercept, bad_coefficients, string_flag,
-                {**good, "rules": 5}, votes_default, *bad_errors):
+                {**good, "rules": 5}, votes_default, *bad_errors, *non_finite_models,
+                numeric_value, two_with_one_pattern):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -132,6 +147,17 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     assert main(["predict", "--rules", str(rules), "--input", str(features),
                  "--out", str(tmp_path / "o.txt")]) == 0
     assert (tmp_path / "legacy.txt").read_text() == (tmp_path / "o.txt").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--support-bias", "--overlap-bias"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bias_that_is_not_finite_and_non_negative_is_exit_1(tmp_path, segment_csv, capsys, flag,
+                                                            value):
+    rules = tmp_path / "rules.json"
+    assert main(["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 flag, value, "--rules-out", str(rules)]) == 1
+    assert "sigma and omega must be finite and >= 0" in capsys.readouterr().err
+    assert not rules.exists()
 
 
 def test_predict_underscore_numeral_is_exit_1(tmp_path, segment_csv, capsys):

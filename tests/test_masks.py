@@ -21,7 +21,7 @@ from hipar import (
     region,
     support,
 )
-from hipar.patterns import condition_key, condition_mask
+from hipar.patterns import condition_mask
 
 LEVELS = ("a", "b", "c")
 
@@ -70,7 +70,7 @@ def _brute_region(p, d):
 def _brute_closure(p, d, universe):
     rows = [d.row(i) for i in _brute_region(p, d)]
     taken = {c.attribute: c for c in p.conditions}
-    for c in sorted(universe, key=condition_key):
+    for c in sorted(universe, key=lambda c: (c.attribute, c.render())):
         if c.attribute not in taken and all(_holds(c, row) for row in rows):
             taken[c.attribute] = c
     return Pattern(taken.values())

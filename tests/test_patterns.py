@@ -97,6 +97,23 @@ def test_canonical_key_order_independent():
     assert a.key == b.key == 'property-type="cottage" & surface in (-inf,60)'
 
 
+def test_stored_order_sorts_like_rendered_text_and_never_ties():
+    rng = np.random.default_rng(8)
+    # bounds near 1e6 collide at %.6g; a few small ones render apart
+    bounds = [-math.inf, math.inf, 0.5, 2.0, *(1e6 + rng.uniform(0.0, 1.0, 6))]
+    conds = [Equals(a, v) for a in ("u", "w") for v in ("a", "b", "a b")]
+    for _ in range(60):
+        lo, hi = sorted(rng.choice(bounds, 2, replace=False))
+        conds.append(Interval(str(rng.choice(["u", "v"])), float(lo), float(hi)))
+    for a in conds:
+        for b in conds:
+            text_a, text_b = (a.attribute, a.render()), (b.attribute, b.render())
+            if text_a != text_b:
+                assert (a.order < b.order) == (text_a < text_b)
+            assert (a.order == b.order) == (a == b)
+    assert any(a != b and a.render() == b.render() for a in conds for b in conds)
+
+
 def test_support_small_cottage_example(toy):
     p = Pattern([COTTAGE, Interval("surface", -math.inf, 60.0)])
     assert support(p, toy) == (2, 2 / 6)

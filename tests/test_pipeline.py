@@ -159,6 +159,46 @@ def test_serialize_round_trip(tmp_path, two_segment):
         assert abs(predict(back, obs) - predict(pred, obs)) <= 1e-12
 
 
+def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
+    # both bounds render as 1e+06; each rule must keep its own ebar
+    from hipar import (
+        TOP,
+        AttributeSchema,
+        Dataset,
+        FittedRuleModel,
+        HybridRule,
+        Interval,
+        Pattern,
+        Predictor,
+        SelectedRuleSet,
+    )
+
+    def rule(pattern, intercept, is_default=False):
+        fitted = FittedRuleModel(LinearModel(intercept, {}, "MEAN"), 0.5, 0.5, "rmse",
+                                 np.arange(1))
+        return HybridRule(pattern, fitted, 4, 0.4, is_default=is_default)
+
+    low = rule(Pattern([Interval("x", -math.inf, 1000000.15)]), 1.0)
+    high = rule(Pattern([Interval("x", -math.inf, 1000000.25)]), 5.0)
+    assert low.key == high.key and low.pattern != high.pattern
+    schema = [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")]
+    pred = Predictor(
+        rules=SelectedRuleSet([low, high], 0.0, "exact", True),
+        default_rule=rule(TOP, 0.0, is_default=True),
+        normalized_errors={low.pattern: 0.2, high.pattern: 0.6, TOP: 0.2},
+        schema=schema,
+        metric="rmse",
+    )
+    path = tmp_path / "rules.json"
+    serialize_rules(pred, str(path))
+    back = deserialize_rules(str(path))
+    assert back.normalized_errors == pred.normalized_errors
+    d = Dataset(schema, {"x": 1e6 + np.linspace(0.0, 0.4, 9), "y": np.zeros(9)})
+    before = predict_batch(pred, d, np.arange(d.n))
+    assert len(set(before.tolist())) == 3  # both rules, the higher only, the default
+    assert predict_batch(back, d, np.arange(d.n)).tolist() == before.tolist()
+
+
 def test_serialize_byte_identical(tmp_path, two_segment):
     cfg = RunConfig(target="y", theta=0.2, seed=3)
     _, pred1 = run_hipar(two_segment, cfg)

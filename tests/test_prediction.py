@@ -35,7 +35,7 @@ def _predictor(rules, ebar, default_value=100.0, default_chosen=False, schema=SC
     default = _rule(TOP, LinearModel(default_value, {}, "MEAN"), is_default=True)
     chosen = list(rules) + ([default] if default_chosen else [])
     errors = dict(ebar)
-    errors.setdefault("TRUE", 0.9)
+    errors.setdefault(TOP, 0.9)
     return Predictor(
         rules=SelectedRuleSet(chosen=chosen, objective_value=0.0, solver="exact", proof=True),
         default_rule=default,
@@ -46,8 +46,8 @@ def _predictor(rules, ebar, default_value=100.0, default_chosen=False, schema=SC
 
 
 def test_covering_none():
-    pred = _predictor([_rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))],
-                      {'g="a"': 0.5})
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    pred = _predictor([rule], {rule.pattern: 0.5})
     assert covering_rules(pred, {"g": "b", "x": 0.0}) == []
 
 
@@ -55,27 +55,27 @@ def test_covering_match_and_order():
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
     r2 = _rule(Pattern([Equals("g", "a"), Equals("g2", "zz")]), LinearModel(2.0, {}, "MEAN"))
     schema = SCHEMA + [AttributeSchema("g2", "categorical")]
-    pred = _predictor([r2, r1], {r1.key: 0.5, r2.key: 0.5}, schema=schema)
+    pred = _predictor([r2, r1], {r1.pattern: 0.5, r2.pattern: 0.5}, schema=schema)
     got = covering_rules(pred, {"g": "a", "g2": "zz", "x": 1.0})
     assert [r.key for r in got] == sorted([r1.key, r2.key])
 
 
 def test_covering_unknown_category_open_world():
-    pred = _predictor([_rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))],
-                      {'g="a"': 0.5})
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    pred = _predictor([rule], {rule.pattern: 0.5})
     assert covering_rules(pred, {"g": "never-seen", "x": 0.0}) == []
 
 
 def test_covering_missing_feature_rejected():
-    pred = _predictor([_rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))],
-                      {'g="a"': 0.5})
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    pred = _predictor([rule], {rule.pattern: 0.5})
     with pytest.raises(DataError):
         covering_rules(pred, {"g": "a"})
 
 
 def test_predict_single_rule_weight_one():
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(3.0, {"x": 2.0}, "OLS"))
-    pred = _predictor([rule], {rule.key: 0.3})
+    pred = _predictor([rule], {rule.pattern: 0.3})
     assert predict(pred, {"g": "a", "x": 2.0}) == pytest.approx(7.0)
 
 
@@ -83,19 +83,19 @@ def test_predict_two_rules_weighted_vote():
     # ebar 0.2 / 0.4 with votes 10 / 16: weights 2/3 and 1/3, answer exactly 12
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(10.0, {}, "MEAN"))
     r2 = _rule(Pattern([Interval("x", 0.0, 1.0)]), LinearModel(16.0, {}, "MEAN"))
-    pred = _predictor([r1, r2], {r1.key: 0.2, r2.key: 0.4})
+    pred = _predictor([r1, r2], {r1.pattern: 0.2, r2.pattern: 0.4})
     assert predict(pred, {"g": "a", "x": 0.5}) == 12.0
 
 
 def test_predict_fallback_to_default():
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
-    pred = _predictor([rule], {rule.key: 0.5}, default_value=42.0)
+    pred = _predictor([rule], {rule.pattern: 0.5}, default_value=42.0)
     assert predict(pred, {"g": "zzz", "x": 0.0}) == 42.0
 
 
 def test_predict_non_finite_feature_rejected():
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
-    pred = _predictor([rule], {rule.key: 0.5})
+    pred = _predictor([rule], {rule.pattern: 0.5})
     with pytest.raises(DataError):
         predict(pred, {"g": "a", "x": float("nan")})
 
@@ -110,11 +110,11 @@ def test_weights_sum_to_one_random():
         for i in range(k):
             r = _rule(Pattern([Equals(f"g{i}", "a")]), LinearModel(1.0, {}, "MEAN"))
             rules.append(r)
-            ebar[r.key] = float(rng.uniform(0.01, 1.0))
+            ebar[r.pattern] = float(rng.uniform(0.01, 1.0))
         schema = [AttributeSchema(f"g{i}", "categorical") for i in range(k)]
         schema.append(AttributeSchema("y", "numerical", role="target"))
         default = _rule(TOP, LinearModel(0.0, {}, "MEAN"), is_default=True)
-        ebar["TRUE"] = 0.5
+        ebar[TOP] = 0.5
         pred = Predictor(
             rules=SelectedRuleSet(rules, 0.0, "exact", True),
             default_rule=default,
@@ -129,7 +129,7 @@ def test_weights_sum_to_one_random():
 def test_prediction_invariant_to_rule_order():
     r1 = _rule(Pattern([Equals("g", "a")]), LinearModel(5.0, {}, "MEAN"))
     r2 = _rule(Pattern([Interval("x", 0.0, 1.0)]), LinearModel(9.0, {}, "MEAN"))
-    ebar = {r1.key: 0.3, r2.key: 0.6}
+    ebar = {r1.pattern: 0.3, r2.pattern: 0.6}
     p_ab = _predictor([r1, r2], ebar)
     p_ba = _predictor([r2, r1], ebar)
     obs = {"g": "a", "x": 0.5}
@@ -140,7 +140,7 @@ def test_chosen_default_excluded_from_vote():
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(10.0, {}, "MEAN"))
     covered = {"g": "a", "x": 0.0}
     # the default rule answers only for uncovered points, even when chosen
-    pred = _predictor([rule], {rule.key: 0.2}, default_value=0.0, default_chosen=True)
+    pred = _predictor([rule], {rule.pattern: 0.2}, default_value=0.0, default_chosen=True)
     assert predict(pred, covered) == 10.0
     assert covering_rules(pred, covered) == [rule]
     assert predict(pred, {"g": "b", "x": 0.0}) == 0.0
@@ -149,22 +149,22 @@ def test_chosen_default_excluded_from_vote():
 def test_rule_on_non_feature_rejected_at_construction():
     on_g2 = _rule(Pattern([Equals("g2", "a")]), LinearModel(1.0, {}, "MEAN"))
     with pytest.raises(DataError, match="g2"):
-        _predictor([on_g2], {on_g2.key: 0.5})
+        _predictor([on_g2], {on_g2.pattern: 0.5})
     on_target = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {"y": 2.0}, "OLS"))
     with pytest.raises(DataError, match="'y'"):
-        _predictor([on_target], {on_target.key: 0.5})
+        _predictor([on_target], {on_target.pattern: 0.5})
     on_category = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {"g": 2.0}, "OLS"))
     with pytest.raises(DataError, match="'g'"):
-        _predictor([on_category], {on_category.key: 0.5})
+        _predictor([on_category], {on_category.pattern: 0.5})
     interval_on_category = _rule(Pattern([Interval("g", 0.0, 1.0)]), LinearModel(1.0, {}, "MEAN"))
     with pytest.raises(DataError, match="'g'"):
-        _predictor([interval_on_category], {interval_on_category.key: 0.5})
+        _predictor([interval_on_category], {interval_on_category.pattern: 0.5})
     # the default rule is checked too
     with pytest.raises(DataError, match="'z'"):
         Predictor(
             rules=SelectedRuleSet([], 0.0, "exact", True),
             default_rule=_rule(TOP, LinearModel(0.0, {"z": 1.0}, "OLS"), is_default=True),
-            normalized_errors={"TRUE": 1.0},
+            normalized_errors={TOP: 1.0},
             schema=SCHEMA,
             metric="rmse",
         )
@@ -173,7 +173,7 @@ def test_rule_on_non_feature_rejected_at_construction():
 def test_predict_batch_error_carries_row_index(two_segment):
     # predictor whose schema demands a feature the dataset lacks
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
-    pred = _predictor([rule], {rule.key: 0.5})  # schema wants "g" and "x"
+    pred = _predictor([rule], {rule.pattern: 0.5})  # schema wants "g" and "x"
     with pytest.raises(DataError, match="row 3"):
         predict_batch(pred, two_segment, [3])
 
@@ -201,7 +201,7 @@ def test_vote_adds_left_to_right_in_voter_order():
         _rule(Pattern([Interval(f"x{i}", -np.inf, np.inf)]), LinearModel(v, {}, "MEAN"))
         for i, v in ((1, 1e16), (2, 1.0), (3, -1e16))
     ]
-    pred = _predictor(rules, {r.key: 1.0 for r in rules}, schema=schema)
+    pred = _predictor(rules, {r.pattern: 1.0 for r in rules}, schema=schema)
     assert [r.fitted.model.intercept for r, _ in pred.voters] == [1e16, 1.0, -1e16]
     d = Dataset(schema, {a.name: np.zeros(1) for a in schema})
     assert predict(pred, d.row(0)) == 0.0
@@ -238,11 +238,11 @@ def _random_case(rng, n):
         coefs = {a: float(rng.normal(0.0, 2.0)) for a in ("u", "v") if rng.random() < 0.6}
         model = LinearModel(float(rng.normal(0.0, 10.0)), coefs, "OLS" if coefs else "MEAN")
         rule = _rule(Pattern(by_attr.values()), model)
-        rules[rule.key] = rule
+        rules[rule.pattern] = rule
     ebar = {k: float(rng.uniform(0.05, 2.0)) for k in rules}
     default = _rule(TOP, LinearModel(float(rng.normal()), {"u": 0.3, "v": -1.7}, "OLS"),
                     is_default=True)
-    ebar["TRUE"] = 1.0
+    ebar[TOP] = 1.0
     pred = Predictor(rules=SelectedRuleSet(list(rules.values()), 0.0, "exact", True),
                      default_rule=default, normalized_errors=ebar, schema=schema, metric="rmse")
     return d, pred
