@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -136,7 +137,15 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required") from None
-            rows = list(reader)
+            # the reader makes one list per row and none of them can be garbage,
+            # so the cyclic collector only costs time while they pile up
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                rows = list(reader)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     header = [h.strip() for h in header]

@@ -1,20 +1,36 @@
 """Per-region linear models: OLS baseline, LASSO, OMP, and the local contest.
 
-Every fit goes through one core, ``_fit``, which returns one model per
-hyperparameter of one method. It standardizes the rows once: features to zero
-mean / unit (population) variance, dropping those with zero variance; the
-target is centered but not scaled, so LASSO's lambda is expressed in target
-units (the kill point is lambda_max = max_j |x_j^T (y - ybar)| / n on
-standardized features). From that one standardization it fits OLS by one
-least-squares solve, LASSO by one coordinate-descent solve per lambda, and OMP
-by one greedy path whose first k steps give the k-term model. Coefficients are
-mapped back to the original scale. Fewer than 2 rows, a constant target or no
-varying feature yield the intercept-only MEAN model for every hyperparameter.
+Every fit first reduces its rows to sufficient statistics (``_moments``). The
+features are standardized to zero mean / unit (population) variance, dropping
+those with zero variance; the target is centered but not scaled, so LASSO's
+lambda is expressed in target units. With Xs the standardized n x p matrix and
+y_c the centered target, the statistics are the p x p Gram matrix
+G = Xs^T Xs / n and the correlations c = Xs^T y_c / n (the LASSO kill point is
+lambda_max = max_j |c_j|). After that no fit touches an n-row vector:
+
+- OLS is min-norm least squares on (G, c);
+- LASSO is covariance-update coordinate descent on (G, c) (Friedman, Hastie and
+  Tibshirani 2010, section 2.2), warm-started down the lambdas in descending
+  order;
+- OMP is greedy forward selection on the residual correlations c - G beta, with
+  the Cholesky factor of the active Gram block grown by one row per step
+  (Rubinstein, Zibulevsky and Elad 2008, Batch OMP). A singular block falls
+  back to min-norm least squares, and the path stops early once no feature is
+  correlated with the residual, as after an exact fit.
+
+The coefficients of one method are mapped back to the original scale as one
+matrix B (a column per hyperparameter, zero rows for dropped features) and
+intercepts b0. Every model of a contest is scored by one residual matrix
+y - b0 - X B (``_errors``), which serves both metrics and never subtracts raw
+moments. Fewer than 2 rows, a constant target or no varying feature yield the
+intercept-only MEAN model for every hyperparameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,6 +49,14 @@ LASSO = "LASSO"
 OMP = "OMP"
 MEAN = "MEAN"
 
+# A Gram block is singular when a new pivot (the squared distance of a
+# standardized feature from the span of the active ones) or a singular value
+# falls below this share of the block's scale.
+_RANK_TOL = 1e-10
+# OMP stops once no |c_j - (G beta)_j| exceeds this share of the target's
+# standard deviation: the residual is then uncorrelated with every feature.
+_UNCORRELATED = 1e-9
+
 
 def check_metric(metric: str) -> str:
     m = metric.lower()
@@ -41,10 +65,14 @@ def check_metric(metric: str) -> str:
     return m
 
 
-def metric_value(residuals: np.ndarray, metric: str) -> float:
+def metric_value(residuals: np.ndarray, metric: str):
+    """Error of a residual vector under the metric (a float), or of each
+    column of a residual matrix (an array)."""
     if check_metric(metric) == RMSE:
-        return float(np.sqrt(np.mean(np.square(residuals))))
-    return float(np.median(np.abs(residuals)))
+        out = np.sqrt(np.mean(np.square(residuals), axis=0))
+    else:
+        out = np.median(np.abs(residuals), axis=0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -94,41 +122,45 @@ def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float
     return metric_value(residuals, metric)
 
 
-def _mean_model(rows: np.ndarray, d: Dataset, y: str, hyper: float | None = None) -> LinearModel:
-    return LinearModel(intercept=float(np.mean(d.column(y)[rows])), coefficients={}, method=MEAN,
-                       hyper=hyper)
+def _mean_model(yv: np.ndarray, hyper: float | None = None) -> LinearModel:
+    return LinearModel(intercept=float(np.mean(yv)), coefficients={}, method=MEAN, hyper=hyper)
 
 
 def _feature_names(d: Dataset, y: str) -> list[str]:
     return [n for n in d.numerical_features() if n != y]
 
 
-def _standardize(d: Dataset, rows: np.ndarray, names: Sequence[str]):
-    """Keep features with positive variance on the rows; return (names, Xs, mean, std)."""
-    X = d.numeric_matrix(rows, names)
-    mean = X.mean(axis=0) if len(names) else np.empty(0)
-    std = X.std(axis=0) if len(names) else np.empty(0)
+@dataclass(frozen=True)
+class _Moments:
+    """Sufficient statistics of one row set: ``keep`` marks the matrix columns
+    with positive variance, ``mean``/``std`` are theirs, G and c are the
+    standardized Gram matrix and target correlations."""
+
+    keep: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+    y_bar: float
+    y_sd: float
+    G: np.ndarray
+    c: np.ndarray
+
+
+def _moments(X: np.ndarray, yv: np.ndarray) -> _Moments | None:
+    """Moments of the rows of X (features) and yv (target); None when the rows
+    only give the MEAN model: fewer than 2 rows, a constant target or no column
+    with positive variance."""
+    n = len(yv)
+    y_sd = float(np.std(yv)) if n >= 2 else 0.0
+    if y_sd == 0.0:
+        return None
+    mean, std = X.mean(axis=0), X.std(axis=0)
     keep = std > 0
-    kept = [n for n, k in zip(names, keep) if k]
+    if not keep.any():
+        return None
     Xs = (X[:, keep] - mean[keep]) / std[keep]
-    return kept, Xs, mean[keep], std[keep]
-
-
-def _to_original_scale(
-    names: Sequence[str], beta_std: np.ndarray, mean: np.ndarray, std: np.ndarray, y_bar: float,
-    method: str, standardization: dict[str, tuple[float, float]], hyper: float | None = None,
-) -> LinearModel:
-    coefs: dict[str, float] = {}
-    intercept = y_bar
-    for name, b, m, s in zip(names, beta_std, mean, std):
-        c = float(b / s)
-        if c != 0.0:
-            coefs[name] = c
-            intercept -= c * m
-    return LinearModel(
-        intercept=float(intercept), coefficients=coefs, method=method,
-        standardization=standardization, hyper=hyper,
-    )
+    y_bar = float(np.mean(yv))
+    return _Moments(keep, mean[keep], std[keep], y_bar, y_sd,
+                    Xs.T @ Xs / n, Xs.T @ (yv - y_bar) / n)
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -139,79 +171,194 @@ def _soft_threshold(x: float, t: float) -> float:
     return 0.0
 
 
-def _lasso_cd(Xs: np.ndarray, y_c: np.ndarray, lam: float,
-              tol: float = 1e-6, max_sweeps: int = 1000) -> np.ndarray:
-    """Cyclic coordinate descent for (1/2n)||y - X b||^2 + lam ||b||_1 on
-    standardized columns ((1/n)||x_j||^2 == 1); stops when the largest
-    coefficient change in a sweep drops below tol."""
-    n, p = Xs.shape
+def _lasso_path(G: np.ndarray, c: np.ndarray, lams: Sequence[float],
+                tol: float = 1e-6, max_sweeps: int = 1000) -> list[np.ndarray]:
+    """Cyclic coordinate descent for (1/2n)||y_c - Xs b||^2 + lam ||b||_1 per
+    lambda, on the moments: the gradient g = c - G b loses one column of G per
+    coordinate change (standardized columns, so G_jj == 1). A sweep visits the
+    coordinates by decreasing |c_j| (ties by column), so where a solve stops
+    does not depend on the column order. The lambdas are solved in descending
+    order, each from the previous solution; a solve stops when the largest
+    coefficient change in a sweep drops below tol. Returns the coefficient
+    vectors in the order of ``lams``."""
+    p = len(c)
+    rows = G.tolist()
+    order = np.argsort(-np.abs(c), kind="stable").tolist()
     beta = np.zeros(p)
-    resid = y_c.copy()
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(p):
-            xj = Xs[:, j]
-            rho = (xj @ resid) / n + beta[j]
-            new = _soft_threshold(rho, lam)
-            delta = new - beta[j]
-            if delta != 0.0:
-                resid -= delta * xj
-                beta[j] = new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
-            break
-    return beta
+    solved: dict[float, np.ndarray] = {}
+    for lam in sorted(set(lams), reverse=True):
+        b = beta.tolist()
+        g = (c - G @ beta).tolist()
+        for _ in range(max_sweeps):
+            max_delta = 0.0
+            for j in order:
+                new = _soft_threshold(g[j] + b[j], lam)
+                delta = new - b[j]
+                if delta != 0.0:
+                    b[j] = new
+                    g = [gi - delta * gji for gi, gji in zip(g, rows[j])]
+                    max_delta = max(max_delta, abs(delta))
+            if max_delta < tol:
+                break
+        beta = np.array(b)
+        solved[lam] = beta
+    return [solved[lam] for lam in lams]
 
 
-def _omp_path(Xs: np.ndarray, y_c: np.ndarray, k: int) -> list[np.ndarray]:
-    """Greedy forward selection: add the feature most correlated with the
-    residual, refit OLS on the active set; stops early on a ~zero residual.
-    Returns the coefficient vector after each step, led by the empty model, so
-    the k-term model is ``path[min(k, len(path) - 1)]``."""
-    n, p = Xs.shape
+def _forward(L: list[list[float]], v: Sequence[float]) -> list[float]:
+    """w with L w = v, for L lower triangular given by its rows."""
+    w: list[float] = []
+    for row, acc in zip(L, v):
+        for a, b in zip(row, w):
+            acc -= a * b
+        w.append(acc / row[-1])
+    return w
+
+
+def _backward(L: list[list[float]], z: list[float]) -> list[float]:
+    """x with L^T x = z, for L lower triangular given by its rows."""
+    k = len(z)
+    x = [0.0] * k
+    for i in reversed(range(k)):
+        acc = z[i]
+        for r in range(i + 1, k):
+            acc -= L[r][i] * x[r]
+        x[i] = acc / L[i][i]
+    return x
+
+
+def _omp_path(G: np.ndarray, c: np.ndarray, y_sd: float, k: int) -> list[np.ndarray]:
+    """Greedy forward selection on the moments: add the feature most correlated
+    with the residual (largest |c_j - (G beta)_j|), refit least squares on the
+    active set; stops early once no correlation exceeds _UNCORRELATED * y_sd.
+    The least-squares solve grows the Cholesky factor L of the active Gram
+    block and z = L^-1 c_active by one row each; once the block is singular
+    the path goes on with min-norm least squares on it. Returns the
+    coefficient vector after each step, led by the empty model, so the k-term
+    model is ``path[min(k, len(path) - 1)]``."""
+    p = len(c)
+    rows, cl = G.tolist(), c.tolist()
     active: list[int] = []
-    path = [np.zeros(p)]
-    resid = y_c.copy()
-    scale = float(np.max(np.abs(y_c))) if len(y_c) else 0.0
+    chol: list[list[float]] | None = []
+    z: list[float] = []
+    beta = np.zeros(p)
+    path = [beta]
+    corr = c
     for _ in range(min(k, p)):
-        if scale == 0.0 or float(np.max(np.abs(resid))) <= 1e-12 * scale:
+        score = np.abs(corr)
+        score[active] = -1.0
+        j = int(np.argmax(score))
+        if score[j] <= _UNCORRELATED * y_sd:
             break
-        corr = np.abs(Xs.T @ resid)
-        corr[active] = -1.0
-        j = int(np.argmax(corr))
+        if chol is not None:
+            w = _forward(chol, [rows[a][j] for a in active])
+            d2 = rows[j][j]
+            zj = cl[j]
+            for wi, zi in zip(w, z):
+                d2 -= wi * wi
+                zj -= wi * zi
+            if d2 > _RANK_TOL * rows[j][j]:
+                d = math.sqrt(d2)
+                chol.append(w + [d])
+                z.append(zj / d)
+            else:
+                chol = None
         active.append(j)
-        sub, *_ = np.linalg.lstsq(Xs[:, active], y_c, rcond=None)
-        resid = y_c - Xs[:, active] @ sub
         beta = np.zeros(p)
-        beta[active] = sub
+        if chol is not None:
+            beta[active] = _backward(chol, z)
+        else:
+            block = G[np.ix_(active, active)]
+            beta[active] = np.linalg.lstsq(block, c[active], rcond=_RANK_TOL)[0]
+        corr = c - G @ beta
         path.append(beta)
     return path
 
 
-def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
-         hypers: Sequence[float | None]) -> list[LinearModel]:
+@dataclass(frozen=True)
+class _Fits:
+    """One method's models on one row set, one per hyperparameter: model i
+    predicts ``intercepts[i] + X @ B[:, i]`` over the feature matrix columns
+    ``names`` (B is zero on dropped columns). ``method`` is MEAN when the rows
+    were degenerate."""
+
+    names: Sequence[str]
+    method: str
+    hypers: list
+    intercepts: np.ndarray
+    B: np.ndarray
+    standardization: dict[str, tuple[float, float]]
+
+    def model(self, i: int) -> LinearModel:
+        coefs = {n: float(b) for n, b in zip(self.names, self.B[:, i].tolist()) if b != 0.0}
+        return LinearModel(intercept=float(self.intercepts[i]), coefficients=coefs,
+                           method=self.method, standardization=self.standardization,
+                           hyper=self.hypers[i])
+
+
+def _fits(m: _Moments | None, yv: np.ndarray, method: str, hypers: Sequence[float | None],
+          names: Sequence[str]) -> _Fits:
     """One ``method`` model on the rows per hyperparameter in ``hypers``: the
     single ``None`` for OLS, lambdas for LASSO, term counts (>= 1) for OMP.
-    Fewer than 2 rows, a constant target or no feature with positive variance
-    give the MEAN model for each hyperparameter, recording it as ``hyper``."""
-    yv = d.column(y)[idx]
-    kept: list[str] = []
-    if len(idx) >= 2 and np.std(yv) != 0.0:
-        kept, Xs, mean, std = _standardize(d, idx, _feature_names(d, y))
-    if not kept:
-        return [_mean_model(idx, d, y, h) for h in hypers]
-    y_bar = float(np.mean(yv))
-    y_c = yv - y_bar
+    Degenerate rows (``m`` is None) or the MEAN method give the MEAN model for
+    each hyperparameter, recording it as ``hyper``."""
+    hypers = list(hypers)
+    if m is None or method == MEAN:
+        return _Fits(names, MEAN, hypers, np.full(len(hypers), float(np.mean(yv))),
+                     np.zeros((len(names), len(hypers))), {})
     if method == OLS:
-        betas = [np.linalg.lstsq(Xs, y_c, rcond=None)[0]]
+        betas = [np.linalg.lstsq(m.G, m.c, rcond=_RANK_TOL)[0]]
     elif method == LASSO:
-        betas = [_lasso_cd(Xs, y_c, lam) for lam in hypers]
+        betas = _lasso_path(m.G, m.c, hypers)
     else:
-        path = _omp_path(Xs, y_c, max(hypers))
+        path = _omp_path(m.G, m.c, m.y_sd, max(hypers))
         betas = [path[min(k, len(path) - 1)] for k in hypers]
-    standardization = {n: (float(m), float(s)) for n, m, s in zip(kept, mean, std)}
-    return [_to_original_scale(kept, beta, mean, std, y_bar, method, standardization, hyper=h)
-            for beta, h in zip(betas, hypers)]
+    kept = np.column_stack(betas) / m.std[:, None]
+    B = np.zeros((len(names), len(hypers)))
+    B[m.keep] = kept
+    standardization = {n: (float(mu), float(s))
+                       for n, mu, s in zip(compress(names, m.keep), m.mean, m.std)}
+    return _Fits(names, method, hypers, m.y_bar - m.mean @ kept, B, standardization)
+
+
+def _errors(X: np.ndarray, yv: np.ndarray, intercepts: np.ndarray, B: np.ndarray,
+            metric: str) -> np.ndarray:
+    """Error under the metric of each model ``intercepts[i] + X @ B[:, i]`` on
+    the rows of X, from one residual matrix."""
+    if len(yv) == 0:
+        raise DataError("scoring needs a nonempty row set")
+    return metric_value(yv[:, None] - intercepts - X @ B, metric)
+
+
+def _best(errors: np.ndarray, hypers: Sequence[float], prefer_larger: bool) -> int:
+    """Index of the lowest error; ties go to the larger hyperparameter (LASSO's
+    sparser lambda) or to the smaller one (OMP's fewer terms)."""
+    sign = -1.0 if prefer_larger else 1.0
+    return min(range(len(hypers)), key=lambda i: (errors[i], sign * hypers[i]))
+
+
+def _fit_rows(idx: np.ndarray, d: Dataset, y: str, method: str,
+              hypers: Sequence[float | None]) -> _Fits:
+    """``_fits`` on the rows ``idx`` of the dataset."""
+    names = _feature_names(d, y)
+    yv = d.column(y)[idx]
+    return _fits(_moments(d.numeric_matrix(idx, names), yv), yv, method, hypers, names)
+
+
+def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
+         hypers: Sequence[float | None]) -> list[LinearModel]:
+    """One ``method`` model on the rows per hyperparameter (see ``_fits``)."""
+    fits = _fit_rows(idx, d, y, method, hypers)
+    return [fits.model(i) for i in range(len(hypers))]
+
+
+def _fit_on_holdout(idx: np.ndarray, hold: np.ndarray, d: Dataset, y: str, method: str,
+                    hypers: Sequence[float], metric: str) -> LinearModel:
+    """The ``method`` model fit on ``idx`` whose hyperparameter scores best on ``hold``."""
+    fits = _fit_rows(idx, d, y, method, hypers)
+    errors = _errors(d.numeric_matrix(hold, fits.names), d.column(y)[hold], fits.intercepts,
+                     fits.B, metric)
+    return fits.model(_best(errors, fits.hypers, method == LASSO))
 
 
 def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
@@ -242,14 +389,12 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
     idx, hold = _checked_rows(rows, holdout, "fit_lasso")
-    if not lambda_grid:
+    lams = [float(lam) for lam in lambda_grid]
+    if not lams:
         raise DataError("lambda grid must be nonempty")
-    best: tuple[float, float, LinearModel] | None = None
-    for model in _fit(idx, d, y, LASSO, [float(lam) for lam in lambda_grid]):
-        err = evaluate(model, hold, d, y, metric)
-        if best is None or err < best[0] or (err == best[0] and model.hyper > best[1]):
-            best = (err, model.hyper, model)
-    return best[2]
+    if not all(math.isfinite(lam) and lam >= 0.0 for lam in lams):
+        raise DataError(f"lambdas must be finite and >= 0, got {lams}")
+    return _fit_on_holdout(idx, hold, d, y, LASSO, lams, metric)
 
 
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
@@ -259,13 +404,8 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
     if max_terms == 0:
-        return _mean_model(idx, d, y, hyper=0)
-    best: tuple[float, LinearModel] | None = None
-    for model in _fit(idx, d, y, OMP, range(1, max_terms + 1)):
-        err = evaluate(model, hold, d, y, metric)
-        if best is None or err < best[0]:
-            best = (err, model)
-    return best[1]
+        return _mean_model(d.column(y)[idx], hyper=0)
+    return _fit_on_holdout(idx, hold, d, y, OMP, range(1, max_terms + 1), metric)
 
 
 def best_local_model(
@@ -273,47 +413,64 @@ def best_local_model(
 ) -> FittedRuleModel:
     """LASSO vs OMP contest on an 80/20 split of the rows.
 
-    Both methods are fit on the 80% side with their hyperparameter chosen on the
-    20% side; the winner (ties to LASSO) is refit on all rows with the winning
-    hyperparameter, keeping the contest holdout error on record. Regions with
-    fewer than 5 rows or a degenerate target fall back to the MEAN model.
+    Both methods are fit on the 80% side from one set of moments, and all their
+    models are scored on the 20% side by one residual matrix; each method keeps
+    its best hyperparameter, and the winner (ties to LASSO) is refit on all rows
+    with it, keeping the contest holdout error on record. The region's feature
+    matrix is built once. Regions with fewer than 5 rows or a degenerate target
+    fall back to the MEAN model.
     """
     metric = check_metric(metric)
     idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
+    names = _feature_names(d, y)
     if max_terms is None:
-        max_terms = min(len(_feature_names(d, y)), MAX_TERMS_CAP)
+        max_terms = min(len(names), MAX_TERMS_CAP)
+    yv = d.column(y)[idx]
 
     if len(idx) < 5:
-        model = _mean_model(idx, d, y)
-        err = evaluate(model, idx, d, y, metric)
+        model = _mean_model(yv)
+        err = metric_value(yv - model.intercept, metric)
         return FittedRuleModel(model, train_error=err, holdout_error=err,
                                metric=metric, holdout_rows=idx)
 
     train, hold = holdout_split(idx, 0.2, seed)
-    if np.std(d.column(y)[train]) == 0.0:
-        model = _mean_model(idx, d, y)
+    t, h = np.searchsorted(idx, train), np.searchsorted(idx, hold)
+    if np.std(yv[t]) == 0.0:
+        model = _mean_model(yv)
         return FittedRuleModel(
             model,
-            train_error=evaluate(model, idx, d, y, metric),
-            holdout_error=evaluate(model, hold, d, y, metric),
+            train_error=metric_value(yv - model.intercept, metric),
+            holdout_error=metric_value(yv[h] - model.intercept, metric),
             metric=metric, holdout_rows=hold,
         )
 
-    lasso = fit_lasso(train, d, y, DEFAULT_LAMBDA_GRID, hold, metric)
-    omp = fit_omp(train, d, y, max_terms, hold, metric)
-    lasso_err = evaluate(lasso, hold, d, y, metric)
-    omp_err = evaluate(omp, hold, d, y, metric)
-    winner, holdout_error = (lasso, lasso_err) if lasso_err <= omp_err else (omp, omp_err)
+    X = d.numeric_matrix(idx, names)
+    m = _moments(X[t], yv[t])
+    lasso = _fits(m, yv[t], LASSO, DEFAULT_LAMBDA_GRID, names)
+    if max_terms > 0:
+        omp = _fits(m, yv[t], OMP, range(1, max_terms + 1), names)
+    else:
+        omp = _fits(m, yv[t], MEAN, [0], names)
+    errors = _errors(X[h], yv[h], np.concatenate([lasso.intercepts, omp.intercepts]),
+                     np.hstack([lasso.B, omp.B]), metric)
+    n_lasso = len(lasso.hypers)
+    i = _best(errors[:n_lasso], lasso.hypers, prefer_larger=True)
+    j = _best(errors[n_lasso:], omp.hypers, prefer_larger=False)
+    lasso_err, omp_err = float(errors[i]), float(errors[n_lasso + j])
+    winner, hyper, holdout_error = (
+        (lasso, lasso.hypers[i], lasso_err) if lasso_err <= omp_err
+        else (omp, omp.hypers[j], omp_err)
+    )
 
     if winner.method == MEAN:
-        refit = _mean_model(idx, d, y)
+        refit = _fits(None, yv, MEAN, [None], names)
     else:
-        refit = _fit(idx, d, y, winner.method, [winner.hyper])[0]
+        refit = _fits(_moments(X, yv), yv, winner.method, [hyper], names)
     return FittedRuleModel(
-        refit,
-        train_error=evaluate(refit, idx, d, y, metric),
+        refit.model(0),
+        train_error=float(_errors(X, yv, refit.intercepts, refit.B, metric)[0]),
         holdout_error=holdout_error,
         metric=metric,
         holdout_rows=hold,

@@ -125,3 +125,60 @@ def best_pair_oracle(X, y):
         if best is None or rss < best[0]:
             best = (rss, (i, j))
     return best[1]
+
+
+def _soft_threshold(x, t):
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
+
+
+def lasso_cd_oracle(Xs, y_c, lam, tol=1e-6, max_sweeps=1000):
+    """Row-wise cyclic coordinate descent for (1/2n)||y - X b||^2 + lam ||b||_1
+    on standardized columns ((1/n)||x_j||^2 == 1), cold-started from zero; it
+    keeps the n-row residual and stops when the largest coefficient change in a
+    sweep drops below tol."""
+    n, p = Xs.shape
+    beta = np.zeros(p)
+    resid = y_c.copy()
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(p):
+            xj = Xs[:, j]
+            rho = (xj @ resid) / n + beta[j]
+            new = _soft_threshold(rho, lam)
+            delta = new - beta[j]
+            if delta != 0.0:
+                resid -= delta * xj
+                beta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < tol:
+            break
+    return beta
+
+
+def omp_path_oracle(Xs, y_c, k):
+    """Row-wise greedy forward selection: add the feature most correlated with
+    the n-row residual, refit least squares on the active columns; stops early
+    on a ~zero residual. Returns the coefficient vector after each step, led by
+    the empty model."""
+    n, p = Xs.shape
+    active = []
+    path = [np.zeros(p)]
+    resid = y_c.copy()
+    scale = float(np.max(np.abs(y_c))) if len(y_c) else 0.0
+    for _ in range(min(k, p)):
+        if scale == 0.0 or float(np.max(np.abs(resid))) <= 1e-12 * scale:
+            break
+        corr = np.abs(Xs.T @ resid)
+        corr[active] = -1.0
+        j = int(np.argmax(corr))
+        active.append(j)
+        sub, *_ = np.linalg.lstsq(Xs[:, active], y_c, rcond=None)
+        resid = y_c - Xs[:, active] @ sub
+        beta = np.zeros(p)
+        beta[active] = sub
+        path.append(beta)
+    return path

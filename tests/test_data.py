@@ -1,6 +1,10 @@
+import csv
+import gc
+
 import numpy as np
 import pytest
 
+import hipar.data
 from hipar import DataError, holdout_split, k_folds, load_csv, write_csv
 
 
@@ -230,3 +234,34 @@ def test_undecodable_file_is_a_data_error(tmp_path):
     path.write_bytes("a,y\ncafé,1\n".encode("latin-1"))
     with pytest.raises(DataError, match="cannot read"):
         load_csv(str(path), target="y")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_row_read_pauses_gc_and_restores_its_state(tmp_path, monkeypatch, enabled):
+    body = "".join(f"{i},{i * 2}\n" for i in range(20_000)).encode()
+    good = tmp_path / "good.csv"
+    good.write_bytes(b"x,y\n" + body)
+    # the undecodable byte sits past the first read buffer, so the error is
+    # raised while the data rows are read, not while the header is
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,y\n" + body + b"\xff,1\n")
+    seen = []
+    real_reader = csv.reader
+
+    def reader(fh):
+        for row in real_reader(fh):
+            seen.append(gc.isenabled())
+            yield row
+
+    monkeypatch.setattr(hipar.data.csv, "reader", reader)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert load_csv(str(good), target="y").n == 20_000
+        assert gc.isenabled() is enabled
+        assert not any(seen[1:])  # paused for every data row
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(str(bad), target="y")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -13,8 +13,9 @@ from hipar import (
     fit_omp,
     holdout_split,
 )
+from hipar.regression import _lasso_path, _moments, _omp_path
 
-from .oracles import best_pair_oracle
+from .oracles import best_pair_oracle, lasso_cd_oracle, omp_path_oracle
 
 
 def _dataset(columns: dict, target="y"):
@@ -182,6 +183,18 @@ def test_lasso_disjointness_required():
         fit_lasso(range(8), d, "y", [0.1], range(7, 10))
 
 
+@pytest.mark.parametrize("grid, hold", [
+    ([0.1, -0.01], [8, 9]),  # the warm-started path needs a convex problem per lambda
+    ([float("nan")], [8, 9]),
+    ([float("inf")], [8, 9]),
+    ([0.1], []),  # nothing to choose the lambda on
+])
+def test_lasso_bad_grid_or_empty_holdout_rejected(grid, hold):
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) ** 2})
+    with pytest.raises(DataError):
+        fit_lasso(range(8), d, "y", grid, hold)
+
+
 # ---------------------------------------------------------------- fit_omp
 
 
@@ -291,6 +304,108 @@ def test_degenerate_fit_falls_back_to_mean(case, fitter, hyper):
     assert m.hyper == hyper
 
 
+# ---------------------------------------------------------------- moments core vs row-wise oracles
+
+
+def _random_instance(rng, n_range):
+    """(moments, Xs, y_c) of independent normal features and a sparse linear
+    target plus noise; Xs and y_c are what the row-wise oracles run on."""
+    n, p = int(rng.integers(*n_range)), int(rng.integers(2, 9))
+    X = rng.normal(size=(n, p))
+    y = X @ (rng.normal(size=p) * (rng.random(p) < 0.6)) + rng.normal(0, 0.3, n)
+    return _moments(X, y), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+
+
+def test_gram_lasso_matches_cold_start_oracle_in_any_grid_order():
+    rng = np.random.default_rng(12)
+    grid = [0.001, 0.01, 0.1, 0.3, 1.0]
+    for _ in range(30):
+        m, Xs, y_c = _random_instance(rng, (100, 300))
+        expected = {lam: lasso_cd_oracle(Xs, y_c, lam) for lam in grid}
+        ascending = dict(zip(grid, _lasso_path(m.G, m.c, grid)))
+        for order in (grid[::-1], [float(lam) for lam in rng.permutation(grid)]):
+            got = dict(zip(order, _lasso_path(m.G, m.c, order)))
+            for lam in grid:
+                # the path is solved in descending order whatever the caller's order
+                assert got[lam].tolist() == ascending[lam].tolist()
+                assert np.max(np.abs(got[lam] - expected[lam])) < 1e-6
+
+
+def test_gram_lasso_matches_oracle_at_tight_tolerance():
+    # few rows per feature: both solvers stop well away from each other at the
+    # default tolerance, so compare them converged
+    rng = np.random.default_rng(13)
+    grid = [0.001, 0.01, 0.1, 1.0]
+    for _ in range(30):
+        m, Xs, y_c = _random_instance(rng, (30, 80))
+        got = _lasso_path(m.G, m.c, grid, tol=1e-12, max_sweeps=100_000)
+        for lam, beta in zip(grid, got):
+            expected = lasso_cd_oracle(Xs, y_c, lam, tol=1e-12, max_sweeps=100_000)
+            assert np.max(np.abs(beta - expected)) < 1e-9
+
+
+def test_gram_omp_matches_oracle():
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        m, Xs, y_c = _random_instance(rng, (40, 200))
+        p = len(m.c)
+        got = _omp_path(m.G, m.c, m.y_sd, p)
+        expected = omp_path_oracle(Xs, y_c, p)
+        assert len(got) == len(expected) == p + 1
+        for a, b in zip(got, expected):
+            assert np.array_equal(a != 0, b != 0)  # the same active set after every step
+            assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_gram_omp_stops_at_an_exact_fit():
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(50, 5))
+    y = 2.0 * X[:, 1] - X[:, 3] + 4.0
+    m = _moments(X, y)
+    path = _omp_path(m.G, m.c, m.y_sd, 5)
+    assert len(path) == 3
+    assert set(np.flatnonzero(path[-1]).tolist()) == {1, 3}
+
+
+def test_gram_omp_singular_block_falls_back_to_min_norm():
+    # column 2 is column 0 up to 1e-7 noise: whichever of the two OMP takes
+    # last makes the active Gram block singular, and min-norm least squares
+    # splits their weight instead of fitting the noise with huge opposite
+    # coefficients as least squares on the rows does
+    rng = np.random.default_rng(16)
+    x0, x1, z = rng.normal(size=(3, 200))
+    X = np.column_stack([x0, x1, x0 + 1e-7 * z])
+    y = x0 + x1 + rng.normal(0, 1.0, 200)
+    m = _moments(X, y)
+    path = _omp_path(m.G, m.c, m.y_sd, 3)
+    assert len(path) == 4
+    two, three = path[2], path[3]
+    # min norm: the two near-copies share the weight one of them had
+    assert three[0] == pytest.approx(three[2], rel=1e-6)
+    assert three[0] + three[2] == pytest.approx(two[0] + two[2], rel=1e-6)
+    assert three[1] == pytest.approx(two[1], rel=1e-6)
+    exact = omp_path_oracle((X - X.mean(axis=0)) / X.std(axis=0), y - y.mean(), 3)[3]
+    assert np.max(np.abs(exact)) > 100
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_contest_invariant_to_offset_scale_and_column_order(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 300))
+    cols = {name: rng.normal(size=n) for name in ("a", "b", "c", "e")}
+    coef = rng.normal(size=4) * (rng.random(4) < 0.7)
+    cols["y"] = sum(w * cols[name] for w, name in zip(coef, "abce")) + rng.normal(0, 1, n)
+    moved = {**cols, "a": cols["a"] + 1e6, "b": cols["b"] * 1e3}
+    shuffled = {str(name): moved[name] for name in rng.permutation(list(moved))}
+    before = best_local_model(range(n), _dataset(cols), "y", "rmse", seed)
+    after = best_local_model(range(n), _dataset(shuffled), "y", "rmse", seed)
+    assert (after.model.method, after.model.hyper) == (before.model.method, before.model.hyper)
+    assert after.holdout_error == pytest.approx(before.holdout_error, rel=1e-9, abs=0)
+    expected = before.model.predict(cols)
+    np.testing.assert_allclose(after.model.predict(moved), expected, rtol=0,
+                               atol=1e-9 * np.max(np.abs(expected)))
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -325,13 +440,20 @@ def test_evaluate_empty_rows():
 
 
 def test_contest_tie_breaks_to_lasso(monkeypatch):
-    # force an exact tie: both contest errors identical -> LASSO must win
+    # force an exact tie: every model scores the same error -> LASSO must win
     import hipar.regression as reg
 
-    monkeypatch.setattr(reg, "evaluate", lambda *a, **k: 1.0)
+    calls = []
+
+    def tied(X, yv, intercepts, B, metric):
+        calls.append(B.shape[1])
+        return np.ones(B.shape[1])
+
+    monkeypatch.setattr(reg, "_errors", tied)
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
     fm = best_local_model(range(20), d, "y", "rmse", seed=0)
+    assert calls
     assert fm.model.method == "LASSO"
 
 
