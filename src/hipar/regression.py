@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,10 +49,14 @@ LASSO = "LASSO"
 OMP = "OMP"
 MEAN = "MEAN"
 
-# A Gram block is singular when a new pivot (the squared distance of a
-# standardized feature from the span of the active ones) or a singular value
-# falls below this share of the block's scale.
-_RANK_TOL = 1e-10
+# A Gram block is singular when a new Cholesky pivot (the squared distance of
+# a standardized feature from the span of the active ones) or a singular value
+# falls below this share of the block's scale; least squares then takes the
+# min-norm solution. That is a direction in which the standardized rows are
+# shorter than ~3e-7 of their longest, close to the rounding error of G; longer
+# ones are kept, so a solve on G stays close to least squares on the rows up
+# to cond(Xs) ~ 1e6.
+_RANK_TOL = 1e-13
 # OMP stops once no |c_j - (G beta)_j| exceeds this share of the target's
 # standard deviation: the residual is then uncorrelated with every feature.
 _UNCORRELATED = 1e-9
@@ -289,6 +293,9 @@ class _Fits:
     B: np.ndarray
     standardization: dict[str, tuple[float, float]]
 
+    def __iter__(self) -> Iterator[LinearModel]:
+        return map(self.model, range(len(self.hypers)))
+
     def model(self, i: int) -> LinearModel:
         coefs = {n: float(b) for n, b in zip(self.names, self.B[:, i].tolist()) if b != 0.0}
         return LinearModel(intercept=float(self.intercepts[i]), coefficients=coefs,
@@ -337,25 +344,19 @@ def _best(errors: np.ndarray, hypers: Sequence[float], prefer_larger: bool) -> i
     return min(range(len(hypers)), key=lambda i: (errors[i], sign * hypers[i]))
 
 
-def _fit_rows(idx: np.ndarray, d: Dataset, y: str, method: str,
-              hypers: Sequence[float | None]) -> _Fits:
-    """``_fits`` on the rows ``idx`` of the dataset."""
+def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
+         hypers: Sequence[float | None]) -> _Fits:
+    """One ``method`` model on the rows ``idx`` of the dataset per
+    hyperparameter (see ``_fits``); iterating the result gives them in order."""
     names = _feature_names(d, y)
     yv = d.column(y)[idx]
     return _fits(_moments(d.numeric_matrix(idx, names), yv), yv, method, hypers, names)
 
 
-def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
-         hypers: Sequence[float | None]) -> list[LinearModel]:
-    """One ``method`` model on the rows per hyperparameter (see ``_fits``)."""
-    fits = _fit_rows(idx, d, y, method, hypers)
-    return [fits.model(i) for i in range(len(hypers))]
-
-
 def _fit_on_holdout(idx: np.ndarray, hold: np.ndarray, d: Dataset, y: str, method: str,
                     hypers: Sequence[float], metric: str) -> LinearModel:
     """The ``method`` model fit on ``idx`` whose hyperparameter scores best on ``hold``."""
-    fits = _fit_rows(idx, d, y, method, hypers)
+    fits = _fit(idx, d, y, method, hypers)
     errors = _errors(d.numeric_matrix(hold, fits.names), d.column(y)[hold], fits.intercepts,
                      fits.B, metric)
     return fits.model(_best(errors, fits.hypers, method == LASSO))
@@ -368,7 +369,7 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
-    return _fit(idx, d, y, OLS, [None])[0]
+    return _fit(idx, d, y, OLS, [None]).model(0)
 
 
 def _checked_rows(rows, holdout, caller: str) -> tuple[np.ndarray, np.ndarray]:

@@ -80,6 +80,27 @@ def test_ols_zero_variance_feature_dropped():
     assert m.coefficients["x"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ols_near_collinear_matches_least_squares_on_rows(seed):
+    # w is x up to 2e-6 noise, so cond(Xs) ~ 1e6 and G's is ~1e12: the solve on
+    # G keeps the weak direction, and stays as close to least squares on the
+    # rows as the squared condition allows
+    rng = np.random.default_rng(seed)
+    x, z = rng.normal(size=(2, 200))
+    w = x + 2e-6 * z
+    y = x + 3.0 * w + rng.normal(0, 0.5, 200)
+    X = np.column_stack([x, w])
+    Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+    assert 5e5 < np.linalg.cond(Xs) < 2e6
+    exact = np.linalg.lstsq(Xs, y - y.mean(), rcond=None)[0] / X.std(axis=0)
+    m = fit_ols(range(200), _dataset({"x": x, "w": w, "y": y}), "y")
+    got = np.array([m.coefficients["x"], m.coefficients["w"]])
+    assert np.max(np.abs(got - exact)) < 1e-2 * np.max(np.abs(exact))
+    fitted, exact_fitted = X @ got + m.intercept, X @ exact + y.mean() - X.mean(axis=0) @ exact
+    spread = np.max(np.abs(exact_fitted - y.mean()))
+    assert np.max(np.abs(fitted - exact_fitted)) < 1e-4 * spread
+
+
 def test_predict_one_observation_equals_columns():
     # one evaluator: per-row floats and whole columns give the same bits,
     # and the caller's columns are left as they were
