@@ -51,11 +51,13 @@ class Dataset:
     """Immutable column-typed table with one designated numerical target.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
-    object (str) arrays for categorical ones. ``masks`` is a lazily filled,
-    read-only memo of condition row masks, keyed by condition and filled by
-    ``patterns.condition_mask``. Instances are safe to share across threads
-    once constructed: two threads may at worst compute the same read-only
-    mask twice.
+    object (str) arrays for categorical ones. ``masks`` and ``bits`` are lazily
+    filled memos of read-only condition row sets, keyed by condition:
+    ``masks`` holds boolean row masks (``patterns.condition_mask``), ``bits``
+    the same rows packed by ``np.packbits`` into 64-bit words with zero
+    padding (``patterns.condition_bits``). Instances are safe to share across
+    threads once constructed: two threads may at worst compute the same
+    read-only mask or bits twice, and the later store wins.
     """
 
     def __init__(self, schema: Sequence[AttributeSchema], columns: dict[str, np.ndarray]):
@@ -87,6 +89,7 @@ class Dataset:
             self._columns[attr.name] = col
         self._by_name = {a.name: a for a in self.schema}
         self.masks: dict[object, np.ndarray] = {}
+        self.bits: dict[object, np.ndarray] = {}
 
     @property
     def target(self) -> str:

@@ -7,14 +7,22 @@ prefix-preserving leftmost-parent check, fitted with the local LASSO/OMP
 contest, and accepted only if it strictly out-predicts every immediate ancestor
 rule on its holdout slice. Accepted nodes re-discretize the numerical
 attributes they leave free and recurse.
+
+A node's region is its packed row bits. Every extension of a node closes over
+one universe (the categorical conditions, the node's intervals and the
+pattern's own conditions), built once per node as a ``patterns.Universe``: one
+AND and popcount over its bit matrix gives every extension's support, and
+only frequent extensions unpack their rows. The closures of an extension and
+of its immediate parents run on the same matrix.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,10 +34,13 @@ from .patterns import (
     Equals,
     Interval,
     Pattern,
+    Universe,
+    bits_rows,
     closure,
     condition_mask,
     condition_tids,
     iv_from_region,
+    pattern_bits,
     region,
 )
 from .regression import FittedRuleModel, best_local_model, check_metric, evaluate
@@ -134,9 +145,10 @@ def hipar_init(d: Dataset, y: str, cfg: EnumConfig) -> list[Condition]:
     theta_abs = cfg.theta * d.n
     conditions: list[Condition] = []
     for attr in d.categorical_features():
-        values, counts = np.unique(d.column(attr), return_counts=True)
+        # exact level counts: a fixed-width string copy would drop trailing NULs
+        counts = Counter(d.column(attr).tolist())
         conditions.extend(
-            Equals(attr, str(v)) for v, c in zip(values, counts) if _frequent(int(c), theta_abs)
+            Equals(attr, str(v)) for v in sorted(counts) if _frequent(counts[v], theta_abs)
         )
     rows = np.arange(d.n)
     conditions.extend(_interval_conditions(d, y, rows, d.numerical_features(), cfg))
@@ -213,13 +225,7 @@ class _Search:
         self._memo[pattern] = rule
         return rule
 
-    def node_universe(self, p_hat_conditions: Iterable[Condition], conds: Sequence[Condition]):
-        universe = list(self.cat_universe)
-        universe.extend(c for c in conds if isinstance(c, Interval))
-        universe.extend(p_hat_conditions)
-        return list(dict.fromkeys(universe))
-
-    def parent_rules(self, p_closed: Pattern, universe: Sequence[Condition]) -> list[HybridRule]:
+    def parent_rules(self, p_closed: Pattern, universe: Universe) -> list[HybridRule]:
         """Rules of the immediate closed ancestors (closure of the pattern minus
         one condition); the default rule stands in when nothing else remains."""
         parents: dict[Pattern, HybridRule] = {}
@@ -246,32 +252,38 @@ class _Search:
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
     def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
-        """Extend ``pattern``, whose region is the boolean row mask ``inside``."""
+        """Extend ``pattern``, whose region is the packed row bits ``inside``."""
         ivs = [self.iv_single(c) for c in conds if isinstance(c, Interval)]
         # a percentile of fewer than two values is unstable; disable iv pruning
         nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
         taken = pattern.attributes()
+        # every extension closes over one universe: the categorical conditions,
+        # the node's intervals and the pattern's own conditions (each c is in it)
+        universe = Universe(
+            [*self.cat_universe, *(c for c in conds if isinstance(c, Interval)),
+             *pattern.conditions],
+            self.d,
+        )
+        ext_bits, supports = universe.extensions(conds, inside)
         for i, c in enumerate(conds):
             if c.attribute in taken:
                 # sibling condition on a pinned attribute: the region is empty
                 self.stats.pruned_support += 1
                 self.emit("pruned-support", 0, 0.0, pattern, c)
                 continue
-            ext_inside = inside & condition_mask(c, self.d)
-            ext = np.nonzero(ext_inside)[0]
-            if not _frequent(len(ext), self.theta_abs):
+            if not _frequent(int(supports[i]), self.theta_abs):
                 self.stats.pruned_support += 1
-                if self.trace is not None:  # an infrequent region's IV is only traced
+                if self.trace is not None:  # an infrequent region's rows and IV are only traced
+                    ext = bits_rows(ext_bits[i], self.d.n)
                     self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern, c)
                 continue
+            ext = bits_rows(ext_bits[i], self.d.n)
             iv = iv_from_region(ext, self.yv)
             if not iv > nu:
                 self.stats.pruned_iv += 1
                 self.emit("pruned-iv", len(ext), iv, pattern, c)
                 continue
-            p_hat = pattern.extend(c)
-            universe = self.node_universe(p_hat.conditions, conds)
-            p_closed = closure(p_hat, self.d, universe)
+            p_closed = closure(pattern.extend(c), self.d, universe)
             if not leftmost_parent_check(pattern, c, p_closed) or p_closed in self._visited:
                 # second clause: independently re-discretized branches can in
                 # principle converge on one closed pattern; visit it once
@@ -304,7 +316,7 @@ class _Search:
                 child_num = _interval_conditions(self.d, self.y, ext, free_numeric, self.cfg)
                 children = sorted(child_cat + child_num, key=lambda c: c.order)
                 if children:
-                    self.walk(p_closed, ext_inside, children)
+                    self.walk(p_closed, ext_bits[i], children)
 
 
 def _render_with(pattern: Pattern, c: Condition) -> str:
@@ -330,5 +342,5 @@ def enumerate_candidates(
     conds = sorted(init_conditions, key=lambda c: c.order)
     search.cat_universe = [c for c in conds if isinstance(c, Equals)]
     if conds:
-        search.walk(TOP, np.ones(d.n, dtype=bool), conds)
+        search.walk(TOP, pattern_bits(TOP, d), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

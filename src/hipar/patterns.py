@@ -4,6 +4,15 @@ Membership is decided in one place per condition kind: ``mask`` takes either one
 observation's value (a Python scalar) or a whole column (a numpy array), so
 mining and prediction apply the same rule.
 
+Row sets are computed once per dataset and condition: a read-only boolean mask
+(``condition_mask``) and the same rows packed into 64-bit words
+(``condition_bits``; ``np.packbits`` order, padding bits zero). The search's set
+algebra runs on the packed bits through one kernel: a ``Universe`` stacks its
+conditions' bits, in canonical order, as one matrix U. The supports of a
+region's extensions are popcounts of ``U[ext] & region``, and the conditions
+that hold on every row of a region are the rows of U with no bit in
+``region & ~U``. ``closure`` takes the first such condition per attribute.
+
 Identity is exact: equal conditions or patterns are the same, and memos, visited
 sets and ebar maps are keyed by them. A condition builds its text and its order
 key (attribute, text, then lo, hi for intervals) once; the order sorts like the
@@ -15,9 +24,10 @@ a ``Predictor``'s voter order (the order of its float sums).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -170,23 +180,79 @@ def condition_tids(c: Condition, d: Dataset) -> np.ndarray:
     return np.nonzero(condition_mask(c, d))[0]
 
 
-def region_mask(p: Pattern, d: Dataset) -> np.ndarray:
-    """Boolean row mask of the pattern's region (all True for the empty pattern)."""
-    mask = np.ones(d.n, dtype=bool)
-    for c in p.conditions:
-        mask &= condition_mask(c, d)
-    return mask
+def _packed(mask: np.ndarray) -> np.ndarray:
+    """A row mask as ``np.packbits`` bits in 64-bit words, padding bits zero."""
+    out = np.zeros(-(-len(mask) // 64) * 8, dtype=np.uint8)
+    out[: -(-len(mask) // 8)] = np.packbits(mask)
+    return out.view(np.uint64)
+
+
+def condition_bits(c: Condition, d: Dataset) -> np.ndarray:
+    """Read-only packed row bits of the condition, computed once per dataset."""
+    bits = d.bits.get(c)
+    if bits is None:
+        bits = _packed(condition_mask(c, d))
+        bits.flags.writeable = False
+        d.bits[c] = bits
+    return bits
+
+
+def pattern_bits(p: Pattern, d: Dataset) -> np.ndarray:
+    """Packed row bits of the pattern's region (every row for the empty
+    pattern), as a new array."""
+    if p.is_empty:
+        return _packed(np.ones(d.n, dtype=bool))
+    bits = condition_bits(p.conditions[0], d).copy()
+    for c in p.conditions[1:]:
+        bits &= condition_bits(c, d)
+    return bits
+
+
+def bits_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """Sorted row indices of packed row bits over n rows."""
+    # unpacked bits are 0/1 bytes; nonzero is several times faster on bool
+    return np.flatnonzero(np.unpackbits(bits.view(np.uint8), count=n).view(bool))
 
 
 def region(p: Pattern, d: Dataset) -> np.ndarray:
     """Sorted row indices of the pattern's region (all rows for the empty pattern)."""
-    return np.nonzero(region_mask(p, d))[0]
+    return bits_rows(pattern_bits(p, d), d.n)
 
 
 def support(p: Pattern, d: Dataset) -> tuple[int, float]:
     """(absolute, relative) support of the pattern on the dataset."""
-    s = int(np.count_nonzero(region_mask(p, d)))
+    s = int(np.bitwise_count(pattern_bits(p, d)).sum())
     return s, s / d.n
+
+
+class Universe(Sequence):
+    """The distinct conditions of a closure universe in canonical order, with
+    their packed row bits on one dataset stacked as one matrix (row i holds
+    ``conditions[i]``). Build it once and close every pattern over it."""
+
+    def __init__(self, conditions: Iterable[Condition], d: Dataset):
+        self.dataset = d
+        self.conditions = sorted(set(conditions), key=lambda c: c.order)
+        self.row = {c: i for i, c in enumerate(self.conditions)}
+        self.bits = np.array([condition_bits(c, d) for c in self.conditions], dtype=np.uint64)
+        self.bits.shape = (len(self.conditions), -(-d.n // 64))
+        self._outside = ~self.bits
+
+    def __len__(self) -> int:
+        return len(self.conditions)
+
+    def __getitem__(self, i):
+        return self.conditions[i]
+
+    def extensions(self, conds: Sequence[Condition], inside: np.ndarray):
+        """Region bits of ``inside`` AND each condition (one row per condition)
+        and their supports."""
+        bits = self.bits[[self.row[c] for c in conds]] & inside
+        return bits, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+
+    def covering(self, inside: np.ndarray) -> np.ndarray:
+        """Per condition, whether it holds on every row of the region ``inside``."""
+        return ~(inside & self._outside).any(axis=1)
 
 
 def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
@@ -196,15 +262,18 @@ def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
     region is unchanged and the operation is idempotent. Raises on an empty
     region. Should a universe carry two conditions on one attribute that both
     cover the region (nested intervals), canonical order wins to preserve the
-    one-condition-per-attribute invariant.
+    one-condition-per-attribute invariant. ``universe`` may be a ``Universe``
+    built on ``d``, which spares rebuilding its bit matrix.
     """
-    outside = ~region_mask(p, d)
-    if outside.all():
+    inside = pattern_bits(p, d)
+    if not inside.any():
         raise DataError(f"closure of pattern with empty region: {p.key}")
+    if not (isinstance(universe, Universe) and universe.dataset is d):
+        universe = Universe(universe, d)
     taken = {c.attribute: c for c in p.conditions}
-    for c in sorted(universe, key=lambda c: c.order):
-        if c.attribute not in taken and (outside | condition_mask(c, d)).all():
-            taken[c.attribute] = c
+    for i in np.flatnonzero(universe.covering(inside)).tolist():
+        c = universe.conditions[i]
+        taken.setdefault(c.attribute, c)
     return Pattern(taken.values())
 
 

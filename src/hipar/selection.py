@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import DataError, Dataset
 from .enumeration import HybridRule
-from .patterns import region_mask
+from .patterns import pattern_bits
 
 EXACT_LIMIT = 25
 _LOCAL_SEARCH_STARTS = 16
@@ -74,8 +74,9 @@ def build_problem(
     sbar = supports / supports.sum()
     alpha = sbar**sigma / ebar
 
-    # regions as packed bitsets: intersections are word-wise AND + popcount
-    bits = np.array([np.packbits(region_mask(r.pattern, d)) for r in candidates])
+    # regions as packed bitsets (ANDs of the memoized condition bits):
+    # intersections are word-wise AND + popcount
+    bits = np.array([pattern_bits(r.pattern, d) for r in candidates])
     sizes = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     k = len(candidates)
     overlap = np.eye(k)

@@ -9,6 +9,7 @@ from hipar import (
     DataError,
     Dataset,
     EnumConfig,
+    EnumStats,
     Equals,
     FittedRuleModel,
     HybridRule,
@@ -136,6 +137,30 @@ def test_init_imbalance_guard():
     )
     conds = hipar_init(d, "y", EnumConfig(theta=0.25, seed=0))
     assert conds == []
+
+
+def _categorical_table(levels, seed=0):
+    rng = np.random.default_rng(seed)
+    col = np.array(levels, dtype=object)
+    return Dataset(
+        [AttributeSchema("g", "categorical"), AttributeSchema("y", "numerical", role="target")],
+        {"g": col, "y": rng.normal(size=len(col))},
+    )
+
+
+def test_init_levels_exact_for_non_ascii_and_trailing_nul():
+    levels = ["é"] * 5 + ["日本"] * 4 + ["Z"] * 3 + ["ß"] * 2 + ["a"] * 4 + ["a\x00"] * 3 + ["😀"]
+    d = _categorical_table(np.random.default_rng(1).permutation(np.array(levels, dtype=object)))
+    cfg = EnumConfig(theta=3 / len(levels), seed=0)
+    # the levels np.unique finds on the object column, frequent at theta
+    values, counts = np.unique(d.column("g"), return_counts=True)
+    want = sorted((Equals("g", v) for v, c in zip(values, counts) if c >= 3), key=lambda c: c.order)
+    got = hipar_init(d, "y", cfg)
+    assert got == want
+    assert [c.value for c in got] == ["Z", "a\x00", "a", "é", "日本"]  # text order: "\x00" < '"'
+    # "a" and "a\x00" stay two levels, each with its own rows
+    for c, count in ((Equals("g", "a"), 4), (Equals("g", "a\x00"), 3)):
+        assert len(region(Pattern([c]), d)) == count
 
 
 def test_init_validates_config(toy):
@@ -299,6 +324,96 @@ def test_raising_theta_never_increases_visits():
         cands = enumerate_candidates(d, "y", conds, cfg)
         visited.append(cands.stats.visited)
     assert all(b <= a for a, b in zip(visited, visited[1:]))
+
+
+def _rediscretized_table():
+    """Three categorical and three numerical features. Within each level of seg
+    the target steps at its own x (or z) cut, so the search re-discretizes x, z
+    and w below the root."""
+    rng = np.random.default_rng(7)
+    n = 800
+    seg = rng.choice(np.array(["a", "b", "c"], dtype=object), n)
+    kind = rng.choice(np.array(["u", "v"], dtype=object), n)
+    grp = np.where(seg == "c", "w", rng.choice(np.array(["w", "t"], dtype=object), n)).astype(object)
+    x, z = rng.uniform(0.0, 1.0, n), np.round(rng.uniform(0.0, 4.0, n), 1)
+    w = rng.integers(0, 6, n).astype(float)
+    step = np.where(seg == "a", x < 0.3, np.where(seg == "b", x < 0.6, z < 2.0))
+    y = np.where(seg == "a", 1.0, np.where(seg == "b", 6.0, 3.0)) + 4.0 * step
+    y = y + np.where(kind == "u", 0.0, z) + np.where(grp == "w", w, -w) + rng.normal(0.0, 0.3, n)
+    return Dataset(
+        [AttributeSchema(a, "categorical") for a in ("seg", "kind", "grp")]
+        + [AttributeSchema(a, "numerical") for a in ("x", "z", "w")]
+        + [AttributeSchema("y", "numerical", role="target")],
+        {"seg": seg, "kind": kind, "grp": grp, "x": x, "z": z, "w": w, "y": y},
+    )
+
+
+# Every decision and every visited pattern of the search on _rediscretized_table
+# (theta 0.04, exhaustive), recorded before the search moved to packed condition
+# bits; a rewrite of the search's set algebra must reproduce them exactly.
+PINNED_STATS = dict(visited=47, pruned_support=39, pruned_iv=21, pruned_leftmost=3,
+                    rejected_occam=9, accepted=38)
+PINNED_VISITED = [
+    'grp="t"',
+    'grp="t" & kind="u"',
+    'grp="t" & kind="u" & seg="a"',
+    'grp="t" & kind="u" & seg="a" & w in (0.5,inf)',
+    'grp="t" & kind="u" & seg="a" & w in (0.5,inf) & x in (0.300431,inf)',
+    'grp="t" & kind="u" & seg="a" & x in (0.300431,inf)',
+    'grp="t" & kind="u" & x in (0.300431,inf)',
+    'grp="t" & seg="a"',
+    'grp="t" & seg="a" & x in (0.302148,inf)',
+    'grp="t" & seg="a" & w in (0.5,inf) & x in (0.302148,inf)',
+    'grp="t" & x in (0.278878,inf)',
+    'grp="t" & x in (0.278878,inf) & z in (-inf,1.55)',
+    'grp="t" & x in (0.278878,inf) & z in (1.55,inf)',
+    'grp="w"',
+    'grp="w" & kind="v"',
+    'grp="w" & kind="v" & seg="a"',
+    'grp="w" & kind="v" & seg="b"',
+    'grp="w" & kind="v" & seg="b" & x in (-inf,0.610438)',
+    'grp="w" & kind="v" & seg="c"',
+    'grp="w" & kind="v" & seg="c" & w in [0.5,4.5]',
+    'grp="w" & kind="v" & seg="c" & z in (1.85,inf)',
+    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in (1.85,inf)',
+    'grp="w" & kind="v" & seg="c" & z in [0.15,1.85]',
+    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [0.15,1.85]',
+    'grp="w" & seg="b"',
+    'grp="w" & seg="b" & x in (-inf,0.610438)',
+    'grp="w" & seg="b" & w in (-inf,3.5) & x in (-inf,0.610438)',
+    'grp="w" & seg="c"',
+    'grp="w" & seg="c" & z in (-inf,2.35)',
+    'grp="w" & seg="c" & w in (0.5,inf) & z in (-inf,2.35)',
+    'grp="w" & x in (-inf,0.554307)',
+    'kind="u"',
+    'kind="u" & seg="a"',
+    'kind="u" & seg="a" & x in (0.305464,inf)',
+    'kind="u" & seg="b"',
+    'kind="u" & seg="b" & x in (-inf,0.606729)',
+    'kind="v"',
+    'kind="v" & seg="a"',
+    'kind="v" & seg="a" & x in (0.296233,inf)',
+    'kind="v" & seg="b"',
+    'kind="v" & seg="b" & x in (-inf,0.610438)',
+    'kind="v" & x in (-inf,0.52467)',
+    'seg="a"',
+    'seg="a" & x in (0.305464,inf)',
+    'seg="b"',
+    'seg="b" & x in (-inf,0.656045)',
+    'x in (-inf,0.533594)',
+]
+
+
+def test_search_decisions_pinned_on_rediscretized_table():
+    d = _rediscretized_table()
+    cfg = EnumConfig(theta=0.04, seed=3, exhaustive=True)
+    init = hipar_init(d, "y", cfg)
+    cands = enumerate_candidates(d, "y", init, cfg)
+    assert cands.stats == EnumStats(**PINNED_STATS, visited_keys=PINNED_VISITED)
+    # the table does what it is for: 18 of the 19 intervals in visited patterns
+    # come from re-discretizing below the root
+    intervals = {t for k in PINNED_VISITED for t in k.split(" & ") if " in " in t}
+    assert len(intervals - {c.render() for c in init}) == 18
 
 
 def test_rediscretized_intervals_filtered_on_full_dataset_support():

@@ -1,5 +1,6 @@
-"""Condition masks: the mask-based kernels against brute-force per-row
-definitions, and the per-dataset mask memo (isolated and read-only)."""
+"""Condition masks and packed condition bits: the mask and bit kernels against
+brute-force per-row definitions, and the per-dataset memos (isolated and
+read-only)."""
 
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from hipar import (
+    TOP,
     AttributeSchema,
+    DataError,
     Dataset,
     Equals,
     FittedRuleModel,
@@ -21,7 +24,7 @@ from hipar import (
     region,
     support,
 )
-from hipar.patterns import condition_mask
+from hipar.patterns import Universe, bits_rows, condition_bits, condition_mask, pattern_bits
 
 LEVELS = ("a", "b", "c")
 
@@ -101,6 +104,99 @@ def test_region_and_closure_match_per_row_evaluation(n):
     for c in conds:
         assert condition_tids(c, d).tolist() == _brute_region(Pattern([c]), d)
     _check_region_and_closure(rng, d, conds, patterns=40)
+
+
+# n = 1..17 meets every n % 8 and a partly filled last word: padding bits never count
+@pytest.mark.parametrize("n", [*range(1, 18), 203])
+def test_bit_kernel_matches_per_row_counts_and_closures(n):
+    rng = np.random.default_rng(1000 + n)
+    d = _mixed(rng, n)
+    rows = [d.row(i) for i in range(n)]
+    conds = _conditions(rng)
+    universe = Universe(conds, d)
+    assert universe.conditions == sorted(conds, key=lambda c: c.order)
+    for _ in range(12):
+        p = _random_pattern(rng, conds)
+        want = _brute_region(p, d)
+        inside = pattern_bits(p, d)
+        assert bits_rows(inside, n).tolist() == want
+        # every extension's rows and support, from one AND over the universe matrix
+        ext_bits, supports = universe.extensions(conds, inside)
+        for c, bits, count in zip(conds, ext_bits, supports.tolist()):
+            ext = [i for i in want if _holds(c, rows[i])]
+            assert bits_rows(bits, n).tolist() == ext
+            assert count == len(ext)
+        if want:
+            expected = _brute_closure(p, d, conds)
+            assert closure(p, d, universe) == expected
+            assert closure(p, d, conds) == expected
+
+
+def test_closure_of_top_and_of_a_one_row_region():
+    rng = np.random.default_rng(9)
+    d = _mixed(rng, 40)
+    conds = _conditions(rng)
+    assert closure(TOP, d, conds) == _brute_closure(TOP, d, conds)
+    # a level held by one row: its closure takes every condition on that row
+    g = d.column("g").copy()
+    g[17] = "solo"
+    one = Dataset(d.schema, {a.name: (g if a.name == "g" else d.column(a.name)) for a in d.schema})
+    universe = [*conds, Equals("g", "solo")]
+    got = closure(Pattern([Equals("g", "solo")]), one, universe)
+    assert got == _brute_closure(Pattern([Equals("g", "solo")]), one, universe)
+    row = one.row(17)
+    assert len(got) == 4 and all(_holds(c, row) for c in got.conditions)
+
+
+def test_closure_nested_intervals_first_in_canonical_order_wins():
+    rng = np.random.default_rng(5)
+    d = _mixed(rng, 64)
+    # u lies in [0, 10], so both cover every region; "(" sorts before "["
+    wide, inner = Interval("u", -math.inf, 20.0), Interval("u", -1.0, 11.0)
+    p = Pattern([Interval("v", 0.0, 1.0), Equals("g", "a")])
+    assert _brute_region(p, d)
+    for universe in ([inner, wide], [wide, inner]):
+        got = closure(p, d, universe)
+        assert got == _brute_closure(p, d, universe)
+        assert got == Pattern([*p.conditions, wide])
+
+
+def test_closure_of_empty_region_raises_unchanged():
+    rng = np.random.default_rng(6)
+    d = _mixed(rng, 30)
+    conds = _conditions(rng)
+    p = Pattern([Equals("g", "unseen")])
+    for universe in (conds, Universe(conds, d)):
+        with pytest.raises(DataError, match="closure of pattern with empty region"):
+            closure(p, d, universe)
+
+
+def test_universe_of_another_dataset_is_rebuilt():
+    rng = np.random.default_rng(8)
+    d1, d2 = _mixed(rng, 50), _mixed(rng, 50)
+    conds = _conditions(rng)
+    universe = Universe(conds, d1)
+    for _ in range(10):
+        p = _random_pattern(rng, conds)
+        if _brute_region(p, d2):
+            assert closure(p, d2, universe) == _brute_closure(p, d2, conds)
+
+
+def test_condition_bits_are_read_only_packed_masks():
+    rng = np.random.default_rng(3)
+    d = _mixed(rng, 77)
+    for c in (Equals("g", "a"), Interval("u", 2.0, 7.0)):
+        bits = condition_bits(c, d)
+        assert condition_bits(c, d) is bits  # computed once per dataset
+        assert bits.dtype == np.uint64 and len(bits) == 2  # 77 rows in two words
+        raw = bits.view(np.uint8)
+        assert np.array_equal(raw[:10], np.packbits(condition_mask(c, d)))
+        assert not raw[10:].any()  # padding bits are zero
+        with pytest.raises(ValueError):
+            bits[0] = 0
+    top = pattern_bits(TOP, d)
+    assert bits_rows(top, d.n).tolist() == list(range(d.n))
+    assert int(np.bitwise_count(top).sum()) == d.n
 
 
 def _rule(pattern, d):
