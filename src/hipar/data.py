@@ -113,10 +113,11 @@ class Dataset:
         return [a.name for a in self.schema if a.role == "feature" and a.kind == NUMERICAL]
 
     def numeric_matrix(self, rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
-        """len(rows) x len(names) float matrix of the given numerical columns."""
+        """len(rows) x len(names) float matrix of the given numerical columns,
+        stored column-major: its transpose is one contiguous row per column."""
         if len(names) == 0:
             return np.empty((len(rows), 0))
-        return np.column_stack([self.column(n)[rows] for n in names])
+        return np.array([self.column(n)[rows] for n in names]).T
 
     def row(self, i: int) -> dict[str, object]:
         out: dict[str, object] = {}
@@ -317,8 +318,14 @@ def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.n
         raise DataError("holdout_split needs at least 2 rows")
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must lie in (0, 1), got {fraction}")
-    n_test = max(1, round(fraction * len(idx)))
-    perm = np.random.default_rng(seed).permutation(len(idx))
-    test = np.sort(idx[perm[:n_test]])
-    train = np.sort(idx[perm[n_test:]])
-    return train, test
+    test = holdout_mask(len(idx), fraction, seed)
+    return idx[~test], idx[test]
+
+
+def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Boolean mask over the n positions of a sorted row set, True on the test
+    side of ``holdout_split``: the first max(1, round(fraction * n)) positions
+    of the seed's permutation."""
+    test = np.zeros(n, dtype=bool)
+    test[np.random.default_rng(seed).permutation(n)[:max(1, round(fraction * n))]] = True
+    return test

@@ -1,12 +1,26 @@
 """Per-region linear models: OLS baseline, LASSO, OMP, and the local contest.
 
-Every fit first reduces its rows to sufficient statistics (``_moments``). The
-features are standardized to zero mean / unit (population) variance, dropping
-those with zero variance; the target is centered but not scaled, so LASSO's
-lambda is expressed in target units. With Xs the standardized n x p matrix and
-y_c the centered target, the statistics are the p x p Gram matrix
-G = Xs^T Xs / n and the correlations c = Xs^T y_c / n (the LASSO kill point is
-lambda_max = max_j |c_j|). After that no fit touches an n-row vector:
+Every fit first reduces its rows to sufficient statistics. The rows are one
+matrix Z = [X, y] (features, then the target), and one centered product gives
+their co-moments (``_comoments``): the row count n, the column means and the
+centered co-moment matrix S = Zc^T Zc. The means are kept as a rounded mean
+plus the mean of the residuals about it, which also corrects S (the corrected
+two-pass algorithm), so two blocks' means subtract without rounding even at
+large offsets. The co-moments of two disjoint blocks merge into those of their
+union with no pass over the rows (``_merge``, the pairwise update of Chan,
+Golub and LeVeque 1983, "Algorithms for computing the sample variance").
+
+The fits' statistics follow from the co-moments alone (``_moments``). A column
+is constant when all its values on the rows are equal; it is decided exactly,
+so the answer does not depend on the constant's value: a co-moment no larger
+than the rounding error a constant column can leave is checked against the
+values themselves. Constant features are dropped and the others standardized
+to zero mean / unit (population) variance; the target is centered but not
+scaled, so LASSO's lambda is expressed in target units. With Xs the
+standardized n x p matrix and y_c the centered target, the statistics are the
+p x p Gram matrix G = Xs^T Xs / n and the correlations c = Xs^T y_c / n (the
+LASSO kill point is lambda_max = max_j |c_j|), both entries of S / n scaled by
+the standard deviations. After that no fit touches an n-row vector:
 
 - OLS is min-norm least squares on (G, c);
 - LASSO is covariance-update coordinate descent on (G, c) (Friedman, Hastie and
@@ -21,9 +35,15 @@ lambda_max = max_j |c_j|). After that no fit touches an n-row vector:
 The coefficients of one method are mapped back to the original scale as one
 matrix B (a column per hyperparameter, zero rows for dropped features) and
 intercepts b0. Every model of a contest is scored by one residual matrix
-y - b0 - X B (``_errors``), which serves both metrics and never subtracts raw
-moments. Fewer than 2 rows, a constant target or no varying feature yield the
-intercept-only MEAN model for every hyperparameter.
+y - b0 - X B (``_errors``), which serves both metrics: an RMSE computed from
+moments would lose digits to cancellation, and a median absolute error cannot
+be. Fewer than 2 rows, a constant target or no varying feature yield the
+intercept-only MEAN model for every hyperparameter, whose intercept is the
+exact value of a constant target.
+
+The contest (``best_local_model``) splits a region's rows by one boolean mask
+into an 80% fitting side and a 20% holdout side, computes each side's
+co-moments once, and merges the two for the winner's refit on all rows.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, holdout_split, sorted_rows
+from .data import DataError, Dataset, holdout_mask, sorted_rows
 
 RMSE = "rmse"
 MEAE = "meae"
@@ -60,6 +80,7 @@ _RANK_TOL = 1e-13
 # OMP stops once no |c_j - (G beta)_j| exceeds this share of the target's
 # standard deviation: the residual is then uncorrelated with every feature.
 _UNCORRELATED = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def check_metric(metric: str) -> str:
@@ -73,7 +94,7 @@ def metric_value(residuals: np.ndarray, metric: str):
     """Error of a residual vector under the metric (a float), or of each
     column of a residual matrix (an array)."""
     if check_metric(metric) == RMSE:
-        out = np.sqrt(np.mean(np.square(residuals), axis=0))
+        out = np.sqrt(np.square(residuals).sum(axis=0) / len(residuals))
     else:
         out = np.median(np.abs(residuals), axis=0)
     return float(out) if np.ndim(out) == 0 else out
@@ -126,19 +147,56 @@ def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float
     return metric_value(residuals, metric)
 
 
-def _mean_model(yv: np.ndarray, hyper: float | None = None) -> LinearModel:
-    return LinearModel(intercept=float(np.mean(yv)), coefficients={}, method=MEAN, hyper=hyper)
+def _region(idx: np.ndarray, d: Dataset, y: str) -> tuple[list[str], np.ndarray]:
+    """The feature names and the rows' matrix Z = [X, y] (those features, then
+    the target) as Zt = Z^T, one contiguous row per column."""
+    names = [n for n in d.numerical_features() if n != y]
+    return names, d.numeric_matrix(idx, [*names, y]).T
 
 
-def _feature_names(d: Dataset, y: str) -> list[str]:
-    return [n for n in d.numerical_features() if n != y]
+@dataclass(frozen=True)
+class _CoMoments:
+    """Co-moments of a block of rows Z = [X, y]: the row count ``n``, the
+    column means ``base + shift`` and the centered co-moment matrix
+    S = Zc^T Zc. The means stay split in two so that the means of two blocks
+    subtract without rounding even at large offsets: ``base`` is the column
+    mean as first computed and ``shift`` the mean of the rows' residuals
+    about it."""
+
+    n: int
+    base: np.ndarray
+    shift: np.ndarray
+    S: np.ndarray
+
+
+def _comoments(Zt: np.ndarray) -> _CoMoments:
+    """Co-moments of a block given as Zt = Z^T (one row per column of Z), from
+    one centered product corrected by the residuals' mean (the corrected
+    two-pass algorithm)."""
+    n = Zt.shape[1]
+    base = Zt.sum(axis=1) / n
+    Zc = Zt - base[:, None]
+    shift = Zc.sum(axis=1) / n
+    S = Zc @ Zc.T
+    S -= (n * shift)[:, None] * shift
+    return _CoMoments(n, base, shift, S)
+
+
+def _merge(a: _CoMoments, b: _CoMoments) -> _CoMoments:
+    """Co-moments of the union of two disjoint blocks from theirs, with no pass
+    over the rows (the pairwise update of Chan, Golub and LeVeque 1983)."""
+    n = a.n + b.n
+    delta = (b.base - a.base) + (b.shift - a.shift)
+    return _CoMoments(n, a.base, a.shift + delta * (b.n / n),
+                      a.S + b.S + delta[:, None] * (delta * (a.n * b.n / n)))
 
 
 @dataclass(frozen=True)
 class _Moments:
-    """Sufficient statistics of one row set: ``keep`` marks the matrix columns
-    with positive variance, ``mean``/``std`` are theirs, G and c are the
-    standardized Gram matrix and target correlations."""
+    """Sufficient statistics of one row set: ``keep`` marks the feature
+    columns that vary, ``mean``/``std`` are theirs, G and c are the
+    standardized Gram matrix and target correlations. ``y_sd`` is 0 when the
+    target is constant."""
 
     keep: np.ndarray
     mean: np.ndarray
@@ -148,23 +206,39 @@ class _Moments:
     G: np.ndarray
     c: np.ndarray
 
+    @property
+    def degenerate(self) -> bool:
+        """The rows only give the MEAN model: a constant target (as with a
+        single row) or no feature that varies."""
+        return self.y_sd == 0.0 or not self.keep.any()
 
-def _moments(X: np.ndarray, yv: np.ndarray) -> _Moments | None:
-    """Moments of the rows of X (features) and yv (target); None when the rows
-    only give the MEAN model: fewer than 2 rows, a constant target or no column
-    with positive variance."""
-    n = len(yv)
-    y_sd = float(np.std(yv)) if n >= 2 else 0.0
-    if y_sd == 0.0:
-        return None
-    mean, std = X.mean(axis=0), X.std(axis=0)
-    keep = std > 0
-    if not keep.any():
-        return None
-    Xs = (X[:, keep] - mean[keep]) / std[keep]
-    y_bar = float(np.mean(yv))
-    return _Moments(keep, mean[keep], std[keep], y_bar, y_sd,
-                    Xs.T @ Xs / n, Xs.T @ (yv - y_bar) / n)
+
+def _moments(Zt: np.ndarray, cm: _CoMoments | None = None) -> _Moments:
+    """Statistics of the rows of Z = [X, y] (features, then the target), given
+    as Zt = Z^T, from their co-moments ``cm``, computed here unless given. The
+    rows themselves are read only to decide which columns are constant."""
+    if cm is None:
+        cm = _comoments(Zt)
+    n, p = cm.n, len(cm.S) - 1
+    mean = cm.base + cm.shift
+    cov = cm.S / n
+    var = cov.diagonal()
+    # A column is constant when all its values are equal. Its computed
+    # variance is then at most (n eps mean)^2, the square of the rounding
+    # error of its mean; at or below that bound the values themselves decide.
+    # A column that varies but whose variance rounds to zero cannot be
+    # scaled, and is dropped too.
+    low = np.flatnonzero(var <= np.square(n * _EPS * mean))
+    varying = var > 0.0
+    if len(low):
+        flat = low[(Zt[low] == Zt[low, :1]).all(axis=1)]
+        varying[flat] = False
+        mean[flat] = Zt[flat, 0]
+    keep = varying[:p]
+    std = np.sqrt(var[:p][keep])
+    return _Moments(keep, mean[:p][keep], std, float(mean[p]),
+                    math.sqrt(var[p]) if varying[p] else 0.0,
+                    cov[:p, :p][keep][:, keep] / (std[:, None] * std), cov[:p, p][keep] / std)
 
 
 def _soft_threshold(x: float, t: float) -> float:
@@ -303,15 +377,15 @@ class _Fits:
                            hyper=self.hypers[i])
 
 
-def _fits(m: _Moments | None, yv: np.ndarray, method: str, hypers: Sequence[float | None],
+def _fits(m: _Moments, method: str, hypers: Sequence[float | None],
           names: Sequence[str]) -> _Fits:
-    """One ``method`` model on the rows per hyperparameter in ``hypers``: the
-    single ``None`` for OLS, lambdas for LASSO, term counts (>= 1) for OMP.
-    Degenerate rows (``m`` is None) or the MEAN method give the MEAN model for
+    """One ``method`` model on the rows with moments ``m`` per hyperparameter
+    in ``hypers``: the single ``None`` for OLS, lambdas for LASSO, term counts
+    (>= 1) for OMP. Degenerate rows or the MEAN method give the MEAN model for
     each hyperparameter, recording it as ``hyper``."""
     hypers = list(hypers)
-    if m is None or method == MEAN:
-        return _Fits(names, MEAN, hypers, np.full(len(hypers), float(np.mean(yv))),
+    if method == MEAN or m.degenerate:
+        return _Fits(names, MEAN, hypers, np.full(len(hypers), m.y_bar),
                      np.zeros((len(names), len(hypers))), {})
     if method == OLS:
         betas = [np.linalg.lstsq(m.G, m.c, rcond=_RANK_TOL)[0]]
@@ -320,7 +394,7 @@ def _fits(m: _Moments | None, yv: np.ndarray, method: str, hypers: Sequence[floa
     else:
         path = _omp_path(m.G, m.c, m.y_sd, max(hypers))
         betas = [path[min(k, len(path) - 1)] for k in hypers]
-    kept = np.column_stack(betas) / m.std[:, None]
+    kept = np.array(betas).T / m.std[:, None]
     B = np.zeros((len(names), len(hypers)))
     B[m.keep] = kept
     standardization = {n: (float(mu), float(s))
@@ -344,19 +418,11 @@ def _best(errors: np.ndarray, hypers: Sequence[float], prefer_larger: bool) -> i
     return min(range(len(hypers)), key=lambda i: (errors[i], sign * hypers[i]))
 
 
-def _fit(idx: np.ndarray, d: Dataset, y: str, method: str,
-         hypers: Sequence[float | None]) -> _Fits:
-    """One ``method`` model on the rows ``idx`` of the dataset per
-    hyperparameter (see ``_fits``); iterating the result gives them in order."""
-    names = _feature_names(d, y)
-    yv = d.column(y)[idx]
-    return _fits(_moments(d.numeric_matrix(idx, names), yv), yv, method, hypers, names)
-
-
 def _fit_on_holdout(idx: np.ndarray, hold: np.ndarray, d: Dataset, y: str, method: str,
                     hypers: Sequence[float], metric: str) -> LinearModel:
     """The ``method`` model fit on ``idx`` whose hyperparameter scores best on ``hold``."""
-    fits = _fit(idx, d, y, method, hypers)
+    names, Zt = _region(idx, d, y)
+    fits = _fits(_moments(Zt), method, hypers, names)
     errors = _errors(d.numeric_matrix(hold, fits.names), d.column(y)[hold], fits.intercepts,
                      fits.B, metric)
     return fits.model(_best(errors, fits.hypers, method == LASSO))
@@ -369,7 +435,8 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
-    return _fit(idx, d, y, OLS, [None]).model(0)
+    names, Zt = _region(idx, d, y)
+    return _fits(_moments(Zt), OLS, [None], names).model(0)
 
 
 def _checked_rows(rows, holdout, caller: str) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +472,8 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
     if max_terms == 0:
-        return _mean_model(d.column(y)[idx], hyper=0)
+        names, Zt = _region(idx, d, y)
+        return _fits(_moments(Zt), MEAN, [0], names).model(0)
     return _fit_on_holdout(idx, hold, d, y, OMP, range(1, max_terms + 1), metric)
 
 
@@ -414,48 +482,50 @@ def best_local_model(
 ) -> FittedRuleModel:
     """LASSO vs OMP contest on an 80/20 split of the rows.
 
-    Both methods are fit on the 80% side from one set of moments, and all their
-    models are scored on the 20% side by one residual matrix; each method keeps
-    its best hyperparameter, and the winner (ties to LASSO) is refit on all rows
-    with it, keeping the contest holdout error on record. The region's feature
-    matrix is built once. Regions with fewer than 5 rows or a degenerate target
-    fall back to the MEAN model.
-    """
+    The region's matrix Z = [X, y] is built once, column-major, and split by
+    one mask. Both methods are fit on the 80% side from its moments, and all
+    their models are scored on the 20% side by one residual matrix; each
+    method keeps its best hyperparameter, and the winner (ties to LASSO) is
+    refit on all rows with it, keeping the contest holdout error on record.
+    The refit's moments merge the co-moments of the two sides. Regions with
+    fewer than 5 rows fall back to the MEAN model, as do regions whose target
+    is constant on the 80% side (scored on the 20% side)."""
     metric = check_metric(metric)
     idx = sorted_rows(rows)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
-    names = _feature_names(d, y)
+    names, Zt = _region(idx, d, y)
     if max_terms is None:
         max_terms = min(len(names), MAX_TERMS_CAP)
-    yv = d.column(y)[idx]
+    yv = Zt[-1]
 
     if len(idx) < 5:
-        model = _mean_model(yv)
+        model = _fits(_moments(Zt), MEAN, [None], names).model(0)
         err = metric_value(yv - model.intercept, metric)
         return FittedRuleModel(model, train_error=err, holdout_error=err,
                                metric=metric, holdout_rows=idx)
 
-    train, hold = holdout_split(idx, 0.2, seed)
-    t, h = np.searchsorted(idx, train), np.searchsorted(idx, hold)
-    if np.std(yv[t]) == 0.0:
-        model = _mean_model(yv)
+    test = holdout_mask(len(idx), 0.2, seed)
+    train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
+    sides = _comoments(train), _comoments(hold)
+    m = _moments(train, sides[0])
+    full = _moments(Zt, _merge(*sides))
+    if m.y_sd == 0.0:
+        model = _fits(full, MEAN, [None], names).model(0)
         return FittedRuleModel(
             model,
             train_error=metric_value(yv - model.intercept, metric),
-            holdout_error=metric_value(yv[h] - model.intercept, metric),
-            metric=metric, holdout_rows=hold,
+            holdout_error=metric_value(hold[-1] - model.intercept, metric),
+            metric=metric, holdout_rows=idx[test],
         )
 
-    X = d.numeric_matrix(idx, names)
-    m = _moments(X[t], yv[t])
-    lasso = _fits(m, yv[t], LASSO, DEFAULT_LAMBDA_GRID, names)
+    lasso = _fits(m, LASSO, DEFAULT_LAMBDA_GRID, names)
     if max_terms > 0:
-        omp = _fits(m, yv[t], OMP, range(1, max_terms + 1), names)
+        omp = _fits(m, OMP, range(1, max_terms + 1), names)
     else:
-        omp = _fits(m, yv[t], MEAN, [0], names)
-    errors = _errors(X[h], yv[h], np.concatenate([lasso.intercepts, omp.intercepts]),
-                     np.hstack([lasso.B, omp.B]), metric)
+        omp = _fits(m, MEAN, [0], names)
+    errors = _errors(hold[:-1].T, hold[-1], np.concatenate([lasso.intercepts, omp.intercepts]),
+                     np.concatenate([lasso.B, omp.B], axis=1), metric)
     n_lasso = len(lasso.hypers)
     i = _best(errors[:n_lasso], lasso.hypers, prefer_larger=True)
     j = _best(errors[n_lasso:], omp.hypers, prefer_larger=False)
@@ -465,14 +535,11 @@ def best_local_model(
         else (omp, omp.hypers[j], omp_err)
     )
 
-    if winner.method == MEAN:
-        refit = _fits(None, yv, MEAN, [None], names)
-    else:
-        refit = _fits(_moments(X, yv), yv, winner.method, [hyper], names)
+    refit = _fits(full, winner.method, [None if winner.method == MEAN else hyper], names)
     return FittedRuleModel(
         refit.model(0),
-        train_error=float(_errors(X, yv, refit.intercepts, refit.B, metric)[0]),
+        train_error=float(_errors(Zt[:-1].T, yv, refit.intercepts, refit.B, metric)[0]),
         holdout_error=holdout_error,
         metric=metric,
-        holdout_rows=hold,
+        holdout_rows=idx[test],
     )

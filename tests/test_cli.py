@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,7 +327,7 @@ def test_predict_file_equals_predict_batch(tmp_path, segment_csv, segment_rules)
     from hipar import deserialize_rules, load_csv, predict_batch
 
     d = load_csv(segment_csv, target="y")
-    code, text = _predict_file(tmp_path, segment_rules, open(segment_csv).read())
+    code, text = _predict_file(tmp_path, segment_rules, Path(segment_csv).read_text())
     assert code == 0
     batch = predict_batch(deserialize_rules(segment_rules), d, range(d.n))
     assert text == "".join(f"{v!r}\n" for v in batch.tolist())
@@ -343,7 +344,7 @@ def test_predict_nul_in_category_compares_exactly(tmp_path, segment_rules):
     assert text == "".join(f"{v!r}\n" for v in want)
     assert want[0] != want[1]
     # and a rule on "A\x00" must not match "A"
-    doc = json.loads(open(segment_rules).read())
+    doc = json.loads(Path(segment_rules).read_text())
     rule = next(r for r in doc["rules"] if r["pattern"] == 'segment="A"')
     rule["conditions"][0]["value"] = "A\x00"
     rule["pattern"] = 'segment="A\x00"'

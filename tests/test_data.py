@@ -140,6 +140,22 @@ def test_holdout_partition_and_determinism():
     assert len(np.intersect1d(t1[0], t1[1])) == 0
 
 
+@pytest.mark.parametrize("rows, seed, train, test", [
+    # recorded from the split as sort(rows)[perm[n_test:]] / [:n_test], each side sorted
+    (range(10), 0, [0, 1, 2, 3, 5, 7, 8, 9], [4, 6]),
+    ([9, 2, 7, 4, 11, 0, 5], 3, [0, 2, 4, 5, 7, 11], [9]),
+    (range(3, 40, 3), 8191, [3, 6, 9, 18, 21, 24, 30, 33, 36, 39], [12, 15, 27]),
+    ([41, 17, 8, 33, 2, 29, 14, 50, 5, 26, 11, 38], 12345,
+     [2, 5, 8, 11, 14, 17, 26, 33, 38, 50], [29, 41]),
+    (range(2), 7, [1], [0]),
+])
+def test_holdout_split_recorded_arrays(rows, seed, train, test):
+    got = holdout_split(rows, 0.2, seed)
+    for side, want in zip(got, (train, test)):
+        assert side.dtype == np.dtype(int)
+        assert side.tobytes() == np.array(want, dtype=int).tobytes()
+
+
 def test_holdout_too_few_rows():
     with pytest.raises(DataError):
         holdout_split([1], 0.2, seed=0)

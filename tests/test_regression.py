@@ -13,7 +13,7 @@ from hipar import (
     fit_omp,
     holdout_split,
 )
-from hipar.regression import _lasso_path, _moments, _omp_path
+from hipar.regression import OMP, _comoments, _fits, _lasso_path, _merge, _moments, _omp_path
 
 from .oracles import best_pair_oracle, lasso_cd_oracle, omp_path_oracle
 
@@ -290,10 +290,11 @@ def test_omp_training_error_non_increasing_in_k():
     cols = {f"x{j}": rng.normal(size=n) for j in range(p)}
     cols["y"] = sum((j + 1) * cols[f"x{j}"] for j in range(p)) + rng.normal(0, 0.2, n)
     d = _dataset(cols)
-    from hipar.regression import OMP, _fit
-
+    names = [f"x{j}" for j in range(p)]
     rows = np.arange(40)
-    errors = [evaluate(m, rows, d, "y", "rmse") for m in _fit(rows, d, "y", OMP, range(1, p + 1))]
+    # the k-term models for every k, from the moments core every fit shares
+    fits = _fits(_moments(d.numeric_matrix(rows, [*names, "y"]).T), OMP, range(1, p + 1), names)
+    errors = [evaluate(m, rows, d, "y", "rmse") for m in fits]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
 
@@ -303,6 +304,16 @@ _DEGENERATE_FITS = {
                            "y": [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0, 6.0, 2.0, 9.0]}, range(8)),
     "constant target": ({"x1": np.arange(10.0), "x2": np.arange(10.0) ** 2,
                          "y": [3.0] * 8 + [1.0, 5.0]}, range(8)),
+    # constants whose mean rounds: constancy must not depend on the value
+    "non-dyadic constant features": ({"x1": [0.1] * 8 + [1.0, 3.0], "x2": [0.7] * 8 + [0.0, 9.0],
+                                      "y": [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0, 6.0, 2.0, 9.0]},
+                                     range(8)),
+    "offset constant features": ({"x1": [1 / 3] * 8 + [1.0, 3.0],
+                                  "x2": [1e6 + 0.1] * 8 + [0.0, 9.0],
+                                  "y": [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0, 6.0, 2.0, 9.0]},
+                                 range(8)),
+    "non-dyadic constant target": ({"x1": np.arange(10.0), "x2": np.arange(10.0) ** 2,
+                                    "y": [1e6 + 0.1] * 8 + [1.0, 5.0]}, range(8)),
     "single row": ({"x1": np.arange(10.0), "x2": np.arange(10.0) ** 2,
                     "y": np.arange(10.0) * 2.0}, [4]),
 }
@@ -325,7 +336,46 @@ def test_degenerate_fit_falls_back_to_mean(case, fitter, hyper):
     assert m.hyper == hyper
 
 
+@pytest.mark.parametrize("value", [3.0, 0.1, 0.7, 1 / 3, 1e6 + 0.1, -2.2])
+@pytest.mark.parametrize("n", [3, 200])  # below and above the contest's 5-row minimum
+def test_contest_constant_target_is_exact_mean(value, n):
+    # a target constant on the rows is the MEAN model with no error, whatever the constant
+    rng = np.random.default_rng(4)
+    d = _dataset({"x1": rng.normal(size=n), "x2": rng.normal(size=n), "y": [value] * n})
+    fm = best_local_model(range(n), d, "y", "rmse", seed=4)
+    assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, value)
+    assert fm.holdout_error == fm.train_error == 0.0
+
+
 # ---------------------------------------------------------------- moments core vs row-wise oracles
+
+
+def _merge_matches_one_pass(Z, test):
+    whole = _comoments(Z.T)
+    merged = _merge(_comoments(Z[~test].T), _comoments(Z[test].T))
+    assert merged.n == whole.n == len(Z)
+    sd = np.sqrt(whole.S.diagonal() / len(Z))
+    mean = whole.base + whole.shift
+    assert np.all(np.abs(merged.base + merged.shift - mean) <= 1e-12 * (np.abs(mean) + sd))
+    assert np.all(np.abs(merged.S - whole.S) <= 1e-12 * np.sqrt(np.outer(whole.S.diagonal(),
+                                                                           whole.S.diagonal())))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_merged_comoments_equal_one_pass(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 400))
+    X = rng.normal(size=(n, 4)) @ rng.normal(size=(4, 4))
+    X[:, 0] += 1e6  # a large offset, where means rounded alone would not subtract exactly
+    X[:, 1] *= 1e3
+    Z = np.column_stack([X, X @ rng.normal(size=4) + rng.normal(size=n) + 5e5])
+    test = np.zeros(n, dtype=bool)
+    test[rng.permutation(n)[:max(1, round(0.2 * n))]] = True
+    _merge_matches_one_pass(Z, test)
+    one = np.zeros(n, dtype=bool)
+    one[int(rng.integers(n))] = True
+    _merge_matches_one_pass(Z, one)  # a side of one row
+    _merge_matches_one_pass(Z, ~one)
 
 
 def _random_instance(rng, n_range):
@@ -334,7 +384,7 @@ def _random_instance(rng, n_range):
     n, p = int(rng.integers(*n_range)), int(rng.integers(2, 9))
     X = rng.normal(size=(n, p))
     y = X @ (rng.normal(size=p) * (rng.random(p) < 0.6)) + rng.normal(0, 0.3, n)
-    return _moments(X, y), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+    return _moments(np.vstack([X.T, y])), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
 
 
 def test_gram_lasso_matches_cold_start_oracle_in_any_grid_order():
@@ -382,7 +432,7 @@ def test_gram_omp_stops_at_an_exact_fit():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(50, 5))
     y = 2.0 * X[:, 1] - X[:, 3] + 4.0
-    m = _moments(X, y)
+    m = _moments(np.vstack([X.T, y]))
     path = _omp_path(m.G, m.c, m.y_sd, 5)
     assert len(path) == 3
     assert set(np.flatnonzero(path[-1]).tolist()) == {1, 3}
@@ -397,7 +447,7 @@ def test_gram_omp_singular_block_falls_back_to_min_norm():
     x0, x1, z = rng.normal(size=(3, 200))
     X = np.column_stack([x0, x1, x0 + 1e-7 * z])
     y = x0 + x1 + rng.normal(0, 1.0, 200)
-    m = _moments(X, y)
+    m = _moments(np.vstack([X.T, y]))
     path = _omp_path(m.G, m.c, m.y_sd, 3)
     assert len(path) == 4
     two, three = path[2], path[3]
