@@ -40,9 +40,8 @@ print(f"target median threshold: {labels.threshold:.2f}")
 print(f"large-value rows: {int(labels.labels.sum())} / {n}")
 
 print()
-for attr in ("informative", "noise"):
-    cuts = mdlp_cuts(attr, range(n), data, labels)
-    print(f"{attr}: cuts = {[round(c, 3) for c in cuts.cuts]}")
+for cuts in mdlp_cuts(["informative", "noise"], range(n), data, labels):
+    print(f"{cuts.attribute}: cuts = {[round(c, 3) for c in cuts.cuts]}")
     for cond in conditions_from_cuts(cuts):
         print(f"   {cond.render()}")
 

@@ -33,11 +33,24 @@ def _parse_real(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def sorted_rows(rows: Iterable[int]) -> np.ndarray:
-    """Row indices as a new sorted int array; accepts an array or any iterable of ints."""
+def sorted_rows(rows: Iterable[int], n: int | None = None) -> np.ndarray:
+    """Row indices as a new sorted int array; accepts an array or any iterable of ints.
+
+    A negative or repeated index, or with the table's row count ``n`` given an
+    index >= n, is a DataError: a row set names each row once.
+    """
     if not isinstance(rows, np.ndarray):
         rows = np.fromiter(rows, dtype=int)
-    return np.sort(rows.astype(int, copy=False))
+    idx = np.sort(rows.astype(int, copy=False))
+    if len(idx):
+        if idx[0] < 0:
+            raise DataError(f"row index {int(idx[0])} is negative")
+        if n is not None and idx[-1] >= n:
+            raise DataError(f"row index {int(idx[-1])} is out of range for {n} rows")
+        if not (idx[1:] != idx[:-1]).all():
+            repeated = idx[np.flatnonzero(idx[1:] == idx[:-1])[0]]
+            raise DataError(f"row index {int(repeated)} is repeated")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -51,13 +64,16 @@ class Dataset:
     """Immutable column-typed table with one designated numerical target.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
-    object (str) arrays for categorical ones. ``masks`` and ``bits`` are lazily
-    filled memos of read-only condition row sets, keyed by condition:
-    ``masks`` holds boolean row masks (``patterns.condition_mask``), ``bits``
-    the same rows packed by ``np.packbits`` into 64-bit words with zero
-    padding (``patterns.condition_bits``). Instances are safe to share across
-    threads once constructed: two threads may at worst compute the same
-    read-only mask or bits twice, and the later store wins.
+    object (str) arrays for categorical ones. Three memos are filled lazily,
+    and everything in them is read-only. ``masks`` and ``bits`` hold condition
+    row sets, keyed by condition: ``masks`` boolean row masks
+    (``patterns.condition_mask``), ``bits`` the same rows packed by
+    ``np.packbits`` into 64-bit words with zero padding
+    (``patterns.condition_bits``). ``ranks(name)`` keeps, per numerical
+    column, its sorted distinct values and every row's integer rank code among
+    them, for the discretizer. Instances are safe to share across threads once
+    constructed: two threads may at worst compute the same read-only entry
+    twice, and the later store wins.
     """
 
     def __init__(self, schema: Sequence[AttributeSchema], columns: dict[str, np.ndarray]):
@@ -90,6 +106,7 @@ class Dataset:
         self._by_name = {a.name: a for a in self.schema}
         self.masks: dict[object, np.ndarray] = {}
         self.bits: dict[object, np.ndarray] = {}
+        self._ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def target(self) -> str:
@@ -104,6 +121,23 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         self.attribute(name)
         return self._columns[name]
+
+    def ranks(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """A numerical column's sorted distinct values and each row's code, the
+        index of its value among them (-0.0 and 0.0 are one value). Codes are
+        int32, or int64 when twice the level count does not fit in int32, so a
+        code shifted left by one bit never overflows. Computed once, read-only."""
+        memo = self._ranks.get(name)
+        if memo is None:
+            if self.attribute(name).kind != NUMERICAL:
+                raise DataError(f"attribute {name!r} is not numerical")
+            levels, codes = np.unique(self._columns[name], return_inverse=True)
+            codes = codes.reshape(-1).astype(
+                np.int32 if 2 * len(levels) < 2**31 else np.int64, copy=False)
+            levels.flags.writeable = False
+            codes.flags.writeable = False
+            memo = self._ranks[name] = (levels, codes)
+        return memo
 
     def categorical_features(self) -> list[str]:
         return [a.name for a in self.schema if a.role == "feature" and a.kind == CATEGORICAL]
@@ -127,7 +161,7 @@ class Dataset:
         return out
 
     def subset(self, rows: Iterable[int]) -> "Dataset":
-        idx = sorted_rows(rows)
+        idx = sorted_rows(rows, self.n)
         cols = {a.name: self._columns[a.name][idx].copy() for a in self.schema}
         return Dataset(self.schema, cols)
 

@@ -8,24 +8,34 @@ information gain clears the Fayyad-Irani MDL criterion
     gain > (log2(N - 1) + delta) / N,
     delta = log2(3^k - 2) - (k * Ent(S) - k1 * Ent(S1) - k2 * Ent(S2)).
 
-The search is a prefix-count scan (Fayyad & Irani 1993): the attribute's values
-are sorted once and collapsed to distinct-value groups, cumulative row and LV
-counts at the group starts give both sides of every candidate cut, and all
-candidates of a segment are scored in one vector expression. Only the MDL test
-of the chosen cut runs in scalar code.
+The search is a prefix-count scan (Fayyad & Irani 1993) that runs once per
+search node for all the attributes it discretizes. Each numerical column is
+ranked once per table (``Dataset.ranks``: sorted distinct values and integer
+codes, after SLIQ's presorting, Mehta, Agrawal & Rissanen 1996). A node sorts
+one integer key per attribute and row, rank code and LV label, in one pass;
+the rows of one distinct value form a group, and the order of rows inside a
+group does not change its counts. Cumulative row and LV counts at the group
+starts give both sides of every candidate cut. The candidates of every
+attribute, and later of every open segment of the recursion, are scored in one
+vector through an x*log2(x) table. Only the near-tie ranking and the MDL test
+of the chosen cuts run in scalar code. A cut is the midpoint of its two
+neighbouring distinct values.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
-from .data import NUMERICAL, DataError, Dataset, sorted_rows
+from .data import DataError, Dataset, sorted_rows
 from .patterns import Condition, Interval
 
-# A weighted entropy lies in [0, 1]; its vector and scalar forms differ by a few ulp at most.
+# A weighted entropy lies in [0, 1]; its table and scalar forms differ by ~1e-14 at most.
 _TIE_TOL = 1e-12
 
 
@@ -48,7 +58,7 @@ class CutPointSet:
 
 def binarize_target(rows, d: Dataset, y: str) -> TargetBinarization:
     """Median split of the target over the rows; ties at the median go to SV."""
-    idx = sorted_rows(rows)
+    idx = sorted_rows(rows, d.n)
     if len(idx) < 2:
         raise DataError("target binarization needs at least 2 rows")
     values = d.column(y)[idx]
@@ -79,20 +89,6 @@ def _split_entropy(n: int, pos: int, n1: int, pos1: int) -> float:
     return (n1 * _entropy(pos1, n1) + (n - n1) * _entropy(pos - pos1, n - n1)) / n
 
 
-def _entropies(n_pos: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``_entropy`` over arrays of counts with n > 0, same operation order."""
-    out = np.zeros(len(n))
-    for c in (n_pos, n - n_pos):
-        p = c / n
-        out -= p * np.log2(np.where(c > 0, p, 1.0))
-    return out
-
-
-def _split_entropies(n: int, pos: int, n1: np.ndarray, pos1: np.ndarray) -> np.ndarray:
-    """``_split_entropy`` for every candidate (n1, pos1) at once."""
-    return (n1 * _entropies(pos1, n1) + (n - n1) * _entropies(pos - pos1, n - n1)) / n
-
-
 def _mdl_accepts(n: int, pos: int, n1: int, pos1: int) -> tuple[bool, float]:
     """Fayyad-Irani test for splitting (n, pos) into (n1, pos1) and the rest."""
     n2, pos2 = n - n1, pos - pos1
@@ -105,61 +101,131 @@ def _mdl_accepts(n: int, pos: int, n1: int, pos1: int) -> tuple[bool, float]:
     return gain > (math.log2(n - 1) + delta) / n, gain
 
 
-def mdlp_cuts(attribute: str, rows, d: Dataset, labels: TargetBinarization) -> CutPointSet:
-    """Recursive entropy partitioning of one attribute against the LV/SV labels.
+def _xlog2x(m: int) -> np.ndarray:
+    """t[x] = x * log2(x) for x = 0..m, with t[0] = 0."""
+    x = np.arange(m + 1, dtype=float)
+    x[0] = 1.0
+    return x * np.log2(x)
+
+
+def _table_split_entropy(t: np.ndarray, n, pos, n1, pos1):
+    """``_split_entropy`` over arrays of counts, read from an ``_xlog2x`` table
+    that covers n: n1 * Ent(S1) = t[n1] - t[pos1] - t[n1 - pos1]."""
+    n2, pos2 = n - n1, pos - pos1
+    e = t[n1] - t[pos1]
+    e -= t[n1 - pos1]
+    e += t[n2]
+    e -= t[pos2]
+    e -= t[n2 - pos2]
+    e /= n
+    return e
+
+
+def mdlp_cuts(attributes: Sequence[str], rows, d: Dataset,
+              labels: TargetBinarization) -> list[CutPointSet]:
+    """Recursive entropy partitioning of each attribute against the LV/SV labels.
 
     Candidate cuts are midpoints between consecutive distinct values whose label
-    sets differ. The values are sorted once and collapsed to distinct-value
-    groups with prefix counts of rows and LV rows, so every candidate of a
-    segment is scored in one vector expression. The boundary of minimum
-    weighted entropy is tried first and kept only if the MDL criterion accepts
-    it (smallest cut wins entropy ties); both halves of an accepted cut recurse.
-    An empty cut set is a valid result.
+    sets differ. The boundary of minimum weighted entropy is tried first and
+    kept only if the MDL criterion accepts it (smallest cut wins entropy ties);
+    both halves of an accepted cut recurse. An empty cut set is a valid result.
+    Returns one cut set per attribute, in the given order.
+
+    All attributes are scanned together. A row's key for an attribute is its
+    rank code (``Dataset.ranks``) shifted left by one bit, with the LV label in
+    the low bit; one sort of the attributes x rows key matrix orders every
+    attribute's rows, and the rows of one distinct value form a group. The
+    groups of all attributes lie in one flat array with cumulative row and LV
+    counts, and each round of the recursion scores the candidates of every
+    open segment, of every attribute, in one vector.
     """
-    if d.attribute(attribute).kind != NUMERICAL:
-        raise DataError(f"cannot discretize non-numerical attribute {attribute!r}")
-    idx = sorted_rows(rows)
+    if isinstance(attributes, str):
+        raise DataError("mdlp_cuts takes a sequence of attribute names, not one name")
+    attributes = list(attributes)
+    ranked = [d.ranks(a) for a in attributes]
+    idx = sorted_rows(rows, d.n)
     if len(idx) < 2:
         raise DataError("discretization needs at least 2 rows")
     if not np.array_equal(idx, labels.rows):
         raise DataError("labels were binarized on a different row set")
+    if not attributes:
+        return []
 
-    values = d.column(attribute)[idx]
-    order = np.argsort(values)
-    values = values[order]
+    k, m = len(attributes), len(idx)
+    keys = np.empty((k, m), np.result_type(*(codes for _, codes in ranked)))
+    for row, (_, codes) in zip(keys, ranked):
+        np.left_shift(codes[idx], 1, out=row)
+        row |= labels.labels
+    keys.sort(axis=1)
+    keys = keys.reshape(-1)
 
-    # distinct-value groups; cum_n[g] / cum_pos[g] count the rows / LV rows before group g
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    uniq = values[starts]
-    cum_n = np.append(starts, len(values))
-    cum_pos = np.append(0, np.cumsum(labels.labels[order]))[cum_n]
-    group_n, group_pos = np.diff(cum_n), np.diff(cum_pos)
-    # a boundary lies between groups g and g + 1 when their label sets differ
-    has_pos, has_neg = group_pos > 0, group_pos < group_n
-    boundary = (has_pos[:-1] != has_pos[1:]) | (has_neg[:-1] != has_neg[1:])
+    # distinct-value groups of all attributes in one flat array; a group
+    # starts where the rank code changes and at every attribute's first row.
+    # Group g holds the flat positions cum_n[g]:cum_n[g + 1], and lv[p] counts
+    # the LV rows before flat position p.
+    edge = np.empty(k * m + 1, dtype=bool)
+    np.greater(keys[1:] ^ keys[:-1], 1, out=edge[1:-1])
+    edge[:-1:m] = edge[-1] = True
+    cum_n = np.flatnonzero(edge)
+    lv = np.zeros(k * m + 1, dtype=np.int32 if k * m < 2**31 else np.int64)
+    np.cumsum(keys & 1, out=lv[1:])
+    # attribute a's groups are bounds[a]:bounds[a + 1]
+    bounds = np.searchsorted(cum_n, np.arange(k + 1) * m)
+    # a boundary lies between groups g and g + 1 of one attribute when their
+    # label sets differ. SV rows sort first inside a group, so its first and
+    # last labels give its label set. ``live`` holds the first group right of
+    # each candidate.
+    first_lv, last_lv = keys[cum_n[:-1]] & 1, keys[cum_n[1:] - 1] & 1
+    boundary = (first_lv[:-1] != first_lv[1:]) | (last_lv[:-1] != last_lv[1:])
+    boundary[bounds[1:-1] - 1] = False
+    live = np.flatnonzero(boundary) + 1
 
-    cuts: list[float] = []
-    stack = [(0, len(uniq))]  # half-open group ranges
-    while stack:
-        lo, hi = stack.pop()
-        splits = lo + 1 + np.flatnonzero(boundary[lo:hi - 1])  # first group right of the cut
-        if len(splits) == 0:
-            continue
-        n, pos = int(cum_n[hi] - cum_n[lo]), int(cum_pos[hi] - cum_pos[lo])
-        n1, pos1 = cum_n[splits] - cum_n[lo], cum_pos[splits] - cum_pos[lo]
-        e = _split_entropies(n, pos, n1, pos1)
-        # np.log2 may round differently from math.log2 in the last bit, so the
-        # near-minimal candidates are ranked by the scalar form that the MDL
-        # test uses; min() keeps the first, i.e. the smallest cut, on ties
-        near = np.flatnonzero(e <= e.min() + _TIE_TOL)
-        i = min(near, key=lambda j: _split_entropy(n, pos, int(n1[j]), int(pos1[j])))
-        accepted, _gain = _mdl_accepts(n, pos, int(n1[i]), int(pos1[i]))
-        if accepted:
-            split = int(splits[i])
-            cuts.append(float((uniq[split - 1] + uniq[split]) / 2.0))
-            stack.append((lo, split))
-            stack.append((split, hi))
-    return CutPointSet(attribute=attribute, cuts=tuple(sorted(cuts)))
+    # open segments, as half-open group ranges lo:hi, in order; the live
+    # candidates of segment s are the next size[s] entries of ``live``. At
+    # first every attribute is one segment.
+    lo, hi = bounds[:-1], bounds[1:]
+    size = np.diff(np.searchsorted(live, bounds))
+    t = _xlog2x(m)
+    cuts: list[list[float]] = [[] for _ in attributes]
+    while len(live):
+        lo, hi, size = lo[size > 0], hi[size > 0], size[size > 0]
+        seg = np.cumsum(size) - size  # each segment's first candidate
+        base_n, end_n, at = cum_n[lo], cum_n[hi], cum_n[live]
+        base_pos = lv[base_n]
+        n, pos = end_n - base_n, lv[end_n] - base_pos
+        n1, pos1 = at - np.repeat(base_n, size), lv[at] - np.repeat(base_pos, size)
+        e = _table_split_entropy(t, np.repeat(n, size), np.repeat(pos, size), n1, pos1)
+        near = np.flatnonzero(e <= np.repeat(np.minimum.reduceat(e, seg), size) + _TIE_TOL)
+        # the table may round differently from the scalar form in the last
+        # bits, so the near-minimal candidates are ranked by the scalar form
+        # that the MDL test uses; min() keeps the first, i.e. the smallest
+        # cut, on ties
+        chosen = np.full(len(seg), -1)
+        near_seg = np.searchsorted(seg, near, "right") - 1
+        for s, pairs in itertools.groupby(zip(near_seg.tolist(), near.tolist()), itemgetter(0)):
+            group = [j for _, j in pairs]
+            sn, spos = int(n[s]), int(pos[s])
+            i = group[0] if len(group) == 1 else min(
+                group, key=lambda j: _split_entropy(sn, spos, int(n1[j]), int(pos1[j])))
+            accepted, _gain = _mdl_accepts(sn, spos, int(n1[i]), int(pos1[i]))
+            if accepted:
+                chosen[s] = i
+                right = cum_n[live[i]]
+                a = int(right) // m
+                levels = ranked[a][0]
+                cuts[a].append(float(
+                    (levels[keys[right - 1] >> 1] + levels[keys[right] >> 1]) / 2.0))
+        # both halves of an accepted cut stay open, the other segments close
+        ok = chosen >= 0
+        won = chosen[ok]
+        keep = np.repeat(ok, size)
+        keep[won] = False
+        split, left = live[won], won - seg[ok]
+        lo = np.column_stack((lo[ok], split)).reshape(-1)
+        hi = np.column_stack((split, hi[ok])).reshape(-1)
+        size = np.column_stack((left, size[ok] - left - 1)).reshape(-1)
+        live = live[keep]
+    return [CutPointSet(attribute=a, cuts=tuple(sorted(c))) for a, c in zip(attributes, cuts)]
 
 
 def conditions_from_cuts(cp: CutPointSet) -> list[Condition]:

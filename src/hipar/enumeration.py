@@ -128,8 +128,8 @@ def _interval_conditions(
         return []
     theta_abs = cfg.theta * d.n
     out: list[Interval] = []
-    for attr in attrs:
-        conds = conditions_from_cuts(mdlp_cuts(attr, rows, d, labels))
+    for cp in mdlp_cuts(attrs, rows, d, labels):
+        conds = conditions_from_cuts(cp)
         survivors = [
             c for c in conds if _frequent(int(np.count_nonzero(condition_mask(c, d))), theta_abs)
         ]

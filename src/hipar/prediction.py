@@ -139,11 +139,15 @@ def _feature_column(attr: AttributeSchema, d: Dataset, idx: np.ndarray) -> np.nd
 
 
 def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:
-    """``predict`` over dataset rows, order preserved, bit for bit. A DataError
-    names the first row, in the given order, that ``predict`` would reject."""
+    """``predict`` over dataset rows, order preserved, bit for bit. A row may
+    repeat; an index outside the table is a DataError, as is a row that
+    ``predict`` would reject (the first one, in the given order)."""
     idx = np.asarray(rows, dtype=int)
     if len(idx) == 0:
         return np.empty(0)
+    bad = idx[(idx < 0) | (idx >= d.n)]
+    if len(bad):
+        raise DataError(f"row index {int(bad[0])} is out of range for {d.n} rows")
     features = [a for a in pred.schema if a.role == "feature"]
     try:
         columns = {a.name: _feature_column(a, d, idx) for a in features}

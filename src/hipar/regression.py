@@ -139,7 +139,7 @@ class FittedRuleModel:
 
 def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
     """Error of the model's predictions over the rows under the metric."""
-    idx = sorted_rows(rows)
+    idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("evaluate needs a nonempty row set")
     columns = {name: d.column(name)[idx] for name in model.coefficients}
@@ -432,20 +432,20 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     """Least-squares fit on standardized features (min-norm for rank-deficient
     systems); zero-variance features are dropped. Degenerate inputs fall back
     to the intercept-only MEAN model."""
-    idx = sorted_rows(rows)
+    idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
     names, Zt = _region(idx, d, y)
     return _fits(_moments(Zt), OLS, [None], names).model(0)
 
 
-def _checked_rows(rows, holdout, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted fit and holdout rows; the fit rows must be nonempty and disjoint
-    from the holdout rows."""
-    idx = sorted_rows(rows)
+def _checked_rows(rows, holdout, n: int, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted fit and holdout rows of a table of n rows; the fit rows must be
+    nonempty and disjoint from the holdout rows."""
+    idx = sorted_rows(rows, n)
     if len(idx) == 0:
         raise DataError(f"{caller} needs at least 1 row")
-    hold = sorted_rows(holdout)
+    hold = sorted_rows(holdout, n)
     # a holdout row is a fit row iff its left and right insertion points differ
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
@@ -456,7 +456,7 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
               metric: str = RMSE) -> LinearModel:
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
-    idx, hold = _checked_rows(rows, holdout, "fit_lasso")
+    idx, hold = _checked_rows(rows, holdout, d.n, "fit_lasso")
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise DataError("lambda grid must be nonempty")
@@ -468,7 +468,7 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    idx, hold = _checked_rows(rows, holdout, "fit_omp")
+    idx, hold = _checked_rows(rows, holdout, d.n, "fit_omp")
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
     if max_terms == 0:
@@ -491,7 +491,7 @@ def best_local_model(
     fewer than 5 rows fall back to the MEAN model, as do regions whose target
     is constant on the 80% side (scored on the 20% side)."""
     metric = check_metric(metric)
-    idx = sorted_rows(rows)
+    idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
     names, Zt = _region(idx, d, y)

@@ -9,11 +9,12 @@ from hipar import (
     Dataset,
     DegenerateTarget,
     Interval,
+    TargetBinarization,
     binarize_target,
     conditions_from_cuts,
     mdlp_cuts,
 )
-from hipar.discretization import CutPointSet
+from hipar.discretization import CutPointSet, _split_entropy, _table_split_entropy, _xlog2x
 
 from .oracles import _entropy, mdlp_oracle
 
@@ -56,7 +57,7 @@ def _cuts(x, y_labels):
     d = _xy_dataset(x, y)
     tb = binarize_target(range(len(x)), d, "y")
     assert list(tb.labels) == [bool(l) for l in y_labels]
-    return list(mdlp_cuts("x", range(len(x)), d, tb).cuts)
+    return list(mdlp_cuts(["x"], range(len(x)), d, tb)[0].cuts)
 
 
 def test_mdlp_perfectly_separated():
@@ -95,7 +96,7 @@ def test_mdlp_matches_oracle_random():
             labels[0] = 1 - labels[0]
         d = _xy_dataset(x, rng.normal(size=n))
         tb = _direct_binarization(n, labels)
-        got = list(mdlp_cuts("x", range(n), d, tb).cuts)
+        got = list(mdlp_cuts(["x"], range(n), d, tb)[0].cuts)
         assert got == mdlp_oracle(x, labels)
 
 
@@ -107,7 +108,7 @@ def test_mdlp_matches_oracle_recursive_cuts():
     x = np.round(rng.uniform(0, 100, n), 3)
     labels = ((x // 25) % 2 == 1) ^ (rng.random(n) < 0.05)
     d = _xy_dataset(x, np.zeros(n))
-    got = list(mdlp_cuts("x", range(n), d, _direct_binarization(n, labels)).cuts)
+    got = list(mdlp_cuts(["x"], range(n), d, _direct_binarization(n, labels))[0].cuts)
     assert len(np.unique(x)) > 250
     assert len(got) >= 3
     assert got == mdlp_oracle(x, labels)
@@ -158,7 +159,7 @@ def test_mdlp_accepted_cut_decreases_entropy():
 
     d = _xy_dataset(x, np.zeros(len(x)))
     tb = _direct_binarization(len(x), labels)
-    cuts = list(mdlp_cuts("x", range(len(x)), d, tb).cuts)
+    cuts = list(mdlp_cuts(["x"], range(len(x)), d, tb)[0].cuts)
     assert cuts
     parts = np.digitize(x, cuts)
     split = [labels[parts == i] for i in range(len(cuts) + 1)]
@@ -195,4 +196,118 @@ def test_conditions_partition_real_line():
 def test_mdlp_requires_numeric_attribute(toy):
     tb = binarize_target(range(6), toy, "price")
     with pytest.raises(DataError):
-        mdlp_cuts("state", range(6), toy, tb)
+        mdlp_cuts(["state"], range(6), toy, tb)
+    with pytest.raises(DataError):
+        mdlp_cuts(["rooms", "state"], range(6), toy, tb)
+
+
+def test_mdlp_rejects_one_attribute_name(toy):
+    tb = binarize_target(range(6), toy, "price")
+    with pytest.raises(DataError):
+        mdlp_cuts("rooms", range(6), toy, tb)
+
+
+def test_mdlp_no_attributes():
+    d = _xy_dataset([1, 2, 3], [0, 0, 1])
+    assert mdlp_cuts([], range(3), d, binarize_target(range(3), d, "y")) == []
+
+
+def _table(columns):
+    """A dataset of numerical features; its target is unread, labels are given directly."""
+    schema = [AttributeSchema(name, "numerical") for name in columns]
+    schema.append(AttributeSchema("y", "numerical", role="target"))
+    n = len(next(iter(columns.values())))
+    return Dataset(schema, {**columns, "y": np.zeros(n)})
+
+
+def _mixed_columns(rng, n):
+    """Feature columns, each with a hard case, and labels that stripe the first."""
+    stripes = np.round(rng.uniform(0, 100, n), 3)
+    labels = ((stripes // 25) % 2 == 1) ^ (rng.random(n) < 0.05)
+    signed_zero = rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], n)
+    columns = {
+        "stripes": stripes,
+        "dups": rng.integers(0, 4, n) + 3.0 * labels,  # 7 levels, ~n/7 rows each
+        "signed_zero": np.where(labels & (signed_zero == 2.0), -1.0, signed_zero),
+        "big": 1e9 + 0.5 * rng.integers(0, 40, n) + 25.0 * labels,
+        "const": np.full(n, 3.0),
+        "noise": rng.normal(size=n),
+    }
+    return columns, labels
+
+
+def test_mdlp_multi_attribute_matches_oracle():
+    rng = np.random.default_rng(77)
+    deep = 0
+    for n in (300, 301, 64, 17, 2):
+        columns, labels = _mixed_columns(rng, n)
+        if labels.all() or not labels.any():
+            labels[0] = not labels[0]
+        d = _table(columns)
+        got = mdlp_cuts(list(columns), range(n), d, _direct_binarization(n, labels))
+        assert [cp.attribute for cp in got] == list(columns)
+        for cp in got:
+            assert list(cp.cuts) == mdlp_oracle(columns[cp.attribute], labels), cp.attribute
+        assert got[list(columns).index("const")].cuts == ()
+        deep = max(deep, len(got[0].cuts))
+    assert deep >= 3  # the stripes attribute recursed at least two levels deep
+
+
+def test_mdlp_attribute_order_does_not_matter():
+    rng = np.random.default_rng(5)
+    n = 400
+    columns, labels = _mixed_columns(rng, n)
+    d = _table(columns)
+    tb = _direct_binarization(n, labels)
+    names = list(columns)
+    forward = {cp.attribute: cp for cp in mdlp_cuts(names, range(n), d, tb)}
+    for order in (names[::-1], list(rng.permutation(names))):
+        got = mdlp_cuts(order, range(n), d, tb)
+        assert [cp.attribute for cp in got] == order
+        assert got == [forward[a] for a in order]
+    # each attribute alone gives the same cuts as in company
+    for name in names:
+        assert mdlp_cuts([name], range(n), d, tb) == [forward[name]]
+
+
+@pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (0.0, 1e3), (0.0, 1e-3)])
+def test_mdlp_partition_ignores_offset_and_scale(offset, scale):
+    rng = np.random.default_rng(9)
+    n = 300
+    columns, labels = _mixed_columns(rng, n)
+    moved = {name: v * scale + offset for name, v in columns.items()}
+    rows = np.arange(0, n, 3)[::-1]  # a region, in descending order
+    tb = TargetBinarization(0.0, np.sort(rows), labels[np.sort(rows)])
+    base = mdlp_cuts(list(columns), rows, _table(columns), tb)
+    got = mdlp_cuts(list(moved), rows, _table(moved), tb)
+    assert sum(len(cp.cuts) for cp in base) >= 3
+    for a, b in zip(base, got):
+        assert len(a.cuts) == len(b.cuts)
+        np.testing.assert_array_equal(np.digitize(columns[a.attribute], a.cuts),
+                                      np.digitize(moved[b.attribute], b.cuts))
+
+
+def test_table_entropy_matches_scalar_form():
+    rng = np.random.default_rng(2024)
+    for n_max in (10, 1000, 10**6):
+        n = rng.integers(2, n_max + 1, 200)
+        pos = rng.integers(0, n + 1)
+        n1 = rng.integers(1, n)
+        pos1 = rng.integers(np.maximum(0, pos - (n - n1)), np.minimum(pos, n1) + 1)
+        t = _xlog2x(int(n.max()))
+        got = _table_split_entropy(t, n, pos, n1, pos1)
+        want = [_split_entropy(*map(int, counts)) for counts in zip(n, pos, n1, pos1)]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_dataset_ranks():
+    x = np.array([2.5, -0.0, 1e9, 0.0, 2.5, -3.0])
+    d = _xy_dataset(x, np.zeros(len(x)))
+    levels, codes = d.ranks("x")
+    assert levels.tolist() == [-3.0, 0.0, 2.5, 1e9]
+    assert codes.dtype == np.int32
+    assert codes.tolist() == [2, 1, 3, 1, 2, 0]
+    assert d.ranks("x")[1] is codes  # computed once
+    assert not levels.flags.writeable and not codes.flags.writeable
+    with pytest.raises(DataError):
+        d.ranks("nope")

@@ -5,7 +5,16 @@ import pytest
 
 from hipar import (
     AttributeSchema,
+    DataError,
     Dataset,
+    FittedRuleModel,
+    HybridRule,
+    LinearModel,
+    Pattern,
+    Predictor,
+    SelectedRuleSet,
+    TargetBinarization,
+    best_local_model,
     binarize_target,
     evaluate,
     fit_lasso,
@@ -13,6 +22,7 @@ from hipar import (
     fit_omp,
     holdout_split,
     mdlp_cuts,
+    predict_batch,
 )
 
 
@@ -62,10 +72,13 @@ def test_binarize_target_row_forms():
 def test_mdlp_cuts_row_forms():
     d = _dataset()
     labels = binarize_target(FIT, d, "y")
-    results = [mdlp_cuts(attr, rows, d, labels) for attr in ("x1", "x2") for rows in _forms(FIT)]
+    results = [mdlp_cuts(attrs, rows, d, labels)
+               for attrs in (["x1"], ["x2"], ["x1", "x2"]) for rows in _forms(FIT)]
     _same(results[:4])
-    _same(results[4:])
-    assert results[0].cuts  # x1 separates the two segments
+    _same(results[4:8])
+    _same(results[8:])
+    assert results[8] == results[0] + results[4]
+    assert results[0][0].cuts  # x1 separates the two segments
 
 
 def test_evaluate_row_forms():
@@ -91,3 +104,65 @@ def test_fit_with_holdout_row_forms(fit):
 
 def test_holdout_split_row_forms():
     _same([holdout_split(rows, 0.2, seed=5) for rows in _forms(FIT)])
+
+
+# a row set names each row of the table once: negative, repeated and
+# out-of-range indices are bad input, never a wrap-around or a double count
+N = 160  # rows of _dataset()
+BAD = {
+    "negative": [*range(20), -1],
+    "repeated": [*range(20), 7],
+    "out-of-range": [*range(20), N],
+}
+
+
+def _default_predictor(d):
+    fitted = FittedRuleModel(LinearModel(0.0, {}, "MEAN"), 0.0, 0.0, "rmse", np.arange(1))
+    default = HybridRule(Pattern([]), fitted, d.n, 1.0, is_default=True)
+    return Predictor(
+        rules=SelectedRuleSet(chosen=[default], objective_value=0.0, solver="exact", proof=True),
+        default_rule=default,
+        normalized_errors={default.pattern: 1.0},
+        schema=d.schema,
+        metric="rmse",
+    )
+
+
+ROW_TAKERS = {
+    "subset": lambda rows, d: d.subset(rows),
+    "binarize_target": lambda rows, d: binarize_target(rows, d, "y"),
+    "mdlp_cuts": lambda rows, d: mdlp_cuts(
+        ["x1"], rows, d,
+        TargetBinarization(0.0, np.sort(rows), np.arange(len(rows)) % 2 == 0)),
+    "evaluate": lambda rows, d: evaluate(LinearModel(0.0, {}, "MEAN"), rows, d, "y", "rmse"),
+    "fit_ols": lambda rows, d: fit_ols(rows, d, "y"),
+    "fit_lasso": lambda rows, d: fit_lasso(rows, d, "y", [0.1], HOLD_FAR),
+    "fit_lasso_holdout": lambda rows, d: fit_lasso(FIT_FAR, d, "y", [0.1], rows),
+    "fit_omp": lambda rows, d: fit_omp(rows, d, "y", 1, HOLD_FAR),
+    "fit_omp_holdout": lambda rows, d: fit_omp(FIT_FAR, d, "y", 1, rows),
+    "best_local_model": lambda rows, d: best_local_model(rows, d, "y", "rmse", seed=3),
+    "holdout_split": lambda rows, d: holdout_split(rows, 0.2, seed=5),
+}
+FIT_FAR, HOLD_FAR = range(100, 140), range(140, 160)  # disjoint from the bad sets
+
+
+# holdout_split has no table to check against: any nonnegative index names a row
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in ROW_TAKERS for case in BAD
+    if (name, case) != ("holdout_split", "out-of-range")
+])
+def test_bad_row_sets_are_rejected(name, case):
+    d = _dataset()
+    rows = np.array(BAD[case])
+    ROW_TAKERS[name](rows[:-1], d)  # the good part of the set is accepted
+    with pytest.raises(DataError):
+        ROW_TAKERS[name](rows, d)
+
+
+@pytest.mark.parametrize("case", ["negative", "out-of-range"])
+def test_predict_batch_rejects_rows_outside_the_table(case):
+    d = _dataset()
+    pred = _default_predictor(d)
+    np.testing.assert_array_equal(predict_batch(pred, d, [3, 3, 1]), np.zeros(3))
+    with pytest.raises(DataError):
+        predict_batch(pred, d, BAD[case])
