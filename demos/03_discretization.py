@@ -40,7 +40,7 @@ print(f"target median threshold: {labels.threshold:.2f}")
 print(f"large-value rows: {int(labels.labels.sum())} / {n}")
 
 print()
-for cuts in mdlp_cuts(["informative", "noise"], range(n), data, labels):
+for cuts in mdlp_cuts(["informative", "noise"], data, labels):
     print(f"{cuts.attribute}: cuts = {[round(c, 3) for c in cuts.cuts]}")
     for cond in conditions_from_cuts(cuts):
         print(f"   {cond.render()}")

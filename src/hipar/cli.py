@@ -9,9 +9,9 @@ import argparse
 import sys
 import traceback
 
-from .data import CATEGORICAL, DataError, load_csv, read_columns
+from .data import DataError, load_csv, read_columns
 from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
-from .prediction import _vote
+from .prediction import _coded, _vote
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,12 +100,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = deserialize_rules(args.rules)
     kinds = {a.name: a.kind for a in predictor.schema if a.role == "feature"}
     columns, n = read_columns(args.input, kinds)
-    for name, kind in kinds.items():
-        # fixed-width strings compare several times faster than objects, but
-        # drop trailing NULs
-        if kind == CATEGORICAL and "\x00" not in "".join(columns[name]):
-            columns[name] = columns[name].astype(str)
-    out = _vote(predictor, columns, n)
+    out = _vote(predictor, _coded(predictor, columns), n)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v!r}\n" for v in out.tolist()))
     print(f"wrote {n} predictions to {args.out}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -42,15 +43,25 @@ def sorted_rows(rows: Iterable[int], n: int | None = None) -> np.ndarray:
     if not isinstance(rows, np.ndarray):
         rows = np.fromiter(rows, dtype=int)
     idx = np.sort(rows.astype(int, copy=False))
+    check_rows(idx, n)
+    return idx
+
+
+def check_rows(idx: np.ndarray, n: int | None = None) -> None:
+    """DataError unless the sorted row indices name each row once, as
+    ``sorted_rows`` gives them: nonnegative, strictly increasing and, with the
+    table's row count ``n`` given, below n. One pass, no sort."""
     if len(idx):
         if idx[0] < 0:
             raise DataError(f"row index {int(idx[0])} is negative")
         if n is not None and idx[-1] >= n:
             raise DataError(f"row index {int(idx[-1])} is out of range for {n} rows")
-        if not (idx[1:] != idx[:-1]).all():
-            repeated = idx[np.flatnonzero(idx[1:] == idx[:-1])[0]]
-            raise DataError(f"row index {int(repeated)} is repeated")
-    return idx
+        step = idx[1:] > idx[:-1]
+        if not step.all():
+            i = np.flatnonzero(~step)[0]
+            if idx[i] == idx[i + 1]:
+                raise DataError(f"row index {int(idx[i])} is repeated")
+            raise DataError(f"row indices are not sorted: {int(idx[i])} before {int(idx[i + 1])}")
 
 
 @dataclass(frozen=True)
@@ -60,14 +71,63 @@ class AttributeSchema:
     role: str = "feature"  # "feature" | "target"
 
 
+@dataclass(frozen=True, eq=False)
+class CodedColumn:
+    """A categorical column: one integer code per cell into a sorted table of
+    distinct ``str`` levels, compared exactly (a trailing NUL makes another
+    level); -1 codes a cell equal to no level. ``column == value`` is one
+    integer compare, and a value outside the table matches no cell. Rows index
+    their column on the same table, one row its cell (None for -1)."""
+
+    levels: tuple[str, ...]  # sorted, distinct
+    codes: np.ndarray  # read-only
+    index: dict[str, int]  # level -> code
+
+    def __post_init__(self):
+        self.codes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows):
+        codes = self.codes[rows]
+        if codes.ndim == 0:
+            return self.levels[codes] if codes >= 0 else None
+        return CodedColumn(self.levels, codes, self.index)
+
+    def __eq__(self, value) -> np.ndarray:  # type: ignore[override]
+        # -2 is no cell's code: a value outside the table matches nothing
+        return self.codes == self.index.get(value, -2)
+
+    def tolist(self) -> list:
+        cells = (*self.levels, None)  # code -1 picks None
+        return [cells[c] for c in self.codes.tolist()]
+
+
+def code(cells, levels: Sequence[str]) -> CodedColumn:
+    """The cells coded against a sorted table of distinct levels, a cell equal
+    to none of them as -1. ``cells`` is a sequence of cells, or a CodedColumn
+    whose levels are translated to the new table."""
+    levels = tuple(levels)
+    index = {v: i for i, v in enumerate(levels)}
+    if isinstance(cells, CodedColumn):
+        table = np.array([*(index.get(v, -1) for v in cells.levels), -1], dtype=np.intp)
+        codes = table[cells.codes]  # the trailing -1 keeps code -1
+    else:
+        if isinstance(cells, np.ndarray):
+            cells = cells.tolist()
+        codes = np.fromiter(map(index.get, cells, itertools.repeat(-1)), np.intp, len(cells))
+    return CodedColumn(levels, codes, index)
+
+
 class Dataset:
     """Immutable column-typed table with one designated numerical target.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
-    object (str) arrays for categorical ones. Three memos are filled lazily,
-    and everything in them is read-only. ``masks`` and ``bits`` hold condition
-    row sets, keyed by condition: ``masks`` boolean row masks
-    (``patterns.condition_mask``), ``bits`` the same rows packed by
+    a ``CodedColumn`` for categorical ones, coded once against the column's
+    sorted levels (a subset keeps its parent's table). Two memos are filled
+    lazily, and everything in them is read-only. ``bits`` holds each
+    condition's row set, keyed by the condition: its rows packed by
     ``np.packbits`` into 64-bit words with zero padding
     (``patterns.condition_bits``). ``ranks(name)`` keeps, per numerical
     column, its sorted distinct values and every row's integer rank code among
@@ -80,6 +140,14 @@ class Dataset:
         names = [a.name for a in schema]
         if len(set(names)) != len(names):
             raise DataError("duplicate attribute names in schema")
+        for a in schema:
+            if a.kind not in (CATEGORICAL, NUMERICAL):
+                raise DataError(f"attribute {a.name!r} has unknown kind {a.kind!r}")
+            if a.role not in ("feature", "target"):
+                raise DataError(f"attribute {a.name!r} has unknown role {a.role!r}")
+        missing = [n for n in names if n not in columns]
+        if missing:
+            raise DataError(f"schema attributes {missing} have no column")
         targets = [a for a in schema if a.role == "target"]
         if len(targets) != 1:
             raise DataError("schema must designate exactly one target attribute")
@@ -92,19 +160,27 @@ class Dataset:
         self.n = lengths.pop()
         if self.n < 1:
             raise DataError("empty table: no data rows")
-        self._columns = {}
+        self._columns: dict[str, np.ndarray | CodedColumn] = {}
         for attr in self.schema:
             col = columns[attr.name]
             if attr.kind == NUMERICAL:
                 col = np.asarray(col, dtype=float)
                 if not np.all(np.isfinite(col)):
                     raise DataError(f"column {attr.name!r} contains non-finite values")
+                col.flags.writeable = False
+            elif isinstance(col, CodedColumn):  # a subset's column keeps its table
+                if col.codes.min() < 0:
+                    raise DataError(f"column {attr.name!r} has a cell outside its level table")
             else:
-                col = np.asarray(col, dtype=object)
-            col.flags.writeable = False
+                cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
+                levels = set(cells)
+                bad = [v for v in levels if not isinstance(v, str)]
+                if bad:
+                    raise DataError(f"categorical column {attr.name!r} holds a non-string "
+                                    f"cell {bad[0]!r}")
+                col = code(cells, sorted(levels))
             self._columns[attr.name] = col
         self._by_name = {a.name: a for a in self.schema}
-        self.masks: dict[object, np.ndarray] = {}
         self.bits: dict[object, np.ndarray] = {}
         self._ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -118,7 +194,7 @@ class Dataset:
         except KeyError:
             raise DataError(f"unknown attribute {name!r}") from None
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray | CodedColumn:
         self.attribute(name)
         return self._columns[name]
 
@@ -162,8 +238,7 @@ class Dataset:
 
     def subset(self, rows: Iterable[int]) -> "Dataset":
         idx = sorted_rows(rows, self.n)
-        cols = {a.name: self._columns[a.name][idx].copy() for a in self.schema}
-        return Dataset(self.schema, cols)
+        return Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
@@ -307,12 +382,9 @@ def write_csv(d: Dataset, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in d.schema])
-        cols = [d.column(a.name) for a in d.schema]
-        kinds = [a.kind for a in d.schema]
-        for i in range(d.n):
-            writer.writerow(
-                [repr(float(c[i])) if k == NUMERICAL else c[i] for c, k in zip(cols, kinds)]
-            )
+        cols = [d.column(a.name).tolist() for a in d.schema]
+        cols = [list(map(repr, c)) if a.kind == NUMERICAL else c for c, a in zip(cols, d.schema)]
+        writer.writerows(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -343,7 +415,8 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
 
 
 def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split an index set into (train, test) with |test| = max(1, round(fraction * n)).
+    """Split an index set into (train, test) with |test| = min(n - 1, max(1,
+    round(fraction * n))), so neither side is empty.
 
     Deterministic given the seed; the two sides partition the input.
     """
@@ -357,9 +430,10 @@ def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.n
 
 
 def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
-    """Boolean mask over the n positions of a sorted row set, True on the test
-    side of ``holdout_split``: the first max(1, round(fraction * n)) positions
-    of the seed's permutation."""
+    """Boolean mask over the n >= 2 positions of a sorted row set, True on the
+    test side of ``holdout_split``: the first min(n - 1, max(1, round(fraction
+    * n))) positions of the seed's permutation, so both sides hold a row."""
+    size = min(n - 1, max(1, round(fraction * n)))
     test = np.zeros(n, dtype=bool)
-    test[np.random.default_rng(seed).permutation(n)[:max(1, round(fraction * n))]] = True
+    test[np.random.default_rng(seed).permutation(n)[:size]] = True
     return test

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, sorted_rows
+from .data import DataError, Dataset, check_rows, sorted_rows
 from .patterns import Condition, Interval
 
 # A weighted entropy lies in [0, 1]; its table and scalar forms differ by ~1e-14 at most.
@@ -121,9 +121,10 @@ def _table_split_entropy(t: np.ndarray, n, pos, n1, pos1):
     return e
 
 
-def mdlp_cuts(attributes: Sequence[str], rows, d: Dataset,
+def mdlp_cuts(attributes: Sequence[str], d: Dataset,
               labels: TargetBinarization) -> list[CutPointSet]:
-    """Recursive entropy partitioning of each attribute against the LV/SV labels.
+    """Recursive entropy partitioning of each attribute against the LV/SV labels,
+    on the rows the labels were binarized on.
 
     Candidate cuts are midpoints between consecutive distinct values whose label
     sets differ. The boundary of minimum weighted entropy is tried first and
@@ -143,11 +144,10 @@ def mdlp_cuts(attributes: Sequence[str], rows, d: Dataset,
         raise DataError("mdlp_cuts takes a sequence of attribute names, not one name")
     attributes = list(attributes)
     ranked = [d.ranks(a) for a in attributes]
-    idx = sorted_rows(rows, d.n)
+    idx = labels.rows
+    check_rows(idx, d.n)
     if len(idx) < 2:
         raise DataError("discretization needs at least 2 rows")
-    if not np.array_equal(idx, labels.rows):
-        raise DataError("labels were binarized on a different row set")
     if not attributes:
         return []
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ from .patterns import (
     Universe,
     bits_rows,
     closure,
-    condition_mask,
+    condition_bits,
     condition_tids,
     iv_from_region,
     pattern_bits,
@@ -128,10 +127,11 @@ def _interval_conditions(
         return []
     theta_abs = cfg.theta * d.n
     out: list[Interval] = []
-    for cp in mdlp_cuts(attrs, rows, d, labels):
+    for cp in mdlp_cuts(attrs, d, labels):
         conds = conditions_from_cuts(cp)
         survivors = [
-            c for c in conds if _frequent(int(np.count_nonzero(condition_mask(c, d))), theta_abs)
+            c for c in conds
+            if _frequent(int(np.bitwise_count(condition_bits(c, d)).sum()), theta_abs)
         ]
         if len(survivors) > 1:
             out.extend(survivors)
@@ -145,10 +145,10 @@ def hipar_init(d: Dataset, y: str, cfg: EnumConfig) -> list[Condition]:
     theta_abs = cfg.theta * d.n
     conditions: list[Condition] = []
     for attr in d.categorical_features():
-        # exact level counts: a fixed-width string copy would drop trailing NULs
-        counts = Counter(d.column(attr).tolist())
+        col = d.column(attr)
+        counts = np.bincount(col.codes, minlength=len(col.levels)).tolist()
         conditions.extend(
-            Equals(attr, str(v)) for v in sorted(counts) if _frequent(counts[v], theta_abs)
+            Equals(attr, v) for v, k in zip(col.levels, counts) if _frequent(k, theta_abs)
         )
     rows = np.arange(d.n)
     conditions.extend(_interval_conditions(d, y, rows, d.numerical_features(), cfg))

@@ -1,17 +1,18 @@
 """Conditions, patterns and regions: membership, support, closure, interclass variance.
 
 Membership is decided in one place per condition kind: ``mask`` takes either one
-observation's value (a Python scalar) or a whole column (a numpy array), so
+observation's value (a Python scalar) or a whole column (a float array, or a
+categorical ``data.CodedColumn``, where equality is one integer compare), so
 mining and prediction apply the same rule.
 
-Row sets are computed once per dataset and condition: a read-only boolean mask
-(``condition_mask``) and the same rows packed into 64-bit words
-(``condition_bits``; ``np.packbits`` order, padding bits zero). The search's set
-algebra runs on the packed bits through one kernel: a ``Universe`` stacks its
-conditions' bits, in canonical order, as one matrix U. The supports of a
-region's extensions are popcounts of ``U[ext] & region``, and the conditions
-that hold on every row of a region are the rows of U with no bit in
-``region & ~U``. ``closure`` takes the first such condition per attribute.
+A condition's row set is computed once per dataset, as its rows packed into
+64-bit words (``condition_bits``; ``np.packbits`` order, padding bits zero);
+row indices and supports are read off those bits. The search's set algebra
+runs on them through one kernel: a ``Universe`` stacks its conditions' bits, in
+canonical order, as one matrix U. The supports of a region's extensions are
+popcounts of ``U[ext] & region``, and the conditions that hold on every row of
+a region are the rows of U with no bit in ``region & ~U``. ``closure`` takes
+the first such condition per attribute.
 
 Identity is exact: equal conditions or patterns are the same, and memos, visited
 sets and ebar maps are keyed by them. A condition builds its text and its order
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Union
 
 import numpy as np
@@ -46,22 +46,12 @@ class Equals:
         if not isinstance(self.value, str):  # else 1 and "1" would share a text
             raise DataError(f"equality value must be a string, got {self.value!r}")
         object.__setattr__(self, "order", (self.attribute, f'{self.attribute}="{self.value}"'))
-        if "\x00" in self.value:
-            object.__setattr__(self, "mask", partial(_equals_with_nul, self.value))
 
     def render(self) -> str:
         return self.order[1]
 
     def mask(self, values):
         return values == self.value
-
-
-def _equals_with_nul(value: str, values):
-    """Equals.mask for a value holding a NUL. numpy turns a str operand into a
-    fixed-width string, which drops trailing NULs; an object operand keeps them."""
-    if isinstance(values, np.ndarray):
-        return values == np.array(value, dtype=object)
-    return values == value
 
 
 @dataclass(frozen=True)
@@ -164,20 +154,9 @@ def check_condition(c: Condition, attr: AttributeSchema) -> None:
         raise DataError(f"interval condition on non-numerical attribute {c.attribute!r}")
 
 
-def condition_mask(c: Condition, d: Dataset) -> np.ndarray:
-    """Read-only boolean row mask of the condition, computed once per dataset."""
-    mask = d.masks.get(c)
-    if mask is None:
-        check_condition(c, d.attribute(c.attribute))
-        mask = c.mask(d.column(c.attribute))
-        mask.flags.writeable = False
-        d.masks[c] = mask
-    return mask
-
-
 def condition_tids(c: Condition, d: Dataset) -> np.ndarray:
     """Sorted row indices where the condition holds."""
-    return np.nonzero(condition_mask(c, d))[0]
+    return bits_rows(condition_bits(c, d), d.n)
 
 
 def _packed(mask: np.ndarray) -> np.ndarray:
@@ -191,7 +170,8 @@ def condition_bits(c: Condition, d: Dataset) -> np.ndarray:
     """Read-only packed row bits of the condition, computed once per dataset."""
     bits = d.bits.get(c)
     if bits is None:
-        bits = _packed(condition_mask(c, d))
+        check_condition(c, d.attribute(c.attribute))
+        bits = _packed(c.mask(d.column(c.attribute)))
         bits.flags.writeable = False
         d.bits[c] = bits
     return bits

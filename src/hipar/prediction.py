@@ -9,9 +9,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import NUMERICAL, AttributeSchema, DataError, Dataset
+from .data import NUMERICAL, AttributeSchema, DataError, Dataset, code
 from .enumeration import HybridRule
-from .patterns import Pattern, check_condition
+from .patterns import Equals, Pattern, check_condition
 from .selection import SelectedRuleSet
 
 
@@ -102,9 +102,21 @@ def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     return float(num / den)
 
 
-def _vote(pred: Predictor, columns: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+def _coded(pred: Predictor, columns: Mapping[str, object]) -> dict[str, object]:
+    """The feature columns, each categorical one that a voter tests coded
+    against the levels the voters' equality conditions test: a cell equal to
+    none of them matches no condition, as in ``predict``."""
+    levels: dict[str, set[str]] = {}
+    for r, _ in pred.voters:
+        for c in r.pattern.conditions:
+            if isinstance(c, Equals):
+                levels.setdefault(c.attribute, set()).add(c.value)
+    return {**columns, **{name: code(columns[name], sorted(v)) for name, v in levels.items()}}
+
+
+def _vote(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
     """``predict`` over n observations given as feature columns, bit for bit:
-    numerical columns hold finite floats, categorical ones compare with ==."""
+    numerical columns hold finite floats, categorical ones are ``_coded``."""
     num = np.zeros(n)
     den = np.zeros(n)
     for r, w in pred.voters:
@@ -125,12 +137,10 @@ def _feature_column(attr: AttributeSchema, d: Dataset, idx: np.ndarray) -> np.nd
     """The dataset's values of a predictor feature on rows idx, converted as
     ``_observation`` converts one row's; DataError if some row fails it."""
     col = d.column(attr.name)[idx]
-    if attr.kind != NUMERICAL:
-        return col.astype(object, copy=False)
-    if d.attribute(attr.name).kind == NUMERICAL:
+    if attr.kind != NUMERICAL or d.attribute(attr.name).kind == NUMERICAL:
         return col
     try:
-        values = np.fromiter(map(float, col), float, len(col))
+        values = np.fromiter(map(float, col.tolist()), float, len(col))
     except (TypeError, ValueError):
         raise DataError(f"feature {attr.name!r} is not numeric") from None
     if not np.isfinite(values).all():
@@ -158,4 +168,4 @@ def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:
             except DataError as exc:
                 raise DataError(f"row {int(i)}: {exc}") from exc
         raise
-    return _vote(pred, columns, len(idx))
+    return _vote(pred, _coded(pred, columns), len(idx))

@@ -122,7 +122,7 @@ def test_criterion_3_mdlp_oracle():
                 {"x": x, "y": rng.normal(size=n)},
             )
             tb = TargetBinarization(0.0, np.arange(n), labels.astype(bool))
-            got = list(mdlp_cuts(["x"], range(n), d, tb)[0].cuts)
+            got = list(mdlp_cuts(["x"], d, tb)[0].cuts)
             assert got == mdlp_oracle(x, labels)
 
 

@@ -48,7 +48,7 @@ def test_load_empty_table(tmp_path):
 def test_categorical_override(toy_csv):
     d = load_csv(toy_csv, target="price", categorical_overrides={"rooms"})
     assert d.attribute("rooms").kind == "categorical"
-    assert list(d.column("rooms")[:2]) == ["5", "3"]
+    assert d.column("rooms")[:2].tolist() == ["5", "3"]
 
 
 def test_override_unknown_column(toy_csv):
@@ -79,7 +79,7 @@ def test_round_trip(tmp_path, toy):
     ]
     for attr in toy.schema:
         a, b = toy.column(attr.name), back.column(attr.name)
-        assert list(a) == list(b)
+        assert a.tolist() == b.tolist()
 
 
 def test_type_inference_stable_under_row_permutation(tmp_path):
@@ -281,3 +281,55 @@ def test_row_read_pauses_gc_and_restores_its_state(tmp_path, monkeypatch, enable
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+def _g_schema(kind="categorical"):
+    return [hipar.AttributeSchema("g", kind), hipar.AttributeSchema("x", "numerical"),
+            hipar.AttributeSchema("y", "numerical", role="target")]
+
+
+def test_categorical_cells_must_be_strings():
+    # with g as object floats, hipar_init built Equals("g", "0.0"), which matched
+    # no row, and the fit kept only TRUE
+    rng = np.random.default_rng(0)
+    g = rng.integers(0, 2, 200).astype(float)
+    x = rng.uniform(0.0, 1.0, 200)
+    y = np.where(g == 0, 1 + 3 * x, 10 - 2 * x)
+    with pytest.raises(DataError, match="column 'g' holds a non-string cell"):
+        hipar.Dataset(_g_schema(), {"g": g.astype(object), "x": x, "y": y})
+    text = np.array([str(v) for v in g.tolist()], dtype=object)
+    d = hipar.Dataset(_g_schema(), {"g": text, "x": x, "y": y})
+    selected, _ = hipar.run_hipar(d, hipar.RunConfig(target="y", theta=0.2))
+    assert any(hipar.Equals("g", "0.0") in r.pattern.conditions for r in selected.chosen)
+
+
+def test_schema_attribute_without_column_is_a_data_error():
+    with pytest.raises(DataError, match=r"schema attributes \['x'\] have no column"):
+        hipar.Dataset(_g_schema(), {"g": ["a", "b"], "y": np.zeros(2)})
+
+
+def test_unknown_attribute_kind_is_rejected():
+    with pytest.raises(DataError, match="attribute 'g' has unknown kind 'ordinal'"):
+        hipar.Dataset(_g_schema("ordinal"), {"g": ["a", "b"], "x": np.zeros(2), "y": np.zeros(2)})
+
+
+def test_unknown_attribute_role_is_rejected():
+    # a role other than feature or target would leave the column out of both feature lists
+    schema = [hipar.AttributeSchema("g", "categorical", role="label"), *_g_schema()[1:]]
+    with pytest.raises(DataError, match="attribute 'g' has unknown role 'label'"):
+        hipar.Dataset(schema, {"g": ["a", "b"], "x": np.zeros(2), "y": np.zeros(2)})
+
+
+def test_coded_column_outside_its_table_is_rejected():
+    cells = hipar.data.code(["a", "zz"], ["a"])
+    assert cells.codes.tolist() == [0, -1] and cells.tolist() == ["a", None]
+    with pytest.raises(DataError, match="column 'g' has a cell outside its level table"):
+        hipar.Dataset(_g_schema(), {"g": cells, "x": np.zeros(2), "y": np.zeros(2)})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
+def test_holdout_split_keeps_a_row_on_each_side(n, fraction):
+    train, test = holdout_split(range(n), fraction, seed=0)
+    assert len(train) >= 1 and len(test) == min(n - 1, max(1, round(fraction * n)))
+    assert sorted(train.tolist() + test.tolist()) == list(range(n))

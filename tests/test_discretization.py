@@ -57,7 +57,7 @@ def _cuts(x, y_labels):
     d = _xy_dataset(x, y)
     tb = binarize_target(range(len(x)), d, "y")
     assert list(tb.labels) == [bool(l) for l in y_labels]
-    return list(mdlp_cuts(["x"], range(len(x)), d, tb)[0].cuts)
+    return list(mdlp_cuts(["x"], d, tb)[0].cuts)
 
 
 def test_mdlp_perfectly_separated():
@@ -96,7 +96,7 @@ def test_mdlp_matches_oracle_random():
             labels[0] = 1 - labels[0]
         d = _xy_dataset(x, rng.normal(size=n))
         tb = _direct_binarization(n, labels)
-        got = list(mdlp_cuts(["x"], range(n), d, tb)[0].cuts)
+        got = list(mdlp_cuts(["x"], d, tb)[0].cuts)
         assert got == mdlp_oracle(x, labels)
 
 
@@ -108,7 +108,7 @@ def test_mdlp_matches_oracle_recursive_cuts():
     x = np.round(rng.uniform(0, 100, n), 3)
     labels = ((x // 25) % 2 == 1) ^ (rng.random(n) < 0.05)
     d = _xy_dataset(x, np.zeros(n))
-    got = list(mdlp_cuts(["x"], range(n), d, _direct_binarization(n, labels))[0].cuts)
+    got = list(mdlp_cuts(["x"], d, _direct_binarization(n, labels))[0].cuts)
     assert len(np.unique(x)) > 250
     assert len(got) >= 3
     assert got == mdlp_oracle(x, labels)
@@ -159,7 +159,7 @@ def test_mdlp_accepted_cut_decreases_entropy():
 
     d = _xy_dataset(x, np.zeros(len(x)))
     tb = _direct_binarization(len(x), labels)
-    cuts = list(mdlp_cuts(["x"], range(len(x)), d, tb)[0].cuts)
+    cuts = list(mdlp_cuts(["x"], d, tb)[0].cuts)
     assert cuts
     parts = np.digitize(x, cuts)
     split = [labels[parts == i] for i in range(len(cuts) + 1)]
@@ -196,20 +196,20 @@ def test_conditions_partition_real_line():
 def test_mdlp_requires_numeric_attribute(toy):
     tb = binarize_target(range(6), toy, "price")
     with pytest.raises(DataError):
-        mdlp_cuts(["state"], range(6), toy, tb)
+        mdlp_cuts(["state"], toy, tb)
     with pytest.raises(DataError):
-        mdlp_cuts(["rooms", "state"], range(6), toy, tb)
+        mdlp_cuts(["rooms", "state"], toy, tb)
 
 
 def test_mdlp_rejects_one_attribute_name(toy):
     tb = binarize_target(range(6), toy, "price")
     with pytest.raises(DataError):
-        mdlp_cuts("rooms", range(6), toy, tb)
+        mdlp_cuts("rooms", toy, tb)
 
 
 def test_mdlp_no_attributes():
     d = _xy_dataset([1, 2, 3], [0, 0, 1])
-    assert mdlp_cuts([], range(3), d, binarize_target(range(3), d, "y")) == []
+    assert mdlp_cuts([], d, binarize_target(range(3), d, "y")) == []
 
 
 def _table(columns):
@@ -244,7 +244,7 @@ def test_mdlp_multi_attribute_matches_oracle():
         if labels.all() or not labels.any():
             labels[0] = not labels[0]
         d = _table(columns)
-        got = mdlp_cuts(list(columns), range(n), d, _direct_binarization(n, labels))
+        got = mdlp_cuts(list(columns), d, _direct_binarization(n, labels))
         assert [cp.attribute for cp in got] == list(columns)
         for cp in got:
             assert list(cp.cuts) == mdlp_oracle(columns[cp.attribute], labels), cp.attribute
@@ -260,14 +260,14 @@ def test_mdlp_attribute_order_does_not_matter():
     d = _table(columns)
     tb = _direct_binarization(n, labels)
     names = list(columns)
-    forward = {cp.attribute: cp for cp in mdlp_cuts(names, range(n), d, tb)}
+    forward = {cp.attribute: cp for cp in mdlp_cuts(names, d, tb)}
     for order in (names[::-1], list(rng.permutation(names))):
-        got = mdlp_cuts(order, range(n), d, tb)
+        got = mdlp_cuts(order, d, tb)
         assert [cp.attribute for cp in got] == order
         assert got == [forward[a] for a in order]
     # each attribute alone gives the same cuts as in company
     for name in names:
-        assert mdlp_cuts([name], range(n), d, tb) == [forward[name]]
+        assert mdlp_cuts([name], d, tb) == [forward[name]]
 
 
 @pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (0.0, 1e3), (0.0, 1e-3)])
@@ -276,10 +276,10 @@ def test_mdlp_partition_ignores_offset_and_scale(offset, scale):
     n = 300
     columns, labels = _mixed_columns(rng, n)
     moved = {name: v * scale + offset for name, v in columns.items()}
-    rows = np.arange(0, n, 3)[::-1]  # a region, in descending order
-    tb = TargetBinarization(0.0, np.sort(rows), labels[np.sort(rows)])
-    base = mdlp_cuts(list(columns), rows, _table(columns), tb)
-    got = mdlp_cuts(list(moved), rows, _table(moved), tb)
+    rows = np.arange(0, n, 3)  # a region
+    tb = TargetBinarization(0.0, rows, labels[rows])
+    base = mdlp_cuts(list(columns), _table(columns), tb)
+    got = mdlp_cuts(list(moved), _table(moved), tb)
     assert sum(len(cp.cuts) for cp in base) >= 3
     for a, b in zip(base, got):
         assert len(a.cuts) == len(b.cuts)

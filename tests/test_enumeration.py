@@ -150,10 +150,11 @@ def _categorical_table(levels, seed=0):
 
 def test_init_levels_exact_for_non_ascii_and_trailing_nul():
     levels = ["é"] * 5 + ["日本"] * 4 + ["Z"] * 3 + ["ß"] * 2 + ["a"] * 4 + ["a\x00"] * 3 + ["😀"]
-    d = _categorical_table(np.random.default_rng(1).permutation(np.array(levels, dtype=object)))
+    cells = np.random.default_rng(1).permutation(np.array(levels, dtype=object))
+    d = _categorical_table(cells)
     cfg = EnumConfig(theta=3 / len(levels), seed=0)
     # the levels np.unique finds on the object column, frequent at theta
-    values, counts = np.unique(d.column("g"), return_counts=True)
+    values, counts = np.unique(cells, return_counts=True)
     want = sorted((Equals("g", v) for v, c in zip(values, counts) if c >= 3), key=lambda c: c.order)
     got = hipar_init(d, "y", cfg)
     assert got == want
@@ -161,6 +162,30 @@ def test_init_levels_exact_for_non_ascii_and_trailing_nul():
     # "a" and "a\x00" stay two levels, each with its own rows
     for c, count in ((Equals("g", "a"), 4), (Equals("g", "a\x00"), 3)):
         assert len(region(Pattern([c]), d)) == count
+
+
+def test_init_on_a_subset_equals_init_on_a_fresh_table():
+    rng = np.random.default_rng(4)
+    levels = np.array(["a", "a\x00", "b", "é", "z"], dtype=object)
+    n = 150
+    g = levels[rng.integers(0, len(levels), n)]
+    x = rng.uniform(0.0, 10.0, n)
+    schema = [AttributeSchema("g", "categorical"), AttributeSchema("x", "numerical"),
+              AttributeSchema("y", "numerical", role="target")]
+    y = np.where(x < 5.0, 1.0 + 2.0 * x, 20.0 - x) + rng.normal(0.0, 0.1, n)
+    d = Dataset(schema, {"g": g, "x": x, "y": y})
+    rows = np.flatnonzero([v != "z" for v in g])
+    sub = d.subset(rows)
+    fresh = Dataset(schema, {"g": g[rows], "x": x[rows], "y": y[rows]})
+    # the subset keeps its parent's table, "z" included, though no row holds it
+    assert sub.column("g").levels == tuple(sorted(levels))
+    assert fresh.column("g").levels == tuple(sorted(levels[:4]))
+    cfg = EnumConfig(theta=0.1, seed=0)
+    got = hipar_init(sub, "y", cfg)
+    assert got == hipar_init(fresh, "y", cfg)
+    assert {c.value for c in got if isinstance(c, Equals)} == set(levels[:4])
+    for c in got:
+        assert region(Pattern([c]), sub).tolist() == region(Pattern([c]), fresh).tolist()
 
 
 def test_init_validates_config(toy):

@@ -24,7 +24,7 @@ from hipar import (
     region,
     support,
 )
-from hipar.patterns import Universe, bits_rows, condition_bits, condition_mask, pattern_bits
+from hipar.patterns import Universe, bits_rows, condition_bits, pattern_bits
 
 LEVELS = ("a", "b", "c")
 
@@ -138,7 +138,7 @@ def test_closure_of_top_and_of_a_one_row_region():
     conds = _conditions(rng)
     assert closure(TOP, d, conds) == _brute_closure(TOP, d, conds)
     # a level held by one row: its closure takes every condition on that row
-    g = d.column("g").copy()
+    g = np.array(d.column("g").tolist(), dtype=object)
     g[17] = "solo"
     one = Dataset(d.schema, {a.name: (g if a.name == "g" else d.column(a.name)) for a in d.schema})
     universe = [*conds, Equals("g", "solo")]
@@ -190,10 +190,12 @@ def test_condition_bits_are_read_only_packed_masks():
         assert condition_bits(c, d) is bits  # computed once per dataset
         assert bits.dtype == np.uint64 and len(bits) == 2  # 77 rows in two words
         raw = bits.view(np.uint8)
-        assert np.array_equal(raw[:10], np.packbits(condition_mask(c, d)))
+        assert np.array_equal(raw[:10], np.packbits([_holds(c, d.row(i)) for i in range(d.n)]))
         assert not raw[10:].any()  # padding bits are zero
         with pytest.raises(ValueError):
             bits[0] = 0
+        with pytest.raises(ValueError):
+            bits |= 1
     top = pattern_bits(TOP, d)
     assert bits_rows(top, d.n).tolist() == list(range(d.n))
     assert int(np.bitwise_count(top).sum()) == d.n
@@ -237,16 +239,17 @@ def test_mask_memo_isolated_between_datasets():
         del d
 
 
-def test_condition_mask_is_read_only():
+def test_coded_column_is_read_only():
     rng = np.random.default_rng(3)
     d = _mixed(rng, 21)
-    c = Equals("g", "a")
-    mask = condition_mask(c, d)
-    assert condition_mask(c, d) is mask  # computed once per dataset
+    g = d.column("g")
+    assert d.column("g") is g  # coded once per dataset
+    assert g.levels == LEVELS and g.tolist() == [d.row(i)["g"] for i in range(d.n)]
     with pytest.raises(ValueError):
-        mask[0] = not mask[0]
+        g.codes[0] = 1 - g.codes[0]
     with pytest.raises(ValueError):
-        mask |= True
+        g.codes += 1
+    assert d.subset(range(0, 21, 2)).column("g").codes.flags.writeable is False
 
 
 def test_mutating_region_result_leaves_memo_intact():

@@ -6,7 +6,9 @@ import pytest
 
 from hipar import (
     TOP,
+    AttributeSchema,
     DataError,
+    Dataset,
     Equals,
     Interval,
     Pattern,
@@ -16,6 +18,8 @@ from hipar import (
     region,
     support,
 )
+from hipar.data import code
+from hipar.patterns import bits_rows, condition_bits
 
 COTTAGE = Equals("property-type", "cottage")
 APARTMENT = Equals("property-type", "apartment")
@@ -67,15 +71,29 @@ def test_scalar_mask_equals_column_mask():
     assert [bool(c.mask(v)) for v in cats] == c.mask(cats).tolist() == [True, False, False]
 
 
+def _g_table(cells):
+    return Dataset(
+        [AttributeSchema("g", "categorical"), AttributeSchema("y", "numerical", role="target")],
+        {"g": cells, "y": np.zeros(len(cells))},
+    )
+
+
 def test_equality_with_nul_is_exact_on_every_input():
     # numpy would compare against a fixed-width string, which drops trailing NULs
     cats = ["a", "a\x00", "a\x00\x00", "b"]
+    d = _g_table(np.array(cats, dtype=object))
+    assert d.column("g").levels == tuple(cats)  # four levels
+    # a fixed-width input has already lost its NULs: its levels are "a" and "b"
+    fixed = _g_table(np.array(["a", "b"]))
     for value in cats:
         want = [v == value for v in cats]
         c = Equals("g", value)
         assert [bool(c.mask(v)) for v in cats] == want
-        assert c.mask(np.array(cats, dtype=object)).tolist() == want
-        assert c.mask(np.array(["a", "b"])).tolist() == [value == "a", value == "b"]
+        assert c.mask(d.column("g")).tolist() == want
+        assert bits_rows(condition_bits(c, d), d.n).tolist() == np.flatnonzero(want).tolist()
+        assert c.mask(fixed.column("g")).tolist() == [value == "a", value == "b"]
+        # cells coded against another table: one outside it matches nothing
+        assert c.mask(code(cats, ["a", "b"])).tolist() == [value == "a", False, False, value == "b"]
     assert Equals("g", "a\x00") == Equals("g", "a\x00") != Equals("g", "a")
 
 

@@ -288,3 +288,37 @@ def test_predict_batch_converts_a_mismatched_column_like_predict():
     assert predict_batch(pred, bad, [0, 1, 2]).tolist() == [
         predict(pred, bad.row(i)) for i in (0, 1, 2)
     ]
+
+
+def test_predict_paths_agree_on_exact_levels(tmp_path):
+    # the scoring file holds a level no rule tests ("zzz", "e"), levels that
+    # differ only by a trailing NUL, and non-ASCII ones; no row holds "none",
+    # which a rule tests
+    from hipar import deserialize_rules, load_csv, serialize_rules
+    from hipar.cli import main
+
+    tested = ["a", "a\x00", "é", "日本", "none"]
+    rules = [_rule(Pattern([Equals("g", v)]), LinearModel(float(i), {"x": 1.0 + i}, "OLS"))
+             for i, v in enumerate(tested)]
+    rules.append(_rule(Pattern([Equals("g", "a"), Interval("x", 0.0, np.inf)]),
+                       LinearModel(-7.0, {}, "MEAN")))
+    rules_path = tmp_path / "rules.json"
+    serialize_rules(_predictor(rules, {r.pattern: 0.3 + 0.1 * i for i, r in enumerate(rules)}),
+                    str(rules_path))
+    pred = deserialize_rules(str(rules_path))
+    cells = ["a", "a\x00", "a\x00\x00", "é", "e", "日本", "zzz", "a", "a\x00"]
+    xs = [0.5, 0.5, 0.5, -1.25, 2.0, 3.5, 0.5, -0.5, -2.0]
+    scoring = tmp_path / "score.csv"
+    scoring.write_text("g,x,y\n" + "".join(f"{g},{x!r},0\n" for g, x in zip(cells, xs)),
+                       encoding="utf-8")
+    want = [predict(pred, {"g": g, "x": x}) for g, x in zip(cells, xs)]
+    assert len(set(want[:3])) == 3  # "a", "a\x00" and "a\x00\x00" are three levels
+    assert want[2] == want[6] == 100.0  # the default answers for unseen levels
+    out = tmp_path / "out.txt"
+    assert main(["predict", "--rules", str(rules_path), "--input", str(scoring),
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == "".join(f"{v!r}\n" for v in want)
+    d = load_csv(str(scoring), target="y", categorical_overrides=["g"])
+    assert "none" not in d.column("g").levels
+    assert predict_batch(pred, d, range(d.n)).tolist() == want
+    assert [predict(pred, d.row(i)) for i in range(d.n)] == want

@@ -70,15 +70,18 @@ def test_binarize_target_row_forms():
 
 
 def test_mdlp_cuts_row_forms():
+    # mdlp_cuts reads its rows from the labels, as binarize_target sorted them
     d = _dataset()
-    labels = binarize_target(FIT, d, "y")
-    results = [mdlp_cuts(attrs, rows, d, labels)
+    results = [mdlp_cuts(attrs, d, binarize_target(rows, d, "y"))
                for attrs in (["x1"], ["x2"], ["x1", "x2"]) for rows in _forms(FIT)]
     _same(results[:4])
     _same(results[4:8])
     _same(results[8:])
     assert results[8] == results[0] + results[4]
     assert results[0][0].cuts  # x1 separates the two segments
+    labels = binarize_target(FIT, d, "y")
+    with pytest.raises(DataError, match="not sorted"):
+        mdlp_cuts(["x1"], d, TargetBinarization(0.0, labels.rows[::-1], labels.labels[::-1]))
 
 
 def test_evaluate_row_forms():
@@ -132,8 +135,7 @@ ROW_TAKERS = {
     "subset": lambda rows, d: d.subset(rows),
     "binarize_target": lambda rows, d: binarize_target(rows, d, "y"),
     "mdlp_cuts": lambda rows, d: mdlp_cuts(
-        ["x1"], rows, d,
-        TargetBinarization(0.0, np.sort(rows), np.arange(len(rows)) % 2 == 0)),
+        ["x1"], d, TargetBinarization(0.0, np.sort(rows), np.arange(len(rows)) % 2 == 0)),
     "evaluate": lambda rows, d: evaluate(LinearModel(0.0, {}, "MEAN"), rows, d, "y", "rmse"),
     "fit_ols": lambda rows, d: fit_ols(rows, d, "y"),
     "fit_lasso": lambda rows, d: fit_lasso(rows, d, "y", [0.1], HOLD_FAR),
