@@ -48,7 +48,7 @@ from .pipeline import (
     run_hipar,
     serialize_rules,
 )
-from .prediction import Predictor, covering_rules, predict, predict_batch
+from .prediction import Predictor, covering_rules, predict, predict_batch, predict_columns
 from .regression import (
     RMSE,
     FittedRuleModel,

@@ -11,7 +11,7 @@ import traceback
 
 from .data import DataError, load_csv, read_columns
 from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
-from .prediction import _coded, _vote
+from .prediction import predict_columns
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -98,12 +98,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = deserialize_rules(args.rules)
-    kinds = {a.name: a.kind for a in predictor.schema if a.role == "feature"}
-    columns, n = read_columns(args.input, kinds)
-    out = _vote(predictor, _coded(predictor, columns), n)
+    kinds = {a.name: a.kind for a in predictor.features}
+    out = predict_columns(predictor, *read_columns(args.input, kinds))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v!r}\n" for v in out.tolist()))
-    print(f"wrote {n} predictions to {args.out}")
+    print(f"wrote {len(out)} predictions to {args.out}")
     return 0
 
 

@@ -153,25 +153,18 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         baseline_error = evaluate(baseline, test_rows, d, y, metric)
         predictions = predict_batch(predictor, d, test_rows)
         model_error = metric_value(d.column(y)[test_rows] - predictions, metric)
-        if baseline_error == 0.0:
-            results.append(
-                FoldResult(
-                    fold=fold, baseline_error=0.0, model_error=model_error,
-                    reduction=math.nan, rules=len(selected.chosen),
-                    elements=count_elements(selected), seconds=seconds,
-                    skipped=True, note="baseline error is zero on the test rows",
-                )
-            )
-            continue
+        skipped = baseline_error == 0.0
         results.append(
             FoldResult(
                 fold=fold,
                 baseline_error=baseline_error,
                 model_error=model_error,
-                reduction=error_reduction(baseline_error, model_error),
+                reduction=math.nan if skipped else error_reduction(baseline_error, model_error),
                 rules=len(selected.chosen),
                 elements=count_elements(selected),
                 seconds=seconds,
+                skipped=skipped,
+                note="baseline error is zero on the test rows" if skipped else "",
             )
         )
     reductions = [r.reduction for r in results if not r.skipped]

@@ -34,9 +34,14 @@ class Predictor:
     metric: str
     # (rule, 1/ebar) for the chosen non-default rules in rendered-key order
     voters: tuple[tuple[HybridRule, float], ...] = field(init=False, repr=False, compare=False)
+    # the schema's feature attributes, in schema order
+    features: tuple[AttributeSchema, ...] = field(init=False, repr=False, compare=False)
+    # per categorical attribute a voter tests, the sorted values its Equals conditions test
+    levels: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        features = {a.name: a for a in self.schema if a.role == "feature"}
+        object.__setattr__(self, "features", tuple(a for a in self.schema if a.role == "feature"))
+        features = {a.name: a for a in self.features}
         for rule in list(self.rules.chosen) + [self.default_rule]:
             if rule.pattern not in self.normalized_errors:
                 raise DataError(f"rule {rule.key!r} has no recorded normalized error")
@@ -56,14 +61,19 @@ class Predictor:
                                 "a vote weight needs a positive, finite 1/ebar")
         voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)
         object.__setattr__(self, "voters", voters)
+        levels: dict[str, set[str]] = {}
+        for r in voting:
+            for c in r.pattern.conditions:
+                if isinstance(c, Equals):
+                    levels.setdefault(c.attribute, set()).add(c.value)
+        object.__setattr__(self, "levels", {a: tuple(sorted(v)) for a, v in levels.items()})
 
 
 def _observation(pred: Predictor, x: Mapping[str, object]) -> dict[str, object]:
-    """The observation's features, numerical ones as finite floats."""
+    """The observation's features, numerical ones as finite floats and
+    categorical ones ``str``."""
     obs: dict[str, object] = {}
-    for attr in pred.schema:
-        if attr.role != "feature":
-            continue
+    for attr in pred.features:
         if attr.name not in x:
             raise DataError(f"observation is missing feature {attr.name!r}")
         v = x[attr.name]
@@ -74,6 +84,8 @@ def _observation(pred: Predictor, x: Mapping[str, object]) -> dict[str, object]:
                 raise DataError(f"feature {attr.name!r} is not numeric: {v!r}") from None
             if not math.isfinite(v):
                 raise DataError(f"feature {attr.name!r} is not finite: {v!r}")
+        elif not isinstance(v, str):
+            raise DataError(f"categorical feature {attr.name!r} is not a string: {v!r}")
         obs[attr.name] = v
     return obs
 
@@ -90,7 +102,8 @@ def covering_rules(pred: Predictor, x: Mapping[str, object]) -> list[HybridRule]
 def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     """Weighted vote of the covering rules; the default model answers alone
     when nothing covers x. Weights are ebar^-1 renormalized over the cover;
-    votes and weights are added left to right in voter order, as ``_vote`` does."""
+    votes and weights are added left to right in voter order, as
+    ``predict_columns`` does."""
     obs = _observation(pred, x)
     num = den = 0.0
     for r, w in pred.voters:
@@ -102,21 +115,13 @@ def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     return float(num / den)
 
 
-def _coded(pred: Predictor, columns: Mapping[str, object]) -> dict[str, object]:
-    """The feature columns, each categorical one that a voter tests coded
-    against the levels the voters' equality conditions test: a cell equal to
-    none of them matches no condition, as in ``predict``."""
-    levels: dict[str, set[str]] = {}
-    for r, _ in pred.voters:
-        for c in r.pattern.conditions:
-            if isinstance(c, Equals):
-                levels.setdefault(c.attribute, set()).add(c.value)
-    return {**columns, **{name: code(columns[name], sorted(v)) for name, v in levels.items()}}
-
-
-def _vote(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
+def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
     """``predict`` over n observations given as feature columns, bit for bit:
-    numerical columns hold finite floats, categorical ones are ``_coded``."""
+    numerical columns hold finite floats, categorical ones ``str`` cells or a
+    ``CodedColumn``. Each categorical column a voter tests is coded against
+    ``pred.levels``: a cell equal to none of them matches no condition, as in
+    ``predict``. Votes and weights are added left to right in voter order."""
+    columns = {**columns, **{a: code(columns[a], v) for a, v in pred.levels.items()}}
     num = np.zeros(n)
     den = np.zeros(n)
     for r, w in pred.voters:
@@ -133,39 +138,17 @@ def _vote(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
     return out
 
 
-def _feature_column(attr: AttributeSchema, d: Dataset, idx: np.ndarray) -> np.ndarray:
-    """The dataset's values of a predictor feature on rows idx, converted as
-    ``_observation`` converts one row's; DataError if some row fails it."""
-    col = d.column(attr.name)[idx]
-    if attr.kind != NUMERICAL or d.attribute(attr.name).kind == NUMERICAL:
-        return col
-    try:
-        values = np.fromiter(map(float, col.tolist()), float, len(col))
-    except (TypeError, ValueError):
-        raise DataError(f"feature {attr.name!r} is not numeric") from None
-    if not np.isfinite(values).all():
-        raise DataError(f"feature {attr.name!r} is not finite")
-    return values
-
-
 def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:
     """``predict`` over dataset rows, order preserved, bit for bit. A row may
-    repeat; an index outside the table is a DataError, as is a row that
-    ``predict`` would reject (the first one, in the given order)."""
+    repeat. An index outside the table is a DataError, as is a predictor
+    feature that the dataset lacks or holds as another kind."""
     idx = np.asarray(rows, dtype=int)
-    if len(idx) == 0:
-        return np.empty(0)
     bad = idx[(idx < 0) | (idx >= d.n)]
     if len(bad):
         raise DataError(f"row index {int(bad[0])} is out of range for {d.n} rows")
-    features = [a for a in pred.schema if a.role == "feature"]
-    try:
-        columns = {a.name: _feature_column(a, d, idx) for a in features}
-    except DataError:
-        for i in idx:
-            try:
-                _observation(pred, d.row(int(i)))
-            except DataError as exc:
-                raise DataError(f"row {int(i)}: {exc}") from exc
-        raise
-    return _vote(pred, _coded(pred, columns), len(idx))
+    for a in pred.features:
+        kind = d.attribute(a.name).kind
+        if kind != a.kind:
+            raise DataError(f"feature {a.name!r} is {a.kind} in the rules "
+                            f"but {kind} in the dataset")
+    return predict_columns(pred, {a.name: d.column(a.name)[idx] for a in pred.features}, len(idx))

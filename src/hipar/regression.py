@@ -134,7 +134,7 @@ class FittedRuleModel:
     train_error: float
     holdout_error: float
     metric: str
-    holdout_rows: np.ndarray  # the 20% contest slice (whole region for MEAN fallback)
+    holdout_rows: np.ndarray  # the 20% contest slice (the whole region below 5 rows)
 
 
 def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
@@ -488,8 +488,10 @@ def best_local_model(
     method keeps its best hyperparameter, and the winner (ties to LASSO) is
     refit on all rows with it, keeping the contest holdout error on record.
     The refit's moments merge the co-moments of the two sides. Regions with
-    fewer than 5 rows fall back to the MEAN model, as do regions whose target
-    is constant on the 80% side (scored on the 20% side)."""
+    fewer than 5 rows fall back to the MEAN model, scored on their own rows.
+    A target constant on the 80% side makes both methods fit the MEAN model
+    there, scored on the 20% side like any other; LASSO wins the tie and the
+    MEAN model is refit on all rows."""
     metric = check_metric(metric)
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
@@ -510,15 +512,6 @@ def best_local_model(
     sides = _comoments(train), _comoments(hold)
     m = _moments(train, sides[0])
     full = _moments(Zt, _merge(*sides))
-    if m.y_sd == 0.0:
-        model = _fits(full, MEAN, [None], names).model(0)
-        return FittedRuleModel(
-            model,
-            train_error=metric_value(yv - model.intercept, metric),
-            holdout_error=metric_value(hold[-1] - model.intercept, metric),
-            metric=metric, holdout_rows=idx[test],
-        )
-
     lasso = _fits(m, LASSO, DEFAULT_LAMBDA_GRID, names)
     if max_terms > 0:
         omp = _fits(m, OMP, range(1, max_terms + 1), names)

@@ -17,6 +17,7 @@ from hipar import (
     covering_rules,
     predict,
     predict_batch,
+    predict_columns,
 )
 
 SCHEMA = [
@@ -170,11 +171,11 @@ def test_rule_on_non_feature_rejected_at_construction():
         )
 
 
-def test_predict_batch_error_carries_row_index(two_segment):
-    # predictor whose schema demands a feature the dataset lacks
+def test_predict_batch_rejects_a_dataset_without_a_feature(two_segment):
+    # the predictor's schema wants "g" and "x"; the dataset holds "segment" and "x"
     rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
-    pred = _predictor([rule], {rule.pattern: 0.5})  # schema wants "g" and "x"
-    with pytest.raises(DataError, match="row 3"):
+    pred = _predictor([rule], {rule.pattern: 0.5})
+    with pytest.raises(DataError, match="'g'"):
         predict_batch(pred, two_segment, [3])
 
 
@@ -263,31 +264,47 @@ def test_predict_batch_equals_row_wise_predict_bit_for_bit(seed):
     assert "d" in d.column("g").tolist()
 
 
-def test_predict_batch_converts_a_mismatched_column_like_predict():
-    rng = np.random.default_rng(11)
-    d, pred = _random_case(rng, 40)
-    # the dataset holds "u" as text and "g" as numbers, against the predictor's kinds
-    schema = [AttributeSchema(a.name, {"u": "categorical", "g": "numerical"}.get(a.name, a.kind),
-                              a.role) for a in d.schema]
-    text_u = np.array([f" {x!r} " for x in d.column("u").tolist()], dtype=object)
-    text_u[7] = "1_5"  # float() accepts underscores: library predict takes it as 15.0
-    columns = {a.name: d.column(a.name) for a in d.schema}
-    other = Dataset(schema, {**columns, "u": text_u, "g": np.arange(40.0)})
-    rows = rng.permutation(40)
-    batch = predict_batch(pred, other, rows)
-    assert batch.tolist() == [predict(pred, other.row(int(i))) for i in rows]
+def test_predict_batch_rejects_a_feature_of_another_kind(tmp_path):
+    from hipar import RunConfig, load_csv, run_hipar, write_csv
 
-    bad_u = text_u.copy()
-    bad_u[[5, 9, 30]] = ["abc", "inf", "x"]
-    bad = Dataset(schema, {**columns, "u": bad_u, "g": np.arange(40.0)})
-    for rows, first in (([0, 1, 9, 5, 30], "row 9: feature 'u' is not finite"),
-                        ([30, 5], "row 30: feature 'u' is not numeric: 'x'"),
-                        ([2, 5, 9], "row 5: feature 'u' is not numeric: 'abc'")):
-        with pytest.raises(DataError, match=f"^{first}"):
-            predict_batch(pred, bad, rows)
-    assert predict_batch(pred, bad, [0, 1, 2]).tolist() == [
-        predict(pred, bad.row(i)) for i in (0, 1, 2)
-    ]
+    from .conftest import make_two_segment
+
+    # levels "1" and "2" look numeric: load_csv infers "g" as numerical unless
+    # the override names it
+    d0 = make_two_segment(noise_frac=0.01)
+    cells = np.where(d0.column("segment") == "A", "1", "2").astype(object)
+    path = str(tmp_path / "levels.csv")
+    write_csv(Dataset(SCHEMA, {"g": cells, "x": d0.column("x"), "y": d0.column("y")}), path)
+    d = load_csv(path, target="y", categorical_overrides=["g"])
+    _, pred = run_hipar(d, RunConfig(target="y", categorical_overrides=("g",), theta=0.2))
+    assert pred.levels == {"g": ("1", "2")}
+    inferred = load_csv(path, target="y")
+    assert inferred.attribute("g").kind == "numerical"
+    # converting the column would answer every row with the default rule
+    with pytest.raises(DataError, match="^feature 'g' is categorical in the rules "
+                                        "but numerical in the dataset$"):
+        predict_batch(pred, inferred, range(inferred.n))
+    text_x = np.array([repr(v) for v in d0.column("x").tolist()], dtype=object)
+    as_text = Dataset([SCHEMA[0], AttributeSchema("x", "categorical"), SCHEMA[2]],
+                      {"g": cells, "x": text_x, "y": d0.column("y")})
+    with pytest.raises(DataError, match="^feature 'x' is numerical in the rules "
+                                        "but categorical in the dataset$"):
+        predict_batch(pred, as_text, [0])
+    # single-row predict rejects a row of that table: its cell is the float 1.0
+    with pytest.raises(DataError, match="^categorical feature 'g' is not a string: 1.0$"):
+        predict(pred, inferred.row(0))
+    rows = np.random.default_rng(0).permutation(d.n)
+    assert predict_batch(pred, d, rows).tolist() == [predict(pred, d.row(int(i))) for i in rows]
+
+
+@pytest.mark.parametrize("value", [1.0, 1, None, b"a", ("a",)])
+def test_predict_rejects_a_non_string_category(value):
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    pred = _predictor([rule], {rule.pattern: 0.5})
+    with pytest.raises(DataError, match="^categorical feature 'g' is not a string"):
+        predict(pred, {"g": value, "x": 0.0})
+    with pytest.raises(DataError, match="'g'"):
+        covering_rules(pred, {"g": value, "x": 0.0})
 
 
 def test_predict_paths_agree_on_exact_levels(tmp_path):
@@ -296,6 +313,7 @@ def test_predict_paths_agree_on_exact_levels(tmp_path):
     # which a rule tests
     from hipar import deserialize_rules, load_csv, serialize_rules
     from hipar.cli import main
+    from hipar.data import read_columns
 
     tested = ["a", "a\x00", "é", "日本", "none"]
     rules = [_rule(Pattern([Equals("g", v)]), LinearModel(float(i), {"x": 1.0 + i}, "OLS"))
@@ -318,6 +336,8 @@ def test_predict_paths_agree_on_exact_levels(tmp_path):
     assert main(["predict", "--rules", str(rules_path), "--input", str(scoring),
                  "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == "".join(f"{v!r}\n" for v in want)
+    kinds = {a.name: a.kind for a in pred.features}
+    assert predict_columns(pred, *read_columns(str(scoring), kinds)).tolist() == want
     d = load_csv(str(scoring), target="y", categorical_overrides=["g"])
     assert "none" not in d.column("g").levels
     assert predict_batch(pred, d, range(d.n)).tolist() == want

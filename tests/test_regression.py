@@ -13,6 +13,7 @@ from hipar import (
     fit_omp,
     holdout_split,
 )
+from hipar.data import holdout_mask
 from hipar.regression import OMP, _comoments, _fits, _lasso_path, _merge, _moments, _omp_path
 
 from .oracles import best_pair_oracle, lasso_cd_oracle, omp_path_oracle
@@ -345,6 +346,19 @@ def test_contest_constant_target_is_exact_mean(value, n):
     fm = best_local_model(range(n), d, "y", "rmse", seed=4)
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, value)
     assert fm.holdout_error == fm.train_error == 0.0
+
+
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+def test_contest_target_constant_on_the_fitting_side_is_scored_out_of_sample(metric):
+    # y is 1 on the 80% side and 5 on the 20% side: the MEAN model fit on the
+    # 80% side scores 4 there; the whole region's mean (1.8) has seen those rows
+    test = holdout_mask(20, 0.2, 4)
+    y = np.where(test, 5.0, 1.0)
+    d = _dataset({"x": np.random.default_rng(0).normal(size=20), "y": y})
+    fm = best_local_model(range(20), d, "y", metric, seed=4)
+    assert fm.holdout_error == 4.0
+    assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, 1.8)
+    assert np.array_equal(fm.holdout_rows, np.flatnonzero(test))
 
 
 # ---------------------------------------------------------------- moments core vs row-wise oracles
