@@ -18,6 +18,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", required=True, help="input CSV file")
     parser.add_argument("--target", required=True, help="target column name")
     parser.add_argument("--categorical", default="", metavar="a,b",
+                        type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
                         help="comma-separated columns to force categorical")
     parser.add_argument("--min-support", type=float, default=0.1, dest="theta")
     parser.add_argument("--support-bias", type=float, default=1.0, dest="sigma")
@@ -55,10 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
-    overrides = tuple(x.strip() for x in args.categorical.split(",") if x.strip())
     return RunConfig(
         target=args.target,
-        categorical_overrides=overrides,
         theta=args.theta,
         sigma=args.sigma,
         omega=args.omega,
@@ -71,9 +70,8 @@ def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    d = load_csv(args.input, args.target, cfg.categorical_overrides)
-    selected, predictor = run_hipar(d, cfg)
+    d = load_csv(args.input, args.target, args.categorical)
+    selected, predictor = run_hipar(d, _config(args))
     serialize_rules(predictor, args.rules_out)
     print(f"wrote {len(selected.chosen)} rules to {args.rules_out}")
     return 0
@@ -81,7 +79,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args, folds=args.folds)
-    d = load_csv(args.input, args.target, cfg.categorical_overrides)
+    d = load_csv(args.input, args.target, args.categorical)
     report = cross_validate(d, cfg)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())

@@ -391,7 +391,6 @@ def write_csv(d: Dataset, path: str) -> None:
 class FoldPlan:
     k: int
     assignments: np.ndarray  # per-row fold index
-    seed: int
 
     def fold_rows(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments == fold)[0]
@@ -411,7 +410,7 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
     assignments = np.empty(d.n, dtype=int)
     assignments[perm] = np.arange(d.n) % k
     assignments.flags.writeable = False
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from .patterns import (
     pattern_bits,
     region,
 )
-from .regression import FittedRuleModel, best_local_model, check_metric, evaluate
+from .regression import FittedRuleModel, best_local_model, check_metric, evaluate_all
 
 Trace = Callable[[str], None]
 
@@ -174,12 +174,10 @@ def occam_test(
     metric: str,
 ) -> bool:
     """Accept the rule iff its model is strictly better than every parent's
-    model on the same evaluation rows."""
-    child = evaluate(rule.fitted.model, eval_rows, d, y, metric)
-    for parent in parents:
-        if not child < evaluate(parent.fitted.model, eval_rows, d, y, metric):
-            return False
-    return True
+    model on the same evaluation rows, all scored by one residual matrix."""
+    child, *others = evaluate_all([rule.fitted.model, *(p.fitted.model for p in parents)],
+                                  eval_rows, d, y, metric).tolist()
+    return all(child < e for e in others)
 
 
 class _Search:

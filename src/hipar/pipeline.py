@@ -30,7 +30,6 @@ class RunConfig:
     (theta=0.1, sigma=1, omega=1, RMSE, 10 folds)."""
 
     target: str
-    categorical_overrides: tuple[str, ...] = ()
     theta: float = 0.1
     sigma: float = 1.0
     omega: float = 1.0
@@ -173,17 +172,7 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         mean_reduction=float(np.mean(reductions)) if reductions else math.nan,
         median_reduction=float(np.median(reductions)) if reductions else math.nan,
         metric=metric,
-        config={
-            "target": cfg.target,
-            "theta": cfg.theta,
-            "sigma": cfg.sigma,
-            "omega": cfg.omega,
-            "metric": metric,
-            "variant": cfg.variant,
-            "sd_q": cfg.sd_q,
-            "folds": cfg.folds,
-            "seed": cfg.seed,
-        },
+        config={**asdict(cfg), "metric": metric},
     )
 
 

@@ -120,8 +120,31 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
     numerical columns hold finite floats, categorical ones ``str`` cells or a
     ``CodedColumn``. Each categorical column a voter tests is coded against
     ``pred.levels``: a cell equal to none of them matches no condition, as in
-    ``predict``. Votes and weights are added left to right in voter order."""
-    columns = {**columns, **{a: code(columns[a], v) for a, v in pred.levels.items()}}
+    ``predict``. Votes and weights are added left to right in voter order. A
+    missing feature, a column of other than n cells, a numerical cell that is
+    not a finite float and a non-``str`` cell in a column a voter tests are
+    DataErrors."""
+    checked: dict[str, object] = {}
+    for a in pred.features:
+        if a.name not in columns:
+            raise DataError(f"columns are missing feature {a.name!r}")
+        col = columns[a.name]
+        if a.kind == NUMERICAL:
+            col = np.asarray(col)
+            if col.dtype != float or col.shape != (n,) or not np.isfinite(col).all():
+                raise DataError(f"feature {a.name!r} is not a column of {n} finite floats")
+        elif len(col) != n:
+            raise DataError(f"feature {a.name!r} holds {len(col)} cells, expected {n}")
+        elif a.name in pred.levels:
+            coded = code(col, pred.levels[a.name])
+            # only the cells equal to no level are read: each must be a str
+            cells = [col[i] for i in np.flatnonzero(coded.codes == -1).tolist()]
+            bad = [v for v in cells if not isinstance(v, str)]
+            if bad:
+                raise DataError(f"categorical feature {a.name!r} is not a string: {bad[0]!r}")
+            col = coded
+        checked[a.name] = col
+    columns = checked
     num = np.zeros(n)
     den = np.zeros(n)
     for r, w in pred.voters:

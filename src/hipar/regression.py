@@ -41,9 +41,12 @@ be. Fewer than 2 rows, a constant target or no varying feature yield the
 intercept-only MEAN model for every hyperparameter, whose intercept is the
 exact value of a constant target.
 
-The contest (``best_local_model``) splits a region's rows by one boolean mask
-into an 80% fitting side and a 20% holdout side, computes each side's
-co-moments once, and merges the two for the winner's refit on all rows.
+Every hyperparameter is chosen by one core (``_tune``): ``fit_lasso`` and
+``fit_omp`` tune one method on their holdout rows, and the contest
+(``best_local_model``) tunes LASSO then OMP on the 20% side of a region's
+80/20 split, merging the two sides' co-moments for the winner's refit. The
+Occam test scores a rule's model and its parents' by one such residual matrix
+(``evaluate_all``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -135,16 +138,6 @@ class FittedRuleModel:
     holdout_error: float
     metric: str
     holdout_rows: np.ndarray  # the 20% contest slice (the whole region below 5 rows)
-
-
-def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
-    """Error of the model's predictions over the rows under the metric."""
-    idx = sorted_rows(rows, d.n)
-    if len(idx) == 0:
-        raise DataError("evaluate needs a nonempty row set")
-    columns = {name: d.column(name)[idx] for name in model.coefficients}
-    residuals = d.column(y)[idx] - model.predict(columns)
-    return metric_value(residuals, metric)
 
 
 def _region(idx: np.ndarray, d: Dataset, y: str) -> tuple[list[str], np.ndarray]:
@@ -367,9 +360,6 @@ class _Fits:
     B: np.ndarray
     standardization: dict[str, tuple[float, float]]
 
-    def __iter__(self) -> Iterator[LinearModel]:
-        return map(self.model, range(len(self.hypers)))
-
     def model(self, i: int) -> LinearModel:
         coefs = {n: float(b) for n, b in zip(self.names, self.B[:, i].tolist()) if b != 0.0}
         return LinearModel(intercept=float(self.intercepts[i]), coefficients=coefs,
@@ -411,21 +401,42 @@ def _errors(X: np.ndarray, yv: np.ndarray, intercepts: np.ndarray, B: np.ndarray
     return metric_value(yv[:, None] - intercepts - X @ B, metric)
 
 
-def _best(errors: np.ndarray, hypers: Sequence[float], prefer_larger: bool) -> int:
-    """Index of the lowest error; ties go to the larger hyperparameter (LASSO's
-    sparser lambda) or to the smaller one (OMP's fewer terms)."""
-    sign = -1.0 if prefer_larger else 1.0
-    return min(range(len(hypers)), key=lambda i: (errors[i], sign * hypers[i]))
+def evaluate_all(models: Sequence[LinearModel], rows, d: Dataset, y: str,
+                 metric: str) -> np.ndarray:
+    """Error of each model's predictions over the rows under the metric, from
+    one residual matrix over the union of the models' attributes."""
+    idx = sorted_rows(rows, d.n)
+    names = list(dict.fromkeys(name for m in models for name in m.coefficients))
+    B = np.array([[m.coefficients.get(name, 0.0) for m in models] for name in names],
+                 dtype=float).reshape(len(names), len(models))
+    return _errors(d.numeric_matrix(idx, names), d.column(y)[idx],
+                   np.array([m.intercept for m in models]), B, metric)
 
 
-def _fit_on_holdout(idx: np.ndarray, hold: np.ndarray, d: Dataset, y: str, method: str,
-                    hypers: Sequence[float], metric: str) -> LinearModel:
-    """The ``method`` model fit on ``idx`` whose hyperparameter scores best on ``hold``."""
-    names, Zt = _region(idx, d, y)
-    fits = _fits(_moments(Zt), method, hypers, names)
-    errors = _errors(d.numeric_matrix(hold, fits.names), d.column(y)[hold], fits.intercepts,
-                     fits.B, metric)
-    return fits.model(_best(errors, fits.hypers, method == LASSO))
+def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
+    """Error of the model's predictions over the rows under the metric."""
+    return float(evaluate_all([model], rows, d, y, metric)[0])
+
+
+def _omp(max_terms: int) -> tuple[str, Sequence[int]]:
+    """OMP's tuning entry: 1..max_terms terms, or the MEAN model when max_terms is 0."""
+    return (OMP, range(1, max_terms + 1)) if max_terms > 0 else (MEAN, [0])
+
+
+def _tune(m: _Moments, names: Sequence[str], X: np.ndarray, yv: np.ndarray,
+          entries: Sequence[tuple[str, Sequence]], metric: str) -> tuple[_Fits, int, float]:
+    """Fit every ``(method, hypers)`` entry on the moments ``m`` and score all
+    their models on the rows (X, yv) by one residual matrix. Returns the fits
+    of the lowest error's entry, its index in them and the error; ties go to
+    the earlier entry, then to LASSO's larger lambda or OMP's fewer terms."""
+    fits = [_fits(m, method, hypers, names) for method, hypers in entries]
+    errors = _errors(X, yv, np.concatenate([f.intercepts for f in fits]),
+                     np.concatenate([f.B for f in fits], axis=1), metric).tolist()
+    order = [(k, -h if method == LASSO else h, i)
+             for k, ((method, _), f) in enumerate(zip(entries, fits))
+             for i, h in enumerate(f.hypers)]
+    error, (k, _, i) = min(zip(errors, order))
+    return fits[k], i, error
 
 
 def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
@@ -439,42 +450,41 @@ def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
     return _fits(_moments(Zt), OLS, [None], names).model(0)
 
 
-def _checked_rows(rows, holdout, n: int, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted fit and holdout rows of a table of n rows; the fit rows must be
-    nonempty and disjoint from the holdout rows."""
-    idx = sorted_rows(rows, n)
+def _fit_tuned(rows, holdout, d: Dataset, y: str, entry: tuple[str, Sequence], metric: str,
+               caller: str) -> LinearModel:
+    """The ``entry`` model fit on the nonempty ``rows`` that scores best on the
+    disjoint ``holdout`` rows."""
+    idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError(f"{caller} needs at least 1 row")
-    hold = sorted_rows(holdout, n)
+    hold = sorted_rows(holdout, d.n)
     # a holdout row is a fit row iff its left and right insertion points differ
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
-    return idx, hold
+    names, Zt = _region(idx, d, y)
+    fits, i, _ = _tune(_moments(Zt), names, d.numeric_matrix(hold, names), d.column(y)[hold],
+                       [entry], metric)
+    return fits.model(i)
 
 
 def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
               metric: str = RMSE) -> LinearModel:
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
-    idx, hold = _checked_rows(rows, holdout, d.n, "fit_lasso")
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise DataError("lambda grid must be nonempty")
     if not all(math.isfinite(lam) and lam >= 0.0 for lam in lams):
         raise DataError(f"lambdas must be finite and >= 0, got {lams}")
-    return _fit_on_holdout(idx, hold, d, y, LASSO, lams, metric)
+    return _fit_tuned(rows, holdout, d, y, (LASSO, lams), metric, "fit_lasso")
 
 
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    idx, hold = _checked_rows(rows, holdout, d.n, "fit_omp")
     if max_terms < 0:
         raise DataError("max_terms must be >= 0")
-    if max_terms == 0:
-        names, Zt = _region(idx, d, y)
-        return _fits(_moments(Zt), MEAN, [0], names).model(0)
-    return _fit_on_holdout(idx, hold, d, y, OMP, range(1, max_terms + 1), metric)
+    return _fit_tuned(rows, holdout, d, y, _omp(max_terms), metric, "fit_omp")
 
 
 def best_local_model(
@@ -483,12 +493,12 @@ def best_local_model(
     """LASSO vs OMP contest on an 80/20 split of the rows.
 
     The region's matrix Z = [X, y] is built once, column-major, and split by
-    one mask. Both methods are fit on the 80% side from its moments, and all
-    their models are scored on the 20% side by one residual matrix; each
-    method keeps its best hyperparameter, and the winner (ties to LASSO) is
-    refit on all rows with it, keeping the contest holdout error on record.
-    The refit's moments merge the co-moments of the two sides. Regions with
-    fewer than 5 rows fall back to the MEAN model, scored on their own rows.
+    one mask. ``_tune`` fits both methods on the 80% side from its moments and
+    scores all their models on the 20% side by one residual matrix; the best
+    (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
+    contest holdout error on record. The refit's moments merge the co-moments
+    of the two sides. Regions with fewer than 5 rows fall back to the MEAN
+    model, scored on their own rows.
     A target constant on the 80% side makes both methods fit the MEAN model
     there, scored on the 20% side like any other; LASSO wins the tie and the
     MEAN model is refit on all rows."""
@@ -499,40 +509,19 @@ def best_local_model(
     names, Zt = _region(idx, d, y)
     if max_terms is None:
         max_terms = min(len(names), MAX_TERMS_CAP)
-    yv = Zt[-1]
-
-    if len(idx) < 5:
-        model = _fits(_moments(Zt), MEAN, [None], names).model(0)
-        err = metric_value(yv - model.intercept, metric)
-        return FittedRuleModel(model, train_error=err, holdout_error=err,
-                               metric=metric, holdout_rows=idx)
-
-    test = holdout_mask(len(idx), 0.2, seed)
-    train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
-    sides = _comoments(train), _comoments(hold)
-    m = _moments(train, sides[0])
-    full = _moments(Zt, _merge(*sides))
-    lasso = _fits(m, LASSO, DEFAULT_LAMBDA_GRID, names)
-    if max_terms > 0:
-        omp = _fits(m, OMP, range(1, max_terms + 1), names)
+    if len(idx) < 5:  # too few rows to split: the MEAN model, scored on its own rows
+        method, hyper, full, holdout_rows, holdout_error = MEAN, None, _moments(Zt), idx, None
     else:
-        omp = _fits(m, MEAN, [0], names)
-    errors = _errors(hold[:-1].T, hold[-1], np.concatenate([lasso.intercepts, omp.intercepts]),
-                     np.concatenate([lasso.B, omp.B], axis=1), metric)
-    n_lasso = len(lasso.hypers)
-    i = _best(errors[:n_lasso], lasso.hypers, prefer_larger=True)
-    j = _best(errors[n_lasso:], omp.hypers, prefer_larger=False)
-    lasso_err, omp_err = float(errors[i]), float(errors[n_lasso + j])
-    winner, hyper, holdout_error = (
-        (lasso, lasso.hypers[i], lasso_err) if lasso_err <= omp_err
-        else (omp, omp.hypers[j], omp_err)
-    )
+        test = holdout_mask(len(idx), 0.2, seed)
+        train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
+        sides = _comoments(train), _comoments(hold)
+        fits, i, holdout_error = _tune(_moments(train, sides[0]), names, hold[:-1].T, hold[-1],
+                                       [(LASSO, DEFAULT_LAMBDA_GRID), _omp(max_terms)], metric)
+        method, hyper = fits.method, None if fits.method == MEAN else fits.hypers[i]
+        full, holdout_rows = _moments(Zt, _merge(*sides)), idx[test]
 
-    refit = _fits(full, winner.method, [None if winner.method == MEAN else hyper], names)
-    return FittedRuleModel(
-        refit.model(0),
-        train_error=float(_errors(Zt[:-1].T, yv, refit.intercepts, refit.B, metric)[0]),
-        holdout_error=holdout_error,
-        metric=metric,
-        holdout_rows=idx[test],
-    )
+    refit = _fits(full, method, [hyper], names)
+    train_error = float(_errors(Zt[:-1].T, Zt[-1], refit.intercepts, refit.B, metric)[0])
+    return FittedRuleModel(refit.model(0), train_error,
+                           train_error if holdout_error is None else holdout_error, metric,
+                           holdout_rows)

@@ -276,7 +276,7 @@ def test_predict_batch_rejects_a_feature_of_another_kind(tmp_path):
     path = str(tmp_path / "levels.csv")
     write_csv(Dataset(SCHEMA, {"g": cells, "x": d0.column("x"), "y": d0.column("y")}), path)
     d = load_csv(path, target="y", categorical_overrides=["g"])
-    _, pred = run_hipar(d, RunConfig(target="y", categorical_overrides=("g",), theta=0.2))
+    _, pred = run_hipar(d, RunConfig(target="y", theta=0.2))
     assert pred.levels == {"g": ("1", "2")}
     inferred = load_csv(path, target="y")
     assert inferred.attribute("g").kind == "numerical"
@@ -342,3 +342,58 @@ def test_predict_paths_agree_on_exact_levels(tmp_path):
     assert "none" not in d.column("g").levels
     assert predict_batch(pred, d, range(d.n)).tolist() == want
     assert [predict(pred, d.row(i)) for i in range(d.n)] == want
+
+
+@pytest.fixture(scope="module")
+def digit_levels():
+    """Rules fit on levels "1"/"2" of g: y = 1 + 2x on "1", 10 - 3x on "2"."""
+    from hipar import RunConfig, run_hipar
+
+    rng = np.random.default_rng(0)
+    n = 400
+    g = np.where(rng.random(n) < 0.5, "1", "2").astype(object)
+    x = rng.uniform(0.0, 1.0, n)
+    y = np.where(g == "1", 1 + 2 * x, 10 - 3 * x) + rng.normal(0.0, 0.1, n)
+    _, pred = run_hipar(Dataset(SCHEMA, {"g": g, "x": x, "y": y}), RunConfig(target="y", theta=0.2))
+    assert pred.levels == {"g": ("1", "2")}
+    return pred
+
+
+def test_predict_columns_accepts_good_columns(digit_levels):
+    cols = {"g": np.array(["1", "3", "2"], dtype=object), "x": np.array([0.5, 0.5, 0.5])}
+    want = [predict(digit_levels, {"g": g, "x": 0.5}) for g in cols["g"]]
+    assert predict_columns(digit_levels, cols, 3).tolist() == want
+    # plain lists of cells give the same bits
+    assert predict_columns(digit_levels, {"g": ["1", "3", "2"], "x": [0.5] * 3}, 3).tolist() == want
+
+
+def test_predict_columns_rejects_a_non_string_category(digit_levels):
+    # 1.0 equals no level: it used to take the default rule silently
+    cols = {"g": np.array(["1", 1.0, "2"], dtype=object), "x": np.array([0.5, 0.5, 0.5])}
+    with pytest.raises(DataError, match="^categorical feature 'g' is not a string: 1.0$"):
+        predict_columns(digit_levels, cols, 3)
+    with pytest.raises(DataError, match="^categorical feature 'g' is not a string: None$"):
+        predict_columns(digit_levels, {"g": ["1", None], "x": [0.5, 0.5]}, 2)
+
+
+@pytest.mark.parametrize("x", [[0.5, np.nan], [0.5, np.inf], ["0.5", "a"], [1, 2]])
+def test_predict_columns_rejects_a_numerical_column_of_other_than_finite_floats(digit_levels, x):
+    # a NaN used to give a NaN prediction
+    with pytest.raises(DataError, match="^feature 'x' is not a column of 2 finite floats$"):
+        predict_columns(digit_levels, {"g": np.array(["1", "2"], dtype=object), "x": x}, 2)
+
+
+def test_predict_columns_rejects_a_missing_column(digit_levels):
+    # a missing column used to raise KeyError
+    with pytest.raises(DataError, match="^columns are missing feature 'x'$"):
+        predict_columns(digit_levels, {"g": np.array(["1", "2"], dtype=object)}, 2)
+
+
+def test_predict_columns_rejects_a_column_of_another_length(digit_levels):
+    # a short column used to raise IndexError
+    g, x = np.array(["1", "2", "1"], dtype=object), np.array([0.5, 0.5, 0.5])
+    with pytest.raises(DataError, match="^feature 'g' holds 2 cells, expected 3$"):
+        predict_columns(digit_levels, {"g": g[:2], "x": x}, 3)
+    for bad in (x[:2], 0.5, x.reshape(3, 1)):
+        with pytest.raises(DataError, match="^feature 'x' is not a column of 3 finite floats$"):
+            predict_columns(digit_levels, {"g": g, "x": bad}, 3)

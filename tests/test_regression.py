@@ -14,7 +14,19 @@ from hipar import (
     holdout_split,
 )
 from hipar.data import holdout_mask
-from hipar.regression import OMP, _comoments, _fits, _lasso_path, _merge, _moments, _omp_path
+from hipar.regression import (
+    LASSO,
+    OMP,
+    _comoments,
+    _fits,
+    _lasso_path,
+    _merge,
+    _moments,
+    _omp_path,
+    _tune,
+    evaluate_all,
+    metric_value,
+)
 
 from .oracles import best_pair_oracle, lasso_cd_oracle, omp_path_oracle
 
@@ -250,6 +262,13 @@ def test_omp_zero_terms_is_mean():
     assert m.coefficients == {}
 
 
+def test_omp_zero_terms_needs_a_holdout():
+    # the MEAN model is chosen on the holdout like every other fit: none is an error
+    d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) + 5})
+    with pytest.raises(DataError, match="nonempty"):
+        fit_omp(range(8), d, "y", 0, [])
+
+
 @pytest.mark.parametrize("max_terms", [0, 2])
 def test_omp_empty_fit_rows_rejected(max_terms):
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
@@ -295,7 +314,7 @@ def test_omp_training_error_non_increasing_in_k():
     rows = np.arange(40)
     # the k-term models for every k, from the moments core every fit shares
     fits = _fits(_moments(d.numeric_matrix(rows, [*names, "y"]).T), OMP, range(1, p + 1), names)
-    errors = [evaluate(m, rows, d, "y", "rmse") for m in fits]
+    errors = [evaluate(fits.model(i), rows, d, "y", "rmse") for i in range(p)]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
 
@@ -515,6 +534,28 @@ def test_evaluate_median_robustness():
     assert evaluate(m, range(4), d, "y", "meae") == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+def test_evaluate_all_matches_row_wise_referee(metric):
+    rng = np.random.default_rng(11)
+    n = 300
+    d = _dataset({"x1": rng.normal(5.0, 2.0, n), "x2": rng.uniform(-1e3, 1e3, n),
+                  "x3": 1e6 + rng.uniform(0.0, 10.0, n), "y": rng.normal(0.0, 50.0, n)})
+    models = [
+        LinearModel(1.5, {"x1": 2.0}, "OLS"),
+        LinearModel(-0.5, {"x2": 0.03, "x3": -0.25}, "LASSO"),  # disjoint from the first
+        LinearModel(float(np.mean(d.column("y"))), {}, "MEAN"),
+        LinearModel(2.5e5, {"x3": -0.25, "x1": 1.0}, "OMP"),  # another column order
+    ]
+    rows = rng.permutation(n)[:120]
+    got = evaluate_all(models, rows, d, "y", metric)
+    idx = np.sort(rows)
+    for m, e in zip(models, got.tolist()):
+        want = metric_value(
+            d.column("y")[idx] - m.predict({n: d.column(n)[idx] for n in m.coefficients}), metric)
+        assert abs(e - want) <= 1e-12 * want
+        assert evaluate(m, rows, d, "y", metric) == evaluate_all([m], rows, d, "y", metric)[0]
+
+
 def test_evaluate_empty_rows():
     d = _dataset({"x": [1], "y": [1]})
     with pytest.raises(DataError):
@@ -593,3 +634,38 @@ def test_winner_refit_on_full_region():
     # the recorded train error is the refit model's error over all rows
     assert fm.train_error == pytest.approx(evaluate(refit, range(n), d, "y", "rmse"))
     assert len(fm.holdout_rows) == round(0.2 * n)
+
+
+def _tune_with_errors(monkeypatch, errors, entries):
+    """_tune on a small table with the models' errors forced to ``errors``."""
+    import hipar.regression as reg
+
+    monkeypatch.setattr(reg, "_errors", lambda X, yv, b0, B, metric: np.array(errors, float))
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(30, 3))
+    y = X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 30)
+    m = _moments(np.vstack([X.T, y]))
+    fits, i, error = _tune(m, ["a", "b", "c"], X, y, entries, "rmse")
+    return fits.method, fits.hypers[i], error
+
+
+_GRID = [0.001, 0.01, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("errors, entries, want", [
+    # an exact tie across entries goes to the earlier one: LASSO over OMP,
+    # and within LASSO to the largest lambda
+    ([1.0] * 7, [(LASSO, _GRID), (OMP, range(1, 4))], (LASSO, 1.0, 1.0)),
+    # OMP first: the tie goes to OMP's fewest terms
+    ([1.0] * 7, [(OMP, range(1, 4)), (LASSO, _GRID)], (OMP, 1, 1.0)),
+    # within one entry: the larger of two tied lambdas, the fewer of two tied term counts
+    ([3, 1, 1, 2, 1, 1, 1], [(LASSO, _GRID), (OMP, range(1, 4))], (LASSO, 0.1, 1.0)),
+    ([3, 2, 2, 2, 1, 0.5, 0.5], [(LASSO, _GRID), (OMP, range(1, 4))], (OMP, 2, 0.5)),
+    # the grid's order does not matter: the larger lambda still wins the tie
+    ([2, 1, 1], [(LASSO, [0.1, 1.0, 0.01])], (LASSO, 1.0, 1.0)),
+    ([2, 1, 1], [(LASSO, [0.1, 0.01, 1.0])], (LASSO, 1.0, 1.0)),
+    # a strictly lower error beats the earlier entry
+    ([1, 1, 1, 1, 1, 1, 0.999], [(LASSO, _GRID), (OMP, range(1, 4))], (OMP, 3, 0.999)),
+])
+def test_tune_breaks_exact_ties(monkeypatch, errors, entries, want):
+    assert _tune_with_errors(monkeypatch, errors, entries) == want
