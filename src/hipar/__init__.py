@@ -5,6 +5,7 @@ from .data import (
     AttributeSchema,
     DataError,
     Dataset,
+    holdout_mask,
     holdout_split,
     k_folds,
     load_csv,

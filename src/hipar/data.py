@@ -6,6 +6,7 @@ import csv
 import gc
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,23 +35,47 @@ def _parse_real(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _row_index(i) -> int:
+    """One item of a row set as an int; a bool or a non-integer is a DataError."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise DataError(f"row index {i!r} is not an integer")
+
+
+def row_indices(rows: Iterable[int]) -> np.ndarray:
+    """Row indices as an int array, in the given order; accepts an array of an
+    integer dtype or any iterable of ints. A float or bool is a DataError,
+    never truncated or read as a mask."""
+    if not isinstance(rows, np.ndarray):
+        return np.fromiter(map(_row_index, rows), dtype=int)
+    _check_integer(rows)
+    return rows.astype(int, copy=False)
+
+
+def _check_integer(idx: np.ndarray) -> None:
+    if idx.dtype.kind not in "iu":
+        raise DataError(f"row indices must be integers, not {idx.dtype} values")
+
+
 def sorted_rows(rows: Iterable[int], n: int | None = None) -> np.ndarray:
-    """Row indices as a new sorted int array; accepts an array or any iterable of ints.
+    """Row indices as a new sorted int array (see ``row_indices``).
 
     A negative or repeated index, or with the table's row count ``n`` given an
     index >= n, is a DataError: a row set names each row once.
     """
-    if not isinstance(rows, np.ndarray):
-        rows = np.fromiter(rows, dtype=int)
-    idx = np.sort(rows.astype(int, copy=False))
+    idx = np.sort(row_indices(rows))
     check_rows(idx, n)
     return idx
 
 
 def check_rows(idx: np.ndarray, n: int | None = None) -> None:
     """DataError unless the sorted row indices name each row once, as
-    ``sorted_rows`` gives them: nonnegative, strictly increasing and, with the
-    table's row count ``n`` given, below n. One pass, no sort."""
+    ``sorted_rows`` gives them: integers, nonnegative, strictly increasing
+    and, with the table's row count ``n`` given, below n. One pass, no sort."""
+    _check_integer(idx)
     if len(idx):
         if idx[0] < 0:
             raise DataError(f"row index {int(idx[0])} is negative")
@@ -406,7 +431,7 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
     """
     if not 2 <= k <= d.n:
         raise DataError(f"fold count k={k} out of range [2, {d.n}]")
-    perm = np.random.default_rng(seed).permutation(d.n)
+    perm = _rng(seed).permutation(d.n)
     assignments = np.empty(d.n, dtype=int)
     assignments[perm] = np.arange(d.n) % k
     assignments.flags.writeable = False
@@ -429,10 +454,18 @@ def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.n
 
 
 def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
-    """Boolean mask over the n >= 2 positions of a sorted row set, True on the
-    test side of ``holdout_split``: the first min(n - 1, max(1, round(fraction
-    * n))) positions of the seed's permutation, so both sides hold a row."""
+    """Boolean mask over n positions (the rows of a table, or of a sorted row
+    set in ``holdout_split``), True on the test side: the first min(n - 1,
+    max(1, round(fraction * n))) positions of the seed's permutation. Both
+    sides hold a row when n >= 2; n = 1 gives an empty test side."""
     size = min(n - 1, max(1, round(fraction * n)))
     test = np.zeros(n, dtype=bool)
-    test[np.random.default_rng(seed).permutation(n)[:size]] = True
+    test[_rng(seed).permutation(n)[:size]] = True
     return test
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a split or fold plan; a seed must be a nonnegative int."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)

@@ -1,12 +1,14 @@
 """Hierarchical depth-first enumeration of closed-pattern hybrid rule candidates.
 
 The search is rooted at the empty pattern and extends patterns one condition at
-a time in canonical order. Each extension is support- and interclass-variance
-pruned, closed over the in-scope condition universe, deduplicated with the
-prefix-preserving leftmost-parent check, fitted with the local LASSO/OMP
-contest, and accepted only if it strictly out-predicts every immediate ancestor
-rule on its holdout slice. Accepted nodes re-discretize the numerical
-attributes they leave free and recurse.
+a time in canonical order. Each extension is pruned by support and by
+interclass variance (against a percentile of the IVs of the node's interval
+conditions, see ``IV_PERCENTILE``), closed over the in-scope condition universe,
+deduplicated with the prefix-preserving leftmost-parent check, fitted with the
+local LASSO/OMP contest on the fit's one 80/20 split, and accepted only if it
+strictly out-predicts every immediate ancestor rule on its holdout rows.
+Accepted nodes re-discretize the numerical attributes they leave free and
+recurse.
 
 A node's region is its packed row bits. Every extension of a node closes over
 one universe (the categorical conditions, the node's intervals and the
@@ -19,13 +21,12 @@ of its immediate parents run on the same matrix.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, holdout_mask
 from .discretization import DegenerateTarget, binarize_target, conditions_from_cuts, mdlp_cuts
 from .patterns import (
     TOP,
@@ -46,8 +47,10 @@ from .regression import FittedRuleModel, best_local_model, check_metric, evaluat
 
 Trace = Callable[[str], None]
 
-# Interval extensions whose interclass variance does not exceed this percentile
-# of the node's single-condition variances are pruned.
+# A node's IV threshold is this percentile of the interclass variances of its
+# interval conditions, each taken alone on the full table. Every frequent
+# extension, categorical or interval, whose region's interclass variance does
+# not exceed it is pruned; a node with fewer than 2 intervals prunes none.
 IV_PERCENTILE = 85.0
 
 
@@ -92,11 +95,6 @@ class CandidateSet:
     rules: list[HybridRule]
     default_rule: HybridRule
     stats: EnumStats
-
-
-def derive_seed(seed: int, key: str) -> int:
-    """Stable per-pattern seed so fits are order-independent and reproducible."""
-    return (zlib.crc32(key.encode("utf-8")) ^ (seed * 2654435761)) % 2**32
 
 
 def _frequent(count: int, theta_abs: float) -> bool:
@@ -183,6 +181,7 @@ def occam_test(
 class _Search:
     def __init__(self, d: Dataset, y: str, cfg: EnumConfig, trace: Trace | None):
         self.d = d
+        self.test = holdout_mask(d.n, 0.2, cfg.seed)  # the fit's one 20% test set
         self.y = y
         self.cfg = cfg
         self.trace = trace
@@ -210,9 +209,7 @@ class _Search:
             return rule
         if rows is None:
             rows = region(pattern, self.d)
-        fitted = best_local_model(
-            rows, self.d, self.y, self.cfg.metric, derive_seed(self.cfg.seed, pattern.key)
-        )
+        fitted = best_local_model(rows, self.d, self.y, self.cfg.metric, self.test)
         rule = HybridRule(
             pattern=pattern,
             fitted=fitted,

@@ -15,11 +15,11 @@ a region are the rows of U with no bit in ``region & ~U``. ``closure`` takes
 the first such condition per attribute.
 
 Identity is exact: equal conditions or patterns are the same, and memos, visited
-sets and ebar maps are keyed by them. A condition builds its text and its order
-key (attribute, text, then lo, hi for intervals) once; the order sorts like the
-text where texts differ and never ties two distinct conditions. Text is for
-output, and decides results only in ``derive_seed``, the selection tie-break and
-a ``Predictor``'s voter order (the order of its float sums).
+sets and ebar maps are keyed by them. So is order: a condition's ``order`` is
+(attribute, 0, value) for an equality and (attribute, 1, lo, hi) for an
+interval, a pattern's the tuple of its conditions' orders, and two distinct ones
+never tie. The canonical order, the selection tie-break and the voter order read
+them; the ``%.6g`` text is for output, traces and messages only.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ class Equals:
 
     attribute: str
     value: str
-    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, text)
+    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, 0, value)
 
     def __post_init__(self):
         if not isinstance(self.value, str):  # else 1 and "1" would share a text
             raise DataError(f"equality value must be a string, got {self.value!r}")
-        object.__setattr__(self, "order", (self.attribute, f'{self.attribute}="{self.value}"'))
+        object.__setattr__(self, "order", (self.attribute, 0, self.value))
 
     def render(self) -> str:
-        return self.order[1]
+        return f'{self.attribute}="{self.value}"'
 
     def mask(self, values):
         return values == self.value
@@ -65,22 +65,19 @@ class Interval:
     attribute: str
     lo: float
     hi: float
-    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, text, lo, hi)
+    order: tuple = field(init=False, repr=False, compare=False)  # (attribute, 1, lo, hi)
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise DataError(f"interval bounds must satisfy lo < hi, got [{self.lo}, {self.hi})")
-        if self.lo == -math.inf:
-            text = f"{self.attribute} in (-inf,{self.hi:.6g})"
-        elif self.hi == math.inf:
-            text = f"{self.attribute} in ({self.lo:.6g},inf)"
-        else:
-            text = f"{self.attribute} in [{self.lo:.6g},{self.hi:.6g}]"
-        # the bounds break ties between intervals whose texts collide
-        object.__setattr__(self, "order", (self.attribute, text, self.lo, self.hi))
+        object.__setattr__(self, "order", (self.attribute, 1, self.lo, self.hi))
 
     def render(self) -> str:
-        return self.order[1]
+        if self.lo == -math.inf:
+            return f"{self.attribute} in (-inf,{self.hi:.6g})"
+        if self.hi == math.inf:
+            return f"{self.attribute} in ({self.lo:.6g},inf)"
+        return f"{self.attribute} in [{self.lo:.6g},{self.hi:.6g}]"
 
     def mask(self, values):
         return (self.lo <= values) & (values < self.hi)
@@ -93,7 +90,7 @@ class Pattern:
     """Conjunction of conditions, at most one per attribute and in attribute
     order; the empty pattern matches everything and renders as TRUE."""
 
-    __slots__ = ("conditions", "key")
+    __slots__ = ("conditions", "order")
 
     def __init__(self, conditions: Iterable[Condition] = ()):
         conds = tuple(sorted(conditions, key=lambda c: c.attribute))
@@ -101,7 +98,7 @@ class Pattern:
         if len(set(attrs)) != len(attrs):
             raise DataError("pattern holds more than one condition on an attribute")
         object.__setattr__(self, "conditions", conds)
-        object.__setattr__(self, "key", " & ".join(c.render() for c in conds) or "TRUE")
+        object.__setattr__(self, "order", tuple(c.order for c in conds))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Pattern is immutable")
@@ -132,7 +129,10 @@ class Pattern:
         return Pattern(tuple(x for x in self.conditions if x != c))
 
     def render(self) -> str:
-        return self.key
+        """The pattern's text, for output, traces and messages only."""
+        return " & ".join(c.render() for c in self.conditions) or "TRUE"
+
+    key = property(render)
 
     def mask(self, columns: Mapping[str, object]):
         """AND of the conditions' masks over one observation or over columns;

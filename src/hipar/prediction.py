@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import NUMERICAL, AttributeSchema, DataError, Dataset, code
+from .data import NUMERICAL, AttributeSchema, DataError, Dataset, code, row_indices
 from .enumeration import HybridRule
 from .patterns import Equals, Pattern, check_condition
 from .selection import SelectedRuleSet
@@ -32,7 +32,7 @@ class Predictor:
     normalized_errors: dict[Pattern, float]
     schema: list[AttributeSchema]
     metric: str
-    # (rule, 1/ebar) for the chosen non-default rules in rendered-key order
+    # (rule, 1/ebar) for the chosen non-default rules by pattern order, the vote's sum order
     voters: tuple[tuple[HybridRule, float], ...] = field(init=False, repr=False, compare=False)
     # the schema's feature attributes, in schema order
     features: tuple[AttributeSchema, ...] = field(init=False, repr=False, compare=False)
@@ -53,7 +53,8 @@ class Predictor:
                 if name not in features or features[name].kind != NUMERICAL:
                     raise DataError(f"rule {rule.key!r} has a coefficient on {name!r}, "
                                     "not a numerical feature")
-        voting = sorted((r for r in self.rules.chosen if not r.is_default), key=lambda r: r.key)
+        voting = sorted((r for r in self.rules.chosen if not r.is_default),
+                        key=lambda r: r.pattern.order)
         for r in voting:  # the vote relies on positive, finite weights 1/ebar
             e = self.normalized_errors[r.pattern]
             if not (0.0 < e < math.inf and 1.0 / e < math.inf):
@@ -163,9 +164,9 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
 
 def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:
     """``predict`` over dataset rows, order preserved, bit for bit. A row may
-    repeat. An index outside the table is a DataError, as is a predictor
-    feature that the dataset lacks or holds as another kind."""
-    idx = np.asarray(rows, dtype=int)
+    repeat. A non-integer index or one outside the table is a DataError, as is
+    a predictor feature that the dataset lacks or holds as another kind."""
+    idx = row_indices(rows)
     bad = idx[(idx < 0) | (idx >= d.n)]
     if len(bad):
         raise DataError(f"row index {int(bad[0])} is out of range for {d.n} rows")

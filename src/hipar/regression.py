@@ -43,8 +43,8 @@ exact value of a constant target.
 
 Every hyperparameter is chosen by one core (``_tune``): ``fit_lasso`` and
 ``fit_omp`` tune one method on their holdout rows, and the contest
-(``best_local_model``) tunes LASSO then OMP on the 20% side of a region's
-80/20 split, merging the two sides' co-moments for the winner's refit. The
+(``best_local_model``) tunes LASSO then OMP on a region's rows in the fit's
+20% test set, merging the two sides' co-moments for the winner's refit. The
 Occam test scores a rule's model and its parents' by one such residual matrix
 (``evaluate_all``).
 """
@@ -58,7 +58,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, holdout_mask, sorted_rows
+from .data import DataError, Dataset, sorted_rows
 
 RMSE = "rmse"
 MEAE = "meae"
@@ -137,7 +137,7 @@ class FittedRuleModel:
     train_error: float
     holdout_error: float
     metric: str
-    holdout_rows: np.ndarray  # the 20% contest slice (the whole region below 5 rows)
+    holdout_rows: np.ndarray  # the region's rows in the test set (all of them on the MEAN path)
 
 
 def _region(idx: np.ndarray, d: Dataset, y: str) -> tuple[list[str], np.ndarray]:
@@ -488,31 +488,34 @@ def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMS
 
 
 def best_local_model(
-    rows, d: Dataset, y: str, metric: str, seed: int, max_terms: int | None = None
+    rows, d: Dataset, y: str, metric: str, test: np.ndarray, max_terms: int | None = None
 ) -> FittedRuleModel:
-    """LASSO vs OMP contest on an 80/20 split of the rows.
+    """LASSO vs OMP contest on the rows, split by the fit's test set ``test``,
+    a bool mask over the table (``holdout_mask(d.n, 0.2, seed)``).
 
     The region's matrix Z = [X, y] is built once, column-major, and split by
-    one mask. ``_tune`` fits both methods on the 80% side from its moments and
-    scores all their models on the 20% side by one residual matrix; the best
+    the mask. ``_tune`` fits both methods on the rows outside it and scores
+    all their models on the rows inside it by one residual matrix; the best
     (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
     contest holdout error on record. The refit's moments merge the co-moments
-    of the two sides. Regions with fewer than 5 rows fall back to the MEAN
-    model, scored on their own rows.
-    A target constant on the 80% side makes both methods fit the MEAN model
-    there, scored on the 20% side like any other; LASSO wins the tie and the
-    MEAN model is refit on all rows."""
+    of the two sides. A region with fewer than 5 rows, or all on one side of
+    the mask, falls back to the MEAN model, scored on its own rows.
+    A target constant on the fitting side makes both methods fit the MEAN
+    model there, scored on the test side like any other; LASSO wins the tie
+    and the MEAN model is refit on all rows."""
     metric = check_metric(metric)
+    if not (isinstance(test, np.ndarray) and test.dtype == bool and test.shape == (d.n,)):
+        raise DataError(f"the test set must be a bool mask over the table's {d.n} rows")
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
     names, Zt = _region(idx, d, y)
     if max_terms is None:
         max_terms = min(len(names), MAX_TERMS_CAP)
-    if len(idx) < 5:  # too few rows to split: the MEAN model, scored on its own rows
+    test = test[idx]
+    if len(idx) < 5 or not 0 < np.count_nonzero(test) < len(idx):  # no split
         method, hyper, full, holdout_rows, holdout_error = MEAN, None, _moments(Zt), idx, None
     else:
-        test = holdout_mask(len(idx), 0.2, seed)
         train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
         sides = _comoments(train), _comoments(hold)
         fits, i, holdout_error = _tune(_moments(train, sides[0]), names, hold[:-1].T, hold[-1],

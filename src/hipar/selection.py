@@ -110,12 +110,12 @@ def subset_objective(indices: Sequence[int], sp: SelectionProblem) -> float:
     return total
 
 
-def _rank(indices: Sequence[int], sp: SelectionProblem) -> tuple[float, int, tuple[str, ...]]:
-    """Subsets order by objective, then fewer rules, then smallest canonical keys."""
+def _rank(indices: Sequence[int], sp: SelectionProblem) -> tuple[float, int, tuple]:
+    """Subsets order by objective, then fewer rules, then smallest pattern orders."""
     return (
         subset_objective(indices, sp),
         len(indices),
-        tuple(sorted(sp.candidates[i].key for i in indices)),
+        tuple(sorted(sp.candidates[i].pattern.order for i in indices)),
     )
 
 
@@ -197,7 +197,7 @@ def solve(sp: SelectionProblem) -> SelectedRuleSet:
 
     Exact branch-and-bound with optimality proof up to EXACT_LIMIT candidates;
     multi-start local search beyond. Objective ties break toward fewer rules,
-    then lexicographically smallest canonical keys.
+    then lexicographically smallest pattern orders.
     """
     n = len(sp.candidates)
     if n == 0:
@@ -213,11 +213,11 @@ def solve(sp: SelectionProblem) -> SelectedRuleSet:
 
 
 def select_top_q(sp: SelectionProblem, q: int) -> SelectedRuleSet:
-    """The q candidates with the largest alpha (ties break on canonical key)."""
+    """The q candidates with the largest alpha (ties break on pattern order)."""
     n = len(sp.candidates)
     if not 1 <= q <= n:
         raise DataError(f"q={q} out of range [1, {n}]")
-    ranked = sorted(range(n), key=lambda i: (-float(sp.alpha[i]), sp.candidates[i].key))
+    ranked = sorted(range(n), key=lambda i: (-float(sp.alpha[i]), sp.candidates[i].pattern.order))
     chosen_idx = sorted(ranked[:q])
     return SelectedRuleSet(
         chosen=[sp.candidates[i] for i in chosen_idx],

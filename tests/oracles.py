@@ -101,13 +101,13 @@ def closed_frequent_oracle(d, conditions, theta_abs):
 
 def best_subset_oracle(sp):
     """Exhaustive minimizer of the selection objective over nonempty subsets,
-    with the documented tie-break (fewer rules, then smallest canonical keys)."""
+    with the documented tie-break (fewer rules, then smallest pattern order keys)."""
     n = len(sp.candidates)
     best = None
     for mask in range(1, 1 << n):
         subset = [i for i in range(n) if mask >> i & 1]
         obj = subset_objective(subset, sp)
-        rank = (obj, len(subset), tuple(sorted(sp.candidates[i].key for i in subset)))
+        rank = (obj, len(subset), tuple(sorted(sp.candidates[i].pattern.order for i in subset)))
         if best is None or rank < best[0]:
             best = (rank, subset)
     return best[1], best[0][0]

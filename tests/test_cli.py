@@ -150,6 +150,17 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     assert (tmp_path / "legacy.txt").read_text() == (tmp_path / "o.txt").read_text()
 
 
+@pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
+def test_negative_seed_is_exit_1(tmp_path, segment_csv, capsys, command, out):
+    path = tmp_path / "out.json"
+    assert main([command, "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 "--seed", "-1", out, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "seed must be a nonnegative integer, got -1" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--support-bias", "--overlap-bias"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_bias_that_is_not_finite_and_non_negative_is_exit_1(tmp_path, segment_csv, capsys, flag,
@@ -343,11 +354,13 @@ def test_predict_nul_in_category_compares_exactly(tmp_path, segment_rules):
     want = [predict(pred, {"segment": s, "x": 0.5}) for s in ("A\x00", "A")]
     assert text == "".join(f"{v!r}\n" for v in want)
     assert want[0] != want[1]
-    # and a rule on "A\x00" must not match "A"
+    # and a rule on "A\x00" must not match "A"; the fit splits A on x, so take
+    # the first chosen rule that tests segment="A"
     doc = json.loads(Path(segment_rules).read_text())
-    rule = next(r for r in doc["rules"] if r["pattern"] == 'segment="A"')
-    rule["conditions"][0]["value"] = "A\x00"
-    rule["pattern"] = 'segment="A\x00"'
+    on_a = {"attribute": "segment", "op": "eq", "value": "A"}
+    rule = next(r for r in doc["rules"] if r["chosen"] and on_a in r["conditions"])
+    rule["conditions"][rule["conditions"].index(on_a)]["value"] = "A\x00"
+    rule["pattern"] = rule["pattern"].replace('segment="A"', 'segment="A\x00"')
     rules = tmp_path / "nul.json"
     rules.write_text(json.dumps(doc))
     pred = deserialize_rules(str(rules))

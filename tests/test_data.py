@@ -161,6 +161,21 @@ def test_holdout_too_few_rows():
         holdout_split([1], 0.2, seed=0)
 
 
+def test_holdout_mask_of_one_position_is_empty():
+    assert hipar.data.holdout_mask(1, 0.2, 0).tolist() == [False]
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+def test_seed_that_is_not_a_nonnegative_int_is_rejected(toy, seed):
+    for draw in (lambda: hipar.data.holdout_mask(10, 0.2, seed),
+                 lambda: holdout_split(range(10), 0.2, seed),
+                 lambda: k_folds(toy, 3, seed)):
+        with pytest.raises(DataError, match="seed must be a nonnegative integer"):
+            draw()
+    assert k_folds(toy, 3, np.int64(3)).assignments.tolist() == \
+        k_folds(toy, 3, 3).assignments.tolist()
+
+
 # (cell, value of a finite real or None); empty cells are missing values instead
 CELLS = [
     ("1_0", None), ("nan", None), ("inf", None), ("-Infinity", None), ("1e309", None),

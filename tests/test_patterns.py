@@ -115,21 +115,35 @@ def test_canonical_key_order_independent():
     assert a.key == b.key == 'property-type="cottage" & surface in (-inf,60)'
 
 
-def test_stored_order_sorts_like_rendered_text_and_never_ties():
+def _exact_key(c):
+    """Attribute, then equalities before intervals, then the value or the bounds."""
+    return (c.attribute, 0, c.value) if isinstance(c, Equals) else (c.attribute, 1, c.lo, c.hi)
+
+
+def test_order_key_is_exact_and_never_ties():
     rng = np.random.default_rng(8)
     # bounds near 1e6 collide at %.6g; a few small ones render apart
     bounds = [-math.inf, math.inf, 0.5, 2.0, *(1e6 + rng.uniform(0.0, 1.0, 6))]
-    conds = [Equals(a, v) for a in ("u", "w") for v in ("a", "b", "a b")]
+    conds = [Equals(a, v) for a in ("u", "w") for v in ("a", "b", "a b", "a\x00")]
     for _ in range(60):
         lo, hi = sorted(rng.choice(bounds, 2, replace=False))
         conds.append(Interval(str(rng.choice(["u", "v"])), float(lo), float(hi)))
     for a in conds:
         for b in conds:
-            text_a, text_b = (a.attribute, a.render()), (b.attribute, b.render())
-            if text_a != text_b:
-                assert (a.order < b.order) == (text_a < text_b)
+            assert (a.order < b.order) == (_exact_key(a) < _exact_key(b))
             assert (a.order == b.order) == (a == b)
     assert any(a != b and a.render() == b.render() for a in conds for b in conds)
+    # text would put 'u="a b"' and 'u="a\x00"' before 'u="a"'; the values do not
+    assert sorted((c for c in conds if c.attribute == "u" and isinstance(c, Equals)),
+                  key=lambda c: c.order) == [Equals("u", v) for v in ("a", "a\x00", "a b", "b")]
+    # a pattern sorts by the tuple of its conditions' keys
+    on = {a: [c for c in conds if c.attribute == a][:6] for a in ("u", "v", "w")}
+    patterns = [Pattern([]), *(Pattern([c]) for c in on["u"] + on["v"]),
+                *(Pattern([v, w]) for v in on["v"] for w in on["w"])]
+    for p in patterns:
+        for q in patterns:
+            assert (p.order < q.order) == (tuple(map(_exact_key, p.conditions))
+                                           < tuple(map(_exact_key, q.conditions)))
 
 
 def test_support_small_cottage_example(toy):

@@ -58,7 +58,18 @@ def test_covering_match_and_order():
     schema = SCHEMA + [AttributeSchema("g2", "categorical")]
     pred = _predictor([r2, r1], {r1.pattern: 0.5, r2.pattern: 0.5}, schema=schema)
     got = covering_rules(pred, {"g": "a", "g2": "zz", "x": 1.0})
-    assert [r.key for r in got] == sorted([r1.key, r2.key])
+    assert [r.pattern for r in got] == [r1.pattern, r2.pattern]  # pattern order
+
+
+def test_voters_whose_texts_collide_are_ordered_by_their_bounds():
+    # both render 'x in (-inf,1e+06)'; the bounds, not the text, order the vote
+    low, high = (Pattern([Interval("x", -np.inf, 1e6 + b)]) for b in (0.1, 0.2))
+    assert low.key == high.key
+    rules = [_rule(p, LinearModel(v, {}, "MEAN")) for p, v in ((high, 2.0), (low, 1.0))]
+    for chosen in (rules, rules[::-1]):
+        pred = _predictor(chosen, {r.pattern: 0.5 for r in rules})
+        assert [r.pattern for r, _ in pred.voters] == [low, high]
+        assert [r.pattern for r in covering_rules(pred, {"g": "a", "x": 0.0})] == [low, high]
 
 
 def test_covering_unknown_category_open_world():

@@ -11,7 +11,9 @@ from hipar import (
     Dataset,
     Interval,
     RunConfig,
+    best_local_model,
     deserialize_rules,
+    holdout_mask,
     predict_batch,
     run_hipar,
     serialize_rules,
@@ -74,13 +76,10 @@ def test_fit_invariant_to_column_order(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_candidates_invariant_to_feature_offset_and_scale_under_the_same_splits(
-        monkeypatch, seed):
-    # A contest's 80/20 split is drawn from the rendered pattern, whose interval
-    # bounds move with the features (see the xfail below); with one split seed
-    # for every pattern, the candidates' regions, winners, hyperparameters and
-    # coefficient names are unchanged by x -> 1e3 x + 1e6.
-    monkeypatch.setattr(enumeration, "derive_seed", lambda s, key: s)
+def test_candidates_invariant_to_feature_offset_and_scale_under_the_same_splits(seed):
+    # Every contest splits its region by the fit's one test set, drawn from the
+    # seed and the row count alone, so the candidates' regions, winners,
+    # hyperparameters and coefficient names are unchanged by x -> 1e3 x + 1e6.
     got = []
     for d in (_mixed(seed), _affine(_mixed(seed))):
         cfg = RunConfig(target="y", theta=0.1, seed=seed).enum_config()
@@ -91,12 +90,40 @@ def test_candidates_invariant_to_feature_offset_and_scale_under_the_same_splits(
     assert got[0] == got[1]
 
 
-@pytest.mark.xfail(strict=True, reason="a contest's split seed (derive_seed) and the canonical "
-                   "condition order read the %.6g rendering of interval bounds, which moves "
-                   "with the features' offset and scale")
-def test_fit_invariant_to_feature_offset_and_scale():
+def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkeypatch):
     d = _mixed(0)
-    assert _chosen(_affine(d), 0) == _chosen(d, 0)
+    masks, contests = [], []
+
+    def draw(*args):
+        masks.append(holdout_mask(*args))
+        return masks[-1]
+
+    def contest(rows, d, y, metric, test, *rest):
+        fitted = best_local_model(rows, d, y, metric, test, *rest)
+        contests.append((rows, test, fitted))
+        return fitted
+
+    monkeypatch.setattr(enumeration, "holdout_mask", draw)
+    monkeypatch.setattr(enumeration, "best_local_model", contest)
+    cfg = RunConfig(target="y", theta=0.1, seed=0).enum_config()
+    candidates = enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+    assert len(masks) == 1  # one draw per fit
+    assert masks[0].tolist() == holdout_mask(d.n, 0.2, 0).tolist()
+    # the default rule, every visited pattern and the parents no search visited
+    assert len(contests) >= candidates.stats.visited + 1
+    for rows, test, fitted in contests:
+        assert test is masks[0]
+        inside = rows[test[rows]]
+        split = len(rows) >= 5 and 0 < len(inside) < len(rows)
+        assert fitted.holdout_rows.tolist() == (inside if split else rows).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_invariant_to_feature_offset_and_scale(seed):
+    # the split and the canonical order read no rendered bound, so moving the
+    # features leaves the chosen rules' regions and models' structure as they were
+    d = _mixed(seed)
+    assert _chosen(_affine(d), seed) == _chosen(d, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

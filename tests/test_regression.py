@@ -362,7 +362,7 @@ def test_contest_constant_target_is_exact_mean(value, n):
     # a target constant on the rows is the MEAN model with no error, whatever the constant
     rng = np.random.default_rng(4)
     d = _dataset({"x1": rng.normal(size=n), "x2": rng.normal(size=n), "y": [value] * n})
-    fm = best_local_model(range(n), d, "y", "rmse", seed=4)
+    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 4))
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, value)
     assert fm.holdout_error == fm.train_error == 0.0
 
@@ -374,7 +374,7 @@ def test_contest_target_constant_on_the_fitting_side_is_scored_out_of_sample(met
     test = holdout_mask(20, 0.2, 4)
     y = np.where(test, 5.0, 1.0)
     d = _dataset({"x": np.random.default_rng(0).normal(size=20), "y": y})
-    fm = best_local_model(range(20), d, "y", metric, seed=4)
+    fm = best_local_model(range(20), d, "y", metric, holdout_mask(d.n, 0.2, 4))
     assert fm.holdout_error == 4.0
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, 1.8)
     assert np.array_equal(fm.holdout_rows, np.flatnonzero(test))
@@ -501,8 +501,9 @@ def test_contest_invariant_to_offset_scale_and_column_order(seed):
     cols["y"] = sum(w * cols[name] for w, name in zip(coef, "abce")) + rng.normal(0, 1, n)
     moved = {**cols, "a": cols["a"] + 1e6, "b": cols["b"] * 1e3}
     shuffled = {str(name): moved[name] for name in rng.permutation(list(moved))}
-    before = best_local_model(range(n), _dataset(cols), "y", "rmse", seed)
-    after = best_local_model(range(n), _dataset(shuffled), "y", "rmse", seed)
+    test = holdout_mask(n, 0.2, seed)
+    before = best_local_model(range(n), _dataset(cols), "y", "rmse", test)
+    after = best_local_model(range(n), _dataset(shuffled), "y", "rmse", test)
     assert (after.model.method, after.model.hyper) == (before.model.method, before.model.hyper)
     assert after.holdout_error == pytest.approx(before.holdout_error, rel=1e-9, abs=0)
     expected = before.model.predict(cols)
@@ -578,7 +579,7 @@ def test_contest_tie_breaks_to_lasso(monkeypatch):
     monkeypatch.setattr(reg, "_errors", tied)
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "y", "rmse", seed=0)
+    fm = best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
     assert calls
     assert fm.model.method == "LASSO"
 
@@ -588,7 +589,7 @@ def test_contest_lower_error_wins():
     # grid lambda still shrinks, so OMP wins its contest outright
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "y", "rmse", seed=0)
+    fm = best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "OMP"
     assert fm.holdout_error < 1e-9
     assert fm.model.coefficients["x"] == pytest.approx(3.0, abs=1e-9)
@@ -596,11 +597,43 @@ def test_contest_lower_error_wins():
 
 def test_small_region_mean_fallback():
     d = _dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4]})
-    fm = best_local_model(range(4), d, "y", "rmse", seed=0)
+    fm = best_local_model(range(4), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "MEAN"
     assert fm.holdout_error == fm.train_error
     # MEAN model RMSE on its own rows equals the population std of y
     assert fm.train_error == pytest.approx(float(np.std([1, 2, 3, 4])))
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+def test_region_on_one_side_of_the_test_set_takes_the_mean_path(side):
+    # the fit's test set splits no region: one wholly inside or outside it has no
+    # holdout or no fitting side, so it gets the MEAN model, scored on its own rows
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=40)
+    d = _dataset({"x": x, "y": 3.0 * x + rng.normal(0.0, 0.1, 40)})
+    test = holdout_mask(d.n, 0.2, 0)
+    rows = np.flatnonzero(test if side == "inside" else ~test)[:8]
+    assert len(rows) >= 5
+    fm = best_local_model(rows, d, "y", "rmse", test)
+    assert (fm.model.method, fm.model.hyper) == ("MEAN", None)
+    assert fm.holdout_rows.tolist() == rows.tolist()
+    assert fm.holdout_error == fm.train_error == pytest.approx(float(np.std(d.column("y")[rows])))
+    split = best_local_model(np.arange(d.n), d, "y", "rmse", test)
+    assert split.model.method != "MEAN"
+    assert split.holdout_rows.tolist() == np.flatnonzero(test).tolist()
+
+
+@pytest.mark.parametrize("test", [
+    [True] * 20,  # a list, not an array
+    np.ones(20, dtype=int),  # not bool
+    np.ones(19, dtype=bool),  # not one entry per row
+    np.ones((20, 1), dtype=bool),
+])
+def test_contest_rejects_a_test_set_that_is_not_a_bool_mask_over_the_table(test):
+    d = _dataset({"x": np.arange(20.0), "y": np.arange(20.0)})
+    best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
+    with pytest.raises(DataError, match="bool mask over the table's 20 rows"):
+        best_local_model(range(20), d, "y", "rmse", test)
 
 
 def test_correlated_feature_trap_lasso_wins():
@@ -611,7 +644,7 @@ def test_correlated_feature_trap_lasso_wins():
     decoy = 0.7 * (x1 + x2) / np.sqrt(2) + 0.7 * rng.normal(size=n)
     y = x1 + x2 + rng.normal(0, 0.05, n)
     d = _dataset({"x1": x1, "x2": x2, "decoy": decoy, "y": y})
-    fm = best_local_model(range(n), d, "y", "rmse", seed=3, max_terms=1)
+    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 3), max_terms=1)
     assert fm.model.method == "LASSO"
     # oracle: compare both contest holdout errors directly
     from hipar import fit_lasso as fl, fit_omp as fo
@@ -629,7 +662,7 @@ def test_winner_refit_on_full_region():
     x = rng.normal(size=n)
     y = 4 * x + rng.normal(0, 0.1, n)
     d = _dataset({"x": x, "y": y})
-    fm = best_local_model(range(n), d, "y", "rmse", seed=1)
+    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 1))
     refit = fm.model
     # the recorded train error is the refit model's error over all rows
     assert fm.train_error == pytest.approx(evaluate(refit, range(n), d, "y", "rmse"))

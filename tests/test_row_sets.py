@@ -20,6 +20,7 @@ from hipar import (
     fit_lasso,
     fit_ols,
     fit_omp,
+    holdout_mask,
     holdout_split,
     mdlp_cuts,
     predict_batch,
@@ -110,12 +111,15 @@ def test_holdout_split_row_forms():
 
 
 # a row set names each row of the table once: negative, repeated and
-# out-of-range indices are bad input, never a wrap-around or a double count
+# out-of-range indices are bad input, never a wrap-around or a double count;
+# a float or a bool is bad input too, never truncated or read as a mask
 N = 160  # rows of _dataset()
 BAD = {
     "negative": [*range(20), -1],
     "repeated": [*range(20), 7],
     "out-of-range": [*range(20), N],
+    "float": [*range(20), 20.5],  # truncation would read row 20
+    "bool": [False, True],  # a mask, which would read as rows 0 and 1
 }
 
 
@@ -142,7 +146,8 @@ ROW_TAKERS = {
     "fit_lasso_holdout": lambda rows, d: fit_lasso(FIT_FAR, d, "y", [0.1], rows),
     "fit_omp": lambda rows, d: fit_omp(rows, d, "y", 1, HOLD_FAR),
     "fit_omp_holdout": lambda rows, d: fit_omp(FIT_FAR, d, "y", 1, rows),
-    "best_local_model": lambda rows, d: best_local_model(rows, d, "y", "rmse", seed=3),
+    "best_local_model": lambda rows, d: best_local_model(rows, d, "y", "rmse",
+                                                       holdout_mask(d.n, 0.2, 3)),
     "holdout_split": lambda rows, d: holdout_split(rows, 0.2, seed=5),
 }
 FIT_FAR, HOLD_FAR = range(100, 140), range(140, 160)  # disjoint from the bad sets
@@ -155,16 +160,17 @@ FIT_FAR, HOLD_FAR = range(100, 140), range(140, 160)  # disjoint from the bad se
 ])
 def test_bad_row_sets_are_rejected(name, case):
     d = _dataset()
-    rows = np.array(BAD[case])
-    ROW_TAKERS[name](rows[:-1], d)  # the good part of the set is accepted
-    with pytest.raises(DataError):
-        ROW_TAKERS[name](rows, d)
+    ROW_TAKERS[name](np.arange(20), d)  # rows 0..19 are accepted
+    for rows in (BAD[case], np.array(BAD[case])):
+        with pytest.raises(DataError):
+            ROW_TAKERS[name](rows, d)
 
 
-@pytest.mark.parametrize("case", ["negative", "out-of-range"])
-def test_predict_batch_rejects_rows_outside_the_table(case):
+@pytest.mark.parametrize("case", ["negative", "out-of-range", "float", "bool"])
+def test_predict_batch_rejects_bad_rows(case):
     d = _dataset()
     pred = _default_predictor(d)
     np.testing.assert_array_equal(predict_batch(pred, d, [3, 3, 1]), np.zeros(3))
-    with pytest.raises(DataError):
-        predict_batch(pred, d, BAD[case])
+    for rows in (BAD[case], np.array(BAD[case])):
+        with pytest.raises(DataError):
+            predict_batch(pred, d, rows)

@@ -8,6 +8,7 @@ from hipar import (
     Equals,
     FittedRuleModel,
     HybridRule,
+    Interval,
     LinearModel,
     Pattern,
     SelectionProblem,
@@ -16,6 +17,8 @@ from hipar import (
     solve,
     subset_objective,
 )
+
+from hipar.selection import _rank
 
 from .oracles import best_subset_oracle
 
@@ -326,3 +329,24 @@ def test_top_q_range_errors():
         select_top_q(sp, 0)
     with pytest.raises(DataError):
         select_top_q(sp, 5)
+
+
+@pytest.mark.parametrize("limit", [25, 0], ids=["exact", "local-search"])
+def test_ties_between_intervals_whose_texts_collide_break_on_the_bounds(monkeypatch, limit):
+    # both render 'x in (-inf,1e+06)'; the bounds, not the text, break the tie
+    low, high = (Pattern([Interval("x", -np.inf, 1e6 + b)]) for b in (0.1, 0.2))
+    assert low.key == high.key
+    sp = SelectionProblem(
+        candidates=[_rule(high, 1.0, 5, 10), _rule(low, 1.0, 5, 10)],
+        alpha=np.ones(2),
+        overlap=np.ones((2, 2)),  # together they score 0, each alone -1
+        sigma=1.0,
+        omega=1.0,
+        normalized_errors=np.full(2, 0.5),
+        normalized_supports=np.full(2, 0.5),
+    )
+    assert _rank([1], sp) < _rank([0], sp)
+    monkeypatch.setattr("hipar.selection.EXACT_LIMIT", limit)
+    assert [r.pattern for r in solve(sp).chosen] == [low]
+    assert [r.pattern for r in select_top_q(sp, 1).chosen] == [low]
+    assert best_subset_oracle(sp)[0] == [1]
