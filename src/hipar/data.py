@@ -35,6 +35,11 @@ def _parse_real(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def is_int(value) -> bool:
+    """Whether a count or a seed is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _row_index(i) -> int:
     """One item of a row set as an int; a bool or a non-integer is a DataError."""
     if not isinstance(i, (bool, np.bool_)):
@@ -429,8 +434,8 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
 
     Fold sizes differ by at most one; the assignment depends only on (n, k, seed).
     """
-    if not 2 <= k <= d.n:
-        raise DataError(f"fold count k={k} out of range [2, {d.n}]")
+    if not is_int(k) or not 2 <= k <= d.n:
+        raise DataError(f"fold count k={k!r} is not an integer in [2, {d.n}]")
     perm = _rng(seed).permutation(d.n)
     assignments = np.empty(d.n, dtype=int)
     assignments[perm] = np.arange(d.n) % k
@@ -447,8 +452,6 @@ def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.n
     idx = sorted_rows(rows)
     if len(idx) < 2:
         raise DataError("holdout_split needs at least 2 rows")
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must lie in (0, 1), got {fraction}")
     test = holdout_mask(len(idx), fraction, seed)
     return idx[~test], idx[test]
 
@@ -457,7 +460,12 @@ def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     """Boolean mask over n positions (the rows of a table, or of a sorted row
     set in ``holdout_split``), True on the test side: the first min(n - 1,
     max(1, round(fraction * n))) positions of the seed's permutation. Both
-    sides hold a row when n >= 2; n = 1 gives an empty test side."""
+    sides hold a row when n >= 2; n = 1 gives an empty test side. n must be
+    a nonnegative int and 0 < fraction < 1."""
+    if not is_int(n) or n < 0:
+        raise DataError(f"position count must be a nonnegative integer, got {n!r}")
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fraction must lie in (0, 1), got {fraction}")
     size = min(n - 1, max(1, round(fraction * n)))
     test = np.zeros(n, dtype=bool)
     test[_rng(seed).permutation(n)[:size]] = True
@@ -466,6 +474,6 @@ def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator of a split or fold plan; a seed must be a nonnegative int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(seed)

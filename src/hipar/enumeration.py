@@ -10,12 +10,14 @@ strictly out-predicts every immediate ancestor rule on its holdout rows.
 Accepted nodes re-discretize the numerical attributes they leave free and
 recurse.
 
-A node's region is its packed row bits. Every extension of a node closes over
-one universe (the categorical conditions, the node's intervals and the
-pattern's own conditions), built once per node as a ``patterns.Universe``: one
-AND and popcount over its bit matrix gives every extension's support, and
-only frequent extensions unpack their rows. The closures of an extension and
-of its immediate parents run on the same matrix.
+A node's region is its packed row bits. The search's categorical conditions
+are stacked once, as one ``patterns.Universe``; a node with interval conditions
+of its own closes over that universe plus its intervals, any other node over
+the search's universe. A pattern's own conditions need not be in it, since a
+closure keeps the conditions it starts from. One AND and popcount over the
+universe's bit matrix gives every extension's support, and only frequent
+extensions unpack their rows. The closures of an extension and of its
+immediate parents run on the same matrix.
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def occam_test(
 
 
 class _Search:
-    def __init__(self, d: Dataset, y: str, cfg: EnumConfig, trace: Trace | None):
+    def __init__(self, d: Dataset, y: str, cfg: EnumConfig, conds: Sequence[Condition],
+                 trace: Trace | None):
         self.d = d
         self.test = holdout_mask(d.n, 0.2, cfg.seed)  # the fit's one 20% test set
         self.y = y
@@ -193,8 +196,8 @@ class _Search:
         # keyed by the exact conditions: rendered text can collide
         self._memo: dict[Pattern, HybridRule] = {}
         self._visited: set[Pattern] = set()
-        self.cat_universe: list[Condition] = []
-        self.default_rule: HybridRule | None = None
+        self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
+        self.default_rule = self.rule_for(TOP, rows=np.arange(d.n))
 
     def iv_single(self, c: Condition) -> float:
         v = self._iv1.get(c)
@@ -220,18 +223,20 @@ class _Search:
         self._memo[pattern] = rule
         return rule
 
-    def parent_rules(self, p_closed: Pattern, universe: Universe) -> list[HybridRule]:
+    def parent_rules(self, p_closed: Pattern, support: int, universe: Universe) -> list[HybridRule]:
         """Rules of the immediate closed ancestors (closure of the pattern minus
-        one condition); the default rule stands in when nothing else remains."""
+        one condition c); the default rule stands in when nothing else remains.
+        A c that the rest implies (the rest's region has the pattern's
+        ``support``) yields no proper ancestor and is skipped."""
         parents: dict[Pattern, HybridRule] = {}
         for c in p_closed.conditions:
             sub = p_closed.without(c)
             if sub.is_empty:
                 parents[TOP] = self.default_rule
                 continue
+            if np.bitwise_count(pattern_bits(sub, self.d)).sum() == support:
+                continue
             par = closure(sub, self.d, universe)
-            if par == p_closed:
-                continue  # c is implied by the rest; not a proper ancestor
             parents[par] = self.rule_for(par)
         if not parents:
             parents[TOP] = self.default_rule
@@ -248,24 +253,16 @@ class _Search:
 
     def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
         """Extend ``pattern``, whose region is the packed row bits ``inside``."""
-        ivs = [self.iv_single(c) for c in conds if isinstance(c, Interval)]
+        intervals = [c for c in conds if isinstance(c, Interval)]
+        ivs = [self.iv_single(c) for c in intervals]
         # a percentile of fewer than two values is unstable; disable iv pruning
         nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
-        taken = pattern.attributes()
-        # every extension closes over one universe: the categorical conditions,
-        # the node's intervals and the pattern's own conditions (each c is in it)
-        universe = Universe(
-            [*self.cat_universe, *(c for c in conds if isinstance(c, Interval)),
-             *pattern.conditions],
-            self.d,
-        )
+        # every extension closes over the search's categorical conditions plus
+        # the node's intervals; each c is in that universe. A sibling on a
+        # pinned attribute has an empty region and fails the support test.
+        universe = Universe([*self.universe, *intervals], self.d) if intervals else self.universe
         ext_bits, supports = universe.extensions(conds, inside)
         for i, c in enumerate(conds):
-            if c.attribute in taken:
-                # sibling condition on a pinned attribute: the region is empty
-                self.stats.pruned_support += 1
-                self.emit("pruned-support", 0, 0.0, pattern, c)
-                continue
             if not _frequent(int(supports[i]), self.theta_abs):
                 self.stats.pruned_support += 1
                 if self.trace is not None:  # an infrequent region's rows and IV are only traced
@@ -289,7 +286,7 @@ class _Search:
             self._visited.add(p_closed)
             self.stats.visited_keys.append(p_closed.key)
             rule = self.rule_for(p_closed, rows=ext)
-            parents = self.parent_rules(p_closed, universe)
+            parents = self.parent_rules(p_closed, len(ext), universe)
             ok = occam_test(
                 rule, parents, rule.fitted.holdout_rows, self.d, self.y, self.cfg.metric
             )
@@ -332,10 +329,8 @@ def enumerate_candidates(
     evaluated parents), the default rule, and per-decision search statistics.
     """
     _validate(d, y, cfg)
-    search = _Search(d, y, cfg, trace)
-    search.default_rule = search.rule_for(TOP, rows=np.arange(d.n))
     conds = sorted(init_conditions, key=lambda c: c.order)
-    search.cat_universe = [c for c in conds if isinstance(c, Equals)]
+    search = _Search(d, y, cfg, conds, trace)
     if conds:
         search.walk(TOP, pattern_bits(TOP, d), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

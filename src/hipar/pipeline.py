@@ -48,11 +48,14 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
 
     Variant "standard" solves the overlap-penalized selection, "f" forces
     omega = 0 (every candidate selected), "sd" takes the top sd_q candidates by
-    support-to-error trade-off. The default rule competes like any candidate
-    but is always retained for fallback prediction.
+    support-to-error trade-off; an sd_q given with another variant is a
+    DataError. The default rule competes like any candidate but is always
+    retained for fallback prediction.
     """
     if cfg.variant not in VARIANTS:
         raise DataError(f"unknown variant {cfg.variant!r}, expected one of {VARIANTS}")
+    if cfg.sd_q is not None and cfg.variant != "sd":
+        raise DataError(f"sd_q is read only by variant 'sd', not {cfg.variant!r}")
     enum_cfg = cfg.enum_config()
     init_conditions = hipar_init(d, cfg.target, enum_cfg)
     candidates = enumerate_candidates(d, cfg.target, init_conditions, enum_cfg)

@@ -58,7 +58,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, sorted_rows
+from .data import DataError, Dataset, is_int, sorted_rows
 
 RMSE = "rmse"
 MEAE = "meae"
@@ -418,6 +418,11 @@ def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float
     return float(evaluate_all([model], rows, d, y, metric)[0])
 
 
+def _check_terms(max_terms: int) -> None:
+    if not is_int(max_terms) or max_terms < 0:
+        raise DataError(f"max_terms must be a nonnegative integer, got {max_terms!r}")
+
+
 def _omp(max_terms: int) -> tuple[str, Sequence[int]]:
     """OMP's tuning entry: 1..max_terms terms, or the MEAN model when max_terms is 0."""
     return (OMP, range(1, max_terms + 1)) if max_terms > 0 else (MEAN, [0])
@@ -482,8 +487,7 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
 def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    if max_terms < 0:
-        raise DataError("max_terms must be >= 0")
+    _check_terms(max_terms)
     return _fit_tuned(rows, holdout, d, y, _omp(max_terms), metric, "fit_omp")
 
 
@@ -499,11 +503,15 @@ def best_local_model(
     (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
     contest holdout error on record. The refit's moments merge the co-moments
     of the two sides. A region with fewer than 5 rows, or all on one side of
-    the mask, falls back to the MEAN model, scored on its own rows.
+    the mask, falls back to the MEAN model, scored on its own rows. OMP tries
+    up to ``max_terms`` terms, a nonnegative int; None means the feature
+    count, capped at ``MAX_TERMS_CAP``.
     A target constant on the fitting side makes both methods fit the MEAN
     model there, scored on the test side like any other; LASSO wins the tie
     and the MEAN model is refit on all rows."""
     metric = check_metric(metric)
+    if max_terms is not None:
+        _check_terms(max_terms)
     if not (isinstance(test, np.ndarray) and test.dtype == bool and test.shape == (d.n,)):
         raise DataError(f"the test set must be a bool mask over the table's {d.n} rows")
     idx = sorted_rows(rows, d.n)

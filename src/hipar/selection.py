@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, is_int
 from .enumeration import HybridRule
 from .patterns import pattern_bits
 
@@ -215,6 +215,8 @@ def solve(sp: SelectionProblem) -> SelectedRuleSet:
 def select_top_q(sp: SelectionProblem, q: int) -> SelectedRuleSet:
     """The q candidates with the largest alpha (ties break on pattern order)."""
     n = len(sp.candidates)
+    if not is_int(q):
+        raise DataError(f"q must be an integer, got {q!r}")
     if not 1 <= q <= n:
         raise DataError(f"q={q} out of range [1, {n}]")
     ranked = sorted(range(n), key=lambda i: (-float(sp.alpha[i]), sp.candidates[i].pattern.order))

@@ -161,6 +161,19 @@ def test_negative_seed_is_exit_1(tmp_path, segment_csv, capsys, command, out):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
+def test_sd_q_without_variant_sd_is_exit_1(tmp_path, segment_csv, capsys, command, out):
+    path = tmp_path / "out.json"
+    argv = [command, "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+            "--sd-q", "1", out, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sd_q is read only by variant 'sd', not 'standard'" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+    assert main(argv + ["--variant", "sd"]) == 0
+
+
 @pytest.mark.parametrize("flag", ["--support-bias", "--overlap-bias"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_bias_that_is_not_finite_and_non_negative_is_exit_1(tmp_path, segment_csv, capsys, flag,

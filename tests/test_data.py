@@ -1,5 +1,6 @@
 import csv
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,31 @@ def test_k_folds_range(toy):
         k_folds(toy, 1, seed=0)
     with pytest.raises(DataError):
         k_folds(toy, 7, seed=0)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, np.float64(2.0), "3"])
+def test_k_folds_rejects_a_fold_count_that_is_not_an_int(toy, k):
+    with pytest.raises(DataError, match="fold count"):
+        k_folds(toy, k, seed=0)
+    assert k_folds(toy, np.int64(3), 0).assignments.tolist() == \
+        k_folds(toy, 3, 0).assignments.tolist()
+
+
+@pytest.mark.parametrize("fraction", [math.nan, 0.0, 1.0, 1.5, -0.2, math.inf])
+def test_holdout_fraction_outside_the_open_unit_interval_is_rejected(fraction):
+    for draw in (lambda: hipar.data.holdout_mask(10, fraction, 0),
+                 lambda: holdout_split(range(10), fraction, 0)):
+        with pytest.raises(DataError, match="fraction must lie in"):
+            draw()
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, None])
+def test_holdout_mask_position_count_must_be_a_nonnegative_int(n):
+    with pytest.raises(DataError, match="position count"):
+        hipar.data.holdout_mask(n, 0.2, 0)
+    assert hipar.data.holdout_mask(0, 0.2, 0).tolist() == []
+    assert hipar.data.holdout_mask(np.int64(10), 0.2, 0).tolist() == \
+        hipar.data.holdout_mask(10, 0.2, 0).tolist()
 
 
 def test_holdout_sizes():

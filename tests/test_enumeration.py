@@ -23,6 +23,8 @@ from hipar import (
     occam_test,
     region,
 )
+from hipar import enumeration
+from hipar.patterns import Universe
 
 from .conftest import make_two_segment
 from .oracles import closed_frequent_oracle, mdlp_oracle
@@ -442,6 +444,96 @@ def test_search_decisions_pinned_on_rediscretized_table():
     assert len(intervals - {c.render() for c in init}) == 18
 
 
+def _universes_and_nodes(monkeypatch, d, cfg):
+    """Run a search; return every Universe it builds and, per walked node, its
+    pattern and interval conditions, in build and walk order."""
+    built, nodes = [], []
+
+    class Recorded(Universe):
+        def __init__(self, conditions, d):
+            super().__init__(conditions, d)
+            built.append(self)
+
+    walk = enumeration._Search.walk
+
+    def recorded_walk(self, pattern, inside, conds):
+        nodes.append((pattern, [c for c in conds if isinstance(c, Interval)]))
+        walk(self, pattern, inside, conds)
+
+    monkeypatch.setattr(enumeration, "Universe", Recorded)
+    monkeypatch.setattr(enumeration._Search, "walk", recorded_walk)
+    enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+    return built, nodes
+
+
+def test_categorical_universe_built_once_per_search(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 120
+    cols = {f"c{j}": rng.choice(np.array(["p", "q", "r"], dtype=object), n) for j in range(3)}
+    d = Dataset([AttributeSchema(a, "categorical") for a in cols]
+                + [AttributeSchema("y", "numerical", role="target")],
+                {**cols, "y": rng.normal(size=n)})
+    built, nodes = _universes_and_nodes(monkeypatch, d, EnumConfig(theta=0.05, exhaustive=True))
+    assert len(nodes) > 10
+    assert len(built) == 1
+
+
+def test_node_universe_adds_only_the_nodes_intervals(monkeypatch):
+    cfg = EnumConfig(theta=0.04, seed=3, exhaustive=True)
+    built, nodes = _universes_and_nodes(monkeypatch, _rediscretized_table(), cfg)
+    cats, *per_node = built
+    assert all(isinstance(c, Equals) for c in cats)
+    with_intervals = [(p, ivs) for p, ivs in nodes if ivs]
+    assert 1 < len(with_intervals) < len(nodes)
+    assert len(per_node) == len(with_intervals)
+    for u, (pattern, ivs) in zip(per_node, with_intervals):
+        assert u.conditions == sorted([*cats, *ivs], key=lambda c: c.order)
+        # a pattern's own intervals come from its ancestors, never from its node
+        assert not {c for c in pattern.conditions if isinstance(c, Interval)} & set(u)
+
+
+def _ancestor_interval_table():
+    """x steps the target at 0.25 and 0.75, so the root cuts it into three
+    intervals, and only the middle one clears the root's IV threshold. Level
+    z="u" occurs only inside the middle interval, where it shifts the target."""
+    rng = np.random.default_rng(3)
+    n = 400
+    x = rng.permutation(n) / n
+    middle = (0.25 <= x) & (x < 0.75)
+    u = middle & (rng.permutation(n) % 2 == 0)
+    y = np.where(x < 0.25, 10.0, np.where(x >= 0.75, 8.0, np.where(u, 3.0, 0.0)))
+    return Dataset(
+        [AttributeSchema("x", "numerical"), AttributeSchema("z", "categorical"),
+         AttributeSchema("y", "numerical", role="target")],
+        {"x": x, "z": np.where(u, "u", "v").astype(object), "y": y + rng.normal(0.0, 0.3, n)},
+    )
+
+
+def test_ancestor_interval_implied_by_a_later_condition():
+    # {x in I, z="u"} is visited under {x in I}. That node has no intervals of
+    # its own, so it closes over the categorical universe, which lacks x in I.
+    # Dropping x in I leaves z="u" with the rule's own region: not a proper
+    # ancestor. A same-region parent would tie the rule and reject it.
+    d = _ancestor_interval_table()
+    cfg = EnumConfig(theta=0.1, seed=0)
+    init = hipar_init(d, "y", cfg)
+    interval = init[1]
+    assert interval.render() == "x in [0.24875,0.74875]"
+    u, v = Equals("z", "u"), Equals("z", "v")
+    p_closed = Pattern([interval, u])
+    assert region(Pattern([u]), d).tolist() == region(p_closed, d).tolist()
+
+    cands = enumerate_candidates(d, "y", init, cfg)
+    assert cands.stats.visited_keys == [Pattern([interval]).key, p_closed.key,
+                                        Pattern([interval, v]).key]
+    assert p_closed.key in {r.key for r in cands.rules}
+
+    search = enumeration._Search(d, "y", cfg, init, None)
+    assert interval not in search.universe.conditions
+    parents = search.parent_rules(p_closed, len(region(p_closed, d)), search.universe)
+    assert [r.pattern for r in parents] == [Pattern([interval])]
+
+
 def test_rediscretized_intervals_filtered_on_full_dataset_support():
     # within a region, intervals that are frequent locally but rare globally
     # are dropped: the support threshold is theta * n of the full dataset
@@ -492,7 +584,7 @@ def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
     assert low.key == high.key and low != high
     from hipar.enumeration import _Search
 
-    search = _Search(d, "y", EnumConfig(theta=0.05), None)
+    search = _Search(d, "y", EnumConfig(theta=0.05), [], None)
     rule_low = search.rule_for(low)
     rule_high = search.rule_for(high)
     assert rule_high is not rule_low

@@ -97,10 +97,23 @@ def test_variant_sd_top_q(two_segment):
         run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3, variant="sd"))
 
 
+@pytest.mark.parametrize("variant", ["standard", "f"])
+def test_sd_q_with_another_variant_is_rejected(two_segment, variant):
+    cfg = RunConfig(target="y", theta=0.2, seed=3, variant=variant, sd_q=1)
+    with pytest.raises(DataError, match="sd_q"):
+        run_hipar(two_segment, cfg)
+
+
 def test_two_segment_selects_both_segments(two_segment):
     rs, _ = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3))
     keys = {r.key for r in rs.chosen}
     assert 'segment="A"' in keys and 'segment="B"' in keys
+
+
+@pytest.mark.parametrize("folds", [2.5, 3.0, True])
+def test_cross_validate_rejects_a_fold_count_that_is_not_an_int(two_segment, folds):
+    with pytest.raises(DataError, match="fold count"):
+        cross_validate(two_segment, RunConfig(target="y", theta=0.2, folds=folds))
 
 
 def test_cross_validate_report(two_segment):

@@ -276,6 +276,15 @@ def test_omp_empty_fit_rows_rejected(max_terms):
         fit_omp([], d, "y", max_terms, [0, 1])
 
 
+@pytest.mark.parametrize("max_terms", [-1, 2.5, 2.0, True])
+def test_max_terms_must_be_a_nonnegative_int(max_terms):
+    d = _dataset({"x": np.arange(20.0), "y": np.arange(20.0) % 3})
+    with pytest.raises(DataError, match="max_terms must be a nonnegative integer"):
+        best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0), max_terms=max_terms)
+    with pytest.raises(DataError, match="max_terms must be a nonnegative integer"):
+        fit_omp(range(16), d, "y", max_terms, range(16, 20))
+
+
 _HOLDOUT_FITS = {
     "lasso": lambda rows, hold, d: fit_lasso(rows, d, "y", [0.1], hold),
     "omp": lambda rows, hold, d: fit_omp(rows, d, "y", 2, hold),

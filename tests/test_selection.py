@@ -329,6 +329,10 @@ def test_top_q_range_errors():
         select_top_q(sp, 0)
     with pytest.raises(DataError):
         select_top_q(sp, 5)
+    for q in (1.5, 2.0, True, "2"):
+        with pytest.raises(DataError, match="q must be an integer"):
+            select_top_q(sp, q)
+    assert select_top_q(sp, np.int64(2)).chosen == select_top_q(sp, 2).chosen
 
 
 @pytest.mark.parametrize("limit", [25, 0], ids=["exact", "local-search"])
