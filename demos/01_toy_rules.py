@@ -2,6 +2,7 @@
 
 Walks the core vocabulary on data small enough to check by hand: conditions,
 patterns, regions, support, closure, interclass variance, then a full fit.
+The schema's target role names the target, price; no call below repeats it.
 """
 
 import numpy as np
@@ -60,11 +61,11 @@ universe = [
     Equals("state", "excellent"),
 ]
 print(f"cl({cheap.render()}) = {closure(cheap, table, universe).render()}")
-print("interclass variance of state=good:", round(interclass_variance(cheap, table, "price"), 2))
+print("interclass variance of state=good:", round(interclass_variance(cheap, table), 2))
 
 print()
 print("== end-to-end fit ==")
-selected, predictor = run_hipar(table, RunConfig(target="price", theta=1 / 3, seed=0))
+selected, predictor = run_hipar(table, RunConfig(theta=1 / 3, seed=0))
 for rule in selected.chosen:
     model = rule.fitted.model
     print(f"  {rule.pattern.render()}  =>  intercept {model.intercept:.1f}, "

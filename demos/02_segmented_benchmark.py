@@ -34,7 +34,7 @@ data = Dataset(
     {"segment": segment, "x": x, "y": y},
 )
 
-cfg = RunConfig(target="y", theta=0.2, seed=3, folds=10)
+cfg = RunConfig(theta=0.2, seed=3, folds=10)
 
 print("== 10-fold cross-validation vs. the global linear baseline ==")
 report = cross_validate(data, cfg)
@@ -50,6 +50,6 @@ print()
 print("== the rules on all 200 rows ==")
 selected, predictor = run_hipar(data, cfg)
 for rule in selected.chosen:
-    print(f"  if {rule.pattern.render()}:  {render_model(rule.fitted.model, 'y')}")
+    print(f"  if {rule.pattern.render()}:  {render_model(rule.fitted.model, data.target)}")
 print(f"default falls back to: intercept {predictor.default_rule.fitted.model.intercept:.2f}")
 print(f"total elements: {count_elements(selected)}")

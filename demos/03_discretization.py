@@ -1,9 +1,10 @@
 """How numerical attributes become interval conditions.
 
-The target is split at its median into large-value / small-value classes and
-each numerical attribute is partitioned by recursive minimum-entropy cuts,
-accepted under the MDL stopping criterion. Attributes that carry no class
-signal produce no cuts at all.
+The dataset's target (the attribute its schema gives the target role) is
+split at its median into large-value / small-value classes and each numerical
+attribute is partitioned by recursive minimum-entropy cuts, accepted under the
+MDL stopping criterion. Attributes that carry no class signal produce no cuts
+at all.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ data = Dataset(
     {"informative": informative, "noise": noise, "y": y},
 )
 
-labels = binarize_target(range(n), data, "y")
+labels = binarize_target(range(n), data)
 print(f"target median threshold: {labels.threshold:.2f}")
 print(f"large-value rows: {int(labels.labels.sum())} / {n}")
 
@@ -47,5 +48,5 @@ for cuts in mdlp_cuts(["informative", "noise"], data, labels):
 
 print()
 print("== bootstrap conditions at theta = 0.2 ==")
-for cond in hipar_init(data, "y", EnumConfig(theta=0.2, seed=0)):
+for cond in hipar_init(data, EnumConfig(theta=0.2, seed=0)):
     print(f"   {cond.render()}")

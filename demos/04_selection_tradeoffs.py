@@ -42,7 +42,7 @@ data = Dataset(
 print("== theta sweep: higher support thresholds shrink the candidate pool ==")
 for theta in (0.05, 0.1, 0.2, 0.4):
     cfg = EnumConfig(theta=theta, seed=1)
-    cands = enumerate_candidates(data, "y", hipar_init(data, "y", cfg), cfg)
+    cands = enumerate_candidates(data, hipar_init(data, cfg), cfg)
     s = cands.stats
     print(
         f"  theta {theta:4.2f}: {len(cands.rules):2d} candidates "
@@ -53,7 +53,7 @@ for theta in (0.05, 0.1, 0.2, 0.4):
 print()
 print("== omega sweep: pricier overlap means fewer, more disjoint rules ==")
 for omega in (0.0, 0.5, 1.0, 2.0):
-    selected, _ = run_hipar(data, RunConfig(target="y", theta=0.1, seed=1, omega=omega))
+    selected, _ = run_hipar(data, RunConfig(theta=0.1, seed=1, omega=omega))
     print(
         f"  omega {omega:3.1f}: {len(selected.chosen):2d} rules, "
         f"{count_elements(selected):3d} elements, objective {selected.objective_value:8.3f}"
@@ -62,9 +62,7 @@ for omega in (0.0, 0.5, 1.0, 2.0):
 print()
 print("== variants ==")
 for variant, extra in (("standard", {}), ("f", {}), ("sd", {"sd_q": 3})):
-    selected, _ = run_hipar(
-        data, RunConfig(target="y", theta=0.1, seed=1, variant=variant, **extra)
-    )
+    selected, _ = run_hipar(data, RunConfig(theta=0.1, seed=1, variant=variant, **extra))
     keys = [r.key for r in selected.chosen]
     print(f"  {variant:8s}: {len(keys)} rules via {selected.solver}")
     for k in keys[:4]:

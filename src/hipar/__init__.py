@@ -6,7 +6,6 @@ from .data import (
     DataError,
     Dataset,
     holdout_mask,
-    holdout_split,
     k_folds,
     load_csv,
     write_csv,

@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
     return RunConfig(
-        target=args.target,
         theta=args.theta,
         sigma=args.sigma,
         omega=args.omega,

@@ -150,8 +150,30 @@ def code(cells, levels: Sequence[str]) -> CodedColumn:
     return CodedColumn(levels, codes, index)
 
 
+def check_schema(schema: Sequence[AttributeSchema]) -> str:
+    """The name of the schema's target; a DataError unless the names are
+    unique, every kind and role is known and exactly one attribute, a
+    numerical one, has the target role."""
+    names = [a.name for a in schema]
+    if len(set(names)) != len(names):
+        raise DataError("duplicate attribute names in schema")
+    for a in schema:
+        if a.kind not in (CATEGORICAL, NUMERICAL):
+            raise DataError(f"attribute {a.name!r} has unknown kind {a.kind!r}")
+        if a.role not in ("feature", "target"):
+            raise DataError(f"attribute {a.name!r} has unknown role {a.role!r}")
+    targets = [a for a in schema if a.role == "target"]
+    if len(targets) != 1:
+        raise DataError("schema must designate exactly one target attribute")
+    if targets[0].kind != NUMERICAL:
+        raise DataError(f"target column {targets[0].name!r} must be numerical")
+    return targets[0].name
+
+
 class Dataset:
-    """Immutable column-typed table with one designated numerical target.
+    """Immutable column-typed table with one designated numerical target,
+    named by ``target``: the schema's one attribute with the target role, and
+    the target of every fit, score and search on the table.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
     a ``CodedColumn`` for categorical ones, coded once against the column's
@@ -167,22 +189,11 @@ class Dataset:
     """
 
     def __init__(self, schema: Sequence[AttributeSchema], columns: dict[str, np.ndarray]):
+        self.target = check_schema(schema)
         names = [a.name for a in schema]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate attribute names in schema")
-        for a in schema:
-            if a.kind not in (CATEGORICAL, NUMERICAL):
-                raise DataError(f"attribute {a.name!r} has unknown kind {a.kind!r}")
-            if a.role not in ("feature", "target"):
-                raise DataError(f"attribute {a.name!r} has unknown role {a.role!r}")
         missing = [n for n in names if n not in columns]
         if missing:
             raise DataError(f"schema attributes {missing} have no column")
-        targets = [a for a in schema if a.role == "target"]
-        if len(targets) != 1:
-            raise DataError("schema must designate exactly one target attribute")
-        if targets[0].kind != NUMERICAL:
-            raise DataError(f"target column {targets[0].name!r} must be numerical")
         lengths = {len(columns[n]) for n in names}
         if len(lengths) != 1:
             raise DataError("columns have inconsistent lengths")
@@ -213,10 +224,6 @@ class Dataset:
         self._by_name = {a.name: a for a in self.schema}
         self.bits: dict[object, np.ndarray] = {}
         self._ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def target(self) -> str:
-        return next(a.name for a in self.schema if a.role == "target")
 
     def attribute(self, name: str) -> AttributeSchema:
         try:
@@ -443,25 +450,11 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def holdout_split(rows: Iterable[int], fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split an index set into (train, test) with |test| = min(n - 1, max(1,
-    round(fraction * n))), so neither side is empty.
-
-    Deterministic given the seed; the two sides partition the input.
-    """
-    idx = sorted_rows(rows)
-    if len(idx) < 2:
-        raise DataError("holdout_split needs at least 2 rows")
-    test = holdout_mask(len(idx), fraction, seed)
-    return idx[~test], idx[test]
-
-
 def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
-    """Boolean mask over n positions (the rows of a table, or of a sorted row
-    set in ``holdout_split``), True on the test side: the first min(n - 1,
-    max(1, round(fraction * n))) positions of the seed's permutation. Both
-    sides hold a row when n >= 2; n = 1 gives an empty test side. n must be
-    a nonnegative int and 0 < fraction < 1."""
+    """Boolean mask over n positions (the rows of a table), True on the test
+    side: the first min(n - 1, max(1, round(fraction * n))) positions of the
+    seed's permutation. Both sides hold a row when n >= 2; n = 1 gives an
+    empty test side. n must be a nonnegative int and 0 < fraction < 1."""
     if not is_int(n) or n < 0:
         raise DataError(f"position count must be a nonnegative integer, got {n!r}")
     if not 0.0 < fraction < 1.0:

@@ -56,16 +56,16 @@ class CutPointSet:
     cuts: tuple[float, ...]  # strictly increasing
 
 
-def binarize_target(rows, d: Dataset, y: str) -> TargetBinarization:
-    """Median split of the target over the rows; ties at the median go to SV."""
+def binarize_target(rows, d: Dataset) -> TargetBinarization:
+    """Median split of the dataset's target over the rows; ties at the median go to SV."""
     idx = sorted_rows(rows, d.n)
     if len(idx) < 2:
         raise DataError("target binarization needs at least 2 rows")
-    values = d.column(y)[idx]
+    values = d.column(d.target)[idx]
     threshold = float(np.median(values))
     labels = values > threshold
     if labels.all() or not labels.any():
-        raise DegenerateTarget(f"target {y!r} has a one-sided median split on these rows")
+        raise DegenerateTarget(f"target {d.target!r} has a one-sided median split on these rows")
     return TargetBinarization(threshold=threshold, rows=idx, labels=labels)
 
 

@@ -103,9 +103,7 @@ def _frequent(count: int, theta_abs: float) -> bool:
     return count + 1e-9 >= theta_abs
 
 
-def _validate(d: Dataset, y: str, cfg: EnumConfig) -> None:
-    if y != d.target:
-        raise DataError(f"y={y!r} is not the dataset's designated target {d.target!r}")
+def _validate(d: Dataset, cfg: EnumConfig) -> None:
     if not 0.0 < cfg.theta <= 1.0:
         raise DataError(f"theta must lie in (0, 1], got {cfg.theta}")
     if cfg.theta * d.n < 1.0 - 1e-9:
@@ -114,7 +112,7 @@ def _validate(d: Dataset, y: str, cfg: EnumConfig) -> None:
 
 
 def _interval_conditions(
-    d: Dataset, y: str, rows: np.ndarray, attrs: Sequence[str], cfg: EnumConfig
+    d: Dataset, rows: np.ndarray, attrs: Sequence[str], cfg: EnumConfig
 ) -> list[Interval]:
     """MDLP intervals for the attributes, frequency-filtered and imbalance-guarded.
 
@@ -122,7 +120,7 @@ def _interval_conditions(
     dropped entirely for this node.
     """
     try:
-        labels = binarize_target(rows, d, y)
+        labels = binarize_target(rows, d)
     except DegenerateTarget:
         return []
     theta_abs = cfg.theta * d.n
@@ -138,10 +136,10 @@ def _interval_conditions(
     return out
 
 
-def hipar_init(d: Dataset, y: str, cfg: EnumConfig) -> list[Condition]:
+def hipar_init(d: Dataset, cfg: EnumConfig) -> list[Condition]:
     """Bootstrap conditions: frequent categorical equalities plus MDLP intervals
     derived on the full dataset, in canonical order. May be empty."""
-    _validate(d, y, cfg)
+    _validate(d, cfg)
     theta_abs = cfg.theta * d.n
     conditions: list[Condition] = []
     for attr in d.categorical_features():
@@ -151,7 +149,7 @@ def hipar_init(d: Dataset, y: str, cfg: EnumConfig) -> list[Condition]:
             Equals(attr, v) for v, k in zip(col.levels, counts) if _frequent(k, theta_abs)
         )
     rows = np.arange(d.n)
-    conditions.extend(_interval_conditions(d, y, rows, d.numerical_features(), cfg))
+    conditions.extend(_interval_conditions(d, rows, d.numerical_features(), cfg))
     return sorted(conditions, key=lambda c: c.order)
 
 
@@ -170,25 +168,23 @@ def occam_test(
     parents: Sequence[HybridRule],
     eval_rows: np.ndarray,
     d: Dataset,
-    y: str,
     metric: str,
 ) -> bool:
     """Accept the rule iff its model is strictly better than every parent's
     model on the same evaluation rows, all scored by one residual matrix."""
     child, *others = evaluate_all([rule.fitted.model, *(p.fitted.model for p in parents)],
-                                  eval_rows, d, y, metric).tolist()
+                                  eval_rows, d, metric).tolist()
     return all(child < e for e in others)
 
 
 class _Search:
-    def __init__(self, d: Dataset, y: str, cfg: EnumConfig, conds: Sequence[Condition],
+    def __init__(self, d: Dataset, cfg: EnumConfig, conds: Sequence[Condition],
                  trace: Trace | None):
         self.d = d
         self.test = holdout_mask(d.n, 0.2, cfg.seed)  # the fit's one 20% test set
-        self.y = y
         self.cfg = cfg
         self.trace = trace
-        self.yv = d.column(y)
+        self.yv = d.column(d.target)
         self.theta_abs = cfg.theta * d.n
         self.stats = EnumStats()
         self.accepted: list[HybridRule] = []
@@ -212,7 +208,7 @@ class _Search:
             return rule
         if rows is None:
             rows = region(pattern, self.d)
-        fitted = best_local_model(rows, self.d, self.y, self.cfg.metric, self.test)
+        fitted = best_local_model(rows, self.d, self.cfg.metric, self.test)
         rule = HybridRule(
             pattern=pattern,
             fitted=fitted,
@@ -287,9 +283,7 @@ class _Search:
             self.stats.visited_keys.append(p_closed.key)
             rule = self.rule_for(p_closed, rows=ext)
             parents = self.parent_rules(p_closed, len(ext), universe)
-            ok = occam_test(
-                rule, parents, rule.fitted.holdout_rows, self.d, self.y, self.cfg.metric
-            )
+            ok = occam_test(rule, parents, rule.fitted.holdout_rows, self.d, self.cfg.metric)
             if ok:
                 self.accepted.append(rule)
                 self.stats.accepted += 1
@@ -305,7 +299,7 @@ class _Search:
                 free_numeric = [
                     a for a in self.d.numerical_features() if a not in p_closed.attributes()
                 ]
-                child_num = _interval_conditions(self.d, self.y, ext, free_numeric, self.cfg)
+                child_num = _interval_conditions(self.d, ext, free_numeric, self.cfg)
                 children = sorted(child_cat + child_num, key=lambda c: c.order)
                 if children:
                     self.walk(p_closed, ext_bits[i], children)
@@ -318,7 +312,6 @@ def _render_with(pattern: Pattern, c: Condition) -> str:
 
 def enumerate_candidates(
     d: Dataset,
-    y: str,
     init_conditions: Sequence[Condition],
     cfg: EnumConfig,
     trace: Trace | None = None,
@@ -328,9 +321,9 @@ def enumerate_candidates(
     Returns the accepted rules (closed, frequent, each strictly beating its
     evaluated parents), the default rule, and per-decision search statistics.
     """
-    _validate(d, y, cfg)
+    _validate(d, cfg)
     conds = sorted(init_conditions, key=lambda c: c.order)
-    search = _Search(d, y, cfg, conds, trace)
+    search = _Search(d, cfg, conds, trace)
     if conds:
         search.walk(TOP, pattern_bits(TOP, d), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

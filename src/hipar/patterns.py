@@ -7,7 +7,9 @@ mining and prediction apply the same rule.
 
 A condition's row set is computed once per dataset, as its rows packed into
 64-bit words (``condition_bits``; ``np.packbits`` order, padding bits zero);
-row indices and supports are read off those bits. The search's set algebra
+row indices and supports are read off those bits. ``condition_bits`` is the
+one gate for a condition evaluated on a table: it rejects a condition on the
+target or on an attribute of the wrong kind. The search's set algebra
 runs on them through one kernel: a ``Universe`` stacks its conditions' bits, in
 canonical order, as one matrix U. The supports of a region's extensions are
 popcounts of ``U[ext] & region``, and the conditions that hold on every row of
@@ -147,7 +149,10 @@ TOP = Pattern()
 
 
 def check_condition(c: Condition, attr: AttributeSchema) -> None:
-    """Equality needs a categorical attribute, an interval a numerical one."""
+    """A condition tests a feature, never the target; equality needs a
+    categorical attribute, an interval a numerical one."""
+    if attr.role != "feature":
+        raise DataError(f"condition on {c.attribute!r}, which is not a feature")
     if isinstance(c, Equals) and attr.kind != CATEGORICAL:
         raise DataError(f"equality condition on non-categorical attribute {c.attribute!r}")
     if isinstance(c, Interval) and attr.kind != NUMERICAL:
@@ -257,16 +262,13 @@ def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
     return Pattern(taken.values())
 
 
-def interclass_variance(p: Pattern, d: Dataset, y: str) -> float:
-    """|D_p| (mu_D - mu_Dp)^2 + |D_not_p| (mu_D - mu_Dnotp)^2 for target y.
+def interclass_variance(p: Pattern, d: Dataset) -> float:
+    """|D_p| (mu_D - mu_Dp)^2 + |D_not_p| (mu_D - mu_Dnotp)^2, with mu the mean
+    of the dataset's target (``d.target``) over D, the region and the rest.
 
     Zero by convention when the region or its complement is empty.
     """
-    if d.attribute(y).kind != NUMERICAL:
-        raise DataError(f"interclass variance target {y!r} must be numerical")
-    rows = region(p, d)
-    yv = d.column(y)
-    return iv_from_region(rows, yv)
+    return iv_from_region(region(p, d), d.column(d.target))
 
 
 def iv_from_region(rows: np.ndarray, y_values: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AttributeSchema, DataError, Dataset, k_folds
+from .data import AttributeSchema, DataError, Dataset, is_int, k_folds
 from .enumeration import EnumConfig, HybridRule, enumerate_candidates, hipar_init
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
@@ -27,9 +27,9 @@ VARIANTS = ("standard", "f", "sd")
 @dataclass(frozen=True)
 class RunConfig:
     """Pipeline configuration; defaults follow the recommended operating point
-    (theta=0.1, sigma=1, omega=1, RMSE, 10 folds)."""
+    (theta=0.1, sigma=1, omega=1, RMSE, 10 folds). The target is the
+    dataset's (``Dataset.target``)."""
 
-    target: str
     theta: float = 0.1
     sigma: float = 1.0
     omega: float = 1.0
@@ -57,8 +57,8 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     if cfg.sd_q is not None and cfg.variant != "sd":
         raise DataError(f"sd_q is read only by variant 'sd', not {cfg.variant!r}")
     enum_cfg = cfg.enum_config()
-    init_conditions = hipar_init(d, cfg.target, enum_cfg)
-    candidates = enumerate_candidates(d, cfg.target, init_conditions, enum_cfg)
+    init_conditions = hipar_init(d, enum_cfg)
+    candidates = enumerate_candidates(d, init_conditions, enum_cfg)
     pool = list(candidates.rules) + [candidates.default_rule]
 
     omega = 0.0 if cfg.variant == "f" else cfg.omega
@@ -140,7 +140,6 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
     """
     metric = check_metric(cfg.metric)
     plan = k_folds(d, cfg.folds, cfg.seed)
-    y = cfg.target
     results: list[FoldResult] = []
     for fold in range(plan.k):
         train_rows = plan.train_rows(fold)
@@ -148,13 +147,13 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         train_ds = d.subset(train_rows)
 
         start = time.perf_counter()
-        baseline = fit_ols(np.arange(train_ds.n), train_ds, y)
+        baseline = fit_ols(np.arange(train_ds.n), train_ds)
         selected, predictor = run_hipar(train_ds, cfg)
         seconds = time.perf_counter() - start
 
-        baseline_error = evaluate(baseline, test_rows, d, y, metric)
+        baseline_error = evaluate(baseline, test_rows, d, metric)
         predictions = predict_batch(predictor, d, test_rows)
-        model_error = metric_value(d.column(y)[test_rows] - predictions, metric)
+        model_error = metric_value(d.column(d.target)[test_rows] - predictions, metric)
         skipped = baseline_error == 0.0
         results.append(
             FoldResult(
@@ -175,7 +174,7 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         mean_reduction=float(np.mean(reductions)) if reductions else math.nan,
         median_reduction=float(np.median(reductions)) if reductions else math.nan,
         metric=metric,
-        config={**asdict(cfg), "metric": metric},
+        config={"target": d.target, **asdict(cfg), "metric": metric},
     )
 
 
@@ -249,6 +248,13 @@ def _flag(value: object) -> bool:
     return value
 
 
+def _count(value: object) -> int:
+    """A JSON integer; a fraction would be truncated by ``int()`` silently."""
+    if not is_int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _rule_from_json(obj: dict, metric: str) -> HybridRule:
     m = obj["model"]
     model = LinearModel(
@@ -270,7 +276,7 @@ def _rule_from_json(obj: dict, metric: str) -> HybridRule:
     return HybridRule(
         pattern=Pattern(_condition_from_json(c) for c in obj["conditions"]),
         fitted=fitted,
-        support_abs=int(obj["support_abs"]),
+        support_abs=_count(obj["support_abs"]),
         support_rel=float(obj["support_rel"]),
         is_default=_flag(obj["is_default"]),
     )

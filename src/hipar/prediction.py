@@ -9,7 +9,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import NUMERICAL, AttributeSchema, DataError, Dataset, code, row_indices
+from .data import NUMERICAL, AttributeSchema, DataError, Dataset, check_schema, code, row_indices
 from .enumeration import HybridRule
 from .patterns import Equals, Pattern, check_condition
 from .selection import SelectedRuleSet
@@ -23,8 +23,9 @@ class Predictor:
     the full training candidate pool at selection time; covering rules vote
     with weights proportional to 1/ebar. The default rule never joins the vote,
     even when the selector chose it: it answers alone for points no other
-    selected rule covers. Every condition and coefficient must name a feature
-    of ``schema``, of the kind the condition needs.
+    selected rule covers. ``schema`` is checked as a ``Dataset``'s is
+    (``data.check_schema``). Every condition and coefficient must name a
+    feature of it, of the kind the condition needs.
     """
 
     rules: SelectedRuleSet
@@ -40,6 +41,7 @@ class Predictor:
     levels: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_schema(self.schema)
         object.__setattr__(self, "features", tuple(a for a in self.schema if a.role == "feature"))
         features = {a.name: a for a in self.features}
         for rule in list(self.rules.chosen) + [self.default_rule]:

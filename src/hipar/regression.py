@@ -1,7 +1,8 @@
 """Per-region linear models: OLS baseline, LASSO, OMP, and the local contest.
 
-Every fit first reduces its rows to sufficient statistics. The rows are one
-matrix Z = [X, y] (features, then the target), and one centered product gives
+Every fit reads the target the dataset names (``Dataset.target``) and first
+reduces its rows to sufficient statistics. The rows are one matrix Z = [X, y]
+(the numerical features, then the target), and one centered product gives
 their co-moments (``_comoments``): the row count n, the column means and the
 centered co-moment matrix S = Zc^T Zc. The means are kept as a rounded mean
 plus the mean of the residuals about it, which also corrects S (the corrected
@@ -140,11 +141,11 @@ class FittedRuleModel:
     holdout_rows: np.ndarray  # the region's rows in the test set (all of them on the MEAN path)
 
 
-def _region(idx: np.ndarray, d: Dataset, y: str) -> tuple[list[str], np.ndarray]:
-    """The feature names and the rows' matrix Z = [X, y] (those features, then
-    the target) as Zt = Z^T, one contiguous row per column."""
-    names = [n for n in d.numerical_features() if n != y]
-    return names, d.numeric_matrix(idx, [*names, y]).T
+def _region(idx: np.ndarray, d: Dataset) -> tuple[list[str], np.ndarray]:
+    """The numerical feature names and the rows' matrix Z = [X, y] (those
+    features, then the target) as Zt = Z^T, one contiguous row per column."""
+    names = d.numerical_features()
+    return names, d.numeric_matrix(idx, [*names, d.target]).T
 
 
 @dataclass(frozen=True)
@@ -401,21 +402,20 @@ def _errors(X: np.ndarray, yv: np.ndarray, intercepts: np.ndarray, B: np.ndarray
     return metric_value(yv[:, None] - intercepts - X @ B, metric)
 
 
-def evaluate_all(models: Sequence[LinearModel], rows, d: Dataset, y: str,
-                 metric: str) -> np.ndarray:
+def evaluate_all(models: Sequence[LinearModel], rows, d: Dataset, metric: str) -> np.ndarray:
     """Error of each model's predictions over the rows under the metric, from
     one residual matrix over the union of the models' attributes."""
     idx = sorted_rows(rows, d.n)
     names = list(dict.fromkeys(name for m in models for name in m.coefficients))
     B = np.array([[m.coefficients.get(name, 0.0) for m in models] for name in names],
                  dtype=float).reshape(len(names), len(models))
-    return _errors(d.numeric_matrix(idx, names), d.column(y)[idx],
+    return _errors(d.numeric_matrix(idx, names), d.column(d.target)[idx],
                    np.array([m.intercept for m in models]), B, metric)
 
 
-def evaluate(model: LinearModel, rows, d: Dataset, y: str, metric: str) -> float:
+def evaluate(model: LinearModel, rows, d: Dataset, metric: str) -> float:
     """Error of the model's predictions over the rows under the metric."""
-    return float(evaluate_all([model], rows, d, y, metric)[0])
+    return float(evaluate_all([model], rows, d, metric)[0])
 
 
 def _check_terms(max_terms: int) -> None:
@@ -444,18 +444,18 @@ def _tune(m: _Moments, names: Sequence[str], X: np.ndarray, yv: np.ndarray,
     return fits[k], i, error
 
 
-def fit_ols(rows, d: Dataset, y: str) -> LinearModel:
+def fit_ols(rows, d: Dataset) -> LinearModel:
     """Least-squares fit on standardized features (min-norm for rank-deficient
     systems); zero-variance features are dropped. Degenerate inputs fall back
     to the intercept-only MEAN model."""
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
-    names, Zt = _region(idx, d, y)
+    names, Zt = _region(idx, d)
     return _fits(_moments(Zt), OLS, [None], names).model(0)
 
 
-def _fit_tuned(rows, holdout, d: Dataset, y: str, entry: tuple[str, Sequence], metric: str,
+def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: str,
                caller: str) -> LinearModel:
     """The ``entry`` model fit on the nonempty ``rows`` that scores best on the
     disjoint ``holdout`` rows."""
@@ -466,13 +466,13 @@ def _fit_tuned(rows, holdout, d: Dataset, y: str, entry: tuple[str, Sequence], m
     # a holdout row is a fit row iff its left and right insertion points differ
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
-    names, Zt = _region(idx, d, y)
-    fits, i, _ = _tune(_moments(Zt), names, d.numeric_matrix(hold, names), d.column(y)[hold],
-                       [entry], metric)
+    names, Zt = _region(idx, d)
+    fits, i, _ = _tune(_moments(Zt), names, d.numeric_matrix(hold, names),
+                       d.column(d.target)[hold], [entry], metric)
     return fits.model(i)
 
 
-def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
+def fit_lasso(rows, d: Dataset, lambda_grid: Sequence[float], holdout,
               metric: str = RMSE) -> LinearModel:
     """Fit LASSO on ``rows`` for each lambda in the grid and keep the one with
     the lowest holdout error (ties go to the larger, sparser lambda)."""
@@ -481,18 +481,18 @@ def fit_lasso(rows, d: Dataset, y: str, lambda_grid: Sequence[float], holdout,
         raise DataError("lambda grid must be nonempty")
     if not all(math.isfinite(lam) and lam >= 0.0 for lam in lams):
         raise DataError(f"lambdas must be finite and >= 0, got {lams}")
-    return _fit_tuned(rows, holdout, d, y, (LASSO, lams), metric, "fit_lasso")
+    return _fit_tuned(rows, holdout, d, (LASSO, lams), metric, "fit_lasso")
 
 
-def fit_omp(rows, d: Dataset, y: str, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
+def fit_omp(rows, d: Dataset, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
     _check_terms(max_terms)
-    return _fit_tuned(rows, holdout, d, y, _omp(max_terms), metric, "fit_omp")
+    return _fit_tuned(rows, holdout, d, _omp(max_terms), metric, "fit_omp")
 
 
 def best_local_model(
-    rows, d: Dataset, y: str, metric: str, test: np.ndarray, max_terms: int | None = None
+    rows, d: Dataset, metric: str, test: np.ndarray, max_terms: int | None = None
 ) -> FittedRuleModel:
     """LASSO vs OMP contest on the rows, split by the fit's test set ``test``,
     a bool mask over the table (``holdout_mask(d.n, 0.2, seed)``).
@@ -517,7 +517,7 @@ def best_local_model(
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
-    names, Zt = _region(idx, d, y)
+    names, Zt = _region(idx, d)
     if max_terms is None:
         max_terms = min(len(names), MAX_TERMS_CAP)
     test = test[idx]

@@ -74,7 +74,7 @@ def test_criterion_1_toy_table_micro_oracles(toy):
         got = closure(Pattern([Equals("state", "good")]), toy, cats)
         assert got == Pattern([Equals("state", "good"), Equals("property-type", "apartment")])
 
-        iv = interclass_variance(Pattern([Equals("state", "good")]), toy, "price")
+        iv = interclass_variance(Pattern([Equals("state", "good")]), toy)
         assert abs(iv - 93633.33) <= 0.01
 
 
@@ -95,8 +95,8 @@ def test_criterion_2_closed_pattern_oracle_equivalence():
             d = Dataset(schema, cols)
             theta = float(rng.uniform(0.2, 0.4))
             cfg = EnumConfig(theta=theta, seed=trial, exhaustive=True)
-            conds = hipar_init(d, "y", cfg)
-            cands = enumerate_candidates(d, "y", conds, cfg)
+            conds = hipar_init(d, cfg)
+            cands = enumerate_candidates(d, conds, cfg)
             want = closed_frequent_oracle(d, conds, theta_abs=theta * n)
             got = set(cands.stats.visited_keys)
             assert got == want, f"trial {trial}: {got ^ want}"
@@ -140,7 +140,7 @@ def test_criterion_4_lasso_kkt_and_omp_recovery():
             d = Dataset(schema, {k: np.asarray(v) for k, v in cols.items()})
             lam = float(rng.choice([0.001, 0.01, 0.1, 1.0]))
             rows = np.arange(n - 5)
-            model = fit_lasso(rows, d, "y", [lam], np.arange(n - 5, n))
+            model = fit_lasso(rows, d, [lam], np.arange(n - 5, n))
             assert kkt_violation(model, d, rows, "y", lam) < 1e-5
 
         recovered = 0
@@ -153,7 +153,7 @@ def test_criterion_4_lasso_kkt_and_omp_recovery():
             schema = [AttributeSchema(f"x{t}", "numerical") for t in range(p)]
             schema.append(AttributeSchema("y", "numerical", role="target"))
             d = Dataset(schema, {**{f"x{t}": X[:, t] for t in range(p)}, "y": y})
-            model = fit_omp(range(30), d, "y", 4, range(30, 40))
+            model = fit_omp(range(30), d, 4, range(30, 40))
             if set(model.coefficients) == {f"x{i}", f"x{j}"}:
                 recovered += 1
         assert recovered >= 95, f"OMP recovered only {recovered}/100"
@@ -263,13 +263,13 @@ def test_criterion_6_prediction_weights():
 def test_criterion_7_desk_benchmark():
     with criterion("7 end-to-end desk benchmark", budget_seconds=60.0):
         d = make_two_segment(n=200, noise_frac=0.05, seed=7)
-        cfg = RunConfig(target="y", theta=0.2, seed=3, folds=10)
+        cfg = RunConfig(theta=0.2, seed=3, folds=10)
         report = cross_validate(d, cfg)
         assert report.mean_reduction >= 50.0, f"mean reduction {report.mean_reduction:.1f}%"
         assert all(f.rules <= 6 for f in report.folds if not f.skipped)
 
         rs_std, _ = run_hipar(d, cfg)
-        rs_f, _ = run_hipar(d, RunConfig(target="y", theta=0.2, seed=3, variant="f"))
+        rs_f, _ = run_hipar(d, RunConfig(theta=0.2, seed=3, variant="f"))
         assert len(rs_std.chosen) <= 6
         assert len(rs_f.chosen) >= len(rs_std.chosen)
         assert count_elements(rs_f) >= count_elements(rs_std)
@@ -281,7 +281,7 @@ def test_criterion_8_parameter_sensitivity_directions():
         candidate_counts = []
         for theta in (0.05, 0.1, 0.2, 0.35, 0.5):
             cfg = EnumConfig(theta=theta, seed=3)
-            cands = enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+            cands = enumerate_candidates(d, hipar_init(d, cfg), cfg)
             candidate_counts.append(len(cands.rules))
         assert all(
             b <= a for a, b in zip(candidate_counts, candidate_counts[1:])
@@ -289,7 +289,7 @@ def test_criterion_8_parameter_sensitivity_directions():
 
         element_counts = []
         for omega in (0.0, 0.5, 1.0, 2.0):
-            rs, _ = run_hipar(d, RunConfig(target="y", theta=0.2, seed=3, omega=omega))
+            rs, _ = run_hipar(d, RunConfig(theta=0.2, seed=3, omega=omega))
             element_counts.append(count_elements(rs))
         assert all(
             b <= a for a, b in zip(element_counts, element_counts[1:])
@@ -318,7 +318,7 @@ def test_criterion_9_abalone_optional(tmp_path):
     from hipar import load_csv
 
     d = load_csv(str(path), target="rings")
-    report = cross_validate(d, RunConfig(target="rings", seed=0, folds=10))
+    report = cross_validate(d, RunConfig(seed=0, folds=10))
     rules = [f.rules for f in report.folds if not f.skipped]
     print(
         f"[acceptance] 9 abalone (optional): mean reduction "

@@ -69,6 +69,29 @@ def test_eval_writes_report(tmp_path, segment_csv):
     )
 
 
+def test_eval_report_keeps_its_format(tmp_path, segment_csv):
+    # the target comes from --target through the dataset, not from the run's
+    # settings, and heads the report's config
+    header, body = Path(segment_csv).read_text().split("\n", 1)
+    assert header == "segment,x,y"
+    data = tmp_path / "response.csv"
+    data.write_text("segment,x,response\n" + body)
+    report = tmp_path / "report.json"
+    assert main(
+        ["eval", "--input", str(data), "--target", "response", "--min-support", "0.2",
+         "--seed", "3", "--folds", "3", "--report-out", str(report)]
+    ) == 0
+    doc = json.loads(report.read_text())
+    assert list(doc) == ["metric", "mean_reduction", "median_reduction", "config", "folds"]
+    assert list(doc["config"]) == [
+        "target", "theta", "sigma", "omega", "metric", "variant", "sd_q", "folds", "seed",
+    ]
+    assert doc["config"] == {
+        "target": "response", "theta": 0.2, "sigma": 1.0, "omega": 1.0, "metric": "rmse",
+        "variant": "standard", "sd_q": None, "folds": 3, "seed": 3,
+    }
+
+
 def test_missing_input_is_exit_1(tmp_path):
     code = main(
         ["fit", "--input", "/nope/missing.csv", "--target", "y",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hipar.data
-from hipar import DataError, holdout_split, k_folds, load_csv, write_csv
+from hipar import DataError, holdout_mask, k_folds, load_csv, write_csv
 
 
 def test_load_toy_table(toy):
@@ -134,10 +134,8 @@ def test_k_folds_rejects_a_fold_count_that_is_not_an_int(toy, k):
 
 @pytest.mark.parametrize("fraction", [math.nan, 0.0, 1.0, 1.5, -0.2, math.inf])
 def test_holdout_fraction_outside_the_open_unit_interval_is_rejected(fraction):
-    for draw in (lambda: hipar.data.holdout_mask(10, fraction, 0),
-                 lambda: holdout_split(range(10), fraction, 0)):
-        with pytest.raises(DataError, match="fraction must lie in"):
-            draw()
+    with pytest.raises(DataError, match="fraction must lie in"):
+        holdout_mask(10, fraction, 0)
 
 
 @pytest.mark.parametrize("n", [-1, 2.0, True, None])
@@ -150,24 +148,30 @@ def test_holdout_mask_position_count_must_be_a_nonnegative_int(n):
 
 
 def test_holdout_sizes():
-    train, test = holdout_split(range(10), 0.2, seed=0)
-    assert len(train) == 8 and len(test) == 2
-    train, test = holdout_split([3, 9], 0.2, seed=0)
-    assert len(train) == 1 and len(test) == 1
+    test = holdout_mask(10, 0.2, seed=0)
+    assert test.dtype == bool and np.count_nonzero(test) == 2
+    assert np.count_nonzero(holdout_mask(2, 0.2, seed=0)) == 1
 
 
 def test_holdout_partition_and_determinism():
-    rows = [2, 4, 8, 16, 23]
-    t1 = holdout_split(rows, 0.2, seed=77)
-    t2 = holdout_split(rows, 0.2, seed=77)
-    assert np.array_equal(t1[0], t2[0]) and np.array_equal(t1[1], t2[1])
-    merged = sorted(t1[0].tolist() + t1[1].tolist())
-    assert merged == sorted(rows)
-    assert len(np.intersect1d(t1[0], t1[1])) == 0
+    rows = np.array([2, 4, 8, 16, 23])
+    t1 = holdout_mask(len(rows), 0.2, seed=77)
+    t2 = holdout_mask(len(rows), 0.2, seed=77)
+    assert np.array_equal(t1, t2)
+    train, test = rows[~t1], rows[t1]
+    assert sorted(train.tolist() + test.tolist()) == rows.tolist()
+    assert len(np.intersect1d(train, test)) == 0
+
+
+def _split(rows, fraction, seed):
+    """The sorted rows' two sides under the mask over their positions."""
+    idx = np.sort(np.asarray(rows, dtype=int))
+    test = holdout_mask(len(idx), fraction, seed)
+    return idx[~test], idx[test]
 
 
 @pytest.mark.parametrize("rows, seed, train, test", [
-    # recorded from the split as sort(rows)[perm[n_test:]] / [:n_test], each side sorted
+    # recorded as sort(rows)[~mask] / [mask] with the mask over len(rows) positions
     (range(10), 0, [0, 1, 2, 3, 5, 7, 8, 9], [4, 6]),
     ([9, 2, 7, 4, 11, 0, 5], 3, [0, 2, 4, 5, 7, 11], [9]),
     (range(3, 40, 3), 8191, [3, 6, 9, 18, 21, 24, 30, 33, 36, 39], [12, 15, 27]),
@@ -176,15 +180,17 @@ def test_holdout_partition_and_determinism():
     (range(2), 7, [1], [0]),
 ])
 def test_holdout_split_recorded_arrays(rows, seed, train, test):
-    got = holdout_split(rows, 0.2, seed)
+    got = _split(rows, 0.2, seed)
     for side, want in zip(got, (train, test)):
         assert side.dtype == np.dtype(int)
         assert side.tobytes() == np.array(want, dtype=int).tobytes()
 
 
 def test_holdout_too_few_rows():
-    with pytest.raises(DataError):
-        holdout_split([1], 0.2, seed=0)
+    # below 2 positions no row can go to the test side and leave one to fit on
+    for fraction in (0.2, 0.99):
+        assert holdout_mask(0, fraction, seed=0).tolist() == []
+        assert holdout_mask(1, fraction, seed=0).tolist() == [False]
 
 
 def test_holdout_mask_of_one_position_is_empty():
@@ -193,8 +199,7 @@ def test_holdout_mask_of_one_position_is_empty():
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
 def test_seed_that_is_not_a_nonnegative_int_is_rejected(toy, seed):
-    for draw in (lambda: hipar.data.holdout_mask(10, 0.2, seed),
-                 lambda: holdout_split(range(10), 0.2, seed),
+    for draw in (lambda: holdout_mask(10, 0.2, seed),
                  lambda: k_folds(toy, 3, seed)):
         with pytest.raises(DataError, match="seed must be a nonnegative integer"):
             draw()
@@ -340,7 +345,7 @@ def test_categorical_cells_must_be_strings():
         hipar.Dataset(_g_schema(), {"g": g.astype(object), "x": x, "y": y})
     text = np.array([str(v) for v in g.tolist()], dtype=object)
     d = hipar.Dataset(_g_schema(), {"g": text, "x": x, "y": y})
-    selected, _ = hipar.run_hipar(d, hipar.RunConfig(target="y", theta=0.2))
+    selected, _ = hipar.run_hipar(d, hipar.RunConfig(theta=0.2))
     assert any(hipar.Equals("g", "0.0") in r.pattern.conditions for r in selected.chosen)
 
 
@@ -361,6 +366,24 @@ def test_unknown_attribute_role_is_rejected():
         hipar.Dataset(schema, {"g": ["a", "b"], "x": np.zeros(2), "y": np.zeros(2)})
 
 
+@pytest.mark.parametrize("schema, message", [
+    (_g_schema() + [hipar.AttributeSchema("x", "numerical")], "duplicate attribute names"),
+    (_g_schema()[:2], "exactly one target"),
+    (_g_schema() + [hipar.AttributeSchema("z", "numerical", role="target")], "exactly one target"),
+    ([*_g_schema()[:2], hipar.AttributeSchema("y", "categorical", role="target")],
+     "target column 'y' must be numerical"),
+], ids=["duplicate", "no-target", "two-targets", "categorical-target"])
+def test_check_schema(schema, message):
+    assert hipar.data.check_schema(_g_schema()) == "y"
+    with pytest.raises(DataError, match=message):
+        hipar.data.check_schema(schema)
+
+
+def test_dataset_target_is_the_schemas():
+    d = hipar.Dataset(_g_schema(), {"g": ["a", "b"], "x": np.zeros(2), "y": np.ones(2)})
+    assert d.target == "y" and "target" in vars(d)
+
+
 def test_coded_column_outside_its_table_is_rejected():
     cells = hipar.data.code(["a", "zz"], ["a"])
     assert cells.codes.tolist() == [0, -1] and cells.tolist() == ["a", None]
@@ -371,6 +394,7 @@ def test_coded_column_outside_its_table_is_rejected():
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99])
 def test_holdout_split_keeps_a_row_on_each_side(n, fraction):
-    train, test = holdout_split(range(n), fraction, seed=0)
-    assert len(train) >= 1 and len(test) == min(n - 1, max(1, round(fraction * n)))
-    assert sorted(train.tolist() + test.tolist()) == list(range(n))
+    test = holdout_mask(n, fraction, seed=0)
+    assert test.shape == (n,)
+    assert np.count_nonzero(~test) >= 1
+    assert np.count_nonzero(test) == min(n - 1, max(1, round(fraction * n)))

@@ -27,7 +27,7 @@ def _xy_dataset(x, y):
 
 
 def test_binarize_toy_median(toy):
-    tb = binarize_target(range(6), toy, "price")
+    tb = binarize_target(range(6), toy)
     assert tb.threshold == pytest.approx(335.0)  # median of the six prices
     assert list(tb.labels) == [True, True, True, False, False, False]
 
@@ -35,18 +35,18 @@ def test_binarize_toy_median(toy):
 def test_binarize_degenerate_all_equal():
     d = _xy_dataset([1, 2, 3], [7, 7, 7])
     with pytest.raises(DegenerateTarget):
-        binarize_target(range(3), d, "y")
+        binarize_target(range(3), d)
 
 
 def test_binarize_degenerate_one_sided_median():
     d = _xy_dataset([1, 2, 3, 4], [1, 2, 2, 2])  # median 2, nothing above it
     with pytest.raises(DegenerateTarget):
-        binarize_target(range(4), d, "y")
+        binarize_target(range(4), d)
 
 
 def test_binarize_two_points():
     d = _xy_dataset([0, 0], [1, 2])
-    tb = binarize_target(range(2), d, "y")
+    tb = binarize_target(range(2), d)
     assert tb.threshold == pytest.approx(1.5)
     assert sorted(tb.labels.tolist()) == [False, True]
 
@@ -55,7 +55,7 @@ def _cuts(x, y_labels):
     """mdlp_cuts on a dataset constructed so the binarization equals y_labels."""
     y = [10.0 if l else 0.0 for l in y_labels]
     d = _xy_dataset(x, y)
-    tb = binarize_target(range(len(x)), d, "y")
+    tb = binarize_target(range(len(x)), d)
     assert list(tb.labels) == [bool(l) for l in y_labels]
     return list(mdlp_cuts(["x"], d, tb)[0].cuts)
 
@@ -194,7 +194,7 @@ def test_conditions_partition_real_line():
 
 
 def test_mdlp_requires_numeric_attribute(toy):
-    tb = binarize_target(range(6), toy, "price")
+    tb = binarize_target(range(6), toy)
     with pytest.raises(DataError):
         mdlp_cuts(["state"], toy, tb)
     with pytest.raises(DataError):
@@ -202,14 +202,14 @@ def test_mdlp_requires_numeric_attribute(toy):
 
 
 def test_mdlp_rejects_one_attribute_name(toy):
-    tb = binarize_target(range(6), toy, "price")
+    tb = binarize_target(range(6), toy)
     with pytest.raises(DataError):
         mdlp_cuts("rooms", toy, tb)
 
 
 def test_mdlp_no_attributes():
     d = _xy_dataset([1, 2, 3], [0, 0, 1])
-    assert mdlp_cuts([], d, binarize_target(range(3), d, "y")) == []
+    assert mdlp_cuts([], d, binarize_target(range(3), d)) == []
 
 
 def _table(columns):

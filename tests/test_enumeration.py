@@ -16,12 +16,14 @@ from hipar import (
     Interval,
     LinearModel,
     Pattern,
+    closure,
     enumerate_candidates,
     evaluate,
     hipar_init,
     leftmost_parent_check,
     occam_test,
     region,
+    support,
 )
 from hipar import enumeration
 from hipar.patterns import Universe
@@ -72,26 +74,26 @@ def test_occam_strict_dominance():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 1.0)  # on y=0 rows the RMSE equals the intercept
     parents = [_const_rule(TOP, 1.5, True), _const_rule(Pattern([G]), 2.0)]
-    assert occam_test(child, parents, np.arange(5), d, "y", "rmse")
+    assert occam_test(child, parents, np.arange(5), d, "rmse")
 
 
 def test_occam_tie_rejected():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 1.0)
-    assert not occam_test(child, [_const_rule(TOP, 1.0, True)], np.arange(5), d, "y", "rmse")
+    assert not occam_test(child, [_const_rule(TOP, 1.0, True)], np.arange(5), d, "rmse")
 
 
 def test_occam_single_default_parent():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 2.9)
-    assert occam_test(child, [_const_rule(TOP, 3.0, True)], np.arange(5), d, "y", "rmse")
+    assert occam_test(child, [_const_rule(TOP, 3.0, True)], np.arange(5), d, "rmse")
 
 
 # ------------------------------------------------------------------ hipar_init
 
 
 def test_init_toy_low_threshold(toy):
-    conds = hipar_init(toy, "price", EnumConfig(theta=1 / 6, seed=0))
+    conds = hipar_init(toy, EnumConfig(theta=1 / 6, seed=0))
     cats = {c for c in conds if isinstance(c, Equals)}
     assert cats == {
         Equals("property-type", "cottage"),
@@ -111,7 +113,7 @@ def test_init_toy_low_threshold(toy):
 
 
 def test_init_threshold_above_all_supports(toy):
-    assert hipar_init(toy, "price", EnumConfig(theta=0.9, seed=0)) == []
+    assert hipar_init(toy, EnumConfig(theta=0.9, seed=0)) == []
 
 
 def test_init_no_categorical_columns():
@@ -123,7 +125,7 @@ def test_init_no_categorical_columns():
         [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
         {"x": x, "y": y},
     )
-    conds = hipar_init(d, "y", EnumConfig(theta=0.25, seed=0))
+    conds = hipar_init(d, EnumConfig(theta=0.25, seed=0))
     assert conds and all(isinstance(c, Interval) for c in conds)
 
 
@@ -137,7 +139,7 @@ def test_init_imbalance_guard():
         [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
         {"x": x, "y": y},
     )
-    conds = hipar_init(d, "y", EnumConfig(theta=0.25, seed=0))
+    conds = hipar_init(d, EnumConfig(theta=0.25, seed=0))
     assert conds == []
 
 
@@ -158,7 +160,7 @@ def test_init_levels_exact_for_non_ascii_and_trailing_nul():
     # the levels np.unique finds on the object column, frequent at theta
     values, counts = np.unique(cells, return_counts=True)
     want = sorted((Equals("g", v) for v, c in zip(values, counts) if c >= 3), key=lambda c: c.order)
-    got = hipar_init(d, "y", cfg)
+    got = hipar_init(d, cfg)
     assert got == want
     assert [c.value for c in got] == ["Z", "a", "a\x00", "é", "日本"]  # value order, not text
     # "a" and "a\x00" stay two levels, each with its own rows
@@ -183,8 +185,8 @@ def test_init_on_a_subset_equals_init_on_a_fresh_table():
     assert sub.column("g").levels == tuple(sorted(levels))
     assert fresh.column("g").levels == tuple(sorted(levels[:4]))
     cfg = EnumConfig(theta=0.1, seed=0)
-    got = hipar_init(sub, "y", cfg)
-    assert got == hipar_init(fresh, "y", cfg)
+    got = hipar_init(sub, cfg)
+    assert got == hipar_init(fresh, cfg)
     assert {c.value for c in got if isinstance(c, Equals)} == set(levels[:4])
     for c in got:
         assert region(Pattern([c]), sub).tolist() == region(Pattern([c]), fresh).tolist()
@@ -192,18 +194,16 @@ def test_init_on_a_subset_equals_init_on_a_fresh_table():
 
 def test_init_validates_config(toy):
     with pytest.raises(DataError):
-        hipar_init(toy, "price", EnumConfig(theta=0.0, seed=0))
+        hipar_init(toy, EnumConfig(theta=0.0, seed=0))
     with pytest.raises(DataError):
-        hipar_init(toy, "price", EnumConfig(theta=0.05, seed=0))  # theta*n < 1
-    with pytest.raises(DataError):
-        hipar_init(toy, "rooms", EnumConfig(theta=0.5, seed=0))  # y must be the target
+        hipar_init(toy, EnumConfig(theta=0.05, seed=0))  # theta*n < 1
 
 
 # --------------------------------------------------------- enumerate_candidates
 
 
 def test_enumerate_empty_frontier(toy):
-    cands = enumerate_candidates(toy, "price", [], EnumConfig(theta=1 / 6, seed=0))
+    cands = enumerate_candidates(toy, [], EnumConfig(theta=1 / 6, seed=0))
     assert cands.rules == []
     assert cands.default_rule.is_default
     assert cands.stats.visited == 0
@@ -212,9 +212,9 @@ def test_enumerate_empty_frontier(toy):
 def test_toy_node_reached_once_from_leftmost_parent(toy):
     # the cottage & excellent node forms exactly once, from parent cottage
     cfg = EnumConfig(theta=2 / 6, seed=0, exhaustive=True)
-    conds = hipar_init(toy, "price", cfg)
+    conds = hipar_init(toy, cfg)
     lines: list[str] = []
-    enumerate_candidates(toy, "price", conds, cfg, trace=lines.append)
+    enumerate_candidates(toy, conds, cfg, trace=lines.append)
     key = 'property-type="cottage" & state="excellent"'
     hits = [ln for ln in lines if ln.split("\t")[0] == key]
     assert len(hits) == 1
@@ -223,9 +223,9 @@ def test_toy_node_reached_once_from_leftmost_parent(toy):
 
 def test_trace_format(toy):
     cfg = EnumConfig(theta=2 / 6, seed=0)
-    conds = hipar_init(toy, "price", cfg)
+    conds = hipar_init(toy, cfg)
     lines: list[str] = []
-    enumerate_candidates(toy, "price", conds, cfg, trace=lines.append)
+    enumerate_candidates(toy, conds, cfg, trace=lines.append)
     decisions = {"pruned-support", "pruned-iv", "pruned-leftmost", "rejected-occam", "accepted"}
     assert lines
     for ln in lines:
@@ -252,10 +252,10 @@ def test_trace_does_not_change_the_search():
         {"seg": seg, "kind": kind, "x": x, "z": z, "y": y},
     )
     cfg = EnumConfig(theta=0.1, seed=0, exhaustive=True)
-    conds = hipar_init(d, "y", cfg)
+    conds = hipar_init(d, cfg)
     lines: list[str] = []
-    traced = enumerate_candidates(d, "y", conds, cfg, trace=lines.append)
-    plain = enumerate_candidates(d, "y", conds, cfg)
+    traced = enumerate_candidates(d, conds, cfg, trace=lines.append)
+    plain = enumerate_candidates(d, conds, cfg)
     assert {ln.split("\t")[3] for ln in lines} >= {"pruned-support", "pruned-iv", "accepted"}
 
     def summary(cands):
@@ -278,8 +278,8 @@ def test_visited_patterns_match_closed_miner_toy(toy):
         {name: toy.column(name) for name in ("property-type", "state", "price")},
     )
     cfg = EnumConfig(theta=2 / 6, seed=0, exhaustive=True)
-    cats = hipar_init(d, "price", cfg)
-    cands = enumerate_candidates(d, "price", cats, cfg)
+    cats = hipar_init(d, cfg)
+    cands = enumerate_candidates(d, cats, cfg)
     got = set(cands.stats.visited_keys)
     want = closed_frequent_oracle(d, cats, theta_abs=2.0)
     assert got == want
@@ -303,17 +303,17 @@ def test_visited_patterns_match_closed_miner_random():
         d = Dataset(schema, cols)
         theta = float(rng.uniform(0.15, 0.35))
         cfg = EnumConfig(theta=theta, seed=trial, exhaustive=True)
-        conds = hipar_init(d, "y", cfg)
+        conds = hipar_init(d, cfg)
         cats = [c for c in conds if isinstance(c, Equals)]
-        cands = enumerate_candidates(d, "y", cats, cfg)
+        cands = enumerate_candidates(d, cats, cfg)
         want = closed_frequent_oracle(d, cats, theta_abs=theta * n)
         assert set(cands.stats.visited_keys) == want
 
 
 def test_two_segment_rules_enumerated_and_beat_default(two_segment):
     cfg = EnumConfig(theta=0.2, seed=3)
-    conds = hipar_init(two_segment, "y", cfg)
-    cands = enumerate_candidates(two_segment, "y", conds, cfg)
+    conds = hipar_init(two_segment, cfg)
+    cands = enumerate_candidates(two_segment, conds, cfg)
     keys = {r.key for r in cands.rules}
     assert 'segment="A"' in keys and 'segment="B"' in keys
     # oracle: plain least-squares per segment beats the default model there
@@ -324,19 +324,19 @@ def test_two_segment_rules_enumerated_and_beat_default(two_segment):
         y = two_segment.column("y")[rows]
         slope, intercept = np.polyfit(x, y, 1)
         seg_rmse = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
-        def_rmse = evaluate(default_model, rows, two_segment, "y", "rmse")
+        def_rmse = evaluate(default_model, rows, two_segment, "rmse")
         assert seg_rmse < def_rmse
 
 
 def test_accepted_rules_strictly_beat_parents(two_segment):
     cfg = EnumConfig(theta=0.1, seed=5)
-    conds = hipar_init(two_segment, "y", cfg)
-    cands = enumerate_candidates(two_segment, "y", conds, cfg)
+    conds = hipar_init(two_segment, cfg)
+    cands = enumerate_candidates(two_segment, conds, cfg)
     for rule in cands.rules:
         eval_rows = rule.fitted.holdout_rows
-        child = evaluate(rule.fitted.model, eval_rows, two_segment, "y", "rmse")
+        child = evaluate(rule.fitted.model, eval_rows, two_segment, "rmse")
         default = evaluate(
-            cands.default_rule.fitted.model, eval_rows, two_segment, "y", "rmse"
+            cands.default_rule.fitted.model, eval_rows, two_segment, "rmse"
         )
         if len(rule.pattern) == 1:
             assert child < default
@@ -347,8 +347,8 @@ def test_raising_theta_never_increases_visits():
     visited = []
     for theta in (0.1, 0.2, 0.3, 0.5):
         cfg = EnumConfig(theta=theta, seed=2, exhaustive=True)
-        conds = hipar_init(d, "y", cfg)
-        cands = enumerate_candidates(d, "y", conds, cfg)
+        conds = hipar_init(d, cfg)
+        cands = enumerate_candidates(d, conds, cfg)
         visited.append(cands.stats.visited)
     assert all(b <= a for a, b in zip(visited, visited[1:]))
 
@@ -435,8 +435,8 @@ PINNED_VISITED = [
 def test_search_decisions_pinned_on_rediscretized_table():
     d = _rediscretized_table()
     cfg = EnumConfig(theta=0.04, seed=3, exhaustive=True)
-    init = hipar_init(d, "y", cfg)
-    cands = enumerate_candidates(d, "y", init, cfg)
+    init = hipar_init(d, cfg)
+    cands = enumerate_candidates(d, init, cfg)
     assert cands.stats == EnumStats(**PINNED_STATS, visited_keys=PINNED_VISITED)
     # the table does what it is for: 18 of the 19 intervals in visited patterns
     # come from re-discretizing below the root
@@ -462,7 +462,7 @@ def _universes_and_nodes(monkeypatch, d, cfg):
 
     monkeypatch.setattr(enumeration, "Universe", Recorded)
     monkeypatch.setattr(enumeration._Search, "walk", recorded_walk)
-    enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+    enumerate_candidates(d, hipar_init(d, cfg), cfg)
     return built, nodes
 
 
@@ -516,19 +516,19 @@ def test_ancestor_interval_implied_by_a_later_condition():
     # ancestor. A same-region parent would tie the rule and reject it.
     d = _ancestor_interval_table()
     cfg = EnumConfig(theta=0.1, seed=0)
-    init = hipar_init(d, "y", cfg)
+    init = hipar_init(d, cfg)
     interval = init[1]
     assert interval.render() == "x in [0.24875,0.74875]"
     u, v = Equals("z", "u"), Equals("z", "v")
     p_closed = Pattern([interval, u])
     assert region(Pattern([u]), d).tolist() == region(p_closed, d).tolist()
 
-    cands = enumerate_candidates(d, "y", init, cfg)
+    cands = enumerate_candidates(d, init, cfg)
     assert cands.stats.visited_keys == [Pattern([interval]).key, p_closed.key,
                                         Pattern([interval, v]).key]
     assert p_closed.key in {r.key for r in cands.rules}
 
-    search = enumeration._Search(d, "y", cfg, init, None)
+    search = enumeration._Search(d, cfg, init, None)
     assert interval not in search.universe.conditions
     parents = search.parent_rules(p_closed, len(region(p_closed, d)), search.universe)
     assert [r.pattern for r in parents] == [Pattern([interval])]
@@ -553,17 +553,17 @@ def test_rediscretized_intervals_filtered_on_full_dataset_support():
     from hipar.enumeration import _interval_conditions
 
     rows = np.arange(40)  # segment A only; its x-split intervals hold 20 rows each
-    rare = _interval_conditions(d, "y", rows, ["x"], EnumConfig(theta=0.15, seed=0))
-    frequent = _interval_conditions(d, "y", rows, ["x"], EnumConfig(theta=0.1, seed=0))
+    rare = _interval_conditions(d, rows, ["x"], EnumConfig(theta=0.15, seed=0))
+    frequent = _interval_conditions(d, rows, ["x"], EnumConfig(theta=0.1, seed=0))
     assert rare == []  # 20 rows < 0.15 * 200, though 20 >= 0.15 * 40 within the region
     assert len(frequent) >= 2  # 20 rows >= 0.1 * 200
 
 
 def test_enumeration_deterministic(two_segment):
     cfg = EnumConfig(theta=0.2, seed=9)
-    conds = hipar_init(two_segment, "y", cfg)
-    a = enumerate_candidates(two_segment, "y", conds, cfg)
-    b = enumerate_candidates(two_segment, "y", conds, cfg)
+    conds = hipar_init(two_segment, cfg)
+    a = enumerate_candidates(two_segment, conds, cfg)
+    b = enumerate_candidates(two_segment, conds, cfg)
     assert [r.key for r in a.rules] == [r.key for r in b.rules]
     assert a.stats.visited_keys == b.stats.visited_keys
     assert [r.fitted.holdout_error for r in a.rules] == [r.fitted.holdout_error for r in b.rules]
@@ -584,10 +584,31 @@ def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
     assert low.key == high.key and low != high
     from hipar.enumeration import _Search
 
-    search = _Search(d, "y", EnumConfig(theta=0.05), [], None)
+    search = _Search(d, EnumConfig(theta=0.05), [], None)
     rule_low = search.rule_for(low)
     rule_high = search.rule_for(high)
     assert rule_high is not rule_low
     assert rule_high.pattern == high
     assert rule_low.support_abs == len(region(low, d))
     assert rule_high.support_abs == len(region(high, d)) > rule_low.support_abs
+
+
+def test_a_condition_on_the_target_is_rejected(two_segment):
+    # a rule y in (q60,inf) => y = f(X) would predict y from its own value
+    d = two_segment
+    q30, q60 = np.percentile(d.column("y"), [30, 60])
+    on_y = [Interval("y", -math.inf, q30), Interval("y", q30, q60), Interval("y", q60, math.inf)]
+    segments = [Equals("segment", "A"), Equals("segment", "B")]
+    not_a_feature = "condition on 'y', which is not a feature"
+    with pytest.raises(DataError, match=not_a_feature):
+        enumerate_candidates(d, [*on_y, *segments], EnumConfig(theta=0.1))
+    for c in on_y:
+        with pytest.raises(DataError, match=not_a_feature):
+            region(Pattern([c]), d)
+        with pytest.raises(DataError, match=not_a_feature):
+            support(Pattern([c, segments[0]]), d)
+    with pytest.raises(DataError, match=not_a_feature):
+        closure(Pattern([segments[0]]), d, [*on_y, *segments])
+    # the features' conditions are unaffected
+    assert closure(Pattern([segments[0]]), d, segments) == Pattern([segments[0]])
+    assert enumerate_candidates(d, segments, EnumConfig(theta=0.1)).rules

@@ -192,14 +192,14 @@ def test_interclass_variance_toy_value(toy):
     mu_in = sum(inside) / 2
     mu_out = sum(outside) / 4
     exact = 2 * (mu - mu_in) ** 2 + 4 * (mu - mu_out) ** 2
-    got = interclass_variance(Pattern([GOOD]), toy, "price")
+    got = interclass_variance(Pattern([GOOD]), toy)
     assert abs(got - float(exact)) < 1e-9
     assert abs(got - 93633.33) < 0.01
 
 
 def test_interclass_variance_boundaries(toy):
-    assert interclass_variance(TOP, toy, "price") == 0.0
-    assert interclass_variance(Pattern([Equals("state", "unseen")]), toy, "price") == 0.0
+    assert interclass_variance(TOP, toy) == 0.0
+    assert interclass_variance(Pattern([Equals("state", "unseen")]), toy) == 0.0
 
 
 def test_interclass_variance_balanced_means_zero():
@@ -209,7 +209,7 @@ def test_interclass_variance_balanced_means_zero():
         [AttributeSchema("g", "categorical"), AttributeSchema("y", "numerical", role="target")],
         {"g": np.array(["a", "b", "a", "b"], dtype=object), "y": np.array([1.0, 1.0, 3.0, 3.0])},
     )
-    assert interclass_variance(Pattern([Equals("g", "a")]), d, "y") == pytest.approx(0.0)
+    assert interclass_variance(Pattern([Equals("g", "a")]), d) == pytest.approx(0.0)
 
 
 def test_interclass_variance_nonnegative_random(toy):
@@ -217,7 +217,7 @@ def test_interclass_variance_nonnegative_random(toy):
     for _ in range(50):
         value = rng.choice(["cottage", "apartment"])
         p = Pattern([Equals("property-type", str(value))])
-        assert interclass_variance(p, toy, "price") >= 0.0
+        assert interclass_variance(p, toy) >= 0.0
 
 
 def test_condition_tids_sorted(toy):

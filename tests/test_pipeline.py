@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hipar import (
+    AttributeSchema,
     DataError,
+    Predictor,
     RunConfig,
     count_elements,
     cross_validate,
@@ -55,7 +57,7 @@ def test_count_elements_micro_cases():
 
 
 def test_count_elements(two_segment):
-    rs, _ = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3))
+    rs, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
     want = sum(
         len(r.pattern.conditions) + len(r.fitted.model.coefficients) for r in rs.chosen
     )
@@ -64,7 +66,7 @@ def test_count_elements(two_segment):
 
 
 def test_run_hipar_standard_contract(toy):
-    rs, pred = run_hipar(toy, RunConfig(target="price", theta=1 / 3, seed=0))
+    rs, pred = run_hipar(toy, RunConfig(theta=1 / 3, seed=0))
     assert len(rs.chosen) >= 1
     assert pred.default_rule.is_default
     # every row receives a finite prediction
@@ -74,13 +76,13 @@ def test_run_hipar_standard_contract(toy):
 def test_variant_f_selects_all_candidates(two_segment):
     from hipar import enumerate_candidates, hipar_init
 
-    cfg = RunConfig(target="y", theta=0.2, seed=3)
+    cfg = RunConfig(theta=0.2, seed=3)
     rs_std, _ = run_hipar(two_segment, cfg)
-    rs_f, _ = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3, variant="f"))
+    rs_f, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3, variant="f"))
     # omega = 0 selects every candidate (default rule included)
     enum_cfg = cfg.enum_config()
     cands = enumerate_candidates(
-        two_segment, "y", hipar_init(two_segment, "y", enum_cfg), enum_cfg
+        two_segment, hipar_init(two_segment, enum_cfg), enum_cfg
     )
     assert len(rs_f.chosen) == len(cands.rules) + 1
     assert any(r.is_default for r in rs_f.chosen)
@@ -89,23 +91,23 @@ def test_variant_f_selects_all_candidates(two_segment):
 
 
 def test_variant_sd_top_q(two_segment):
-    cfg = RunConfig(target="y", theta=0.2, seed=3, variant="sd", sd_q=2)
+    cfg = RunConfig(theta=0.2, seed=3, variant="sd", sd_q=2)
     rs, _ = run_hipar(two_segment, cfg)
     assert len(rs.chosen) == 2
     assert rs.solver == "top-q"
     with pytest.raises(DataError):
-        run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3, variant="sd"))
+        run_hipar(two_segment, RunConfig(theta=0.2, seed=3, variant="sd"))
 
 
 @pytest.mark.parametrize("variant", ["standard", "f"])
 def test_sd_q_with_another_variant_is_rejected(two_segment, variant):
-    cfg = RunConfig(target="y", theta=0.2, seed=3, variant=variant, sd_q=1)
+    cfg = RunConfig(theta=0.2, seed=3, variant=variant, sd_q=1)
     with pytest.raises(DataError, match="sd_q"):
         run_hipar(two_segment, cfg)
 
 
 def test_two_segment_selects_both_segments(two_segment):
-    rs, _ = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3))
+    rs, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
     keys = {r.key for r in rs.chosen}
     assert 'segment="A"' in keys and 'segment="B"' in keys
 
@@ -113,11 +115,11 @@ def test_two_segment_selects_both_segments(two_segment):
 @pytest.mark.parametrize("folds", [2.5, 3.0, True])
 def test_cross_validate_rejects_a_fold_count_that_is_not_an_int(two_segment, folds):
     with pytest.raises(DataError, match="fold count"):
-        cross_validate(two_segment, RunConfig(target="y", theta=0.2, folds=folds))
+        cross_validate(two_segment, RunConfig(theta=0.2, folds=folds))
 
 
 def test_cross_validate_report(two_segment):
-    cfg = RunConfig(target="y", theta=0.2, seed=3, folds=5)
+    cfg = RunConfig(theta=0.2, seed=3, folds=5)
     report = cross_validate(two_segment, cfg)
     assert len(report.folds) == 5
     for f in report.folds:
@@ -140,14 +142,14 @@ def test_cross_validate_skips_zero_baseline_folds():
         [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
         {"x": x, "y": np.full(30, 7.0)},
     )
-    report = cross_validate(d, RunConfig(target="y", theta=0.2, seed=0, folds=3))
+    report = cross_validate(d, RunConfig(theta=0.2, seed=0, folds=3))
     assert all(f.skipped for f in report.folds)
     assert all(f.note for f in report.folds)
     assert math.isnan(report.mean_reduction)
 
 
 def test_cross_validate_deterministic(two_segment):
-    cfg = RunConfig(target="y", theta=0.2, seed=3, folds=4)
+    cfg = RunConfig(theta=0.2, seed=3, folds=4)
     a = cross_validate(two_segment, cfg).to_dict()
     b = cross_validate(two_segment, cfg).to_dict()
     for fold in a["folds"] + b["folds"]:
@@ -162,7 +164,7 @@ def test_render_model_grammar():
 
 
 def test_serialize_round_trip(tmp_path, two_segment):
-    cfg = RunConfig(target="y", theta=0.2, seed=3)
+    cfg = RunConfig(theta=0.2, seed=3)
     _, pred = run_hipar(two_segment, cfg)
     path = tmp_path / "rules.json"
     serialize_rules(pred, str(path))
@@ -213,7 +215,7 @@ def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
 
 
 def test_serialize_byte_identical(tmp_path, two_segment):
-    cfg = RunConfig(target="y", theta=0.2, seed=3)
+    cfg = RunConfig(theta=0.2, seed=3)
     _, pred1 = run_hipar(two_segment, cfg)
     _, pred2 = run_hipar(two_segment, cfg)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -223,7 +225,7 @@ def test_serialize_byte_identical(tmp_path, two_segment):
 
 
 def test_rule_file_structure_and_golden_text(tmp_path, toy):
-    cfg = RunConfig(target="price", theta=1 / 3, seed=0)
+    cfg = RunConfig(theta=1 / 3, seed=0)
     _, pred = run_hipar(toy, cfg)
     path = tmp_path / "rules.json"
     serialize_rules(pred, str(path))
@@ -277,7 +279,7 @@ def test_default_only_rule_file(tmp_path):
             "y": rng.normal(size=20),
         },
     )
-    cfg = RunConfig(target="y", theta=0.2, seed=0)
+    cfg = RunConfig(theta=0.2, seed=0)
     rs, pred = run_hipar(d, cfg)
     assert [r.is_default for r in rs.chosen] == [True]
     path = tmp_path / "rules.json"
@@ -297,6 +299,54 @@ def test_deserialize_rejects_junk(tmp_path):
         deserialize_rules(str(path2))
 
 
+def _edited_rule_file(tmp_path, two_segment, edit):
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    path = tmp_path / "rules.json"
+    serialize_rules(pred, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _no_target(doc):
+    for s in doc["schema"]:
+        s["role"] = "feature"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_no_target, "exactly one target"),
+    (lambda doc: doc["schema"].append(doc["schema"][0]), "duplicate attribute names"),
+    (lambda doc: doc["schema"][0].update(role="label"), "unknown role 'label'"),
+], ids=["no-target", "duplicate-name", "unknown-role"])
+def test_deserialize_checks_the_schema_as_a_dataset_does(tmp_path, two_segment, edit, message):
+    # such a schema used to load, and serialize_rules then failed on it with
+    # a bare StopIteration (no target) or kept both attributes (a duplicate)
+    with pytest.raises(DataError, match=message):
+        deserialize_rules(_edited_rule_file(tmp_path, two_segment, edit))
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2"])
+def test_deserialize_rejects_a_support_that_is_not_an_integer(tmp_path, two_segment, value):
+    # int() would truncate 2.7 to 2
+    def edit(doc):
+        doc["rules"][0]["support_abs"] = value
+
+    with pytest.raises(DataError, match="expected an integer"):
+        deserialize_rules(_edited_rule_file(tmp_path, two_segment, edit))
+    assert deserialize_rules(_edited_rule_file(tmp_path, two_segment, lambda doc: None))
+
+
+def test_predictor_checks_its_schema(two_segment):
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    no_target = [AttributeSchema(a.name, a.kind) for a in pred.schema]
+    with pytest.raises(DataError, match="exactly one target"):
+        Predictor(pred.rules, pred.default_rule, pred.normalized_errors, no_target, pred.metric)
+    with pytest.raises(DataError, match="duplicate attribute names"):
+        Predictor(pred.rules, pred.default_rule, pred.normalized_errors,
+                  [*pred.schema, pred.schema[0]], pred.metric)
+
+
 def test_raising_theta_never_increases_chosen_candidates():
     d = make_two_segment(n=150, seed=13)
     from hipar import EnumConfig, enumerate_candidates, hipar_init
@@ -304,6 +354,6 @@ def test_raising_theta_never_increases_chosen_candidates():
     counts = []
     for theta in (0.05, 0.1, 0.25, 0.5):
         cfg = EnumConfig(theta=theta, seed=1)
-        cands = enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+        cands = enumerate_candidates(d, hipar_init(d, cfg), cfg)
         counts.append(len(cands.rules))
     assert all(b <= a for a, b in zip(counts, counts[1:]))

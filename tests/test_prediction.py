@@ -193,7 +193,7 @@ def test_predict_batch_rejects_a_dataset_without_a_feature(two_segment):
 def test_predict_batch_matches_pointwise(two_segment):
     from hipar import RunConfig, run_hipar
 
-    rs, pred = run_hipar(two_segment, RunConfig(target="y", theta=0.2, seed=3))
+    rs, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
     rows = np.arange(two_segment.n)
     batch = predict_batch(pred, two_segment, rows)
     single = [predict(pred, two_segment.row(int(i))) for i in rows]
@@ -287,7 +287,7 @@ def test_predict_batch_rejects_a_feature_of_another_kind(tmp_path):
     path = str(tmp_path / "levels.csv")
     write_csv(Dataset(SCHEMA, {"g": cells, "x": d0.column("x"), "y": d0.column("y")}), path)
     d = load_csv(path, target="y", categorical_overrides=["g"])
-    _, pred = run_hipar(d, RunConfig(target="y", theta=0.2))
+    _, pred = run_hipar(d, RunConfig(theta=0.2))
     assert pred.levels == {"g": ("1", "2")}
     inferred = load_csv(path, target="y")
     assert inferred.attribute("g").kind == "numerical"
@@ -365,7 +365,7 @@ def digit_levels():
     g = np.where(rng.random(n) < 0.5, "1", "2").astype(object)
     x = rng.uniform(0.0, 1.0, n)
     y = np.where(g == "1", 1 + 2 * x, 10 - 3 * x) + rng.normal(0.0, 0.1, n)
-    _, pred = run_hipar(Dataset(SCHEMA, {"g": g, "x": x, "y": y}), RunConfig(target="y", theta=0.2))
+    _, pred = run_hipar(Dataset(SCHEMA, {"g": g, "x": x, "y": y}), RunConfig(theta=0.2))
     assert pred.levels == {"g": ("1", "2")}
     return pred
 

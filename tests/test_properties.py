@@ -62,7 +62,7 @@ def _structure(d: Dataset, rules) -> list:
 
 
 def _chosen(d: Dataset, seed: int) -> list:
-    selected, pred = run_hipar(d, RunConfig(target="y", theta=0.1, seed=seed))
+    selected, pred = run_hipar(d, RunConfig(theta=0.1, seed=seed))
     return _structure(d, [*selected.chosen, pred.default_rule])
 
 
@@ -82,8 +82,8 @@ def test_candidates_invariant_to_feature_offset_and_scale_under_the_same_splits(
     # hyperparameters and coefficient names are unchanged by x -> 1e3 x + 1e6.
     got = []
     for d in (_mixed(seed), _affine(_mixed(seed))):
-        cfg = RunConfig(target="y", theta=0.1, seed=seed).enum_config()
-        candidates = enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+        cfg = RunConfig(theta=0.1, seed=seed).enum_config()
+        candidates = enumerate_candidates(d, hipar_init(d, cfg), cfg)
         got.append(_structure(d, [*candidates.rules, candidates.default_rule]))
     assert any(isinstance(c, Interval) for r in candidates.rules
                for c in r.pattern.conditions)
@@ -98,15 +98,15 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
         masks.append(holdout_mask(*args))
         return masks[-1]
 
-    def contest(rows, d, y, metric, test, *rest):
-        fitted = best_local_model(rows, d, y, metric, test, *rest)
+    def contest(rows, d, metric, test, *rest):
+        fitted = best_local_model(rows, d, metric, test, *rest)
         contests.append((rows, test, fitted))
         return fitted
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)
     monkeypatch.setattr(enumeration, "best_local_model", contest)
-    cfg = RunConfig(target="y", theta=0.1, seed=0).enum_config()
-    candidates = enumerate_candidates(d, "y", hipar_init(d, "y", cfg), cfg)
+    cfg = RunConfig(theta=0.1, seed=0).enum_config()
+    candidates = enumerate_candidates(d, hipar_init(d, cfg), cfg)
     assert len(masks) == 1  # one draw per fit
     assert masks[0].tolist() == holdout_mask(d.n, 0.2, 0).tolist()
     # the default rule, every visited pattern and the parents no search visited
@@ -137,7 +137,7 @@ def test_rule_file_round_trip_predicts_bit_identically_near_1e6(tmp_path, seed):
     y = y + rng.normal(0.0, 0.1, n)
     d = Dataset([AttributeSchema("g", "categorical"), AttributeSchema("x", "numerical"),
                  AttributeSchema("y", "numerical", role="target")], {"g": g, "x": x, "y": y})
-    selected, pred = run_hipar(d, RunConfig(target="y", theta=0.2, seed=seed))
+    selected, pred = run_hipar(d, RunConfig(theta=0.2, seed=seed))
     assert any("x" in r.fitted.model.coefficients for r in selected.chosen)
     path = str(tmp_path / "rules.json")
     serialize_rules(pred, path)

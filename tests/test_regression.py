@@ -11,7 +11,6 @@ from hipar import (
     fit_lasso,
     fit_ols,
     fit_omp,
-    holdout_split,
 )
 from hipar.data import holdout_mask
 from hipar.regression import (
@@ -63,14 +62,14 @@ def kkt_violation(model: LinearModel, d, rows, y, lam):
 def test_ols_exact_linear():
     x = np.arange(5.0)
     d = _dataset({"x": x, "y": 2.0 * x})
-    m = fit_ols(range(5), d, "y")
+    m = fit_ols(range(5), d)
     assert m.intercept == pytest.approx(0.0, abs=1e-9)
     assert m.coefficients["x"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_ols_constant_target():
     d = _dataset({"x": [1, 2, 3], "y": [7, 7, 7]})
-    m = fit_ols(range(3), d, "y")
+    m = fit_ols(range(3), d)
     assert m.intercept == pytest.approx(7.0)
     assert m.coefficients == {}
 
@@ -82,13 +81,13 @@ def test_ols_interpolation_regime():
     beta = rng.normal(size=5)
     cols["y"] = sum(beta[j] * cols[f"x{j}"] for j in range(5))
     d = _dataset(cols)
-    m = fit_ols(range(3), d, "y")
-    assert evaluate(m, range(3), d, "y", "rmse") == pytest.approx(0.0, abs=1e-8)
+    m = fit_ols(range(3), d)
+    assert evaluate(m, range(3), d, "rmse") == pytest.approx(0.0, abs=1e-8)
 
 
 def test_ols_zero_variance_feature_dropped():
     d = _dataset({"x": [1, 2, 3, 4], "c": [5, 5, 5, 5], "y": [2, 4, 6, 8]})
-    m = fit_ols(range(4), d, "y")
+    m = fit_ols(range(4), d)
     assert "c" not in m.coefficients
     assert m.coefficients["x"] == pytest.approx(2.0)
 
@@ -106,7 +105,7 @@ def test_ols_near_collinear_matches_least_squares_on_rows(seed):
     Xs = (X - X.mean(axis=0)) / X.std(axis=0)
     assert 5e5 < np.linalg.cond(Xs) < 2e6
     exact = np.linalg.lstsq(Xs, y - y.mean(), rcond=None)[0] / X.std(axis=0)
-    m = fit_ols(range(200), _dataset({"x": x, "w": w, "y": y}), "y")
+    m = fit_ols(range(200), _dataset({"x": x, "w": w, "y": y}))
     got = np.array([m.coefficients["x"], m.coefficients["w"]])
     assert np.max(np.abs(got - exact)) < 1e-2 * np.max(np.abs(exact))
     fitted, exact_fitted = X @ got + m.intercept, X @ exact + y.mean() - X.mean(axis=0) @ exact
@@ -133,7 +132,7 @@ def test_standardization_round_trip():
     cols = {f"x{j}": rng.normal(10 * j, 3 + j, 40) for j in range(3)}
     cols["y"] = cols["x0"] - 2 * cols["x1"] + rng.normal(0, 0.1, 40)
     d = _dataset(cols)
-    m = fit_ols(range(40), d, "y")
+    m = fit_ols(range(40), d)
     rows = np.arange(40)
     direct = m.predict({n: d.column(n)[rows] for n in m.coefficients})
     y_bar = float(np.mean(d.column("y")))
@@ -161,7 +160,7 @@ def test_lasso_kill_point():
         col = d.column(name)[fit_rows]
         xs = (col - col.mean()) / col.std()
         lam_max = max(lam_max, abs(float(xs @ yc)) / len(fit_rows))
-    m = fit_lasso(fit_rows, d, "y", [lam_max * 1.0001], range(50, 60))
+    m = fit_lasso(fit_rows, d, [lam_max * 1.0001], range(50, 60))
     assert m.coefficients == {}
 
 
@@ -171,8 +170,8 @@ def test_lasso_small_lambda_approaches_ols():
     cols = {"a": rng.normal(size=n), "b": rng.normal(size=n)}
     cols["y"] = 3 * cols["a"] - cols["b"] + rng.normal(0, 0.05, n)
     d = _dataset(cols)
-    ols = fit_ols(range(60), d, "y")
-    lasso = fit_lasso(range(60), d, "y", [1e-7], range(60, 80))
+    ols = fit_ols(range(60), d)
+    lasso = fit_lasso(range(60), d, [1e-7], range(60, 80))
     for name in ("a", "b"):
         assert lasso.coefficients[name] == pytest.approx(ols.coefficients[name], abs=1e-4)
 
@@ -184,7 +183,7 @@ def test_lasso_planted_sparse_signal():
     b = rng.normal(size=n)
     y = 3 * a + rng.normal(0, 0.01, n)
     d = _dataset({"a": a, "b": b, "y": y})
-    m = fit_lasso(range(100), d, "y", [0.001, 0.01, 0.1, 1.0], range(100, 125))
+    m = fit_lasso(range(100), d, [0.001, 0.01, 0.1, 1.0], range(100, 125))
     assert m.coefficients["a"] == pytest.approx(3.0, abs=0.05)
     assert m.coefficients.get("b", 0.0) == 0.0
     assert kkt_violation(m, d, range(100), "y", m.hyper) < 1e-5
@@ -201,20 +200,20 @@ def test_lasso_kkt_random_instances():
         d = _dataset(cols)
         lam = float(rng.choice([0.001, 0.01, 0.1, 1.0]))
         rows = np.arange(n - 5)
-        m = fit_lasso(rows, d, "y", [lam], np.arange(n - 5, n))
+        m = fit_lasso(rows, d, [lam], np.arange(n - 5, n))
         assert kkt_violation(m, d, rows, "y", lam) < 1e-5
 
 
 def test_lasso_empty_fit_rows_rejected():
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
     with pytest.raises(DataError):
-        fit_lasso([], d, "y", [0.1], [0, 1])
+        fit_lasso([], d, [0.1], [0, 1])
 
 
 def test_lasso_disjointness_required():
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
     with pytest.raises(DataError):
-        fit_lasso(range(8), d, "y", [0.1], range(7, 10))
+        fit_lasso(range(8), d, [0.1], range(7, 10))
 
 
 @pytest.mark.parametrize("grid, hold", [
@@ -226,7 +225,7 @@ def test_lasso_disjointness_required():
 def test_lasso_bad_grid_or_empty_holdout_rejected(grid, hold):
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) ** 2})
     with pytest.raises(DataError):
-        fit_lasso(range(8), d, "y", grid, hold)
+        fit_lasso(range(8), d, grid, hold)
 
 
 # ---------------------------------------------------------------- fit_omp
@@ -235,7 +234,7 @@ def test_lasso_bad_grid_or_empty_holdout_rejected(grid, hold):
 def test_omp_single_feature():
     x = np.arange(10.0)
     d = _dataset({"x": x, "y": 2.0 * x})
-    m = fit_omp(range(8), d, "y", 3, range(8, 10))
+    m = fit_omp(range(8), d, 3, range(8, 10))
     assert m.coefficients == {"x": pytest.approx(2.0)}
 
 
@@ -248,7 +247,7 @@ def test_omp_exact_two_sparse_recovery():
     cols = {f"x{j}": X[:, j] for j in range(p)}
     cols["y"] = y
     d = _dataset(cols)
-    m = fit_omp(range(30), d, "y", 4, range(30, 40))
+    m = fit_omp(range(30), d, 4, range(30, 40))
     assert set(m.coefficients) == {"x1", "x3"}
     assert best_pair_oracle(X[:30], y[:30]) == planted
     assert m.coefficients["x1"] == pytest.approx(2.5, abs=1e-6)
@@ -257,7 +256,7 @@ def test_omp_exact_two_sparse_recovery():
 
 def test_omp_zero_terms_is_mean():
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) + 5})
-    m = fit_omp(range(8), d, "y", 0, range(8, 10))
+    m = fit_omp(range(8), d, 0, range(8, 10))
     assert m.method == "MEAN"
     assert m.coefficients == {}
 
@@ -266,28 +265,28 @@ def test_omp_zero_terms_needs_a_holdout():
     # the MEAN model is chosen on the holdout like every other fit: none is an error
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0) + 5})
     with pytest.raises(DataError, match="nonempty"):
-        fit_omp(range(8), d, "y", 0, [])
+        fit_omp(range(8), d, 0, [])
 
 
 @pytest.mark.parametrize("max_terms", [0, 2])
 def test_omp_empty_fit_rows_rejected(max_terms):
     d = _dataset({"x": np.arange(10.0), "y": np.arange(10.0)})
     with pytest.raises(DataError):
-        fit_omp([], d, "y", max_terms, [0, 1])
+        fit_omp([], d, max_terms, [0, 1])
 
 
 @pytest.mark.parametrize("max_terms", [-1, 2.5, 2.0, True])
 def test_max_terms_must_be_a_nonnegative_int(max_terms):
     d = _dataset({"x": np.arange(20.0), "y": np.arange(20.0) % 3})
     with pytest.raises(DataError, match="max_terms must be a nonnegative integer"):
-        best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0), max_terms=max_terms)
+        best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0), max_terms=max_terms)
     with pytest.raises(DataError, match="max_terms must be a nonnegative integer"):
-        fit_omp(range(16), d, "y", max_terms, range(16, 20))
+        fit_omp(range(16), d, max_terms, range(16, 20))
 
 
 _HOLDOUT_FITS = {
-    "lasso": lambda rows, hold, d: fit_lasso(rows, d, "y", [0.1], hold),
-    "omp": lambda rows, hold, d: fit_omp(rows, d, "y", 2, hold),
+    "lasso": lambda rows, hold, d: fit_lasso(rows, d, [0.1], hold),
+    "omp": lambda rows, hold, d: fit_omp(rows, d, 2, hold),
 }
 
 
@@ -323,7 +322,7 @@ def test_omp_training_error_non_increasing_in_k():
     rows = np.arange(40)
     # the k-term models for every k, from the moments core every fit shares
     fits = _fits(_moments(d.numeric_matrix(rows, [*names, "y"]).T), OMP, range(1, p + 1), names)
-    errors = [evaluate(fits.model(i), rows, d, "y", "rmse") for i in range(p)]
+    errors = [evaluate(fits.model(i), rows, d, "rmse") for i in range(p)]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
 
@@ -350,10 +349,10 @@ _DEGENERATE_FITS = {
 
 @pytest.mark.parametrize("case", sorted(_DEGENERATE_FITS))
 @pytest.mark.parametrize("fitter, hyper", [
-    (lambda rows, d: fit_ols(rows, d, "y"), None),
-    (lambda rows, d: fit_lasso(rows, d, "y", [0.001, 0.01, 0.1, 1.0], range(8, 10)), 1.0),
-    (lambda rows, d: fit_omp(rows, d, "y", 2, range(8, 10)), 1),
-    (lambda rows, d: fit_omp(rows, d, "y", 3, range(8, 10)), 1),
+    (lambda rows, d: fit_ols(rows, d), None),
+    (lambda rows, d: fit_lasso(rows, d, [0.001, 0.01, 0.1, 1.0], range(8, 10)), 1.0),
+    (lambda rows, d: fit_omp(rows, d, 2, range(8, 10)), 1),
+    (lambda rows, d: fit_omp(rows, d, 3, range(8, 10)), 1),
 ], ids=["ols", "lasso", "omp2", "omp3"])
 def test_degenerate_fit_falls_back_to_mean(case, fitter, hyper):
     cols, rows = _DEGENERATE_FITS[case]
@@ -371,7 +370,7 @@ def test_contest_constant_target_is_exact_mean(value, n):
     # a target constant on the rows is the MEAN model with no error, whatever the constant
     rng = np.random.default_rng(4)
     d = _dataset({"x1": rng.normal(size=n), "x2": rng.normal(size=n), "y": [value] * n})
-    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 4))
+    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 4))
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, value)
     assert fm.holdout_error == fm.train_error == 0.0
 
@@ -383,7 +382,7 @@ def test_contest_target_constant_on_the_fitting_side_is_scored_out_of_sample(met
     test = holdout_mask(20, 0.2, 4)
     y = np.where(test, 5.0, 1.0)
     d = _dataset({"x": np.random.default_rng(0).normal(size=20), "y": y})
-    fm = best_local_model(range(20), d, "y", metric, holdout_mask(d.n, 0.2, 4))
+    fm = best_local_model(range(20), d, metric, holdout_mask(d.n, 0.2, 4))
     assert fm.holdout_error == 4.0
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, 1.8)
     assert np.array_equal(fm.holdout_rows, np.flatnonzero(test))
@@ -511,8 +510,8 @@ def test_contest_invariant_to_offset_scale_and_column_order(seed):
     moved = {**cols, "a": cols["a"] + 1e6, "b": cols["b"] * 1e3}
     shuffled = {str(name): moved[name] for name in rng.permutation(list(moved))}
     test = holdout_mask(n, 0.2, seed)
-    before = best_local_model(range(n), _dataset(cols), "y", "rmse", test)
-    after = best_local_model(range(n), _dataset(shuffled), "y", "rmse", test)
+    before = best_local_model(range(n), _dataset(cols), "rmse", test)
+    after = best_local_model(range(n), _dataset(shuffled), "rmse", test)
     assert (after.model.method, after.model.hyper) == (before.model.method, before.model.hyper)
     assert after.holdout_error == pytest.approx(before.holdout_error, rel=1e-9, abs=0)
     expected = before.model.predict(cols)
@@ -526,22 +525,22 @@ def test_contest_invariant_to_offset_scale_and_column_order(seed):
 def test_evaluate_perfect_model():
     d = _dataset({"x": [1, 2, 3], "y": [2, 4, 6]})
     m = LinearModel(0.0, {"x": 2.0}, "OLS")
-    assert evaluate(m, range(3), d, "y", "rmse") == 0.0
-    assert evaluate(m, range(3), d, "y", "meae") == 0.0
+    assert evaluate(m, range(3), d, "rmse") == 0.0
+    assert evaluate(m, range(3), d, "meae") == 0.0
 
 
 def test_evaluate_symmetric_residuals():
     d = _dataset({"x": [0, 0], "y": [-1, 1]})
     m = LinearModel(0.0, {}, "MEAN")
-    assert evaluate(m, range(2), d, "y", "rmse") == pytest.approx(1.0)
-    assert evaluate(m, range(2), d, "y", "meae") == pytest.approx(1.0)
+    assert evaluate(m, range(2), d, "rmse") == pytest.approx(1.0)
+    assert evaluate(m, range(2), d, "meae") == pytest.approx(1.0)
 
 
 def test_evaluate_median_robustness():
     d = _dataset({"x": [0, 0, 0, 0], "y": [0, 0, 0, 10]})
     m = LinearModel(0.0, {}, "MEAN")
-    assert evaluate(m, range(4), d, "y", "rmse") == pytest.approx(5.0)
-    assert evaluate(m, range(4), d, "y", "meae") == pytest.approx(0.0)
+    assert evaluate(m, range(4), d, "rmse") == pytest.approx(5.0)
+    assert evaluate(m, range(4), d, "meae") == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("metric", ["rmse", "meae"])
@@ -557,19 +556,19 @@ def test_evaluate_all_matches_row_wise_referee(metric):
         LinearModel(2.5e5, {"x3": -0.25, "x1": 1.0}, "OMP"),  # another column order
     ]
     rows = rng.permutation(n)[:120]
-    got = evaluate_all(models, rows, d, "y", metric)
+    got = evaluate_all(models, rows, d, metric)
     idx = np.sort(rows)
     for m, e in zip(models, got.tolist()):
         want = metric_value(
             d.column("y")[idx] - m.predict({n: d.column(n)[idx] for n in m.coefficients}), metric)
         assert abs(e - want) <= 1e-12 * want
-        assert evaluate(m, rows, d, "y", metric) == evaluate_all([m], rows, d, "y", metric)[0]
+        assert evaluate(m, rows, d, metric) == evaluate_all([m], rows, d, metric)[0]
 
 
 def test_evaluate_empty_rows():
     d = _dataset({"x": [1], "y": [1]})
     with pytest.raises(DataError):
-        evaluate(LinearModel(0.0, {}, "MEAN"), [], d, "y", "rmse")
+        evaluate(LinearModel(0.0, {}, "MEAN"), [], d, "rmse")
 
 
 # ---------------------------------------------------------------- best_local_model
@@ -588,7 +587,7 @@ def test_contest_tie_breaks_to_lasso(monkeypatch):
     monkeypatch.setattr(reg, "_errors", tied)
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
+    fm = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert calls
     assert fm.model.method == "LASSO"
 
@@ -598,7 +597,7 @@ def test_contest_lower_error_wins():
     # grid lambda still shrinks, so OMP wins its contest outright
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
+    fm = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "OMP"
     assert fm.holdout_error < 1e-9
     assert fm.model.coefficients["x"] == pytest.approx(3.0, abs=1e-9)
@@ -606,7 +605,7 @@ def test_contest_lower_error_wins():
 
 def test_small_region_mean_fallback():
     d = _dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4]})
-    fm = best_local_model(range(4), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
+    fm = best_local_model(range(4), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "MEAN"
     assert fm.holdout_error == fm.train_error
     # MEAN model RMSE on its own rows equals the population std of y
@@ -623,11 +622,11 @@ def test_region_on_one_side_of_the_test_set_takes_the_mean_path(side):
     test = holdout_mask(d.n, 0.2, 0)
     rows = np.flatnonzero(test if side == "inside" else ~test)[:8]
     assert len(rows) >= 5
-    fm = best_local_model(rows, d, "y", "rmse", test)
+    fm = best_local_model(rows, d, "rmse", test)
     assert (fm.model.method, fm.model.hyper) == ("MEAN", None)
     assert fm.holdout_rows.tolist() == rows.tolist()
     assert fm.holdout_error == fm.train_error == pytest.approx(float(np.std(d.column("y")[rows])))
-    split = best_local_model(np.arange(d.n), d, "y", "rmse", test)
+    split = best_local_model(np.arange(d.n), d, "rmse", test)
     assert split.model.method != "MEAN"
     assert split.holdout_rows.tolist() == np.flatnonzero(test).tolist()
 
@@ -640,9 +639,9 @@ def test_region_on_one_side_of_the_test_set_takes_the_mean_path(side):
 ])
 def test_contest_rejects_a_test_set_that_is_not_a_bool_mask_over_the_table(test):
     d = _dataset({"x": np.arange(20.0), "y": np.arange(20.0)})
-    best_local_model(range(20), d, "y", "rmse", holdout_mask(d.n, 0.2, 0))
+    best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
     with pytest.raises(DataError, match="bool mask over the table's 20 rows"):
-        best_local_model(range(20), d, "y", "rmse", test)
+        best_local_model(range(20), d, "rmse", test)
 
 
 def test_correlated_feature_trap_lasso_wins():
@@ -653,14 +652,15 @@ def test_correlated_feature_trap_lasso_wins():
     decoy = 0.7 * (x1 + x2) / np.sqrt(2) + 0.7 * rng.normal(size=n)
     y = x1 + x2 + rng.normal(0, 0.05, n)
     d = _dataset({"x1": x1, "x2": x2, "decoy": decoy, "y": y})
-    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 3), max_terms=1)
+    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 3), max_terms=1)
     assert fm.model.method == "LASSO"
     # oracle: compare both contest holdout errors directly
     from hipar import fit_lasso as fl, fit_omp as fo
 
-    train, hold = holdout_split(range(n), 0.2, 3)
-    lasso_err = evaluate(fl(train, d, "y", [0.001, 0.01, 0.1, 1.0], hold), hold, d, "y", "rmse")
-    omp_err = evaluate(fo(train, d, "y", 1, hold), hold, d, "y", "rmse")
+    test = holdout_mask(n, 0.2, 3)
+    train, hold = np.flatnonzero(~test), np.flatnonzero(test)
+    lasso_err = evaluate(fl(train, d, [0.001, 0.01, 0.1, 1.0], hold), hold, d, "rmse")
+    omp_err = evaluate(fo(train, d, 1, hold), hold, d, "rmse")
     assert lasso_err < omp_err
     assert fm.holdout_error == pytest.approx(lasso_err)
 
@@ -671,10 +671,10 @@ def test_winner_refit_on_full_region():
     x = rng.normal(size=n)
     y = 4 * x + rng.normal(0, 0.1, n)
     d = _dataset({"x": x, "y": y})
-    fm = best_local_model(range(n), d, "y", "rmse", holdout_mask(d.n, 0.2, 1))
+    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 1))
     refit = fm.model
     # the recorded train error is the refit model's error over all rows
-    assert fm.train_error == pytest.approx(evaluate(refit, range(n), d, "y", "rmse"))
+    assert fm.train_error == pytest.approx(evaluate(refit, range(n), d, "rmse"))
     assert len(fm.holdout_rows) == round(0.2 * n)
 
 

@@ -21,7 +21,6 @@ from hipar import (
     fit_ols,
     fit_omp,
     holdout_mask,
-    holdout_split,
     mdlp_cuts,
     predict_batch,
 )
@@ -66,48 +65,44 @@ def _same(results):
 
 def test_binarize_target_row_forms():
     d = _dataset()
-    results = [binarize_target(rows, d, "y") for rows in _forms(FIT)]
+    results = [binarize_target(rows, d) for rows in _forms(FIT)]
     _same([(tb.rows, tb.labels, np.array([tb.threshold])) for tb in results])
 
 
 def test_mdlp_cuts_row_forms():
     # mdlp_cuts reads its rows from the labels, as binarize_target sorted them
     d = _dataset()
-    results = [mdlp_cuts(attrs, d, binarize_target(rows, d, "y"))
+    results = [mdlp_cuts(attrs, d, binarize_target(rows, d))
                for attrs in (["x1"], ["x2"], ["x1", "x2"]) for rows in _forms(FIT)]
     _same(results[:4])
     _same(results[4:8])
     _same(results[8:])
     assert results[8] == results[0] + results[4]
     assert results[0][0].cuts  # x1 separates the two segments
-    labels = binarize_target(FIT, d, "y")
+    labels = binarize_target(FIT, d)
     with pytest.raises(DataError, match="not sorted"):
         mdlp_cuts(["x1"], d, TargetBinarization(0.0, labels.rows[::-1], labels.labels[::-1]))
 
 
 def test_evaluate_row_forms():
     d = _dataset()
-    model = fit_ols(FIT, d, "y")
+    model = fit_ols(FIT, d)
     for metric in ("rmse", "meae"):
-        _same([evaluate(model, rows, d, "y", metric) for rows in _forms(HOLD)])
+        _same([evaluate(model, rows, d, metric) for rows in _forms(HOLD)])
 
 
 def test_fit_ols_row_forms():
     d = _dataset()
-    _same([fit_ols(rows, d, "y") for rows in _forms(FIT)])
+    _same([fit_ols(rows, d) for rows in _forms(FIT)])
 
 
 @pytest.mark.parametrize("fit", [
-    lambda rows, hold, d: fit_lasso(rows, d, "y", [0.01, 0.1, 1.0], hold),
-    lambda rows, hold, d: fit_omp(rows, d, "y", 2, hold),
+    lambda rows, hold, d: fit_lasso(rows, d, [0.01, 0.1, 1.0], hold),
+    lambda rows, hold, d: fit_omp(rows, d, 2, hold),
 ], ids=["lasso", "omp"])
 def test_fit_with_holdout_row_forms(fit):
     d = _dataset()
     _same([fit(rows, hold, d) for rows, hold in zip(_forms(FIT), _forms(HOLD))])
-
-
-def test_holdout_split_row_forms():
-    _same([holdout_split(rows, 0.2, seed=5) for rows in _forms(FIT)])
 
 
 # a row set names each row of the table once: negative, repeated and
@@ -137,27 +132,22 @@ def _default_predictor(d):
 
 ROW_TAKERS = {
     "subset": lambda rows, d: d.subset(rows),
-    "binarize_target": lambda rows, d: binarize_target(rows, d, "y"),
+    "binarize_target": lambda rows, d: binarize_target(rows, d),
     "mdlp_cuts": lambda rows, d: mdlp_cuts(
         ["x1"], d, TargetBinarization(0.0, np.sort(rows), np.arange(len(rows)) % 2 == 0)),
-    "evaluate": lambda rows, d: evaluate(LinearModel(0.0, {}, "MEAN"), rows, d, "y", "rmse"),
-    "fit_ols": lambda rows, d: fit_ols(rows, d, "y"),
-    "fit_lasso": lambda rows, d: fit_lasso(rows, d, "y", [0.1], HOLD_FAR),
-    "fit_lasso_holdout": lambda rows, d: fit_lasso(FIT_FAR, d, "y", [0.1], rows),
-    "fit_omp": lambda rows, d: fit_omp(rows, d, "y", 1, HOLD_FAR),
-    "fit_omp_holdout": lambda rows, d: fit_omp(FIT_FAR, d, "y", 1, rows),
-    "best_local_model": lambda rows, d: best_local_model(rows, d, "y", "rmse",
+    "evaluate": lambda rows, d: evaluate(LinearModel(0.0, {}, "MEAN"), rows, d, "rmse"),
+    "fit_ols": lambda rows, d: fit_ols(rows, d),
+    "fit_lasso": lambda rows, d: fit_lasso(rows, d, [0.1], HOLD_FAR),
+    "fit_lasso_holdout": lambda rows, d: fit_lasso(FIT_FAR, d, [0.1], rows),
+    "fit_omp": lambda rows, d: fit_omp(rows, d, 1, HOLD_FAR),
+    "fit_omp_holdout": lambda rows, d: fit_omp(FIT_FAR, d, 1, rows),
+    "best_local_model": lambda rows, d: best_local_model(rows, d, "rmse",
                                                        holdout_mask(d.n, 0.2, 3)),
-    "holdout_split": lambda rows, d: holdout_split(rows, 0.2, seed=5),
 }
 FIT_FAR, HOLD_FAR = range(100, 140), range(140, 160)  # disjoint from the bad sets
 
 
-# holdout_split has no table to check against: any nonnegative index names a row
-@pytest.mark.parametrize("name, case", [
-    (name, case) for name in ROW_TAKERS for case in BAD
-    if (name, case) != ("holdout_split", "out-of-range")
-])
+@pytest.mark.parametrize("name, case", [(name, case) for name in ROW_TAKERS for case in BAD])
 def test_bad_row_sets_are_rejected(name, case):
     d = _dataset()
     ROW_TAKERS[name](np.arange(20), d)  # rows 0..19 are accepted
