@@ -12,7 +12,6 @@ from .data import (
 )
 from .discretization import (
     CutPointSet,
-    DegenerateTarget,
     TargetBinarization,
     binarize_target,
     conditions_from_cuts,

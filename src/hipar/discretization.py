@@ -8,6 +8,10 @@ information gain clears the Fayyad-Irani MDL criterion
     gain > (log2(N - 1) + delta) / N,
     delta = log2(3^k - 2) - (k * Ent(S) - k1 * Ent(S1) - k2 * Ent(S2)).
 
+Labels that are all SV (any rows whose median is their largest target value,
+one row among them) have no boundary between classes and give no cuts, as
+does a row set too small to cut; neither is an error.
+
 The search is a prefix-count scan (Fayyad & Irani 1993) that runs once per
 search node for all the attributes it discretizes. Each numerical column is
 ranked once per table (``Dataset.ranks``: sorted distinct values and integer
@@ -39,10 +43,6 @@ from .patterns import Condition, Interval
 _TIE_TOL = 1e-12
 
 
-class DegenerateTarget(DataError):
-    """Target binarization produced an empty class; discretization is skipped."""
-
-
 @dataclass(frozen=True)
 class TargetBinarization:
     threshold: float
@@ -57,15 +57,15 @@ class CutPointSet:
 
 
 def binarize_target(rows, d: Dataset) -> TargetBinarization:
-    """Median split of the dataset's target over the rows; ties at the median go to SV."""
+    """Median split of the dataset's target over the nonempty rows; ties at
+    the median go to SV, so every row is SV where the median is the largest
+    value (as on one row)."""
     idx = sorted_rows(rows, d.n)
-    if len(idx) < 2:
-        raise DataError("target binarization needs at least 2 rows")
+    if len(idx) == 0:
+        raise DataError("target binarization needs at least 1 row")
     values = d.column(d.target)[idx]
     threshold = float(np.median(values))
     labels = values > threshold
-    if labels.all() or not labels.any():
-        raise DegenerateTarget(f"target {d.target!r} has a one-sided median split on these rows")
     return TargetBinarization(threshold=threshold, rows=idx, labels=labels)
 
 
@@ -129,7 +129,8 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
     Candidate cuts are midpoints between consecutive distinct values whose label
     sets differ. The boundary of minimum weighted entropy is tried first and
     kept only if the MDL criterion accepts it (smallest cut wins entropy ties);
-    both halves of an accepted cut recurse. An empty cut set is a valid result.
+    both halves of an accepted cut recurse. An empty cut set is a valid result:
+    one-sided labels have no boundary, and fewer than 2 rows none to cut.
     Returns one cut set per attribute, in the given order.
 
     All attributes are scanned together. A row's key for an attribute is its
@@ -146,10 +147,8 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
     ranked = [d.ranks(a) for a in attributes]
     idx = labels.rows
     check_rows(idx, d.n)
-    if len(idx) < 2:
-        raise DataError("discretization needs at least 2 rows")
-    if not attributes:
-        return []
+    if len(idx) < 2 or not attributes:
+        return [CutPointSet(attribute=a, cuts=()) for a in attributes]
 
     k, m = len(attributes), len(idx)
     keys = np.empty((k, m), np.result_type(*(codes for _, codes in ranked)))

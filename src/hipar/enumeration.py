@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import DataError, Dataset, holdout_mask
-from .discretization import DegenerateTarget, binarize_target, conditions_from_cuts, mdlp_cuts
+from .discretization import binarize_target, conditions_from_cuts, mdlp_cuts
 from .patterns import (
     TOP,
     Condition,
@@ -58,17 +58,21 @@ IV_PERCENTILE = 85.0
 
 @dataclass(frozen=True)
 class HybridRule:
-    """A pattern antecedent paired with its fitted local model."""
+    """A pattern antecedent paired with its fitted local model. The default
+    rule is exactly the rule whose pattern is TRUE (empty)."""
 
     pattern: Pattern
     fitted: FittedRuleModel
     support_abs: int
     support_rel: float
-    is_default: bool = False
 
     @property
     def key(self) -> str:
         return self.pattern.key
+
+    @property
+    def is_default(self) -> bool:
+        return self.pattern.is_empty
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,7 @@ def _interval_conditions(
     An attribute whose filtered partition collapses to a single interval is
     dropped entirely for this node.
     """
-    try:
-        labels = binarize_target(rows, d)
-    except DegenerateTarget:
-        return []
+    labels = binarize_target(rows, d)
     theta_abs = cfg.theta * d.n
     out: list[Interval] = []
     for cp in mdlp_cuts(attrs, d, labels):
@@ -189,11 +190,11 @@ class _Search:
         self.stats = EnumStats()
         self.accepted: list[HybridRule] = []
         self._iv1: dict[Condition, float] = {}
-        # keyed by the exact conditions: rendered text can collide
-        self._memo: dict[Pattern, HybridRule] = {}
+        # (rule, its scored rows), keyed by the exact conditions: rendered text can collide
+        self._memo: dict[Pattern, tuple[HybridRule, np.ndarray]] = {}
         self._visited: set[Pattern] = set()
         self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
-        self.default_rule = self.rule_for(TOP, rows=np.arange(d.n))
+        self.default_rule = self.rule_for(TOP, rows=np.arange(d.n))[0]
 
     def iv_single(self, c: Condition) -> float:
         v = self._iv1.get(c)
@@ -202,22 +203,18 @@ class _Search:
             self._iv1[c] = v
         return v
 
-    def rule_for(self, pattern: Pattern, rows: np.ndarray | None = None) -> HybridRule:
-        rule = self._memo.get(pattern)
-        if rule is not None:
-            return rule
+    def rule_for(self, pattern: Pattern,
+                 rows: np.ndarray | None = None) -> tuple[HybridRule, np.ndarray]:
+        """The pattern's rule and the rows its contest scored on."""
+        found = self._memo.get(pattern)
+        if found is not None:
+            return found
         if rows is None:
             rows = region(pattern, self.d)
-        fitted = best_local_model(rows, self.d, self.cfg.metric, self.test)
-        rule = HybridRule(
-            pattern=pattern,
-            fitted=fitted,
-            support_abs=len(rows),
-            support_rel=len(rows) / self.d.n,
-            is_default=pattern.is_empty,
-        )
-        self._memo[pattern] = rule
-        return rule
+        fitted, scored = best_local_model(rows, self.d, self.cfg.metric, self.test)
+        found = HybridRule(pattern, fitted, len(rows), len(rows) / self.d.n), scored
+        self._memo[pattern] = found
+        return found
 
     def parent_rules(self, p_closed: Pattern, support: int, universe: Universe) -> list[HybridRule]:
         """Rules of the immediate closed ancestors (closure of the pattern minus
@@ -233,7 +230,7 @@ class _Search:
             if np.bitwise_count(pattern_bits(sub, self.d)).sum() == support:
                 continue
             par = closure(sub, self.d, universe)
-            parents[par] = self.rule_for(par)
+            parents[par] = self.rule_for(par)[0]
         if not parents:
             parents[TOP] = self.default_rule
         return list(parents.values())
@@ -281,9 +278,9 @@ class _Search:
             self.stats.visited += 1
             self._visited.add(p_closed)
             self.stats.visited_keys.append(p_closed.key)
-            rule = self.rule_for(p_closed, rows=ext)
+            rule, scored = self.rule_for(p_closed, rows=ext)
             parents = self.parent_rules(p_closed, len(ext), universe)
-            ok = occam_test(rule, parents, rule.fitted.holdout_rows, self.d, self.cfg.metric)
+            ok = occam_test(rule, parents, scored, self.d, self.cfg.metric)
             if ok:
                 self.accepted.append(rule)
                 self.stats.accepted += 1

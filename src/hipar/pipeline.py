@@ -1,8 +1,9 @@
 """End-to-end pipeline: fit, select, predict, cross-validate, serialize.
 
 The rule file written by serialize_rules is a single JSON document carrying a
-human-readable text block plus the machine fields needed to rebuild a Predictor
-(schema, metric, per-rule models and normalized errors).
+human-readable text block plus the machine fields of the whole Predictor
+(schema, metric, per-rule models and normalized errors): deserialize_rules
+rebuilds a Predictor equal to the one saved.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     omega = 0 (every candidate selected), "sd" takes the top sd_q candidates by
     support-to-error trade-off; an sd_q given with another variant is a
     DataError. The default rule competes like any candidate but is always
-    retained for fallback prediction.
+    retained for fallback prediction. The Predictor keeps the normalized
+    errors of the chosen rules and the default rule, as its rule file does.
     """
     if cfg.variant not in VARIANTS:
         raise DataError(f"unknown variant {cfg.variant!r}, expected one of {VARIANTS}")
@@ -70,13 +72,12 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     else:
         selected = solve(problem)
 
-    ebar = {
-        rule.pattern: float(e) for rule, e in zip(problem.candidates, problem.normalized_errors)
-    }
+    ebar = dict(zip([r.pattern for r in problem.candidates], problem.normalized_errors.tolist()))
+    kept = [*selected.chosen, candidates.default_rule]
     predictor = Predictor(
         rules=selected,
         default_rule=candidates.default_rule,
-        normalized_errors=ebar,
+        normalized_errors={r.pattern: ebar[r.pattern] for r in kept},
         schema=list(d.schema),
         metric=enum_cfg.metric,
     )
@@ -187,15 +188,14 @@ def render_model(model: LinearModel, target: str) -> str:
     return f"{target} = {''.join(parts)}"
 
 
-def _rule_text(title: str, rule: HybridRule, target: str) -> str:
-    fitted = rule.fitted
+def _rule_text(title: str, rule: HybridRule, target: str, metric: str) -> str:
     return "\n".join(
         [
             title,
             f"  if       {rule.pattern.render()}",
-            f"  then     {render_model(fitted.model, target)}",
+            f"  then     {render_model(rule.fitted.model, target)}",
             f"  support  {rule.support_abs} ({rule.support_rel:.4f})",
-            f"  holdout  {fitted.metric} {'%.6g' % fitted.holdout_error}",
+            f"  holdout  {metric} {'%.6g' % rule.fitted.holdout_error}",
         ]
     )
 
@@ -249,13 +249,30 @@ def _flag(value: object) -> bool:
 
 
 def _count(value: object) -> int:
-    """A JSON integer; a fraction would be truncated by ``int()`` silently."""
+    """A JSON integer >= 1; a fraction would be truncated by ``int()`` silently."""
     if not is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"expected a count of at least 1, got {value!r}")
     return value
 
 
-def _rule_from_json(obj: dict, metric: str) -> HybridRule:
+# (test, description) of the values a number field of a rule file may take
+_ERROR = (lambda x: 0.0 <= x < math.inf, "finite and >= 0")
+_SHARE = (lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_FINITE = (math.isfinite, "finite")
+
+
+def _number(obj: dict, key: str, kind: tuple) -> float:
+    """``obj[key]`` as a float of the ``kind`` above; NaN passes none of them."""
+    x = float(obj[key])
+    test, description = kind
+    if not test(x):
+        raise ValueError(f"{key} must be {description}, got {obj[key]!r}")
+    return x
+
+
+def _rule_from_json(obj: dict) -> HybridRule:
     m = obj["model"]
     model = LinearModel(
         intercept=float(m["intercept"]),
@@ -266,19 +283,16 @@ def _rule_from_json(obj: dict, metric: str) -> HybridRule:
     )
     if not all(map(math.isfinite, [model.intercept, *model.coefficients.values()])):
         raise ValueError("a model has a non-finite intercept or coefficient")
-    fitted = FittedRuleModel(
-        model=model,
-        train_error=float(obj["train_error"]),
-        holdout_error=float(obj["holdout_error"]),
-        metric=metric,
-        holdout_rows=np.empty(0, dtype=int),
-    )
+    pattern = Pattern(_condition_from_json(c) for c in obj["conditions"])
+    if _flag(obj["is_default"]) != pattern.is_empty:
+        raise ValueError(f"rule {pattern.key!r} has is_default {json.dumps(obj['is_default'])}; "
+                         "the default rule is exactly the rule whose pattern is TRUE")
     return HybridRule(
-        pattern=Pattern(_condition_from_json(c) for c in obj["conditions"]),
-        fitted=fitted,
+        pattern=pattern,
+        fitted=FittedRuleModel(model, train_error=_number(obj, "train_error", _ERROR),
+                               holdout_error=_number(obj, "holdout_error", _ERROR)),
         support_abs=_count(obj["support_abs"]),
-        support_rel=float(obj["support_rel"]),
-        is_default=_flag(obj["is_default"]),
+        support_rel=_number(obj, "support_rel", _SHARE),
     )
 
 
@@ -294,10 +308,10 @@ def serialize_rules(pred: Predictor, path: str) -> None:
     counter = 0
     for rule in entries:
         if rule.is_default:
-            blocks.append(_rule_text("default rule", rule, target))
+            blocks.append(_rule_text("default rule", rule, target, pred.metric))
         else:
             counter += 1
-            blocks.append(_rule_text(f"rule {counter}", rule, target))
+            blocks.append(_rule_text(f"rule {counter}", rule, target, pred.metric))
     doc = {
         "format": "hipar-rules-v1",
         "target": target,
@@ -337,11 +351,11 @@ def deserialize_rules(path: str) -> Predictor:
     try:
         metric = check_metric(doc["metric"])
         schema = [AttributeSchema(s["name"], s["kind"], s["role"]) for s in doc["schema"]]
-        rules = [_rule_from_json(obj, metric) for obj in doc["rules"]]
+        rules = [_rule_from_json(obj) for obj in doc["rules"]]
         chosen = [r for r, obj in zip(rules, doc["rules"]) if _flag(obj["chosen"])]
         selected = SelectedRuleSet(
             chosen=chosen,
-            objective_value=float(doc["selection"]["objective_value"]),
+            objective_value=_number(doc["selection"], "objective_value", _FINITE),
             solver=doc["selection"]["solver"],
             proof=_flag(doc["selection"]["proof"]),
         )

@@ -17,13 +17,17 @@ from .selection import SelectedRuleSet
 
 @dataclass(frozen=True)
 class Predictor:
-    """Immutable prediction model over a selected rule set.
+    """Immutable prediction model over a selected rule set; a rule file
+    (``pipeline.serialize_rules``) holds all of it, so a saved predictor loads
+    back equal.
 
-    ``normalized_errors`` maps each rule's ``Pattern`` to ebar as computed over
-    the full training candidate pool at selection time; covering rules vote
-    with weights proportional to 1/ebar. The default rule never joins the vote,
-    even when the selector chose it: it answers alone for points no other
-    selected rule covers. ``schema`` is checked as a ``Dataset``'s is
+    ``normalized_errors`` maps the pattern of each chosen rule and of the
+    default rule, and no other, to its ebar as computed over the full training
+    candidate pool at selection time; each is finite and > 0, and covering
+    rules vote with weights proportional to 1/ebar. ``default_rule`` is the
+    rule whose pattern is TRUE. It never joins the vote, even when the
+    selector chose it: it answers alone for points no other selected rule
+    covers. ``schema`` is checked as a ``Dataset``'s is
     (``data.check_schema``). Every condition and coefficient must name a
     feature of it, of the kind the condition needs.
     """
@@ -44,9 +48,16 @@ class Predictor:
         check_schema(self.schema)
         object.__setattr__(self, "features", tuple(a for a in self.schema if a.role == "feature"))
         features = {a.name: a for a in self.features}
-        for rule in list(self.rules.chosen) + [self.default_rule]:
-            if rule.pattern not in self.normalized_errors:
-                raise DataError(f"rule {rule.key!r} has no recorded normalized error")
+        if not self.default_rule.is_default:
+            raise DataError(f"the default rule's pattern is {self.default_rule.key!r}, not TRUE")
+        held = [*self.rules.chosen, self.default_rule]
+        if self.normalized_errors.keys() != {r.pattern for r in held}:
+            raise DataError("normalized errors must name exactly the chosen and default rules")
+        for rule in held:
+            e = self.normalized_errors[rule.pattern]
+            if not (0.0 < e < math.inf and 1.0 / e < math.inf):  # False for NaN too
+                raise DataError(f"rule {rule.key!r} has normalized error {e!r}; "
+                                "it must be finite and > 0 with a finite inverse")
             for c in rule.pattern.conditions:
                 if c.attribute not in features:
                     raise DataError(f"rule {rule.key!r} tests {c.attribute!r}, not a feature")
@@ -57,11 +68,6 @@ class Predictor:
                                     "not a numerical feature")
         voting = sorted((r for r in self.rules.chosen if not r.is_default),
                         key=lambda r: r.pattern.order)
-        for r in voting:  # the vote relies on positive, finite weights 1/ebar
-            e = self.normalized_errors[r.pattern]
-            if not (0.0 < e < math.inf and 1.0 / e < math.inf):
-                raise DataError(f"rule {r.key!r} has normalized error {e!r}; "
-                                "a vote weight needs a positive, finite 1/ebar")
         voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)
         object.__setattr__(self, "voters", voters)
         levels: dict[str, set[str]] = {}

@@ -134,11 +134,13 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class FittedRuleModel:
+    """A rule's local model and its errors under the fit's metric: on all the
+    region's rows (``train_error``) and on the rows its contest scored on
+    (``holdout_error``). A rule file holds exactly these fields."""
+
     model: LinearModel
     train_error: float
     holdout_error: float
-    metric: str
-    holdout_rows: np.ndarray  # the region's rows in the test set (all of them on the MEAN path)
 
 
 def _region(idx: np.ndarray, d: Dataset) -> tuple[list[str], np.ndarray]:
@@ -493,9 +495,11 @@ def fit_omp(rows, d: Dataset, max_terms: int, holdout, metric: str = RMSE) -> Li
 
 def best_local_model(
     rows, d: Dataset, metric: str, test: np.ndarray, max_terms: int | None = None
-) -> FittedRuleModel:
+) -> tuple[FittedRuleModel, np.ndarray]:
     """LASSO vs OMP contest on the rows, split by the fit's test set ``test``,
-    a bool mask over the table (``holdout_mask(d.n, 0.2, seed)``).
+    a bool mask over the table (``holdout_mask(d.n, 0.2, seed)``). Returns the
+    fitted model and the rows the contest scored on, sorted: the region's rows
+    in the test set, or all of its rows on the MEAN path.
 
     The region's matrix Z = [X, y] is built once, column-major, and split by
     the mask. ``_tune`` fits both methods on the rows outside it and scores
@@ -522,17 +526,16 @@ def best_local_model(
         max_terms = min(len(names), MAX_TERMS_CAP)
     test = test[idx]
     if len(idx) < 5 or not 0 < np.count_nonzero(test) < len(idx):  # no split
-        method, hyper, full, holdout_rows, holdout_error = MEAN, None, _moments(Zt), idx, None
+        method, hyper, full, scored, holdout_error = MEAN, None, _moments(Zt), idx, None
     else:
         train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
         sides = _comoments(train), _comoments(hold)
         fits, i, holdout_error = _tune(_moments(train, sides[0]), names, hold[:-1].T, hold[-1],
                                        [(LASSO, DEFAULT_LAMBDA_GRID), _omp(max_terms)], metric)
         method, hyper = fits.method, None if fits.method == MEAN else fits.hypers[i]
-        full, holdout_rows = _moments(Zt, _merge(*sides)), idx[test]
+        full, scored = _moments(Zt, _merge(*sides)), idx[test]
 
     refit = _fits(full, method, [hyper], names)
     train_error = float(_errors(Zt[:-1].T, Zt[-1], refit.intercepts, refit.B, metric)[0])
     return FittedRuleModel(refit.model(0), train_error,
-                           train_error if holdout_error is None else holdout_error, metric,
-                           holdout_rows)
+                           train_error if holdout_error is None else holdout_error), scored

@@ -173,7 +173,7 @@ def _random_selection_problem(rng, n_rules):
             union = len(regions[i]) + len(regions[j]) - inter
             overlap[i, j] = overlap[j, i] = inter / union if union else 0.0
     model = LinearModel(0.0, {}, "MEAN")
-    fitted = FittedRuleModel(model, 1.0, 1.0, "rmse", np.arange(1))
+    fitted = FittedRuleModel(model, 1.0, 1.0)
     candidates = [
         HybridRule(Pattern([Equals(f"a{i:03d}", "v")]), fitted, 1, 0.1) for i in range(n_rules)
     ]
@@ -212,7 +212,7 @@ def test_criterion_5_ilp_exactness():
 def test_criterion_6_prediction_weights():
     rng = np.random.default_rng(606)
     with criterion("6 prediction weight normalization (1000 configs)", budget_seconds=30.0):
-        fitted = lambda m: FittedRuleModel(m, 0.5, 0.5, "rmse", np.arange(1))  # noqa: E731
+        fitted = lambda m: FittedRuleModel(m, 0.5, 0.5)  # noqa: E731
         for _ in range(1000):
             k = int(rng.integers(1, 8))
             rules, ebar = [], {}
@@ -225,7 +225,7 @@ def test_criterion_6_prediction_weights():
             ebar[TOP] = 0.5
             schema = [AttributeSchema(f"g{i}", "categorical") for i in range(k)]
             schema.append(AttributeSchema("y", "numerical", role="target"))
-            default = HybridRule(TOP, fitted(LinearModel(0.0, {}, "MEAN")), 10, 1.0, True)
+            default = HybridRule(TOP, fitted(LinearModel(0.0, {}, "MEAN")), 10, 1.0)
             pred = Predictor(
                 rules=SelectedRuleSet(rules, 0.0, "exact", True),
                 default_rule=default,
@@ -249,7 +249,7 @@ def test_criterion_6_prediction_weights():
             AttributeSchema("g1", "categorical"),
             AttributeSchema("y", "numerical", role="target"),
         ]
-        default = HybridRule(TOP, fitted(LinearModel(0.0, {}, "MEAN")), 10, 1.0, True)
+        default = HybridRule(TOP, fitted(LinearModel(0.0, {}, "MEAN")), 10, 1.0)
         pred = Predictor(
             rules=SelectedRuleSet([r1, r2], 0.0, "exact", True),
             default_rule=default,

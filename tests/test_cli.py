@@ -266,6 +266,19 @@ def test_end_to_end_determinism_byte_identical(tmp_path, segment_csv):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_fit_with_one_row_regions(tmp_path):
+    # theta*n = 1: a one-row region g=<level> can beat the default rule, and
+    # the search then discretizes the free x on that one row, which yields no cut
+    data = tmp_path / "ten.csv"
+    data.write_text("g,x,y\n" + "".join(
+        f"{'abcdefghij'[i]},{(7 * i) % 10}.5,{i * i % 7}.0\n" for i in range(10)))
+    rules = tmp_path / "rules.json"
+    assert main(["fit", "--input", str(data), "--target", "y", "--min-support", "0.1",
+                 "--rules-out", str(rules)]) == 0
+    doc = json.loads(rules.read_text())
+    assert any(r["support_abs"] == 1 and r["chosen"] for r in doc["rules"])
+
+
 def test_toy_csv_fit(tmp_path):
     toy = tmp_path / "toy.csv"
     toy.write_text(TOY_CSV)

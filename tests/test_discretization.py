@@ -7,7 +7,6 @@ from hipar import (
     AttributeSchema,
     DataError,
     Dataset,
-    DegenerateTarget,
     Interval,
     TargetBinarization,
     binarize_target,
@@ -33,15 +32,27 @@ def test_binarize_toy_median(toy):
 
 
 def test_binarize_degenerate_all_equal():
+    # one-sided labels are returned as they are, and give no cut
     d = _xy_dataset([1, 2, 3], [7, 7, 7])
-    with pytest.raises(DegenerateTarget):
-        binarize_target(range(3), d)
+    tb = binarize_target(range(3), d)
+    assert tb.threshold == 7.0 and not tb.labels.any()
+    assert mdlp_cuts(["x"], d, tb) == [CutPointSet("x", ())]
 
 
 def test_binarize_degenerate_one_sided_median():
     d = _xy_dataset([1, 2, 3, 4], [1, 2, 2, 2])  # median 2, nothing above it
-    with pytest.raises(DegenerateTarget):
-        binarize_target(range(4), d)
+    tb = binarize_target(range(4), d)
+    assert tb.threshold == 2.0 and not tb.labels.any()
+    assert mdlp_cuts(["x"], d, tb) == [CutPointSet("x", ())]
+
+
+def test_binarize_and_cut_one_row():
+    d = _xy_dataset([1, 2, 3], [4, 5, 6])
+    tb = binarize_target([1], d)
+    assert tb.rows.tolist() == [1] and tb.labels.tolist() == [False]
+    assert mdlp_cuts(["x"], d, tb) == [CutPointSet("x", ())]
+    with pytest.raises(DataError):
+        binarize_target([], d)
 
 
 def test_binarize_two_points():

@@ -16,10 +16,12 @@ from hipar import (
     Interval,
     LinearModel,
     Pattern,
+    best_local_model,
     closure,
     enumerate_candidates,
     evaluate,
     hipar_init,
+    holdout_mask,
     leftmost_parent_check,
     occam_test,
     region,
@@ -64,29 +66,29 @@ def _flat_dataset(n=10):
     )
 
 
-def _const_rule(pattern, value, is_default=False):
+def _const_rule(pattern, value):
     model = LinearModel(float(value), {}, "MEAN")
-    fitted = FittedRuleModel(model, value, value, "rmse", np.arange(2))
-    return HybridRule(pattern, fitted, 5, 0.5, is_default=is_default)
+    fitted = FittedRuleModel(model, value, value)
+    return HybridRule(pattern, fitted, 5, 0.5)
 
 
 def test_occam_strict_dominance():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 1.0)  # on y=0 rows the RMSE equals the intercept
-    parents = [_const_rule(TOP, 1.5, True), _const_rule(Pattern([G]), 2.0)]
+    parents = [_const_rule(TOP, 1.5), _const_rule(Pattern([G]), 2.0)]
     assert occam_test(child, parents, np.arange(5), d, "rmse")
 
 
 def test_occam_tie_rejected():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 1.0)
-    assert not occam_test(child, [_const_rule(TOP, 1.0, True)], np.arange(5), d, "rmse")
+    assert not occam_test(child, [_const_rule(TOP, 1.0)], np.arange(5), d, "rmse")
 
 
 def test_occam_single_default_parent():
     d = _flat_dataset()
     child = _const_rule(Pattern([A]), 2.9)
-    assert occam_test(child, [_const_rule(TOP, 3.0, True)], np.arange(5), d, "rmse")
+    assert occam_test(child, [_const_rule(TOP, 3.0)], np.arange(5), d, "rmse")
 
 
 # ------------------------------------------------------------------ hipar_init
@@ -332,8 +334,10 @@ def test_accepted_rules_strictly_beat_parents(two_segment):
     cfg = EnumConfig(theta=0.1, seed=5)
     conds = hipar_init(two_segment, cfg)
     cands = enumerate_candidates(two_segment, conds, cfg)
+    test = holdout_mask(two_segment.n, 0.2, 5)
     for rule in cands.rules:
-        eval_rows = rule.fitted.holdout_rows
+        rows = region(rule.pattern, two_segment)
+        _, eval_rows = best_local_model(rows, two_segment, "rmse", test)
         child = evaluate(rule.fitted.model, eval_rows, two_segment, "rmse")
         default = evaluate(
             cands.default_rule.fitted.model, eval_rows, two_segment, "rmse"
@@ -585,8 +589,8 @@ def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
     from hipar.enumeration import _Search
 
     search = _Search(d, EnumConfig(theta=0.05), [], None)
-    rule_low = search.rule_for(low)
-    rule_high = search.rule_for(high)
+    rule_low, _ = search.rule_for(low)
+    rule_high, _ = search.rule_for(high)
     assert rule_high is not rule_low
     assert rule_high.pattern == high
     assert rule_low.support_abs == len(region(low, d))

@@ -202,7 +202,7 @@ def test_condition_bits_are_read_only_packed_masks():
 
 
 def _rule(pattern, d):
-    fitted = FittedRuleModel(LinearModel(0.0, {}, "MEAN"), 1.0, 1.0, "rmse", np.arange(1))
+    fitted = FittedRuleModel(LinearModel(0.0, {}, "MEAN"), 1.0, 1.0)
     s = len(region(pattern, d))
     return HybridRule(pattern, fitted, s, s / d.n)
 

@@ -42,15 +42,15 @@ def test_count_elements_micro_cases():
         SelectedRuleSet,
     )
 
-    def rule(pattern, n_coefs, is_default=False):
+    def rule(pattern, n_coefs):
         model = LinearModel(1.0, {f"x{i}": 1.0 for i in range(n_coefs)}, "OLS")
-        fitted = FittedRuleModel(model, 0.1, 0.1, "rmse", np.arange(1))
-        return HybridRule(pattern, fitted, 2, 0.2, is_default=is_default)
+        fitted = FittedRuleModel(model, 0.1, 0.1)
+        return HybridRule(pattern, fitted, 2, 0.2)
 
     two_conds = Pattern([Equals("a", "u"), Equals("b", "v")])
     rs = SelectedRuleSet([rule(two_conds, 3)], 0.0, "exact", True)
     assert count_elements(rs) == 5  # 2 conditions + 3 coefficients
-    rs = SelectedRuleSet([rule(TOP, 4, is_default=True)], 0.0, "exact", True)
+    rs = SelectedRuleSet([rule(TOP, 4)], 0.0, "exact", True)
     assert count_elements(rs) == 4  # default counts only its coefficients
     rs = SelectedRuleSet([rule(Pattern([Equals("a", "u")]), 0)], 0.0, "exact", True)
     assert count_elements(rs) == 1  # MEAN-model rule: its one condition
@@ -169,9 +169,92 @@ def test_serialize_round_trip(tmp_path, two_segment):
     path = tmp_path / "rules.json"
     serialize_rules(pred, str(path))
     back = deserialize_rules(str(path))
+    assert back == pred
+    rows = np.arange(two_segment.n)
+    assert predict_batch(back, two_segment, rows).tolist() == \
+        predict_batch(pred, two_segment, rows).tolist()
     for i in range(0, two_segment.n, 7):
         obs = two_segment.row(i)
-        assert abs(predict(back, obs) - predict(pred, obs)) <= 1e-12
+        assert predict(back, obs) == predict(pred, obs)
+
+
+@pytest.fixture
+def rule_doc(tmp_path, two_segment):
+    """A fitted rule file's JSON document; ``load(doc)`` writes a document
+    and reads it back."""
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    path = tmp_path / "rules.json"
+    serialize_rules(pred, str(path))
+    doc = json.loads(path.read_text())
+    assert len(doc["rules"]) > 1
+
+    def load(edited):
+        path.write_text(json.dumps(edited))
+        return deserialize_rules(str(path))
+
+    return doc, load
+
+
+def _edited(doc, rule_index, key, value):
+    out = json.loads(json.dumps(doc))
+    out["rules"][rule_index][key] = value
+    return out
+
+
+def test_loader_rejects_a_support_count_below_one(rule_doc):
+    doc, load = rule_doc
+    for value in (0, -3):
+        with pytest.raises(DataError, match="at least 1"):
+            load(_edited(doc, 0, "support_abs", value))
+
+
+def test_loader_rejects_a_support_share_outside_the_unit_interval(rule_doc):
+    doc, load = rule_doc
+    load(_edited(doc, 0, "support_rel", 1.0))
+    for value in (0.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(DataError, match="support_rel must be in"):
+            load(_edited(doc, 0, "support_rel", value))
+
+
+@pytest.mark.parametrize("key", ["train_error", "holdout_error"])
+def test_loader_rejects_an_error_that_is_not_finite_and_non_negative(rule_doc, key):
+    doc, load = rule_doc
+    load(_edited(doc, 0, key, 0.0))
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(DataError, match=f"{key} must be finite and >= 0"):
+            load(_edited(doc, 0, key, value))
+
+
+def test_loader_rejects_a_normalized_error_that_is_not_finite_and_positive(rule_doc):
+    # the default rule's entry too, though it never weighs a vote
+    doc, load = rule_doc
+    default = next(i for i, r in enumerate(doc["rules"]) if r["is_default"])
+    voter = next(i for i, r in enumerate(doc["rules"]) if r["chosen"] and not r["is_default"])
+    for i in (default, voter):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="must be finite and > 0"):
+                load(_edited(doc, i, "normalized_error", value))
+
+
+def test_loader_rejects_a_non_finite_objective_value(rule_doc):
+    doc, load = rule_doc
+    for value in (math.nan, math.inf, -math.inf):
+        edited = json.loads(json.dumps(doc))
+        edited["selection"]["objective_value"] = value
+        with pytest.raises(DataError, match="objective_value must be finite"):
+            load(edited)
+
+
+def test_loader_rejects_swapped_default_flags(rule_doc):
+    # a rule is the default rule exactly when its pattern is TRUE; a file that
+    # says otherwise would make another rule the fallback, and it never votes
+    doc, load = rule_doc
+    default = next(i for i, r in enumerate(doc["rules"]) if r["is_default"])
+    other = next(i for i, r in enumerate(doc["rules"]) if not r["is_default"])
+    swapped = _edited(_edited(doc, default, "is_default", False), other, "is_default", True)
+    for edited in (swapped, _edited(doc, default, "is_default", False)):
+        with pytest.raises(DataError, match="pattern is TRUE"):
+            load(edited)
 
 
 def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
@@ -188,10 +271,9 @@ def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
         SelectedRuleSet,
     )
 
-    def rule(pattern, intercept, is_default=False):
-        fitted = FittedRuleModel(LinearModel(intercept, {}, "MEAN"), 0.5, 0.5, "rmse",
-                                 np.arange(1))
-        return HybridRule(pattern, fitted, 4, 0.4, is_default=is_default)
+    def rule(pattern, intercept):
+        fitted = FittedRuleModel(LinearModel(intercept, {}, "MEAN"), 0.5, 0.5)
+        return HybridRule(pattern, fitted, 4, 0.4)
 
     low = rule(Pattern([Interval("x", -math.inf, 1000000.15)]), 1.0)
     high = rule(Pattern([Interval("x", -math.inf, 1000000.25)]), 5.0)
@@ -199,7 +281,7 @@ def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
     schema = [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")]
     pred = Predictor(
         rules=SelectedRuleSet([low, high], 0.0, "exact", True),
-        default_rule=rule(TOP, 0.0, is_default=True),
+        default_rule=rule(TOP, 0.0),
         normalized_errors={low.pattern: 0.2, high.pattern: 0.6, TOP: 0.2},
         schema=schema,
         metric="rmse",

@@ -27,13 +27,13 @@ SCHEMA = [
 ]
 
 
-def _rule(pattern, model, is_default=False):
-    fitted = FittedRuleModel(model, 0.5, 0.5, "rmse", np.arange(1))
-    return HybridRule(pattern, fitted, 4, 0.4, is_default=is_default)
+def _rule(pattern, model):
+    fitted = FittedRuleModel(model, 0.5, 0.5)
+    return HybridRule(pattern, fitted, 4, 0.4)
 
 
 def _predictor(rules, ebar, default_value=100.0, default_chosen=False, schema=SCHEMA):
-    default = _rule(TOP, LinearModel(default_value, {}, "MEAN"), is_default=True)
+    default = _rule(TOP, LinearModel(default_value, {}, "MEAN"))
     chosen = list(rules) + ([default] if default_chosen else [])
     errors = dict(ebar)
     errors.setdefault(TOP, 0.9)
@@ -125,7 +125,7 @@ def test_weights_sum_to_one_random():
             ebar[r.pattern] = float(rng.uniform(0.01, 1.0))
         schema = [AttributeSchema(f"g{i}", "categorical") for i in range(k)]
         schema.append(AttributeSchema("y", "numerical", role="target"))
-        default = _rule(TOP, LinearModel(0.0, {}, "MEAN"), is_default=True)
+        default = _rule(TOP, LinearModel(0.0, {}, "MEAN"))
         ebar[TOP] = 0.5
         pred = Predictor(
             rules=SelectedRuleSet(rules, 0.0, "exact", True),
@@ -175,8 +175,37 @@ def test_rule_on_non_feature_rejected_at_construction():
     with pytest.raises(DataError, match="'z'"):
         Predictor(
             rules=SelectedRuleSet([], 0.0, "exact", True),
-            default_rule=_rule(TOP, LinearModel(0.0, {"z": 1.0}, "OLS"), is_default=True),
+            default_rule=_rule(TOP, LinearModel(0.0, {"z": 1.0}, "OLS")),
             normalized_errors={TOP: 1.0},
+            schema=SCHEMA,
+            metric="rmse",
+        )
+
+
+def test_default_rule_must_be_the_true_rule():
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    with pytest.raises(DataError, match="not TRUE"):
+        Predictor(
+            rules=SelectedRuleSet([], 0.0, "exact", True),
+            default_rule=rule,
+            normalized_errors={rule.pattern: 1.0},
+            schema=SCHEMA,
+            metric="rmse",
+        )
+
+
+def test_normalized_errors_name_exactly_the_chosen_and_default_rules():
+    rule = _rule(Pattern([Equals("g", "a")]), LinearModel(1.0, {}, "MEAN"))
+    other = Pattern([Equals("g", "b")])
+    _predictor([rule], {rule.pattern: 0.5})
+    for ebar in ({}, {rule.pattern: 0.5, other: 0.5}):  # one missing, one extra
+        with pytest.raises(DataError, match="exactly the chosen and default rules"):
+            _predictor([rule], ebar)
+    with pytest.raises(DataError, match="exactly the chosen and default rules"):
+        Predictor(  # no entry for the default rule
+            rules=SelectedRuleSet([rule], 0.0, "exact", True),
+            default_rule=_rule(TOP, LinearModel(0.0, {}, "MEAN")),
+            normalized_errors={rule.pattern: 0.5},
             schema=SCHEMA,
             metric="rmse",
         )
@@ -252,8 +281,7 @@ def _random_case(rng, n):
         rule = _rule(Pattern(by_attr.values()), model)
         rules[rule.pattern] = rule
     ebar = {k: float(rng.uniform(0.05, 2.0)) for k in rules}
-    default = _rule(TOP, LinearModel(float(rng.normal()), {"u": 0.3, "v": -1.7}, "OLS"),
-                    is_default=True)
+    default = _rule(TOP, LinearModel(float(rng.normal()), {"u": 0.3, "v": -1.7}, "OLS"))
     ebar[TOP] = 1.0
     pred = Predictor(rules=SelectedRuleSet(list(rules.values()), 0.0, "exact", True),
                      default_rule=default, normalized_errors=ebar, schema=schema, metric="rmse")

@@ -99,9 +99,9 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
         return masks[-1]
 
     def contest(rows, d, metric, test, *rest):
-        fitted = best_local_model(rows, d, metric, test, *rest)
-        contests.append((rows, test, fitted))
-        return fitted
+        fitted, scored = best_local_model(rows, d, metric, test, *rest)
+        contests.append((rows, test, scored))
+        return fitted, scored
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)
     monkeypatch.setattr(enumeration, "best_local_model", contest)
@@ -111,11 +111,11 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
     assert masks[0].tolist() == holdout_mask(d.n, 0.2, 0).tolist()
     # the default rule, every visited pattern and the parents no search visited
     assert len(contests) >= candidates.stats.visited + 1
-    for rows, test, fitted in contests:
+    for rows, test, scored in contests:
         assert test is masks[0]
         inside = rows[test[rows]]
         split = len(rows) >= 5 and 0 < len(inside) < len(rows)
-        assert fitted.holdout_rows.tolist() == (inside if split else rows).tolist()
+        assert scored.tolist() == (inside if split else rows).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -144,3 +144,19 @@ def test_rule_file_round_trip_predicts_bit_identically_near_1e6(tmp_path, seed):
     rows = np.arange(n)
     assert predict_batch(deserialize_rules(path), d, rows).tolist() == \
         predict_batch(pred, d, rows).tolist()
+
+
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_saved_predictor_loads_back_equal(tmp_path, seed, metric):
+    # a rule file holds the whole Predictor: interval bounds, models, errors
+    # and weights all read back exactly, and a re-save writes the same bytes
+    d = _mixed(seed)
+    selected, pred = run_hipar(d, RunConfig(theta=0.1, seed=seed, metric=metric))
+    assert any(isinstance(c, Interval) for r in selected.chosen for c in r.pattern.conditions)
+    path, again = tmp_path / "rules.json", tmp_path / "again.json"
+    serialize_rules(pred, str(path))
+    back = deserialize_rules(str(path))
+    assert back == pred
+    serialize_rules(back, str(again))
+    assert again.read_bytes() == path.read_bytes()

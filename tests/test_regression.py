@@ -370,7 +370,7 @@ def test_contest_constant_target_is_exact_mean(value, n):
     # a target constant on the rows is the MEAN model with no error, whatever the constant
     rng = np.random.default_rng(4)
     d = _dataset({"x1": rng.normal(size=n), "x2": rng.normal(size=n), "y": [value] * n})
-    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 4))
+    fm, _ = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 4))
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, value)
     assert fm.holdout_error == fm.train_error == 0.0
 
@@ -382,10 +382,10 @@ def test_contest_target_constant_on_the_fitting_side_is_scored_out_of_sample(met
     test = holdout_mask(20, 0.2, 4)
     y = np.where(test, 5.0, 1.0)
     d = _dataset({"x": np.random.default_rng(0).normal(size=20), "y": y})
-    fm = best_local_model(range(20), d, metric, holdout_mask(d.n, 0.2, 4))
+    fm, scored = best_local_model(range(20), d, metric, holdout_mask(d.n, 0.2, 4))
     assert fm.holdout_error == 4.0
     assert (fm.model.method, fm.model.hyper, fm.model.intercept) == ("MEAN", None, 1.8)
-    assert np.array_equal(fm.holdout_rows, np.flatnonzero(test))
+    assert np.array_equal(scored, np.flatnonzero(test))
 
 
 # ---------------------------------------------------------------- moments core vs row-wise oracles
@@ -510,8 +510,8 @@ def test_contest_invariant_to_offset_scale_and_column_order(seed):
     moved = {**cols, "a": cols["a"] + 1e6, "b": cols["b"] * 1e3}
     shuffled = {str(name): moved[name] for name in rng.permutation(list(moved))}
     test = holdout_mask(n, 0.2, seed)
-    before = best_local_model(range(n), _dataset(cols), "rmse", test)
-    after = best_local_model(range(n), _dataset(shuffled), "rmse", test)
+    before, _ = best_local_model(range(n), _dataset(cols), "rmse", test)
+    after, _ = best_local_model(range(n), _dataset(shuffled), "rmse", test)
     assert (after.model.method, after.model.hyper) == (before.model.method, before.model.hyper)
     assert after.holdout_error == pytest.approx(before.holdout_error, rel=1e-9, abs=0)
     expected = before.model.predict(cols)
@@ -587,7 +587,7 @@ def test_contest_tie_breaks_to_lasso(monkeypatch):
     monkeypatch.setattr(reg, "_errors", tied)
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
+    fm, _ = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert calls
     assert fm.model.method == "LASSO"
 
@@ -597,7 +597,7 @@ def test_contest_lower_error_wins():
     # grid lambda still shrinks, so OMP wins its contest outright
     x = np.arange(20.0)
     d = _dataset({"x": x, "y": 3.0 * x + 1.0})
-    fm = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
+    fm, _ = best_local_model(range(20), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "OMP"
     assert fm.holdout_error < 1e-9
     assert fm.model.coefficients["x"] == pytest.approx(3.0, abs=1e-9)
@@ -605,7 +605,7 @@ def test_contest_lower_error_wins():
 
 def test_small_region_mean_fallback():
     d = _dataset({"x": [1, 2, 3, 4], "y": [1, 2, 3, 4]})
-    fm = best_local_model(range(4), d, "rmse", holdout_mask(d.n, 0.2, 0))
+    fm, _ = best_local_model(range(4), d, "rmse", holdout_mask(d.n, 0.2, 0))
     assert fm.model.method == "MEAN"
     assert fm.holdout_error == fm.train_error
     # MEAN model RMSE on its own rows equals the population std of y
@@ -622,13 +622,13 @@ def test_region_on_one_side_of_the_test_set_takes_the_mean_path(side):
     test = holdout_mask(d.n, 0.2, 0)
     rows = np.flatnonzero(test if side == "inside" else ~test)[:8]
     assert len(rows) >= 5
-    fm = best_local_model(rows, d, "rmse", test)
+    fm, scored = best_local_model(rows, d, "rmse", test)
     assert (fm.model.method, fm.model.hyper) == ("MEAN", None)
-    assert fm.holdout_rows.tolist() == rows.tolist()
+    assert scored.tolist() == rows.tolist()
     assert fm.holdout_error == fm.train_error == pytest.approx(float(np.std(d.column("y")[rows])))
-    split = best_local_model(np.arange(d.n), d, "rmse", test)
+    split, scored = best_local_model(np.arange(d.n), d, "rmse", test)
     assert split.model.method != "MEAN"
-    assert split.holdout_rows.tolist() == np.flatnonzero(test).tolist()
+    assert scored.tolist() == np.flatnonzero(test).tolist()
 
 
 @pytest.mark.parametrize("test", [
@@ -652,7 +652,7 @@ def test_correlated_feature_trap_lasso_wins():
     decoy = 0.7 * (x1 + x2) / np.sqrt(2) + 0.7 * rng.normal(size=n)
     y = x1 + x2 + rng.normal(0, 0.05, n)
     d = _dataset({"x1": x1, "x2": x2, "decoy": decoy, "y": y})
-    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 3), max_terms=1)
+    fm, _ = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 3), max_terms=1)
     assert fm.model.method == "LASSO"
     # oracle: compare both contest holdout errors directly
     from hipar import fit_lasso as fl, fit_omp as fo
@@ -671,11 +671,11 @@ def test_winner_refit_on_full_region():
     x = rng.normal(size=n)
     y = 4 * x + rng.normal(0, 0.1, n)
     d = _dataset({"x": x, "y": y})
-    fm = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 1))
+    fm, scored = best_local_model(range(n), d, "rmse", holdout_mask(d.n, 0.2, 1))
     refit = fm.model
     # the recorded train error is the refit model's error over all rows
     assert fm.train_error == pytest.approx(evaluate(refit, range(n), d, "rmse"))
-    assert len(fm.holdout_rows) == round(0.2 * n)
+    assert len(scored) == round(0.2 * n)
 
 
 def _tune_with_errors(monkeypatch, errors, entries):

@@ -119,8 +119,8 @@ BAD = {
 
 
 def _default_predictor(d):
-    fitted = FittedRuleModel(LinearModel(0.0, {}, "MEAN"), 0.0, 0.0, "rmse", np.arange(1))
-    default = HybridRule(Pattern([]), fitted, d.n, 1.0, is_default=True)
+    fitted = FittedRuleModel(LinearModel(0.0, {}, "MEAN"), 0.0, 0.0)
+    default = HybridRule(Pattern([]), fitted, d.n, 1.0)
     return Predictor(
         rules=SelectedRuleSet(chosen=[default], objective_value=0.0, solver="exact", proof=True),
         default_rule=default,

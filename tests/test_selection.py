@@ -23,10 +23,10 @@ from hipar.selection import _rank
 from .oracles import best_subset_oracle
 
 
-def _rule(pattern, error, support_abs, n, is_default=False):
+def _rule(pattern, error, support_abs, n):
     model = LinearModel(0.0, {}, "MEAN")
-    fitted = FittedRuleModel(model, error, error, "rmse", np.arange(1))
-    return HybridRule(pattern, fitted, support_abs, support_abs / n, is_default=is_default)
+    fitted = FittedRuleModel(model, error, error)
+    return HybridRule(pattern, fitted, support_abs, support_abs / n)
 
 
 def _two_col_dataset():
