@@ -12,7 +12,7 @@ import numpy as np
 from hipar import (
     AttributeSchema,
     Dataset,
-    EnumConfig,
+    RunConfig,
     binarize_target,
     conditions_from_cuts,
     hipar_init,
@@ -48,5 +48,5 @@ for cuts in mdlp_cuts(["informative", "noise"], data, labels):
 
 print()
 print("== bootstrap conditions at theta = 0.2 ==")
-for cond in hipar_init(data, EnumConfig(theta=0.2, seed=0)):
+for cond in hipar_init(data, RunConfig(theta=0.2, seed=0)):
     print(f"   {cond.render()}")

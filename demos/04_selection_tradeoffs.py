@@ -10,7 +10,6 @@ import numpy as np
 from hipar import (
     AttributeSchema,
     Dataset,
-    EnumConfig,
     RunConfig,
     count_elements,
     enumerate_candidates,
@@ -41,7 +40,7 @@ data = Dataset(
 
 print("== theta sweep: higher support thresholds shrink the candidate pool ==")
 for theta in (0.05, 0.1, 0.2, 0.4):
-    cfg = EnumConfig(theta=theta, seed=1)
+    cfg = RunConfig(theta=theta, seed=1)
     cands = enumerate_candidates(data, hipar_init(data, cfg), cfg)
     s = cands.stats
     print(

@@ -18,7 +18,6 @@ from .discretization import (
     mdlp_cuts,
 )
 from .enumeration import (
-    EnumConfig,
     EnumStats,
     HybridRule,
     enumerate_candidates,

@@ -69,8 +69,9 @@ def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     d = load_csv(args.input, args.target, args.categorical)
-    selected, predictor = run_hipar(d, _config(args))
+    selected, predictor = run_hipar(d, cfg)
     serialize_rules(predictor, args.rules_out)
     print(f"wrote {len(selected.chosen)} rules to {args.rules_out}")
     return 0

@@ -8,9 +8,9 @@ information gain clears the Fayyad-Irani MDL criterion
     gain > (log2(N - 1) + delta) / N,
     delta = log2(3^k - 2) - (k * Ent(S) - k1 * Ent(S1) - k2 * Ent(S2)).
 
-Labels that are all SV (any rows whose median is their largest target value,
-one row among them) have no boundary between classes and give no cuts, as
-does a row set too small to cut; neither is an error.
+Labels that are all SV (a constant target, one row among them) have no
+boundary between classes and give no cuts, as does a row set too small to
+cut; neither is an error.
 
 The search is a prefix-count scan (Fayyad & Irani 1993) that runs once per
 search node for all the attributes it discretizes. Each numerical column is
@@ -57,15 +57,18 @@ class CutPointSet:
 
 
 def binarize_target(rows, d: Dataset) -> TargetBinarization:
-    """Median split of the dataset's target over the nonempty rows; ties at
-    the median go to SV, so every row is SV where the median is the largest
-    value (as on one row)."""
+    """Median split of the dataset's target over the nonempty rows. Ties at
+    the median go to SV, unless no value exceeds the median: then they go to
+    LV, so a target that varies always gets both classes (y = 1, 2, 2, 2
+    gives SV {1}). A constant target, one row among them, is all SV."""
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("target binarization needs at least 1 row")
     values = d.column(d.target)[idx]
     threshold = float(np.median(values))
     labels = values > threshold
+    if not labels.any() and values.min() < threshold:
+        labels = values >= threshold
     return TargetBinarization(threshold=threshold, rows=idx, labels=labels)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,10 @@ from .patterns import (
     pattern_bits,
     region,
 )
-from .regression import FittedRuleModel, best_local_model, check_metric, evaluate_all
+from .regression import FittedRuleModel, best_local_model, evaluate_all
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 Trace = Callable[[str], None]
 
@@ -75,16 +78,6 @@ class HybridRule:
         return self.pattern.is_empty
 
 
-@dataclass(frozen=True)
-class EnumConfig:
-    theta: float  # relative support threshold in (0, 1], always read against the full dataset
-    metric: str = "rmse"
-    seed: int = 0
-    # True explores subtrees below rules that fail the parent-improvement test
-    # (the early-stopping heuristic switched off).
-    exhaustive: bool = False
-
-
 @dataclass
 class EnumStats:
     visited: int = 0
@@ -107,16 +100,13 @@ def _frequent(count: int, theta_abs: float) -> bool:
     return count + 1e-9 >= theta_abs
 
 
-def _validate(d: Dataset, cfg: EnumConfig) -> None:
-    if not 0.0 < cfg.theta <= 1.0:
-        raise DataError(f"theta must lie in (0, 1], got {cfg.theta}")
+def _validate(d: Dataset, cfg: RunConfig) -> None:
     if cfg.theta * d.n < 1.0 - 1e-9:
         raise DataError(f"theta*n = {cfg.theta * d.n:.3g} is below one row")
-    check_metric(cfg.metric)
 
 
 def _interval_conditions(
-    d: Dataset, rows: np.ndarray, attrs: Sequence[str], cfg: EnumConfig
+    d: Dataset, rows: np.ndarray, attrs: Sequence[str], cfg: RunConfig
 ) -> list[Interval]:
     """MDLP intervals for the attributes, frequency-filtered and imbalance-guarded.
 
@@ -137,7 +127,7 @@ def _interval_conditions(
     return out
 
 
-def hipar_init(d: Dataset, cfg: EnumConfig) -> list[Condition]:
+def hipar_init(d: Dataset, cfg: RunConfig) -> list[Condition]:
     """Bootstrap conditions: frequent categorical equalities plus MDLP intervals
     derived on the full dataset, in canonical order. May be empty."""
     _validate(d, cfg)
@@ -179,12 +169,13 @@ def occam_test(
 
 
 class _Search:
-    def __init__(self, d: Dataset, cfg: EnumConfig, conds: Sequence[Condition],
-                 trace: Trace | None):
+    def __init__(self, d: Dataset, cfg: RunConfig, conds: Sequence[Condition],
+                 trace: Trace | None, exhaustive: bool = False):
         self.d = d
         self.test = holdout_mask(d.n, 0.2, cfg.seed)  # the fit's one 20% test set
         self.cfg = cfg
         self.trace = trace
+        self.exhaustive = exhaustive
         self.yv = d.column(d.target)
         self.theta_abs = cfg.theta * d.n
         self.stats = EnumStats()
@@ -288,7 +279,7 @@ class _Search:
             else:
                 self.stats.rejected_occam += 1
                 self.emit("rejected-occam", len(ext), iv, p_closed)
-            if ok or self.cfg.exhaustive:
+            if ok or self.exhaustive:
                 closed_conds = set(p_closed.conditions)
                 child_cat = [
                     cc for cc in conds[i + 1 :] if isinstance(cc, Equals) and cc not in closed_conds
@@ -310,17 +301,22 @@ def _render_with(pattern: Pattern, c: Condition) -> str:
 def enumerate_candidates(
     d: Dataset,
     init_conditions: Sequence[Condition],
-    cfg: EnumConfig,
+    cfg: RunConfig,
     trace: Trace | None = None,
+    exhaustive: bool = False,
 ) -> CandidateSet:
     """Run the full candidate enumeration; the default rule is fitted first.
 
-    Returns the accepted rules (closed, frequent, each strictly beating its
-    evaluated parents), the default rule, and per-decision search statistics.
+    Reads theta, metric and seed of the run's config. Returns the accepted
+    rules (closed, frequent, each strictly beating its evaluated parents), the
+    default rule, and per-decision search statistics. ``exhaustive`` also
+    explores the subtrees below rules that fail the parent-improvement test
+    (the early-stopping heuristic switched off), the reference search of the
+    closed-pattern oracle tests.
     """
     _validate(d, cfg)
     conds = sorted(init_conditions, key=lambda c: c.order)
-    search = _Search(d, cfg, conds, trace)
+    search = _Search(d, cfg, conds, trace, exhaustive)
     if conds:
         search.walk(TOP, pattern_bits(TOP, d), conds)
     return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)

@@ -16,32 +16,51 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import AttributeSchema, DataError, Dataset, is_int, k_folds
-from .enumeration import EnumConfig, HybridRule, enumerate_candidates, hipar_init
+from .enumeration import HybridRule, enumerate_candidates, hipar_init
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
 from .regression import FittedRuleModel, LinearModel, check_metric, evaluate, fit_ols, metric_value
-from .selection import SelectedRuleSet, build_problem, select_top_q, solve
+from .selection import SelectedRuleSet, build_problem, check_biases, select_top_q, solve
 
 VARIANTS = ("standard", "f", "sd")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Pipeline configuration; defaults follow the recommended operating point
-    (theta=0.1, sigma=1, omega=1, RMSE, 10 folds). The target is the
-    dataset's (``Dataset.target``)."""
+    """The one configuration of a fit; defaults follow the recommended
+    operating point (theta=0.1, sigma=1, omega=1, RMSE, 10 folds). The target
+    is the dataset's (``Dataset.target``).
 
-    theta: float = 0.1
+    Settings are checked when the config is made, so a bad one is a DataError
+    before any input is read; the metric is stored lower-cased. Bounds that
+    need the table (theta*n >= 1, folds <= n, sd_q <= candidates) are checked
+    where the table is read, and the seed and fold count where a split or
+    fold plan is drawn.
+    """
+
+    theta: float = 0.1  # relative support threshold, always read against the full table
     sigma: float = 1.0
     omega: float = 1.0
     metric: str = "rmse"
     variant: str = "standard"  # standard | f | sd
-    sd_q: int | None = None
+    sd_q: int | None = None  # rule count of variant sd, and only of it
     folds: int = 10
-    seed: int = 0
+    seed: int = 0  # seeds the fit's 80/20 split and the folds
 
-    def enum_config(self) -> EnumConfig:
-        return EnumConfig(theta=self.theta, metric=check_metric(self.metric), seed=self.seed)
+    def __post_init__(self):
+        if not 0.0 < self.theta <= 1.0:
+            raise DataError(f"theta must lie in (0, 1], got {self.theta}")
+        object.__setattr__(self, "metric", check_metric(self.metric))
+        if self.variant not in VARIANTS:
+            raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.variant != "sd":
+            if self.sd_q is not None:
+                raise DataError(f"sd_q is read only by variant 'sd', not {self.variant!r}")
+        elif self.sd_q is None:
+            raise DataError("variant 'sd' requires sd_q")
+        elif not (is_int(self.sd_q) and self.sd_q >= 1):
+            raise DataError(f"sd_q must be an integer >= 1, got {self.sd_q!r}")
+        check_biases(self.sigma, self.omega)
 
 
 def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
@@ -49,28 +68,18 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
 
     Variant "standard" solves the overlap-penalized selection, "f" forces
     omega = 0 (every candidate selected), "sd" takes the top sd_q candidates by
-    support-to-error trade-off; an sd_q given with another variant is a
-    DataError. The default rule competes like any candidate but is always
-    retained for fallback prediction. The Predictor keeps the normalized
-    errors of the chosen rules and the default rule, as its rule file does.
+    support-to-error trade-off. The config was checked when it was made. The
+    default rule competes like any candidate but is always retained for
+    fallback prediction. The Predictor keeps the normalized errors of the
+    chosen rules and the default rule, as its rule file does.
     """
-    if cfg.variant not in VARIANTS:
-        raise DataError(f"unknown variant {cfg.variant!r}, expected one of {VARIANTS}")
-    if cfg.sd_q is not None and cfg.variant != "sd":
-        raise DataError(f"sd_q is read only by variant 'sd', not {cfg.variant!r}")
-    enum_cfg = cfg.enum_config()
-    init_conditions = hipar_init(d, enum_cfg)
-    candidates = enumerate_candidates(d, init_conditions, enum_cfg)
+    init_conditions = hipar_init(d, cfg)
+    candidates = enumerate_candidates(d, init_conditions, cfg)
     pool = list(candidates.rules) + [candidates.default_rule]
 
     omega = 0.0 if cfg.variant == "f" else cfg.omega
     problem = build_problem(pool, cfg.sigma, omega, d)
-    if cfg.variant == "sd":
-        if cfg.sd_q is None:
-            raise DataError("variant 'sd' requires sd_q")
-        selected = select_top_q(problem, cfg.sd_q)
-    else:
-        selected = solve(problem)
+    selected = select_top_q(problem, cfg.sd_q) if cfg.variant == "sd" else solve(problem)
 
     ebar = dict(zip([r.pattern for r in problem.candidates], problem.normalized_errors.tolist()))
     kept = [*selected.chosen, candidates.default_rule]
@@ -79,7 +88,7 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
         default_rule=candidates.default_rule,
         normalized_errors={r.pattern: ebar[r.pattern] for r in kept},
         schema=list(d.schema),
-        metric=enum_cfg.metric,
+        metric=cfg.metric,
     )
     return selected, predictor
 
@@ -112,20 +121,14 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    folds: list[FoldResult]
+    metric: str
     mean_reduction: float
     median_reduction: float
-    metric: str
     config: dict
+    folds: list[FoldResult]
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "mean_reduction": self.mean_reduction,
-            "median_reduction": self.median_reduction,
-            "config": self.config,
-            "folds": [asdict(f) for f in self.folds],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -139,7 +142,6 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
     whose baseline error is zero cannot anchor a reduction and are skipped
     with a note.
     """
-    metric = check_metric(cfg.metric)
     plan = k_folds(d, cfg.folds, cfg.seed)
     results: list[FoldResult] = []
     for fold in range(plan.k):
@@ -152,9 +154,9 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         selected, predictor = run_hipar(train_ds, cfg)
         seconds = time.perf_counter() - start
 
-        baseline_error = evaluate(baseline, test_rows, d, metric)
+        baseline_error = evaluate(baseline, test_rows, d, cfg.metric)
         predictions = predict_batch(predictor, d, test_rows)
-        model_error = metric_value(d.column(d.target)[test_rows] - predictions, metric)
+        model_error = metric_value(d.column(d.target)[test_rows] - predictions, cfg.metric)
         skipped = baseline_error == 0.0
         results.append(
             FoldResult(
@@ -171,11 +173,11 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
         )
     reductions = [r.reduction for r in results if not r.skipped]
     return EvaluationReport(
-        folds=results,
+        metric=cfg.metric,
         mean_reduction=float(np.mean(reductions)) if reductions else math.nan,
         median_reduction=float(np.median(reductions)) if reductions else math.nan,
-        metric=metric,
-        config={"target": d.target, **asdict(cfg), "metric": metric},
+        config={"target": d.target, **asdict(cfg)},
+        folds=results,
     )
 
 
@@ -214,6 +216,8 @@ def _condition_to_json(c) -> dict:
 def _condition_from_json(obj: dict):
     if obj["op"] == "eq":
         return Equals(obj["attribute"], obj["value"])
+    if obj["op"] != "in":
+        raise ValueError(f"unknown condition op {obj['op']!r}, expected 'eq' or 'in'")
     lo = -math.inf if obj["lo"] is None else float(obj["lo"])
     hi = math.inf if obj["hi"] is None else float(obj["hi"])
     return Interval(obj["attribute"], lo, hi)
@@ -367,10 +371,13 @@ def deserialize_rules(path: str) -> Predictor:
     defaults = [r for r in rules if r.is_default]
     if len(defaults) != 1:
         raise DataError(f"{path} must carry exactly one default rule")
-    return Predictor(
-        rules=selected,
-        default_rule=defaults[0],
-        normalized_errors=ebar,
-        schema=schema,
-        metric=metric,
-    )
+    try:
+        return Predictor(
+            rules=selected,
+            default_rule=defaults[0],
+            normalized_errors=ebar,
+            schema=schema,
+            metric=metric,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

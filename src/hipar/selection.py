@@ -55,6 +55,12 @@ class SelectedRuleSet:
     proof: bool
 
 
+def check_biases(sigma: float, omega: float) -> None:
+    """The support bias sigma and the overlap bias omega must be finite and >= 0."""
+    if not (0 <= sigma < np.inf and 0 <= omega < np.inf):  # False for NaN too
+        raise DataError(f"sigma and omega must be finite and >= 0, got {sigma} and {omega}")
+
+
 def build_problem(
     candidates: Sequence[HybridRule], sigma: float, omega: float, d: Dataset
 ) -> SelectionProblem:
@@ -62,8 +68,7 @@ def build_problem(
     pairwise region overlaps on the training data."""
     if not candidates:
         raise DataError("selection needs at least one candidate rule")
-    if not (0 <= sigma < np.inf and 0 <= omega < np.inf):  # False for NaN too
-        raise DataError(f"sigma and omega must be finite and >= 0, got {sigma} and {omega}")
+    check_biases(sigma, omega)
     errors = np.array([r.fitted.holdout_error for r in candidates], dtype=float)
     if not np.all(np.isfinite(errors)):
         raise DataError("candidate rules carry non-finite errors")

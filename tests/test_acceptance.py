@@ -14,7 +14,6 @@ import pytest
 from hipar import (
     AttributeSchema,
     Dataset,
-    EnumConfig,
     Equals,
     FittedRuleModel,
     HybridRule,
@@ -94,9 +93,9 @@ def test_criterion_2_closed_pattern_oracle_equivalence():
             schema.append(AttributeSchema("y", "numerical", role="target"))
             d = Dataset(schema, cols)
             theta = float(rng.uniform(0.2, 0.4))
-            cfg = EnumConfig(theta=theta, seed=trial, exhaustive=True)
+            cfg = RunConfig(theta=theta, seed=trial)
             conds = hipar_init(d, cfg)
-            cands = enumerate_candidates(d, conds, cfg)
+            cands = enumerate_candidates(d, conds, cfg, exhaustive=True)
             want = closed_frequent_oracle(d, conds, theta_abs=theta * n)
             got = set(cands.stats.visited_keys)
             assert got == want, f"trial {trial}: {got ^ want}"
@@ -280,7 +279,7 @@ def test_criterion_8_parameter_sensitivity_directions():
         d = make_two_segment(n=200, noise_frac=0.05, seed=7)
         candidate_counts = []
         for theta in (0.05, 0.1, 0.2, 0.35, 0.5):
-            cfg = EnumConfig(theta=theta, seed=3)
+            cfg = RunConfig(theta=theta, seed=3)
             cands = enumerate_candidates(d, hipar_init(d, cfg), cfg)
             candidate_counts.append(len(cands.rules))
         assert all(

@@ -92,6 +92,16 @@ def test_eval_report_keeps_its_format(tmp_path, segment_csv):
     }
 
 
+@pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
+def test_a_bad_setting_is_reported_before_the_input_is_read(tmp_path, capsys, command, out):
+    code = main([command, "--input", str(tmp_path / "missing.csv"), "--target", "y",
+                 "--overlap-bias", "-1", out, str(tmp_path / "out.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sigma and omega must be finite and >= 0" in err
+    assert "cannot read" not in err
+
+
 def test_missing_input_is_exit_1(tmp_path):
     code = main(
         ["fit", "--input", "/nope/missing.csv", "--target", "y",

@@ -40,10 +40,12 @@ def test_binarize_degenerate_all_equal():
 
 
 def test_binarize_degenerate_one_sided_median():
-    d = _xy_dataset([1, 2, 3, 4], [1, 2, 2, 2])  # median 2, nothing above it
+    # median 2, nothing above it: the ties go to LV, so the varying target
+    # keeps two classes and x, which separates them, is cut
+    d = _xy_dataset([1, 2, 3, 4], [1, 2, 2, 2])
     tb = binarize_target(range(4), d)
-    assert tb.threshold == 2.0 and not tb.labels.any()
-    assert mdlp_cuts(["x"], d, tb) == [CutPointSet("x", ())]
+    assert tb.threshold == 2.0 and tb.labels.tolist() == [False, True, True, True]
+    assert mdlp_cuts(["x"], d, tb) == [CutPointSet("x", (1.5,))]
 
 
 def test_binarize_and_cut_one_row():

@@ -8,7 +8,6 @@ from hipar import (
     AttributeSchema,
     DataError,
     Dataset,
-    EnumConfig,
     EnumStats,
     Equals,
     FittedRuleModel,
@@ -16,6 +15,7 @@ from hipar import (
     Interval,
     LinearModel,
     Pattern,
+    RunConfig,
     best_local_model,
     closure,
     enumerate_candidates,
@@ -95,7 +95,7 @@ def test_occam_single_default_parent():
 
 
 def test_init_toy_low_threshold(toy):
-    conds = hipar_init(toy, EnumConfig(theta=1 / 6, seed=0))
+    conds = hipar_init(toy, RunConfig(theta=1 / 6, seed=0))
     cats = {c for c in conds if isinstance(c, Equals)}
     assert cats == {
         Equals("property-type", "cottage"),
@@ -115,7 +115,7 @@ def test_init_toy_low_threshold(toy):
 
 
 def test_init_threshold_above_all_supports(toy):
-    assert hipar_init(toy, EnumConfig(theta=0.9, seed=0)) == []
+    assert hipar_init(toy, RunConfig(theta=0.9, seed=0)) == []
 
 
 def test_init_no_categorical_columns():
@@ -127,7 +127,7 @@ def test_init_no_categorical_columns():
         [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
         {"x": x, "y": y},
     )
-    conds = hipar_init(d, EnumConfig(theta=0.25, seed=0))
+    conds = hipar_init(d, RunConfig(theta=0.25, seed=0))
     assert conds and all(isinstance(c, Interval) for c in conds)
 
 
@@ -141,7 +141,7 @@ def test_init_imbalance_guard():
         [AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical", role="target")],
         {"x": x, "y": y},
     )
-    conds = hipar_init(d, EnumConfig(theta=0.25, seed=0))
+    conds = hipar_init(d, RunConfig(theta=0.25, seed=0))
     assert conds == []
 
 
@@ -158,7 +158,7 @@ def test_init_levels_exact_for_non_ascii_and_trailing_nul():
     levels = ["é"] * 5 + ["日本"] * 4 + ["Z"] * 3 + ["ß"] * 2 + ["a"] * 4 + ["a\x00"] * 3 + ["😀"]
     cells = np.random.default_rng(1).permutation(np.array(levels, dtype=object))
     d = _categorical_table(cells)
-    cfg = EnumConfig(theta=3 / len(levels), seed=0)
+    cfg = RunConfig(theta=3 / len(levels), seed=0)
     # the levels np.unique finds on the object column, frequent at theta
     values, counts = np.unique(cells, return_counts=True)
     want = sorted((Equals("g", v) for v, c in zip(values, counts) if c >= 3), key=lambda c: c.order)
@@ -186,7 +186,7 @@ def test_init_on_a_subset_equals_init_on_a_fresh_table():
     # the subset keeps its parent's table, "z" included, though no row holds it
     assert sub.column("g").levels == tuple(sorted(levels))
     assert fresh.column("g").levels == tuple(sorted(levels[:4]))
-    cfg = EnumConfig(theta=0.1, seed=0)
+    cfg = RunConfig(theta=0.1, seed=0)
     got = hipar_init(sub, cfg)
     assert got == hipar_init(fresh, cfg)
     assert {c.value for c in got if isinstance(c, Equals)} == set(levels[:4])
@@ -196,16 +196,16 @@ def test_init_on_a_subset_equals_init_on_a_fresh_table():
 
 def test_init_validates_config(toy):
     with pytest.raises(DataError):
-        hipar_init(toy, EnumConfig(theta=0.0, seed=0))
+        hipar_init(toy, RunConfig(theta=0.0, seed=0))
     with pytest.raises(DataError):
-        hipar_init(toy, EnumConfig(theta=0.05, seed=0))  # theta*n < 1
+        hipar_init(toy, RunConfig(theta=0.05, seed=0))  # theta*n < 1
 
 
 # --------------------------------------------------------- enumerate_candidates
 
 
 def test_enumerate_empty_frontier(toy):
-    cands = enumerate_candidates(toy, [], EnumConfig(theta=1 / 6, seed=0))
+    cands = enumerate_candidates(toy, [], RunConfig(theta=1 / 6, seed=0))
     assert cands.rules == []
     assert cands.default_rule.is_default
     assert cands.stats.visited == 0
@@ -213,10 +213,10 @@ def test_enumerate_empty_frontier(toy):
 
 def test_toy_node_reached_once_from_leftmost_parent(toy):
     # the cottage & excellent node forms exactly once, from parent cottage
-    cfg = EnumConfig(theta=2 / 6, seed=0, exhaustive=True)
+    cfg = RunConfig(theta=2 / 6, seed=0)
     conds = hipar_init(toy, cfg)
     lines: list[str] = []
-    enumerate_candidates(toy, conds, cfg, trace=lines.append)
+    enumerate_candidates(toy, conds, cfg, trace=lines.append, exhaustive=True)
     key = 'property-type="cottage" & state="excellent"'
     hits = [ln for ln in lines if ln.split("\t")[0] == key]
     assert len(hits) == 1
@@ -224,7 +224,7 @@ def test_toy_node_reached_once_from_leftmost_parent(toy):
 
 
 def test_trace_format(toy):
-    cfg = EnumConfig(theta=2 / 6, seed=0)
+    cfg = RunConfig(theta=2 / 6, seed=0)
     conds = hipar_init(toy, cfg)
     lines: list[str] = []
     enumerate_candidates(toy, conds, cfg, trace=lines.append)
@@ -253,11 +253,11 @@ def test_trace_does_not_change_the_search():
         + [AttributeSchema("y", "numerical", role="target")],
         {"seg": seg, "kind": kind, "x": x, "z": z, "y": y},
     )
-    cfg = EnumConfig(theta=0.1, seed=0, exhaustive=True)
+    cfg = RunConfig(theta=0.1, seed=0)
     conds = hipar_init(d, cfg)
     lines: list[str] = []
-    traced = enumerate_candidates(d, conds, cfg, trace=lines.append)
-    plain = enumerate_candidates(d, conds, cfg)
+    traced = enumerate_candidates(d, conds, cfg, trace=lines.append, exhaustive=True)
+    plain = enumerate_candidates(d, conds, cfg, exhaustive=True)
     assert {ln.split("\t")[3] for ln in lines} >= {"pruned-support", "pruned-iv", "accepted"}
 
     def summary(cands):
@@ -279,9 +279,9 @@ def test_visited_patterns_match_closed_miner_toy(toy):
         ],
         {name: toy.column(name) for name in ("property-type", "state", "price")},
     )
-    cfg = EnumConfig(theta=2 / 6, seed=0, exhaustive=True)
+    cfg = RunConfig(theta=2 / 6, seed=0)
     cats = hipar_init(d, cfg)
-    cands = enumerate_candidates(d, cats, cfg)
+    cands = enumerate_candidates(d, cats, cfg, exhaustive=True)
     got = set(cands.stats.visited_keys)
     want = closed_frequent_oracle(d, cats, theta_abs=2.0)
     assert got == want
@@ -304,16 +304,16 @@ def test_visited_patterns_match_closed_miner_random():
         schema.append(AttributeSchema("y", "numerical", role="target"))
         d = Dataset(schema, cols)
         theta = float(rng.uniform(0.15, 0.35))
-        cfg = EnumConfig(theta=theta, seed=trial, exhaustive=True)
+        cfg = RunConfig(theta=theta, seed=trial)
         conds = hipar_init(d, cfg)
         cats = [c for c in conds if isinstance(c, Equals)]
-        cands = enumerate_candidates(d, cats, cfg)
+        cands = enumerate_candidates(d, cats, cfg, exhaustive=True)
         want = closed_frequent_oracle(d, cats, theta_abs=theta * n)
         assert set(cands.stats.visited_keys) == want
 
 
 def test_two_segment_rules_enumerated_and_beat_default(two_segment):
-    cfg = EnumConfig(theta=0.2, seed=3)
+    cfg = RunConfig(theta=0.2, seed=3)
     conds = hipar_init(two_segment, cfg)
     cands = enumerate_candidates(two_segment, conds, cfg)
     keys = {r.key for r in cands.rules}
@@ -331,7 +331,7 @@ def test_two_segment_rules_enumerated_and_beat_default(two_segment):
 
 
 def test_accepted_rules_strictly_beat_parents(two_segment):
-    cfg = EnumConfig(theta=0.1, seed=5)
+    cfg = RunConfig(theta=0.1, seed=5)
     conds = hipar_init(two_segment, cfg)
     cands = enumerate_candidates(two_segment, conds, cfg)
     test = holdout_mask(two_segment.n, 0.2, 5)
@@ -350,9 +350,9 @@ def test_raising_theta_never_increases_visits():
     d = make_two_segment(n=120, seed=11)
     visited = []
     for theta in (0.1, 0.2, 0.3, 0.5):
-        cfg = EnumConfig(theta=theta, seed=2, exhaustive=True)
+        cfg = RunConfig(theta=theta, seed=2)
         conds = hipar_init(d, cfg)
-        cands = enumerate_candidates(d, conds, cfg)
+        cands = enumerate_candidates(d, conds, cfg, exhaustive=True)
         visited.append(cands.stats.visited)
     assert all(b <= a for a, b in zip(visited, visited[1:]))
 
@@ -438,9 +438,9 @@ PINNED_VISITED = [
 
 def test_search_decisions_pinned_on_rediscretized_table():
     d = _rediscretized_table()
-    cfg = EnumConfig(theta=0.04, seed=3, exhaustive=True)
+    cfg = RunConfig(theta=0.04, seed=3)
     init = hipar_init(d, cfg)
-    cands = enumerate_candidates(d, init, cfg)
+    cands = enumerate_candidates(d, init, cfg, exhaustive=True)
     assert cands.stats == EnumStats(**PINNED_STATS, visited_keys=PINNED_VISITED)
     # the table does what it is for: 18 of the 19 intervals in visited patterns
     # come from re-discretizing below the root
@@ -466,7 +466,7 @@ def _universes_and_nodes(monkeypatch, d, cfg):
 
     monkeypatch.setattr(enumeration, "Universe", Recorded)
     monkeypatch.setattr(enumeration._Search, "walk", recorded_walk)
-    enumerate_candidates(d, hipar_init(d, cfg), cfg)
+    enumerate_candidates(d, hipar_init(d, cfg), cfg, exhaustive=True)
     return built, nodes
 
 
@@ -477,13 +477,13 @@ def test_categorical_universe_built_once_per_search(monkeypatch):
     d = Dataset([AttributeSchema(a, "categorical") for a in cols]
                 + [AttributeSchema("y", "numerical", role="target")],
                 {**cols, "y": rng.normal(size=n)})
-    built, nodes = _universes_and_nodes(monkeypatch, d, EnumConfig(theta=0.05, exhaustive=True))
+    built, nodes = _universes_and_nodes(monkeypatch, d, RunConfig(theta=0.05))
     assert len(nodes) > 10
     assert len(built) == 1
 
 
 def test_node_universe_adds_only_the_nodes_intervals(monkeypatch):
-    cfg = EnumConfig(theta=0.04, seed=3, exhaustive=True)
+    cfg = RunConfig(theta=0.04, seed=3)
     built, nodes = _universes_and_nodes(monkeypatch, _rediscretized_table(), cfg)
     cats, *per_node = built
     assert all(isinstance(c, Equals) for c in cats)
@@ -519,7 +519,7 @@ def test_ancestor_interval_implied_by_a_later_condition():
     # Dropping x in I leaves z="u" with the rule's own region: not a proper
     # ancestor. A same-region parent would tie the rule and reject it.
     d = _ancestor_interval_table()
-    cfg = EnumConfig(theta=0.1, seed=0)
+    cfg = RunConfig(theta=0.1, seed=0)
     init = hipar_init(d, cfg)
     interval = init[1]
     assert interval.render() == "x in [0.24875,0.74875]"
@@ -557,14 +557,14 @@ def test_rediscretized_intervals_filtered_on_full_dataset_support():
     from hipar.enumeration import _interval_conditions
 
     rows = np.arange(40)  # segment A only; its x-split intervals hold 20 rows each
-    rare = _interval_conditions(d, rows, ["x"], EnumConfig(theta=0.15, seed=0))
-    frequent = _interval_conditions(d, rows, ["x"], EnumConfig(theta=0.1, seed=0))
+    rare = _interval_conditions(d, rows, ["x"], RunConfig(theta=0.15, seed=0))
+    frequent = _interval_conditions(d, rows, ["x"], RunConfig(theta=0.1, seed=0))
     assert rare == []  # 20 rows < 0.15 * 200, though 20 >= 0.15 * 40 within the region
     assert len(frequent) >= 2  # 20 rows >= 0.1 * 200
 
 
 def test_enumeration_deterministic(two_segment):
-    cfg = EnumConfig(theta=0.2, seed=9)
+    cfg = RunConfig(theta=0.2, seed=9)
     conds = hipar_init(two_segment, cfg)
     a = enumerate_candidates(two_segment, conds, cfg)
     b = enumerate_candidates(two_segment, conds, cfg)
@@ -588,7 +588,7 @@ def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
     assert low.key == high.key and low != high
     from hipar.enumeration import _Search
 
-    search = _Search(d, EnumConfig(theta=0.05), [], None)
+    search = _Search(d, RunConfig(theta=0.05), [], None)
     rule_low, _ = search.rule_for(low)
     rule_high, _ = search.rule_for(high)
     assert rule_high is not rule_low
@@ -605,7 +605,7 @@ def test_a_condition_on_the_target_is_rejected(two_segment):
     segments = [Equals("segment", "A"), Equals("segment", "B")]
     not_a_feature = "condition on 'y', which is not a feature"
     with pytest.raises(DataError, match=not_a_feature):
-        enumerate_candidates(d, [*on_y, *segments], EnumConfig(theta=0.1))
+        enumerate_candidates(d, [*on_y, *segments], RunConfig(theta=0.1))
     for c in on_y:
         with pytest.raises(DataError, match=not_a_feature):
             region(Pattern([c]), d)
@@ -615,4 +615,4 @@ def test_a_condition_on_the_target_is_rejected(two_segment):
         closure(Pattern([segments[0]]), d, [*on_y, *segments])
     # the features' conditions are unaffected
     assert closure(Pattern([segments[0]]), d, segments) == Pattern([segments[0]])
-    assert enumerate_candidates(d, segments, EnumConfig(theta=0.1)).rules
+    assert enumerate_candidates(d, segments, RunConfig(theta=0.1)).rules

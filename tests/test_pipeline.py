@@ -80,10 +80,7 @@ def test_variant_f_selects_all_candidates(two_segment):
     rs_std, _ = run_hipar(two_segment, cfg)
     rs_f, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3, variant="f"))
     # omega = 0 selects every candidate (default rule included)
-    enum_cfg = cfg.enum_config()
-    cands = enumerate_candidates(
-        two_segment, hipar_init(two_segment, enum_cfg), enum_cfg
-    )
+    cands = enumerate_candidates(two_segment, hipar_init(two_segment, cfg), cfg)
     assert len(rs_f.chosen) == len(cands.rules) + 1
     assert any(r.is_default for r in rs_f.chosen)
     assert len(rs_f.chosen) >= len(rs_std.chosen)
@@ -100,10 +97,31 @@ def test_variant_sd_top_q(two_segment):
 
 
 @pytest.mark.parametrize("variant", ["standard", "f"])
-def test_sd_q_with_another_variant_is_rejected(two_segment, variant):
-    cfg = RunConfig(theta=0.2, seed=3, variant=variant, sd_q=1)
+def test_sd_q_with_another_variant_is_rejected(variant):
     with pytest.raises(DataError, match="sd_q"):
-        run_hipar(two_segment, cfg)
+        RunConfig(theta=0.2, seed=3, variant=variant, sd_q=1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"theta": 0.0}, "theta must lie in"),
+    ({"theta": 1.5}, "theta must lie in"),
+    ({"metric": "mae"}, "unknown error metric"),
+    ({"variant": "lasso"}, "unknown variant"),
+    ({"variant": "sd"}, "variant 'sd' requires sd_q"),
+    ({"variant": "sd", "sd_q": 0}, "sd_q must be an integer >= 1"),
+    ({"variant": "sd", "sd_q": 2.5}, "sd_q must be an integer >= 1"),
+    ({"sigma": math.nan}, "sigma and omega must be finite and >= 0"),
+    ({"omega": -1.0}, "sigma and omega must be finite and >= 0"),
+], ids=["theta-0", "theta-1.5", "metric", "variant", "sd-without-q", "q-0", "q-2.5",
+        "sigma-nan", "omega-negative"])
+def test_a_bad_setting_fails_when_the_config_is_made(settings, message):
+    with pytest.raises(DataError, match=message):
+        RunConfig(**settings)
+
+
+def test_config_stores_the_metric_lower_cased():
+    assert RunConfig(metric="RMSE").metric == "rmse"
+    assert RunConfig(metric="MEAE") == RunConfig(metric="meae")
 
 
 def test_two_segment_selects_both_segments(two_segment):
@@ -234,6 +252,24 @@ def test_loader_rejects_a_normalized_error_that_is_not_finite_and_positive(rule_
         for value in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DataError, match="must be finite and > 0"):
                 load(_edited(doc, i, "normalized_error", value))
+
+
+def test_a_predictor_check_failing_on_load_names_the_file(rule_doc, tmp_path):
+    doc, load = rule_doc
+    with pytest.raises(DataError) as info:
+        load(_edited(doc, 0, "normalized_error", 0.0))
+    assert str(info.value).startswith(f"{tmp_path / 'rules.json'}: ")
+
+
+def test_loader_rejects_an_unknown_condition_op(rule_doc, tmp_path):
+    # any op but "eq" used to load as an interval: "lt" below 5 as x in (-inf,5)
+    doc, load = rule_doc
+    i = next(i for i, r in enumerate(doc["rules"]) if r["conditions"])
+    edited = _edited(doc, i, "conditions",
+                     [{"attribute": "x", "op": "lt", "lo": None, "hi": 5}])
+    with pytest.raises(DataError, match="unknown condition op 'lt'") as info:
+        load(edited)
+    assert str(info.value).startswith(str(tmp_path / "rules.json"))
 
 
 def test_loader_rejects_a_non_finite_objective_value(rule_doc):
@@ -431,11 +467,11 @@ def test_predictor_checks_its_schema(two_segment):
 
 def test_raising_theta_never_increases_chosen_candidates():
     d = make_two_segment(n=150, seed=13)
-    from hipar import EnumConfig, enumerate_candidates, hipar_init
+    from hipar import enumerate_candidates, hipar_init
 
     counts = []
     for theta in (0.05, 0.1, 0.25, 0.5):
-        cfg = EnumConfig(theta=theta, seed=1)
+        cfg = RunConfig(theta=theta, seed=1)
         cands = enumerate_candidates(d, hipar_init(d, cfg), cfg)
         counts.append(len(cands.rules))
     assert all(b <= a for a, b in zip(counts, counts[1:]))

@@ -82,7 +82,7 @@ def test_candidates_invariant_to_feature_offset_and_scale_under_the_same_splits(
     # hyperparameters and coefficient names are unchanged by x -> 1e3 x + 1e6.
     got = []
     for d in (_mixed(seed), _affine(_mixed(seed))):
-        cfg = RunConfig(theta=0.1, seed=seed).enum_config()
+        cfg = RunConfig(theta=0.1, seed=seed)
         candidates = enumerate_candidates(d, hipar_init(d, cfg), cfg)
         got.append(_structure(d, [*candidates.rules, candidates.default_rule]))
     assert any(isinstance(c, Interval) for r in candidates.rules
@@ -105,7 +105,7 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)
     monkeypatch.setattr(enumeration, "best_local_model", contest)
-    cfg = RunConfig(theta=0.1, seed=0).enum_config()
+    cfg = RunConfig(theta=0.1, seed=0)
     candidates = enumerate_candidates(d, hipar_init(d, cfg), cfg)
     assert len(masks) == 1  # one draw per fit
     assert masks[0].tolist() == holdout_mask(d.n, 0.2, 0).tolist()

@@ -1,0 +1,71 @@
+"""Rules on hipar's own source, checked on the syntax tree of every module
+under src/hipar."""
+
+import ast
+import re
+from pathlib import Path
+
+MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "hipar").rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_the_modules_are_found():
+    # an empty list would pass every rule below
+    assert {p.name for p in MODULES} >= {"__init__.py", "pipeline.py", "enumeration.py"}
+
+
+def test_no_private_name_is_imported_across_modules():
+    # bench/tracing.py times hipar by wrapping the public bindings of its modules,
+    # so a function another module imports under an underscore name runs untimed
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hipar"
+            ):
+                bad += [f"{path}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert not bad, bad
+
+
+def test_every_imported_name_is_used():
+    # a stale import (say, of a function a rewrite stopped calling) fails here;
+    # __init__.py re-exports its imports and is exempt
+    bad = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bad += [f"{path}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not bad, bad
+
+
+def test_no_function_takes_both_a_dataset_and_a_target_name():
+    # a Dataset names its target (Dataset.target); a separate y or target
+    # parameter could disagree with it. Private functions count too.
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            takes_dataset = any(
+                p.annotation is not None
+                and re.search(r"\bDataset\b", ast.unparse(p.annotation))
+                for p in params
+            )
+            if takes_dataset and {p.arg for p in params} & {"y", "target"}:
+                bad.append(f"{path}:{node.lineno}: {node.name}")
+    assert not bad, bad
