@@ -8,7 +8,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -279,9 +279,10 @@ class Dataset:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names and data rows of a UTF-8 CSV with a mandatory header row."""
+    """Stripped header names and data rows of a UTF-8 CSV with a mandatory
+    header row, by the csv module; a leading byte-order mark is skipped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -350,7 +351,9 @@ def _columns(
     or whitespace. A NUMERICAL column must hold finite reals (float64 array); a
     CATEGORICAL one gives its stripped cells (object array); None makes the
     column NUMERICAL if every cell is a finite real, else CATEGORICAL. A broken
-    rule raises a DataError naming the first bad row.
+    rule raises a DataError naming the first bad row. This is the csv module's
+    path, the referee of ``_loadtxt_columns`` and the one source of the
+    readers' row errors.
     """
     missing = [name for name in kinds if name not in header]
     if missing:
@@ -371,34 +374,116 @@ def _columns(
     return columns
 
 
+def _loadtxt_columns(
+    path: str, kinds_of: Callable[[list[str]], dict[str, str | None] | None]
+) -> tuple[dict[str, np.ndarray], int] | None:
+    """The columns and data row count that ``_read_rows`` and ``_columns`` give,
+    read by one ``np.loadtxt`` pass in numpy's C parser, or None: the csv module
+    then reads the file again and raises any error. ``kinds_of`` maps the
+    header to the columns to read and their kinds, or to None where the caller
+    rejects the header.
+
+    Numerical fields are read as float64 and all others as the raw cell text.
+    numpy reads a subset of the reals ``float()`` reads, rounds them with the
+    same routine and strips the same whitespace, so its floats are bit-equal.
+    Whatever the two readers could read apart returns None: a quote or a NUL,
+    a blank line, no data rows, a repeated or missing name, a line longer than
+    the csv module's field limit, a cell ``loadtxt`` rejects, a row count
+    other than the line count, a non-finite real or an empty categorical cell.
+    An inferred kind (None) is guessed from the first data row; a wrong guess
+    makes ``loadtxt`` raise or leaves a non-finite value, so it returns None.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line ends in \n
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if '"' in text or "\0" in text or "\n\n" in text or text.startswith("\n"):
+        return None
+    first, _, body = text.partition("\n")
+    header = [h.strip() for h in first.split(",")]
+    lines = body.split("\n")
+    if lines[-1] == "":  # the end of the last line
+        lines.pop()
+    kinds = kinds_of(header) if len(set(header)) == len(header) else None
+    if (kinds is None or not lines or not set(kinds) <= set(header)
+            or max(len(first), max(map(len, lines))) > csv.field_size_limit()):
+        return None
+    first_row = lines[0].split(",")
+    if len(first_row) != len(header):
+        return None
+    real = {name: kind == NUMERICAL
+            or kind is None and _parse_real(first_row[header.index(name)]) is not None
+            for name, kind in kinds.items()}
+    fields = np.dtype([(f"f{j}", float if real.get(name) else object)
+                       for j, name in enumerate(header)])
+    try:
+        table = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):  # loadtxt skips a line with no cells
+        return None
+    columns: dict[str, np.ndarray] = {}
+    for name in kinds:
+        values = table[f"f{header.index(name)}"]
+        if real[name]:
+            if not np.isfinite(values).all():
+                return None
+            values = values.copy()  # contiguous
+        else:
+            cells = list(map(str.strip, values.tolist()))
+            if not all(cells):
+                return None
+            values = np.array(cells, dtype=object)
+        columns[name] = values
+    return columns, len(lines)
+
+
 def read_columns(path: str, kinds: dict[str, str | None]) -> tuple[dict[str, np.ndarray], int]:
     """The named columns of a CSV by ``load_csv``'s cell rules (see ``_columns``),
-    and the number of data rows; other columns are ignored."""
+    and the number of data rows; other columns are ignored. numpy's C parser
+    reads the file when it gives the same columns, the csv module otherwise,
+    and every error comes from the csv module's path."""
+    fast = _loadtxt_columns(path, lambda header: kinds)
+    if fast is not None:
+        return fast
     header, rows = _read_rows(path)
     return _columns(path, header, rows, kinds), len(rows)
 
 
 def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) -> Dataset:
-    """Load an RFC-4180-style CSV (UTF-8, header row mandatory) into a Dataset.
+    """Load an RFC-4180-style CSV (UTF-8, header row mandatory, a leading
+    byte-order mark skipped) into a Dataset.
 
     A column is numerical iff every cell parses as a finite real, unless it is
     named in ``categorical_overrides``. Rows containing a missing (empty) cell
-    are rejected with a row-indexed error; there is no imputation.
+    are rejected with a row-indexed error; there is no imputation. numpy's C
+    parser reads the file when it gives the same columns, the csv module
+    otherwise, and every error comes from the csv module's path.
     """
     overrides = set(categorical_overrides)
-    header, rows = _read_rows(path)
-    if target not in header:
-        raise DataError(f"target column {target!r} not found (columns: {', '.join(header)})")
-    unknown = overrides - set(header)
-    if unknown:
-        raise DataError(f"categorical override names unknown columns: {sorted(unknown)}")
-    if overrides & {target}:
-        raise DataError(f"target column {target!r} cannot be overridden categorical")
-    if not rows:
-        raise DataError(f"{path}: empty table, no data rows")
 
-    kinds = {name: CATEGORICAL if name in overrides else None for name in header}
-    columns = _columns(path, header, rows, kinds)
+    def kinds_of(header: list[str]) -> dict[str, str | None] | None:
+        if target not in header or not overrides <= set(header) or target in overrides:
+            return None
+        return {name: CATEGORICAL if name in overrides else None for name in header}
+
+    fast = _loadtxt_columns(path, kinds_of)
+    if fast is not None:
+        columns = fast[0]
+    else:
+        header, rows = _read_rows(path)
+        if target not in header:
+            raise DataError(f"target column {target!r} not found (columns: {', '.join(header)})")
+        unknown = overrides - set(header)
+        if unknown:
+            raise DataError(f"categorical override names unknown columns: {sorted(unknown)}")
+        if overrides & {target}:
+            raise DataError(f"target column {target!r} cannot be overridden categorical")
+        if not rows:
+            raise DataError(f"{path}: empty table, no data rows")
+        columns = _columns(path, header, rows, kinds_of(header))
     if columns[target].dtype != float:
         raise DataError(f"target column {target!r} is not numerical")
     schema = [
@@ -441,8 +526,9 @@ def k_folds(d: Dataset, k: int, seed: int) -> FoldPlan:
 
     Fold sizes differ by at most one; the assignment depends only on (n, k, seed).
     """
-    if not is_int(k) or not 2 <= k <= d.n:
-        raise DataError(f"fold count k={k!r} is not an integer in [2, {d.n}]")
+    check_folds(k)
+    if k > d.n:
+        raise DataError(f"fold count k={k} exceeds the table's {d.n} rows")
     perm = _rng(seed).permutation(d.n)
     assignments = np.empty(d.n, dtype=int)
     assignments[perm] = np.arange(d.n) % k
@@ -465,8 +551,20 @@ def holdout_mask(n: int, fraction: float, seed: int) -> np.ndarray:
     return test
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The generator of a split or fold plan; a seed must be a nonnegative int."""
+def check_folds(k) -> None:
+    """DataError unless a fold count is an int >= 2; ``k_folds`` also bounds it
+    by the table's row count."""
+    if not is_int(k) or k < 2:
+        raise DataError(f"fold count must be an integer >= 2, got {k!r}")
+
+
+def check_seed(seed) -> None:
+    """DataError unless the seed of a split or fold plan is a nonnegative int."""
     if not is_int(seed) or seed < 0:
         raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a split or fold plan (see ``check_seed``)."""
+    check_seed(seed)
     return np.random.default_rng(seed)

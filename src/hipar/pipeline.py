@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AttributeSchema, DataError, Dataset, is_int, k_folds
+from .data import AttributeSchema, DataError, Dataset, check_folds, check_seed, is_int, k_folds
 from .enumeration import HybridRule, enumerate_candidates, hipar_init
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
@@ -32,10 +32,10 @@ class RunConfig:
     is the dataset's (``Dataset.target``).
 
     Settings are checked when the config is made, so a bad one is a DataError
-    before any input is read; the metric is stored lower-cased. Bounds that
-    need the table (theta*n >= 1, folds <= n, sd_q <= candidates) are checked
-    where the table is read, and the seed and fold count where a split or
-    fold plan is drawn.
+    before any input is read: the seed must be an int >= 0 and the fold count
+    an int >= 2, by the checks the split and the fold plan make too. The
+    metric is stored lower-cased. Bounds that need the table (theta*n >= 1,
+    folds <= n, sd_q <= candidates) are checked where the table is read.
     """
 
     theta: float = 0.1  # relative support threshold, always read against the full table
@@ -61,6 +61,8 @@ class RunConfig:
         elif not (is_int(self.sd_q) and self.sd_q >= 1):
             raise DataError(f"sd_q must be an integer >= 1, got {self.sd_q!r}")
         check_biases(self.sigma, self.omega)
+        check_folds(self.folds)
+        check_seed(self.seed)
 
 
 def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:

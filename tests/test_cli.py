@@ -102,6 +102,28 @@ def test_a_bad_setting_is_reported_before_the_input_is_read(tmp_path, capsys, co
     assert "cannot read" not in err
 
 
+@pytest.mark.parametrize("command, out, flags, message", [
+    ("fit", "--rules-out", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    ("eval", "--report-out", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    ("eval", "--report-out", ["--folds", "1"], "fold count must be an integer >= 2, got 1"),
+], ids=["fit-seed", "eval-seed", "eval-folds"])
+def test_a_bad_seed_or_fold_count_is_reported_before_the_input_is_read(
+        tmp_path, capsys, command, out, flags, message):
+    code = main([command, "--input", str(tmp_path / "missing.csv"), "--target", "y",
+                 *flags, out, str(tmp_path / "out.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "cannot read" not in err
+
+
+def test_predict_ignores_a_byte_order_mark(tmp_path, segment_rules):
+    # Excel's "CSV UTF-8" writes one; it is not part of the first column's name
+    _, plain = _predict_file(tmp_path, segment_rules, "segment,x\nA,0.5\nB,0.25\n")
+    for text in ("\ufeffsegment,x\nA,0.5\nB,0.25\n", '\ufeffsegment,x\r\n"A",0.5\r\nB,0.25\r\n'):
+        assert _predict_file(tmp_path, segment_rules, text) == (0, plain)
+
+
 def test_missing_input_is_exit_1(tmp_path):
     code = main(
         ["fit", "--input", "/nope/missing.csv", "--target", "y",

@@ -291,6 +291,18 @@ def test_duplicate_header_and_header_whitespace(tmp_path):
     assert [a.name for a in load_csv(str(path), target="y").schema] == ["a", "y"]
 
 
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    # Excel's "CSV UTF-8" export writes one; both readers skip it (the quoted
+    # copy goes through the csv module)
+    path = tmp_path / "bom.csv"
+    for text in ("\ufeffy,x,g\n1,2,a\n2,3,b\n", '\ufeffy,x,g\r\n1,2,"a"\r\n2,3,b\r\n'):
+        path.write_text(text, encoding="utf-8")
+        d = load_csv(str(path), target="y")
+        assert [a.name for a in d.schema] == ["y", "x", "g"]
+        assert d.column("y").tolist() == [1.0, 2.0]
+        assert d.column("g").tolist() == ["a", "b"]
+
+
 def test_undecodable_file_is_a_data_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("a,y\ncafé,1\n".encode("latin-1"))
@@ -325,6 +337,30 @@ def test_row_read_pauses_gc_and_restores_its_state(tmp_path, monkeypatch, enable
         with pytest.raises(DataError, match="cannot read"):
             load_csv(str(bad), target="y")
         assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_csv_path_pauses_gc_for_every_data_row(tmp_path, monkeypatch):
+    # numpy's parser reads a plain file, so quote the cells to reach the csv
+    # module's reader, whose per-row lists are what the pause is for
+    path = tmp_path / "quoted.csv"
+    path.write_text("x,y\n" + "".join(f'"{i}",{i * 2}\n' for i in range(5_000)))
+    seen = []
+    real_reader = csv.reader
+
+    def reader(fh):
+        for row in real_reader(fh):
+            seen.append(gc.isenabled())
+            yield row
+
+    monkeypatch.setattr(hipar.data.csv, "reader", reader)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        assert load_csv(str(path), target="y").n == 5_000
+        assert gc.isenabled()
+        assert len(seen) == 5_001 and seen[0] and not any(seen[1:])
     finally:
         gc.enable() if was_enabled else gc.disable()
 

@@ -119,6 +119,20 @@ def test_a_bad_setting_fails_when_the_config_is_made(settings, message):
         RunConfig(**settings)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+    ({"seed": 1.0}, "seed must be a nonnegative integer"),
+    ({"seed": True}, "seed must be a nonnegative integer"),
+    ({"folds": 1}, "fold count must be an integer >= 2, got 1"),
+    ({"folds": 0}, "fold count must be an integer >= 2"),
+    ({"folds": 2.5}, "fold count must be an integer >= 2"),
+], ids=["seed-negative", "seed-float", "seed-bool", "folds-1", "folds-0", "folds-2.5"])
+def test_a_bad_seed_or_fold_count_fails_when_the_config_is_made(settings, message):
+    with pytest.raises(DataError, match=message):
+        RunConfig(**settings)
+    assert RunConfig(seed=np.int64(3), folds=np.int64(2)).folds == 2
+
+
 def test_config_stores_the_metric_lower_cased():
     assert RunConfig(metric="RMSE").metric == "rmse"
     assert RunConfig(metric="MEAE") == RunConfig(metric="meae")
