@@ -176,8 +176,10 @@ class Dataset:
     the target of every fit, score and search on the table.
 
     Columns are stored column-major: float64 arrays for numerical attributes,
-    a ``CodedColumn`` for categorical ones, coded once against the column's
-    sorted levels (a subset keeps its parent's table). Two memos are filled
+    a ``CodedColumn`` for categorical ones. A categorical column given as
+    ``str`` cells is coded once against its sorted distinct cells; one given
+    as a ``CodedColumn`` (a reader's, or a subset's, which keeps its parent's
+    table) is kept as it is. Two memos are filled
     lazily, and everything in them is read-only. ``bits`` holds each
     condition's row set, keyed by the condition: its rows packed by
     ``np.packbits`` into 64-bit words with zero padding
@@ -266,13 +268,6 @@ class Dataset:
             return np.empty((len(rows), 0))
         return np.array([self.column(n)[rows] for n in names]).T
 
-    def row(self, i: int) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for attr in self.schema:
-            v = self._columns[attr.name][i]
-            out[attr.name] = float(v) if attr.kind == NUMERICAL else v
-        return out
-
     def subset(self, rows: Iterable[int]) -> "Dataset":
         idx = sorted_rows(rows, self.n)
         return Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
@@ -343,24 +338,24 @@ def _bad_row(path: str, header: list[str], rows: list[list[str]], kinds: dict[st
 
 def _columns(
     path: str, header: list[str], rows: list[list[str]], kinds: dict[str, str | None]
-) -> dict[str, np.ndarray]:
+) -> dict[str, np.ndarray | CodedColumn]:
     """The columns named in ``kinds``, by the cell rules ``load_csv`` and ``hipar
     predict`` share.
 
     Every row must have one cell per header name, and no read cell may be empty
     or whitespace. A NUMERICAL column must hold finite reals (float64 array); a
-    CATEGORICAL one gives its stripped cells (object array); None makes the
-    column NUMERICAL if every cell is a finite real, else CATEGORICAL. A broken
-    rule raises a DataError naming the first bad row. This is the csv module's
-    path, the referee of ``_loadtxt_columns`` and the one source of the
-    readers' row errors.
+    CATEGORICAL one gives its stripped cells as a ``CodedColumn`` on their
+    sorted distinct values; None makes the column NUMERICAL if every cell is a
+    finite real, else CATEGORICAL. A broken rule raises a DataError naming the
+    first bad row. This is the csv module's path, the referee of
+    ``_loadtxt_columns`` and the one source of the readers' row errors.
     """
     missing = [name for name in kinds if name not in header]
     if missing:
         raise DataError(f"{path}: missing columns {missing}")
     if any(len(row) != len(header) for row in rows):
         raise _bad_row(path, header, rows, kinds)
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, np.ndarray | CodedColumn] = {}
     for name, kind in kinds.items():
         j = header.index(name)
         cells = [row[j] for row in rows]
@@ -369,29 +364,85 @@ def _columns(
             cells = [c.strip() for c in cells]
             if kind == NUMERICAL or not all(cells):
                 raise _bad_row(path, header, rows, kinds)
-            values = np.array(cells, dtype=object)
+            values = code(cells, sorted(set(cells)))
         columns[name] = values
     return columns
 
 
+# A categorical field a character wider than its c-character cell takes
+# 4(c + 1) bytes, 4 per character of the cell and the comma (or newline) after
+# it; a float field (8 bytes, at least a digit and a comma) and an unread
+# one-character field (4 bytes, at least a comma) take no more. So a table of
+# rows as long as the first takes at most 4 bytes per character of the text.
+# A file whose table would take more than twice that reads its categorical
+# fields as Python strings.
+_FIXED_WIDTH_BYTES_PER_CHAR = 8
+
+
+def _fields(types: list) -> np.dtype:
+    """The record of one ``loadtxt`` row: field ``f{j}`` of the j-th type."""
+    return np.dtype([(f"f{j}", t) for j, t in enumerate(types)])
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype, usecols=None) -> np.ndarray | None:
+    """One ``np.loadtxt`` pass over the lines into a structured array, or None
+    if ``loadtxt`` rejects a cell or drops a line (it skips a line with no
+    cells)."""
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                           ndmin=1, usecols=usecols)
+    except ValueError:
+        return None
+    return table if len(table) == len(lines) else None
+
+
+def _code_text(cells: np.ndarray, longest: int) -> CodedColumn | None:
+    """The stripped cells of a unicode array, none longer than ``longest``
+    characters, coded on their sorted distinct values, or None if a stripped
+    cell is empty. One C-level unique over the raw cells; only the distinct
+    raw cells are stripped, by ``str.strip``. Cells of at most two characters
+    are sorted as one 64-bit word each, about six times faster."""
+    if longest <= 2:
+        raw, inverse = np.unique(cells.astype("U2").view(np.uint64), return_inverse=True)
+        raw = raw.view("U2")
+    else:
+        raw, inverse = np.unique(cells.astype(f"U{longest}"), return_inverse=True)
+    stripped = [c.strip() for c in raw.tolist()]
+    if not all(stripped):
+        return None
+    levels = sorted(set(stripped))
+    index = {v: i for i, v in enumerate(levels)}
+    table = np.array([index[v] for v in stripped], dtype=np.intp)
+    return CodedColumn(tuple(levels), table[inverse.reshape(-1)], index)
+
+
 def _loadtxt_columns(
     path: str, kinds_of: Callable[[list[str]], dict[str, str | None] | None]
-) -> tuple[dict[str, np.ndarray], int] | None:
+) -> tuple[dict[str, np.ndarray | CodedColumn], int] | None:
     """The columns and data row count that ``_read_rows`` and ``_columns`` give,
-    read by one ``np.loadtxt`` pass in numpy's C parser, or None: the csv module
-    then reads the file again and raises any error. ``kinds_of`` maps the
-    header to the columns to read and their kinds, or to None where the caller
-    rejects the header.
+    read by ``np.loadtxt`` in numpy's C parser, or None: the csv module then
+    reads the file again and raises any error. ``kinds_of`` maps the header to
+    the columns to read and their kinds, or to None where the caller rejects
+    the header.
 
-    Numerical fields are read as float64 and all others as the raw cell text.
-    numpy reads a subset of the reals ``float()`` reads, rounds them with the
-    same routine and strips the same whitespace, so its floats are bit-equal.
-    Whatever the two readers could read apart returns None: a quote or a NUL,
-    a blank line, no data rows, a repeated or missing name, a line longer than
-    the csv module's field limit, a cell ``loadtxt`` rejects, a row count
-    other than the line count, a non-finite real or an empty categorical cell.
-    An inferred kind (None) is guessed from the first data row; a wrong guess
-    makes ``loadtxt`` raise or leaves a non-finite value, so it returns None.
+    Numerical fields are read as float64. numpy reads a subset of the reals
+    ``float()`` reads, rounds them with the same routine and strips the same
+    whitespace, so its floats are bit-equal. Every other field is read as
+    fixed-width text: an unread one one character wide, its content ignored;
+    a categorical one a character wider than its first-row cell, and coded
+    without Python work per cell (``_code_text``). ``loadtxt`` cuts a longer
+    cell silently, so a width is only used when no cell of the column fills
+    it. A column with a cell that does is read once more, alone, as Python
+    strings, and so is every categorical column of a file whose fixed-width
+    table would take more than ``_FIXED_WIDTH_BYTES_PER_CHAR`` bytes per
+    character of its text; their stripped cells are then coded as
+    ``_columns`` codes them. Whatever the two readers could read apart
+    returns None: a quote or a NUL, a blank line, no data rows, a repeated or
+    missing name, a line longer than the csv module's field limit, a cell
+    ``loadtxt`` rejects, a row count other than the line count, a non-finite
+    real or an empty categorical cell. An inferred kind (None) is guessed from
+    the first data row; a wrong guess makes ``loadtxt`` raise or leaves a
+    non-finite value, so it returns None.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line ends in \n
@@ -412,39 +463,63 @@ def _loadtxt_columns(
     first_row = lines[0].split(",")
     if len(first_row) != len(header):
         return None
-    real = {name: kind == NUMERICAL
-            or kind is None and _parse_real(first_row[header.index(name)]) is not None
-            for name, kind in kinds.items()}
-    fields = np.dtype([(f"f{j}", float if real.get(name) else object)
-                       for j, name in enumerate(header)])
-    try:
-        table = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, quotechar=None,
-                           ndmin=1)
-    except ValueError:
+    types: list = ["U1"] * len(header)
+    categorical: dict[str, int] = {}  # column -> its field
+    for name, kind in kinds.items():
+        j = header.index(name)
+        if kind == NUMERICAL or kind is None and _parse_real(first_row[j]) is not None:
+            types[j] = float
+        else:
+            types[j] = f"U{len(first_row[j]) + 1}"
+            categorical[name] = j
+    dtype = _fields(types)
+    if len(lines) * dtype.itemsize > _FIXED_WIDTH_BYTES_PER_CHAR * len(text):
+        dtype = _fields([object if j in categorical.values() else t for j, t in enumerate(types)])
+    table = _loadtxt(lines, dtype)
+    if table is None:
         return None
-    if len(table) != len(lines):  # loadtxt skips a line with no cells
-        return None
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, np.ndarray | CodedColumn] = {}
+    strings: dict[str, np.ndarray] = {}  # column -> its cells as Python strings
+    cut = []  # columns with a cell that filled its field, so may have been cut
     for name in kinds:
         values = table[f"f{header.index(name)}"]
-        if real[name]:
+        if values.dtype == float:
             if not np.isfinite(values).all():
                 return None
-            values = values.copy()  # contiguous
+            columns[name] = values.copy()  # contiguous
+        elif values.dtype == object:
+            strings[name] = values
         else:
-            cells = list(map(str.strip, values.tolist()))
-            if not all(cells):
+            longest = int(np.strings.str_len(values).max())
+            if longest == values.dtype.itemsize // 4:
+                cut.append(name)
+                continue
+            columns[name] = _code_text(values, longest)
+            if columns[name] is None:
                 return None
-            values = np.array(cells, dtype=object)
-        columns[name] = values
-    return columns, len(lines)
+    if cut:
+        del table, values  # no column left holds a view of it
+        again = _loadtxt(lines, _fields([object] * len(cut)), [categorical[n] for n in cut])
+        if again is None:
+            return None
+        strings |= {name: again[f"f{k}"] for k, name in enumerate(cut)}
+    for name, values in strings.items():
+        cells = list(map(str.strip, values.tolist()))
+        if not all(cells):
+            return None
+        columns[name] = code(cells, sorted(set(cells)))
+    return {name: columns[name] for name in kinds}, len(lines)
 
 
-def read_columns(path: str, kinds: dict[str, str | None]) -> tuple[dict[str, np.ndarray], int]:
+def read_columns(
+    path: str, kinds: dict[str, str | None]
+) -> tuple[dict[str, np.ndarray | CodedColumn], int]:
     """The named columns of a CSV by ``load_csv``'s cell rules (see ``_columns``),
-    and the number of data rows; other columns are ignored. numpy's C parser
-    reads the file when it gives the same columns, the csv module otherwise,
-    and every error comes from the csv module's path."""
+    and the number of data rows; other columns are ignored. A numerical column
+    is a float64 array, a categorical one a ``CodedColumn`` on its sorted
+    distinct stripped cells, coded as the file is read. numpy's C parser reads
+    the file when it gives the same columns, the csv module otherwise, and
+    every error comes from the csv module's path."""
     fast = _loadtxt_columns(path, lambda header: kinds)
     if fast is not None:
         return fast
@@ -458,9 +533,11 @@ def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) 
 
     A column is numerical iff every cell parses as a finite real, unless it is
     named in ``categorical_overrides``. Rows containing a missing (empty) cell
-    are rejected with a row-indexed error; there is no imputation. numpy's C
-    parser reads the file when it gives the same columns, the csv module
-    otherwise, and every error comes from the csv module's path.
+    are rejected with a row-indexed error; there is no imputation. A
+    categorical column is coded on its sorted distinct stripped cells as the
+    file is read, and the Dataset keeps that ``CodedColumn``. numpy's C parser
+    reads the file when it gives the same columns, the csv module otherwise,
+    and every error comes from the csv module's path.
     """
     overrides = set(categorical_overrides)
 
@@ -484,12 +561,12 @@ def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) 
         if not rows:
             raise DataError(f"{path}: empty table, no data rows")
         columns = _columns(path, header, rows, kinds_of(header))
-    if columns[target].dtype != float:
+    if isinstance(columns[target], CodedColumn):
         raise DataError(f"target column {target!r} is not numerical")
     schema = [
         AttributeSchema(
             name,
-            NUMERICAL if col.dtype == float else CATEGORICAL,
+            CATEGORICAL if isinstance(col, CodedColumn) else NUMERICAL,
             role="target" if name == target else "feature",
         )
         for name, col in columns.items()

@@ -9,7 +9,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import NUMERICAL, AttributeSchema, DataError, Dataset, check_schema, code, row_indices
+from .data import (
+    NUMERICAL,
+    AttributeSchema,
+    CodedColumn,
+    DataError,
+    Dataset,
+    check_schema,
+    code,
+    row_indices,
+)
 from .enumeration import HybridRule
 from .patterns import Equals, Pattern, check_condition
 from .selection import SelectedRuleSet
@@ -124,15 +133,22 @@ def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     return float(num / den)
 
 
+def _check_strings(name: str, values) -> None:
+    bad = [v for v in values if not isinstance(v, str)]
+    if bad:
+        raise DataError(f"categorical feature {name!r} is not a string: {bad[0]!r}")
+
+
 def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
     """``predict`` over n observations given as feature columns, bit for bit:
     numerical columns hold finite floats, categorical ones ``str`` cells or a
-    ``CodedColumn``. Each categorical column a voter tests is coded against
-    ``pred.levels``: a cell equal to none of them matches no condition, as in
-    ``predict``. Votes and weights are added left to right in voter order. A
-    missing feature, a column of other than n cells, a numerical cell that is
-    not a finite float and a non-``str`` cell in a column a voter tests are
-    DataErrors."""
+    ``CodedColumn`` (as ``data.read_columns`` gives them). Each categorical
+    column a voter tests is coded against ``pred.levels``, a ``CodedColumn``
+    by translating its level table: a cell equal to none of them matches no
+    condition, as in ``predict``. Votes and weights are added left to right in
+    voter order. A missing feature, a column of other than n cells, a
+    numerical cell that is not a finite float and, in a column a voter tests,
+    a non-``str`` cell or level of a ``CodedColumn`` are DataErrors."""
     checked: dict[str, object] = {}
     for a in pred.features:
         if a.name not in columns:
@@ -145,13 +161,16 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
         elif len(col) != n:
             raise DataError(f"feature {a.name!r} holds {len(col)} cells, expected {n}")
         elif a.name in pred.levels:
-            coded = code(col, pred.levels[a.name])
-            # only the cells equal to no level are read: each must be a str
-            cells = [col[i] for i in np.flatnonzero(coded.codes == -1).tolist()]
-            bad = [v for v in cells if not isinstance(v, str)]
-            if bad:
-                raise DataError(f"categorical feature {a.name!r} is not a string: {bad[0]!r}")
-            col = coded
+            if isinstance(col, CodedColumn):  # a cell is a level, or None for code -1
+                _check_strings(a.name, col.levels)
+                if len(col) and col.codes.min() < 0:
+                    _check_strings(a.name, [None])
+                col = code(col, pred.levels[a.name])
+            else:  # only the cells equal to no level are read
+                coded = code(col, pred.levels[a.name])
+                unmatched = np.flatnonzero(coded.codes == -1).tolist()
+                _check_strings(a.name, [col[i] for i in unmatched])
+                col = coded
         checked[a.name] = col
     columns = checked
     num = np.zeros(n)

@@ -31,6 +31,13 @@ def toy(toy_csv):
     return load_csv(toy_csv, target="price")
 
 
+def observation(d: Dataset, i: int) -> dict[str, object]:
+    """Row i of a Dataset as the observation dict ``predict`` and
+    ``Pattern.mask`` take: numerical cells as floats, categorical ones as str."""
+    return {a.name: float(d.column(a.name)[i]) if a.kind == "numerical" else d.column(a.name)[i]
+            for a in d.schema}
+
+
 def make_two_segment(n=200, noise_frac=0.05, seed=7) -> Dataset:
     """Synthetic benchmark: categorical switch with two clean linear segments.
 

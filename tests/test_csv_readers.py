@@ -14,16 +14,27 @@ import pytest
 
 import hipar.data
 from hipar import DataError, load_csv
-from hipar.data import CATEGORICAL, NUMERICAL, _columns, _loadtxt_columns, _read_rows, read_columns
+from hipar.data import (
+    CATEGORICAL,
+    NUMERICAL,
+    CodedColumn,
+    _columns,
+    _loadtxt_columns,
+    _read_rows,
+    read_columns,
+)
 
 
 def _cells(col) -> tuple:
-    """A column as comparable cells: a float's bits, a category's exact text."""
-    if col.dtype == float:
-        return "float64", np.asarray(col).view(np.int64).tolist()
-    cells = col.tolist()
-    assert all(type(c) is str for c in cells)
-    return "object", cells
+    """A column as comparable cells: a float's bits, a categorical column's
+    exact level table and codes."""
+    if isinstance(col, CodedColumn):
+        assert all(type(v) is str for v in col.levels)
+        assert list(col.levels) == sorted(set(col.levels))
+        assert col.codes.dtype == np.intp
+        return "coded", col.levels, col.codes.tolist()
+    assert col.dtype == float
+    return "float64", np.asarray(col).view(np.int64).tolist()
 
 
 def _table(columns: dict, n: int) -> tuple:
@@ -38,11 +49,7 @@ def _outcome(read):
 
 
 def _dataset(d) -> list:
-    def cells(a):
-        column = d.column(a.name)
-        return _cells(column) if a.kind == NUMERICAL else ("object", column.tolist())
-
-    return [(a.name, a.kind, a.role, cells(a)) for a in d.schema]
+    return [(a.name, a.kind, a.role, _cells(d.column(a.name))) for a in d.schema]
 
 
 def _load_both(path, monkeypatch, **kwargs) -> bool:
@@ -124,6 +131,14 @@ CASES = [
     ("duplicate-header", "g,x, g\na,1.5,2\n", False),
     ("target-absent", "g,x,z\na,1.5,2\n", False),
     ("single-column", "y\n1\n2\n", True),
+    # a cell longer than the first row's is cut by a field as wide as that
+    # one: "abcd" would read as "abc"
+    ("later-row-longer", "g,x,y\nab,1.5,2\nabcd,2.5,3\nabc,3.5,4\n", True),
+    ("v1-v10", "g,x,y\nv1,1.5,2\nv10,2.5,3\nv2,3.5,4\nv1,4.5,5\n", True),
+    ("multi-byte", "g,x,y\né,1.5,2\n中文,2.5,3\n😀,3.5,4\né中😀x,4.5,5\né,5.5,6\n", True),
+    ("equal-after-strip", "g,x,y\n a,1.5,2\na,2.5,3\na\xa0,3.5,4\n\ta\x1c,4.5,5\n", True),
+    ("one-long-cell", "g,x,y\n" + "a,1.5,2\n" * 200 + "b" * 5000 + ",2.5,3\n", True),
+    ("first-cell-long", "g,x,y\n" + "b" * 5000 + ",2.5,3\n" + "a,1.5,2\n" * 200, True),
 ]
 
 
@@ -146,6 +161,65 @@ def test_unread_columns_may_hold_empty_cells(tmp_path):
     path.write_text("g,note,x,y\na,,1.5,\nb, ,2.5,\n")
     assert _columns_both(str(path), {"x": NUMERICAL, "g": CATEGORICAL})
     assert not _columns_both(str(path), {"x": NUMERICAL, "y": NUMERICAL})
+
+
+def test_unread_columns_may_hold_long_and_empty_cells(tmp_path):
+    # an unread column is a one-character field: its cells are cut, unread
+    path = tmp_path / "t.csv"
+    note = "n" * 300
+    path.write_text(f"g,note,x,y\na,,1.5,\nbb,{note},2.5,\nc, ,3.5,\nd,{note[:50]},4.5,\n")
+    assert _columns_both(str(path), {"x": NUMERICAL, "g": CATEGORICAL})
+    assert _columns_both(str(path), {"g": CATEGORICAL})
+
+
+def _record_loadtxt(monkeypatch) -> list:
+    """Make ``np.loadtxt`` record, per call, its fields' dtypes and columns."""
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(*args, dtype, usecols, **kwargs):
+        calls.append(([dtype[f].str for f in dtype.names], usecols))
+        return real_loadtxt(*args, dtype=dtype, usecols=usecols, **kwargs)
+
+    monkeypatch.setattr(hipar.data.np, "loadtxt", loadtxt)
+    return calls
+
+
+def test_fixed_width_fields_stay_within_their_memory_bound(tmp_path, monkeypatch):
+    # a 5,000-character first-row label would make its column 20 kB a row as a
+    # fixed-width field: over the bound, the column is read as Python strings;
+    # under a looser bound, as fixed-width text
+    path = tmp_path / "t.csv"
+    path.write_text("g,x,y\n" + "b" * 5000 + ",2.5,3\n" + "a,1.5,2\n" * 200)
+    kinds = {"g": CATEGORICAL, "x": NUMERICAL}
+    calls = _record_loadtxt(monkeypatch)
+    assert _columns_both(str(path), kinds)
+    assert calls[0] == (["|O", "<f8", "<U1"], None)
+    calls.clear()
+    monkeypatch.setattr(hipar.data, "_FIXED_WIDTH_BYTES_PER_CHAR", 10**4)
+    assert _columns_both(str(path), kinds)
+    assert calls[0] == (["<U5001", "<f8", "<U1"], None)
+    assert _load_both(str(path), monkeypatch, target="y")
+
+
+@pytest.mark.parametrize("text, calls", [
+    # the first row makes g a three-character field, which "abcd" fills: g
+    # alone is read again, as Python strings; h's "c" never fills its field
+    ("x,g,h,y\n1.5,ab,c,2\n2.5,abcd,d,3\n3.5,abc,e,4\n",
+     [(["<f8", "<U3", "<U2", "<U1"], None), (["|O"], [1])]),
+    # a 20-character cell after one-character ones
+    ("x,g,h,y\n1.5,a,c,2\n2.5," + "b" * 20 + ",d,3\n3.5,a,e,4\n",
+     [(["<f8", "<U2", "<U2", "<U1"], None), (["|O"], [1])]),
+    # both categorical columns filled
+    ("x,g,h,y\n1.5,a,c,2\n2.5,bb,dd,3\n",
+     [(["<f8", "<U2", "<U2", "<U1"], None), (["|O", "|O"], [1, 2])]),
+], ids=["one-column", "much-longer", "two-columns"])
+def test_a_cut_column_is_read_again_as_strings(tmp_path, monkeypatch, text, calls):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    recorded = _record_loadtxt(monkeypatch)
+    assert _columns_both(str(path), {"x": NUMERICAL, "g": CATEGORICAL, "h": CATEGORICAL})
+    assert recorded == calls * 2  # _loadtxt_columns, then read_columns
 
 
 def test_a_field_over_the_csv_limit_defers(tmp_path, monkeypatch):
@@ -277,3 +351,42 @@ def test_a_row_count_other_than_the_line_count_defers(mixed_csv, monkeypatch):
     assert _loadtxt_columns(mixed_csv, lambda header: kinds) is not None
     monkeypatch.setattr(hipar.data.np, "loadtxt", lambda *a, **k: real_loadtxt(*a, **k)[1:])
     assert _loadtxt_columns(mixed_csv, lambda header: kinds) is None
+
+
+def test_a_categorical_file_is_coded_in_one_loadtxt_pass(tmp_path, monkeypatch):
+    # shaped like the cat-wide benchmark: 8 categorical columns and 2 integer
+    # ones. A quiet return to object cells, to the csv module or to a second
+    # pass would keep every other test green and lose the gain
+    rng = np.random.default_rng(5)
+    names = [f"k{j}" for j in range(8)]
+    codes = rng.integers(0, 8, (400, 8))
+    z = rng.integers(0, 20, (400, 2)).astype(float)
+    lines = [",".join([*(f"v{c}" for c in row), *map(repr, zz), repr(0.5 * i)])
+             for i, (row, zz) in enumerate(zip(codes.tolist(), z.tolist()))]
+    path = tmp_path / "cat.csv"
+    path.write_text(",".join([*names, "n0", "n1", "y"]) + "\n" + "\n".join(lines) + "\n")
+    with monkeypatch.context() as m:
+        m.setattr(hipar.data, "_loadtxt_columns", lambda p, kinds_of: None)
+        csv_path = _dataset(load_csv(str(path), target="y"))
+    passes = []
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(*args, dtype, **kwargs):
+        assert all(dtype[f].kind != "O" for f in dtype.names), dtype
+        passes.append(dtype)
+        return real_loadtxt(*args, dtype=dtype, **kwargs)
+
+    def no_csv(path):
+        raise AssertionError("the csv module read a plain file")
+
+    monkeypatch.setattr(hipar.data.np, "loadtxt", loadtxt)
+    monkeypatch.setattr(hipar.data, "_read_rows", no_csv)
+    d = load_csv(str(path), target="y")
+    assert _dataset(d) == csv_path
+    assert d.categorical_features() == names
+    assert d.column("k0").levels == tuple(f"v{c}" for c in range(8))
+    kinds = {name: CATEGORICAL for name in names} | {"n0": NUMERICAL}
+    columns, n = read_columns(str(path), kinds)
+    assert n == 400 and [_cells(columns[k]) for k in kinds] == [_cells(d.column(k)) for k in kinds]
+    assert len(passes) == 2  # one each
+    assert [passes[1][f].str for f in passes[1].names] == ["<U3"] * 8 + ["<f8", "<U1", "<U1"]

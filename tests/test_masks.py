@@ -26,6 +26,8 @@ from hipar import (
 )
 from hipar.patterns import Universe, bits_rows, condition_bits, pattern_bits
 
+from .conftest import observation
+
 LEVELS = ("a", "b", "c")
 
 
@@ -66,12 +68,12 @@ def _holds(c, row):
 
 
 def _brute_region(p, d):
-    rows = [d.row(i) for i in range(d.n)]
+    rows = [observation(d, i) for i in range(d.n)]
     return [i for i, row in enumerate(rows) if all(_holds(c, row) for c in p.conditions)]
 
 
 def _brute_closure(p, d, universe):
-    rows = [d.row(i) for i in _brute_region(p, d)]
+    rows = [observation(d, i) for i in _brute_region(p, d)]
     taken = {c.attribute: c for c in p.conditions}
     for c in sorted(universe, key=lambda c: (c.attribute, c.render())):
         if c.attribute not in taken and all(_holds(c, row) for row in rows):
@@ -111,7 +113,7 @@ def test_region_and_closure_match_per_row_evaluation(n):
 def test_bit_kernel_matches_per_row_counts_and_closures(n):
     rng = np.random.default_rng(1000 + n)
     d = _mixed(rng, n)
-    rows = [d.row(i) for i in range(n)]
+    rows = [observation(d, i) for i in range(n)]
     conds = _conditions(rng)
     universe = Universe(conds, d)
     assert universe.conditions == sorted(conds, key=lambda c: c.order)
@@ -144,7 +146,7 @@ def test_closure_of_top_and_of_a_one_row_region():
     universe = [*conds, Equals("g", "solo")]
     got = closure(Pattern([Equals("g", "solo")]), one, universe)
     assert got == _brute_closure(Pattern([Equals("g", "solo")]), one, universe)
-    row = one.row(17)
+    row = observation(one, 17)
     assert len(got) == 4 and all(_holds(c, row) for c in got.conditions)
 
 
@@ -190,7 +192,8 @@ def test_condition_bits_are_read_only_packed_masks():
         assert condition_bits(c, d) is bits  # computed once per dataset
         assert bits.dtype == np.uint64 and len(bits) == 2  # 77 rows in two words
         raw = bits.view(np.uint8)
-        assert np.array_equal(raw[:10], np.packbits([_holds(c, d.row(i)) for i in range(d.n)]))
+        holds = [_holds(c, observation(d, i)) for i in range(d.n)]
+        assert np.array_equal(raw[:10], np.packbits(holds))
         assert not raw[10:].any()  # padding bits are zero
         with pytest.raises(ValueError):
             bits[0] = 0
@@ -244,7 +247,7 @@ def test_coded_column_is_read_only():
     d = _mixed(rng, 21)
     g = d.column("g")
     assert d.column("g") is g  # coded once per dataset
-    assert g.levels == LEVELS and g.tolist() == [d.row(i)["g"] for i in range(d.n)]
+    assert g.levels == LEVELS and g.tolist() == [observation(d, i)["g"] for i in range(d.n)]
     with pytest.raises(ValueError):
         g.codes[0] = 1 - g.codes[0]
     with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ from hipar import (
 from hipar.data import code
 from hipar.patterns import bits_rows, condition_bits
 
+from .conftest import observation
+
 COTTAGE = Equals("property-type", "cottage")
 APARTMENT = Equals("property-type", "apartment")
 GOOD = Equals("state", "good")
@@ -30,15 +32,15 @@ CATS = [COTTAGE, APARTMENT, GOOD, VGOOD, EXCELLENT]
 
 
 def test_matches_equality(toy):
-    assert COTTAGE.mask(toy.row(0)["property-type"])
-    assert not COTTAGE.mask(toy.row(3)["property-type"])
+    assert COTTAGE.mask(observation(toy, 0)["property-type"])
+    assert not COTTAGE.mask(observation(toy, 3)["property-type"])
     assert list(condition_tids(COTTAGE, toy)) == [0, 1, 2]
 
 
 def test_matches_interval_bounds(toy):
     small = Interval("surface", -math.inf, 60.0)
-    assert not small.mask(toy.row(0)["surface"])  # surface 120
-    assert small.mask(toy.row(1)["surface"])  # surface 55
+    assert not small.mask(observation(toy, 0)["surface"])  # surface 120
+    assert small.mask(observation(toy, 1)["surface"])  # surface 55
     half = Interval("surface", 50.0, 60.0)
     assert half.mask(50.0)  # closed low end
     assert not half.mask(60.0)  # open high end
@@ -56,7 +58,7 @@ def test_matches_kind_mismatch(toy):
 
 def test_empty_pattern_matches_everything(toy):
     for i in range(toy.n):
-        assert TOP.mask(toy.row(i))
+        assert TOP.mask(observation(toy, i))
     assert list(region(TOP, toy)) == list(range(toy.n))
 
 
@@ -101,7 +103,7 @@ def test_pattern_mask_is_and_of_conditions(toy):
     p = Pattern([COTTAGE, Interval("surface", -math.inf, 60.0)])
     columns = {a.name: toy.column(a.name) for a in toy.schema}
     assert list(np.nonzero(p.mask(columns))[0]) == list(region(p, toy)) == [1, 2]
-    assert [bool(p.mask(toy.row(i))) for i in range(toy.n)] == p.mask(columns).tolist()
+    assert [bool(p.mask(observation(toy, i))) for i in range(toy.n)] == p.mask(columns).tolist()
 
 
 def test_pattern_rejects_two_conditions_on_one_attribute():

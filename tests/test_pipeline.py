@@ -21,7 +21,7 @@ from hipar import (
 )
 from hipar.regression import LinearModel
 
-from .conftest import make_two_segment
+from .conftest import make_two_segment, observation
 
 
 def test_error_reduction_values():
@@ -206,7 +206,7 @@ def test_serialize_round_trip(tmp_path, two_segment):
     assert predict_batch(back, two_segment, rows).tolist() == \
         predict_batch(pred, two_segment, rows).tolist()
     for i in range(0, two_segment.n, 7):
-        obs = two_segment.row(i)
+        obs = observation(two_segment, i)
         assert predict(back, obs) == predict(pred, obs)
 
 

@@ -19,6 +19,9 @@ from hipar import (
     predict_batch,
     predict_columns,
 )
+from hipar.data import CodedColumn, code
+
+from .conftest import observation
 
 SCHEMA = [
     AttributeSchema("g", "categorical"),
@@ -225,7 +228,7 @@ def test_predict_batch_matches_pointwise(two_segment):
     rs, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
     rows = np.arange(two_segment.n)
     batch = predict_batch(pred, two_segment, rows)
-    single = [predict(pred, two_segment.row(int(i))) for i in rows]
+    single = [predict(pred, observation(two_segment, int(i))) for i in rows]
     assert np.array_equal(batch, np.array(single))
     # permuting rows permutes outputs identically
     perm = rows[::-1]
@@ -245,7 +248,7 @@ def test_vote_adds_left_to_right_in_voter_order():
     pred = _predictor(rules, {r.pattern: 1.0 for r in rules}, schema=schema)
     assert [r.fitted.model.intercept for r, _ in pred.voters] == [1e16, 1.0, -1e16]
     d = Dataset(schema, {a.name: np.zeros(1) for a in schema})
-    assert predict(pred, d.row(0)) == 0.0
+    assert predict(pred, observation(d, 0)) == 0.0
     assert predict_batch(pred, d, [0]).tolist() == [0.0]
 
 
@@ -296,9 +299,9 @@ def test_predict_batch_equals_row_wise_predict_bit_for_bit(seed):
     for rows in (np.arange(d.n), rng.permutation(d.n), rng.choice(d.n, d.n // 3),
                  np.empty(0, dtype=int)):
         batch = predict_batch(pred, d, rows)
-        single = [predict(pred, d.row(int(i))) for i in rows]
+        single = [predict(pred, observation(d, int(i))) for i in rows]
         assert batch.tolist() == single  # == on floats: equal bits, as none is NaN
-    covers = [len(covering_rules(pred, d.row(i))) for i in range(d.n)]
+    covers = [len(covering_rules(pred, observation(d, i))) for i in range(d.n)]
     assert 0 in covers and max(covers) >= 2
     assert "d" in d.column("g").tolist()
 
@@ -331,9 +334,10 @@ def test_predict_batch_rejects_a_feature_of_another_kind(tmp_path):
         predict_batch(pred, as_text, [0])
     # single-row predict rejects a row of that table: its cell is the float 1.0
     with pytest.raises(DataError, match="^categorical feature 'g' is not a string: 1.0$"):
-        predict(pred, inferred.row(0))
+        predict(pred, observation(inferred, 0))
     rows = np.random.default_rng(0).permutation(d.n)
-    assert predict_batch(pred, d, rows).tolist() == [predict(pred, d.row(int(i))) for i in rows]
+    single = [predict(pred, observation(d, int(i))) for i in rows]
+    assert predict_batch(pred, d, rows).tolist() == single
 
 
 @pytest.mark.parametrize("value", [1.0, 1, None, b"a", ("a",)])
@@ -380,7 +384,7 @@ def test_predict_paths_agree_on_exact_levels(tmp_path):
     d = load_csv(str(scoring), target="y", categorical_overrides=["g"])
     assert "none" not in d.column("g").levels
     assert predict_batch(pred, d, range(d.n)).tolist() == want
-    assert [predict(pred, d.row(i)) for i in range(d.n)] == want
+    assert [predict(pred, observation(d, i)) for i in range(d.n)] == want
 
 
 @pytest.fixture(scope="module")
@@ -436,3 +440,49 @@ def test_predict_columns_rejects_a_column_of_another_length(digit_levels):
     for bad in (x[:2], 0.5, x.reshape(3, 1)):
         with pytest.raises(DataError, match="^feature 'x' is not a column of 3 finite floats$"):
             predict_columns(digit_levels, {"g": g, "x": bad}, 3)
+
+
+def test_predict_columns_translates_a_coded_column(digit_levels):
+    # the level table holds values no voter tests ("0", " 1", "3") and one no
+    # cell holds ("9"), as a subset's column keeps its parent's table
+    cells = ["1", "0", " 1", "2", "3", "1", "2", "2"]
+    x = np.linspace(-1.0, 2.0, len(cells))
+    col = code(cells, sorted({*cells, "9"}))
+    want = [predict(digit_levels, {"g": g, "x": v}) for g, v in zip(cells, x.tolist())]
+    got = predict_columns(digit_levels, {"g": col, "x": x}, len(cells))
+    assert got.tolist() == want  # == on floats: equal bits, as none is NaN
+    assert got.tolist() == predict_columns(digit_levels, {"g": cells, "x": x}, len(cells)).tolist()
+
+
+@pytest.mark.parametrize("col, bad", [
+    (CodedColumn(("1", 2.0), np.array([0, 1]), {"1": 0, 2.0: 1}), 2.0),
+    (CodedColumn(("1", None), np.array([0, 1]), {"1": 0, None: 1}), None),
+    (CodedColumn(("1", b"1"), np.array([0, 1]), {"1": 0, b"1": 1}), b"1"),
+    (code(["1", "x"], ["1"]), None),  # code -1: a cell equal to no level is None
+], ids=["float", "None", "bytes", "no-level"])
+def test_predict_columns_rejects_a_coded_column_with_a_non_string_level(digit_levels, col, bad):
+    with pytest.raises(DataError, match=f"^categorical feature 'g' is not a string: {bad!r}$"):
+        predict(digit_levels, {"g": col[1], "x": 0.5})
+    with pytest.raises(DataError, match=f"^categorical feature 'g' is not a string: {bad!r}$"):
+        predict_columns(digit_levels, {"g": col, "x": np.array([0.5, 0.5])}, 2)
+
+
+def test_predict_batch_on_a_loaded_file_equals_hipar_predict(tmp_path, digit_levels):
+    # labels of mixed widths, padded cells, a label longer after the first row
+    # and a level no voter tests: the CLI reads the file with read_columns
+    from hipar import load_csv, serialize_rules
+    from hipar.cli import main
+
+    rules = tmp_path / "rules.json"
+    serialize_rules(digit_levels, str(rules))
+    cells = ["1", " 2", "22", "2 ", "1", "\xa01", "é", "2"]
+    scoring = tmp_path / "score.csv"
+    scoring.write_text("g,x,y\n" + "".join(f"{g},{0.125 * i!r},0\n" for i, g in enumerate(cells)),
+                       encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["predict", "--rules", str(rules), "--input", str(scoring), "--out", str(out)]) == 0
+    d = load_csv(str(scoring), target="y", categorical_overrides=["g"])
+    batch = predict_batch(digit_levels, d, range(d.n)).tolist()
+    assert out.read_text(encoding="utf-8") == "".join(f"{v!r}\n" for v in batch)
+    assert batch == [predict(digit_levels, {"g": g.strip(), "x": 0.125 * i})
+                     for i, g in enumerate(cells)]
