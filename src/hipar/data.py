@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import csv
 import gc
-import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -105,16 +104,30 @@ class AttributeSchema:
 class CodedColumn:
     """A categorical column: one integer code per cell into a sorted table of
     distinct ``str`` levels, compared exactly (a trailing NUL makes another
-    level); -1 codes a cell equal to no level. ``column == value`` is one
-    integer compare, and a value outside the table matches no cell. Rows index
-    their column on the same table, one row its cell (None for -1)."""
+    level). Every code names a level, which is checked when the column is
+    made, as are the table and the codes' type. ``column == value`` is one
+    integer compare, and a value outside the table matches no cell. Rows
+    index their column on the same table, one row its cell. ``code`` builds
+    a column from cells."""
 
     levels: tuple[str, ...]  # sorted, distinct
-    codes: np.ndarray  # read-only
-    index: dict[str, int]  # level -> code
+    codes: np.ndarray  # 1-d, integer, read-only
+    index: dict[str, int] = field(init=False, repr=False)  # level -> code
 
     def __post_init__(self):
-        self.codes.flags.writeable = False
+        levels, codes = self.levels, self.codes
+        bad = [v for v in levels if not isinstance(v, str)]
+        if bad:
+            raise DataError(f"level {bad[0]!r} is not a string")
+        for a, b in zip(levels, levels[1:]):
+            if not a < b:
+                raise DataError(f"levels are not sorted and distinct: {a!r} before {b!r}")
+        if not (isinstance(codes, np.ndarray) and codes.ndim == 1 and codes.dtype.kind in "iu"):
+            raise DataError("codes must be a 1-d integer array")
+        if len(codes) and (codes.min() < 0 or codes.max() >= len(levels)):
+            raise DataError(f"a code is outside the table of {len(levels)} levels")
+        codes.flags.writeable = False
+        object.__setattr__(self, "index", {v: i for i, v in enumerate(levels)})
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -122,32 +135,33 @@ class CodedColumn:
     def __getitem__(self, rows):
         codes = self.codes[rows]
         if codes.ndim == 0:
-            return self.levels[codes] if codes >= 0 else None
-        return CodedColumn(self.levels, codes, self.index)
+            return self.levels[codes]
+        return CodedColumn(self.levels, codes)
 
     def __eq__(self, value) -> np.ndarray:  # type: ignore[override]
-        # -2 is no cell's code: a value outside the table matches nothing
-        return self.codes == self.index.get(value, -2)
+        # a value outside the table gets the code past it, which no cell holds
+        return self.codes == self.index.get(value, len(self.levels))
 
-    def tolist(self) -> list:
-        cells = (*self.levels, None)  # code -1 picks None
-        return [cells[c] for c in self.codes.tolist()]
+    def tolist(self) -> list[str]:
+        return list(map(self.levels.__getitem__, self.codes.tolist()))
 
 
-def code(cells, levels: Sequence[str]) -> CodedColumn:
-    """The cells coded against a sorted table of distinct levels, a cell equal
-    to none of them as -1. ``cells`` is a sequence of cells, or a CodedColumn
-    whose levels are translated to the new table."""
-    levels = tuple(levels)
+def code(cells, what: str = "a categorical cell is not a string") -> CodedColumn:
+    """``str`` cells, a sequence or an array, coded on their sorted distinct
+    values: the one way cells are coded. A non-``str`` cell, hashable or not,
+    is a DataError: ``what``, which names the column, then the cell."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    try:
+        distinct = set(cells)
+    except TypeError:  # an unhashable cell
+        distinct = cells
+    bad = [v for v in distinct if not isinstance(v, str)]
+    if bad:
+        raise DataError(f"{what}: {bad[0]!r}")
+    levels = tuple(sorted(distinct))
     index = {v: i for i, v in enumerate(levels)}
-    if isinstance(cells, CodedColumn):
-        table = np.array([*(index.get(v, -1) for v in cells.levels), -1], dtype=np.intp)
-        codes = table[cells.codes]  # the trailing -1 keeps code -1
-    else:
-        if isinstance(cells, np.ndarray):
-            cells = cells.tolist()
-        codes = np.fromiter(map(index.get, cells, itertools.repeat(-1)), np.intp, len(cells))
-    return CodedColumn(levels, codes, index)
+    return CodedColumn(levels, np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)))
 
 
 def check_schema(schema: Sequence[AttributeSchema]) -> str:
@@ -177,9 +191,9 @@ class Dataset:
 
     Columns are stored column-major: float64 arrays for numerical attributes,
     a ``CodedColumn`` for categorical ones. A categorical column given as
-    ``str`` cells is coded once against its sorted distinct cells; one given
-    as a ``CodedColumn`` (a reader's, or a subset's, which keeps its parent's
-    table) is kept as it is. Two memos are filled
+    ``str`` cells is coded once by ``code``, a non-``str`` cell being a
+    DataError; one given as a ``CodedColumn`` (a reader's, or a subset's,
+    which keeps its parent's table) is kept as it is. Two memos are filled
     lazily, and everything in them is read-only. ``bits`` holds each
     condition's row set, keyed by the condition: its rows packed by
     ``np.packbits`` into 64-bit words with zero padding
@@ -211,17 +225,8 @@ class Dataset:
                 if not np.all(np.isfinite(col)):
                     raise DataError(f"column {attr.name!r} contains non-finite values")
                 col.flags.writeable = False
-            elif isinstance(col, CodedColumn):  # a subset's column keeps its table
-                if col.codes.min() < 0:
-                    raise DataError(f"column {attr.name!r} has a cell outside its level table")
-            else:
-                cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
-                levels = set(cells)
-                bad = [v for v in levels if not isinstance(v, str)]
-                if bad:
-                    raise DataError(f"categorical column {attr.name!r} holds a non-string "
-                                    f"cell {bad[0]!r}")
-                col = code(cells, sorted(levels))
+            elif not isinstance(col, CodedColumn):  # a CodedColumn is kept as it is
+                col = code(col, f"categorical column {attr.name!r} holds a non-string cell")
             self._columns[attr.name] = col
         self._by_name = {a.name: a for a in self.schema}
         self.bits: dict[object, np.ndarray] = {}
@@ -344,11 +349,11 @@ def _columns(
 
     Every row must have one cell per header name, and no read cell may be empty
     or whitespace. A NUMERICAL column must hold finite reals (float64 array); a
-    CATEGORICAL one gives its stripped cells as a ``CodedColumn`` on their
-    sorted distinct values; None makes the column NUMERICAL if every cell is a
-    finite real, else CATEGORICAL. A broken rule raises a DataError naming the
-    first bad row. This is the csv module's path, the referee of
-    ``_loadtxt_columns`` and the one source of the readers' row errors.
+    CATEGORICAL one gives its stripped cells coded by ``code``; None makes the
+    column NUMERICAL if every cell is a finite real, else CATEGORICAL. A broken
+    rule raises a DataError naming the first bad row. This is the csv module's
+    path, the referee of ``_loadtxt_columns`` and the one source of the
+    readers' row errors.
     """
     missing = [name for name in kinds if name not in header]
     if missing:
@@ -364,7 +369,7 @@ def _columns(
             cells = [c.strip() for c in cells]
             if kind == NUMERICAL or not all(cells):
                 raise _bad_row(path, header, rows, kinds)
-            values = code(cells, sorted(set(cells)))
+            values = code(cells)
         columns[name] = values
     return columns
 
@@ -400,8 +405,9 @@ def _code_text(cells: np.ndarray, longest: int) -> CodedColumn | None:
     """The stripped cells of a unicode array, none longer than ``longest``
     characters, coded on their sorted distinct values, or None if a stripped
     cell is empty. One C-level unique over the raw cells; only the distinct
-    raw cells are stripped, by ``str.strip``. Cells of at most two characters
-    are sorted as one 64-bit word each, about six times faster."""
+    raw cells are stripped, by ``str.strip``, and coded (``code``), and the
+    unique's inverse gathers their codes. Cells of at most two characters are
+    sorted as one 64-bit word each, about six times faster."""
     if longest <= 2:
         raw, inverse = np.unique(cells.astype("U2").view(np.uint64), return_inverse=True)
         raw = raw.view("U2")
@@ -410,10 +416,7 @@ def _code_text(cells: np.ndarray, longest: int) -> CodedColumn | None:
     stripped = [c.strip() for c in raw.tolist()]
     if not all(stripped):
         return None
-    levels = sorted(set(stripped))
-    index = {v: i for i, v in enumerate(levels)}
-    table = np.array([index[v] for v in stripped], dtype=np.intp)
-    return CodedColumn(tuple(levels), table[inverse.reshape(-1)], index)
+    return code(stripped)[inverse.reshape(-1)]
 
 
 def _loadtxt_columns(
@@ -435,8 +438,8 @@ def _loadtxt_columns(
     it. A column with a cell that does is read once more, alone, as Python
     strings, and so is every categorical column of a file whose fixed-width
     table would take more than ``_FIXED_WIDTH_BYTES_PER_CHAR`` bytes per
-    character of its text; their stripped cells are then coded as
-    ``_columns`` codes them. Whatever the two readers could read apart
+    character of its text; their stripped cells are then coded by ``code``,
+    as ``_columns`` codes them. Whatever the two readers could read apart
     returns None: a quote or a NUL, a blank line, no data rows, a repeated or
     missing name, a line longer than the csv module's field limit, a cell
     ``loadtxt`` rejects, a row count other than the line count, a non-finite
@@ -507,7 +510,7 @@ def _loadtxt_columns(
         cells = list(map(str.strip, values.tolist()))
         if not all(cells):
             return None
-        columns[name] = code(cells, sorted(set(cells)))
+        columns[name] = code(cells)
     return {name: columns[name] for name in kinds}, len(lines)
 
 

@@ -20,7 +20,7 @@ from .data import (
     row_indices,
 )
 from .enumeration import HybridRule
-from .patterns import Equals, Pattern, check_condition
+from .patterns import Pattern, check_condition
 from .selection import SelectedRuleSet
 
 
@@ -38,7 +38,9 @@ class Predictor:
     selector chose it: it answers alone for points no other selected rule
     covers. ``schema`` is checked as a ``Dataset``'s is
     (``data.check_schema``). Every condition and coefficient must name a
-    feature of it, of the kind the condition needs.
+    feature of it, of the kind the condition needs. A predictor holds no
+    level table: a condition compares a categorical column on the column's
+    own table (``data.CodedColumn``).
     """
 
     rules: SelectedRuleSet
@@ -50,8 +52,6 @@ class Predictor:
     voters: tuple[tuple[HybridRule, float], ...] = field(init=False, repr=False, compare=False)
     # the schema's feature attributes, in schema order
     features: tuple[AttributeSchema, ...] = field(init=False, repr=False, compare=False)
-    # per categorical attribute a voter tests, the sorted values its Equals conditions test
-    levels: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_schema(self.schema)
@@ -79,12 +79,6 @@ class Predictor:
                         key=lambda r: r.pattern.order)
         voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)
         object.__setattr__(self, "voters", voters)
-        levels: dict[str, set[str]] = {}
-        for r in voting:
-            for c in r.pattern.conditions:
-                if isinstance(c, Equals):
-                    levels.setdefault(c.attribute, set()).add(c.value)
-        object.__setattr__(self, "levels", {a: tuple(sorted(v)) for a, v in levels.items()})
 
 
 def _observation(pred: Predictor, x: Mapping[str, object]) -> dict[str, object]:
@@ -133,22 +127,16 @@ def predict(pred: Predictor, x: Mapping[str, object]) -> float:
     return float(num / den)
 
 
-def _check_strings(name: str, values) -> None:
-    bad = [v for v in values if not isinstance(v, str)]
-    if bad:
-        raise DataError(f"categorical feature {name!r} is not a string: {bad[0]!r}")
-
-
 def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> np.ndarray:
     """``predict`` over n observations given as feature columns, bit for bit:
     numerical columns hold finite floats, categorical ones ``str`` cells or a
-    ``CodedColumn`` (as ``data.read_columns`` gives them). Each categorical
-    column a voter tests is coded against ``pred.levels``, a ``CodedColumn``
-    by translating its level table: a cell equal to none of them matches no
-    condition, as in ``predict``. Votes and weights are added left to right in
-    voter order. A missing feature, a column of other than n cells, a
-    numerical cell that is not a finite float and, in a column a voter tests,
-    a non-``str`` cell or level of a ``CodedColumn`` are DataErrors."""
+    ``CodedColumn`` (as ``data.read_columns`` and a ``Dataset`` give them). A
+    ``CodedColumn`` is scored as it is, on its own level table; ``str`` cells
+    are coded first (``data.code``). A cell equal to no value a condition tests
+    matches no condition, as in ``predict``. Votes and weights are added left
+    to right in voter order. A missing feature, a column of other than n
+    cells, a numerical cell that is not a finite float and a categorical cell
+    that is not a ``str`` are DataErrors."""
     checked: dict[str, object] = {}
     for a in pred.features:
         if a.name not in columns:
@@ -160,17 +148,8 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
                 raise DataError(f"feature {a.name!r} is not a column of {n} finite floats")
         elif len(col) != n:
             raise DataError(f"feature {a.name!r} holds {len(col)} cells, expected {n}")
-        elif a.name in pred.levels:
-            if isinstance(col, CodedColumn):  # a cell is a level, or None for code -1
-                _check_strings(a.name, col.levels)
-                if len(col) and col.codes.min() < 0:
-                    _check_strings(a.name, [None])
-                col = code(col, pred.levels[a.name])
-            else:  # only the cells equal to no level are read
-                coded = code(col, pred.levels[a.name])
-                unmatched = np.flatnonzero(coded.codes == -1).tolist()
-                _check_strings(a.name, [col[i] for i in unmatched])
-                col = coded
+        elif not isinstance(col, CodedColumn):
+            col = code(col, f"categorical feature {a.name!r} is not a string")
         checked[a.name] = col
     columns = checked
     num = np.zeros(n)

@@ -420,11 +420,6 @@ def evaluate(model: LinearModel, rows, d: Dataset, metric: str) -> float:
     return float(evaluate_all([model], rows, d, metric)[0])
 
 
-def _check_terms(max_terms: int) -> None:
-    if not is_int(max_terms) or max_terms < 0:
-        raise DataError(f"max_terms must be a nonnegative integer, got {max_terms!r}")
-
-
 def _omp(max_terms: int) -> tuple[str, Sequence[int]]:
     """OMP's tuning entry: 1..max_terms terms, or the MEAN model when max_terms is 0."""
     return (OMP, range(1, max_terms + 1)) if max_terms > 0 else (MEAN, [0])
@@ -489,12 +484,13 @@ def fit_lasso(rows, d: Dataset, lambda_grid: Sequence[float], holdout,
 def fit_omp(rows, d: Dataset, max_terms: int, holdout, metric: str = RMSE) -> LinearModel:
     """Greedy forward selection with the term count chosen on the holdout slice
     (ties go to the smaller count); max_terms = 0 yields the MEAN model."""
-    _check_terms(max_terms)
+    if not is_int(max_terms) or max_terms < 0:
+        raise DataError(f"max_terms must be a nonnegative integer, got {max_terms!r}")
     return _fit_tuned(rows, holdout, d, _omp(max_terms), metric, "fit_omp")
 
 
 def best_local_model(
-    rows, d: Dataset, metric: str, test: np.ndarray, max_terms: int | None = None
+    rows, d: Dataset, metric: str, test: np.ndarray
 ) -> tuple[FittedRuleModel, np.ndarray]:
     """LASSO vs OMP contest on the rows, split by the fit's test set ``test``,
     a bool mask over the table (``holdout_mask(d.n, 0.2, seed)``). Returns the
@@ -508,22 +504,18 @@ def best_local_model(
     contest holdout error on record. The refit's moments merge the co-moments
     of the two sides. A region with fewer than 5 rows, or all on one side of
     the mask, falls back to the MEAN model, scored on its own rows. OMP tries
-    up to ``max_terms`` terms, a nonnegative int; None means the feature
-    count, capped at ``MAX_TERMS_CAP``.
+    up to as many terms as the region has features, capped at
+    ``MAX_TERMS_CAP``.
     A target constant on the fitting side makes both methods fit the MEAN
     model there, scored on the test side like any other; LASSO wins the tie
     and the MEAN model is refit on all rows."""
     metric = check_metric(metric)
-    if max_terms is not None:
-        _check_terms(max_terms)
     if not (isinstance(test, np.ndarray) and test.dtype == bool and test.shape == (d.n,)):
         raise DataError(f"the test set must be a bool mask over the table's {d.n} rows")
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("best_local_model needs at least 1 row")
     names, Zt = _region(idx, d)
-    if max_terms is None:
-        max_terms = min(len(names), MAX_TERMS_CAP)
     test = test[idx]
     if len(idx) < 5 or not 0 < np.count_nonzero(test) < len(idx):  # no split
         method, hyper, full, scored, holdout_error = MEAN, None, _moments(Zt), idx, None
@@ -531,7 +523,8 @@ def best_local_model(
         train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
         sides = _comoments(train), _comoments(hold)
         fits, i, holdout_error = _tune(_moments(train, sides[0]), names, hold[:-1].T, hold[-1],
-                                       [(LASSO, DEFAULT_LAMBDA_GRID), _omp(max_terms)], metric)
+                                       [(LASSO, DEFAULT_LAMBDA_GRID),
+                                        _omp(min(len(names), MAX_TERMS_CAP))], metric)
         method, hyper = fits.method, None if fits.method == MEAN else fits.hypers[i]
         full, scored = _moments(Zt, _merge(*sides)), idx[test]
 

@@ -421,10 +421,35 @@ def test_dataset_target_is_the_schemas():
 
 
 def test_coded_column_outside_its_table_is_rejected():
-    cells = hipar.data.code(["a", "zz"], ["a"])
-    assert cells.codes.tolist() == [0, -1] and cells.tolist() == ["a", None]
-    with pytest.raises(DataError, match="column 'g' has a cell outside its level table"):
-        hipar.Dataset(_g_schema(), {"g": cells, "x": np.zeros(2), "y": np.zeros(2)})
+    # a code past the table used to make a Dataset whose d.column("g")[1] and
+    # write_csv raised IndexError; no code stands for "no level"
+    for codes in ([0, 1], [0, -1]):
+        with pytest.raises(DataError, match="^a code is outside the table of 1 levels$"):
+            hipar.data.CodedColumn(("a",), np.array(codes))
+
+
+@pytest.mark.parametrize("levels, codes, message", [
+    (("b", "a"), np.array([0, 1]), "^levels are not sorted and distinct: 'b' before 'a'$"),
+    (("a", "a"), np.array([0, 1]), "^levels are not sorted and distinct: 'a' before 'a'$"),
+    (("a", 2), np.array([0, 1]), "^level 2 is not a string$"),
+    (("a", "b"), np.array([0.0, 1.0]), "^codes must be a 1-d integer array$"),
+    (("a", "b"), np.array([[0, 1]]), "^codes must be a 1-d integer array$"),
+    (("a", "b"), [0, 1], "^codes must be a 1-d integer array$"),
+], ids=["unsorted", "repeated", "non-string", "float-codes", "2-d-codes", "list-codes"])
+def test_a_coded_column_checks_its_level_table(levels, codes, message):
+    # a Dataset used to accept the unsorted and the non-string table
+    with pytest.raises(DataError, match=message):
+        hipar.data.CodedColumn(levels, codes)
+    col = hipar.data.CodedColumn(("a", "b"), np.array([1, 0, 1], dtype=np.uint8))
+    assert col.index == {"a": 0, "b": 1} and col.tolist() == ["b", "a", "b"]
+    assert (col == "b").tolist() == [True, False, True] and not (col == "c").any()
+
+
+@pytest.mark.parametrize("cell", [1.0, None, b"a", ["a"]], ids=["float", "None", "bytes", "list"])
+def test_dataset_rejects_a_non_string_categorical_cell(cell):
+    # an unhashable cell used to raise TypeError
+    with pytest.raises(DataError, match="^categorical column 'g' holds a non-string cell: "):
+        hipar.Dataset(_g_schema(), {"g": ["a", cell], "x": np.zeros(2), "y": np.zeros(2)})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])

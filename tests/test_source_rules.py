@@ -69,3 +69,17 @@ def test_no_function_takes_both_a_dataset_and_a_target_name():
             if takes_dataset and {p.arg for p in params} & {"y", "target"}:
                 bad.append(f"{path}:{node.lineno}: {node.name}")
     assert not bad, bad
+
+
+def test_only_the_data_module_builds_a_coded_column():
+    # categorical cells are coded in one module, by data.code and the
+    # CodedColumn methods; every other module takes a column as it is
+    assert "data.py" in {p.name for p in MODULES}
+    bad = []
+    for path in MODULES:
+        if path.name == "data.py":
+            continue
+        calls = (n for n in ast.walk(_tree(path)) if isinstance(n, ast.Call))
+        bad += [f"{path}:{n.lineno}" for n in calls
+                if ast.unparse(n.func).split(".")[-1] == "CodedColumn"]
+    assert not bad, bad
