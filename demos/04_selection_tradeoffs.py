@@ -1,8 +1,10 @@
 """How the selection knobs shape the mined rule set.
 
 The support threshold theta bounds the search; the overlap bias omega prices
-redundant coverage. Sweeping each shows the size/accuracy trade-off, and the
-"f" (keep everything) and "sd" (top-q) variants bracket the standard selector.
+redundant coverage. Sweeping each shows the size/accuracy trade-off. The
+paper's HiPaR_f, which keeps every candidate, is the omega = 0 line of the
+sweep; its HiPaR_sd, the top q candidates by support-to-error trade-off, is
+sd_q = q.
 """
 
 import numpy as np
@@ -59,11 +61,11 @@ for omega in (0.0, 0.5, 1.0, 2.0):
     )
 
 print()
-print("== variants ==")
-for variant, extra in (("standard", {}), ("f", {}), ("sd", {"sd_q": 3})):
-    selected, _ = run_hipar(data, RunConfig(theta=0.1, seed=1, variant=variant, **extra))
+print("== top-q (sd_q) beside the solved objective ==")
+for label, extra in (("solved", {}), ("sd_q=3", {"sd_q": 3})):
+    selected, _ = run_hipar(data, RunConfig(theta=0.1, seed=1, **extra))
     keys = [r.key for r in selected.chosen]
-    print(f"  {variant:8s}: {len(keys)} rules via {selected.solver}")
+    print(f"  {label:8s}: {len(keys)} rules via {selected.solver}")
     for k in keys[:4]:
         print(f"       {k}")
     if len(keys) > 4:

@@ -8,10 +8,13 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import fields
+from functools import partial
 
 from .data import DataError, load_csv, read_columns
 from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
 from .prediction import predict_columns
+from .regression import METRICS
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
@@ -20,13 +23,15 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--categorical", default="", metavar="a,b",
                         type=lambda s: [x.strip() for x in s.split(",") if x.strip()],
                         help="comma-separated columns to force categorical")
-    parser.add_argument("--min-support", type=float, default=0.1, dest="theta")
-    parser.add_argument("--support-bias", type=float, default=1.0, dest="sigma")
-    parser.add_argument("--overlap-bias", type=float, default=1.0, dest="omega")
-    parser.add_argument("--metric", choices=["rmse", "meae"], default="rmse")
-    parser.add_argument("--variant", choices=["standard", "f", "sd"], default="standard")
-    parser.add_argument("--sd-q", type=int, default=None, help="rule count for variant sd")
-    parser.add_argument("--seed", type=int, default=0)
+    # RunConfig settings: a flag left out sets no attribute, so RunConfig's default applies
+    setting = partial(parser.add_argument, default=argparse.SUPPRESS)
+    setting("--min-support", type=float, dest="theta", help="relative support threshold theta")
+    setting("--support-bias", type=float, dest="sigma", help="support bias sigma")
+    setting("--overlap-bias", type=float, dest="omega", help="overlap bias omega; 0 keeps all")
+    setting("--metric", choices=METRICS, help="error metric")
+    setting("--sd-q", type=int, dest="sd_q", metavar="N",
+            help="keep the top N candidates by support-to-error trade-off (the paper's HiPaR_sd)")
+    setting("--seed", type=int, help="seed of the 80/20 split and the folds")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="cross-validated evaluation report")
     _add_fit_flags(ev)
-    ev.add_argument("--folds", type=int, default=10)
+    ev.add_argument("--folds", type=int, default=argparse.SUPPRESS, help="fold count")
     ev.add_argument("--report-out", required=True, help="output report file (JSON)")
     ev.add_argument("--rules-out", default=None,
                     help="optionally also fit on all rows and write a rule file")
@@ -55,17 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace, folds: int = 10) -> RunConfig:
-    return RunConfig(
-        theta=args.theta,
-        sigma=args.sigma,
-        omega=args.omega,
-        metric=args.metric,
-        variant=args.variant,
-        sd_q=args.sd_q,
-        folds=folds,
-        seed=args.seed,
-    )
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The RunConfig of the setting flags given; RunConfig supplies the rest."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -78,7 +76,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(args, folds=args.folds)
+    cfg = _config(args)
     d = load_csv(args.input, args.target, args.categorical)
     report = cross_validate(d, cfg)
     with open(args.report_out, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -37,6 +38,11 @@ def _parse_real(cell: str) -> float | None:
 def is_int(value) -> bool:
     """Whether a count or a seed is an int or a numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether a setting is a real number (a numpy scalar too); a bool is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _row_index(i) -> int:

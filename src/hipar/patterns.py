@@ -60,8 +60,8 @@ class Equals:
 class Interval:
     """Numerical membership condition with half-open semantics lo <= v < hi.
 
-    lo = -inf / hi = +inf encode unbounded sides. The three rendered shapes are
-    (-inf,a), [a,b] and (b,inf); membership is decided here, not by the rendering.
+    lo = -inf / hi = +inf encode unbounded sides. The three rendered shapes,
+    (-inf,a), [a,b) and [b,inf), state that membership; ``mask`` decides it.
     """
 
     attribute: str
@@ -78,8 +78,8 @@ class Interval:
         if self.lo == -math.inf:
             return f"{self.attribute} in (-inf,{self.hi:.6g})"
         if self.hi == math.inf:
-            return f"{self.attribute} in ({self.lo:.6g},inf)"
-        return f"{self.attribute} in [{self.lo:.6g},{self.hi:.6g}]"
+            return f"{self.attribute} in [{self.lo:.6g},inf)"
+        return f"{self.attribute} in [{self.lo:.6g},{self.hi:.6g})"
 
     def mask(self, values):
         return (self.lo <= values) & (values < self.hi)

@@ -15,26 +15,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import AttributeSchema, DataError, Dataset, check_folds, check_seed, is_int, k_folds
+from .data import (AttributeSchema, DataError, Dataset, check_folds, check_seed, is_int, is_real,
+                   k_folds)
 from .enumeration import HybridRule, enumerate_candidates, hipar_init
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
 from .regression import FittedRuleModel, LinearModel, check_metric, evaluate, fit_ols, metric_value
 from .selection import SelectedRuleSet, build_problem, check_biases, select_top_q, solve
 
-VARIANTS = ("standard", "f", "sd")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The one configuration of a fit; defaults follow the recommended
+    """The one configuration of a fit, and the one place that states each
+    setting's default and allowed values; defaults follow the recommended
     operating point (theta=0.1, sigma=1, omega=1, RMSE, 10 folds). The target
-    is the dataset's (``Dataset.target``).
+    is the dataset's (``Dataset.target``). The paper's HiPaR_f is omega = 0
+    (every candidate kept) and its HiPaR_sd is sd_q = q (the top q kept).
 
-    Settings are checked when the config is made, so a bad one is a DataError
-    before any input is read: the seed must be an int >= 0 and the fold count
-    an int >= 2, by the checks the split and the fold plan make too. The
-    metric is stored lower-cased. Bounds that need the table (theta*n >= 1,
+    Every setting is checked when the config is made, so a bad one (also a
+    bool, a str or None for a number) is a DataError before any input is read.
+    The metric is stored lower-cased. Bounds that need the table (theta*n >= 1,
     folds <= n, sd_q <= candidates) are checked where the table is read.
     """
 
@@ -42,23 +42,15 @@ class RunConfig:
     sigma: float = 1.0
     omega: float = 1.0
     metric: str = "rmse"
-    variant: str = "standard"  # standard | f | sd
-    sd_q: int | None = None  # rule count of variant sd, and only of it
+    sd_q: int | None = None  # keep the top sd_q candidates; None solves the objective
     folds: int = 10
     seed: int = 0  # seeds the fit's 80/20 split and the folds
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise DataError(f"theta must lie in (0, 1], got {self.theta}")
+        if not (is_real(self.theta) and 0.0 < self.theta <= 1.0):
+            raise DataError(f"theta must lie in (0, 1], got {self.theta!r}")
         object.__setattr__(self, "metric", check_metric(self.metric))
-        if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.variant != "sd":
-            if self.sd_q is not None:
-                raise DataError(f"sd_q is read only by variant 'sd', not {self.variant!r}")
-        elif self.sd_q is None:
-            raise DataError("variant 'sd' requires sd_q")
-        elif not (is_int(self.sd_q) and self.sd_q >= 1):
+        if self.sd_q is not None and not (is_int(self.sd_q) and self.sd_q >= 1):
             raise DataError(f"sd_q must be an integer >= 1, got {self.sd_q!r}")
         check_biases(self.sigma, self.omega)
         check_folds(self.folds)
@@ -68,20 +60,19 @@ class RunConfig:
 def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     """Fit the default rule, enumerate candidates, select, and wrap a Predictor.
 
-    Variant "standard" solves the overlap-penalized selection, "f" forces
-    omega = 0 (every candidate selected), "sd" takes the top sd_q candidates by
-    support-to-error trade-off. The config was checked when it was made. The
-    default rule competes like any candidate but is always retained for
-    fallback prediction. The Predictor keeps the normalized errors of the
-    chosen rules and the default rule, as its rule file does.
+    Selection solves the objective of cfg.sigma and cfg.omega, or takes the
+    top cfg.sd_q candidates by support-to-error trade-off when sd_q is set.
+    The config was checked when it was made. The default rule competes like
+    any candidate but is always retained for fallback prediction. The
+    Predictor keeps the normalized errors of the chosen rules and the default
+    rule, as its rule file does.
     """
     init_conditions = hipar_init(d, cfg)
     candidates = enumerate_candidates(d, init_conditions, cfg)
     pool = list(candidates.rules) + [candidates.default_rule]
 
-    omega = 0.0 if cfg.variant == "f" else cfg.omega
-    problem = build_problem(pool, cfg.sigma, omega, d)
-    selected = select_top_q(problem, cfg.sd_q) if cfg.variant == "sd" else solve(problem)
+    problem = build_problem(pool, cfg.sigma, cfg.omega, d)
+    selected = solve(problem) if cfg.sd_q is None else select_top_q(problem, cfg.sd_q)
 
     ebar = dict(zip([r.pattern for r in problem.candidates], problem.normalized_errors.tolist()))
     kept = [*selected.chosen, candidates.default_rule]

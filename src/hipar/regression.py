@@ -88,7 +88,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def check_metric(metric: str) -> str:
-    m = metric.lower()
+    m = metric.lower() if isinstance(metric, str) else None
     if m not in METRICS:
         raise DataError(f"unknown error metric {metric!r}, expected one of {METRICS}")
     return m

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Dataset, is_int
+from .data import DataError, Dataset, is_int, is_real
 from .enumeration import HybridRule
 from .patterns import pattern_bits
 
@@ -56,9 +56,9 @@ class SelectedRuleSet:
 
 
 def check_biases(sigma: float, omega: float) -> None:
-    """The support bias sigma and the overlap bias omega must be finite and >= 0."""
-    if not (0 <= sigma < np.inf and 0 <= omega < np.inf):  # False for NaN too
-        raise DataError(f"sigma and omega must be finite and >= 0, got {sigma} and {omega}")
+    """The support bias sigma and the overlap bias omega must be real, finite and >= 0."""
+    if not all(is_real(b) and 0 <= b < np.inf for b in (sigma, omega)):  # False for NaN too
+        raise DataError(f"sigma and omega must be finite and >= 0, got {sigma!r} and {omega!r}")
 
 
 def build_problem(

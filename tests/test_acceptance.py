@@ -268,7 +268,7 @@ def test_criterion_7_desk_benchmark():
         assert all(f.rules <= 6 for f in report.folds if not f.skipped)
 
         rs_std, _ = run_hipar(d, cfg)
-        rs_f, _ = run_hipar(d, RunConfig(theta=0.2, seed=3, variant="f"))
+        rs_f, _ = run_hipar(d, RunConfig(theta=0.2, seed=3, omega=0.0))
         assert len(rs_std.chosen) <= 6
         assert len(rs_f.chosen) >= len(rs_std.chosen)
         assert count_elements(rs_f) >= count_elements(rs_std)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hipar import DataError, RunConfig
 from hipar.cli import main
 
 from .conftest import TOY_CSV, make_two_segment
@@ -84,11 +85,11 @@ def test_eval_report_keeps_its_format(tmp_path, segment_csv):
     doc = json.loads(report.read_text())
     assert list(doc) == ["metric", "mean_reduction", "median_reduction", "config", "folds"]
     assert list(doc["config"]) == [
-        "target", "theta", "sigma", "omega", "metric", "variant", "sd_q", "folds", "seed",
+        "target", "theta", "sigma", "omega", "metric", "sd_q", "folds", "seed",
     ]
     assert doc["config"] == {
         "target": "response", "theta": 0.2, "sigma": 1.0, "omega": 1.0, "metric": "rmse",
-        "variant": "standard", "sd_q": None, "folds": 3, "seed": 3,
+        "sd_q": None, "folds": 3, "seed": 3,
     }
 
 
@@ -217,16 +218,71 @@ def test_negative_seed_is_exit_1(tmp_path, segment_csv, capsys, command, out):
 
 
 @pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
-def test_sd_q_without_variant_sd_is_exit_1(tmp_path, segment_csv, capsys, command, out):
+def test_sd_q_below_one_is_exit_1(tmp_path, segment_csv, capsys, command, out):
     path = tmp_path / "out.json"
-    argv = [command, "--input", segment_csv, "--target", "y", "--min-support", "0.2",
-            "--sd-q", "1", out, str(path)]
-    assert main(argv) == 1
+    argv = [command, "--input", segment_csv, "--target", "y", "--min-support", "0.2", out,
+            str(path)]
+    assert main(argv + ["--sd-q", "0"]) == 1
     err = capsys.readouterr().err
-    assert "sd_q is read only by variant 'sd', not 'standard'" in err
+    assert "sd_q must be an integer >= 1, got 0" in err
     assert "Traceback" not in err
     assert not path.exists()
-    assert main(argv + ["--variant", "sd"]) == 0
+    assert main(argv + ["--sd-q", "1"]) == 0
+
+
+@pytest.mark.parametrize("variant", ["f", "sd", "standard"])
+def test_variant_is_no_flag(tmp_path, segment_csv, variant):
+    # the paper's HiPaR_f is --overlap-bias 0 and its HiPaR_sd is --sd-q N
+    path = tmp_path / "rules.json"
+    assert main(["fit", "--input", segment_csv, "--target", "y", "--variant", variant,
+                 "--rules-out", str(path)]) == 1
+    assert not path.exists()
+
+
+@pytest.fixture
+def given_config(monkeypatch):
+    """Run ``hipar fit|eval`` up to its first fit and return the RunConfig the
+    flags made; the fit itself is replaced by a stop."""
+    import hipar.cli
+
+    seen = []
+
+    def stop(d, cfg):
+        seen.append(cfg)
+        raise DataError("stopped")
+
+    monkeypatch.setattr(hipar.cli, "run_hipar", stop)
+    monkeypatch.setattr(hipar.cli, "cross_validate", stop)
+
+    def config(argv):
+        assert main(argv) == 1
+        (cfg,) = seen
+        return cfg
+
+    return config
+
+
+@pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
+def test_bare_argv_builds_the_default_config(tmp_path, segment_csv, given_config, command, out):
+    argv = [command, "--input", segment_csv, "--target", "y", out, str(tmp_path / "out.json")]
+    assert given_config(argv) == RunConfig()
+
+
+@pytest.mark.parametrize("command, flag, value, field, want", [
+    ("fit", "--min-support", "0.25", "theta", 0.25),
+    ("fit", "--support-bias", "2", "sigma", 2.0),
+    ("fit", "--overlap-bias", "0", "omega", 0.0),
+    ("fit", "--metric", "meae", "metric", "meae"),
+    ("fit", "--sd-q", "3", "sd_q", 3),
+    ("fit", "--seed", "7", "seed", 7),
+    ("eval", "--folds", "4", "folds", 4),
+], ids=["theta", "sigma", "omega", "metric", "sd_q", "seed", "folds"])
+def test_each_setting_flag_lands_in_its_field(tmp_path, segment_csv, given_config, command, flag,
+                                              value, field, want):
+    out = "--rules-out" if command == "fit" else "--report-out"
+    argv = [command, "--input", segment_csv, "--target", "y", flag, value,
+            out, str(tmp_path / "out.json")]
+    assert given_config(argv) == RunConfig(**{field: want})
 
 
 @pytest.mark.parametrize("flag", ["--support-bias", "--overlap-bias"])

@@ -389,47 +389,47 @@ PINNED_VISITED = [
     'grp="t"',
     'grp="t" & kind="u"',
     'grp="t" & kind="u" & seg="a"',
-    'grp="t" & kind="u" & seg="a" & w in (0.5,inf)',
-    'grp="t" & kind="u" & seg="a" & w in (0.5,inf) & x in (0.300431,inf)',
-    'grp="t" & kind="u" & seg="a" & x in (0.300431,inf)',
-    'grp="t" & kind="u" & x in (0.300431,inf)',
+    'grp="t" & kind="u" & seg="a" & w in [0.5,inf)',
+    'grp="t" & kind="u" & seg="a" & w in [0.5,inf) & x in [0.300431,inf)',
+    'grp="t" & kind="u" & seg="a" & x in [0.300431,inf)',
+    'grp="t" & kind="u" & x in [0.300431,inf)',
     'grp="t" & seg="a"',
-    'grp="t" & seg="a" & x in (0.302148,inf)',
-    'grp="t" & seg="a" & w in (0.5,inf) & x in (0.302148,inf)',
-    'grp="t" & x in (0.278878,inf)',
-    'grp="t" & x in (0.278878,inf) & z in (-inf,1.55)',
-    'grp="t" & x in (0.278878,inf) & z in (1.55,inf)',
+    'grp="t" & seg="a" & x in [0.302148,inf)',
+    'grp="t" & seg="a" & w in [0.5,inf) & x in [0.302148,inf)',
+    'grp="t" & x in [0.278878,inf)',
+    'grp="t" & x in [0.278878,inf) & z in (-inf,1.55)',
+    'grp="t" & x in [0.278878,inf) & z in [1.55,inf)',
     'grp="w"',
     'grp="w" & kind="v"',
     'grp="w" & kind="v" & seg="a"',
     'grp="w" & kind="v" & seg="b"',
     'grp="w" & kind="v" & seg="b" & x in (-inf,0.610438)',
     'grp="w" & kind="v" & seg="c"',
-    'grp="w" & kind="v" & seg="c" & w in [0.5,4.5]',
-    'grp="w" & kind="v" & seg="c" & z in [0.15,1.85]',
-    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [0.15,1.85]',
-    'grp="w" & kind="v" & seg="c" & z in (1.85,inf)',
-    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in (1.85,inf)',
+    'grp="w" & kind="v" & seg="c" & w in [0.5,4.5)',
+    'grp="w" & kind="v" & seg="c" & z in [0.15,1.85)',
+    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [0.15,1.85)',
+    'grp="w" & kind="v" & seg="c" & z in [1.85,inf)',
+    'grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [1.85,inf)',
     'grp="w" & seg="b"',
     'grp="w" & seg="b" & x in (-inf,0.610438)',
     'grp="w" & seg="b" & w in (-inf,3.5) & x in (-inf,0.610438)',
     'grp="w" & seg="c"',
     'grp="w" & seg="c" & z in (-inf,2.35)',
-    'grp="w" & seg="c" & w in (0.5,inf) & z in (-inf,2.35)',
+    'grp="w" & seg="c" & w in [0.5,inf) & z in (-inf,2.35)',
     'grp="w" & x in (-inf,0.554307)',
     'kind="u"',
     'kind="u" & seg="a"',
-    'kind="u" & seg="a" & x in (0.305464,inf)',
+    'kind="u" & seg="a" & x in [0.305464,inf)',
     'kind="u" & seg="b"',
     'kind="u" & seg="b" & x in (-inf,0.606729)',
     'kind="v"',
     'kind="v" & seg="a"',
-    'kind="v" & seg="a" & x in (0.296233,inf)',
+    'kind="v" & seg="a" & x in [0.296233,inf)',
     'kind="v" & seg="b"',
     'kind="v" & seg="b" & x in (-inf,0.610438)',
     'kind="v" & x in (-inf,0.52467)',
     'seg="a"',
-    'seg="a" & x in (0.305464,inf)',
+    'seg="a" & x in [0.305464,inf)',
     'seg="b"',
     'seg="b" & x in (-inf,0.656045)',
     'x in (-inf,0.533594)',
@@ -522,7 +522,7 @@ def test_ancestor_interval_implied_by_a_later_condition():
     cfg = RunConfig(theta=0.1, seed=0)
     init = hipar_init(d, cfg)
     interval = init[1]
-    assert interval.render() == "x in [0.24875,0.74875]"
+    assert interval.render() == "x in [0.24875,0.74875)"
     u, v = Equals("z", "u"), Equals("z", "v")
     p_closed = Pattern([interval, u])
     assert region(Pattern([u]), d).tolist() == region(p_closed, d).tolist()

@@ -78,7 +78,7 @@ def test_variant_f_selects_all_candidates(two_segment):
 
     cfg = RunConfig(theta=0.2, seed=3)
     rs_std, _ = run_hipar(two_segment, cfg)
-    rs_f, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3, variant="f"))
+    rs_f, _ = run_hipar(two_segment, RunConfig(theta=0.2, seed=3, omega=0.0))
     # omega = 0 selects every candidate (default rule included)
     cands = enumerate_candidates(two_segment, hipar_init(two_segment, cfg), cfg)
     assert len(rs_f.chosen) == len(cands.rules) + 1
@@ -87,33 +87,57 @@ def test_variant_f_selects_all_candidates(two_segment):
     assert count_elements(rs_f) >= count_elements(rs_std)
 
 
+def test_omega_zero_keeps_every_candidate_by_local_search():
+    # three crossed categorical segmentings give more candidates than the
+    # exact solver takes, and omega = 0 still keeps every one of them
+    from hipar import Dataset, enumerate_candidates, hipar_init
+    from hipar.selection import EXACT_LIMIT
+
+    rng = np.random.default_rng(0)
+    n, columns, y = 400, {}, rng.normal(0.0, 0.5, 400)
+    for j in range(3):
+        codes = rng.integers(0, 4, n)
+        columns[f"g{j}"] = np.array([f"{'abc'[j]}{i}" for i in range(4)], dtype=object)[codes]
+        y = y + (j + 1) * codes
+    columns["y"] = y
+    schema = [*(AttributeSchema(name, "categorical") for name in columns if name != "y"),
+              AttributeSchema("y", "numerical", role="target")]
+    d = Dataset(schema, columns)
+    cfg = RunConfig(theta=0.05, seed=0)
+    cands = enumerate_candidates(d, hipar_init(d, cfg), cfg)
+    assert len(cands.rules) + 1 > EXACT_LIMIT
+    rs, _ = run_hipar(d, RunConfig(theta=0.05, seed=0, omega=0.0))
+    assert rs.solver == "local-search"
+    assert [r.pattern for r in rs.chosen] == [r.pattern for r in [*cands.rules, cands.default_rule]]
+
+
 def test_variant_sd_top_q(two_segment):
-    cfg = RunConfig(theta=0.2, seed=3, variant="sd", sd_q=2)
+    cfg = RunConfig(theta=0.2, seed=3, sd_q=2)
     rs, _ = run_hipar(two_segment, cfg)
     assert len(rs.chosen) == 2
     assert rs.solver == "top-q"
-    with pytest.raises(DataError):
-        run_hipar(two_segment, RunConfig(theta=0.2, seed=3, variant="sd"))
-
-
-@pytest.mark.parametrize("variant", ["standard", "f"])
-def test_sd_q_with_another_variant_is_rejected(variant):
-    with pytest.raises(DataError, match="sd_q"):
-        RunConfig(theta=0.2, seed=3, variant=variant, sd_q=1)
+    with pytest.raises(DataError, match="out of range"):
+        run_hipar(two_segment, RunConfig(theta=0.2, seed=3, sd_q=1000))
 
 
 @pytest.mark.parametrize("settings, message", [
     ({"theta": 0.0}, "theta must lie in"),
     ({"theta": 1.5}, "theta must lie in"),
     ({"metric": "mae"}, "unknown error metric"),
-    ({"variant": "lasso"}, "unknown variant"),
-    ({"variant": "sd"}, "variant 'sd' requires sd_q"),
-    ({"variant": "sd", "sd_q": 0}, "sd_q must be an integer >= 1"),
-    ({"variant": "sd", "sd_q": 2.5}, "sd_q must be an integer >= 1"),
+    ({"sd_q": 0}, "sd_q must be an integer >= 1"),
+    ({"sd_q": 2.5}, "sd_q must be an integer >= 1"),
     ({"sigma": math.nan}, "sigma and omega must be finite and >= 0"),
     ({"omega": -1.0}, "sigma and omega must be finite and >= 0"),
-], ids=["theta-0", "theta-1.5", "metric", "variant", "sd-without-q", "q-0", "q-2.5",
-        "sigma-nan", "omega-negative"])
+    ({"theta": "0.5"}, "theta must lie in"),
+    ({"theta": None}, "theta must lie in"),
+    ({"theta": True}, "theta must lie in"),
+    ({"sigma": "1"}, "sigma and omega must be finite and >= 0"),
+    ({"sigma": True}, "sigma and omega must be finite and >= 0"),
+    ({"omega": None}, "sigma and omega must be finite and >= 0"),
+    ({"metric": 1}, "unknown error metric"),
+], ids=["theta-0", "theta-1.5", "metric", "q-0", "q-2.5", "sigma-nan", "omega-negative",
+        "theta-str", "theta-none", "theta-bool", "sigma-str", "sigma-bool", "omega-none",
+        "metric-int"])
 def test_a_bad_setting_fails_when_the_config_is_made(settings, message):
     with pytest.raises(DataError, match=message):
         RunConfig(**settings)
@@ -372,8 +396,8 @@ def test_rule_file_structure_and_golden_text(tmp_path, toy):
     cond_re = re.compile(
         r'^[\w-]+="[^"]*"$'
         r"|^[\w-]+ in \(-inf,-?[\d.eE+-]+\)$"
-        r"|^[\w-]+ in \[-?[\d.eE+-]+,-?[\d.eE+-]+\]$"
-        r"|^[\w-]+ in \(-?[\d.eE+-]+,inf\)$"
+        r"|^[\w-]+ in \[-?[\d.eE+-]+,-?[\d.eE+-]+\)$"
+        r"|^[\w-]+ in \[-?[\d.eE+-]+,inf\)$"
     )
     for rule in doc["rules"]:
         if rule["pattern"] == "TRUE":
@@ -391,8 +415,8 @@ def test_interval_rendering_shapes(tmp_path):
     from hipar import Interval
 
     assert Interval("a", -m.inf, 5.0).render() == "a in (-inf,5)"
-    assert Interval("a", 5.0, m.inf).render() == "a in (5,inf)"
-    assert Interval("a", 2.0, 7.5).render() == "a in [2,7.5]"
+    assert Interval("a", 5.0, m.inf).render() == "a in [5,inf)"
+    assert Interval("a", 2.0, 7.5).render() == "a in [2,7.5)"
 
 
 def test_default_only_rule_file(tmp_path):

@@ -83,3 +83,20 @@ def test_only_the_data_module_builds_a_coded_column():
         bad += [f"{path}:{n.lineno}" for n in calls
                 if ast.unparse(n.func).split(".")[-1] == "CodedColumn"]
     assert not bad, bad
+
+
+def test_every_run_config_field_is_read():
+    # a setting that no code reads is a config field nothing obeys: each field
+    # of RunConfig must be read as an attribute outside RunConfig's own body
+    fields, read = set(), set()
+    for path in MODULES:
+        tree = _tree(path)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                fields |= {n.target.id for n in node.body if isinstance(n, ast.AnnAssign)}
+                inside |= {id(n) for n in ast.walk(node)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+    assert fields, "RunConfig not found"
+    assert fields <= read, sorted(fields - read)
