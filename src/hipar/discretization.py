@@ -13,17 +13,21 @@ boundary between classes and give no cuts, as does a row set too small to
 cut; neither is an error.
 
 The search is a prefix-count scan (Fayyad & Irani 1993) that runs once per
-search node for all the attributes it discretizes. Each numerical column is
-ranked once per table (``Dataset.ranks``: sorted distinct values and integer
-codes, after SLIQ's presorting, Mehta, Agrawal & Rissanen 1996). A node sorts
-one integer key per attribute and row, rank code and LV label, in one pass;
-the rows of one distinct value form a group, and the order of rows inside a
-group does not change its counts. Cumulative row and LV counts at the group
-starts give both sides of every candidate cut. The candidates of every
-attribute, and later of every open segment of the recursion, are scored in one
-vector through an x*log2(x) table. Only the near-tie ranking and the MDL test
-of the chosen cuts run in scalar code. A cut is the midpoint of its two
-neighbouring distinct values.
+search node for all the regions it re-discretizes and all their attributes
+(``mdlp_cuts_many``; ``mdlp_cuts`` is its one-region case). Each numerical
+column is ranked once per table (``Dataset.ranks``: sorted distinct values and
+integer codes, after SLIQ's presorting, Mehta, Agrawal & Rissanen 1996). Each
+(region, attribute) pair is one segment of one flat array of integer keys,
+rank code and LV label, sorted per region in one call; the rows of one
+distinct value form a group, and the order of rows inside a group does not
+change its counts. Cumulative row and LV counts at the group starts give both
+sides of every candidate cut. The candidates of every segment, and later of
+every open part of the recursion, are scored in one vector through an
+x*log2(x) table. Only the near-tie ranking and the MDL test of the chosen cuts
+run in scalar code, on integer counts, so a region gets the cuts it gets alone.
+A cut is the midpoint of its two neighbouring distinct values. The medians of
+the target binarization come from one sort of the regions' target rank codes
+(``binarize_targets``; ``binarize_target`` is its one-region case).
 """
 
 from __future__ import annotations
@@ -60,16 +64,49 @@ def binarize_target(rows, d: Dataset) -> TargetBinarization:
     """Median split of the dataset's target over the nonempty rows. Ties at
     the median go to SV, unless no value exceeds the median: then they go to
     LV, so a target that varies always gets both classes (y = 1, 2, 2, 2
-    gives SV {1}). A constant target, one row among them, is all SV."""
-    idx = sorted_rows(rows, d.n)
-    if len(idx) == 0:
+    gives SV {1}). A constant target, one row among them, is all SV. The
+    one-region case of ``binarize_targets``."""
+    return binarize_targets([rows], d)[0]
+
+
+def binarize_targets(row_sets: Sequence, d: Dataset) -> list[TargetBinarization]:
+    """``binarize_target`` of each row set, in one pass: one sort of the row
+    sets' target rank codes (``Dataset.ranks``) gives every median, and one
+    comparison every label."""
+    idxs = [sorted_rows(rows, d.n) for rows in row_sets]
+    if any(len(idx) == 0 for idx in idxs):
         raise DataError("target binarization needs at least 1 row")
-    values = d.column(d.target)[idx]
-    threshold = float(np.median(values))
-    labels = values > threshold
-    if not labels.any() and values.min() < threshold:
-        labels = values >= threshold
-    return TargetBinarization(threshold=threshold, rows=idx, labels=labels)
+    if not idxs:
+        return []
+    sizes = np.array([len(idx) for idx in idxs])
+    starts = np.cumsum(sizes) - sizes
+    flat = np.concatenate(idxs)
+    threshold = _medians(d, flat, sizes, starts)
+    values = d.column(d.target)[flat]
+    labels = values > np.repeat(threshold, sizes)
+    lv = np.add.reduceat(labels, starts, dtype=np.int64)
+    for r in np.flatnonzero((lv == 0) & (np.minimum.reduceat(values, starts) < threshold)).tolist():
+        part = slice(starts[r], starts[r] + sizes[r])
+        labels[part] = values[part] >= threshold[r]
+    return [TargetBinarization(threshold=float(t), rows=idx, labels=labels[s:s + len(idx)])
+            for t, idx, s in zip(threshold.tolist(), idxs, starts.tolist())]
+
+
+def _medians(d: Dataset, flat: np.ndarray, sizes: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The median target value of each row set, whose rows are
+    ``flat[starts[i]:starts[i] + sizes[i]]``: the middle rank code (or the
+    mean of the two middle values of an even count) after one sort of the
+    keys set * L + code, L the target's level count."""
+    levels, codes = d.ranks(d.target)
+    offset = np.arange(len(sizes), dtype=np.int64) * len(levels)
+    keys = codes[flat].astype(np.int64)
+    keys += np.repeat(offset, sizes)
+    keys.sort()
+    low, high = keys[starts + (sizes - 1) // 2] - offset, keys[starts + sizes // 2] - offset
+    median = levels[high]
+    even = sizes % 2 == 0
+    median[even] = (levels[low[even]] + levels[high[even]]) / 2
+    return median
 
 
 def _entropy(n_pos: int, n: int) -> float:
@@ -134,64 +171,100 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
     kept only if the MDL criterion accepts it (smallest cut wins entropy ties);
     both halves of an accepted cut recurse. An empty cut set is a valid result:
     one-sided labels have no boundary, and fewer than 2 rows none to cut.
-    Returns one cut set per attribute, in the given order.
-
-    All attributes are scanned together. A row's key for an attribute is its
-    rank code (``Dataset.ranks``) shifted left by one bit, with the LV label in
-    the low bit; one sort of the attributes x rows key matrix orders every
-    attribute's rows, and the rows of one distinct value form a group. The
-    groups of all attributes lie in one flat array with cumulative row and LV
-    counts, and each round of the recursion scores the candidates of every
-    open segment, of every attribute, in one vector.
+    Returns one cut set per attribute, in the given order. The one-region
+    case of ``mdlp_cuts_many``.
     """
-    if isinstance(attributes, str):
-        raise DataError("mdlp_cuts takes a sequence of attribute names, not one name")
-    attributes = list(attributes)
-    ranked = [d.ranks(a) for a in attributes]
-    idx = labels.rows
-    check_rows(idx, d.n)
-    if len(idx) < 2 or not attributes:
-        return [CutPointSet(attribute=a, cuts=()) for a in attributes]
+    return mdlp_cuts_many([(attributes, labels)], d)[0]
 
-    k, m = len(attributes), len(idx)
-    keys = np.empty((k, m), np.result_type(*(codes for _, codes in ranked)))
-    for row, (_, codes) in zip(keys, ranked):
-        np.left_shift(codes[idx], 1, out=row)
-        row |= labels.labels
-    keys.sort(axis=1)
-    keys = keys.reshape(-1)
 
-    # distinct-value groups of all attributes in one flat array; a group
-    # starts where the rank code changes and at every attribute's first row.
-    # Group g holds the flat positions cum_n[g]:cum_n[g + 1], and lv[p] counts
-    # the LV rows before flat position p.
-    edge = np.empty(k * m + 1, dtype=bool)
+def mdlp_cuts_many(tasks: Sequence[tuple[Sequence[str], TargetBinarization]],
+                   d: Dataset) -> list[list[CutPointSet]]:
+    """``mdlp_cuts`` of each ``(attributes, labels)`` task, in one scan: every
+    task gets exactly the cut sets it gets alone, in the order given.
+
+    Each (region, attribute) pair is one segment of one flat key array. A
+    row's key for an attribute is its rank code (``Dataset.ranks``) shifted
+    left by one bit, with the LV label in the low bit; one sort of a region's
+    attributes x rows key matrix orders each of its segments, and the rows of
+    one distinct value form a group. The groups of all segments lie in one
+    flat array with cumulative row and LV counts, and each round of the
+    recursion scores the candidates of every open part of every segment in
+    one vector.
+    """
+    names: list[list[str]] = []
+    cuts: list[list[list[float]]] = []
+    work = []  # (labels, ranks, cut lists) of each task with something to cut
+    for attributes, labels in tasks:
+        if isinstance(attributes, str):
+            raise DataError("mdlp_cuts takes a sequence of attribute names, not one name")
+        names.append(list(attributes))
+        ranked = [d.ranks(a) for a in names[-1]]
+        check_rows(labels.rows, d.n)
+        cuts.append([[] for _ in ranked])
+        if len(labels.rows) >= 2 and ranked:
+            work.append((labels, ranked, cuts[-1]))
+    if work:
+        widths = [len(labels.rows) for labels, ranked, _ in work for _ in ranked]
+        keys = np.empty(sum(widths), np.result_type(*(c for _, r, _ in work for _, c in r)))
+        at = 0
+        for labels, ranked, _ in work:
+            block = keys[at : at + len(ranked) * len(labels.rows)].reshape(len(ranked), -1)
+            for row, (_, codes) in zip(block, ranked):
+                np.left_shift(codes[labels.rows], 1, out=row)
+                row |= labels.labels
+            block.sort(axis=1)
+            at += block.size
+        _scan(keys, widths, [(found, levels) for _, ranked, lists in work
+                             for found, (levels, _) in zip(lists, ranked)])
+    return [[CutPointSet(attribute=a, cuts=tuple(sorted(c))) for a, c in zip(attrs, cut)]
+            for attrs, cut in zip(names, cuts)]
+
+
+def _groups(keys: np.ndarray, starts: np.ndarray):
+    """The distinct-value groups of all segments of the sorted keys (segment
+    a holds the flat positions starts[a]:starts[a + 1]) in one flat array; a
+    group starts where the rank code changes and at every segment's first
+    row. Returns (cum_n, lv, bounds, live): group g holds the flat positions
+    cum_n[g]:cum_n[g + 1], lv[p] counts the LV rows before flat position p,
+    segment a's groups are bounds[a]:bounds[a + 1], and ``live`` holds the
+    first group right of each candidate cut. The setup's other arrays, as
+    long as the batch's rows, are freed on return."""
+    total = len(keys)
+    edge = np.empty(total + 1, dtype=bool)
     np.greater(keys[1:] ^ keys[:-1], 1, out=edge[1:-1])
-    edge[:-1:m] = edge[-1] = True
+    edge[starts] = True
     cum_n = np.flatnonzero(edge)
-    lv = np.zeros(k * m + 1, dtype=np.int32 if k * m < 2**31 else np.int64)
+    lv = np.zeros(total + 1, dtype=np.int32 if total < 2**31 else np.int64)
     np.cumsum(keys & 1, out=lv[1:])
-    # attribute a's groups are bounds[a]:bounds[a + 1]
-    bounds = np.searchsorted(cum_n, np.arange(k + 1) * m)
-    # a boundary lies between groups g and g + 1 of one attribute when their
+    bounds = np.searchsorted(cum_n, starts)
+    # a boundary lies between groups g and g + 1 of one segment when their
     # label sets differ. SV rows sort first inside a group, so its first and
-    # last labels give its label set. ``live`` holds the first group right of
-    # each candidate.
+    # last labels give its label set.
     first_lv, last_lv = keys[cum_n[:-1]] & 1, keys[cum_n[1:] - 1] & 1
     boundary = (first_lv[:-1] != first_lv[1:]) | (last_lv[:-1] != last_lv[1:])
     boundary[bounds[1:-1] - 1] = False
-    live = np.flatnonzero(boundary) + 1
+    return cum_n, lv, bounds, np.flatnonzero(boundary) + 1
 
-    # open segments, as half-open group ranges lo:hi, in order; the live
-    # candidates of segment s are the next size[s] entries of ``live``. At
-    # first every attribute is one segment.
+
+def _scan(keys: np.ndarray, widths: Sequence[int],
+          segments: Sequence[tuple[list[float], np.ndarray]]) -> None:
+    """The recursion of ``mdlp_cuts_many`` over the sorted keys of all
+    segments, ``widths[a]`` rows for segment a; appends each cut segment a
+    accepts to its list ``segments[a][0]``, a midpoint of its attribute's
+    distinct values ``segments[a][1]``."""
+    starts = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=starts[1:])
+    cum_n, lv, bounds, live = _groups(keys, starts)
+
+    # open parts of the segments, as half-open group ranges lo:hi, in order;
+    # the live candidates of part s are the next size[s] entries of ``live``.
+    # At first every segment is one part.
     lo, hi = bounds[:-1], bounds[1:]
     size = np.diff(np.searchsorted(live, bounds))
-    t = _xlog2x(m)
-    cuts: list[list[float]] = [[] for _ in attributes]
+    t = _xlog2x(max(widths))
     while len(live):
         lo, hi, size = lo[size > 0], hi[size > 0], size[size > 0]
-        seg = np.cumsum(size) - size  # each segment's first candidate
+        seg = np.cumsum(size) - size  # each part's first candidate
         base_n, end_n, at = cum_n[lo], cum_n[hi], cum_n[live]
         base_pos = lv[base_n]
         n, pos = end_n - base_n, lv[end_n] - base_pos
@@ -212,12 +285,10 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
             accepted, _gain = _mdl_accepts(sn, spos, int(n1[i]), int(pos1[i]))
             if accepted:
                 chosen[s] = i
-                right = cum_n[live[i]]
-                a = int(right) // m
-                levels = ranked[a][0]
-                cuts[a].append(float(
-                    (levels[keys[right - 1] >> 1] + levels[keys[right] >> 1]) / 2.0))
-        # both halves of an accepted cut stay open, the other segments close
+                right = int(cum_n[live[i]])
+                found, levels = segments[int(np.searchsorted(starts, right, "right")) - 1]
+                found.append(float((levels[keys[right - 1] >> 1] + levels[keys[right] >> 1]) / 2.0))
+        # both halves of an accepted cut stay open, the other parts close
         ok = chosen >= 0
         won = chosen[ok]
         keep = np.repeat(ok, size)
@@ -227,7 +298,6 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
         hi = np.column_stack((split, hi[ok])).reshape(-1)
         size = np.column_stack((left, size[ok] - left - 1)).reshape(-1)
         live = live[keep]
-    return [CutPointSet(attribute=a, cuts=tuple(sorted(c))) for a, c in zip(attributes, cuts)]
 
 
 def conditions_from_cuts(cp: CutPointSet) -> list[Condition]:

@@ -10,6 +10,16 @@ strictly out-predicts every immediate ancestor rule on its holdout rows.
 Accepted nodes re-discretize the numerical attributes they leave free and
 recurse.
 
+A node works in batches. It first decides every extension that reads no local
+model: support, IV, closure and the leftmost-parent check. Then one contest
+call (``best_local_models``) fits every child to visit and every parent rule
+their Occam tests need that the memo lacks (at the root, the default rule
+too), and one MDLP pass (``mdlp_cuts_many``) re-discretizes the children that
+will recurse. Only then does it walk the children in order, tracing each
+decision as it comes. A rule depends on its region's rows alone, so the
+batches change no result. A child that an earlier sibling's subtree reaches
+first is still pruned in that order, and the work done for it is dropped.
+
 A node's region is its packed row bits. The search's categorical conditions
 are stacked once, as one ``patterns.Universe``; a node with interval conditions
 of its own closes over that universe plus its intervals, any other node over
@@ -29,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .data import DataError, Dataset, holdout_mask
-from .discretization import binarize_target, conditions_from_cuts, mdlp_cuts
+from .discretization import binarize_targets, conditions_from_cuts, mdlp_cuts_many
 from .patterns import (
     TOP,
     Condition,
@@ -45,7 +55,7 @@ from .patterns import (
     pattern_bits,
     region,
 )
-from .regression import FittedRuleModel, best_local_model, evaluate_all
+from .regression import FittedRuleModel, best_local_models, evaluate_all
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -111,19 +121,30 @@ def _interval_conditions(
     """MDLP intervals for the attributes, frequency-filtered and imbalance-guarded.
 
     An attribute whose filtered partition collapses to a single interval is
-    dropped entirely for this node.
+    dropped entirely for this node. The one-region case of
+    ``_regions_intervals``.
     """
-    labels = binarize_target(rows, d)
+    return _regions_intervals(d, [(rows, attrs)], cfg)[0]
+
+
+def _regions_intervals(
+    d: Dataset, regions: Sequence[tuple[np.ndarray, Sequence[str]]], cfg: RunConfig
+) -> list[list[Interval]]:
+    """``_interval_conditions`` of each (rows, attributes) region, with one
+    binarization and one MDLP pass for all of them."""
+    labels = binarize_targets([rows for rows, _ in regions], d)
     theta_abs = cfg.theta * d.n
-    out: list[Interval] = []
-    for cp in mdlp_cuts(attrs, d, labels):
-        conds = conditions_from_cuts(cp)
-        survivors = [
-            c for c in conds
-            if _frequent(int(np.bitwise_count(condition_bits(c, d)).sum()), theta_abs)
-        ]
-        if len(survivors) > 1:
-            out.extend(survivors)
+    out: list[list[Interval]] = []
+    for cut_sets in mdlp_cuts_many([(attrs, lab) for (_, attrs), lab in zip(regions, labels)], d):
+        found: list[Interval] = []
+        for cp in cut_sets:
+            survivors = [
+                c for c in conditions_from_cuts(cp)
+                if _frequent(int(np.bitwise_count(condition_bits(c, d)).sum()), theta_abs)
+            ]
+            if len(survivors) > 1:
+                found.extend(survivors)
+        out.append(found)
     return out
 
 
@@ -168,6 +189,25 @@ def occam_test(
     return all(child < e for e in others)
 
 
+@dataclass
+class _Extension:
+    """One extension of a search node by its condition ``conds[i]``, as the
+    node decides it before any local model is fitted. ``decision`` is None for
+    a child to visit, whose closed pattern is ``pattern``; its ``rows`` are
+    kept until the node has fitted and re-discretized its children, which
+    fills in its Occam verdict ``ok`` and, when it recurses, its
+    ``intervals``."""
+
+    i: int
+    decision: str | None
+    support: int = 0
+    iv: float = 0.0
+    pattern: Pattern | None = None
+    rows: np.ndarray | None = None
+    ok: bool = False
+    intervals: list[Interval] = field(default_factory=list)
+
+
 class _Search:
     def __init__(self, d: Dataset, cfg: RunConfig, conds: Sequence[Condition],
                  trace: Trace | None, exhaustive: bool = False):
@@ -185,7 +225,12 @@ class _Search:
         self._memo: dict[Pattern, tuple[HybridRule, np.ndarray]] = {}
         self._visited: set[Pattern] = set()
         self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
-        self.default_rule = self.rule_for(TOP, rows=np.arange(d.n))[0]
+
+    @property
+    def default_rule(self) -> HybridRule:
+        """The rule of the empty pattern, fitted on every row; the root node
+        fits it in its batch."""
+        return self.rule_for(TOP)[0]
 
     def iv_single(self, c: Condition) -> float:
         v = self._iv1.get(c)
@@ -194,37 +239,37 @@ class _Search:
             self._iv1[c] = v
         return v
 
+    def fit_rules(self, regions: dict[Pattern, np.ndarray | None]) -> None:
+        """Fit the rules of the patterns the memo lacks, with one contest call;
+        a pattern's rows are its region unless given. A rule depends on its
+        rows alone, so what else is in the batch does not matter."""
+        todo = [p for p in regions if p not in self._memo]
+        rows = [region(p, self.d) if regions[p] is None else regions[p] for p in todo]
+        fitted = best_local_models(rows, self.d, self.cfg.metric, self.test)
+        for p, r, (model, scored) in zip(todo, rows, fitted):
+            self._memo[p] = HybridRule(p, model, len(r), len(r) / self.d.n), scored
+
     def rule_for(self, pattern: Pattern,
                  rows: np.ndarray | None = None) -> tuple[HybridRule, np.ndarray]:
         """The pattern's rule and the rows its contest scored on."""
-        found = self._memo.get(pattern)
-        if found is not None:
-            return found
-        if rows is None:
-            rows = region(pattern, self.d)
-        fitted, scored = best_local_model(rows, self.d, self.cfg.metric, self.test)
-        found = HybridRule(pattern, fitted, len(rows), len(rows) / self.d.n), scored
-        self._memo[pattern] = found
-        return found
+        if pattern not in self._memo:
+            self.fit_rules({pattern: rows})
+        return self._memo[pattern]
 
-    def parent_rules(self, p_closed: Pattern, support: int, universe: Universe) -> list[HybridRule]:
-        """Rules of the immediate closed ancestors (closure of the pattern minus
-        one condition c); the default rule stands in when nothing else remains.
-        A c that the rest implies (the rest's region has the pattern's
-        ``support``) yields no proper ancestor and is skipped."""
-        parents: dict[Pattern, HybridRule] = {}
+    def parent_patterns(self, p_closed: Pattern, support: int, universe: Universe) -> list[Pattern]:
+        """The immediate closed ancestors (closure of the pattern minus one
+        condition c); the empty pattern, whose rule is the default rule, stands
+        in when nothing else remains. A c that the rest implies (the rest's
+        region has the pattern's ``support``) yields no proper ancestor and is
+        skipped."""
+        parents: dict[Pattern, None] = {}
         for c in p_closed.conditions:
             sub = p_closed.without(c)
             if sub.is_empty:
-                parents[TOP] = self.default_rule
-                continue
-            if np.bitwise_count(pattern_bits(sub, self.d)).sum() == support:
-                continue
-            par = closure(sub, self.d, universe)
-            parents[par] = self.rule_for(par)[0]
-        if not parents:
-            parents[TOP] = self.default_rule
-        return list(parents.values())
+                parents[TOP] = None
+            elif np.bitwise_count(pattern_bits(sub, self.d)).sum() != support:
+                parents[closure(sub, self.d, universe)] = None
+        return list(parents) or [TOP]
 
     def emit(self, decision: str, support: int, iv: float, pattern: Pattern,
              c: Condition | None = None) -> None:
@@ -236,61 +281,108 @@ class _Search:
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
     def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
-        """Extend ``pattern``, whose region is the packed row bits ``inside``."""
+        """Extend ``pattern``, whose region is the packed row bits ``inside``.
+
+        The node decides every extension first (``decide``); support, IV,
+        closure and the leftmost-parent check read no local model. One contest
+        call then fits the children to visit and the parent rules their Occam
+        tests need, and one MDLP pass re-discretizes the children that will
+        recurse (``prepare``). Only then are the children walked, in order."""
         intervals = [c for c in conds if isinstance(c, Interval)]
-        ivs = [self.iv_single(c) for c in intervals]
-        # a percentile of fewer than two values is unstable; disable iv pruning
-        nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
         # every extension closes over the search's categorical conditions plus
         # the node's intervals; each c is in that universe. A sibling on a
         # pinned attribute has an empty region and fails the support test.
         universe = Universe([*self.universe, *intervals], self.d) if intervals else self.universe
         ext_bits, supports = universe.extensions(conds, inside)
-        for i, c in enumerate(conds):
-            if not _frequent(int(supports[i]), self.theta_abs):
+        steps = self.decide(pattern, conds, intervals, universe, ext_bits, supports)
+        self.prepare(steps, universe)
+        for step in steps:
+            c = conds[step.i]
+            if step.decision == "pruned-support":
                 self.stats.pruned_support += 1
                 if self.trace is not None:  # an infrequent region's rows and IV are only traced
-                    ext = bits_rows(ext_bits[i], self.d.n)
+                    ext = bits_rows(ext_bits[step.i], self.d.n)
                     self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern, c)
                 continue
-            ext = bits_rows(ext_bits[i], self.d.n)
-            iv = iv_from_region(ext, self.yv)
-            if not iv > nu:
+            if step.decision == "pruned-iv":
                 self.stats.pruned_iv += 1
-                self.emit("pruned-iv", len(ext), iv, pattern, c)
+                self.emit("pruned-iv", step.support, step.iv, pattern, c)
                 continue
-            p_closed = closure(pattern.extend(c), self.d, universe)
-            if not leftmost_parent_check(pattern, c, p_closed) or p_closed in self._visited:
-                # second clause: independently re-discretized branches can in
-                # principle converge on one closed pattern; visit it once
+            p_closed = step.pattern
+            if step.decision == "pruned-leftmost" or p_closed in self._visited:
+                # second clause: independently re-discretized branches, or an
+                # earlier sibling's subtree, can in principle reach one closed
+                # pattern; visit it once and drop the work done for it here
                 self.stats.pruned_leftmost += 1
-                self.emit("pruned-leftmost", len(ext), iv, p_closed)
+                self.emit("pruned-leftmost", step.support, step.iv, p_closed)
                 continue
             self.stats.visited += 1
             self._visited.add(p_closed)
             self.stats.visited_keys.append(p_closed.key)
-            rule, scored = self.rule_for(p_closed, rows=ext)
-            parents = self.parent_rules(p_closed, len(ext), universe)
-            ok = occam_test(rule, parents, scored, self.d, self.cfg.metric)
-            if ok:
-                self.accepted.append(rule)
+            if step.ok:
+                self.accepted.append(self._memo[p_closed][0])
                 self.stats.accepted += 1
-                self.emit("accepted", len(ext), iv, p_closed)
+                self.emit("accepted", step.support, step.iv, p_closed)
             else:
                 self.stats.rejected_occam += 1
-                self.emit("rejected-occam", len(ext), iv, p_closed)
-            if ok or self.exhaustive:
+                self.emit("rejected-occam", step.support, step.iv, p_closed)
+            if step.ok or self.exhaustive:
                 closed_conds = set(p_closed.conditions)
                 child_cat = [
-                    cc for cc in conds[i + 1 :] if isinstance(cc, Equals) and cc not in closed_conds
+                    cc for cc in conds[step.i + 1 :]
+                    if isinstance(cc, Equals) and cc not in closed_conds
                 ]
-                free_numeric = [
-                    a for a in self.d.numerical_features() if a not in p_closed.attributes()
-                ]
-                child_num = _interval_conditions(self.d, ext, free_numeric, self.cfg)
-                children = sorted(child_cat + child_num, key=lambda c: c.order)
+                children = sorted(child_cat + step.intervals, key=lambda c: c.order)
                 if children:
-                    self.walk(p_closed, ext_bits[i], children)
+                    self.walk(p_closed, ext_bits[step.i], children)
+
+    def decide(self, pattern: Pattern, conds: Sequence[Condition], intervals: list[Interval],
+               universe: Universe, ext_bits: np.ndarray, supports: np.ndarray) -> list[_Extension]:
+        """Every extension's decision that reads no local model, in order."""
+        ivs = [self.iv_single(c) for c in intervals]
+        # a percentile of fewer than two values is unstable; disable iv pruning
+        nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
+        steps: list[_Extension] = []
+        for i, c in enumerate(conds):
+            if not _frequent(int(supports[i]), self.theta_abs):
+                steps.append(_Extension(i, "pruned-support"))
+                continue
+            ext = bits_rows(ext_bits[i], self.d.n)
+            iv = iv_from_region(ext, self.yv)
+            if not iv > nu:
+                steps.append(_Extension(i, "pruned-iv", len(ext), iv))
+                continue
+            p_closed = closure(pattern.extend(c), self.d, universe)
+            if leftmost_parent_check(pattern, c, p_closed) and p_closed not in self._visited:
+                steps.append(_Extension(i, None, len(ext), iv, p_closed, ext))
+            else:
+                steps.append(_Extension(i, "pruned-leftmost", len(ext), iv, p_closed))
+        return steps
+
+    def prepare(self, steps: list[_Extension], universe: Universe) -> None:
+        """Fit the children to visit and the parent rules the memo lacks with
+        one contest call, run their Occam tests, and re-discretize the children
+        that will recurse with one MDLP pass."""
+        visits = [s for s in steps if s.decision is None]
+        if not visits:
+            return
+        parents = [self.parent_patterns(s.pattern, s.support, universe) for s in visits]
+        regions: dict[Pattern, np.ndarray | None] = {TOP: None}  # the root fits the default rule
+        regions.update((s.pattern, s.rows) for s in visits)
+        for found in parents:
+            regions.update((p, None) for p in found if p not in regions)
+        self.fit_rules(regions)
+        for s, found in zip(visits, parents):
+            rule, scored = self._memo[s.pattern]
+            s.ok = occam_test(rule, [self._memo[p][0] for p in found], scored, self.d,
+                              self.cfg.metric)
+        recurse = [s for s in visits if s.ok or self.exhaustive]
+        numeric = self.d.numerical_features()
+        free = [(s.rows, [a for a in numeric if a not in s.pattern.attributes()]) for s in recurse]
+        for s, found in zip(recurse, _regions_intervals(self.d, free, self.cfg)):
+            s.intervals = found
+        for s in visits:
+            s.rows = None
 
 
 def _render_with(pattern: Pattern, c: Condition) -> str:

@@ -72,6 +72,9 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     pool = list(candidates.rules) + [candidates.default_rule]
 
     problem = build_problem(pool, cfg.sigma, cfg.omega, d)
+    if cfg.sd_q is not None and cfg.sd_q > len(pool):
+        raise DataError(f"sd_q (--sd-q) = {cfg.sd_q} out of range [1, {len(pool)}]: the fit found "
+                        f"{len(pool)} candidates, the default rule among them")
     selected = solve(problem) if cfg.sd_q is None else select_top_q(problem, cfg.sd_q)
 
     ebar = dict(zip([r.pattern for r in problem.candidates], problem.normalized_errors.tolist()))

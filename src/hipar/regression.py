@@ -48,14 +48,24 @@ Every hyperparameter is chosen by one core (``_tune``): ``fit_lasso`` and
 20% test set, merging the two sides' co-moments for the winner's refit. The
 Occam test scores a rule's model and its parents' by one such residual matrix
 (``evaluate_all``).
+
+The core works on batches of row sets; a fit of one row set is a batch of one.
+A search node fits all the regions it needs in one contest call
+(``best_local_models``). The sums and products over a region's rows (its
+co-moments, X B and the residual sums) run as one numpy call per region, as
+for that region alone. The small products G beta and mean B run as one
+stacked product per number of varying features, with each region's operands
+laid out as for that region alone. Everything elementwise runs once per batch
+over stacked arrays: the moments, the merge, every LASSO sweep step and OMP
+step, the tie-breaks and the refits. So every region gets bit for bit the
+model it gets alone, whatever else is in its batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import compress
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -152,247 +162,370 @@ def _region(idx: np.ndarray, d: Dataset) -> tuple[list[str], np.ndarray]:
 
 @dataclass(frozen=True)
 class _CoMoments:
-    """Co-moments of a block of rows Z = [X, y]: the row count ``n``, the
-    column means ``base + shift`` and the centered co-moment matrix
-    S = Zc^T Zc. The means stay split in two so that the means of two blocks
-    subtract without rounding even at large offsets: ``base`` is the column
-    mean as first computed and ``shift`` the mean of the rows' residuals
-    about it."""
+    """Co-moments of k blocks of rows Z = [X, y], stacked along the first
+    axis: the row counts ``n`` (k), the column means ``base + shift`` (k x q)
+    and the centered co-moment matrices S = Zc^T Zc (k x q x q). The means
+    stay split in two so that the means of two blocks subtract without
+    rounding even at large offsets: ``base`` is the column mean as first
+    computed and ``shift`` the mean of the rows' residuals about it."""
 
-    n: int
+    n: np.ndarray
     base: np.ndarray
     shift: np.ndarray
     S: np.ndarray
 
 
-def _comoments(Zt: np.ndarray) -> _CoMoments:
-    """Co-moments of a block given as Zt = Z^T (one row per column of Z), from
-    one centered product corrected by the residuals' mean (the corrected
-    two-pass algorithm)."""
-    n = Zt.shape[1]
-    base = Zt.sum(axis=1) / n
-    Zc = Zt - base[:, None]
-    shift = Zc.sum(axis=1) / n
-    S = Zc @ Zc.T
-    S -= (n * shift)[:, None] * shift
+def _comoments(blocks: Sequence[np.ndarray], q: int) -> _CoMoments:
+    """Co-moments of blocks given as Zt = Z^T (q rows, one per column of Z),
+    each from one centered product corrected by the residuals' mean (the
+    corrected two-pass algorithm). The sums and the product run per block,
+    the corrections for all blocks at once; each block is read once."""
+    k = len(blocks)
+    n = np.empty(k, dtype=np.int64)
+    base, sums, S = np.empty((k, q)), np.empty((k, q)), np.empty((k, q, q))
+    for i, Zt in enumerate(blocks):
+        n[i] = Zt.shape[1]
+        base[i] = Zt.sum(axis=1) / Zt.shape[1]
+        Zc = Zt - base[i][:, None]
+        sums[i] = Zc.sum(axis=1)
+        S[i] = Zc @ Zc.T
+    shift = sums / n[:, None]
+    S -= (n[:, None] * shift)[:, :, None] * shift[:, None, :]
     return _CoMoments(n, base, shift, S)
 
 
+class _Blocks(Sequence):
+    """Row set i's matrix Zt = [X, y]^T on the sorted rows ``rows[i]`` of
+    ``d``, built each time it is read: a batch holds no copy of its regions'
+    values."""
+
+    def __init__(self, d: Dataset, rows: Sequence[np.ndarray]):
+        self.d, self.rows = d, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return _region(self.rows[i], self.d)[1]
+
+
 def _merge(a: _CoMoments, b: _CoMoments) -> _CoMoments:
-    """Co-moments of the union of two disjoint blocks from theirs, with no pass
-    over the rows (the pairwise update of Chan, Golub and LeVeque 1983)."""
+    """Co-moments of the unions of disjoint blocks, block i of ``a`` with block
+    i of ``b``, from theirs, with no pass over the rows (the pairwise update
+    of Chan, Golub and LeVeque 1983)."""
     n = a.n + b.n
     delta = (b.base - a.base) + (b.shift - a.shift)
-    return _CoMoments(n, a.base, a.shift + delta * (b.n / n),
-                      a.S + b.S + delta[:, None] * (delta * (a.n * b.n / n)))
+    outer = delta[:, :, None] * (delta * (a.n * b.n / n)[:, None])[:, None, :]
+    return _CoMoments(n, a.base, a.shift + delta * (b.n / n)[:, None], a.S + b.S + outer)
+
+
+def _concat(a: _CoMoments, b: _CoMoments) -> _CoMoments:
+    """The blocks of ``a``, then those of ``b``."""
+    return _CoMoments(*(np.concatenate([getattr(a, f.name), getattr(b, f.name)])
+                        for f in fields(a)))
 
 
 @dataclass(frozen=True)
 class _Moments:
-    """Sufficient statistics of one row set: ``keep`` marks the feature
-    columns that vary, ``mean``/``std`` are theirs, G and c are the
-    standardized Gram matrix and target correlations. ``y_sd`` is 0 when the
-    target is constant."""
+    """Sufficient statistics of k row sets, stacked along the first axis. Row
+    set i's varying feature columns are ``cols[i, :width[i]]``, in column
+    order; ``mean``, ``std`` and ``c`` hold their statistics in that order and
+    G their standardized Gram matrix, padded with zeros (``std`` with ones) to
+    the p features. ``y_sd`` is 0 where the target is constant."""
 
-    keep: np.ndarray
+    cols: np.ndarray
+    width: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    y_bar: float
-    y_sd: float
+    y_bar: np.ndarray
+    y_sd: np.ndarray
     G: np.ndarray
     c: np.ndarray
 
     @property
-    def degenerate(self) -> bool:
-        """The rows only give the MEAN model: a constant target (as with a
-        single row) or no feature that varies."""
-        return self.y_sd == 0.0 or not self.keep.any()
+    def degenerate(self) -> np.ndarray:
+        """Per row set, whether its rows only give the MEAN model: a constant
+        target (as with a single row) or no feature that varies."""
+        return (self.y_sd == 0.0) | (self.width == 0)
+
+    def take(self, rows: Sequence[int]) -> _Moments:
+        """The statistics of the given row sets, in that order."""
+        return _Moments(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def _moments(Zt: np.ndarray, cm: _CoMoments | None = None) -> _Moments:
-    """Statistics of the rows of Z = [X, y] (features, then the target), given
-    as Zt = Z^T, from their co-moments ``cm``, computed here unless given. The
-    rows themselves are read only to decide which columns are constant."""
+def _moments(blocks: Sequence[np.ndarray], cm: _CoMoments | None = None) -> _Moments:
+    """Statistics of the row sets of Z = [X, y] (features, then the target),
+    each given as Zt = Z^T, from their co-moments ``cm``, computed here unless
+    given. The rows themselves are read only to decide which columns are
+    constant."""
     if cm is None:
-        cm = _comoments(Zt)
-    n, p = cm.n, len(cm.S) - 1
+        cm = _comoments(blocks, len(blocks[0]))
+    p = cm.base.shape[1] - 1
     mean = cm.base + cm.shift
-    cov = cm.S / n
-    var = cov.diagonal()
+    cov = cm.S / cm.n[:, None, None]
+    var = np.diagonal(cov, axis1=1, axis2=2)
     # A column is constant when all its values are equal. Its computed
     # variance is then at most (n eps mean)^2, the square of the rounding
     # error of its mean; at or below that bound the values themselves decide.
     # A column that varies but whose variance rounds to zero cannot be
     # scaled, and is dropped too.
-    low = np.flatnonzero(var <= np.square(n * _EPS * mean))
+    low = var <= np.square(cm.n[:, None] * _EPS * mean)
     varying = var > 0.0
-    if len(low):
-        flat = low[(Zt[low] == Zt[low, :1]).all(axis=1)]
-        varying[flat] = False
-        mean[flat] = Zt[flat, 0]
-    keep = varying[:p]
-    std = np.sqrt(var[:p][keep])
-    return _Moments(keep, mean[:p][keep], std, float(mean[p]),
-                    math.sqrt(var[p]) if varying[p] else 0.0,
-                    cov[:p, :p][keep][:, keep] / (std[:, None] * std), cov[:p, p][keep] / std)
+    for i in np.flatnonzero(low.any(axis=1)).tolist():
+        Zt, cand = blocks[i], np.flatnonzero(low[i])
+        flat = cand[(Zt[cand] == Zt[cand, :1]).all(axis=1)]
+        varying[i, flat] = False
+        mean[i, flat] = Zt[flat, 0]
+    keep = varying[:, :p]
+    cols = np.argsort(~keep, axis=1, kind="stable")  # the varying columns first
+    width = keep.sum(axis=1)
+    used = np.arange(p) < width[:, None]
+    at = np.arange(len(cols))[:, None]
+    std = np.sqrt(np.where(used, var[at, cols], 1.0))
+    sxx = cov[at[:, :, None], cols[:, :, None], cols[:, None, :]]
+    G = (np.where(used[:, :, None] & used[:, None, :], sxx, 0.0)
+         / (std[:, :, None] * std[:, None, :]))
+    c = np.where(used, cov[at, cols, p], 0.0) / std
+    return _Moments(cols, width, np.where(used, mean[at, cols], 0.0), std, mean[:, p],
+                    np.sqrt(np.where(varying[:, p], var[:, p], 0.0)), G, c)
 
 
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _widths(width: np.ndarray):
+    """(w, the row sets of width w) for each nonzero width."""
+    for w in sorted(set(width.tolist()) - {0}):
+        yield w, np.flatnonzero(width == w)
 
 
-def _lasso_path(G: np.ndarray, c: np.ndarray, lams: Sequence[float],
-                tol: float = 1e-6, max_sweeps: int = 1000) -> list[np.ndarray]:
+def _gram_times(G: np.ndarray, width: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G_i x_i for each row set i, on its own width x width Gram block and
+    the first width entries of x_i, padded with zeros. One stacked product per
+    width: each row set's operands are laid out as in a product on that row
+    set alone, so its result does not depend on the other row sets."""
+    out = np.zeros_like(x)
+    for w, at in _widths(width):
+        out[at, :w] = np.matmul(np.ascontiguousarray(G[at, :w, :w]), x[at, :w, None])[:, :, 0]
+    return out
+
+
+def _lasso_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, lams,
+                tol: float = 1e-6, max_sweeps: int = 1000) -> np.ndarray:
     """Cyclic coordinate descent for (1/2n)||y_c - Xs b||^2 + lam ||b||_1 per
-    lambda, on the moments: the gradient g = c - G b loses one column of G per
-    coordinate change (standardized columns, so G_jj == 1). A sweep visits the
-    coordinates by decreasing |c_j| (ties by column), so where a solve stops
-    does not depend on the column order. The lambdas are solved in descending
-    order, each from the previous solution; a solve stops when the largest
-    coefficient change in a sweep drops below tol. Returns the coefficient
-    vectors in the order of ``lams``."""
-    p = len(c)
-    rows = G.tolist()
-    order = np.argsort(-np.abs(c), kind="stable").tolist()
-    beta = np.zeros(p)
-    solved: dict[float, np.ndarray] = {}
-    for lam in sorted(set(lams), reverse=True):
-        b = beta.tolist()
-        g = (c - G @ beta).tolist()
-        for _ in range(max_sweeps):
-            max_delta = 0.0
-            for j in order:
-                new = _soft_threshold(g[j] + b[j], lam)
-                delta = new - b[j]
-                if delta != 0.0:
-                    b[j] = new
-                    g = [gi - delta * gji for gi, gji in zip(g, rows[j])]
-                    max_delta = max(max_delta, abs(delta))
-            if max_delta < tol:
-                break
-        beta = np.array(b)
-        solved[lam] = beta
-    return [solved[lam] for lam in lams]
+    row set and lambda, on the moments of m row sets (``_Moments``' padded G,
+    c and width): the gradient g = c - G b loses one column of G per
+    coordinate change (standardized columns, so G_jj == 1). A sweep visits
+    the coordinates by decreasing |c_j| (ties by column), so where a solve
+    stops does not depend on the column order. Row set i's lambdas
+    ``lams[i]`` are solved in descending order, each from the previous
+    solution; a solve stops when the largest coefficient change in a sweep
+    drops below tol. Every row set takes the steps it would take alone, and
+    one step updates all of them. Returns the coefficients,
+    m x len(lams[i]) x p, in the order of ``lams``."""
+    m, p = c.shape
+    lams = np.asarray(lams, dtype=float).reshape(m, -1)
+    out = np.zeros((m, lams.shape[1], p))
+    everyone = np.arange(m)
+    # each row set's coordinates in visiting order (the padding, whose c is 0,
+    # last), so that step t of a sweep updates coordinate t of every row set
+    order = np.argsort(-np.abs(c), axis=1, kind="stable")
+    back = np.argsort(order, axis=1)
+    rows = everyone[:, None]
+    visit = G[rows[:, :, None], order[:, :, None], order[:, None, :]]
+    solve = np.argsort(-lams, axis=1, kind="stable")
+    desc = lams[rows, solve]
+    b = np.zeros((m, p))  # in visiting order
+    for t in range(lams.shape[1]):
+        # a lambda repeated in one row set keeps its solution
+        todo = everyone if t == 0 else np.flatnonzero(desc[:, t] != desc[:, t - 1])
+        if len(todo):
+            here = np.arange(len(todo))[:, None]
+            # g = c - G b, with the product in column order, then in visiting order
+            g = c[todo] - _gram_times(G[todo], width[todo], b[todo][here, back[todo]])
+            b[todo] = _descend(visit[todo], b[todo], g[here, order[todo]], width[todo],
+                               desc[todo, t], tol, max_sweeps)
+        out[everyone, solve[:, t]] = b[rows, back]
+    return out
 
 
-def _forward(L: list[list[float]], v: Sequence[float]) -> list[float]:
-    """w with L w = v, for L lower triangular given by its rows."""
-    w: list[float] = []
-    for row, acc in zip(L, v):
-        for a, b in zip(row, w):
-            acc -= a * b
-        w.append(acc / row[-1])
-    return w
-
-
-def _backward(L: list[list[float]], z: list[float]) -> list[float]:
-    """x with L^T x = z, for L lower triangular given by its rows."""
-    k = len(z)
-    x = [0.0] * k
-    for i in reversed(range(k)):
-        acc = z[i]
-        for r in range(i + 1, k):
-            acc -= L[r][i] * x[r]
-        x[i] = acc / L[i][i]
-    return x
-
-
-def _omp_path(G: np.ndarray, c: np.ndarray, y_sd: float, k: int) -> list[np.ndarray]:
-    """Greedy forward selection on the moments: add the feature most correlated
-    with the residual (largest |c_j - (G beta)_j|), refit least squares on the
-    active set; stops early once no correlation exceeds _UNCORRELATED * y_sd.
-    The least-squares solve grows the Cholesky factor L of the active Gram
-    block and z = L^-1 c_active by one row each; once the block is singular
-    the path goes on with min-norm least squares on it. Returns the
-    coefficient vector after each step, led by the empty model, so the k-term
-    model is ``path[min(k, len(path) - 1)]``."""
-    p = len(c)
-    rows, cl = G.tolist(), c.tolist()
-    active: list[int] = []
-    chol: list[list[float]] | None = []
-    z: list[float] = []
-    beta = np.zeros(p)
-    path = [beta]
-    corr = c
-    for _ in range(min(k, p)):
-        score = np.abs(corr)
-        score[active] = -1.0
-        j = int(np.argmax(score))
-        if score[j] <= _UNCORRELATED * y_sd:
+def _descend(G: np.ndarray, b: np.ndarray, g: np.ndarray, width: np.ndarray, lam: np.ndarray,
+             tol: float, max_sweeps: int) -> np.ndarray:
+    """``_lasso_path``'s solve of one lambda per row set, with the
+    coordinates in visiting order, from the coefficients b and gradient g.
+    Coordinates past a row set's width are padding: zero G rows and g, so
+    visiting one changes nothing. x - clip(x, -lam, lam) is the soft
+    threshold of x: x - lam above lam, x + lam below -lam and 0.0 between."""
+    b = b.copy()
+    live = np.arange(len(b))
+    # the live row sets' arrays, narrowed when some row set converges
+    bl, gl, Gl, lam_l, w = b, g.copy(), G, lam, int(width.max(initial=0))
+    for _ in range(max_sweeps):
+        if not len(live):
             break
-        if chol is not None:
-            w = _forward(chol, [rows[a][j] for a in active])
-            d2 = rows[j][j]
-            zj = cl[j]
-            for wi, zi in zip(w, z):
-                d2 -= wi * wi
-                zj -= wi * zi
-            if d2 > _RANK_TOL * rows[j][j]:
-                d = math.sqrt(d2)
-                chol.append(w + [d])
-                z.append(zj / d)
-            else:
-                chol = None
-        active.append(j)
-        beta = np.zeros(p)
-        if chol is not None:
-            beta[active] = _backward(chol, z)
-        else:
-            block = G[np.ix_(active, active)]
-            beta[active] = np.linalg.lstsq(block, c[active], rcond=_RANK_TOL)[0]
-        corr = c - G @ beta
-        path.append(beta)
-    return path
+        low, start = -lam_l, bl.copy()
+        for t in range(w):
+            old = bl[:, t]
+            x = gl[:, t] + old
+            new = x - np.minimum(np.maximum(x, low), lam_l)
+            delta = new - old
+            bl[:, t] = new
+            # a zero change leaves g as it was, up to the sign of a zero entry
+            gl -= delta[:, None] * Gl[:, t]
+        # each coordinate moves once per sweep: its change is end - start
+        moving = np.abs(bl - start).max(axis=1) >= tol
+        if not moving.all():
+            b[live] = bl
+            live = live[moving]
+            bl, gl, Gl, lam_l = bl[moving], gl[moving], Gl[moving], lam_l[moving]
+            w = int(width[live].max(initial=0))
+    b[live] = bl
+    return b
+
+
+def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
+              k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy forward selection on the moments of m row sets (as for
+    ``_lasso_path``), up to k[i] terms for row set i: add the feature most
+    correlated with the residual (largest |c_j - (G beta)_j|), refit least
+    squares on the active set; a row set stops early once no correlation
+    exceeds _UNCORRELATED * y_sd. The least-squares solve grows the Cholesky
+    factor L of the active Gram block and z = L^-1 c_active by one row each;
+    once a block is singular its path goes on with min-norm least squares on
+    it. Every row set takes the steps it would take alone, and one step
+    advances all of them.
+
+    Returns (path, steps): ``path[i, s]`` holds row set i's coefficients
+    after s steps, led by the empty model, and ``steps[i]`` the steps it took;
+    a path that stopped repeats its last entry, so the k-term model is
+    ``path[i, min(k, path.shape[1] - 1)]``."""
+    m, p = c.shape
+    limit = np.minimum(k, width)
+    S = int(limit.max(initial=0))
+    path = np.zeros((m, S + 1, p))
+    steps = np.zeros(m, dtype=int)
+    L, z, active = np.zeros((m, S, S)), np.zeros((m, S)), np.zeros((m, S), dtype=int)
+    taken = np.arange(p) >= width[:, None]  # padding is never selected
+    singular = np.zeros(m, dtype=bool)
+    corr = c.copy()
+    live = np.flatnonzero(limit > 0)
+    for s in range(S):
+        score = np.abs(corr[live])
+        score[taken[live]] = -1.0
+        j = score.argmax(axis=1)
+        go = score[np.arange(len(live)), j] > _UNCORRELATED * y_sd[live]
+        live, j = live[go], j[go]
+        if not len(live):
+            break
+        grow = ~singular[live]
+        rows, jr = live[grow], j[grow]
+        # w with L w = G[active, j], row by row
+        Ls, zs = L[rows, :s, :s], z[rows, :s]
+        v = G[rows[:, None], active[rows, :s], jr[:, None]]
+        w = np.empty((len(rows), s))
+        for i in range(s):
+            acc = v[:, i]
+            for r in range(i):
+                acc = acc - Ls[:, i, r] * w[:, r]
+            w[:, i] = acc / Ls[:, i, i]
+        gjj = G[rows, jr, jr]
+        d2, zj = gjj, c[rows, jr]
+        for i in range(s):
+            d2 = d2 - w[:, i] * w[:, i]
+            zj = zj - w[:, i] * zs[:, i]
+        ok = d2 > _RANK_TOL * gjj
+        good, d = rows[ok], np.sqrt(d2[ok])
+        L[good, s, :s] = w[ok]
+        L[good, s, s] = d
+        z[good, s] = zj[ok] / d
+        singular[rows[~ok]] = True
+        active[live, s] = j
+        taken[live, j] = True
+
+        beta = np.zeros((len(live), p))
+        solved = np.flatnonzero(~singular[live])
+        rows = live[solved]
+        # x with L^T x = z, from the last row up
+        Ls, zs = L[rows, : s + 1, : s + 1], z[rows, : s + 1]
+        x = np.empty((len(rows), s + 1))
+        for i in reversed(range(s + 1)):
+            acc = zs[:, i]
+            for r in range(i + 1, s + 1):
+                acc = acc - Ls[:, r, i] * x[:, r]
+            x[:, i] = acc / Ls[:, i, i]
+        beta[solved[:, None], active[rows, : s + 1]] = x
+        for a in np.flatnonzero(singular[live]).tolist():
+            i, act = live[a], active[live[a], : s + 1]
+            beta[a, act] = np.linalg.lstsq(G[i][np.ix_(act, act)], c[i, act], rcond=_RANK_TOL)[0]
+        corr[live] = c[live] - _gram_times(G[live], width[live], beta)
+        path[live, s + 1] = beta
+        steps[live] = s + 1
+        live = live[s + 1 < limit[live]]
+    upto = np.minimum(np.arange(S + 1), steps[:, None])
+    return path[np.arange(m)[:, None], upto], steps
 
 
 @dataclass(frozen=True)
 class _Fits:
-    """One method's models on one row set, one per hyperparameter: model i
-    predicts ``intercepts[i] + X @ B[:, i]`` over the feature matrix columns
-    ``names`` (B is zero on dropped columns). ``method`` is MEAN when the rows
-    were degenerate."""
+    """One method's models on k row sets, one per hyperparameter: model
+    (i, h) predicts ``intercepts[i, h] + X @ B[i, :, h]`` over the feature
+    matrix columns ``names`` (B is zero on dropped columns). ``methods[i]`` is
+    MEAN where row set i was degenerate; ``m`` are the row sets' moments."""
 
     names: Sequence[str]
-    method: str
-    hypers: list
+    methods: list[str]
+    hypers: list[list]
     intercepts: np.ndarray
     B: np.ndarray
-    standardization: dict[str, tuple[float, float]]
+    m: _Moments
 
-    def model(self, i: int) -> LinearModel:
-        coefs = {n: float(b) for n, b in zip(self.names, self.B[:, i].tolist()) if b != 0.0}
-        return LinearModel(intercept=float(self.intercepts[i]), coefficients=coefs,
-                           method=self.method, standardization=self.standardization,
-                           hyper=self.hypers[i])
+    def model(self, i: int, h: int) -> LinearModel:
+        coefs = {n: float(b) for n, b in zip(self.names, self.B[i, :, h].tolist()) if b != 0.0}
+        w = int(self.m.width[i])
+        cols, mean, std = (x[i, :w].tolist() for x in (self.m.cols, self.m.mean, self.m.std))
+        standardization = {} if self.methods[i] == MEAN else {
+            self.names[j]: (mu, s) for j, mu, s in zip(cols, mean, std)}
+        return LinearModel(intercept=float(self.intercepts[i, h]), coefficients=coefs,
+                           method=self.methods[i], standardization=standardization,
+                           hyper=self.hypers[i][h])
 
 
-def _fits(m: _Moments, method: str, hypers: Sequence[float | None],
+def _fits(m: _Moments, method: str, hypers: Sequence[Sequence[float | None]],
           names: Sequence[str]) -> _Fits:
-    """One ``method`` model on the rows with moments ``m`` per hyperparameter
-    in ``hypers``: the single ``None`` for OLS, lambdas for LASSO, term counts
-    (>= 1) for OMP. Degenerate rows or the MEAN method give the MEAN model for
-    each hyperparameter, recording it as ``hyper``."""
-    hypers = list(hypers)
-    if method == MEAN or m.degenerate:
-        return _Fits(names, MEAN, hypers, np.full(len(hypers), m.y_bar),
-                     np.zeros((len(names), len(hypers))), {})
-    if method == OLS:
-        betas = [np.linalg.lstsq(m.G, m.c, rcond=_RANK_TOL)[0]]
-    elif method == LASSO:
-        betas = _lasso_path(m.G, m.c, hypers)
-    else:
-        path = _omp_path(m.G, m.c, m.y_sd, max(hypers))
-        betas = [path[min(k, len(path) - 1)] for k in hypers]
-    kept = np.array(betas).T / m.std[:, None]
-    B = np.zeros((len(names), len(hypers)))
-    B[m.keep] = kept
-    standardization = {n: (float(mu), float(s))
-                       for n, mu, s in zip(compress(names, m.keep), m.mean, m.std)}
-    return _Fits(names, method, hypers, m.y_bar - m.mean @ kept, B, standardization)
+    """One ``method`` model on each row set with moments ``m`` per
+    hyperparameter in ``hypers[i]`` (one list per row set, all of one length):
+    the single ``None`` for OLS, lambdas for LASSO, term counts (>= 1) for OMP.
+    Degenerate rows or the MEAN method give the MEAN model for each
+    hyperparameter, recording it as ``hyper``. The solvers run once for all
+    row sets; each set's coefficients are mapped back to the original scale
+    by the products a fit of that set alone makes."""
+    hypers = [list(h) for h in hypers]
+    k, H = len(hypers), len(hypers[0]) if hypers else 0
+    intercepts = np.repeat(m.y_bar[:, None], H, axis=1)
+    B = np.zeros((k, len(names), H))
+    fitted = np.flatnonzero(np.zeros(k, dtype=bool) if method == MEAN else ~m.degenerate)
+    methods = [MEAN] * k
+    if len(fitted):
+        sub = m.take(fitted)
+        if method == OLS:
+            betas = np.zeros((len(fitted), 1, len(names)))
+            for r, w in enumerate(sub.width.tolist()):
+                betas[r, 0, :w] = np.linalg.lstsq(sub.G[r, :w, :w], sub.c[r, :w],
+                                                  rcond=_RANK_TOL)[0]
+        elif method == LASSO:
+            betas = _lasso_path(sub.G, sub.c, sub.width, [hypers[i] for i in fitted.tolist()])
+        else:
+            terms = np.array([hypers[i] for i in fitted.tolist()], dtype=int)
+            path, _ = _omp_path(sub.G, sub.c, sub.width, sub.y_sd, terms.max(axis=1))
+            betas = path[np.arange(len(fitted))[:, None], np.minimum(terms, path.shape[1] - 1)]
+        kept = betas / sub.std[:, None, :]  # zero on the padding
+        B[fitted[:, None], sub.cols] = kept.transpose(0, 2, 1)
+        # intercept = y_bar - mean @ kept, the kept coefficients column-major
+        # (one column per hyperparameter) as a fit of one row set lays them out
+        for w, at in _widths(sub.width):
+            lead = np.ascontiguousarray(kept[at, :, :w]).transpose(0, 2, 1)
+            intercepts[fitted[at]] = (sub.y_bar[at, None]
+                                      - np.matmul(sub.mean[at, None, :w], lead)[:, 0])
+        for i in fitted.tolist():
+            methods[i] = method
+    return _Fits(names, methods, hypers, intercepts, B, m)
 
 
 def _errors(X: np.ndarray, yv: np.ndarray, intercepts: np.ndarray, B: np.ndarray,
@@ -425,20 +558,28 @@ def _omp(max_terms: int) -> tuple[str, Sequence[int]]:
     return (OMP, range(1, max_terms + 1)) if max_terms > 0 else (MEAN, [0])
 
 
-def _tune(m: _Moments, names: Sequence[str], X: np.ndarray, yv: np.ndarray,
-          entries: Sequence[tuple[str, Sequence]], metric: str) -> tuple[_Fits, int, float]:
-    """Fit every ``(method, hypers)`` entry on the moments ``m`` and score all
-    their models on the rows (X, yv) by one residual matrix. Returns the fits
-    of the lowest error's entry, its index in them and the error; ties go to
-    the earlier entry, then to LASSO's larger lambda or OMP's fewer terms."""
-    fits = [_fits(m, method, hypers, names) for method, hypers in entries]
-    errors = _errors(X, yv, np.concatenate([f.intercepts for f in fits]),
-                     np.concatenate([f.B for f in fits], axis=1), metric).tolist()
-    order = [(k, -h if method == LASSO else h, i)
-             for k, ((method, _), f) in enumerate(zip(entries, fits))
-             for i, h in enumerate(f.hypers)]
-    error, (k, _, i) = min(zip(errors, order))
-    return fits[k], i, error
+def _tune(m: _Moments, names: Sequence[str], X: Sequence[np.ndarray], yv: Sequence[np.ndarray],
+          entries: Sequence[tuple[str, Sequence]],
+          metric: str) -> tuple[list[_Fits], list[int], list[int], np.ndarray]:
+    """Fit every ``(method, hypers)`` entry on the k row sets with moments
+    ``m`` and score row set i's models on its rows (X[i], yv[i]) by one
+    residual matrix. Returns the fits of every entry and, per row set, the
+    index of the lowest error's entry, the model's index in it and the error;
+    ties go to the earlier entry, then to LASSO's larger lambda or OMP's fewer
+    terms."""
+    k = len(X)
+    fits = [_fits(m, method, [hypers] * k, names) for method, hypers in entries]
+    b0 = np.concatenate([f.intercepts for f in fits], axis=1)
+    B = np.concatenate([f.B for f in fits], axis=2)
+    keys = [(e, -h if method == LASSO else h, i)
+            for e, (method, hypers) in enumerate(entries) for i, h in enumerate(hypers)]
+    errors = np.array([_errors(X[r], yv[r], b0[r], B[r], metric) for r in range(k)],
+                      dtype=float).reshape(k, len(keys))
+    # the models in tie-break order: argmin keeps the first of equal errors
+    rank = sorted(range(len(keys)), key=keys.__getitem__)
+    best = np.array(rank)[errors[:, rank].argmin(axis=1)]
+    return (fits, [keys[a][0] for a in best.tolist()], [keys[a][2] for a in best.tolist()],
+            errors[np.arange(k), best])
 
 
 def fit_ols(rows, d: Dataset) -> LinearModel:
@@ -449,7 +590,7 @@ def fit_ols(rows, d: Dataset) -> LinearModel:
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
     names, Zt = _region(idx, d)
-    return _fits(_moments(Zt), OLS, [None], names).model(0)
+    return _fits(_moments([Zt]), OLS, [[None]], names).model(0, 0)
 
 
 def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: str,
@@ -464,9 +605,9 @@ def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: s
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
     names, Zt = _region(idx, d)
-    fits, i, _ = _tune(_moments(Zt), names, d.numeric_matrix(hold, names),
-                       d.column(d.target)[hold], [entry], metric)
-    return fits.model(i)
+    fits, _, (i,), _ = _tune(_moments([Zt]), names, [d.numeric_matrix(hold, names)],
+                             [d.column(d.target)[hold]], [entry], metric)
+    return fits[0].model(0, i)
 
 
 def fit_lasso(rows, d: Dataset, lambda_grid: Sequence[float], holdout,
@@ -508,27 +649,59 @@ def best_local_model(
     ``MAX_TERMS_CAP``.
     A target constant on the fitting side makes both methods fit the MEAN
     model there, scored on the test side like any other; LASSO wins the tie
-    and the MEAN model is refit on all rows."""
+    and the MEAN model is refit on all rows. The one-region case of
+    ``best_local_models``."""
+    return best_local_models([rows], d, metric, test)[0]
+
+
+def best_local_models(
+    row_sets: Sequence, d: Dataset, metric: str, test: np.ndarray
+) -> list[tuple[FittedRuleModel, np.ndarray]]:
+    """``best_local_model``'s contest on each row set, as one batch: every
+    row set gets exactly the model and scored rows it gets alone, in the order
+    given. The sums and products over a region's rows run per region; the
+    moments, both solvers, the tie-breaks and the refits run once for all."""
     metric = check_metric(metric)
     if not (isinstance(test, np.ndarray) and test.dtype == bool and test.shape == (d.n,)):
         raise DataError(f"the test set must be a bool mask over the table's {d.n} rows")
-    idx = sorted_rows(rows, d.n)
-    if len(idx) == 0:
-        raise DataError("best_local_model needs at least 1 row")
-    names, Zt = _region(idx, d)
-    test = test[idx]
-    if len(idx) < 5 or not 0 < np.count_nonzero(test) < len(idx):  # no split
-        method, hyper, full, scored, holdout_error = MEAN, None, _moments(Zt), idx, None
-    else:
-        train, hold = Zt.compress(~test, axis=1), Zt.compress(test, axis=1)
-        sides = _comoments(train), _comoments(hold)
-        fits, i, holdout_error = _tune(_moments(train, sides[0]), names, hold[:-1].T, hold[-1],
-                                       [(LASSO, DEFAULT_LAMBDA_GRID),
-                                        _omp(min(len(names), MAX_TERMS_CAP))], metric)
-        method, hyper = fits.method, None if fits.method == MEAN else fits.hypers[i]
-        full, scored = _moments(Zt, _merge(*sides)), idx[test]
+    names = d.numerical_features()
+    q = len(names) + 1
+    idxs, inside = [], []
+    for rows in row_sets:
+        idx = sorted_rows(rows, d.n)
+        if len(idx) == 0:
+            raise DataError("best_local_model needs at least 1 row")
+        idxs.append(idx)
+        inside.append(test[idx])
+    split = [i for i, t in enumerate(inside) if len(t) >= 5 and 0 < np.count_nonzero(t) < len(t)]
+    alone = sorted(set(range(len(idxs))) - set(split))  # no split: the MEAN model
+    scored = [idxs[i][inside[i]] for i in split]
+    trains = _Blocks(d, [idxs[i][~inside[i]] for i in split])
+    holds = list(_Blocks(d, scored))
+    sides = _comoments(trains, q), _comoments(holds, q)
+    fits, entry, index, holdout_errors = _tune(
+        _moments(trains, sides[0]), names, [h[:-1].T for h in holds], [h[-1] for h in holds],
+        [(LASSO, DEFAULT_LAMBDA_GRID), _omp(min(len(names), MAX_TERMS_CAP))], metric)
+    method = [fits[e].methods[r] for r, e in enumerate(entry)] + [MEAN] * len(alone)
+    hyper = [None if fits[e].methods[r] == MEAN else fits[e].hypers[r][i]
+             for r, (e, i) in enumerate(zip(entry, index))] + [None] * len(alone)
+    order = split + alone
+    blocks = _Blocks(d, [idxs[i] for i in order])
+    full = _moments(blocks, _concat(_merge(*sides),
+                                    _comoments(_Blocks(d, [idxs[i] for i in alone]), q)))
 
-    refit = _fits(full, method, [hyper], names)
-    train_error = float(_errors(Zt[:-1].T, Zt[-1], refit.intercepts, refit.B, metric)[0])
-    return FittedRuleModel(refit.model(0), train_error,
-                           train_error if holdout_error is None else holdout_error), scored
+    out: list = [None] * len(order)
+    for name in dict.fromkeys(method):
+        pos = [j for j, mth in enumerate(method) if mth == name]
+        refit = _fits(full.take(pos), name, [[hyper[j]] for j in pos], names)
+        for r, j in enumerate(pos):
+            Zt = blocks[j]
+            train_error = float(_errors(Zt[:-1].T, Zt[-1], refit.intercepts[r], refit.B[r],
+                                        metric)[0])
+            i = order[j]
+            if j < len(split):
+                fitted = FittedRuleModel(refit.model(r, 0), train_error, float(holdout_errors[j]))
+                out[i] = fitted, scored[j]
+            else:
+                out[i] = FittedRuleModel(refit.model(r, 0), train_error, train_error), idxs[i]
+    return out

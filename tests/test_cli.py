@@ -230,6 +230,18 @@ def test_sd_q_below_one_is_exit_1(tmp_path, segment_csv, capsys, command, out):
     assert main(argv + ["--sd-q", "1"]) == 0
 
 
+def test_sd_q_above_the_candidate_count_names_the_flag(tmp_path, segment_csv, capsys):
+    path = tmp_path / "rules.json"
+    argv = ["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+            "--rules-out", str(path)]
+    assert main(argv + ["--sd-q", "50"]) == 1
+    err = capsys.readouterr().err
+    assert "--sd-q" in err and "sd_q" in err
+    assert "out of range [1, " in err and "the default rule among them" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("variant", ["f", "sd", "standard"])
 def test_variant_is_no_flag(tmp_path, segment_csv, variant):
     # the paper's HiPaR_f is --overlap-bias 0 and its HiPaR_sd is --sd-q N

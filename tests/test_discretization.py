@@ -13,7 +13,14 @@ from hipar import (
     conditions_from_cuts,
     mdlp_cuts,
 )
-from hipar.discretization import CutPointSet, _split_entropy, _table_split_entropy, _xlog2x
+from hipar.discretization import (
+    CutPointSet,
+    _split_entropy,
+    _table_split_entropy,
+    _xlog2x,
+    binarize_targets,
+    mdlp_cuts_many,
+)
 
 from .oracles import _entropy, mdlp_oracle
 
@@ -324,3 +331,52 @@ def test_dataset_ranks():
     assert not levels.flags.writeable and not codes.flags.writeable
     with pytest.raises(DataError):
         d.ranks("nope")
+
+
+def test_one_scan_cuts_each_region_as_it_is_cut_alone():
+    rng = np.random.default_rng(31)
+    n = 300
+    columns, labels = _mixed_columns(rng, n)
+    d = _table(columns)
+    names = list(columns)
+    tasks = []
+    for size in (1, 2, 3, 40, 120, 120, 300):
+        rows = np.sort(rng.choice(n, size, replace=False))
+        attrs = [names[j] for j in rng.permutation(len(names))[: int(rng.integers(0, 7))]]
+        tasks.append((attrs, TargetBinarization(0.0, rows, labels[rows])))
+    tasks += [(names, tasks[4][1]), tasks[3]]  # every attribute; a region twice
+    alone = [mdlp_cuts(attrs, d, tb) for attrs, tb in tasks]
+    assert sum(len(cp.cuts) for cut_sets in alone for cp in cut_sets) >= 6
+    for order in (list(range(len(tasks))), list(range(len(tasks)))[::-1]):
+        got = mdlp_cuts_many([tasks[i] for i in order], d)
+        assert [got[order.index(i)] for i in range(len(tasks))] == alone
+    for (attrs, tb), cut_sets in zip(tasks, alone):
+        if len(tb.rows) <= 120:
+            for cp in cut_sets:
+                assert list(cp.cuts) == mdlp_oracle(columns[cp.attribute][tb.rows], tb.labels)
+    assert mdlp_cuts_many([], d) == []
+
+
+def test_binarize_targets_gives_each_region_its_own_median_split():
+    rng = np.random.default_rng(32)
+    n = 200
+    y = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0, 2.0, 7.25], n)
+    d = _xy_dataset(rng.normal(size=n), y)
+    regions = [np.sort(rng.choice(n, size, replace=False)) for size in (1, 2, 3, 4, 9, 50, 200)]
+    regions += [np.flatnonzero(y == 2.0), np.flatnonzero(y <= 0.0), regions[4]]
+    got = binarize_targets(regions, d)
+    assert len(got) == len(regions)
+    for rows, tb in zip(regions, got):
+        values = y[rows]
+        threshold = float(np.median(values))
+        labels = values > threshold
+        if not labels.any() and values.min() < threshold:
+            labels = values >= threshold
+        assert tb.threshold == threshold
+        assert tb.rows.tolist() == rows.tolist()
+        assert tb.labels.tolist() == labels.tolist()
+        alone = binarize_target(rows, d)
+        assert (alone.threshold, alone.labels.tolist()) == (tb.threshold, tb.labels.tolist())
+    assert binarize_targets([], d) == []
+    with pytest.raises(DataError, match="at least 1 row"):
+        binarize_targets([np.arange(3), []], d)

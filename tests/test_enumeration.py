@@ -448,6 +448,133 @@ def test_search_decisions_pinned_on_rediscretized_table():
     assert len(intervals - {c.render() for c in init}) == 18
 
 
+# The whole trace of that search, one line per decision as the search emits
+# it, with its fields separated by two spaces: the pattern (extended by the
+# condition when the extension was pruned before its closure), the support,
+# the interclass variance and the decision. A node decides all its extensions
+# before it fits any of them, but walks and traces them in this order.
+PINNED_TRACE = """\
+grp="t"  260  3950.33  accepted
+grp="t" & grp="w"  0  0  pruned-support
+grp="t" & kind="u"  133  3166.13  accepted
+grp="t" & kind="u" & kind="v"  0  0  pruned-support
+grp="t" & kind="u" & seg="a"  71  4161.37  accepted
+grp="t" & kind="u" & seg="a" & seg="b"  0  0  pruned-support
+grp="t" & kind="u" & seg="a" & seg="c"  0  0  pruned-support
+grp="t" & kind="u" & seg="a" & w in (-inf,0.5)  9  273.214  pruned-support
+grp="t" & kind="u" & seg="a" & w in [0.5,inf)  62  3855.19  rejected-occam
+grp="t" & kind="u" & seg="a" & w in [0.5,inf) & x in (-inf,0.300431)  19  409.377  pruned-support
+grp="t" & kind="u" & seg="a" & w in [0.5,inf) & x in [0.300431,inf)  43  3594.45  accepted
+grp="t" & kind="u" & seg="a" & x in (-inf,0.300431)  20  405.33  pruned-support
+grp="t" & kind="u" & seg="a" & x in [0.300431,inf)  51  3871.91  accepted
+grp="t" & kind="u" & seg="a" & w in (-inf,2.5) & x in [0.300431,inf)  27  1363.96  pruned-support
+grp="t" & kind="u" & seg="a" & w in [2.5,inf) & x in [0.300431,inf)  24  2501.89  pruned-support
+grp="t" & kind="u" & seg="b"  62  94.8319  pruned-iv
+grp="t" & kind="u" & seg="c"  0  0  pruned-support
+grp="t" & kind="u" & x in (-inf,0.300431)  37  202.664  pruned-iv
+grp="t" & kind="u" & x in [0.300431,inf)  96  3054.23  accepted
+grp="t" & kind="v"  127  539.624  pruned-iv
+grp="t" & seg="a"  134  6070.15  accepted
+grp="t" & seg="a" & seg="b"  0  0  pruned-support
+grp="t" & seg="a" & seg="c"  0  0  pruned-support
+grp="t" & seg="a" & x in (-inf,0.302148)  38  395.096  pruned-iv
+grp="t" & seg="a" & x in [0.302148,inf)  96  5855.18  accepted
+grp="t" & seg="a" & w in (-inf,0.5) & x in [0.302148,inf)  17  387.595  pruned-support
+grp="t" & seg="a" & w in [0.5,inf) & x in [0.302148,inf)  79  5451.42  accepted
+grp="t" & seg="b"  126  0.89394  pruned-iv
+grp="t" & seg="c"  0  0  pruned-support
+grp="t" & x in (-inf,0.278878)  72  26.8062  pruned-iv
+grp="t" & x in [0.278878,inf)  188  4347.45  accepted
+grp="t" & x in [0.278878,inf) & z in (-inf,1.55)  60  2163.8  accepted
+grp="t" & x in [0.278878,inf) & z in [1.55,inf)  128  1835.02  rejected-occam
+grp="w"  540  3950.33  accepted
+grp="w" & kind="u"  282  186.214  pruned-iv
+grp="w" & kind="v"  258  2404.05  accepted
+grp="w" & kind="v" & seg="a"  67  0.285429  accepted
+grp="w" & kind="v" & seg="a" & seg="b"  0  0  pruned-support
+grp="w" & kind="v" & seg="a" & seg="c"  0  0  pruned-support
+grp="w" & kind="v" & seg="a" & w in (-inf,1.5)  20  185.327  pruned-support
+grp="w" & kind="v" & seg="a" & w in [1.5,inf)  47  70.71  pruned-iv
+grp="w" & kind="v" & seg="a" & x in (-inf,0.313854)  24  170.323  pruned-support
+grp="w" & kind="v" & seg="a" & x in [0.313854,inf)  43  110.837  pruned-iv
+grp="w" & kind="v" & seg="b"  58  2175.19  accepted
+grp="w" & kind="v" & seg="b" & seg="c"  0  0  pruned-support
+grp="w" & kind="v" & seg="b" & x in (-inf,0.610438)  36  2111.43  accepted
+grp="w" & kind="v" & seg="b" & w in (-inf,0.5) & x in (-inf,0.610438)  10  293.869  pruned-support
+grp="w" & kind="v" & seg="b" & w in [0.5,inf) & x in (-inf,0.610438)  26  1847.15  pruned-support
+grp="w" & kind="v" & seg="b" & x in [0.610438,inf)  22  246.668  pruned-support
+grp="w" & kind="v" & seg="c"  133  868.612  accepted
+grp="w" & kind="v" & seg="c" & w in (-inf,0.5)  27  0.182329  pruned-support
+grp="w" & kind="v" & seg="c" & w in [0.5,4.5)  89  576.788  accepted
+grp="w" & kind="v" & seg="c" & w in [4.5,inf)  17  537.585  pruned-support
+grp="w" & kind="v" & seg="c" & z in [0.15,1.85)  55  834.096  accepted
+grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [0.15,1.85)  36  274.542  accepted
+grp="w" & kind="v" & seg="c" & w in [3.5,inf) & z in [0.15,1.85)  19  646.87  pruned-support
+grp="w" & kind="v" & seg="c" & z in [1.85,inf)  73  143.449  accepted
+grp="w" & kind="v" & seg="c" & w in (-inf,3.5) & z in [1.85,inf)  57  37.2945  rejected-occam
+grp="w" & kind="v" & seg="c" & w in [3.5,inf) & z in [1.85,inf)  16  179.942  pruned-support
+grp="w" & seg="a"  125  221.5  pruned-iv
+grp="w" & seg="b"  126  3573.31  accepted
+grp="w" & seg="b" & seg="c"  0  0  pruned-support
+grp="w" & seg="b" & x in (-inf,0.610438)  81  3687.68  accepted
+grp="w" & seg="b" & w in (-inf,3.5) & x in (-inf,0.610438)  55  1710.53  rejected-occam
+grp="w" & seg="b" & w in [3.5,inf) & x in (-inf,0.610438)  26  1961.64  pruned-support
+grp="w" & seg="b" & x in [0.610438,inf)  45  225.055  pruned-iv
+grp="w" & seg="c"  289  739.953  accepted
+grp="w" & seg="c" & z in (-inf,2.35)  154  1114.39  accepted
+grp="w" & seg="c" & w in (-inf,0.5) & z in (-inf,2.35)  28  0.842141  pruned-support
+grp="w" & seg="c" & w in [0.5,inf) & z in (-inf,2.35)  126  1272.21  accepted
+grp="w" & seg="c" & z in [2.35,inf)  135  0.0638736  pruned-iv
+grp="w" & x in (-inf,0.554307)  298  2559.93  rejected-occam
+grp="w" & x in [0.554307,inf)  242  117.379  pruned-iv
+kind="u"  415  834.028  accepted
+kind="u" & kind="v"  0  0  pruned-support
+kind="u" & seg="a"  129  4118.41  accepted
+kind="u" & seg="a" & seg="b"  0  0  pruned-support
+kind="u" & seg="a" & seg="c"  0  0  pruned-support
+kind="u" & seg="a" & x in (-inf,0.305464)  35  221.983  pruned-iv
+kind="u" & seg="a" & x in [0.305464,inf)  94  4074.01  rejected-occam
+kind="u" & seg="b"  130  368.03  accepted
+kind="u" & seg="b" & seg="c"  0  0  pruned-support
+kind="u" & seg="b" & x in (-inf,0.606729)  81  982.187  accepted
+kind="u" & seg="b" & x in [0.606729,inf)  49  98.2476  pruned-iv
+grp="w" & kind="u" & seg="c"  156  27.939  pruned-leftmost
+kind="v"  385  834.028  accepted
+kind="v" & seg="a"  130  872.452  accepted
+kind="v" & seg="a" & seg="b"  0  0  pruned-support
+kind="v" & seg="a" & seg="c"  0  0  pruned-support
+kind="v" & seg="a" & x in (-inf,0.296233)  41  32.0544  pruned-iv
+kind="v" & seg="a" & x in [0.296233,inf)  89  1491.82  accepted
+kind="v" & seg="b"  122  1594.07  rejected-occam
+kind="v" & seg="b" & seg="c"  0  0  pruned-support
+kind="v" & seg="b" & x in (-inf,0.610438)  72  2195.61  accepted
+kind="v" & seg="b" & x in [0.610438,inf)  50  15.2031  pruned-iv
+grp="w" & kind="v" & seg="c"  133  868.612  pruned-leftmost
+kind="v" & x in (-inf,0.52467)  200  1096.42  accepted
+kind="v" & x in [0.52467,inf)  185  0.0471772  pruned-iv
+seg="a"  259  5435.76  accepted
+seg="a" & seg="b"  0  0  pruned-support
+seg="a" & seg="c"  0  0  pruned-support
+seg="a" & x in (-inf,0.305464)  77  41.7573  pruned-iv
+seg="a" & x in [0.305464,inf)  182  6044.14  accepted
+seg="b"  252  2128.49  accepted
+seg="b" & seg="c"  0  0  pruned-support
+seg="b" & x in (-inf,0.656045)  162  3383.04  accepted
+seg="b" & x in [0.656045,inf)  90  37.8193  pruned-iv
+grp="w" & seg="c"  289  739.953  pruned-leftmost
+x in (-inf,0.533594)  436  650.873  rejected-occam
+x in [0.533594,inf)  364  650.873  pruned-iv
+"""
+
+
+def test_search_trace_pinned_on_rediscretized_table():
+    d = _rediscretized_table()
+    cfg = RunConfig(theta=0.04, seed=3)
+    lines = []
+    enumerate_candidates(d, hipar_init(d, cfg), cfg, trace=lines.append, exhaustive=True)
+    assert ["  ".join(line.split("\t")) for line in lines] == PINNED_TRACE.splitlines()
+
+
 def _universes_and_nodes(monkeypatch, d, cfg):
     """Run a search; return every Universe it builds and, per walked node, its
     pattern and interval conditions, in build and walk order."""
@@ -496,6 +623,45 @@ def test_node_universe_adds_only_the_nodes_intervals(monkeypatch):
         assert not {c for c in pattern.conditions if isinstance(c, Interval)} & set(u)
 
 
+def test_a_node_fits_and_discretizes_its_children_in_one_call_each(monkeypatch):
+    # per walked node: contest calls, MDLP passes and visited children
+    frames, stack = [], []
+    walk = enumeration._Search.walk
+
+    def recorded_walk(self, pattern, inside, conds):
+        frames.append([0, 0, 0])
+        stack.append(frames[-1])
+        try:
+            walk(self, pattern, inside, conds)
+        finally:
+            stack.pop()
+
+    def counted(slot, fn):
+        def wrapper(*args, **kwargs):
+            stack[-1][slot] += 1  # an IndexError: a call outside every node
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def trace(line):
+        if line.endswith(("\taccepted", "\trejected-occam")):
+            stack[-1][2] += 1
+
+    d = _rediscretized_table()
+    cfg = RunConfig(theta=0.04, seed=3)
+    init = hipar_init(d, cfg)
+    monkeypatch.setattr(enumeration._Search, "walk", recorded_walk)
+    monkeypatch.setattr(enumeration, "best_local_models", counted(0, enumeration.best_local_models))
+    monkeypatch.setattr(enumeration, "mdlp_cuts_many", counted(1, enumeration.mdlp_cuts_many))
+    # the default rule rides along with the root's children: no call outside a node
+    enumerate_candidates(d, init, cfg, trace=trace, exhaustive=True)
+    assert sum(visited for _, _, visited in frames) == PINNED_STATS["visited"]
+    with_children = [(contests, passes) for contests, passes, visited in frames if visited]
+    assert 10 < len(with_children) < len(frames)
+    assert set(with_children) == {(1, 1)}
+    assert {(contests, passes) for contests, passes, visited in frames if not visited} <= {
+        (0, 0), (1, 1)}
+
+
 def _ancestor_interval_table():
     """x steps the target at 0.25 and 0.75, so the root cuts it into three
     intervals, and only the middle one clears the root's IV threshold. Level
@@ -534,8 +700,8 @@ def test_ancestor_interval_implied_by_a_later_condition():
 
     search = enumeration._Search(d, cfg, init, None)
     assert interval not in search.universe.conditions
-    parents = search.parent_rules(p_closed, len(region(p_closed, d)), search.universe)
-    assert [r.pattern for r in parents] == [Pattern([interval])]
+    parents = search.parent_patterns(p_closed, len(region(p_closed, d)), search.universe)
+    assert parents == [Pattern([interval])]
 
 
 def test_rediscretized_intervals_filtered_on_full_dataset_support():

@@ -11,7 +11,6 @@ from hipar import (
     Dataset,
     Interval,
     RunConfig,
-    best_local_model,
     deserialize_rules,
     holdout_mask,
     predict_batch,
@@ -20,6 +19,7 @@ from hipar import (
 )
 from hipar.enumeration import enumerate_candidates, hipar_init
 from hipar.patterns import region
+from hipar.regression import best_local_models
 
 
 def _mixed(seed: int, n: int = 1500) -> Dataset:
@@ -98,13 +98,13 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
         masks.append(holdout_mask(*args))
         return masks[-1]
 
-    def contest(rows, d, metric, test, *rest):
-        fitted, scored = best_local_model(rows, d, metric, test, *rest)
-        contests.append((rows, test, scored))
-        return fitted, scored
+    def contest(row_sets, d, metric, test, *rest):
+        fitted = best_local_models(row_sets, d, metric, test, *rest)
+        contests.extend((rows, test, scored) for rows, (_, scored) in zip(row_sets, fitted))
+        return fitted
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)
-    monkeypatch.setattr(enumeration, "best_local_model", contest)
+    monkeypatch.setattr(enumeration, "best_local_models", contest)
     cfg = RunConfig(theta=0.1, seed=0)
     candidates = enumerate_candidates(d, hipar_init(d, cfg), cfg)
     assert len(masks) == 1  # one draw per fit
@@ -160,3 +160,76 @@ def test_saved_predictor_loads_back_equal(tmp_path, seed, metric):
     assert back == pred
     serialize_rules(back, str(again))
     assert again.read_bytes() == path.read_bytes()
+
+
+def _offsets(k: int, scale: float) -> np.ndarray:
+    return scale * np.array([(-1) ** i * (1 + 0.25 * i) for i in range(k)])
+
+
+def _shaped(kind: str, seed: int, n: int) -> Dataset:
+    """A table shaped like the benchmark's: "mixed" has 3 categorical features
+    (3, 4, 5 levels) whose levels shift the target and set the slopes on two
+    integer features, and 4 continuous noise features; "catwide" has 8
+    categorical features (4, then 7 x 8 levels), of which the first two shift
+    the target, and the two integer features."""
+    rng = np.random.default_rng(seed)
+    levels = (3, 4, 5) if kind == "mixed" else (4, 8, 8, 8, 8, 8, 8, 8)
+    codes = [rng.integers(0, k, n) for k in levels]
+    z = rng.integers(0, 20, (2, n)).astype(float)
+    cols = {f"c{j}": np.array([f"v{i}" for i in range(k)], dtype=object)[c]
+            for j, (k, c) in enumerate(zip(levels, codes))}
+    if kind == "mixed":
+        y = (sum(_offsets(k, 3.0 * 2**j)[c] for j, (k, c) in enumerate(zip(levels, codes)))
+             + np.linspace(-0.4, 0.4, levels[0])[codes[0]] * z[0]
+             + np.linspace(0.3, -0.3, levels[1])[codes[1]] * z[1])
+        cols.update({f"x{i}": np.round(rng.uniform(0.0, 10.0, n), 3) for i in range(4)})
+    else:
+        y = _offsets(levels[0], 4.0)[codes[0]] + _offsets(levels[1], 3.0)[codes[1]]
+    cols.update({"n0": z[0], "n1": z[1], "y": np.round(y + rng.normal(0.0, 1.0, n), 4)})
+    schema = [AttributeSchema(name, "categorical" if col.dtype == object else "numerical",
+                              role="target" if name == "y" else "feature")
+              for name, col in cols.items()]
+    return Dataset(schema, cols)
+
+
+def _candidates(d: Dataset, theta: float, rename=None) -> dict:
+    """Each candidate's conditions (levels read back through ``rename``),
+    mapped to its method, hyperparameter and coefficients."""
+    cfg = RunConfig(theta=theta, seed=3)
+    found = enumerate_candidates(d, hipar_init(d, cfg), cfg)
+    out = {}
+    for r in [*found.rules, found.default_rule]:
+        key = frozenset((c.attribute, rename[c.attribute][c.value]) if hasattr(c, "value")
+                        else (c.attribute, c.lo, c.hi) for c in r.pattern.conditions)
+        m = r.fitted.model
+        out[key] = (m.method, m.hyper, m.intercept, m.coefficients)
+    return out
+
+
+@pytest.mark.parametrize("kind, n, theta", [("mixed", 2500, 0.04), ("catwide", 2000, 0.02)])
+def test_candidates_invariant_to_level_names_that_reverse_their_order(kind, n, theta):
+    # renaming the levels reverses the canonical order of every categorical
+    # condition, and with it the order the search walks and batches them in
+    d = _shaped(kind, 7, n)
+    cats = d.categorical_features()
+    renamed_cols, back = {}, {}
+    for a in d.schema:
+        col = d.column(a.name)
+        if a.name in cats:
+            levels = list(col.levels)
+            new = {v: f"w{len(levels) - 1 - i}" for i, v in enumerate(levels)}
+            renamed_cols[a.name] = np.array([new[v] for v in col.tolist()], dtype=object)
+            back[a.name] = {w: v for v, w in new.items()}
+        else:
+            renamed_cols[a.name] = col
+    same = {a: {v: v for v in back[a].values()} for a in cats}
+    want = _candidates(d, theta, same)
+    got = _candidates(Dataset(d.schema, renamed_cols), theta, back)
+    assert len(want) > 10 and any(len(k) > 1 for k in want)
+    assert got.keys() == want.keys()
+    for key, (method, hyper, intercept, coefs) in got.items():
+        w_method, w_hyper, w_intercept, w_coefs = want[key]
+        assert (method, hyper, coefs.keys()) == (w_method, w_hyper, w_coefs.keys())
+        assert intercept == pytest.approx(w_intercept, rel=1e-8, abs=1e-8)
+        for name, value in coefs.items():
+            assert value == pytest.approx(w_coefs[name], rel=1e-8, abs=1e-8)

@@ -23,6 +23,7 @@ from hipar.regression import (
     _moments,
     _omp_path,
     _tune,
+    best_local_models,
     evaluate_all,
     metric_value,
 )
@@ -319,8 +320,8 @@ def test_omp_training_error_non_increasing_in_k():
     names = [f"x{j}" for j in range(p)]
     rows = np.arange(40)
     # the k-term models for every k, from the moments core every fit shares
-    fits = _fits(_moments(d.numeric_matrix(rows, [*names, "y"]).T), OMP, range(1, p + 1), names)
-    errors = [evaluate(fits.model(i), rows, d, "rmse") for i in range(p)]
+    fits = _fits(_moments([d.numeric_matrix(rows, [*names, "y"]).T]), OMP, [range(1, p + 1)], names)
+    errors = [evaluate(fits.model(0, i), rows, d, "rmse") for i in range(p)]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
 
@@ -390,14 +391,15 @@ def test_contest_target_constant_on_the_fitting_side_is_scored_out_of_sample(met
 
 
 def _merge_matches_one_pass(Z, test):
-    whole = _comoments(Z.T)
-    merged = _merge(_comoments(Z[~test].T), _comoments(Z[test].T))
-    assert merged.n == whole.n == len(Z)
-    sd = np.sqrt(whole.S.diagonal() / len(Z))
-    mean = whole.base + whole.shift
-    assert np.all(np.abs(merged.base + merged.shift - mean) <= 1e-12 * (np.abs(mean) + sd))
-    assert np.all(np.abs(merged.S - whole.S) <= 1e-12 * np.sqrt(np.outer(whole.S.diagonal(),
-                                                                           whole.S.diagonal())))
+    q = Z.shape[1]
+    whole = _comoments([Z.T], q)
+    merged = _merge(_comoments([Z[~test].T], q), _comoments([Z[test].T], q))
+    assert merged.n.tolist() == whole.n.tolist() == [len(Z)]
+    S = whole.S[0]
+    sd = np.sqrt(S.diagonal() / len(Z))
+    mean = whole.base[0] + whole.shift[0]
+    assert np.all(np.abs(merged.base[0] + merged.shift[0] - mean) <= 1e-12 * (np.abs(mean) + sd))
+    assert np.all(np.abs(merged.S[0] - S) <= 1e-12 * np.sqrt(np.outer(S.diagonal(), S.diagonal())))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -423,7 +425,19 @@ def _random_instance(rng, n_range):
     n, p = int(rng.integers(*n_range)), int(rng.integers(2, 9))
     X = rng.normal(size=(n, p))
     y = X @ (rng.normal(size=p) * (rng.random(p) < 0.6)) + rng.normal(0, 0.3, n)
-    return _moments(np.vstack([X.T, y])), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+    return _moments([np.vstack([X.T, y])]), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+
+
+def _one_lasso_path(m, lams, **kwargs):
+    """The LASSO path of the one row set with moments m, in the order of lams."""
+    return list(_lasso_path(m.G, m.c, m.width, [lams], **kwargs)[0])
+
+
+def _one_omp_path(m, k):
+    """The OMP path of the one row set with moments m: the coefficients
+    after each step it took, led by the empty model."""
+    path, steps = _omp_path(m.G, m.c, m.width, m.y_sd, np.array([k]))
+    return list(path[0, : steps[0] + 1])
 
 
 def test_gram_lasso_matches_cold_start_oracle_in_any_grid_order():
@@ -432,9 +446,9 @@ def test_gram_lasso_matches_cold_start_oracle_in_any_grid_order():
     for _ in range(30):
         m, Xs, y_c = _random_instance(rng, (100, 300))
         expected = {lam: lasso_cd_oracle(Xs, y_c, lam) for lam in grid}
-        ascending = dict(zip(grid, _lasso_path(m.G, m.c, grid)))
+        ascending = dict(zip(grid, _one_lasso_path(m, grid)))
         for order in (grid[::-1], [float(lam) for lam in rng.permutation(grid)]):
-            got = dict(zip(order, _lasso_path(m.G, m.c, order)))
+            got = dict(zip(order, _one_lasso_path(m, order)))
             for lam in grid:
                 # the path is solved in descending order whatever the caller's order
                 assert got[lam].tolist() == ascending[lam].tolist()
@@ -448,7 +462,7 @@ def test_gram_lasso_matches_oracle_at_tight_tolerance():
     grid = [0.001, 0.01, 0.1, 1.0]
     for _ in range(30):
         m, Xs, y_c = _random_instance(rng, (30, 80))
-        got = _lasso_path(m.G, m.c, grid, tol=1e-12, max_sweeps=100_000)
+        got = _one_lasso_path(m, grid, tol=1e-12, max_sweeps=100_000)
         for lam, beta in zip(grid, got):
             expected = lasso_cd_oracle(Xs, y_c, lam, tol=1e-12, max_sweeps=100_000)
             assert np.max(np.abs(beta - expected)) < 1e-9
@@ -459,7 +473,7 @@ def test_gram_omp_matches_oracle():
     for _ in range(40):
         m, Xs, y_c = _random_instance(rng, (40, 200))
         p = len(m.c)
-        got = _omp_path(m.G, m.c, m.y_sd, p)
+        got = _one_omp_path(m, p)
         expected = omp_path_oracle(Xs, y_c, p)
         assert len(got) == len(expected) == p + 1
         for a, b in zip(got, expected):
@@ -471,8 +485,8 @@ def test_gram_omp_stops_at_an_exact_fit():
     rng = np.random.default_rng(15)
     X = rng.normal(size=(50, 5))
     y = 2.0 * X[:, 1] - X[:, 3] + 4.0
-    m = _moments(np.vstack([X.T, y]))
-    path = _omp_path(m.G, m.c, m.y_sd, 5)
+    m = _moments([np.vstack([X.T, y])])
+    path = _one_omp_path(m, 5)
     assert len(path) == 3
     assert set(np.flatnonzero(path[-1]).tolist()) == {1, 3}
 
@@ -486,8 +500,8 @@ def test_gram_omp_singular_block_falls_back_to_min_norm():
     x0, x1, z = rng.normal(size=(3, 200))
     X = np.column_stack([x0, x1, x0 + 1e-7 * z])
     y = x0 + x1 + rng.normal(0, 1.0, 200)
-    m = _moments(np.vstack([X.T, y]))
-    path = _omp_path(m.G, m.c, m.y_sd, 3)
+    m = _moments([np.vstack([X.T, y])])
+    path = _one_omp_path(m, 3)
     assert len(path) == 4
     two, three = path[2], path[3]
     # min norm: the two near-copies share the weight one of them had
@@ -684,9 +698,9 @@ def _tune_with_errors(monkeypatch, errors, entries):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 3))
     y = X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 30)
-    m = _moments(np.vstack([X.T, y]))
-    fits, i, error = _tune(m, ["a", "b", "c"], X, y, entries, "rmse")
-    return fits.method, fits.hypers[i], error
+    m = _moments([np.vstack([X.T, y])])
+    fits, (entry,), (i,), (error,) = _tune(m, ["a", "b", "c"], [X], [y], entries, "rmse")
+    return fits[entry].methods[0], fits[entry].hypers[0][i], float(error)
 
 
 _GRID = [0.001, 0.01, 0.1, 1.0]
@@ -709,3 +723,88 @@ _GRID = [0.001, 0.01, 0.1, 1.0]
 ])
 def test_tune_breaks_exact_ties(monkeypatch, errors, entries, want):
     assert _tune_with_errors(monkeypatch, errors, entries) == want
+
+
+# ---------------------------------------------------------------- batches
+
+
+def _batch_table():
+    """400 rows: x2 is x0 up to 1e-7 noise, so an OMP path that takes both has
+    a singular Gram block; x3 is constant on rows 0..99 and y on rows 100..199."""
+    rng = np.random.default_rng(21)
+    n = 400
+    x0, x1, z = rng.normal(size=(3, n))
+    x3 = np.where(np.arange(n) < 100, 2.5, rng.normal(size=n))
+    y = 2.0 * x0 - x1 + 0.5 * x3 + rng.normal(0.0, 0.3, n)
+    y[100:200] = 7.0
+    return _dataset({"x0": x0, "x1": x1, "x2": x0 + 1e-7 * z, "x3": x3, "y": y})
+
+
+def _region_pool(d, test, rng):
+    inside, outside = np.flatnonzero(test), np.flatnonzero(~test)
+    pool = [
+        np.array([3, 50, 220]), np.array([7]), np.arange(4),  # fewer than 5 rows
+        inside[:8], outside[10:30],  # on one side of the test set
+        np.arange(0, 100, 2), np.arange(100, 160), np.arange(0, 200),  # constant x3, constant y
+        np.arange(d.n),
+    ]
+    pool += [np.sort(rng.choice(d.n, size=int(rng.integers(5, 300)), replace=False))
+             for _ in range(8)]
+    return pool
+
+
+def _same_fit(got, want):
+    (fitted, scored), (fitted_alone, scored_alone) = got, want
+    # repr tells -0.0 from 0.0; == on the dataclass does not
+    assert fitted == fitted_alone and repr(fitted) == repr(fitted_alone)
+    assert scored.tolist() == scored_alone.tolist()
+
+
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
+    import hipar.regression as reg
+
+    d = _batch_table()
+    test = holdout_mask(d.n, 0.2, 5)
+    rng = np.random.default_rng(8)
+    pool = _region_pool(d, test, rng)
+    alone = [best_local_model(rows, d, metric, test) for rows in pool]
+    singular = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(reg.np.linalg, "lstsq",
+                        lambda *a, **k: singular.append(1) or lstsq(*a, **k))
+    for _ in range(6):
+        picks = rng.choice(len(pool), size=int(rng.integers(2, 10)))
+        picks = [*picks, picks[0]]  # a region twice in one batch
+        for got, i in zip(best_local_models([pool[i] for i in picks], d, metric, test), picks):
+            _same_fit(got, alone[i])
+    everything = best_local_models(pool[::-1], d, metric, test)[::-1]
+    for got, want in zip(everything, alone):
+        _same_fit(got, want)
+    assert singular  # some OMP path met the singular block
+    methods = {fitted.model.method for fitted, _ in alone}
+    assert {"MEAN", "LASSO", "OMP"} <= methods
+    assert best_local_models([], d, metric, test) == []
+
+
+def test_batched_solvers_step_each_row_set_as_alone():
+    d = _batch_table()
+    names = ["x0", "x1", "x2", "x3"]
+    blocks = [d.numeric_matrix(rows, [*names, "y"]).T
+              for rows in (np.arange(0, 100), np.arange(200, 400), np.arange(0, 400, 3),
+                           np.arange(150, 350))]
+    m = _moments(blocks)
+    assert m.width.tolist() == [3, 4, 4, 4]  # x3 is constant on rows 0..99
+    grids = [[0.001, 0.01, 0.1, 1.0], [1.0, 0.01, 0.01, 0.1], [0.3], [0.0, 0.2]]
+    for lams in grids:
+        together = _lasso_path(m.G, m.c, m.width, [lams] * len(blocks))
+        for i in range(len(blocks)):
+            one = m.take([i])
+            assert together[i].tolist() == _lasso_path(one.G, one.c, one.width, [lams])[0].tolist()
+    k = np.array([4, 2, 3, 4])
+    path, steps = _omp_path(m.G, m.c, m.width, m.y_sd, k)
+    for i in range(len(blocks)):
+        one = m.take([i])
+        alone, alone_steps = _omp_path(one.G, one.c, one.width, one.y_sd, k[[i]])
+        assert steps[i] == alone_steps[0]
+        assert path[i, : steps[i] + 1].tolist() == alone[0, : steps[i] + 1].tolist()
