@@ -11,6 +11,8 @@ import traceback
 from dataclasses import fields
 from functools import partial
 
+import numpy as np
+
 from .data import DataError, load_csv, read_columns
 from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
 from .prediction import predict_columns
@@ -92,12 +94,22 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prediction_text(out: np.ndarray) -> str:
+    """One ``repr`` line per prediction, each distinct value formatted once.
+
+    The values are told apart by their bits, as ``repr`` tells -0.0 from 0.0.
+    """
+    bits, inverse = np.unique(out.view(np.int64), return_inverse=True)
+    lines = np.array([f"{v!r}\n" for v in bits.view(np.float64).tolist()], dtype=object)
+    return "".join(lines[inverse].tolist())
+
+
 def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = deserialize_rules(args.rules)
     kinds = {a.name: a.kind for a in predictor.features}
     out = predict_columns(predictor, *read_columns(args.input, kinds))
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{v!r}\n" for v in out.tolist()))
+        fh.write(_prediction_text(out))
     print(f"wrote {len(out)} predictions to {args.out}")
     return 0
 
