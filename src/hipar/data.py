@@ -284,9 +284,18 @@ class Dataset:
         return Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
 
 
+# The csv module rejects a field longer than its process-wide limit (131,072
+# characters by default), even in a column nobody reads. ``_read_rows`` lifts it
+# to the largest value a C long holds on every platform, and puts it back.
+_NO_FIELD_LIMIT = 2**31 - 1
+
+
 def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     """Stripped header names and data rows of a UTF-8 CSV with a mandatory
-    header row, by the csv module; a leading byte-order mark is skipped."""
+    header row, by the csv module; a leading byte-order mark is skipped. A
+    field of any length is read, and the csv module's field limit is left as
+    it was."""
+    limit = csv.field_size_limit(_NO_FIELD_LIMIT)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -305,6 +314,8 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
                     gc.enable()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    finally:
+        csv.field_size_limit(limit)
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{path}: duplicate column names in header")
@@ -447,11 +458,12 @@ def _loadtxt_columns(
     character of its text; their stripped cells are then coded by ``code``,
     as ``_columns`` codes them. Whatever the two readers could read apart
     returns None: a quote or a NUL, a blank line, no data rows, a repeated or
-    missing name, a line longer than the csv module's field limit, a cell
-    ``loadtxt`` rejects, a row count other than the line count, a non-finite
-    real or an empty categorical cell. An inferred kind (None) is guessed from
-    the first data row; a wrong guess makes ``loadtxt`` raise or leaves a
-    non-finite value, so it returns None.
+    missing name, a cell ``loadtxt`` rejects, a row count other than the line
+    count, a non-finite real or an empty categorical cell. So does a line
+    longer than the csv module's field limit: such a rare file is left to the
+    csv module, which ``_read_rows`` lets read it. An inferred kind (None) is
+    guessed from the first data row; a wrong guess makes ``loadtxt`` raise or
+    leaves a non-finite value, so it returns None.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line ends in \n

@@ -24,10 +24,19 @@ A node's region is its packed row bits. The search's categorical conditions
 are stacked once, as one ``patterns.Universe``; a node with interval conditions
 of its own closes over that universe plus its intervals, any other node over
 the search's universe. A pattern's own conditions need not be in it, since a
-closure keeps the conditions it starts from. One AND and popcount over the
-universe's bit matrix gives every extension's support, and only frequent
-extensions unpack their rows. The closures of an extension and of its
-immediate parents run on the same matrix.
+closure keeps the conditions it starts from.
+
+A node makes one pass over its extension bits. One AND and popcount over the
+universe's bit matrix gives every extension's region bits and support, and one
+vector comparison finds the frequent ones; the others are counted at once and
+unpack their rows only to be traced, in their place. Each frequent extension
+closes from its own region bits (``Universe.close``), and the region's covering
+vector gives the child's categorical extensions by universe row: an equality is
+in the closed pattern exactly when it covers the region. A recursing child's
+extension supports are counted in the same pass, so a child with no frequent
+extension is never walked. The immediate parents close over the node's
+universe too; each sub-pattern's support and closure are kept per universe,
+since many children share their parents.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -48,7 +58,6 @@ from .patterns import (
     Pattern,
     Universe,
     bits_rows,
-    closure,
     condition_bits,
     condition_tids,
     iv_from_region,
@@ -106,7 +115,9 @@ class CandidateSet:
     stats: EnumStats
 
 
-def _frequent(count: int, theta_abs: float) -> bool:
+def _frequent(count, theta_abs: float):
+    """Whether a support count, or each of an array of counts, reaches the
+    threshold; exact for counts below 2**53."""
     return count + 1e-9 >= theta_abs
 
 
@@ -191,12 +202,13 @@ def occam_test(
 
 @dataclass
 class _Extension:
-    """One extension of a search node by its condition ``conds[i]``, as the
-    node decides it before any local model is fitted. ``decision`` is None for
-    a child to visit, whose closed pattern is ``pattern``; its ``rows`` are
-    kept until the node has fitted and re-discretized its children, which
-    fills in its Occam verdict ``ok`` and, when it recurses, its
-    ``intervals``."""
+    """One frequent extension of a search node by its condition ``conds[i]``,
+    as the node decides it before any local model is fitted. ``decision`` is
+    None for a child to visit, whose closed pattern is ``pattern``; its
+    ``rows`` are kept until the node has fitted and re-discretized its
+    children, which fills in its Occam verdict ``ok`` and, when it recurses,
+    its ``intervals``. ``covering`` marks the node universe's conditions that
+    hold on the whole child region."""
 
     i: int
     decision: str | None
@@ -204,6 +216,7 @@ class _Extension:
     iv: float = 0.0
     pattern: Pattern | None = None
     rows: np.ndarray | None = None
+    covering: np.ndarray | None = None
     ok: bool = False
     intervals: list[Interval] = field(default_factory=list)
 
@@ -224,6 +237,9 @@ class _Search:
         # (rule, its scored rows), keyed by the exact conditions: rendered text can collide
         self._memo: dict[Pattern, tuple[HybridRule, np.ndarray]] = {}
         self._visited: set[Pattern] = set()
+        # per universe, each sub-pattern parent_patterns met: its support and closure
+        self._subs: WeakKeyDictionary[Universe, dict[Pattern, tuple[int, Pattern]]]
+        self._subs = WeakKeyDictionary()
         self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
 
     @property
@@ -261,14 +277,22 @@ class _Search:
         condition c); the empty pattern, whose rule is the default rule, stands
         in when nothing else remains. A c that the rest implies (the rest's
         region has the pattern's ``support``) yields no proper ancestor and is
-        skipped."""
+        skipped. Each sub-pattern's support and closure are computed once per
+        universe: many children share their parents."""
+        subs = self._subs.setdefault(universe, {})
         parents: dict[Pattern, None] = {}
         for c in p_closed.conditions:
             sub = p_closed.without(c)
             if sub.is_empty:
                 parents[TOP] = None
-            elif np.bitwise_count(pattern_bits(sub, self.d)).sum() != support:
-                parents[closure(sub, self.d, universe)] = None
+                continue
+            known = subs.get(sub)
+            if known is None:
+                inside = pattern_bits(sub, self.d)
+                known = subs[sub] = (int(np.bitwise_count(inside).sum()),
+                                     universe.close(sub.conditions, inside)[0])
+            if known[0] != support:
+                parents[known[1]] = None
         return list(parents) or [TOP]
 
     def emit(self, decision: str, support: int, iv: float, pattern: Pattern,
@@ -280,30 +304,43 @@ class _Search:
             rendered = pattern.key if c is None else _render_with(pattern, c)
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
+    def emit_infrequent(self, pattern: Pattern, conds: Sequence[Condition],
+                        ext_bits: np.ndarray, start: int, stop: int) -> None:
+        """Trace the extensions ``start`` to ``stop``, all infrequent, as
+        support-pruned. An infrequent region's rows and IV are only traced."""
+        if self.trace is not None:
+            for i in range(start, stop):
+                ext = bits_rows(ext_bits[i], self.d.n)
+                self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern,
+                          conds[i])
+
     def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
         """Extend ``pattern``, whose region is the packed row bits ``inside``.
 
-        The node decides every extension first (``decide``); support, IV,
-        closure and the leftmost-parent check read no local model. One contest
-        call then fits the children to visit and the parent rules their Occam
-        tests need, and one MDLP pass re-discretizes the children that will
-        recurse (``prepare``). Only then are the children walked, in order."""
+        One AND over the node universe's bit matrix gives every extension's
+        region and support, and one comparison finds the frequent ones; the
+        others are counted at once. The node decides its frequent extensions
+        first (``decide``); IV, closure and the leftmost-parent check read no
+        local model. One contest call then fits the children to visit and the
+        parent rules their Occam tests need, and one MDLP pass re-discretizes
+        the children that will recurse (``prepare``). Only then are the children
+        walked, in order, each infrequent extension traced in its place."""
         intervals = [c for c in conds if isinstance(c, Interval)]
         # every extension closes over the search's categorical conditions plus
         # the node's intervals; each c is in that universe. A sibling on a
         # pinned attribute has an empty region and fails the support test.
         universe = Universe([*self.universe, *intervals], self.d) if intervals else self.universe
-        ext_bits, supports = universe.extensions(conds, inside)
-        steps = self.decide(pattern, conds, intervals, universe, ext_bits, supports)
+        rows = universe.rows(conds)
+        ext_bits, supports = universe.extensions(rows, inside)
+        frequent = np.flatnonzero(_frequent(supports, self.theta_abs))
+        self.stats.pruned_support += len(conds) - len(frequent)
+        steps = self.decide(pattern, conds, frequent, intervals, universe, ext_bits)
         self.prepare(steps, universe)
+        done = 0
         for step in steps:
+            self.emit_infrequent(pattern, conds, ext_bits, done, step.i)
+            done = step.i + 1
             c = conds[step.i]
-            if step.decision == "pruned-support":
-                self.stats.pruned_support += 1
-                if self.trace is not None:  # an infrequent region's rows and IV are only traced
-                    ext = bits_rows(ext_bits[step.i], self.d.n)
-                    self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern, c)
-                continue
             if step.decision == "pruned-iv":
                 self.stats.pruned_iv += 1
                 self.emit("pruned-iv", step.support, step.iv, pattern, c)
@@ -327,34 +364,53 @@ class _Search:
                 self.stats.rejected_occam += 1
                 self.emit("rejected-occam", step.support, step.iv, p_closed)
             if step.ok or self.exhaustive:
-                closed_conds = set(p_closed.conditions)
-                child_cat = [
-                    cc for cc in conds[step.i + 1 :]
-                    if isinstance(cc, Equals) and cc not in closed_conds
-                ]
-                children = sorted(child_cat + step.intervals, key=lambda c: c.order)
-                if children:
-                    self.walk(p_closed, ext_bits[step.i], children)
+                self.descend(p_closed, ext_bits[step.i], universe, rows[step.i + 1 :], step)
+        self.emit_infrequent(pattern, conds, ext_bits, done, len(conds))
 
-    def decide(self, pattern: Pattern, conds: Sequence[Condition], intervals: list[Interval],
-               universe: Universe, ext_bits: np.ndarray, supports: np.ndarray) -> list[_Extension]:
-        """Every extension's decision that reads no local model, in order."""
+    def descend(self, p_closed: Pattern, inside: np.ndarray, universe: Universe,
+                later: np.ndarray, step: _Extension) -> None:
+        """Walk a recursing child, whose region is ``inside``. Its extensions
+        are the node's ``later`` equalities (universe rows) outside its closed
+        pattern, which are those that do not cover the region, and its own
+        intervals. Their supports are counted here, so a child with no frequent
+        extension is not walked: its extensions are only counted and traced
+        as support-pruned."""
+        later = later[universe.equals[later] & ~step.covering[later]]
+        children = [universe.conditions[r] for r in later.tolist()]
+        bits = universe.bits[later] & inside
+        if step.intervals:  # merged in canonical order; the equalities already are
+            found = children + step.intervals
+            order = sorted(range(len(found)), key=lambda k: found[k].order)
+            children = [found[k] for k in order]
+            bits = np.vstack([bits, *(condition_bits(c, self.d) & inside for c in step.intervals)])
+            bits = bits[order]
+        if _frequent(np.bitwise_count(bits).sum(axis=1, dtype=np.int64), self.theta_abs).any():
+            self.walk(p_closed, inside, children)
+        else:
+            self.stats.pruned_support += len(children)
+            self.emit_infrequent(p_closed, children, bits, 0, len(children))
+
+    def decide(self, pattern: Pattern, conds: Sequence[Condition], frequent: np.ndarray,
+               intervals: list[Interval], universe: Universe,
+               ext_bits: np.ndarray) -> list[_Extension]:
+        """The decisions that read no local model of the ``frequent``
+        extensions, in order. Each closes from its own region bits."""
+        if not len(frequent):
+            return []
         ivs = [self.iv_single(c) for c in intervals]
         # a percentile of fewer than two values is unstable; disable iv pruning
         nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
         steps: list[_Extension] = []
-        for i, c in enumerate(conds):
-            if not _frequent(int(supports[i]), self.theta_abs):
-                steps.append(_Extension(i, "pruned-support"))
-                continue
+        for i in frequent.tolist():
+            c = conds[i]
             ext = bits_rows(ext_bits[i], self.d.n)
             iv = iv_from_region(ext, self.yv)
             if not iv > nu:
                 steps.append(_Extension(i, "pruned-iv", len(ext), iv))
                 continue
-            p_closed = closure(pattern.extend(c), self.d, universe)
+            p_closed, covering = universe.close((*pattern.conditions, c), ext_bits[i])
             if leftmost_parent_check(pattern, c, p_closed) and p_closed not in self._visited:
-                steps.append(_Extension(i, None, len(ext), iv, p_closed, ext))
+                steps.append(_Extension(i, None, len(ext), iv, p_closed, ext, covering))
             else:
                 steps.append(_Extension(i, "pruned-leftmost", len(ext), iv, p_closed))
         return steps

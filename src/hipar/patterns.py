@@ -13,8 +13,9 @@ target or on an attribute of the wrong kind. The search's set algebra
 runs on them through one kernel: a ``Universe`` stacks its conditions' bits, in
 canonical order, as one matrix U. The supports of a region's extensions are
 popcounts of ``U[ext] & region``, and the conditions that hold on every row of
-a region are the rows of U with no bit in ``region & ~U``. ``closure`` takes
-the first such condition per attribute.
+a region are the rows of U with no bit in ``region & ~U``. ``Universe.close``
+takes the first such condition per attribute; ``closure`` and the search both
+close through it.
 
 Identity is exact: equal conditions or patterns are the same, and memos, visited
 sets and ebar maps are keyed by them. So is order: a condition's ``order`` is
@@ -92,7 +93,7 @@ class Pattern:
     """Conjunction of conditions, at most one per attribute and in attribute
     order; the empty pattern matches everything and renders as TRUE."""
 
-    __slots__ = ("conditions", "order")
+    __slots__ = ("conditions", "order", "_hash")
 
     def __init__(self, conditions: Iterable[Condition] = ()):
         conds = tuple(sorted(conditions, key=lambda c: c.attribute))
@@ -101,6 +102,8 @@ class Pattern:
             raise DataError("pattern holds more than one condition on an attribute")
         object.__setattr__(self, "conditions", conds)
         object.__setattr__(self, "order", tuple(c.order for c in conds))
+        # memos and visited sets hash a pattern many times; its conditions never change
+        object.__setattr__(self, "_hash", hash(conds))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Pattern is immutable")
@@ -109,7 +112,7 @@ class Pattern:
         return isinstance(other, Pattern) and self.conditions == other.conditions
 
     def __hash__(self):
-        return hash(self.conditions)
+        return self._hash
 
     def __repr__(self):
         return f"Pattern({self.key})"
@@ -219,6 +222,7 @@ class Universe(Sequence):
         self.dataset = d
         self.conditions = sorted(set(conditions), key=lambda c: c.order)
         self.row = {c: i for i, c in enumerate(self.conditions)}
+        self.equals = np.array([isinstance(c, Equals) for c in self.conditions], dtype=bool)
         self.bits = np.array([condition_bits(c, d) for c in self.conditions], dtype=np.uint64)
         self.bits.shape = (len(self.conditions), -(-d.n // 64))
         self._outside = ~self.bits
@@ -229,15 +233,36 @@ class Universe(Sequence):
     def __getitem__(self, i):
         return self.conditions[i]
 
-    def extensions(self, conds: Sequence[Condition], inside: np.ndarray):
-        """Region bits of ``inside`` AND each condition (one row per condition)
-        and their supports."""
-        bits = self.bits[[self.row[c] for c in conds]] & inside
+    def rows(self, conds: Iterable[Condition]) -> np.ndarray:
+        """The universe rows of the conditions, in their order."""
+        return np.array([self.row[c] for c in conds], dtype=np.intp)
+
+    def extensions(self, rows: np.ndarray, inside: np.ndarray):
+        """Region bits of ``inside`` AND the condition of each universe row (one
+        row per condition) and their supports."""
+        bits = self.bits[rows] & inside
         return bits, np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
     def covering(self, inside: np.ndarray) -> np.ndarray:
         """Per condition, whether it holds on every row of the region ``inside``."""
         return ~(inside & self._outside).any(axis=1)
+
+    def close(self, conditions: Sequence[Condition],
+              inside: np.ndarray) -> tuple[Pattern, np.ndarray]:
+        """The closed pattern of the nonempty region ``inside``, which the
+        ``conditions`` define, and the region's ``covering`` vector.
+
+        The pattern keeps the conditions it starts from and adds, per other
+        attribute, the first covering condition in canonical order. Distinct
+        equalities on one attribute hold on disjoint rows, so a categorical
+        universe condition is in the closed pattern exactly when it covers the
+        region."""
+        covering = self.covering(inside)
+        taken = {c.attribute: c for c in conditions}
+        for i in np.flatnonzero(covering).tolist():
+            c = self.conditions[i]
+            taken.setdefault(c.attribute, c)
+        return Pattern(taken.values()), covering
 
 
 def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
@@ -248,18 +273,15 @@ def closure(p: Pattern, d: Dataset, universe: Sequence[Condition]) -> Pattern:
     region. Should a universe carry two conditions on one attribute that both
     cover the region (nested intervals), canonical order wins to preserve the
     one-condition-per-attribute invariant. ``universe`` may be a ``Universe``
-    built on ``d``, which spares rebuilding its bit matrix.
+    built on ``d``, which spares rebuilding its bit matrix. The search closes
+    its extensions through the same ``Universe.close``.
     """
     inside = pattern_bits(p, d)
     if not inside.any():
         raise DataError(f"closure of pattern with empty region: {p.key}")
     if not (isinstance(universe, Universe) and universe.dataset is d):
         universe = Universe(universe, d)
-    taken = {c.attribute: c for c in p.conditions}
-    for i in np.flatnonzero(universe.covering(inside)).tolist():
-        c = universe.conditions[i]
-        taken.setdefault(c.attribute, c)
-    return Pattern(taken.values())
+    return universe.close(p.conditions, inside)[0]
 
 
 def interclass_variance(p: Pattern, d: Dataset) -> float:

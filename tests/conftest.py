@@ -60,6 +60,22 @@ def make_two_segment(n=200, noise_frac=0.05, seed=7) -> Dataset:
     )
 
 
+def make_catwide(n: int, seed: int) -> Dataset:
+    """8 categorical features and 2 integer-valued numerical ones, as in the
+    cat-wide benchmark: k0 and k1 set the segment means, the rest carry no signal."""
+    rng = np.random.default_rng(seed)
+    levels = (4, 8, 8, 8, 8, 8, 8, 8)
+    codes = [rng.integers(0, k, n) for k in levels]
+    z = rng.integers(0, 20, (2, n)).astype(float)
+    y = 4.0 * (-1.0) ** codes[0] + 3.0 * (-1.0) ** codes[1] + rng.normal(0.0, 1.0, n)
+    schema = [AttributeSchema(f"k{j}", "categorical") for j in range(len(levels))]
+    schema += [AttributeSchema("n0", "numerical"), AttributeSchema("n1", "numerical"),
+               AttributeSchema("y", "numerical", role="target")]
+    columns = {f"k{j}": np.array([f"v{c}" for c in cs], dtype=object) for j, cs in enumerate(codes)}
+    columns.update({"n0": z[0], "n1": z[1], "y": np.round(y, 4)})
+    return Dataset(schema, columns)
+
+
 @pytest.fixture
 def two_segment():
     return make_two_segment()

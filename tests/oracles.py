@@ -5,11 +5,29 @@ with the package internals they verify.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from hipar import Pattern, condition_tids, subset_objective
+from hipar import (
+    TOP,
+    Equals,
+    HybridRule,
+    Interval,
+    Pattern,
+    best_local_model,
+    binarize_target,
+    condition_tids,
+    conditions_from_cuts,
+    hipar_init,
+    holdout_mask,
+    mdlp_cuts,
+    occam_test,
+    subset_objective,
+)
+from hipar.enumeration import IV_PERCENTILE
+from hipar.patterns import iv_from_region
 
 
 def _entropy(labels):
@@ -96,6 +114,138 @@ def closed_frequent_oracle(d, conditions, theta_abs):
         key = Pattern(conds).key
         if key != "TRUE":
             out.add(key)
+    return out
+
+
+@dataclass
+class ReferenceSearch:
+    trace: list[str]  # one line per decision, as enumerate_candidates traces them
+    visited: list[str]  # keys of the visited patterns, in visit order
+    accepted: list[HybridRule]  # in acceptance order
+    default_rule: HybridRule
+
+
+def reference_search(d, cfg, exhaustive=False):
+    """The closed-pattern search of ``enumerate_candidates`` from its definition,
+    one decision at a time: boolean row masks, closures by testing every
+    universe condition against the region, parents from every sub-pattern one
+    condition smaller, each node decided and walked in one depth-first pass.
+
+    A node extends its pattern by each of its conditions in canonical order.
+    An extension is support-pruned below theta * n rows, IV-pruned when its
+    interclass variance does not exceed the 85th percentile of the node's
+    interval conditions' (taken alone on the whole table; no pruning below
+    two intervals), and pruned by the leftmost-parent check when its closure
+    adds a condition on an earlier attribute or was visited before. The
+    closure universe is every initial equality plus the node's intervals. A
+    visited pattern is accepted when its rule strictly beats every immediate
+    parent on its own scored rows, and recurses when accepted (always when
+    ``exhaustive``) with the later equalities outside its closure plus the
+    intervals MDLP finds on its free numerical attributes (each frequent on
+    the whole table, and at least two per attribute). Rules are fitted by the
+    one-region contest ``best_local_model``."""
+    conds = sorted(hipar_init(d, cfg), key=lambda c: c.order)
+    theta_abs = cfg.theta * d.n
+    y = d.column(d.target)
+    test = holdout_mask(d.n, 0.2, cfg.seed)
+    equalities = [c for c in conds if isinstance(c, Equals)]
+    masks, rules = {}, {}
+
+    def mask(c):
+        if c not in masks:
+            masks[c] = np.asarray(c.mask(d.column(c.attribute)), dtype=bool)
+        return masks[c]
+
+    def region(conditions):
+        out = np.ones(d.n, dtype=bool)
+        for c in conditions:
+            out &= mask(c)
+        return out
+
+    def closed(conditions, inside, universe):
+        taken = {c.attribute: c for c in conditions}
+        for u in universe:
+            if not (inside & ~mask(u)).any():
+                taken.setdefault(u.attribute, u)
+        return Pattern(taken.values())
+
+    def rule(p):
+        if p not in rules:
+            rows = np.flatnonzero(region(p.conditions))
+            fitted, scored = best_local_model(rows, d, cfg.metric, test)
+            rules[p] = HybridRule(p, fitted, len(rows), len(rows) / d.n), scored
+        return rules[p]
+
+    def parents(p, universe):
+        support = region(p.conditions).sum()
+        found = []
+        for k in range(len(p)):
+            sub = p.conditions[:k] + p.conditions[k + 1 :]
+            inside = region(sub)
+            if not sub:
+                parent = TOP
+            elif inside.sum() != support:
+                parent = closed(sub, inside, universe)
+            else:
+                continue  # the rest implies the dropped condition
+            if parent not in found:
+                found.append(parent)
+        return found or [TOP]
+
+    def intervals(rows, p):
+        free = [a for a in d.numerical_features() if a not in p.attributes()]
+        found = []
+        for cp in mdlp_cuts(free, d, binarize_target(rows, d)):
+            kept = [c for c in conditions_from_cuts(cp) if mask(c).sum() + 1e-9 >= theta_abs]
+            if len(kept) > 1:
+                found.extend(kept)
+        return found
+
+    out = ReferenceSearch([], [], [], rule(TOP)[0])
+    seen = set()
+
+    def emit(text, support, iv, decision):
+        out.trace.append(f"{text}\t{support}\t{iv:.6g}\t{decision}")
+
+    def walk(pattern, inside, conds):
+        own = [c for c in conds if isinstance(c, Interval)]
+        universe = sorted(equalities + own, key=lambda c: c.order)
+        ivs = [iv_from_region(np.flatnonzero(mask(c)), y) for c in own]
+        nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
+        for i, c in enumerate(conds):
+            ext = inside & mask(c)
+            rows = np.flatnonzero(ext)
+            iv = iv_from_region(rows, y)
+            text = " & ".join(x.render() for x in sorted((*pattern.conditions, c),
+                                                         key=lambda x: x.order))
+            if len(rows) + 1e-9 < theta_abs:
+                emit(text, len(rows), iv, "pruned-support")
+                continue
+            if not iv > nu:
+                emit(text, len(rows), iv, "pruned-iv")
+                continue
+            p = closed((*pattern.conditions, c), ext, universe)
+            earlier = [x for x in p.conditions if x.attribute < c.attribute]
+            if any(x not in pattern.conditions for x in earlier) or p in seen:
+                emit(p.key, len(rows), iv, "pruned-leftmost")
+                continue
+            seen.add(p)
+            out.visited.append(p.key)
+            child, scored = rule(p)
+            ok = occam_test(child, [rule(q)[0] for q in parents(p, universe)], scored, d,
+                            cfg.metric)
+            if ok:
+                out.accepted.append(child)
+            emit(p.key, len(rows), iv, "accepted" if ok else "rejected-occam")
+            if ok or exhaustive:
+                later = [x for x in conds[i + 1 :]
+                         if isinstance(x, Equals) and x not in p.conditions]
+                children = sorted(later + intervals(rows, p), key=lambda x: x.order)
+                if children:
+                    walk(p, ext, children)
+
+    if conds:
+        walk(TOP, np.ones(d.n, dtype=bool), conds)
     return out
 
 

@@ -517,3 +517,32 @@ def test_predict_nul_in_category_compares_exactly(tmp_path, segment_rules):
     want = [predict(pred, {"segment": s, "x": 0.5}) for s in ("A", "A\x00")]
     assert code == 0 and text == "".join(f"{v!r}\n" for v in want)
     assert want[0] != want[1]
+
+
+def test_predict_reads_a_cell_over_the_csv_field_limit(tmp_path, segment_rules):
+    # the csv module rejects a field over its limit (131,072 characters by
+    # default), even in a column nobody reads; the limit must come back as it was
+    import csv
+
+    from hipar.data import CATEGORICAL, NUMERICAL, read_columns
+
+    long = "n" * 200_000
+    rows = [("A", "0.5"), ("B", "0.25"), ("A", "0.75"), ("B", "1.0"), ("A", "0.0")]
+    limit = csv.field_size_limit()
+    plain = "segment,x\n" + "".join(f"{s},{x}\n" for s, x in rows)
+    noted = "segment,x,note\n" + "".join(
+        f'{s},{x},"{long if i == 2 else "short, quoted"}"\n' for i, (s, x) in enumerate(rows))
+    code, want = _predict_file(tmp_path, segment_rules, plain)
+    assert code == 0
+    assert _predict_file(tmp_path, segment_rules, noted) == (0, want)
+    assert csv.field_size_limit() == limit
+    # a long label in a read column codes like any other: the rules know it
+    # not, so its row predicts as an unknown short label's does
+    code, unknown = _predict_file(tmp_path, segment_rules, "segment,x\nC,0.5\nA,0.5\n")
+    assert code == 0
+    assert _predict_file(tmp_path, segment_rules, f"segment,x\n{long},0.5\nA,0.5\n") == (0, unknown)
+    path = tmp_path / "features.csv"
+    columns, n = read_columns(str(path), {"segment": CATEGORICAL, "x": NUMERICAL})
+    assert n == 2 and columns["segment"].levels == ("A", long)
+    assert columns["segment"].tolist() == [long, "A"]
+    assert csv.field_size_limit() == limit

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hipar import (
     Pattern,
     RunConfig,
     best_local_model,
+    build_problem,
     closure,
     enumerate_candidates,
     evaluate,
@@ -25,13 +27,14 @@ from hipar import (
     leftmost_parent_check,
     occam_test,
     region,
+    solve,
     support,
 )
 from hipar import enumeration
 from hipar.patterns import Universe
 
-from .conftest import make_two_segment
-from .oracles import closed_frequent_oracle, mdlp_oracle
+from .conftest import make_catwide, make_two_segment
+from .oracles import closed_frequent_oracle, mdlp_oracle, reference_search
 
 A = Equals("pt", "apartment")
 C = Equals("pt", "cottage")
@@ -573,6 +576,96 @@ def test_search_trace_pinned_on_rediscretized_table():
     lines = []
     enumerate_candidates(d, hipar_init(d, cfg), cfg, trace=lines.append, exhaustive=True)
     assert ["  ".join(line.split("\t")) for line in lines] == PINNED_TRACE.splitlines()
+
+
+def _summary(cands):
+    return [(r.key, r.support_abs, r.fitted) for r in [cands.default_rule, *cands.rules]]
+
+
+@pytest.mark.parametrize("table,theta,exhaustive", [
+    (lambda: make_catwide(2_000, seed=5), 0.02, False),
+    (lambda: make_catwide(2_000, seed=5), 0.03, True),
+    (_rediscretized_table, 0.04, False),
+    (_rediscretized_table, 0.04, True),
+], ids=["catwide", "catwide-exhaustive", "rediscretized", "rediscretized-exhaustive"])
+def test_traced_and_untraced_searches_agree(table, theta, exhaustive):
+    # a node counts its infrequent extensions at once and traces them lazily,
+    # and a child with no frequent extension is not walked: neither may
+    # change what the search finds or counts, and every decision is traced once
+    d = table()
+    cfg = RunConfig(theta=theta, seed=3)
+    init = hipar_init(d, cfg)
+    lines: list[str] = []
+    traced = enumerate_candidates(d, init, cfg, trace=lines.append, exhaustive=exhaustive)
+    plain = enumerate_candidates(d, init, cfg, exhaustive=exhaustive)
+    assert traced.stats == plain.stats
+    assert _summary(traced) == _summary(plain)
+    s = traced.stats
+    decisions = Counter(line.split("\t")[3] for line in lines)
+    assert decisions == Counter({"pruned-support": s.pruned_support, "pruned-iv": s.pruned_iv,
+                                 "pruned-leftmost": s.pruned_leftmost,
+                                 "rejected-occam": s.rejected_occam, "accepted": s.accepted})
+    assert s.visited == s.accepted + s.rejected_occam
+    visits = [line.split("\t")[0] for line in lines
+              if line.endswith(("\taccepted", "\trejected-occam"))]
+    assert visits == s.visited_keys
+
+
+def _random_search_table(rng) -> Dataset:
+    """At most 64 rows, 1-3 categorical and 1-2 numerical features. The target
+    shifts with c0="v0" and steps at x0 < 0.5 inside it, slopes in x0 outside,
+    and shifts with c1="v1", so rules are accepted, rejected and re-discretized."""
+    n = int(rng.integers(24, 65))
+    n_cat, n_num = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    cols, schema = {}, []
+    for j in range(n_cat):
+        codes = rng.integers(0, int(rng.integers(2, 4)), n)
+        cols[f"c{j}"] = np.array([f"v{v}" for v in codes], dtype=object)
+        schema.append(AttributeSchema(f"c{j}", "categorical"))
+    for j in range(n_num):
+        cols[f"x{j}"] = rng.uniform(0.0, 1.0, n) if j == 0 else rng.integers(0, 6, n).astype(float)
+        schema.append(AttributeSchema(f"x{j}", "numerical"))
+    seg, x0 = cols["c0"] == "v0", cols["x0"]
+    y = np.where(seg, 3.0 + 4.0 * (x0 < 0.5), 2.0 * x0) + rng.normal(0.0, 0.3, n)
+    if n_cat > 1:
+        y = y + np.where(cols["c1"] == "v1", 2.0, 0.0)
+    cols["y"] = y
+    schema.append(AttributeSchema("y", "numerical", role="target"))
+    return Dataset(schema, cols)
+
+
+def test_search_equals_the_reference_search_on_random_tables():
+    # the referee of the search's array work: 200 random tables, half of them
+    # searched exhaustively, must give the reference's trace line for line
+    # (visit order and every decision), its visits and its accepted rules
+    rng = np.random.default_rng(2024)
+    fired: Counter[str] = Counter()
+    for k in range(200):
+        d = _random_search_table(rng)
+        cfg = RunConfig(theta=max(float(rng.uniform(0.1, 0.3)), 1.0 / d.n),
+                        seed=int(rng.integers(0, 100)))
+        exhaustive = k % 2 == 1
+        lines: list[str] = []
+        init = hipar_init(d, cfg)
+        got = enumerate_candidates(d, init, cfg, trace=lines.append, exhaustive=exhaustive)
+        want = reference_search(d, cfg, exhaustive)
+        assert lines == want.trace, k
+        assert got.stats.visited_keys == want.visited, k
+        assert [(r.pattern, r.fitted) for r in got.rules] == [
+            (r.pattern, r.fitted) for r in want.accepted], k
+        assert got.default_rule.fitted == want.default_rule.fitted, k
+        chosen = [solve(build_problem([*rules, default], cfg.sigma, cfg.omega, d)).chosen
+                  for rules, default in ((got.rules, got.default_rule),
+                                         (want.accepted, want.default_rule))]
+        assert [r.pattern for r in chosen[0]] == [r.pattern for r in chosen[1]], k
+        fired.update(line.split("\t")[3] for line in lines)
+        own = {c.render() for c in init}
+        fired["rediscretized"] += sum(" in " in t and t not in own
+                                      for key in got.stats.visited_keys for t in key.split(" & "))
+    # the set exercises every rule of the search
+    assert all(fired[what] > 0 for what in (
+        "pruned-support", "pruned-iv", "pruned-leftmost", "rejected-occam", "accepted",
+        "rediscretized")), fired
 
 
 def _universes_and_nodes(monkeypatch, d, cfg):

@@ -123,7 +123,7 @@ def test_bit_kernel_matches_per_row_counts_and_closures(n):
         inside = pattern_bits(p, d)
         assert bits_rows(inside, n).tolist() == want
         # every extension's rows and support, from one AND over the universe matrix
-        ext_bits, supports = universe.extensions(conds, inside)
+        ext_bits, supports = universe.extensions(universe.rows(conds), inside)
         for c, bits, count in zip(conds, ext_bits, supports.tolist()):
             ext = [i for i in want if _holds(c, rows[i])]
             assert bits_rows(bits, n).tolist() == ext

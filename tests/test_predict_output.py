@@ -4,9 +4,11 @@ per distinct value and gathered back into row order."""
 import numpy as np
 import pytest
 
-from hipar import AttributeSchema, Dataset, deserialize_rules, load_csv, predict_batch, write_csv
+from hipar import deserialize_rules, load_csv, predict_batch, write_csv
 from hipar import cli
 from hipar.cli import _prediction_text, main
+
+from .conftest import make_catwide
 
 
 def _per_row(values: np.ndarray) -> str:
@@ -47,25 +49,9 @@ def test_prediction_text_equals_per_row_repr(values):
     assert _prediction_text(values) == _per_row(values)
 
 
-def _catwide_table(n: int, seed: int) -> Dataset:
-    """8 categorical features and 2 integer-valued numerical ones, as in the
-    cat-wide benchmark: k0 and k1 set the segment means, the rest carry no signal."""
-    rng = np.random.default_rng(seed)
-    levels = (4, 8, 8, 8, 8, 8, 8, 8)
-    codes = [rng.integers(0, k, n) for k in levels]
-    z = rng.integers(0, 20, (2, n)).astype(float)
-    y = 4.0 * (-1.0) ** codes[0] + 3.0 * (-1.0) ** codes[1] + rng.normal(0.0, 1.0, n)
-    schema = [AttributeSchema(f"k{j}", "categorical") for j in range(len(levels))]
-    schema += [AttributeSchema("n0", "numerical"), AttributeSchema("n1", "numerical"),
-               AttributeSchema("y", "numerical", role="target")]
-    columns = {f"k{j}": np.array([f"v{c}" for c in cs], dtype=object) for j, cs in enumerate(codes)}
-    columns.update({"n0": z[0], "n1": z[1], "y": np.round(y, 4)})
-    return Dataset(schema, columns)
-
-
 def test_predict_file_of_repeating_predictions_equals_predict_batch(tmp_path):
     table, rules, out = tmp_path / "catwide.csv", tmp_path / "rules.json", tmp_path / "pred.txt"
-    write_csv(_catwide_table(2_000, seed=3), str(table))
+    write_csv(make_catwide(2_000, seed=3), str(table))
     assert main(["fit", "--input", str(table), "--target", "y", "--min-support", "0.02",
                  "--rules-out", str(rules)]) == 0
     assert main(["predict", "--rules", str(rules), "--input", str(table), "--out", str(out)]) == 0
@@ -78,7 +64,7 @@ def test_predict_file_of_repeating_predictions_equals_predict_batch(tmp_path):
 
 def test_predict_file_keeps_the_sign_of_zero(tmp_path, monkeypatch):
     table, rules, out = tmp_path / "t.csv", tmp_path / "rules.json", tmp_path / "pred.txt"
-    write_csv(_catwide_table(200, seed=4), str(table))
+    write_csv(make_catwide(200, seed=4), str(table))
     assert main(["fit", "--input", str(table), "--target", "y", "--rules-out", str(rules)]) == 0
     monkeypatch.setattr(cli, "predict_columns", lambda predictor, columns, n: np.array(
         [0.0, -0.0, 1.5, -0.0]))
