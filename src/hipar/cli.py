@@ -87,10 +87,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.rules_out:
         _, predictor = run_hipar(d, cfg)
         serialize_rules(predictor, args.rules_out)
-    print(
-        f"{cfg.metric} mean reduction {report.mean_reduction:.2f}% / "
-        f"median {report.median_reduction:.2f}% over {len(report.folds)} folds"
-    )
+    if report.mean_reduction is None:
+        print(f"no fold could be scored: the baseline error is zero on the test rows of all "
+              f"{len(report.folds)} folds")
+    else:
+        print(
+            f"{cfg.metric} mean reduction {report.mean_reduction:.2f}% / "
+            f"median {report.median_reduction:.2f}% over {len(report.folds)} folds"
+        )
     return 0
 
 

@@ -71,12 +71,16 @@ def _check_integer(idx: np.ndarray) -> None:
 
 
 def sorted_rows(rows: Iterable[int], n: int | None = None) -> np.ndarray:
-    """Row indices as a new sorted int array (see ``row_indices``).
+    """Row indices as a sorted int array (see ``row_indices``). An int array
+    already in increasing order, as the search's regions are, is returned as
+    it is; any other input is sorted into a new array.
 
     A negative or repeated index, or with the table's row count ``n`` given an
     index >= n, is a DataError: a row set names each row once.
     """
-    idx = np.sort(row_indices(rows))
+    idx = row_indices(rows)
+    if not (idx[1:] > idx[:-1]).all():
+        idx = np.sort(idx)
     check_rows(idx, n)
     return idx
 
@@ -205,7 +209,8 @@ class Dataset:
     ``np.packbits`` into 64-bit words with zero padding
     (``patterns.condition_bits``). ``ranks(name)`` keeps, per numerical
     column, its sorted distinct values and every row's integer rank code among
-    them, for the discretizer. Instances are safe to share across threads once
+    them, for the discretizer; a subset starts with its parent's values and
+    the codes of its rows. Instances are safe to share across threads once
     constructed: two threads may at worst compute the same read-only entry
     twice, and the later store wins.
     """
@@ -252,7 +257,9 @@ class Dataset:
         """A numerical column's sorted distinct values and each row's code, the
         index of its value among them (-0.0 and 0.0 are one value). Codes are
         int32, or int64 when twice the level count does not fit in int32, so a
-        code shifted left by one bit never overflows. Computed once, read-only."""
+        code shifted left by one bit never overflows. Computed once, read-only.
+        A subset's values are its parent's (``subset``), so they may hold
+        values its rows lack; a value is read through the code of a row."""
         memo = self._ranks.get(name)
         if memo is None:
             if self.attribute(name).kind != NUMERICAL:
@@ -280,8 +287,19 @@ class Dataset:
         return np.array([self.column(n)[rows] for n in names]).T
 
     def subset(self, rows: Iterable[int]) -> "Dataset":
+        """The given rows as a table, in row order. It keeps the parent's
+        level tables: each categorical column's levels, and each numerical
+        column's ranked values (``ranks``) with the codes of its rows, so
+        no column is ranked again."""
         idx = sorted_rows(rows, self.n)
-        return Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
+        out = Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
+        for a in self.schema:
+            if a.kind == NUMERICAL:
+                levels, codes = self.ranks(a.name)
+                codes = codes[idx]
+                codes.flags.writeable = False
+                out._ranks[a.name] = levels, codes
+        return out
 
 
 # The csv module rejects a field longer than its process-wide limit (131,072

@@ -37,11 +37,23 @@ extension supports are counted in the same pass, so a child with no frequent
 extension is never walked. The immediate parents close over the node's
 universe too; each sub-pattern's support and closure are kept per universe,
 since many children share their parents.
+
+The search is a generator that pauses at its one contest call per node
+(``_Search.fit_rules``): it yields the (table, rows, test mask) of the regions
+it needs and is sent back their fitted models and scored rows. ``drive`` runs
+any number of searches in rounds: it resumes each running search up to its
+next contest call, then fits every region they wait for with one
+``best_local_models`` call. ``enumerate_candidates`` drives one search, and
+``pipeline.cross_validate`` drives its k folds together, so a round's call
+holds regions of k tables of one schema. A rule depends on its region's rows
+alone, so no search's result depends on the others.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 from weakref import WeakKeyDictionary
@@ -221,6 +233,30 @@ class _Extension:
     intervals: list[Interval] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class _Node:
+    """A search node to walk: its pattern, the universe it closes over, and
+    its extensions: their conditions ``conds`` in canonical order, their rows
+    in the universe, and the packed region bits and support of each. Every
+    extension closes over the search's categorical conditions plus the node's
+    intervals; each extension's condition is in that universe. A sibling on a
+    pinned attribute has an empty region and fails the support test."""
+
+    pattern: Pattern
+    universe: Universe
+    conds: list[Condition]
+    rows: np.ndarray
+    bits: np.ndarray
+    supports: np.ndarray
+
+
+# What a search yields at its contest call: the (table, rows, test mask) of
+# each region it needs fitted. It is sent back their (model, scored rows), as
+# ``best_local_models`` gives them.
+Request = list[tuple[Dataset, np.ndarray, np.ndarray]]
+Reply = list[tuple[FittedRuleModel, np.ndarray]]
+
+
 class _Search:
     def __init__(self, d: Dataset, cfg: RunConfig, conds: Sequence[Condition],
                  trace: Trace | None, exhaustive: bool = False):
@@ -242,11 +278,22 @@ class _Search:
         self._subs = WeakKeyDictionary()
         self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
 
-    @property
-    def default_rule(self) -> HybridRule:
-        """The rule of the empty pattern, fitted on every row; the root node
-        fits it in its batch."""
-        return self.rule_for(TOP)[0]
+    def run(self, conds: Sequence[Condition]) -> Generator[Request, Reply, CandidateSet]:
+        """The whole search, from the root's extensions ``conds`` (in
+        canonical order), as a job for ``drive``. The default rule is fitted
+        last, unless the root's batch fitted it."""
+        if conds:
+            universe = self.node_universe([c for c in conds if isinstance(c, Interval)])
+            rows = universe.rows(conds)
+            yield from self.walk(_Node(TOP, universe, list(conds), rows,
+                                       *universe.extensions(rows, pattern_bits(TOP, self.d))))
+        yield from self.fit_rules({TOP: None})
+        return CandidateSet(rules=self.accepted, default_rule=self._memo[TOP][0],
+                            stats=self.stats)
+
+    def node_universe(self, intervals: list[Interval]) -> Universe:
+        """The universe of a node with these intervals of its own."""
+        return Universe([*self.universe, *intervals], self.d) if intervals else self.universe
 
     def iv_single(self, c: Condition) -> float:
         v = self._iv1.get(c)
@@ -255,21 +302,24 @@ class _Search:
             self._iv1[c] = v
         return v
 
-    def fit_rules(self, regions: dict[Pattern, np.ndarray | None]) -> None:
-        """Fit the rules of the patterns the memo lacks, with one contest call;
-        a pattern's rows are its region unless given. A rule depends on its
-        rows alone, so what else is in the batch does not matter."""
+    def fit_rules(self,
+                  regions: dict[Pattern, np.ndarray | None]) -> Generator[Request, Reply, None]:
+        """Fit the rules of the patterns the memo lacks, with one contest
+        call: yield their regions to the driver and memoize the fits it sends
+        back. A pattern's rows are its region unless given. A rule depends on
+        its rows alone, so what else is in the batch does not matter."""
         todo = [p for p in regions if p not in self._memo]
+        if not todo:
+            return
         rows = [region(p, self.d) if regions[p] is None else regions[p] for p in todo]
-        fitted = best_local_models(rows, self.d, self.cfg.metric, self.test)
+        fitted = yield [(self.d, r, self.test) for r in rows]
         for p, r, (model, scored) in zip(todo, rows, fitted):
             self._memo[p] = HybridRule(p, model, len(r), len(r) / self.d.n), scored
 
     def rule_for(self, pattern: Pattern,
                  rows: np.ndarray | None = None) -> tuple[HybridRule, np.ndarray]:
         """The pattern's rule and the rows its contest scored on."""
-        if pattern not in self._memo:
-            self.fit_rules({pattern: rows})
+        drive([self.fit_rules({pattern: rows})], self.cfg.metric)
         return self._memo[pattern]
 
     def parent_patterns(self, p_closed: Pattern, support: int, universe: Universe) -> list[Pattern]:
@@ -314,28 +364,23 @@ class _Search:
                 self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern,
                           conds[i])
 
-    def walk(self, pattern: Pattern, inside: np.ndarray, conds: Sequence[Condition]) -> None:
-        """Extend ``pattern``, whose region is the packed row bits ``inside``.
+    def walk(self, node: _Node) -> Generator[Request, Reply, None]:
+        """Extend the node's pattern by each of its extensions, whose region
+        bits and supports its parent (or ``run``, at the root) has counted.
 
-        One AND over the node universe's bit matrix gives every extension's
-        region and support, and one comparison finds the frequent ones; the
-        others are counted at once. The node decides its frequent extensions
-        first (``decide``); IV, closure and the leftmost-parent check read no
-        local model. One contest call then fits the children to visit and the
-        parent rules their Occam tests need, and one MDLP pass re-discretizes
-        the children that will recurse (``prepare``). Only then are the children
-        walked, in order, each infrequent extension traced in its place."""
-        intervals = [c for c in conds if isinstance(c, Interval)]
-        # every extension closes over the search's categorical conditions plus
-        # the node's intervals; each c is in that universe. A sibling on a
-        # pinned attribute has an empty region and fails the support test.
-        universe = Universe([*self.universe, *intervals], self.d) if intervals else self.universe
-        rows = universe.rows(conds)
-        ext_bits, supports = universe.extensions(rows, inside)
-        frequent = np.flatnonzero(_frequent(supports, self.theta_abs))
+        One comparison finds the frequent extensions; the others are counted
+        at once. The node decides its frequent extensions first (``decide``);
+        IV, closure and the leftmost-parent check read no local model. One
+        contest call then fits the children to visit and the parent rules
+        their Occam tests need, and one MDLP pass re-discretizes the children
+        that will recurse (``prepare``). Only then are the children walked, in
+        order, each infrequent extension traced in its place."""
+        pattern, conds, ext_bits = node.pattern, node.conds, node.bits
+        frequent = np.flatnonzero(_frequent(node.supports, self.theta_abs))
         self.stats.pruned_support += len(conds) - len(frequent)
-        steps = self.decide(pattern, conds, frequent, intervals, universe, ext_bits)
-        self.prepare(steps, universe)
+        intervals = [c for c in conds if isinstance(c, Interval)]
+        steps = self.decide(pattern, conds, frequent, intervals, node.universe, ext_bits)
+        yield from self.prepare(steps, node.universe)
         done = 0
         for step in steps:
             self.emit_infrequent(pattern, conds, ext_bits, done, step.i)
@@ -364,17 +409,20 @@ class _Search:
                 self.stats.rejected_occam += 1
                 self.emit("rejected-occam", step.support, step.iv, p_closed)
             if step.ok or self.exhaustive:
-                self.descend(p_closed, ext_bits[step.i], universe, rows[step.i + 1 :], step)
+                yield from self.descend(node, step)
         self.emit_infrequent(pattern, conds, ext_bits, done, len(conds))
 
-    def descend(self, p_closed: Pattern, inside: np.ndarray, universe: Universe,
-                later: np.ndarray, step: _Extension) -> None:
-        """Walk a recursing child, whose region is ``inside``. Its extensions
-        are the node's ``later`` equalities (universe rows) outside its closed
-        pattern, which are those that do not cover the region, and its own
-        intervals. Their supports are counted here, so a child with no frequent
-        extension is not walked: its extensions are only counted and traced
-        as support-pruned."""
+    def descend(self, node: _Node, step: _Extension) -> Generator[Request, Reply, None]:
+        """Walk a recursing child of the node. Its extensions are the node's
+        later equalities outside its closed pattern, which are those that do
+        not cover the child's region, and its own intervals. Their region
+        bits and supports are counted here and handed to ``walk``, so a child
+        with no frequent extension is not walked: its extensions are only
+        counted and traced as support-pruned. A child without intervals of its
+        own closes over the search's universe, where the node's rows serve
+        when the node closes over it too."""
+        universe, inside = node.universe, node.bits[step.i]
+        later = node.rows[step.i + 1 :]
         later = later[universe.equals[later] & ~step.covering[later]]
         children = [universe.conditions[r] for r in later.tolist()]
         bits = universe.bits[later] & inside
@@ -384,11 +432,14 @@ class _Search:
             children = [found[k] for k in order]
             bits = np.vstack([bits, *(condition_bits(c, self.d) & inside for c in step.intervals)])
             bits = bits[order]
-        if _frequent(np.bitwise_count(bits).sum(axis=1, dtype=np.int64), self.theta_abs).any():
-            self.walk(p_closed, inside, children)
-        else:
+        supports = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+        if not _frequent(supports, self.theta_abs).any():
             self.stats.pruned_support += len(children)
-            self.emit_infrequent(p_closed, children, bits, 0, len(children))
+            self.emit_infrequent(step.pattern, children, bits, 0, len(children))
+            return
+        child = self.node_universe(step.intervals)
+        rows = later if child is universe else child.rows(children)
+        yield from self.walk(_Node(step.pattern, child, children, rows, bits, supports))
 
     def decide(self, pattern: Pattern, conds: Sequence[Condition], frequent: np.ndarray,
                intervals: list[Interval], universe: Universe,
@@ -415,7 +466,8 @@ class _Search:
                 steps.append(_Extension(i, "pruned-leftmost", len(ext), iv, p_closed))
         return steps
 
-    def prepare(self, steps: list[_Extension], universe: Universe) -> None:
+    def prepare(self, steps: list[_Extension],
+                universe: Universe) -> Generator[Request, Reply, None]:
         """Fit the children to visit and the parent rules the memo lacks with
         one contest call, run their Occam tests, and re-discretize the children
         that will recurse with one MDLP pass."""
@@ -427,7 +479,7 @@ class _Search:
         regions.update((s.pattern, s.rows) for s in visits)
         for found in parents:
             regions.update((p, None) for p in found if p not in regions)
-        self.fit_rules(regions)
+        yield from self.fit_rules(regions)
         for s, found in zip(visits, parents):
             rule, scored = self._memo[s.pattern]
             s.ok = occam_test(rule, [self._memo[p][0] for p in found], scored, self.d,
@@ -441,9 +493,75 @@ class _Search:
             s.rows = None
 
 
+def drive(jobs: Sequence[Generator[Request, Reply, object]],
+          metric: str) -> tuple[list, list[float]]:
+    """Run the jobs to their ends in rounds, with one contest call per round.
+
+    A job (a search, ``search_candidates``, or a fit that runs one) is a
+    generator that pauses at its contest call: it yields a ``Request`` and is
+    sent back its ``Reply``. A round resumes every running job in order, each
+    up to its next request or its end, then fits every region they asked for
+    with one ``best_local_models`` call. The tables of one drive share one
+    schema. A region's fit depends on its rows alone, so a job gets what it
+    would get alone.
+
+    Returns each job's return value and its seconds: the wall time of its own
+    steps plus its share of each contest call, split by the regions it put
+    in. They add up to the wall time of the drive. A job that raises stops,
+    and so do the jobs after it; once the jobs before it have ended, the
+    first failure in job order is raised, as when the jobs run one after
+    the other."""
+    values: list = [None] * len(jobs)
+    seconds = [0.0] * len(jobs)
+    failure: BaseException | None = None
+    replies: dict[int, Reply | None] = dict.fromkeys(range(len(jobs)))
+    clock = time.perf_counter()
+    while replies:
+        asks: dict[int, Request] = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = jobs[i].send(reply)
+            except StopIteration as stop:
+                values[i] = stop.value
+            except Exception as exc:  # the jobs after it are dropped
+                failure = exc
+                break
+            finally:
+                now = time.perf_counter()
+                seconds[i] += now - clock
+                clock = now
+        asked = [one for ask in asks.values() for one in ask]
+        fitted = best_local_models([r for _, r, _ in asked], [t for t, _, _ in asked], metric,
+                                   [mask for _, _, mask in asked]) if asked else []
+        now = time.perf_counter()
+        share, clock = (now - clock) / max(len(asked), 1), now
+        replies, at = {}, 0
+        for i, ask in asks.items():
+            replies[i] = fitted[at : at + len(ask)]
+            at += len(ask)
+            seconds[i] += share * len(ask)
+    if failure is not None:
+        raise failure
+    return values, seconds
+
+
 def _render_with(pattern: Pattern, c: Condition) -> str:
     conds = sorted(pattern.conditions + (c,), key=lambda x: x.order)
     return " & ".join(x.render() for x in conds)
+
+
+def search_candidates(
+    d: Dataset,
+    init_conditions: Sequence[Condition],
+    cfg: RunConfig,
+    trace: Trace | None = None,
+    exhaustive: bool = False,
+) -> Generator[Request, Reply, CandidateSet]:
+    """``enumerate_candidates`` as a job for ``drive``, which fits the local
+    models it asks for; the table and config are checked when it starts."""
+    _validate(d, cfg)
+    conds = sorted(init_conditions, key=lambda c: c.order)
+    return (yield from _Search(d, cfg, conds, trace, exhaustive).run(conds))
 
 
 def enumerate_candidates(
@@ -453,18 +571,15 @@ def enumerate_candidates(
     trace: Trace | None = None,
     exhaustive: bool = False,
 ) -> CandidateSet:
-    """Run the full candidate enumeration; the default rule is fitted first.
+    """Run the full candidate enumeration; the default rule is fitted too.
 
     Reads theta, metric and seed of the run's config. Returns the accepted
     rules (closed, frequent, each strictly beating its evaluated parents), the
     default rule, and per-decision search statistics. ``exhaustive`` also
     explores the subtrees below rules that fail the parent-improvement test
     (the early-stopping heuristic switched off), the reference search of the
-    closed-pattern oracle tests.
+    closed-pattern oracle tests. One search, driven alone.
     """
-    _validate(d, cfg)
-    conds = sorted(init_conditions, key=lambda c: c.order)
-    search = _Search(d, cfg, conds, trace, exhaustive)
-    if conds:
-        search.walk(TOP, pattern_bits(TOP, d), conds)
-    return CandidateSet(rules=search.accepted, default_rule=search.default_rule, stats=search.stats)
+    (found,), _ = drive([search_candidates(d, init_conditions, cfg, trace, exhaustive)],
+                        cfg.metric)
+    return found

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import (AttributeSchema, DataError, Dataset, check_folds, check_seed, is_int, is_real,
                    k_folds)
-from .enumeration import HybridRule, enumerate_candidates, hipar_init
+from .enumeration import (CandidateSet, HybridRule, drive, enumerate_candidates, hipar_init,
+                          search_candidates)
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
 from .regression import FittedRuleModel, LinearModel, check_metric, evaluate, fit_ols, metric_value
@@ -67,10 +67,13 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     Predictor keeps the normalized errors of the chosen rules and the default
     rule, as its rule file does.
     """
-    init_conditions = hipar_init(d, cfg)
-    candidates = enumerate_candidates(d, init_conditions, cfg)
-    pool = list(candidates.rules) + [candidates.default_rule]
+    return _select(d, cfg, enumerate_candidates(d, hipar_init(d, cfg), cfg))
 
+
+def _select(d: Dataset, cfg: RunConfig,
+            candidates: CandidateSet) -> tuple[SelectedRuleSet, Predictor]:
+    """``run_hipar``'s selection among the candidates, and its Predictor."""
+    pool = list(candidates.rules) + [candidates.default_rule]
     problem = build_problem(pool, cfg.sigma, cfg.omega, d)
     if cfg.sd_q is not None and cfg.sd_q > len(pool):
         raise DataError(f"sd_q (--sd-q) = {cfg.sd_q} out of range [1, {len(pool)}]: the fit found "
@@ -89,6 +92,15 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     return selected, predictor
 
 
+def _train(d: Dataset, cfg: RunConfig):
+    """One fold's training as a job for ``drive``: the baseline OLS fit and
+    ``run_hipar``, whose search yields at its contest calls. Returns the
+    baseline, the selected rules and the Predictor."""
+    baseline = fit_ols(np.arange(d.n), d)
+    candidates = yield from search_candidates(d, hipar_init(d, cfg), cfg)
+    return (baseline, *_select(d, cfg, candidates))
+
+
 def error_reduction(baseline: float, model: float) -> float:
     """Percentage error reduction of the model against the baseline."""
     if not baseline > 0:
@@ -104,10 +116,16 @@ def count_elements(rs: SelectedRuleSet) -> int:
 
 @dataclass(frozen=True)
 class FoldResult:
+    """One fold of a cross-validation. ``reduction`` is None for a skipped
+    fold. ``seconds`` is the fold's training time: the folds train together
+    (``cross_validate``), so it is the time of the fold's own steps plus its
+    share of the contest calls it took part in, split by the regions it put
+    in; the folds' seconds add up to the training wall time."""
+
     fold: int
     baseline_error: float
     model_error: float
-    reduction: float
+    reduction: float | None
     rules: int
     elements: int
     seconds: float
@@ -117,9 +135,12 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class EvaluationReport:
+    """The folds of a cross-validation and the mean and median of their
+    reductions, None when no fold could be scored."""
+
     metric: str
-    mean_reduction: float
-    median_reduction: float
+    mean_reduction: float | None
+    median_reduction: float | None
     config: dict
     folds: list[FoldResult]
 
@@ -127,29 +148,29 @@ class EvaluationReport:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as standard JSON: a NaN or an infinity is a ValueError."""
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
     """k-fold evaluation against the unregularized global linear baseline.
 
     Per fold the baseline OLS and the full pipeline are fit on the training
-    rows and scored on the held-out rows; timing covers training only. Folds
-    whose baseline error is zero cannot anchor a reduction and are skipped
-    with a note.
+    rows and scored on the held-out rows; timing covers training only. The k
+    folds train in lockstep (``enumeration.drive``): each fold's search pauses
+    at its contest call, and one call fits the regions every fold asks for in
+    that round, so the contest's solver steps are paid once per round, not
+    once per fold. A region's fit depends on its rows alone, so every fold
+    gets what it gets alone. Should folds fail, the first failing fold's
+    error is raised. Folds whose baseline error is zero cannot anchor a
+    reduction and are skipped with a note.
     """
     plan = k_folds(d, cfg.folds, cfg.seed)
+    fits, seconds = drive([_train(d.subset(plan.train_rows(fold)), cfg) for fold in range(plan.k)],
+                          cfg.metric)
     results: list[FoldResult] = []
-    for fold in range(plan.k):
-        train_rows = plan.train_rows(fold)
+    for fold, ((baseline, selected, predictor), took) in enumerate(zip(fits, seconds)):
         test_rows = plan.fold_rows(fold)
-        train_ds = d.subset(train_rows)
-
-        start = time.perf_counter()
-        baseline = fit_ols(np.arange(train_ds.n), train_ds)
-        selected, predictor = run_hipar(train_ds, cfg)
-        seconds = time.perf_counter() - start
-
         baseline_error = evaluate(baseline, test_rows, d, cfg.metric)
         predictions = predict_batch(predictor, d, test_rows)
         model_error = metric_value(d.column(d.target)[test_rows] - predictions, cfg.metric)
@@ -159,10 +180,10 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
                 fold=fold,
                 baseline_error=baseline_error,
                 model_error=model_error,
-                reduction=math.nan if skipped else error_reduction(baseline_error, model_error),
+                reduction=None if skipped else error_reduction(baseline_error, model_error),
                 rules=len(selected.chosen),
                 elements=count_elements(selected),
-                seconds=seconds,
+                seconds=took,
                 skipped=skipped,
                 note="baseline error is zero on the test rows" if skipped else "",
             )
@@ -170,8 +191,8 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
     reductions = [r.reduction for r in results if not r.skipped]
     return EvaluationReport(
         metric=cfg.metric,
-        mean_reduction=float(np.mean(reductions)) if reductions else math.nan,
-        median_reduction=float(np.median(reductions)) if reductions else math.nan,
+        mean_reduction=float(np.mean(reductions)) if reductions else None,
+        median_reduction=float(np.median(reductions)) if reductions else None,
         config={"target": d.target, **asdict(cfg)},
         folds=results,
     )

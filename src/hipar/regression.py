@@ -51,9 +51,11 @@ Occam test scores a rule's model and its parents' by one such residual matrix
 
 The core works on batches of row sets; a fit of one row set is a batch of one.
 A search node fits all the regions it needs in one contest call
-(``best_local_models``). The sums and products over a region's rows (its
-co-moments, X B and the residual sums) run as one numpy call per region, as
-for that region alone. The small products G beta and mean B run as one
+(``best_local_models``), and the folds of a cross-validation share that call:
+a batch may hold regions of several tables of one schema, each gathered from
+its own table and split by its own test set. The sums and products over a
+region's rows (its co-moments, X B and the residual sums) run as one numpy
+call per region, as for that region alone. The small products G beta and mean B run as one
 stacked product per number of varying features, with each region's operands
 laid out as for that region alone. Everything elementwise runs once per batch
 over stacked arrays: the moments, the merge, every LASSO sweep step and OMP
@@ -196,17 +198,17 @@ def _comoments(blocks: Sequence[np.ndarray], q: int) -> _CoMoments:
 
 class _Blocks(Sequence):
     """Row set i's matrix Zt = [X, y]^T on the sorted rows ``rows[i]`` of
-    ``d``, built each time it is read: a batch holds no copy of its regions'
-    values."""
+    ``tables[i]``, built each time it is read: a batch holds no copy of its
+    regions' values."""
 
-    def __init__(self, d: Dataset, rows: Sequence[np.ndarray]):
-        self.d, self.rows = d, rows
+    def __init__(self, tables: Sequence[Dataset], rows: Sequence[np.ndarray]):
+        self.tables, self.rows = tables, rows
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return _region(self.rows[i], self.d)[1]
+        return _region(self.rows[i], self.tables[i])[1]
 
 
 def _merge(a: _CoMoments, b: _CoMoments) -> _CoMoments:
@@ -558,23 +560,23 @@ def _omp(max_terms: int) -> tuple[str, Sequence[int]]:
     return (OMP, range(1, max_terms + 1)) if max_terms > 0 else (MEAN, [0])
 
 
-def _tune(m: _Moments, names: Sequence[str], X: Sequence[np.ndarray], yv: Sequence[np.ndarray],
+def _tune(m: _Moments, names: Sequence[str], holds: Sequence[np.ndarray],
           entries: Sequence[tuple[str, Sequence]],
           metric: str) -> tuple[list[_Fits], list[int], list[int], np.ndarray]:
     """Fit every ``(method, hypers)`` entry on the k row sets with moments
-    ``m`` and score row set i's models on its rows (X[i], yv[i]) by one
-    residual matrix. Returns the fits of every entry and, per row set, the
-    index of the lowest error's entry, the model's index in it and the error;
-    ties go to the earlier entry, then to LASSO's larger lambda or OMP's fewer
-    terms."""
-    k = len(X)
+    ``m`` and score row set i's models on its scoring rows, given as
+    Zt = [X, y]^T (``holds[i]``, read once), by one residual matrix. Returns
+    the fits of every entry and, per row set, the index of the lowest error's
+    entry, the model's index in it and the error; ties go to the earlier
+    entry, then to LASSO's larger lambda or OMP's fewer terms."""
+    k = len(holds)
     fits = [_fits(m, method, [hypers] * k, names) for method, hypers in entries]
     b0 = np.concatenate([f.intercepts for f in fits], axis=1)
     B = np.concatenate([f.B for f in fits], axis=2)
     keys = [(e, -h if method == LASSO else h, i)
             for e, (method, hypers) in enumerate(entries) for i, h in enumerate(hypers)]
-    errors = np.array([_errors(X[r], yv[r], b0[r], B[r], metric) for r in range(k)],
-                      dtype=float).reshape(k, len(keys))
+    errors = np.array([_errors(Zt[:-1].T, Zt[-1], b0[r], B[r], metric)
+                       for r, Zt in enumerate(holds)], dtype=float).reshape(k, len(keys))
     # the models in tie-break order: argmin keeps the first of equal errors
     rank = sorted(range(len(keys)), key=keys.__getitem__)
     best = np.array(rank)[errors[:, rank].argmin(axis=1)]
@@ -605,8 +607,7 @@ def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: s
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
     names, Zt = _region(idx, d)
-    fits, _, (i,), _ = _tune(_moments([Zt]), names, [d.numeric_matrix(hold, names)],
-                             [d.column(d.target)[hold]], [entry], metric)
+    fits, _, (i,), _ = _tune(_moments([Zt]), names, [_region(hold, d)[1]], [entry], metric)
     return fits[0].model(0, i)
 
 
@@ -638,9 +639,10 @@ def best_local_model(
     fitted model and the rows the contest scored on, sorted: the region's rows
     in the test set, or all of its rows on the MEAN path.
 
-    The region's matrix Z = [X, y] is built once, column-major, and split by
-    the mask. ``_tune`` fits both methods on the rows outside it and scores
-    all their models on the rows inside it by one residual matrix; the best
+    The region's rows are split by the mask, and each side's matrix
+    Z = [X, y] is gathered column-major whenever it is read. ``_tune`` fits
+    both methods on the rows outside the mask and scores all their models on
+    the rows inside it by one residual matrix; the best
     (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
     contest holdout error on record. The refit's moments merge the co-moments
     of the two sides. A region with fewer than 5 rows, or all on one side of
@@ -655,40 +657,57 @@ def best_local_model(
 
 
 def best_local_models(
-    row_sets: Sequence, d: Dataset, metric: str, test: np.ndarray
+    row_sets: Sequence, d: Dataset | Sequence[Dataset], metric: str,
+    test: np.ndarray | Sequence[np.ndarray]
 ) -> list[tuple[FittedRuleModel, np.ndarray]]:
     """``best_local_model``'s contest on each row set, as one batch: every
     row set gets exactly the model and scored rows it gets alone, in the order
-    given. The sums and products over a region's rows run per region; the
-    moments, both solvers, the tie-breaks and the refits run once for all."""
+    given. The row sets may come from several tables of one schema (the
+    folds of a cross-validation): ``d`` and ``test`` are then one table and
+    one test mask per row set. The gathers and the sums and products over a
+    region's rows run per region; the moments, both solvers, the tie-breaks
+    and the refits run once for all."""
     metric = check_metric(metric)
-    if not (isinstance(test, np.ndarray) and test.dtype == bool and test.shape == (d.n,)):
-        raise DataError(f"the test set must be a bool mask over the table's {d.n} rows")
-    names = d.numerical_features()
+    if isinstance(d, Dataset):
+        tables, tests = [d] * len(row_sets), [test] * len(row_sets)
+    else:
+        tables, tests = list(d), list(test)
+    if not len(tables) == len(tests) == len(row_sets):
+        raise DataError("a batch needs one table and one test mask per row set")
+    if not tables:
+        return []
+    names = tables[0].numerical_features()
     q = len(names) + 1
+    checked: set[tuple[int, int]] = set()
     idxs, inside = [], []
-    for rows in row_sets:
-        idx = sorted_rows(rows, d.n)
+    for rows, t, mask in zip(row_sets, tables, tests):
+        if (id(t), id(mask)) not in checked:
+            if t.schema != tables[0].schema:
+                raise DataError("the row sets of one batch must come from tables of one schema")
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (t.n,)):
+                raise DataError(f"the test set must be a bool mask over the table's {t.n} rows")
+            checked.add((id(t), id(mask)))
+        idx = sorted_rows(rows, t.n)
         if len(idx) == 0:
             raise DataError("best_local_model needs at least 1 row")
         idxs.append(idx)
-        inside.append(test[idx])
+        inside.append(mask[idx])
     split = [i for i, t in enumerate(inside) if len(t) >= 5 and 0 < np.count_nonzero(t) < len(t)]
     alone = sorted(set(range(len(idxs))) - set(split))  # no split: the MEAN model
     scored = [idxs[i][inside[i]] for i in split]
-    trains = _Blocks(d, [idxs[i][~inside[i]] for i in split])
-    holds = list(_Blocks(d, scored))
+    trains = _Blocks([tables[i] for i in split], [idxs[i][~inside[i]] for i in split])
+    holds = _Blocks([tables[i] for i in split], scored)
     sides = _comoments(trains, q), _comoments(holds, q)
     fits, entry, index, holdout_errors = _tune(
-        _moments(trains, sides[0]), names, [h[:-1].T for h in holds], [h[-1] for h in holds],
+        _moments(trains, sides[0]), names, holds,
         [(LASSO, DEFAULT_LAMBDA_GRID), _omp(min(len(names), MAX_TERMS_CAP))], metric)
     method = [fits[e].methods[r] for r, e in enumerate(entry)] + [MEAN] * len(alone)
     hyper = [None if fits[e].methods[r] == MEAN else fits[e].hypers[r][i]
              for r, (e, i) in enumerate(zip(entry, index))] + [None] * len(alone)
     order = split + alone
-    blocks = _Blocks(d, [idxs[i] for i in order])
-    full = _moments(blocks, _concat(_merge(*sides),
-                                    _comoments(_Blocks(d, [idxs[i] for i in alone]), q)))
+    blocks = _Blocks([tables[i] for i in order], [idxs[i] for i in order])
+    full = _moments(blocks, _concat(_merge(*sides), _comoments(
+        _Blocks([tables[i] for i in alone], [idxs[i] for i in alone]), q)))
 
     out: list = [None] * len(order)
     for name in dict.fromkeys(method):

@@ -93,6 +93,47 @@ def test_eval_report_keeps_its_format(tmp_path, segment_csv):
     }
 
 
+def _strict_json(text: str):
+    """JSON as the standard has it: NaN and Infinity are not numbers."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_report_is_standard_json_when_no_fold_can_be_scored(tmp_path, capsys):
+    # y = 2x: the baseline is exact on every fold's test rows, so every fold is
+    # skipped and no reduction is defined; the report says null, not NaN
+    data = tmp_path / "exact.csv"
+    data.write_text("x,y\n" + "".join(f"{i / 59!r},{2 * i / 59!r}\n" for i in range(60)))
+    report = tmp_path / "report.json"
+    assert main(["eval", "--input", str(data), "--target", "y", "--folds", "3",
+                 "--report-out", str(report)]) == 0
+    doc = _strict_json(report.read_text())
+    assert doc["mean_reduction"] is None and doc["median_reduction"] is None
+    assert [f["skipped"] for f in doc["folds"]] == [True] * 3
+    assert [f["reduction"] for f in doc["folds"]] == [None] * 3
+    out = capsys.readouterr().out
+    assert "no fold could be scored" in out and "nan" not in out
+
+
+def test_eval_report_is_standard_json(tmp_path, segment_csv):
+    report = tmp_path / "report.json"
+    assert main(["eval", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 "--seed", "3", "--folds", "3", "--report-out", str(report)]) == 0
+    doc = _strict_json(report.read_text())
+    assert all(isinstance(f["reduction"], float) for f in doc["folds"])
+
+
+def test_a_nan_never_reaches_a_report():
+    from hipar.pipeline import EvaluationReport, FoldResult
+
+    fold = FoldResult(fold=0, baseline_error=float("nan"), model_error=1.0, reduction=None,
+                      rules=1, elements=1, seconds=0.0)
+    with pytest.raises(ValueError):
+        EvaluationReport("rmse", None, None, {}, [fold]).to_json()
+
+
 @pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
 def test_a_bad_setting_is_reported_before_the_input_is_read(tmp_path, capsys, command, out):
     code = main([command, "--input", str(tmp_path / "missing.csv"), "--target", "y",

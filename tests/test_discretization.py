@@ -380,3 +380,34 @@ def test_binarize_targets_gives_each_region_its_own_median_split():
     assert binarize_targets([], d) == []
     with pytest.raises(DataError, match="at least 1 row"):
         binarize_targets([np.arange(3), []], d)
+
+
+def test_a_subset_cuts_and_binarizes_as_a_table_of_its_rows():
+    # a subset keeps its parent's ranked values, among them values its rows
+    # lack, and the codes of its rows: its cuts and target medians must be
+    # those of a table built from the same rows
+    rng = np.random.default_rng(33)
+    n = 300
+    columns, labels = _mixed_columns(rng, n)
+    columns["y"] = np.where(labels, 5.0, 0.0) + rng.choice([-0.0, 0.0, 0.5, 1.0, 1.0], n)
+    schema = [AttributeSchema(a, "numerical") for a in columns if a != "y"]
+    schema.append(AttributeSchema("y", "numerical", role="target"))
+    d = Dataset(schema, columns)
+    features = d.numerical_features()
+    for rows in (np.arange(0, n, 2), np.flatnonzero(columns["stripes"] < 60),
+                 np.sort(rng.choice(n, 37, replace=False))):
+        sub = d.subset(rows)
+        fresh = Dataset(schema, {a: values[rows] for a, values in columns.items()})
+        for a in [*features, "y"]:
+            levels, codes = sub.ranks(a)
+            assert levels is d.ranks(a)[0]  # ranked once, on the parent
+            assert not codes.flags.writeable
+            assert levels[codes].tolist() == fresh.column(a).tolist()
+        assert len(sub.ranks("stripes")[0]) > len(fresh.ranks("stripes")[0])
+        regions = [np.arange(sub.n), np.arange(0, sub.n, 3), np.arange(sub.n // 2)]
+        got, want = binarize_targets(regions, sub), binarize_targets(regions, fresh)
+        assert [(tb.threshold, tb.labels.tolist()) for tb in got] == [
+            (tb.threshold, tb.labels.tolist()) for tb in want]
+        cuts = mdlp_cuts_many([(features, tb) for tb in got], sub)
+        assert cuts == mdlp_cuts_many([(features, tb) for tb in want], fresh)
+        assert any(cp.cuts for cut_sets in cuts for cp in cut_sets)

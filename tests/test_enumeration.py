@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -680,9 +681,9 @@ def _universes_and_nodes(monkeypatch, d, cfg):
 
     walk = enumeration._Search.walk
 
-    def recorded_walk(self, pattern, inside, conds):
-        nodes.append((pattern, [c for c in conds if isinstance(c, Interval)]))
-        walk(self, pattern, inside, conds)
+    def recorded_walk(self, node):
+        nodes.append((node.pattern, [c for c in node.conds if isinstance(c, Interval)]))
+        return (yield from walk(self, node))
 
     monkeypatch.setattr(enumeration, "Universe", Recorded)
     monkeypatch.setattr(enumeration._Search, "walk", recorded_walk)
@@ -721,11 +722,13 @@ def test_a_node_fits_and_discretizes_its_children_in_one_call_each(monkeypatch):
     frames, stack = [], []
     walk = enumeration._Search.walk
 
-    def recorded_walk(self, pattern, inside, conds):
+    def recorded_walk(self, node):
+        # the node's frame stays on the stack while it waits for its contest
+        # call, which the driver makes, so that call counts for the node too
         frames.append([0, 0, 0])
         stack.append(frames[-1])
         try:
-            walk(self, pattern, inside, conds)
+            return (yield from walk(self, node))
         finally:
             stack.pop()
 
@@ -875,3 +878,66 @@ def test_a_condition_on_the_target_is_rejected(two_segment):
     # the features' conditions are unaffected
     assert closure(Pattern([segments[0]]), d, segments) == Pattern([segments[0]])
     assert enumerate_candidates(d, segments, RunConfig(theta=0.1)).rules
+
+
+def _job(d, test, rounds, log, fails=False):
+    """A job for ``drive`` that asks for the fit of every row of ``d``
+    ``rounds`` times, noting each resumption in ``log``, then returns the
+    rounds or raises."""
+    for r in range(rounds):
+        log.append((rounds, r))
+        ((fitted, scored),) = yield [(d, np.arange(d.n), test)]
+        assert fitted == best_local_model(np.arange(d.n), d, "rmse", test)[0]
+    if fails:
+        raise DataError(f"the job of {rounds} rounds failed")
+    return rounds
+
+
+def test_drive_runs_jobs_in_rounds_of_one_contest_call(monkeypatch, two_segment):
+    d, other = two_segment, two_segment.subset(range(0, two_segment.n, 2))
+    calls = []
+    contest = enumeration.best_local_models
+
+    def counted(row_sets, tables, metric, tests):
+        calls.append([t.n for t in tables])
+        return contest(row_sets, tables, metric, tests)
+
+    monkeypatch.setattr(enumeration, "best_local_models", counted)
+    log: list = []
+    tests = [holdout_mask(t.n, 0.2, 1) for t in (d, other)]
+    values, seconds = enumeration.drive(
+        [_job(d, tests[0], 3, log), _job(other, tests[1], 0, log),
+         _job(other, tests[1], 1, log)], "rmse")
+    assert values == [3, 0, 1]
+    assert calls == [[d.n, other.n], [d.n], [d.n]]
+    assert log == [(3, 0), (1, 0), (3, 1), (3, 2)]
+    assert len(seconds) == 3 and min(seconds) >= 0.0
+    assert enumeration.drive([], "rmse") == ([], [])
+
+
+def test_drive_splits_its_wall_time_among_the_jobs(two_segment):
+    def sleeper(seconds, rounds):
+        test = holdout_mask(two_segment.n, 0.2, 0)
+        for _ in range(rounds):
+            time.sleep(seconds)
+            yield [(two_segment, np.arange(two_segment.n), test)]
+        time.sleep(seconds)
+
+    start = time.perf_counter()
+    _, seconds = enumeration.drive([sleeper(0.02, 2), sleeper(0.01, 0)], "rmse")
+    wall = time.perf_counter() - start
+    assert seconds[0] >= 0.06 and seconds[1] >= 0.01
+    assert sum(seconds) <= wall and sum(seconds) == pytest.approx(wall, abs=2e-3)
+
+
+def test_drive_raises_the_first_failure_in_job_order(two_segment):
+    # job 2 fails in round 2 and job 1 in round 4: job 1's error is raised, as
+    # when the jobs run one after the other, and job 3 is not resumed after
+    # job 2 fails
+    test = holdout_mask(two_segment.n, 0.2, 0)
+    log: list = []
+    with pytest.raises(DataError, match="the job of 3 rounds failed"):
+        enumeration.drive([_job(two_segment, test, 2, log), _job(two_segment, test, 3, log, True),
+                           _job(two_segment, test, 1, log, True),
+                           _job(two_segment, test, 4, log)], "rmse")
+    assert log == [(2, 0), (3, 0), (1, 0), (4, 0), (2, 1), (3, 1), (3, 2)]

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hipar import (
     AttributeSchema,
     DataError,
+    Dataset,
     Predictor,
     RunConfig,
     count_elements,
@@ -19,7 +21,9 @@ from hipar import (
     run_hipar,
     serialize_rules,
 )
-from hipar.regression import LinearModel
+from hipar.data import k_folds
+from hipar.enumeration import enumerate_candidates, hipar_init
+from hipar.regression import LinearModel, evaluate, fit_ols, metric_value
 
 from .conftest import make_two_segment, observation
 
@@ -201,7 +205,9 @@ def test_cross_validate_skips_zero_baseline_folds():
     report = cross_validate(d, RunConfig(theta=0.2, seed=0, folds=3))
     assert all(f.skipped for f in report.folds)
     assert all(f.note for f in report.folds)
-    assert math.isnan(report.mean_reduction)
+    # no reduction is defined: None, which report.json writes as null
+    assert report.mean_reduction is None and report.median_reduction is None
+    assert all(f.reduction is None for f in report.folds)
 
 
 def test_cross_validate_deterministic(two_segment):
@@ -211,6 +217,106 @@ def test_cross_validate_deterministic(two_segment):
     for fold in a["folds"] + b["folds"]:
         fold.pop("seconds")  # wall-clock is the one non-deterministic field
     assert a == b
+
+
+def _fold_by_fold(d, cfg):
+    """The reference of ``cross_validate``: each fold trained alone, by
+    ``run_hipar`` on a table built from its training rows, and scored the
+    same way. Returns each fold's FoldResult fields but ``seconds``, and the
+    depth of its search (the most conditions of a visited pattern, 0 when it
+    visits nothing); the first failing fold raises."""
+    plan = k_folds(d, cfg.folds, cfg.seed)
+    folds, depths = [], []
+    for fold in range(plan.k):
+        rows, test_rows = plan.train_rows(fold), plan.fold_rows(fold)
+        train = Dataset(d.schema, {a.name: d.column(a.name)[rows] for a in d.schema})
+        baseline = fit_ols(np.arange(train.n), train)
+        selected, predictor = run_hipar(train, cfg)
+        baseline_error = evaluate(baseline, test_rows, d, cfg.metric)
+        residuals = d.column(d.target)[test_rows] - predict_batch(predictor, d, test_rows)
+        model_error = metric_value(residuals, cfg.metric)
+        skipped = baseline_error == 0.0
+        folds.append({
+            "fold": fold, "baseline_error": baseline_error, "model_error": model_error,
+            "reduction": None if skipped else error_reduction(baseline_error, model_error),
+            "rules": len(selected.chosen), "elements": count_elements(selected),
+            "skipped": skipped,
+            "note": "baseline error is zero on the test rows" if skipped else "",
+        })
+        visited = enumerate_candidates(train, hipar_init(train, cfg), cfg).stats.visited_keys
+        depths.append(max((key.count(" & ") + 1 for key in visited), default=0))
+    return folds, depths
+
+
+def _lockstep_table(rng, n):
+    """Two categorical features and a numerical one: the target shifts with
+    c0="p" and steps at x < 0.5 inside it, slopes in x outside, and shifts
+    with c1="u", so folds search to different depths."""
+    c0 = rng.choice(np.array(["p", "q", "r"], dtype=object), n)
+    c1 = rng.choice(np.array(["u", "v"], dtype=object), n)
+    x = rng.uniform(0.0, 1.0, n)
+    y = (np.where(c0 == "p", 3.0 + 4.0 * (x < 0.5), 2.0 * x) + np.where(c1 == "u", 2.0, 0.0)
+         + rng.normal(0.0, 0.3, n))
+    return Dataset([AttributeSchema("c0", "categorical"), AttributeSchema("c1", "categorical"),
+                    AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical",
+                                                                       role="target")],
+                   {"c0": c0, "c1": c1, "x": x, "y": y})
+
+
+def _sparse_levels_table():
+    """30 rows of four levels of 7 or 8 rows, and a constant x: at theta 0.3
+    and 3 folds a level is frequent in some folds' 20 training rows only, and
+    fold 1 of seed 12 has no frequent condition at all."""
+    rng = np.random.default_rng(12)
+    c = rng.permutation(np.repeat(np.array(["a", "b", "c", "d"], dtype=object), [7, 7, 8, 8]))
+    y = np.select([c == "a", c == "b", c == "c"], [0.0, 3.0, -2.0], 5.0) + rng.normal(0, 0.3, 30)
+    return Dataset([AttributeSchema("c", "categorical"), AttributeSchema("x", "numerical"),
+                    AttributeSchema("y", "numerical", role="target")],
+                   {"c": c, "x": np.full(30, 1.0), "y": y})
+
+
+def test_lockstep_folds_equal_the_folds_trained_one_by_one():
+    # the folds train together, one contest call per round for all of them;
+    # each must get exactly what it gets trained alone on its own table
+    rng = np.random.default_rng(41)
+    cases = [(_sparse_levels_table(), RunConfig(theta=0.3, folds=3, seed=12))]
+    for k in range(8):
+        cfg = RunConfig(theta=float(rng.uniform(0.08, 0.25)), folds=int(rng.integers(2, 6)),
+                        seed=int(rng.integers(0, 100)), metric=("rmse", "meae")[k % 2],
+                        sd_q=1 if k % 4 == 1 else None, omega=0.0 if k % 4 == 2 else 1.0)
+        cases.append((_lockstep_table(rng, int(rng.integers(60, 160))), cfg))
+    depths = set()
+    for d, cfg in cases:
+        want, fold_depths = _fold_by_fold(d, cfg)
+        report = cross_validate(d, cfg)
+        got = [asdict(f) for f in report.folds]
+        for f in got:
+            assert f.pop("seconds") >= 0.0
+        assert got == want, cfg
+        scored = [f["reduction"] for f in want if not f["skipped"]]
+        assert report.mean_reduction == (float(np.mean(scored)) if scored else None)
+        depths.update(fold_depths)
+    # folds that walk nothing, and searches of different depths, train together
+    assert {0, 1, 2, 3} <= depths, depths
+
+
+def test_the_first_failing_fold_in_fold_order_raises():
+    # sd_q = 14 exceeds the candidate pools of folds 0 (13) and 2 (8); fold 2's
+    # search is shallower and fails first in time, but fold 0's error is raised,
+    # as when the folds train one after the other
+    d = _lockstep_table(np.random.default_rng(1), 120)
+    cfg = RunConfig(theta=0.1, folds=4, seed=1, sd_q=14)
+    plan = k_folds(d, cfg.folds, cfg.seed)
+    messages = []
+    for fold in range(plan.k):
+        try:
+            run_hipar(d.subset(plan.train_rows(fold)), cfg)
+        except DataError as exc:
+            messages.append(str(exc))
+    assert len(set(messages)) == 2
+    with pytest.raises(DataError) as raised:
+        cross_validate(d, cfg)
+    assert str(raised.value) == messages[0]
 
 
 def test_render_model_grammar():

@@ -98,9 +98,11 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
         masks.append(holdout_mask(*args))
         return masks[-1]
 
-    def contest(row_sets, d, metric, test, *rest):
-        fitted = best_local_models(row_sets, d, metric, test, *rest)
-        contests.extend((rows, test, scored) for rows, (_, scored) in zip(row_sets, fitted))
+    def contest(row_sets, tables, metric, tests, *rest):
+        # the search's driver names each region's table and test set
+        fitted = best_local_models(row_sets, tables, metric, tests, *rest)
+        contests.extend((rows, table, test, scored) for rows, table, test, (_, scored)
+                        in zip(row_sets, tables, tests, fitted))
         return fitted
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)
@@ -111,7 +113,8 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
     assert masks[0].tolist() == holdout_mask(d.n, 0.2, 0).tolist()
     # the default rule, every visited pattern and the parents no search visited
     assert len(contests) >= candidates.stats.visited + 1
-    for rows, test, scored in contests:
+    for rows, table, test, scored in contests:
+        assert table is d
         assert test is masks[0]
         inside = rows[test[rows]]
         split = len(rows) >= 5 and 0 < len(inside) < len(rows)

@@ -698,8 +698,8 @@ def _tune_with_errors(monkeypatch, errors, entries):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(30, 3))
     y = X @ [1.0, -2.0, 0.5] + rng.normal(0.0, 0.1, 30)
-    m = _moments([np.vstack([X.T, y])])
-    fits, (entry,), (i,), (error,) = _tune(m, ["a", "b", "c"], [X], [y], entries, "rmse")
+    Zt = np.vstack([X.T, y])
+    fits, (entry,), (i,), (error,) = _tune(_moments([Zt]), ["a", "b", "c"], [Zt], entries, "rmse")
     return fits[entry].methods[0], fits[entry].hypers[0][i], float(error)
 
 
@@ -785,6 +785,42 @@ def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
     methods = {fitted.model.method for fitted, _ in alone}
     assert {"MEAN", "LASSO", "OMP"} <= methods
     assert best_local_models([], d, metric, test) == []
+
+    # the folds of a cross-validation share one batch: regions of several
+    # tables of one schema, each gathered from its own table and split by its
+    # own test set, get what they get alone
+    other = d.subset(np.arange(37, d.n))
+    other_test = holdout_mask(other.n, 0.2, 6)
+    other_pool = _region_pool(other, other_test, rng)
+    regions = [(d, rows, test, want) for rows, want in zip(pool, alone)]
+    regions += [(other, rows, other_test, best_local_model(rows, other, metric, other_test))
+                for rows in other_pool]
+    for _ in range(6):
+        picks = rng.choice(len(regions), size=int(rng.integers(2, 12)))
+        picks = [*picks, len(pool) - 1, len(regions) - 1]  # both tables
+        tables, rows, tests, wants = zip(*(regions[i] for i in picks))
+        for got, want in zip(best_local_models(rows, tables, metric, tests), wants):
+            _same_fit(got, want)
+    tables, rows, tests, wants = zip(*regions)
+    for got, want in zip(best_local_models(rows, tables, metric, tests), wants):
+        _same_fit(got, want)
+    assert {fitted.model.method for _, _, _, (fitted, _) in regions[len(pool):]} >= {
+        "MEAN", "LASSO", "OMP"}
+    assert best_local_models([], [], metric, []) == []
+
+
+def test_a_batch_names_one_table_of_one_schema_and_one_test_set_per_region():
+    d = _batch_table()
+    test = holdout_mask(d.n, 0.2, 5)
+    other = _dataset({"x0": np.arange(20.0), "y": np.arange(20.0) % 3})
+    with pytest.raises(DataError, match="tables of one schema"):
+        best_local_models([np.arange(10), np.arange(10)], [d, other], "rmse",
+                          [test, holdout_mask(other.n, 0.2, 5)])
+    with pytest.raises(DataError, match="one table and one test mask per row set"):
+        best_local_models([np.arange(10)], [d, d], "rmse", [test, test])
+    with pytest.raises(DataError, match="bool mask over the table's 20 rows"):
+        best_local_models([np.arange(10), np.arange(10)], [d, d.subset(range(20))], "rmse",
+                          [test, test])
 
 
 def test_batched_solvers_step_each_row_set_as_alone():
