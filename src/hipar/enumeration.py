@@ -34,9 +34,13 @@ closes from its own region bits (``Universe.close``), and the region's covering
 vector gives the child's categorical extensions by universe row: an equality is
 in the closed pattern exactly when it covers the region. A recursing child's
 extension supports are counted in the same pass, so a child with no frequent
-extension is never walked. The immediate parents close over the node's
-universe too; each sub-pattern's support and closure are kept per universe,
-since many children share their parents.
+extension is never walked.
+
+A rule's identity in the search is its region, the bytes of its packed row
+bits: the memo of fitted models is keyed by them, so each region is fitted
+once, whichever pattern asks for it (a visited child, an Occam test's parent,
+or the default rule's TRUE). A child's immediate parents are the regions of
+its closed pattern without one condition each; they are never closed.
 
 The search is a generator that pauses at its one contest call per node
 (``_Search.fit_rules``): it yields the (table, rows, test mask) of the regions
@@ -56,7 +60,6 @@ import time
 from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -74,7 +77,6 @@ from .patterns import (
     condition_tids,
     iv_from_region,
     pattern_bits,
-    region,
 )
 from .regression import FittedRuleModel, best_local_models, evaluate_all
 
@@ -138,23 +140,13 @@ def _validate(d: Dataset, cfg: RunConfig) -> None:
         raise DataError(f"theta*n = {cfg.theta * d.n:.3g} is below one row")
 
 
-def _interval_conditions(
-    d: Dataset, rows: np.ndarray, attrs: Sequence[str], cfg: RunConfig
-) -> list[Interval]:
-    """MDLP intervals for the attributes, frequency-filtered and imbalance-guarded.
-
-    An attribute whose filtered partition collapses to a single interval is
-    dropped entirely for this node. The one-region case of
-    ``_regions_intervals``.
-    """
-    return _regions_intervals(d, [(rows, attrs)], cfg)[0]
-
-
 def _regions_intervals(
     d: Dataset, regions: Sequence[tuple[np.ndarray, Sequence[str]]], cfg: RunConfig
 ) -> list[list[Interval]]:
-    """``_interval_conditions`` of each (rows, attributes) region, with one
-    binarization and one MDLP pass for all of them."""
+    """MDLP intervals of each (rows, attributes) region, with one binarization
+    and one MDLP pass for all of them. Only intervals frequent on the whole
+    table are kept, and an attribute whose kept partition collapses to a
+    single interval is dropped entirely for that region."""
     labels = binarize_targets([rows for rows, _ in regions], d)
     theta_abs = cfg.theta * d.n
     out: list[list[Interval]] = []
@@ -183,8 +175,7 @@ def hipar_init(d: Dataset, cfg: RunConfig) -> list[Condition]:
         conditions.extend(
             Equals(attr, v) for v, k in zip(col.levels, counts) if _frequent(k, theta_abs)
         )
-    rows = np.arange(d.n)
-    conditions.extend(_interval_conditions(d, rows, d.numerical_features(), cfg))
+    conditions.extend(_regions_intervals(d, [(np.arange(d.n), d.numerical_features())], cfg)[0])
     return sorted(conditions, key=lambda c: c.order)
 
 
@@ -218,9 +209,9 @@ class _Extension:
     as the node decides it before any local model is fitted. ``decision`` is
     None for a child to visit, whose closed pattern is ``pattern``; its
     ``rows`` are kept until the node has fitted and re-discretized its
-    children, which fills in its Occam verdict ``ok`` and, when it recurses,
-    its ``intervals``. ``covering`` marks the node universe's conditions that
-    hold on the whole child region."""
+    children, which fills in its ``rule``, its Occam verdict ``ok`` and, when
+    it recurses, its ``intervals``. ``covering`` marks the node universe's
+    conditions that hold on the whole child region."""
 
     i: int
     decision: str | None
@@ -229,6 +220,7 @@ class _Extension:
     pattern: Pattern | None = None
     rows: np.ndarray | None = None
     covering: np.ndarray | None = None
+    rule: HybridRule | None = None
     ok: bool = False
     intervals: list[Interval] = field(default_factory=list)
 
@@ -270,12 +262,11 @@ class _Search:
         self.stats = EnumStats()
         self.accepted: list[HybridRule] = []
         self._iv1: dict[Condition, float] = {}
-        # (rule, its scored rows), keyed by the exact conditions: rendered text can collide
-        self._memo: dict[Pattern, tuple[HybridRule, np.ndarray]] = {}
+        # each fitted region's (model, scored rows), keyed by its packed row
+        # bits' bytes: a fit depends on the region's rows alone
+        self._memo: dict[bytes, tuple[FittedRuleModel, np.ndarray]] = {}
         self._visited: set[Pattern] = set()
-        # per universe, each sub-pattern parent_patterns met: its support and closure
-        self._subs: WeakKeyDictionary[Universe, dict[Pattern, tuple[int, Pattern]]]
-        self._subs = WeakKeyDictionary()
+        self.top = pattern_bits(TOP, d).tobytes()  # the whole table's region key
         self.universe = Universe([c for c in conds if isinstance(c, Equals)], d)
 
     def run(self, conds: Sequence[Condition]) -> Generator[Request, Reply, CandidateSet]:
@@ -287,8 +278,8 @@ class _Search:
             rows = universe.rows(conds)
             yield from self.walk(_Node(TOP, universe, list(conds), rows,
                                        *universe.extensions(rows, pattern_bits(TOP, self.d))))
-        yield from self.fit_rules({TOP: None})
-        return CandidateSet(rules=self.accepted, default_rule=self._memo[TOP][0],
+        yield from self.fit_rules({self.top: None})
+        return CandidateSet(rules=self.accepted, default_rule=self.rule(TOP, self.top, self.d.n),
                             stats=self.stats)
 
     def node_universe(self, intervals: list[Interval]) -> Universe:
@@ -303,47 +294,41 @@ class _Search:
         return v
 
     def fit_rules(self,
-                  regions: dict[Pattern, np.ndarray | None]) -> Generator[Request, Reply, None]:
-        """Fit the rules of the patterns the memo lacks, with one contest
-        call: yield their regions to the driver and memoize the fits it sends
-        back. A pattern's rows are its region unless given. A rule depends on
-        its rows alone, so what else is in the batch does not matter."""
-        todo = [p for p in regions if p not in self._memo]
+                  regions: dict[bytes, np.ndarray | None]) -> Generator[Request, Reply, None]:
+        """Fit the regions the memo lacks with one contest call: yield them to
+        the driver and memoize the fits it sends back. ``regions`` maps each
+        region's key to its rows, or to None when the rows are to be unpacked
+        from the key. A fit depends on its rows alone, so what else is in the
+        batch does not matter."""
+        todo = [key for key in regions if key not in self._memo]
         if not todo:
             return
-        rows = [region(p, self.d) if regions[p] is None else regions[p] for p in todo]
+        rows = [bits_rows(np.frombuffer(key, np.uint64), self.d.n) if regions[key] is None
+                else regions[key] for key in todo]
         fitted = yield [(self.d, r, self.test) for r in rows]
-        for p, r, (model, scored) in zip(todo, rows, fitted):
-            self._memo[p] = HybridRule(p, model, len(r), len(r) / self.d.n), scored
+        self._memo.update(zip(todo, fitted))
 
-    def rule_for(self, pattern: Pattern,
-                 rows: np.ndarray | None = None) -> tuple[HybridRule, np.ndarray]:
-        """The pattern's rule and the rows its contest scored on."""
-        drive([self.fit_rules({pattern: rows})], self.cfg.metric)
-        return self._memo[pattern]
+    def rule(self, pattern: Pattern, key: bytes, support: int) -> HybridRule:
+        """The rule of a pattern whose region, of this key and support, is fitted."""
+        return HybridRule(pattern, self._memo[key][0], support, support / self.d.n)
 
-    def parent_patterns(self, p_closed: Pattern, support: int, universe: Universe) -> list[Pattern]:
-        """The immediate closed ancestors (closure of the pattern minus one
-        condition c); the empty pattern, whose rule is the default rule, stands
-        in when nothing else remains. A c that the rest implies (the rest's
-        region has the pattern's ``support``) yields no proper ancestor and is
-        skipped. Each sub-pattern's support and closure are computed once per
-        universe: many children share their parents."""
-        subs = self._subs.setdefault(universe, {})
-        parents: dict[Pattern, None] = {}
+    def parent_regions(self, p_closed: Pattern,
+                       support: int) -> list[tuple[Pattern, bytes, int]]:
+        """The immediate ancestors of a closed pattern, as the (pattern, region
+        key, support) of the pattern minus one condition c. A c that the rest
+        implies (the rest's region has the pattern's ``support``) yields no
+        proper ancestor and is skipped; the whole table, the default rule's
+        region, stands in when nothing else remains. A rule is its region, so
+        the ancestors are not closed, and the kept regions are distinct: two
+        sub-patterns with one region both have the pattern's region."""
+        found = []
         for c in p_closed.conditions:
             sub = p_closed.without(c)
-            if sub.is_empty:
-                parents[TOP] = None
-                continue
-            known = subs.get(sub)
-            if known is None:
-                inside = pattern_bits(sub, self.d)
-                known = subs[sub] = (int(np.bitwise_count(inside).sum()),
-                                     universe.close(sub.conditions, inside)[0])
-            if known[0] != support:
-                parents[known[1]] = None
-        return list(parents) or [TOP]
+            bits = pattern_bits(sub, self.d)
+            s = int(np.bitwise_count(bits).sum())
+            if s != support:
+                found.append((sub, bits.tobytes(), s))
+        return found or [(TOP, self.top, self.d.n)]
 
     def emit(self, decision: str, support: int, iv: float, pattern: Pattern,
              c: Condition | None = None) -> None:
@@ -380,7 +365,7 @@ class _Search:
         self.stats.pruned_support += len(conds) - len(frequent)
         intervals = [c for c in conds if isinstance(c, Interval)]
         steps = self.decide(pattern, conds, frequent, intervals, node.universe, ext_bits)
-        yield from self.prepare(steps, node.universe)
+        yield from self.prepare(steps, ext_bits)
         done = 0
         for step in steps:
             self.emit_infrequent(pattern, conds, ext_bits, done, step.i)
@@ -402,7 +387,7 @@ class _Search:
             self._visited.add(p_closed)
             self.stats.visited_keys.append(p_closed.key)
             if step.ok:
-                self.accepted.append(self._memo[p_closed][0])
+                self.accepted.append(step.rule)
                 self.stats.accepted += 1
                 self.emit("accepted", step.support, step.iv, p_closed)
             else:
@@ -467,22 +452,23 @@ class _Search:
         return steps
 
     def prepare(self, steps: list[_Extension],
-                universe: Universe) -> Generator[Request, Reply, None]:
-        """Fit the children to visit and the parent rules the memo lacks with
-        one contest call, run their Occam tests, and re-discretize the children
-        that will recurse with one MDLP pass."""
+                ext_bits: np.ndarray) -> Generator[Request, Reply, None]:
+        """Fit the children to visit and the parent regions the memo lacks
+        with one contest call, run their Occam tests, and re-discretize the
+        children that will recurse with one MDLP pass."""
         visits = [s for s in steps if s.decision is None]
         if not visits:
             return
-        parents = [self.parent_patterns(s.pattern, s.support, universe) for s in visits]
-        regions: dict[Pattern, np.ndarray | None] = {TOP: None}  # the root fits the default rule
-        regions.update((s.pattern, s.rows) for s in visits)
-        for found in parents:
-            regions.update((p, None) for p in found if p not in regions)
+        keys = [ext_bits[s.i].tobytes() for s in visits]
+        parents = [self.parent_regions(s.pattern, s.support) for s in visits]
+        regions: dict[bytes, np.ndarray | None] = {self.top: None}  # the root fits the default rule
+        regions.update(zip(keys, (s.rows for s in visits)))
+        regions.update((key, None) for found in parents for _, key, _ in found
+                       if key not in regions)
         yield from self.fit_rules(regions)
-        for s, found in zip(visits, parents):
-            rule, scored = self._memo[s.pattern]
-            s.ok = occam_test(rule, [self._memo[p][0] for p in found], scored, self.d,
+        for s, key, found in zip(visits, keys, parents):
+            s.rule = self.rule(s.pattern, key, s.support)
+            s.ok = occam_test(s.rule, [self.rule(*p) for p in found], self._memo[key][1], self.d,
                               self.cfg.metric)
         recurse = [s for s in visits if s.ok or self.exhaustive]
         numeric = self.d.numerical_features()

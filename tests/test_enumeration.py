@@ -32,7 +32,7 @@ from hipar import (
     support,
 )
 from hipar import enumeration
-from hipar.patterns import Universe
+from hipar.patterns import Universe, pattern_bits
 
 from .conftest import make_catwide, make_two_segment
 from .oracles import closed_frequent_oracle, mdlp_oracle, reference_search
@@ -669,6 +669,43 @@ def test_search_equals_the_reference_search_on_random_tables():
         "rediscretized")), fired
 
 
+def test_a_search_fits_each_region_once(monkeypatch):
+    # k="only" holds on every row, so the sub-pattern {k="only"} of a closed
+    # child {g, k="only"} has the default rule's region, the whole table
+    rng = np.random.default_rng(23)
+    n = 120
+    g = rng.choice(np.array(["a", "b", "c"], dtype=object), n)
+    x = rng.uniform(0.0, 1.0, n)
+    y = np.where(g == "a", 3.0, 0.0) + 4.0 * (g == "b") * (x >= 0.5) + rng.normal(0.0, 0.3, n)
+    d = Dataset([AttributeSchema("g", "categorical"), AttributeSchema("k", "categorical"),
+                 AttributeSchema("x", "numerical"),
+                 AttributeSchema("y", "numerical", role="target")],
+                {"g": g, "k": np.full(n, "only", dtype=object), "x": x, "y": y})
+    fitted: list[bytes] = []  # the rows of every region a contest call fits
+    contest = enumeration.best_local_models
+
+    def spy(row_sets, tables, metric, tests):
+        fitted.extend(np.asarray(rows).tobytes() for rows in row_sets)
+        return contest(row_sets, tables, metric, tests)
+
+    monkeypatch.setattr(enumeration, "best_local_models", spy)
+    cfg = RunConfig(theta=0.1)
+    for exhaustive in (False, True):
+        fitted.clear()
+        enumerate_candidates(d, hipar_init(d, cfg), cfg, exhaustive=exhaustive)
+        assert len(fitted) == len(set(fitted)) > 5
+        assert np.arange(n).tobytes() in fitted
+    # and on the reference search's random tables
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        d = _random_search_table(rng)
+        cfg = RunConfig(theta=max(float(rng.uniform(0.1, 0.3)), 1.0 / d.n),
+                        seed=int(rng.integers(0, 100)))
+        fitted.clear()
+        enumerate_candidates(d, hipar_init(d, cfg), cfg, exhaustive=k % 2 == 1)
+        assert len(fitted) == len(set(fitted)), k
+
+
 def _universes_and_nodes(monkeypatch, d, cfg):
     """Run a search; return every Universe it builds and, per walked node, its
     pattern and interval conditions, in build and walk order."""
@@ -796,8 +833,9 @@ def test_ancestor_interval_implied_by_a_later_condition():
 
     search = enumeration._Search(d, cfg, init, None)
     assert interval not in search.universe.conditions
-    parents = search.parent_patterns(p_closed, len(region(p_closed, d)), search.universe)
-    assert parents == [Pattern([interval])]
+    parents = search.parent_regions(p_closed, len(region(p_closed, d)))
+    parent = Pattern([interval])
+    assert parents == [(parent, pattern_bits(parent, d).tobytes(), len(region(parent, d)))]
 
 
 def test_rediscretized_intervals_filtered_on_full_dataset_support():
@@ -816,11 +854,11 @@ def test_rediscretized_intervals_filtered_on_full_dataset_support():
         ],
         {"segment": seg, "x": x, "y": y},
     )
-    from hipar.enumeration import _interval_conditions
+    from hipar.enumeration import _regions_intervals
 
     rows = np.arange(40)  # segment A only; its x-split intervals hold 20 rows each
-    rare = _interval_conditions(d, rows, ["x"], RunConfig(theta=0.15, seed=0))
-    frequent = _interval_conditions(d, rows, ["x"], RunConfig(theta=0.1, seed=0))
+    rare, = _regions_intervals(d, [(rows, ["x"])], RunConfig(theta=0.15, seed=0))
+    frequent, = _regions_intervals(d, [(rows, ["x"])], RunConfig(theta=0.1, seed=0))
     assert rare == []  # 20 rows < 0.15 * 200, though 20 >= 0.15 * 40 within the region
     assert len(frequent) >= 2  # 20 rows >= 0.1 * 200
 
@@ -838,7 +876,8 @@ def test_enumeration_deterministic(two_segment):
 
 
 def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
-    # both bounds render as 1e+06; the memo must tell the patterns apart
+    # both bounds render as 1e+06; the memo, keyed by region, must tell the
+    # patterns apart
     rng = np.random.default_rng(5)
     x = 1e6 + rng.uniform(0.0, 0.4, 200)
     d = Dataset(
@@ -851,10 +890,15 @@ def test_rule_memo_keeps_patterns_with_equal_rendering_apart():
     from hipar.enumeration import _Search
 
     search = _Search(d, RunConfig(theta=0.05), [], None)
-    rule_low, _ = search.rule_for(low)
-    rule_high, _ = search.rule_for(high)
-    assert rule_high is not rule_low
-    assert rule_high.pattern == high
+    keys = [pattern_bits(p, d).tobytes() for p in (low, high)]
+    assert keys[0] != keys[1]
+    enumeration.drive([search.fit_rules(dict.fromkeys(keys))], "rmse")
+    rule_low, rule_high = (search.rule(p, key, len(region(p, d)))
+                           for p, key in zip((low, high), keys))
+    assert rule_high.fitted is not rule_low.fitted
+    for rule, p in ((rule_low, low), (rule_high, high)):
+        assert rule.pattern == p
+        assert rule.fitted == best_local_model(region(p, d), d, "rmse", search.test)[0]
     assert rule_low.support_abs == len(region(low, d))
     assert rule_high.support_abs == len(region(high, d)) > rule_low.support_abs
 

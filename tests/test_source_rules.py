@@ -1,11 +1,13 @@
 """Rules on hipar's own source, checked on the syntax tree of every module
-under src/hipar."""
+under src/hipar, and on the names bench/tracing.py wraps in it."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
-MODULES = sorted((Path(__file__).resolve().parent.parent / "src" / "hipar").rglob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "hipar").rglob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -100,3 +102,18 @@ def test_every_run_config_field_is_read():
                  and isinstance(n.ctx, ast.Load) and id(n) not in inside}
     assert fields, "RunConfig not found"
     assert fields <= read, sorted(fields - read)
+
+
+def test_every_function_the_tracer_wraps_exists():
+    # bench/tracing.py names the functions it spans and counts as (layer,
+    # function) pairs; one that hipar renames or drops would fail only when
+    # the tracer is installed
+    listed = {}
+    for node in _tree(ROOT / "bench" / "tracing.py").body:
+        name = ast.unparse(node.targets[0]) if isinstance(node, ast.Assign) else None
+        if name in ("SPANNED", "COUNTED"):
+            listed[name] = ast.literal_eval(node.value)
+    assert set(listed) == {"SPANNED", "COUNTED"} and all(listed.values()), listed
+    missing = [f"hipar.{layer}.{func}" for pairs in listed.values() for layer, func in pairs
+               if not callable(getattr(importlib.import_module(f"hipar.{layer}"), func, None))]
+    assert not missing, missing
