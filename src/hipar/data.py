@@ -199,20 +199,22 @@ class Dataset:
     named by ``target``: the schema's one attribute with the target role, and
     the target of every fit, score and search on the table.
 
-    Columns are stored column-major: float64 arrays for numerical attributes,
-    a ``CodedColumn`` for categorical ones. A categorical column given as
-    ``str`` cells is coded once by ``code``, a non-``str`` cell being a
-    DataError; one given as a ``CodedColumn`` (a reader's, or a subset's,
-    which keeps its parent's table) is kept as it is. Two memos are filled
-    lazily, and everything in them is read-only. ``bits`` holds each
-    condition's row set, keyed by the condition: its rows packed by
-    ``np.packbits`` into 64-bit words with zero padding
+    The numbers are one read-only, C-contiguous float64 array ``block`` of
+    q x n, copied from the given columns and checked finite once: a row per
+    numerical feature in schema order, then the target's, wherever the
+    target sits in the schema; ``column`` gives such a row as a view. A
+    categorical column given as ``str`` cells is coded once by ``code``, a
+    non-``str`` cell being a DataError; one given as a ``CodedColumn`` (a
+    reader's, or a subset's, which keeps its parent's table) is kept as it
+    is. Two memos are filled lazily, and everything in them is read-only.
+    ``bits`` holds each condition's row set, keyed by the condition: its
+    rows packed by ``np.packbits`` into 64-bit words with zero padding
     (``patterns.condition_bits``). ``ranks(name)`` keeps, per numerical
-    column, its sorted distinct values and every row's integer rank code among
-    them, for the discretizer; a subset starts with its parent's values and
-    the codes of its rows. Instances are safe to share across threads once
-    constructed: two threads may at worst compute the same read-only entry
-    twice, and the later store wins.
+    column, its sorted distinct values and every row's integer rank code
+    among them, for the discretizer; a subset starts with its parent's
+    values and the codes of its rows. Instances are safe to share across
+    threads once constructed: two threads may at worst compute the same
+    read-only entry twice, and the later store wins.
     """
 
     def __init__(self, schema: Sequence[AttributeSchema], columns: dict[str, np.ndarray]):
@@ -225,20 +227,29 @@ class Dataset:
         if len(lengths) != 1:
             raise DataError("columns have inconsistent lengths")
         self.schema = list(schema)
-        self.n = lengths.pop()
-        if self.n < 1:
+        if lengths.pop() < 1:
             raise DataError("empty table: no data rows")
-        self._columns: dict[str, np.ndarray | CodedColumn] = {}
-        for attr in self.schema:
-            col = columns[attr.name]
-            if attr.kind == NUMERICAL:
-                col = np.asarray(col, dtype=float)
-                if not np.all(np.isfinite(col)):
-                    raise DataError(f"column {attr.name!r} contains non-finite values")
-                col.flags.writeable = False
-            elif not isinstance(col, CodedColumn):  # a CodedColumn is kept as it is
-                col = code(col, f"categorical column {attr.name!r} holds a non-string cell")
-            self._columns[attr.name] = col
+        numbers = [*self.numerical_features(), self.target]
+        block = np.array([np.asarray(columns[n], dtype=float) for n in numbers])
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = next(n for n in names if n in numbers and not finite[numbers.index(n)])
+            raise DataError(f"column {bad!r} contains non-finite values")
+        self._fill(block, columns)
+
+    def _fill(self, block: np.ndarray, columns: dict[str, object]) -> None:
+        """Set up a table whose schema and target are set, from its checked
+        ``block`` and its categorical ``columns``."""
+        self.n = block.shape[1]
+        block.flags.writeable = False
+        self.block = block
+        self._columns: dict[str, np.ndarray | CodedColumn] = dict(
+            zip([*self.numerical_features(), self.target], block))
+        for name in self.categorical_features():
+            col = columns[name]
+            if not isinstance(col, CodedColumn):  # a CodedColumn is kept as it is
+                col = code(col, f"categorical column {name!r} holds a non-string cell")
+            self._columns[name] = col
         self._by_name = {a.name: a for a in self.schema}
         self.bits: dict[object, np.ndarray] = {}
         self._ranks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -279,20 +290,16 @@ class Dataset:
         """Numerical feature attributes, target excluded."""
         return [a.name for a in self.schema if a.role == "feature" and a.kind == NUMERICAL]
 
-    def numeric_matrix(self, rows: np.ndarray, names: Sequence[str]) -> np.ndarray:
-        """len(rows) x len(names) float matrix of the given numerical columns,
-        stored column-major: its transpose is one contiguous row per column."""
-        if len(names) == 0:
-            return np.empty((len(rows), 0))
-        return np.array([self.column(n)[rows] for n in names]).T
-
     def subset(self, rows: Iterable[int]) -> "Dataset":
-        """The given rows as a table, in row order. It keeps the parent's
-        level tables: each categorical column's levels, and each numerical
-        column's ranked values (``ranks``) with the codes of its rows, so
-        no column is ranked again."""
+        """The given rows as a table, in row order: one ``take`` of the
+        block's columns. It keeps the parent's level tables: each categorical
+        column's levels, and each numerical column's ranked values (``ranks``)
+        with the codes of its rows, so no column is ranked again."""
         idx = sorted_rows(rows, self.n)
-        out = Dataset(self.schema, {a.name: self._columns[a.name][idx] for a in self.schema})
+        out = Dataset.__new__(Dataset)
+        out.schema, out.target = list(self.schema), self.target
+        out._fill(self.block.take(idx, axis=1),
+                  {name: self._columns[name][idx] for name in self.categorical_features()})
         for a in self.schema:
             if a.kind == NUMERICAL:
                 levels, codes = self.ranks(a.name)

@@ -517,8 +517,7 @@ def drive(jobs: Sequence[Generator[Request, Reply, object]],
                 seconds[i] += now - clock
                 clock = now
         asked = [one for ask in asks.values() for one in ask]
-        fitted = best_local_models([r for _, r, _ in asked], [t for t, _, _ in asked], metric,
-                                   [mask for _, _, mask in asked]) if asked else []
+        fitted = best_local_models(asked, metric) if asked else []
         now = time.perf_counter()
         share, clock = (now - clock) / max(len(asked), 1), now
         replies, at = {}, 0

@@ -52,8 +52,9 @@ Occam test scores a rule's model and its parents' by one such residual matrix
 The core works on batches of row sets; a fit of one row set is a batch of one.
 A search node fits all the regions it needs in one contest call
 (``best_local_models``), and the folds of a cross-validation share that call:
-a batch may hold regions of several tables of one schema, each gathered from
-its own table and split by its own test set. The sums and products over a
+a batch is a sequence of (table, rows, test mask) regions, which may come from
+several tables of one schema. A region's Z^T is one ``take`` of its rows'
+columns from its table's ``block``. The sums and products over a
 region's rows (its co-moments, X B and the residual sums) run as one numpy
 call per region, as for that region alone. The small products G beta and mean B run as one
 stacked product per number of varying features, with each region's operands
@@ -155,13 +156,6 @@ class FittedRuleModel:
     holdout_error: float
 
 
-def _region(idx: np.ndarray, d: Dataset) -> tuple[list[str], np.ndarray]:
-    """The numerical feature names and the rows' matrix Z = [X, y] (those
-    features, then the target) as Zt = Z^T, one contiguous row per column."""
-    names = d.numerical_features()
-    return names, d.numeric_matrix(idx, [*names, d.target]).T
-
-
 @dataclass(frozen=True)
 class _CoMoments:
     """Co-moments of k blocks of rows Z = [X, y], stacked along the first
@@ -198,8 +192,8 @@ def _comoments(blocks: Sequence[np.ndarray], q: int) -> _CoMoments:
 
 class _Blocks(Sequence):
     """Row set i's matrix Zt = [X, y]^T on the sorted rows ``rows[i]`` of
-    ``tables[i]``, built each time it is read: a batch holds no copy of its
-    regions' values."""
+    ``tables[i]``, one ``take`` of the table's ``block`` each time it is read:
+    a batch holds no copy of its regions' values."""
 
     def __init__(self, tables: Sequence[Dataset], rows: Sequence[np.ndarray]):
         self.tables, self.rows = tables, rows
@@ -208,7 +202,7 @@ class _Blocks(Sequence):
         return len(self.rows)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return _region(self.rows[i], self.tables[i])[1]
+        return self.tables[i].block.take(self.rows[i], axis=1)
 
 
 def _merge(a: _CoMoments, b: _CoMoments) -> _CoMoments:
@@ -541,12 +535,17 @@ def _errors(X: np.ndarray, yv: np.ndarray, intercepts: np.ndarray, B: np.ndarray
 
 def evaluate_all(models: Sequence[LinearModel], rows, d: Dataset, metric: str) -> np.ndarray:
     """Error of each model's predictions over the rows under the metric, from
-    one residual matrix over the union of the models' attributes."""
+    one residual matrix over the union of the models' attributes, gathered
+    from the table's ``block`` by one index."""
     idx = sorted_rows(rows, d.n)
     names = list(dict.fromkeys(name for m in models for name in m.coefficients))
+    at = {name: i for i, name in enumerate(d.numerical_features())}
+    unknown = [name for name in names if name not in at]
+    if unknown:
+        raise DataError(f"a model reads {unknown[0]!r}, not a numerical feature of the table")
     B = np.array([[m.coefficients.get(name, 0.0) for m in models] for name in names],
                  dtype=float).reshape(len(names), len(models))
-    return _errors(d.numeric_matrix(idx, names), d.column(d.target)[idx],
+    return _errors(d.block[np.ix_([at[name] for name in names], idx)].T, d.block[-1, idx],
                    np.array([m.intercept for m in models]), B, metric)
 
 
@@ -591,8 +590,8 @@ def fit_ols(rows, d: Dataset) -> LinearModel:
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
-    names, Zt = _region(idx, d)
-    return _fits(_moments([Zt]), OLS, [[None]], names).model(0, 0)
+    return _fits(_moments([d.block.take(idx, axis=1)]), OLS, [[None]],
+                 d.numerical_features()).model(0, 0)
 
 
 def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: str,
@@ -606,8 +605,8 @@ def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: s
     # a holdout row is a fit row iff its left and right insertion points differ
     if (np.searchsorted(idx, hold, "left") != np.searchsorted(idx, hold, "right")).any():
         raise DataError("fit rows and holdout rows must be disjoint")
-    names, Zt = _region(idx, d)
-    fits, _, (i,), _ = _tune(_moments([Zt]), names, [_region(hold, d)[1]], [entry], metric)
+    fits, _, (i,), _ = _tune(_moments([d.block.take(idx, axis=1)]), d.numerical_features(),
+                             [d.block.take(hold, axis=1)], [entry], metric)
     return fits[0].model(0, i)
 
 
@@ -640,9 +639,9 @@ def best_local_model(
     in the test set, or all of its rows on the MEAN path.
 
     The region's rows are split by the mask, and each side's matrix
-    Z = [X, y] is gathered column-major whenever it is read. ``_tune`` fits
-    both methods on the rows outside the mask and scores all their models on
-    the rows inside it by one residual matrix; the best
+    Zt = [X, y]^T is one ``take`` of the table's ``block`` whenever it is
+    read. ``_tune`` fits both methods on the rows outside the mask and scores
+    all their models on the rows inside it by one residual matrix; the best
     (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
     contest holdout error on record. The refit's moments merge the co-moments
     of the two sides. A region with fewer than 5 rows, or all on one side of
@@ -653,37 +652,31 @@ def best_local_model(
     model there, scored on the test side like any other; LASSO wins the tie
     and the MEAN model is refit on all rows. The one-region case of
     ``best_local_models``."""
-    return best_local_models([rows], d, metric, test)[0]
+    return best_local_models([(d, rows, test)], metric)[0]
 
 
 def best_local_models(
-    row_sets: Sequence, d: Dataset | Sequence[Dataset], metric: str,
-    test: np.ndarray | Sequence[np.ndarray]
+    regions: Sequence[tuple[Dataset, object, np.ndarray]], metric: str
 ) -> list[tuple[FittedRuleModel, np.ndarray]]:
-    """``best_local_model``'s contest on each row set, as one batch: every
-    row set gets exactly the model and scored rows it gets alone, in the order
-    given. The row sets may come from several tables of one schema (the
-    folds of a cross-validation): ``d`` and ``test`` are then one table and
-    one test mask per row set. The gathers and the sums and products over a
-    region's rows run per region; the moments, both solvers, the tie-breaks
-    and the refits run once for all."""
+    """``best_local_model``'s contest on each region, a (table, rows, test
+    mask) triple, as one batch: every region gets exactly the model and
+    scored rows it gets alone, in the order given. The regions may come from
+    several tables of one schema (the folds of a cross-validation), each
+    split by its own table's test mask. The gathers and the sums and products
+    over a region's rows run per region; the moments, both solvers, the
+    tie-breaks and the refits run once for all."""
     metric = check_metric(metric)
-    if isinstance(d, Dataset):
-        tables, tests = [d] * len(row_sets), [test] * len(row_sets)
-    else:
-        tables, tests = list(d), list(test)
-    if not len(tables) == len(tests) == len(row_sets):
-        raise DataError("a batch needs one table and one test mask per row set")
-    if not tables:
+    if not regions:
         return []
+    tables = [t for t, _, _ in regions]
     names = tables[0].numerical_features()
     q = len(names) + 1
     checked: set[tuple[int, int]] = set()
     idxs, inside = [], []
-    for rows, t, mask in zip(row_sets, tables, tests):
+    for t, rows, mask in regions:
         if (id(t), id(mask)) not in checked:
             if t.schema != tables[0].schema:
-                raise DataError("the row sets of one batch must come from tables of one schema")
+                raise DataError("the regions of one batch must come from tables of one schema")
             if not (isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (t.n,)):
                 raise DataError(f"the test set must be a bool mask over the table's {t.n} rows")
             checked.add((id(t), id(mask)))

@@ -76,6 +76,16 @@ def make_catwide(n: int, seed: int) -> Dataset:
     return Dataset(schema, columns)
 
 
+# make_catwide's columns with the target first and the numerical features
+# between the categorical ones, in their relative order
+CATWIDE_TARGET_FIRST = ("y", "k0", "k1", "k2", "n0", "k3", "k4", "n1", "k5", "k6", "k7")
+
+
+def reordered(d: Dataset, names) -> Dataset:
+    """The table d with its schema in the order of ``names``."""
+    return Dataset([d.attribute(n) for n in names], {n: d.column(n) for n in names})
+
+
 @pytest.fixture
 def two_segment():
     return make_two_segment()

@@ -8,6 +8,8 @@ import pytest
 import hipar.data
 from hipar import DataError, holdout_mask, k_folds, load_csv, write_csv
 
+from .conftest import CATWIDE_TARGET_FIRST, make_catwide, reordered
+
 
 def test_load_toy_table(toy):
     assert toy.n == 6
@@ -459,3 +461,52 @@ def test_holdout_split_keeps_a_row_on_each_side(n, fraction):
     assert test.shape == (n,)
     assert np.count_nonzero(~test) >= 1
     assert np.count_nonzero(test) == min(n - 1, max(1, round(fraction * n)))
+
+
+def test_a_table_copies_the_callers_numbers():
+    # a float64 column used to be kept as it was: the table made the caller's
+    # own array read-only, and a write to a view's base reached the table
+    base, y = np.arange(6.0), np.array([1.0, 4.0, 2.0, 8.0, 5.0, 7.0])
+    d = hipar.Dataset(_g_schema(), {"g": ["a", "b"] * 3, "x": base[:], "y": y})
+    levels, codes = d.ranks("x")
+    sub = d.subset([1, 3, 5])
+    assert base.flags.writeable and y.flags.writeable
+    base[0] = 99.0
+    y[:] = 0.0
+    assert d.column("x").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert d.column("y").tolist() == [1.0, 4.0, 2.0, 8.0, 5.0, 7.0]
+    assert d.ranks("x")[0].tolist() == levels.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert d.ranks("x")[1].tolist() == codes.tolist() == [0, 1, 2, 3, 4, 5]
+    assert sub.column("x").tolist() == [1.0, 3.0, 5.0]
+    assert sub.column("y").tolist() == [4.0, 8.0, 7.0]
+    assert d.subset([0, 2]).column("x").tolist() == [0.0, 2.0]
+    assert d.subset([0, 2]).ranks("x")[1].tolist() == [0, 2]
+
+
+def test_a_non_finite_number_names_the_first_such_column_in_schema_order():
+    schema = [hipar.AttributeSchema("y", "numerical", role="target"),
+              hipar.AttributeSchema("g", "categorical"), hipar.AttributeSchema("x", "numerical")]
+    good = {"y": np.zeros(3), "g": ["a", "b", "a"], "x": np.zeros(3)}
+    # the target's block row is the last, its schema place the first
+    with pytest.raises(DataError, match="^column 'y' contains non-finite values$"):
+        hipar.Dataset(schema, good | {"y": [0.0, np.nan, 1.0], "x": [np.inf, 0.0, 1.0]})
+    with pytest.raises(DataError, match="^column 'x' contains non-finite values$"):
+        hipar.Dataset(schema, good | {"x": [0.0, 1.0, -np.inf]})
+
+
+def test_the_block_holds_the_numerical_features_then_the_target():
+    canonical = make_catwide(300, 2)
+    d = reordered(canonical, CATWIDE_TARGET_FIRST)
+    assert [a.name for a in d.schema] == list(CATWIDE_TARGET_FIRST)
+    assert d.block.dtype == np.float64 and d.block.shape == (3, d.n)
+    assert d.block.flags.c_contiguous and not d.block.flags.writeable
+    for i, name in enumerate(["n0", "n1", "y"]):
+        assert d.block[i].tobytes() == canonical.column(name).tobytes()
+        assert np.shares_memory(d.column(name), d.block)
+    assert d.block.tobytes() == canonical.block.tobytes()
+    rows = np.sort(np.random.default_rng(3).choice(d.n, 40, replace=False))
+    sub = d.subset(rows)
+    assert sub.block.shape == (3, 40) and sub.block.flags.c_contiguous
+    assert not sub.block.flags.writeable
+    assert sub.block.tobytes() == d.block.take(rows, axis=1).tobytes()
+    assert all(np.shares_memory(sub.column(name), sub.block) for name in ("n0", "n1", "y"))

@@ -684,9 +684,9 @@ def test_a_search_fits_each_region_once(monkeypatch):
     fitted: list[bytes] = []  # the rows of every region a contest call fits
     contest = enumeration.best_local_models
 
-    def spy(row_sets, tables, metric, tests):
-        fitted.extend(np.asarray(rows).tobytes() for rows in row_sets)
-        return contest(row_sets, tables, metric, tests)
+    def spy(regions, metric):
+        fitted.extend(np.asarray(rows).tobytes() for _, rows, _ in regions)
+        return contest(regions, metric)
 
     monkeypatch.setattr(enumeration, "best_local_models", spy)
     cfg = RunConfig(theta=0.1)
@@ -942,9 +942,9 @@ def test_drive_runs_jobs_in_rounds_of_one_contest_call(monkeypatch, two_segment)
     calls = []
     contest = enumeration.best_local_models
 
-    def counted(row_sets, tables, metric, tests):
-        calls.append([t.n for t in tables])
-        return contest(row_sets, tables, metric, tests)
+    def counted(regions, metric):
+        calls.append([t.n for t, _, _ in regions])
+        return contest(regions, metric)
 
     monkeypatch.setattr(enumeration, "best_local_models", counted)
     log: list = []

@@ -98,11 +98,11 @@ def test_every_contest_holds_out_its_region_rows_in_the_fits_one_test_set(monkey
         masks.append(holdout_mask(*args))
         return masks[-1]
 
-    def contest(row_sets, tables, metric, tests, *rest):
+    def contest(regions, metric, *rest):
         # the search's driver names each region's table and test set
-        fitted = best_local_models(row_sets, tables, metric, tests, *rest)
-        contests.extend((rows, table, test, scored) for rows, table, test, (_, scored)
-                        in zip(row_sets, tables, tests, fitted))
+        fitted = best_local_models(regions, metric, *rest)
+        contests.extend((rows, table, test, scored) for (table, rows, test), (_, scored)
+                        in zip(regions, fitted))
         return fitted
 
     monkeypatch.setattr(enumeration, "holdout_mask", draw)

@@ -28,6 +28,7 @@ from hipar.regression import (
     metric_value,
 )
 
+from .conftest import CATWIDE_TARGET_FIRST, make_catwide, reordered
 from .oracles import best_pair_oracle, lasso_cd_oracle, omp_path_oracle
 
 
@@ -320,7 +321,7 @@ def test_omp_training_error_non_increasing_in_k():
     names = [f"x{j}" for j in range(p)]
     rows = np.arange(40)
     # the k-term models for every k, from the moments core every fit shares
-    fits = _fits(_moments([d.numeric_matrix(rows, [*names, "y"]).T]), OMP, [range(1, p + 1)], names)
+    fits = _fits(_moments([d.block.take(rows, axis=1)]), OMP, [range(1, p + 1)], names)
     errors = [evaluate(fits.model(0, i), rows, d, "rmse") for i in range(p)]
     assert all(errors[i + 1] <= errors[i] + 1e-12 for i in range(len(errors) - 1))
 
@@ -583,6 +584,16 @@ def test_evaluate_empty_rows():
         evaluate(LinearModel(0.0, {}, "MEAN"), [], d, "rmse")
 
 
+@pytest.mark.parametrize("name", ["z", "g", "y"])
+def test_evaluate_a_model_that_reads_no_numerical_feature_of_the_table(name):
+    d = Dataset([AttributeSchema("g", "categorical"), AttributeSchema("x", "numerical"),
+                 AttributeSchema("y", "numerical", role="target")],
+                {"g": ["a", "b", "a"], "x": np.arange(3.0), "y": np.ones(3)})
+    model = LinearModel(0.0, {"x": 1.0, name: 2.0}, "OLS")
+    with pytest.raises(DataError, match=f"^a model reads {name!r}, not a numerical feature"):
+        evaluate(model, range(3), d, "rmse")
+
+
 # ---------------------------------------------------------------- best_local_model
 
 
@@ -776,15 +787,15 @@ def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
     for _ in range(6):
         picks = rng.choice(len(pool), size=int(rng.integers(2, 10)))
         picks = [*picks, picks[0]]  # a region twice in one batch
-        for got, i in zip(best_local_models([pool[i] for i in picks], d, metric, test), picks):
+        for got, i in zip(best_local_models([(d, pool[i], test) for i in picks], metric), picks):
             _same_fit(got, alone[i])
-    everything = best_local_models(pool[::-1], d, metric, test)[::-1]
+    everything = best_local_models([(d, rows, test) for rows in pool[::-1]], metric)[::-1]
     for got, want in zip(everything, alone):
         _same_fit(got, want)
     assert singular  # some OMP path met the singular block
     methods = {fitted.model.method for fitted, _ in alone}
     assert {"MEAN", "LASSO", "OMP"} <= methods
-    assert best_local_models([], d, metric, test) == []
+    assert best_local_models([], metric) == []
 
     # the folds of a cross-validation share one batch: regions of several
     # tables of one schema, each gathered from its own table and split by its
@@ -798,15 +809,14 @@ def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
     for _ in range(6):
         picks = rng.choice(len(regions), size=int(rng.integers(2, 12)))
         picks = [*picks, len(pool) - 1, len(regions) - 1]  # both tables
-        tables, rows, tests, wants = zip(*(regions[i] for i in picks))
-        for got, want in zip(best_local_models(rows, tables, metric, tests), wants):
+        batch = [regions[i] for i in picks]
+        for got, (*_, want) in zip(best_local_models([r[:3] for r in batch], metric), batch):
             _same_fit(got, want)
-    tables, rows, tests, wants = zip(*regions)
-    for got, want in zip(best_local_models(rows, tables, metric, tests), wants):
+    for got, (*_, want) in zip(best_local_models([r[:3] for r in regions], metric), regions):
         _same_fit(got, want)
     assert {fitted.model.method for _, _, _, (fitted, _) in regions[len(pool):]} >= {
         "MEAN", "LASSO", "OMP"}
-    assert best_local_models([], [], metric, []) == []
+    assert best_local_models((), metric) == []
 
 
 def test_a_batch_names_one_table_of_one_schema_and_one_test_set_per_region():
@@ -814,19 +824,30 @@ def test_a_batch_names_one_table_of_one_schema_and_one_test_set_per_region():
     test = holdout_mask(d.n, 0.2, 5)
     other = _dataset({"x0": np.arange(20.0), "y": np.arange(20.0) % 3})
     with pytest.raises(DataError, match="tables of one schema"):
-        best_local_models([np.arange(10), np.arange(10)], [d, other], "rmse",
-                          [test, holdout_mask(other.n, 0.2, 5)])
-    with pytest.raises(DataError, match="one table and one test mask per row set"):
-        best_local_models([np.arange(10)], [d, d], "rmse", [test, test])
+        best_local_models([(d, np.arange(10), test),
+                           (other, np.arange(10), holdout_mask(other.n, 0.2, 5))], "rmse")
     with pytest.raises(DataError, match="bool mask over the table's 20 rows"):
-        best_local_models([np.arange(10), np.arange(10)], [d, d.subset(range(20))], "rmse",
-                          [test, test])
+        best_local_models([(d, np.arange(10), test), (d.subset(range(20)), np.arange(10), test)],
+                          "rmse")
+
+
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+def test_a_contest_does_not_depend_on_where_the_schema_puts_the_target(metric):
+    canonical = make_catwide(400, 3)
+    d = reordered(canonical, CATWIDE_TARGET_FIRST)
+    test = holdout_mask(d.n, 0.2, 4)
+    pool = _region_pool(d, test, np.random.default_rng(6))
+    methods = set()
+    for rows in pool:
+        got = best_local_model(rows, d, metric, test)
+        _same_fit(got, best_local_model(rows, canonical, metric, test))
+        methods.add(got[0].model.method)
+    assert {"MEAN", "LASSO", "OMP"} <= methods
 
 
 def test_batched_solvers_step_each_row_set_as_alone():
     d = _batch_table()
-    names = ["x0", "x1", "x2", "x3"]
-    blocks = [d.numeric_matrix(rows, [*names, "y"]).T
+    blocks = [d.block.take(rows, axis=1)
               for rows in (np.arange(0, 100), np.arange(200, 400), np.arange(0, 400, 3),
                            np.arange(150, 350))]
     m = _moments(blocks)
