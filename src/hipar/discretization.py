@@ -17,8 +17,9 @@ search node for all the regions it re-discretizes and all their attributes
 (``mdlp_cuts_many``; ``mdlp_cuts`` is its one-region case). Each numerical
 column is ranked once per table (``Dataset.ranks``: sorted distinct values and
 integer codes, after SLIQ's presorting, Mehta, Agrawal & Rissanen 1996). Each
-(region, attribute) pair is one segment of one flat array of integer keys,
-rank code and LV label, sorted per region in one call; the rows of one
+(region, attribute) pair is one sorted segment of a flat array of integer
+keys, rank code and LV label, scanned with its neighbours in chunks of a
+bounded key count, so the scan's temporaries stay small; the rows of one
 distinct value form a group, and the order of rows inside a group does not
 change its counts. Cumulative row and LV counts at the group starts give both
 sides of every candidate cut. The candidates of every segment, and later of
@@ -45,6 +46,9 @@ from .patterns import Condition, Interval
 
 # A weighted entropy lies in [0, 1]; its table and scalar forms differ by ~1e-14 at most.
 _TIE_TOL = 1e-12
+# Keys per scan: the segments go to ``_scan`` in chunks of whole segments, so its
+# batch-sized temporaries stay small (a long segment is a chunk of its own).
+_CHUNK_KEYS = 65_536
 
 
 @dataclass(frozen=True)
@@ -179,21 +183,21 @@ def mdlp_cuts(attributes: Sequence[str], d: Dataset,
 
 def mdlp_cuts_many(tasks: Sequence[tuple[Sequence[str], TargetBinarization]],
                    d: Dataset) -> list[list[CutPointSet]]:
-    """``mdlp_cuts`` of each ``(attributes, labels)`` task, in one scan: every
-    task gets exactly the cut sets it gets alone, in the order given.
+    """``mdlp_cuts`` of each ``(attributes, labels)`` task, in a few scans:
+    every task gets exactly the cut sets it gets alone, in the order given.
 
-    Each (region, attribute) pair is one segment of one flat key array. A
-    row's key for an attribute is its rank code (``Dataset.ranks``) shifted
-    left by one bit, with the LV label in the low bit; one sort of a region's
-    attributes x rows key matrix orders each of its segments, and the rows of
-    one distinct value form a group. The groups of all segments lie in one
-    flat array with cumulative row and LV counts, and each round of the
-    recursion scores the candidates of every open part of every segment in
-    one vector.
+    Each (region, attribute) pair is one segment of a flat key array. A row's
+    key for an attribute is its rank code (``Dataset.ranks``) shifted left by
+    one bit, with the LV label in the low bit; a sort orders each segment, and
+    the rows of one distinct value form a group. The segments are scanned in
+    chunks of consecutive whole segments of at most ``_CHUNK_KEYS`` keys. The
+    groups of a chunk's segments lie in one flat array with cumulative row and
+    LV counts, and each round of the recursion scores the candidates of every
+    open part of every segment in one vector.
     """
     names: list[list[str]] = []
     cuts: list[list[list[float]]] = []
-    work = []  # (labels, ranks, cut lists) of each task with something to cut
+    segments = []  # (labels, codes, cut list, levels) of each pair with something to cut
     for attributes, labels in tasks:
         if isinstance(attributes, str):
             raise DataError("mdlp_cuts takes a sequence of attribute names, not one name")
@@ -201,23 +205,38 @@ def mdlp_cuts_many(tasks: Sequence[tuple[Sequence[str], TargetBinarization]],
         ranked = [d.ranks(a) for a in names[-1]]
         check_rows(labels.rows, d.n)
         cuts.append([[] for _ in ranked])
-        if len(labels.rows) >= 2 and ranked:
-            work.append((labels, ranked, cuts[-1]))
-    if work:
-        widths = [len(labels.rows) for labels, ranked, _ in work for _ in ranked]
-        keys = np.empty(sum(widths), np.result_type(*(c for _, r, _ in work for _, c in r)))
+        if len(labels.rows) >= 2:
+            segments += [(labels, codes, found, levels)
+                         for found, (levels, codes) in zip(cuts[-1], ranked)]
+    for chunk in _chunks([len(labels.rows) for labels, _, _, _ in segments]):
+        part = segments[chunk]
+        widths = [len(labels.rows) for labels, _, _, _ in part]
+        keys = np.empty(sum(widths), np.result_type(*(codes for _, codes, _, _ in part)))
         at = 0
-        for labels, ranked, _ in work:
-            block = keys[at : at + len(ranked) * len(labels.rows)].reshape(len(ranked), -1)
-            for row, (_, codes) in zip(block, ranked):
+        for _, same in itertools.groupby(part, lambda s: id(s[0])):
+            same = list(same)  # a task's segments in this chunk, as one matrix
+            block = keys[at : at + len(same) * len(same[0][0].rows)].reshape(len(same), -1)
+            for row, (labels, codes, _, _) in zip(block, same):
                 np.left_shift(codes[labels.rows], 1, out=row)
                 row |= labels.labels
             block.sort(axis=1)
             at += block.size
-        _scan(keys, widths, [(found, levels) for _, ranked, lists in work
-                             for found, (levels, _) in zip(lists, ranked)])
+        _scan(keys, widths, [(found, levels) for _, _, found, levels in part])
     return [[CutPointSet(attribute=a, cuts=tuple(sorted(c))) for a, c in zip(attrs, cut)]
             for attrs, cut in zip(names, cuts)]
+
+
+def _chunks(widths: Sequence[int]):
+    """Slices of consecutive segments of at most ``_CHUNK_KEYS`` keys in all,
+    or of one longer segment."""
+    first, total = 0, 0
+    for a, width in enumerate(widths):
+        if total + width > _CHUNK_KEYS and a > first:
+            yield slice(first, a)
+            first, total = a, 0
+        total += width
+    if first < len(widths):
+        yield slice(first, len(widths))
 
 
 def _groups(keys: np.ndarray, starts: np.ndarray):

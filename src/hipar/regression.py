@@ -192,17 +192,20 @@ def _comoments(blocks: Sequence[np.ndarray], q: int) -> _CoMoments:
 
 class _Blocks(Sequence):
     """Row set i's matrix Zt = [X, y]^T on the sorted rows ``rows[i]`` of
-    ``tables[i]``, one ``take`` of the table's ``block`` each time it is read:
-    a batch holds no copy of its regions' values."""
+    ``tables[i]``, less those where ``drop[i]`` is set if given, one ``take``
+    of the table's ``block`` each time it is read: a batch holds no copy of
+    its regions' values, nor of a row set it reads through a mask."""
 
-    def __init__(self, tables: Sequence[Dataset], rows: Sequence[np.ndarray]):
-        self.tables, self.rows = tables, rows
+    def __init__(self, tables: Sequence[Dataset], rows: Sequence[np.ndarray],
+                 drop: Sequence[np.ndarray] | None = None):
+        self.tables, self.rows, self.drop = tables, rows, drop
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.tables[i].block.take(self.rows[i], axis=1)
+        rows = self.rows[i] if self.drop is None else self.rows[i][~self.drop[i]]
+        return self.tables[i].block.take(rows, axis=1)
 
 
 def _merge(a: _CoMoments, b: _CoMoments) -> _CoMoments:
@@ -688,8 +691,9 @@ def best_local_models(
     split = [i for i, t in enumerate(inside) if len(t) >= 5 and 0 < np.count_nonzero(t) < len(t)]
     alone = sorted(set(range(len(idxs))) - set(split))  # no split: the MEAN model
     scored = [idxs[i][inside[i]] for i in split]
-    trains = _Blocks([tables[i] for i in split], [idxs[i][~inside[i]] for i in split])
-    holds = _Blocks([tables[i] for i in split], scored)
+    split_tables = [tables[i] for i in split]
+    trains = _Blocks(split_tables, [idxs[i] for i in split], [inside[i] for i in split])
+    holds = _Blocks(split_tables, scored)
     sides = _comoments(trains, q), _comoments(holds, q)
     fits, entry, index, holdout_errors = _tune(
         _moments(trains, sides[0]), names, holds,

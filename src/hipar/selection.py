@@ -12,6 +12,14 @@ adding v changes the objective by load[v] - alpha[v]. Branch-and-bound (up to
 EXACT_LIMIT rules) bounds a partial assignment by its objective minus
 sum_{v undecided} max(0, alpha[v] - load[v]), since penalties only add; beyond
 that, multi-start steepest-descent local search flips one bit at a time.
+
+Local search descends all its starts in lockstep, each taking exactly the
+flips it takes alone. Branch-and-bound starts from an incumbent, the end of the
+greedy start (the singleton of the largest alpha). A subset that beats or ties
+it has a bound at most its objective, which the prune test's slack of
+1e-9 * (1 + |best|) never cuts, and leaves still rank by ``_rank``: the
+incumbent changes no result. The nodes run on Python floats, since numpy calls
+on vectors this short cost more than their arithmetic.
 """
 
 from __future__ import annotations
@@ -127,73 +135,95 @@ def _rank(indices: Sequence[int], sp: SelectionProblem) -> tuple[float, int, tup
 def _solve_exact(sp: SelectionProblem) -> list[int]:
     n = len(sp.candidates)
     order = np.argsort(-sp.alpha, kind="stable")  # branch on large alpha first
-    alpha = sp.alpha[order]
-    P = sp.penalty[np.ix_(order, order)]
-    best = None  # rank and members of the best leaf so far
+    members = order.tolist()
+    # from position pos on: the alphas, and the penalties of the rule at pos
+    # against the later positions (as floats; the node does no numpy call)
+    alpha = sp.alpha[order].tolist()
+    alphas = [alpha[pos:] for pos in range(n + 1)]
+    rows = [row[pos + 1:] for pos, row in enumerate(sp.penalty[np.ix_(order, order)].tolist())]
+    best = limit = None  # rank and members of the best subset so far; prune bounds above limit
 
-    def dfs(pos: int, chosen: list[int], partial: float, load: np.ndarray) -> None:
-        # partial is the objective of `chosen` and load[v] its penalty against
-        # v, both over positions in `order`
-        nonlocal best
-        if best is not None:
-            best_obj = best[0][0]
-            bound = partial - np.maximum(alpha[pos:] - load[pos:], 0.0).sum()
-            if bound > best_obj + 1e-9 * (1.0 + abs(best_obj)):
-                return
+    def keep(subset: list[int]) -> None:
+        nonlocal best, limit
+        rank = _rank(subset, sp)
+        if best is None or rank < best[0]:
+            best = rank, subset
+            limit = rank[0] + 1e-9 * (1.0 + abs(rank[0]))
+
+    def dfs(pos: int, chosen: list[int], partial: float, load: list[float]) -> None:
+        # partial is the objective of `chosen` and load[i] its penalty against
+        # position pos + i, all over positions in `order`
+        slack = 0.0
+        for a, l in zip(alphas[pos], load):
+            if a > l:
+                slack += a - l
+        if partial - slack > limit:
+            return  # penalties only add: no subset below beats or ties the best
         if pos == n:
             if chosen:
-                members = order[chosen].tolist()
-                rank = _rank(members, sp)
-                if best is None or rank < best[0]:
-                    best = rank, members
+                keep([members[i] for i in chosen])
             return
+        rest = load[1:]
         chosen.append(pos)
-        dfs(pos + 1, chosen, partial + (load[pos] - alpha[pos]), load + P[pos])
+        dfs(pos + 1, chosen, partial + (load[0] - alpha[pos]),
+            [l + p for l, p in zip(rest, rows[pos])])
         chosen.pop()
-        dfs(pos + 1, chosen, partial, load)
+        dfs(pos + 1, chosen, partial, rest)
 
-    dfs(0, [], 0.0, np.zeros(n))
+    # the incumbent: the end of local search's greedy start
+    start = np.zeros((1, n), dtype=bool)
+    start[0, int(np.argmax(sp.alpha))] = True
+    keep(np.flatnonzero(_descend(start, sp)[0]).tolist())
+    dfs(0, [], 0.0, [0.0] * n)
     return best[1]
 
 
-def _descend(mask: np.ndarray, sp: SelectionProblem) -> np.ndarray:
-    """Steepest-descent single-bit flips, keeping the set nonempty.
+def _descend(masks: np.ndarray, sp: SelectionProblem) -> np.ndarray:
+    """Steepest-descent single-bit flips from each start, a row of ``masks``,
+    keeping every set nonempty. The rows step in lockstep, and each takes
+    exactly the flips it takes alone; the rows end in place.
 
     Flip deltas are maintained incrementally: adding v changes the objective by
     load[v] - alpha[v] and removing it by alpha[v] - load[v].
     """
-    alpha, P = sp.alpha, sp.penalty
-    load = P[:, mask].sum(axis=1)
-    size = int(mask.sum())
-    for _ in range(200 + 20 * len(mask)):  # flip budget; drift cannot cycle forever
-        delta = np.where(mask, alpha - load, load - alpha)
-        if size == 1:
-            delta[mask] = np.inf  # the last member may not leave
-        v = int(np.argmin(delta))
-        if not delta[v] < 0.0:
-            return mask
-        if mask[v]:
-            mask[v] = False
-            size -= 1
-            load -= P[:, v]
-        else:
-            mask[v] = True
-            size += 1
-            load += P[:, v]
-    return mask
+    alpha, columns = sp.alpha, sp.penalty.T
+    load = np.array([sp.penalty[:, m].sum(axis=1) for m in masks])
+    sign = np.where(masks, -1.0, 1.0)  # flipping v adds sign[v] * P[:, v] to load
+    size = masks.sum(axis=1, dtype=float)
+    live = np.arange(len(masks))  # the rows still descending, and their states
+    at = np.arange(len(masks))
+    for _ in range(200 + 20 * masks.shape[1]):  # flip budget; drift cannot cycle forever
+        delta = load - alpha
+        delta *= sign  # a negation is exact: alpha - load on members
+        last = size == 1.0
+        if last.any():
+            delta[last[:, None] & (sign < 0.0)] = np.inf  # the last member may not leave
+        v = delta.argmin(axis=1)
+        down = delta[at, v] < 0.0
+        if not down.all():
+            masks[live[~down]] = sign[~down] < 0.0
+            live, load, sign, size, v = live[down], load[down], sign[down], size[down], v[down]
+            if not len(live):
+                return masks
+            at = at[: len(live)]
+        flip = sign[at, v]
+        load += columns[v] * flip[:, None]
+        sign[at, v] = -flip
+        size += flip
+    masks[live] = sign < 0.0
+    return masks
 
 
 def _solve_local(sp: SelectionProblem) -> list[int]:
     n = len(sp.candidates)
     rng = np.random.default_rng(9)
-    starts = [np.zeros(n, dtype=bool)]
-    starts[0][int(np.argmax(sp.alpha))] = True  # greedy-by-alpha seed
-    for _ in range(_LOCAL_SEARCH_STARTS):
-        mask = rng.random(n) < 0.5
+    starts = np.zeros((_LOCAL_SEARCH_STARTS + 1, n), dtype=bool)
+    starts[0, int(np.argmax(sp.alpha))] = True  # greedy-by-alpha seed
+    for mask in starts[1:]:
+        mask[:] = rng.random(n) < 0.5
         if not mask.any():
             mask[int(np.argmax(sp.alpha))] = True
-        starts.append(mask)
-    ends = [np.flatnonzero(_descend(mask, sp)).tolist() for mask in starts]
+    ends = [np.flatnonzero(mask).tolist() for mask in _descend(starts, sp)]
     return min(ends, key=lambda members: _rank(members, sp))
 
 

@@ -263,6 +263,35 @@ def best_subset_oracle(sp):
     return best[1], best[0][0]
 
 
+def reference_descent(mask, sp):
+    """Steepest-descent single-bit flips from one start, keeping the set
+    nonempty: local search's descent as it ran one start at a time, the
+    referee for the descent of many starts in lockstep.
+
+    Flip deltas are maintained incrementally: adding v changes the objective by
+    load[v] - alpha[v] and removing it by alpha[v] - load[v].
+    """
+    alpha, P = sp.alpha, sp.penalty
+    load = P[:, mask].sum(axis=1)
+    size = int(mask.sum())
+    for _ in range(200 + 20 * len(mask)):  # flip budget; drift cannot cycle forever
+        delta = np.where(mask, alpha - load, load - alpha)
+        if size == 1:
+            delta[mask] = np.inf  # the last member may not leave
+        v = int(np.argmin(delta))
+        if not delta[v] < 0.0:
+            return mask
+        if mask[v]:
+            mask[v] = False
+            size -= 1
+            load -= P[:, v]
+        else:
+            mask[v] = True
+            size += 1
+            load += P[:, v]
+    return mask
+
+
 def best_pair_oracle(X, y):
     """Exhaustive best two-feature least-squares subset (with intercept)."""
     best = None

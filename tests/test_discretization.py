@@ -13,6 +13,7 @@ from hipar import (
     conditions_from_cuts,
     mdlp_cuts,
 )
+from hipar import discretization
 from hipar.discretization import (
     CutPointSet,
     _split_entropy,
@@ -333,7 +334,7 @@ def test_dataset_ranks():
         d.ranks("nope")
 
 
-def test_one_scan_cuts_each_region_as_it_is_cut_alone():
+def test_one_scan_cuts_each_region_as_it_is_cut_alone(monkeypatch):
     rng = np.random.default_rng(31)
     n = 300
     columns, labels = _mixed_columns(rng, n)
@@ -347,9 +348,27 @@ def test_one_scan_cuts_each_region_as_it_is_cut_alone():
     tasks += [(names, tasks[4][1]), tasks[3]]  # every attribute; a region twice
     alone = [mdlp_cuts(attrs, d, tb) for attrs, tb in tasks]
     assert sum(len(cp.cuts) for cut_sets in alone for cp in cut_sets) >= 6
-    for order in (list(range(len(tasks))), list(range(len(tasks)))[::-1]):
-        got = mdlp_cuts_many([tasks[i] for i in order], d)
-        assert [got[order.index(i)] for i in range(len(tasks))] == alone
+    scans = []  # the segment widths of each scan
+    scan = discretization._scan
+    monkeypatch.setattr(discretization, "_scan", lambda keys, widths, segments: (
+        scans.append(list(widths)), scan(keys, widths, segments)))
+    # one scan for the batch; then chunk boundaries that split the batch and a
+    # task's attributes (100 keys: 40-row segments go in twos, longer ones
+    # alone), and one scan per segment
+    for limit in (discretization._CHUNK_KEYS, 100, 1):
+        monkeypatch.setattr(discretization, "_CHUNK_KEYS", limit)
+        for order in (list(range(len(tasks))), list(range(len(tasks)))[::-1]):
+            scans.clear()
+            got = mdlp_cuts_many([tasks[i] for i in order], d)
+            assert [got[order.index(i)] for i in range(len(tasks))] == alone
+            widths = [w for chunk in scans for w in chunk]
+            assert all(sum(chunk) <= limit or len(chunk) == 1 for chunk in scans)
+            assert widths == [len(tasks[i][1].rows) for i in order
+                              for _ in tasks[i][0] if len(tasks[i][1].rows) >= 2]
+            assert len(scans) == {100: 21, 1: len(widths)}.get(limit, 1)
+            if limit == 100:  # a 40-row task's six segments take three scans,
+                # and one scan holds segments of three tasks
+                assert scans.count([40, 40]) == 5 and max(map(len, scans)) == 7
     for (attrs, tb), cut_sets in zip(tasks, alone):
         if len(tb.rows) <= 120:
             for cp in cut_sets:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,9 @@ from hipar import (
     subset_objective,
 )
 
-from hipar.selection import _rank
+from hipar.selection import _descend, _rank
 
-from .oracles import best_subset_oracle
+from .oracles import best_subset_oracle, reference_descent
 
 
 def _rule(pattern, error, support_abs, n):
@@ -236,6 +238,77 @@ def test_exact_ties_match_oracle_bit_for_bit():
                 assert subset_objective(sorted(set(want_set) - {i} | {twin}), sp) == want_obj
                 swaps += 1
     assert swaps  # the tie-break decided at least once
+
+
+def _exact_problem(alpha, overlap, names):
+    """A problem at omega = 1 whose objectives are exact in floating point
+    (alphas and overlaps with few binary digits); rule i's pattern is
+    ``names[i]="v"``, so its pattern order follows the name."""
+    return SelectionProblem(
+        candidates=[_rule(Pattern([Equals(a, "v")]), 1.0, 1, len(names)) for a in names],
+        alpha=np.array(alpha, dtype=float),
+        overlap=np.array(overlap, dtype=float),
+        sigma=1.0,
+        omega=1.0,
+        normalized_errors=np.full(len(names), 1.0 / len(names)),
+        normalized_supports=np.full(len(names), 1.0 / len(names)),
+    )
+
+
+def _greedy_end(sp):
+    start = np.zeros(len(sp.candidates), dtype=bool)
+    start[int(np.argmax(sp.alpha))] = True
+    return np.flatnonzero(reference_descent(start, sp)).tolist()
+
+
+# Rules 1 and 2 (alpha 2, disjoint) reach -4 together. From rule 0 (alpha 3)
+# the descent adds the rules that overlap it not at all, and stops at -4 too:
+# the optimum must win the tie against that incumbent.
+_OVERLAP_OF_TWO = [[1, .5, .5, 0], [.5, 1, 0, .5], [.5, 0, 1, .5], [0, .5, .5, 1]]
+_OVERLAP_OF_THREE = [[1, .5, .5, 0, 0], [.5, 1, 0, .5, .5], [.5, 0, 1, .5, .5],
+                     [0, .5, .5, 1, 0], [0, .5, .5, 0, 1]]
+
+
+@pytest.mark.parametrize("alpha, overlap, names, greedy, best", [
+    # the incumbent {0, 3} has as many rules, and larger pattern orders
+    ([3, 2, 2, 1], _OVERLAP_OF_TWO, ["d", "a", "b", "c"], [0, 3], [1, 2]),
+    # the incumbent {0, 3, 4} has more rules
+    ([3, 2, 2, .5, .5], _OVERLAP_OF_THREE, ["a", "b", "c", "d", "e"], [0, 3, 4], [1, 2]),
+    # the incumbent is the optimum: at alpha 1.5, rules 1 and 2 reach only -3
+    ([3, 1.5, 1.5, .5, .5], _OVERLAP_OF_THREE, ["a", "b", "c", "d", "e"], [0, 3, 4], [0, 3, 4]),
+], ids=["orders", "size", "optimal"])
+def test_exact_beats_a_greedy_incumbent_that_ties_only_on_the_objective(
+        alpha, overlap, names, greedy, best):
+    sp = _exact_problem(alpha, overlap, names)
+    want_set, want_obj = best_subset_oracle(sp)
+    assert want_set == best and _greedy_end(sp) == greedy
+    assert subset_objective(greedy, sp) == want_obj == -4.0
+    rs = solve(sp)
+    assert [r.key for r in rs.chosen] == [sp.candidates[i].key for i in want_set]
+    assert rs.objective_value == want_obj
+    assert rs.proof and rs.solver == "exact"
+
+
+def test_descent_in_lockstep_follows_each_start_alone():
+    rng = np.random.default_rng(37)
+    tied = 0
+    for trial in range(300):
+        n = 1 + trial % 40
+        omega = (0.0, 0.5, 1.0, 3.0)[trial % 4]
+        make = _tied_problem if trial % 3 == 0 else _dummy_problem
+        sp = dataclasses.replace(make(rng, n), omega=omega)
+        tied += make is _tied_problem
+        if trial % 10 == 9:  # rules of negative alpha: the last member wants to leave
+            sp = dataclasses.replace(sp, alpha=sp.alpha - 1.6)
+        starts = rng.random((12 + trial % 6, n)) < rng.uniform(0.05, 0.95, (12 + trial % 6, 1))
+        starts[0] = False
+        starts[0, int(np.argmax(sp.alpha))] = True  # the singleton start
+        for mask in starts:
+            if not mask.any():
+                mask[int(rng.integers(n))] = True
+        want = [reference_descent(mask.copy(), sp).tolist() for mask in starts]
+        assert _descend(starts, sp).tolist() == want
+    assert tied == 100
 
 
 def test_objective_decomposition_identity():
