@@ -32,15 +32,18 @@ vector comparison finds the frequent ones; the others are counted at once and
 unpack their rows only to be traced, in their place. Each frequent extension
 closes from its own region bits (``Universe.close``), and the region's covering
 vector gives the child's categorical extensions by universe row: an equality is
-in the closed pattern exactly when it covers the region. A recursing child's
-extension supports are counted in the same pass, so a child with no frequent
-extension is never walked.
+in the closed pattern exactly when it covers the region. Every node, the root
+and each recursing child, counts its extensions when it is made (``_Node``,
+through ``Universe.extensions``); a node with no frequent extension is only
+counted and traced.
 
 A rule's identity in the search is its region, the bytes of its packed row
 bits: the memo of fitted models is keyed by them, so each region is fitted
 once, whichever pattern asks for it (a visited child, an Occam test's parent,
 or the default rule's TRUE). A child's immediate parents are the regions of
-its closed pattern without one condition each; they are never closed.
+its closed pattern without one condition each; they are never closed, and its
+Occam test compares the memo's models of those regions, so no parent rule is
+built.
 
 The search is a generator that pauses at its one contest call per node
 (``_Search.fit_rules``): it yields the (table, rows, test mask) of the regions
@@ -78,7 +81,7 @@ from .patterns import (
     iv_from_region,
     pattern_bits,
 )
-from .regression import FittedRuleModel, best_local_models, evaluate_all
+from .regression import FittedRuleModel, LinearModel, best_local_models, evaluate_all
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -190,16 +193,17 @@ def leftmost_parent_check(p: Pattern, c_prime: Condition, p_closed: Pattern) -> 
 
 
 def occam_test(
-    rule: HybridRule,
-    parents: Sequence[HybridRule],
+    model: LinearModel,
+    parent_models: Sequence[LinearModel],
     eval_rows: np.ndarray,
     d: Dataset,
     metric: str,
 ) -> bool:
-    """Accept the rule iff its model is strictly better than every parent's
-    model on the same evaluation rows, all scored by one residual matrix."""
-    child, *others = evaluate_all([rule.fitted.model, *(p.fitted.model for p in parents)],
-                                  eval_rows, d, metric).tolist()
+    """Accept a rule iff its ``model`` is strictly better than every parent
+    rule's model on the same evaluation rows, all scored by one residual
+    matrix. The search reads the parents' models from its memo of fitted
+    regions; no parent rule is built."""
+    child, *others = evaluate_all([model, *parent_models], eval_rows, d, metric).tolist()
     return all(child < e for e in others)
 
 
@@ -225,21 +229,20 @@ class _Extension:
     intervals: list[Interval] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
 class _Node:
     """A search node to walk: its pattern, the universe it closes over, and
     its extensions: their conditions ``conds`` in canonical order, their rows
-    in the universe, and the packed region bits and support of each. Every
-    extension closes over the search's categorical conditions plus the node's
-    intervals; each extension's condition is in that universe. A sibling on a
-    pinned attribute has an empty region and fails the support test."""
+    ``rows`` in the universe, and the packed region bits and support of each,
+    counted from the node's region bits ``inside`` when the node is made.
+    Every extension closes over the search's categorical conditions plus the
+    node's intervals; each extension's condition is in that universe. A
+    sibling on a pinned attribute has an empty region and fails the support
+    test."""
 
-    pattern: Pattern
-    universe: Universe
-    conds: list[Condition]
-    rows: np.ndarray
-    bits: np.ndarray
-    supports: np.ndarray
+    def __init__(self, pattern: Pattern, universe: Universe, conds: list[Condition],
+                 rows: np.ndarray, inside: np.ndarray):
+        self.pattern, self.universe, self.conds, self.rows = pattern, universe, conds, rows
+        self.bits, self.supports = universe.extensions(rows, inside)
 
 
 # What a search yields at its contest call: the (table, rows, test mask) of
@@ -261,7 +264,6 @@ class _Search:
         self.theta_abs = cfg.theta * d.n
         self.stats = EnumStats()
         self.accepted: list[HybridRule] = []
-        self._iv1: dict[Condition, float] = {}
         # each fitted region's (model, scored rows), keyed by its packed row
         # bits' bytes: a fit depends on the region's rows alone
         self._memo: dict[bytes, tuple[FittedRuleModel, np.ndarray]] = {}
@@ -273,11 +275,9 @@ class _Search:
         """The whole search, from the root's extensions ``conds`` (in
         canonical order), as a job for ``drive``. The default rule is fitted
         last, unless the root's batch fitted it."""
-        if conds:
-            universe = self.node_universe([c for c in conds if isinstance(c, Interval)])
-            rows = universe.rows(conds)
-            yield from self.walk(_Node(TOP, universe, list(conds), rows,
-                                       *universe.extensions(rows, pattern_bits(TOP, self.d))))
+        universe = self.node_universe([c for c in conds if isinstance(c, Interval)])
+        yield from self.walk(_Node(TOP, universe, list(conds), universe.rows(conds),
+                                   pattern_bits(TOP, self.d)))
         yield from self.fit_rules({self.top: None})
         return CandidateSet(rules=self.accepted, default_rule=self.rule(TOP, self.top, self.d.n),
                             stats=self.stats)
@@ -285,13 +285,6 @@ class _Search:
     def node_universe(self, intervals: list[Interval]) -> Universe:
         """The universe of a node with these intervals of its own."""
         return Universe([*self.universe, *intervals], self.d) if intervals else self.universe
-
-    def iv_single(self, c: Condition) -> float:
-        v = self._iv1.get(c)
-        if v is None:
-            v = iv_from_region(condition_tids(c, self.d), self.yv)
-            self._iv1[c] = v
-        return v
 
     def fit_rules(self,
                   regions: dict[bytes, np.ndarray | None]) -> Generator[Request, Reply, None]:
@@ -312,23 +305,20 @@ class _Search:
         """The rule of a pattern whose region, of this key and support, is fitted."""
         return HybridRule(pattern, self._memo[key][0], support, support / self.d.n)
 
-    def parent_regions(self, p_closed: Pattern,
-                       support: int) -> list[tuple[Pattern, bytes, int]]:
-        """The immediate ancestors of a closed pattern, as the (pattern, region
-        key, support) of the pattern minus one condition c. A c that the rest
-        implies (the rest's region has the pattern's ``support``) yields no
-        proper ancestor and is skipped; the whole table, the default rule's
-        region, stands in when nothing else remains. A rule is its region, so
-        the ancestors are not closed, and the kept regions are distinct: two
-        sub-patterns with one region both have the pattern's region."""
+    def parent_regions(self, p_closed: Pattern, support: int) -> list[bytes]:
+        """The region keys of the immediate ancestors of a closed pattern: of
+        the pattern minus one condition c each. A c that the rest implies (the
+        rest's region has the pattern's ``support``) yields no proper ancestor
+        and is skipped; the whole table, the default rule's region, stands in
+        when nothing else remains. A rule is its region, so the ancestors are
+        not closed, and the kept regions are distinct: two sub-patterns with
+        one region both have the pattern's region."""
         found = []
         for c in p_closed.conditions:
-            sub = p_closed.without(c)
-            bits = pattern_bits(sub, self.d)
-            s = int(np.bitwise_count(bits).sum())
-            if s != support:
-                found.append((sub, bits.tobytes(), s))
-        return found or [(TOP, self.top, self.d.n)]
+            bits = pattern_bits(p_closed.without(c), self.d)
+            if int(np.bitwise_count(bits).sum()) != support:
+                found.append(bits.tobytes())
+        return found or [self.top]
 
     def emit(self, decision: str, support: int, iv: float, pattern: Pattern,
              c: Condition | None = None) -> None:
@@ -339,41 +329,41 @@ class _Search:
             rendered = pattern.key if c is None else _render_with(pattern, c)
             self.trace(f"{rendered}\t{support}\t{iv:.6g}\t{decision}")
 
-    def emit_infrequent(self, pattern: Pattern, conds: Sequence[Condition],
-                        ext_bits: np.ndarray, start: int, stop: int) -> None:
-        """Trace the extensions ``start`` to ``stop``, all infrequent, as
-        support-pruned. An infrequent region's rows and IV are only traced."""
+    def emit_infrequent(self, node: _Node, start: int, stop: int) -> None:
+        """Trace the node's extensions ``start`` to ``stop``, all infrequent,
+        as support-pruned. An infrequent region's rows and IV are only traced."""
         if self.trace is not None:
             for i in range(start, stop):
-                ext = bits_rows(ext_bits[i], self.d.n)
-                self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), pattern,
-                          conds[i])
+                ext = bits_rows(node.bits[i], self.d.n)
+                self.emit("pruned-support", len(ext), iv_from_region(ext, self.yv), node.pattern,
+                          node.conds[i])
 
     def walk(self, node: _Node) -> Generator[Request, Reply, None]:
         """Extend the node's pattern by each of its extensions, whose region
-        bits and supports its parent (or ``run``, at the root) has counted.
+        bits and supports the node has counted.
 
         One comparison finds the frequent extensions; the others are counted
-        at once. The node decides its frequent extensions first (``decide``);
-        IV, closure and the leftmost-parent check read no local model. One
-        contest call then fits the children to visit and the parent rules
-        their Occam tests need, and one MDLP pass re-discretizes the children
-        that will recurse (``prepare``). Only then are the children walked, in
-        order, each infrequent extension traced in its place."""
-        pattern, conds, ext_bits = node.pattern, node.conds, node.bits
+        at once, and a node with none is only traced. The node decides its
+        frequent extensions first (``decide``); IV, closure and the
+        leftmost-parent check read no local model. One contest call then fits
+        the children to visit and the parent rules their Occam tests need,
+        and one MDLP pass re-discretizes the children that will recurse
+        (``prepare``). Only then are the children walked, in order, each
+        infrequent extension traced in its place."""
         frequent = np.flatnonzero(_frequent(node.supports, self.theta_abs))
-        self.stats.pruned_support += len(conds) - len(frequent)
-        intervals = [c for c in conds if isinstance(c, Interval)]
-        steps = self.decide(pattern, conds, frequent, intervals, node.universe, ext_bits)
-        yield from self.prepare(steps, ext_bits)
+        self.stats.pruned_support += len(node.conds) - len(frequent)
+        if not len(frequent):
+            self.emit_infrequent(node, 0, len(node.conds))
+            return
+        steps = self.decide(node, frequent)
+        yield from self.prepare(node, steps)
         done = 0
         for step in steps:
-            self.emit_infrequent(pattern, conds, ext_bits, done, step.i)
+            self.emit_infrequent(node, done, step.i)
             done = step.i + 1
-            c = conds[step.i]
             if step.decision == "pruned-iv":
                 self.stats.pruned_iv += 1
-                self.emit("pruned-iv", step.support, step.iv, pattern, c)
+                self.emit("pruned-iv", step.support, step.iv, node.pattern, node.conds[step.i])
                 continue
             p_closed = step.pattern
             if step.decision == "pruned-leftmost" or p_closed in self._visited:
@@ -395,81 +385,62 @@ class _Search:
                 self.emit("rejected-occam", step.support, step.iv, p_closed)
             if step.ok or self.exhaustive:
                 yield from self.descend(node, step)
-        self.emit_infrequent(pattern, conds, ext_bits, done, len(conds))
+        self.emit_infrequent(node, done, len(node.conds))
 
     def descend(self, node: _Node, step: _Extension) -> Generator[Request, Reply, None]:
         """Walk a recursing child of the node. Its extensions are the node's
         later equalities outside its closed pattern, which are those that do
-        not cover the child's region, and its own intervals. Their region
-        bits and supports are counted here and handed to ``walk``, so a child
-        with no frequent extension is not walked: its extensions are only
-        counted and traced as support-pruned. A child without intervals of its
-        own closes over the search's universe, where the node's rows serve
-        when the node closes over it too."""
-        universe, inside = node.universe, node.bits[step.i]
+        not cover the child's region, and its own intervals. A child without
+        intervals of its own closes over the search's universe, where the
+        node's rows serve when the node closes over it too."""
         later = node.rows[step.i + 1 :]
-        later = later[universe.equals[later] & ~step.covering[later]]
-        children = [universe.conditions[r] for r in later.tolist()]
-        bits = universe.bits[later] & inside
-        if step.intervals:  # merged in canonical order; the equalities already are
-            found = children + step.intervals
-            order = sorted(range(len(found)), key=lambda k: found[k].order)
-            children = [found[k] for k in order]
-            bits = np.vstack([bits, *(condition_bits(c, self.d) & inside for c in step.intervals)])
-            bits = bits[order]
-        supports = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-        if not _frequent(supports, self.theta_abs).any():
-            self.stats.pruned_support += len(children)
-            self.emit_infrequent(step.pattern, children, bits, 0, len(children))
-            return
-        child = self.node_universe(step.intervals)
-        rows = later if child is universe else child.rows(children)
-        yield from self.walk(_Node(step.pattern, child, children, rows, bits, supports))
+        later = later[node.universe.equals[later] & ~step.covering[later]]
+        conds = [node.universe.conditions[r] for r in later.tolist()]
+        universe = self.node_universe(step.intervals)
+        if universe is not node.universe:  # the equalities are in canonical order already
+            conds = sorted([*conds, *step.intervals], key=lambda c: c.order)
+            later = universe.rows(conds)
+        yield from self.walk(_Node(step.pattern, universe, conds, later, node.bits[step.i]))
 
-    def decide(self, pattern: Pattern, conds: Sequence[Condition], frequent: np.ndarray,
-               intervals: list[Interval], universe: Universe,
-               ext_bits: np.ndarray) -> list[_Extension]:
-        """The decisions that read no local model of the ``frequent``
+    def decide(self, node: _Node, frequent: np.ndarray) -> list[_Extension]:
+        """The decisions that read no local model of the node's ``frequent``
         extensions, in order. Each closes from its own region bits."""
-        if not len(frequent):
-            return []
-        ivs = [self.iv_single(c) for c in intervals]
+        ivs = [iv_from_region(condition_tids(c, self.d), self.yv)
+               for c in node.conds if isinstance(c, Interval)]
         # a percentile of fewer than two values is unstable; disable iv pruning
         nu = float(np.percentile(ivs, IV_PERCENTILE)) if len(ivs) >= 2 else -math.inf
         steps: list[_Extension] = []
         for i in frequent.tolist():
-            c = conds[i]
-            ext = bits_rows(ext_bits[i], self.d.n)
+            c = node.conds[i]
+            ext = bits_rows(node.bits[i], self.d.n)
             iv = iv_from_region(ext, self.yv)
             if not iv > nu:
                 steps.append(_Extension(i, "pruned-iv", len(ext), iv))
                 continue
-            p_closed, covering = universe.close((*pattern.conditions, c), ext_bits[i])
-            if leftmost_parent_check(pattern, c, p_closed) and p_closed not in self._visited:
+            p_closed, covering = node.universe.close((*node.pattern.conditions, c), node.bits[i])
+            if leftmost_parent_check(node.pattern, c, p_closed) and p_closed not in self._visited:
                 steps.append(_Extension(i, None, len(ext), iv, p_closed, ext, covering))
             else:
                 steps.append(_Extension(i, "pruned-leftmost", len(ext), iv, p_closed))
         return steps
 
-    def prepare(self, steps: list[_Extension],
-                ext_bits: np.ndarray) -> Generator[Request, Reply, None]:
+    def prepare(self, node: _Node, steps: list[_Extension]) -> Generator[Request, Reply, None]:
         """Fit the children to visit and the parent regions the memo lacks
-        with one contest call, run their Occam tests, and re-discretize the
-        children that will recurse with one MDLP pass."""
+        with one contest call, run their Occam tests on the memo's models,
+        and re-discretize the children that will recurse with one MDLP pass."""
         visits = [s for s in steps if s.decision is None]
         if not visits:
             return
-        keys = [ext_bits[s.i].tobytes() for s in visits]
+        keys = [node.bits[s.i].tobytes() for s in visits]
         parents = [self.parent_regions(s.pattern, s.support) for s in visits]
         regions: dict[bytes, np.ndarray | None] = {self.top: None}  # the root fits the default rule
         regions.update(zip(keys, (s.rows for s in visits)))
-        regions.update((key, None) for found in parents for _, key, _ in found
-                       if key not in regions)
+        regions.update((key, None) for found in parents for key in found if key not in regions)
         yield from self.fit_rules(regions)
         for s, key, found in zip(visits, keys, parents):
             s.rule = self.rule(s.pattern, key, s.support)
-            s.ok = occam_test(s.rule, [self.rule(*p) for p in found], self._memo[key][1], self.d,
-                              self.cfg.metric)
+            s.ok = occam_test(s.rule.fitted.model, [self._memo[k][0].model for k in found],
+                              self._memo[key][1], self.d, self.cfg.metric)
         recurse = [s for s in visits if s.ok or self.exhaustive]
         numeric = self.d.numerical_features()
         free = [(s.rows, [a for a in numeric if a not in s.pattern.attributes()]) for s in recurse]

@@ -20,7 +20,8 @@ from .enumeration import (CandidateSet, HybridRule, drive, enumerate_candidates,
                           search_candidates)
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
-from .regression import FittedRuleModel, LinearModel, check_metric, evaluate, fit_ols, metric_value
+from .regression import (LASSO, MEAN, OLS, OMP, FittedRuleModel, LinearModel, check_metric,
+                         evaluate, fit_ols, metric_value)
 from .selection import SelectedRuleSet, build_problem, check_biases, select_top_q, solve
 
 
@@ -293,14 +294,41 @@ def _number(obj: dict, key: str, kind: tuple) -> float:
     return x
 
 
+def _choice(obj: dict, key: str, allowed: tuple[str, ...]) -> str:
+    """``obj[key]``, which must be one of the ``allowed`` names."""
+    if obj[key] not in allowed:
+        raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {obj[key]!r}")
+    return obj[key]
+
+
+def _hyper(value: object) -> float | None:
+    """A model's hyperparameter: null, or a finite real >= 0 that is not a bool."""
+    if value is not None and not (is_real(value) and 0.0 <= value < math.inf):
+        raise ValueError(f"hyper must be null or a finite real >= 0, got {value!r}")
+    return value
+
+
+def _scaling(name: str, value: list) -> tuple[float, float]:
+    """One standardization entry: a [mean, std] list of a finite mean and a
+    finite std > 0."""
+    if not isinstance(value, list):
+        raise TypeError(f"the standardization of {name!r} must be a [mean, std] list, "
+                        f"got {value!r}")
+    mean, std = map(float, value)
+    if not (math.isfinite(mean) and 0.0 < std < math.inf):
+        raise ValueError(f"the standardization of {name!r} must be a finite mean and a finite "
+                         f"std > 0, got {value!r}")
+    return mean, std
+
+
 def _rule_from_json(obj: dict) -> HybridRule:
     m = obj["model"]
     model = LinearModel(
         intercept=float(m["intercept"]),
         coefficients={k: float(v) for k, v in m["coefficients"].items()},
-        method=m["method"],
-        standardization={k: (float(v[0]), float(v[1])) for k, v in m["standardization"].items()},
-        hyper=m["hyper"],
+        method=_choice(m, "method", (OLS, LASSO, OMP, MEAN)),
+        standardization={k: _scaling(k, v) for k, v in m["standardization"].items()},
+        hyper=_hyper(m["hyper"]),
     )
     if not all(map(math.isfinite, [model.intercept, *model.coefficients.values()])):
         raise ValueError("a model has a non-finite intercept or coefficient")
@@ -377,7 +405,7 @@ def deserialize_rules(path: str) -> Predictor:
         selected = SelectedRuleSet(
             chosen=chosen,
             objective_value=_number(doc["selection"], "objective_value", _FINITE),
-            solver=doc["selection"]["solver"],
+            solver=_choice(doc["selection"], "solver", ("exact", "local-search", "top-q")),
             proof=_flag(doc["selection"]["proof"]),
         )
         ebar = {r.pattern: float(obj["normalized_error"]) for r, obj in zip(rules, doc["rules"])}

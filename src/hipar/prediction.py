@@ -37,8 +37,9 @@ class Predictor:
     rule whose pattern is TRUE. It never joins the vote, even when the
     selector chose it: it answers alone for points no other selected rule
     covers. ``schema`` is checked as a ``Dataset``'s is
-    (``data.check_schema``). Every condition and coefficient must name a
-    feature of it, of the kind the condition needs. A predictor holds no
+    (``data.check_schema``). Every condition, coefficient and standardization
+    entry must name a feature of it, of the kind the condition needs (a
+    numerical one for a model's entries). A predictor holds no
     level table: a condition compares a categorical column on the column's
     own table (``data.CodedColumn``).
     """
@@ -71,10 +72,11 @@ class Predictor:
                 if c.attribute not in features:
                     raise DataError(f"rule {rule.key!r} tests {c.attribute!r}, not a feature")
                 check_condition(c, features[c.attribute])
-            for name in rule.fitted.model.coefficients:
+            model = rule.fitted.model
+            for name in [*model.coefficients, *model.standardization]:
                 if name not in features or features[name].kind != NUMERICAL:
-                    raise DataError(f"rule {rule.key!r} has a coefficient on {name!r}, "
-                                    "not a numerical feature")
+                    raise DataError(f"rule {rule.key!r} has a coefficient or standardization on "
+                                    f"{name!r}, not a numerical feature")
         voting = sorted((r for r in self.rules.chosen if not r.is_default),
                         key=lambda r: r.pattern.order)
         voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)

@@ -232,7 +232,8 @@ def reference_search(d, cfg, exhaustive=False):
             seen.add(p)
             out.visited.append(p.key)
             child, scored = rule(p)
-            ok = occam_test(child, [rule(q)[0] for q in parents(p, universe)], scored, d,
+            ok = occam_test(child.fitted.model,
+                            [rule(q)[0].fitted.model for q in parents(p, universe)], scored, d,
                             cfg.metric)
             if ok:
                 out.accepted.append(child)

@@ -70,6 +70,20 @@ def test_eval_writes_report(tmp_path, segment_csv):
     )
 
 
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+@pytest.mark.parametrize("seed", ["3", "11"])
+def test_eval_rules_out_writes_the_bytes_fit_writes(tmp_path, segment_csv, seed, metric):
+    # eval's rule file is the whole-table fit of the same flags
+    flags = ["--input", segment_csv, "--target", "y", "--min-support", "0.2", "--seed", seed,
+             "--metric", metric]
+    fitted, evaluated = tmp_path / "fit.json", tmp_path / "eval.json"
+    assert main(["fit", *flags, "--rules-out", str(fitted)]) == 0
+    assert main(["eval", *flags, "--folds", "5", "--report-out", str(tmp_path / "report.json"),
+                 "--rules-out", str(evaluated)]) == 0
+    assert evaluated.read_bytes() == fitted.read_bytes()
+    assert json.loads(fitted.read_text())["metric"] == metric
+
+
 def test_eval_report_keeps_its_format(tmp_path, segment_csv):
     # the target comes from --target through the dataset, not from the run's
     # settings, and heads the report's config

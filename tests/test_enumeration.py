@@ -12,8 +12,6 @@ from hipar import (
     Dataset,
     EnumStats,
     Equals,
-    FittedRuleModel,
-    HybridRule,
     Interval,
     LinearModel,
     Pattern,
@@ -70,29 +68,25 @@ def _flat_dataset(n=10):
     )
 
 
-def _const_rule(pattern, value):
-    model = LinearModel(float(value), {}, "MEAN")
-    fitted = FittedRuleModel(model, value, value)
-    return HybridRule(pattern, fitted, 5, 0.5)
+def _const_model(value):
+    return LinearModel(float(value), {}, "MEAN")
 
 
 def test_occam_strict_dominance():
     d = _flat_dataset()
-    child = _const_rule(Pattern([A]), 1.0)  # on y=0 rows the RMSE equals the intercept
-    parents = [_const_rule(TOP, 1.5), _const_rule(Pattern([G]), 2.0)]
+    child = _const_model(1.0)  # on y=0 rows the RMSE equals the intercept
+    parents = [_const_model(1.5), _const_model(2.0)]
     assert occam_test(child, parents, np.arange(5), d, "rmse")
 
 
 def test_occam_tie_rejected():
     d = _flat_dataset()
-    child = _const_rule(Pattern([A]), 1.0)
-    assert not occam_test(child, [_const_rule(TOP, 1.0)], np.arange(5), d, "rmse")
+    assert not occam_test(_const_model(1.0), [_const_model(1.0)], np.arange(5), d, "rmse")
 
 
 def test_occam_single_default_parent():
     d = _flat_dataset()
-    child = _const_rule(Pattern([A]), 2.9)
-    assert occam_test(child, [_const_rule(TOP, 3.0)], np.arange(5), d, "rmse")
+    assert occam_test(_const_model(2.9), [_const_model(3.0)], np.arange(5), d, "rmse")
 
 
 # ------------------------------------------------------------------ hipar_init
@@ -591,7 +585,7 @@ def _summary(cands):
 ], ids=["catwide", "catwide-exhaustive", "rediscretized", "rediscretized-exhaustive"])
 def test_traced_and_untraced_searches_agree(table, theta, exhaustive):
     # a node counts its infrequent extensions at once and traces them lazily,
-    # and a child with no frequent extension is not walked: neither may
+    # and a node with no frequent extension is only counted and traced: neither may
     # change what the search finds or counts, and every decision is traced once
     d = table()
     cfg = RunConfig(theta=theta, seed=3)
@@ -655,7 +649,15 @@ def test_search_equals_the_reference_search_on_random_tables():
         assert [(r.pattern, r.fitted) for r in got.rules] == [
             (r.pattern, r.fitted) for r in want.accepted], k
         assert got.default_rule.fitted == want.default_rule.fitted, k
-        chosen = [solve(build_problem([*rules, default], cfg.sigma, cfg.omega, d)).chosen
+        # each counter counts its decision's trace lines, wherever it is counted
+        s = got.stats
+        decisions = Counter(line.split("\t")[3] for line in lines)
+        assert decisions == Counter({"pruned-support": s.pruned_support, "pruned-iv": s.pruned_iv,
+                                     "pruned-leftmost": s.pruned_leftmost,
+                                     "rejected-occam": s.rejected_occam,
+                                     "accepted": s.accepted}), k
+        assert s.visited == s.accepted + s.rejected_occam, k
+        chosen =[solve(build_problem([*rules, default], cfg.sigma, cfg.omega, d)).chosen
                   for rules, default in ((got.rules, got.default_rule),
                                          (want.accepted, want.default_rule))]
         assert [r.pattern for r in chosen[0]] == [r.pattern for r in chosen[1]], k
@@ -834,8 +836,7 @@ def test_ancestor_interval_implied_by_a_later_condition():
     search = enumeration._Search(d, cfg, init, None)
     assert interval not in search.universe.conditions
     parents = search.parent_regions(p_closed, len(region(p_closed, d)))
-    parent = Pattern([interval])
-    assert parents == [(parent, pattern_bits(parent, d).tobytes(), len(region(parent, d)))]
+    assert parents == [pattern_bits(Pattern([interval]), d).tobytes()]
 
 
 def test_rediscretized_intervals_filtered_on_full_dataset_support():

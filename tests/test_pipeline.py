@@ -437,6 +437,65 @@ def test_loader_rejects_swapped_default_flags(rule_doc):
             load(edited)
 
 
+def _model_edited(doc, key, value):
+    out = json.loads(json.dumps(doc))
+    out["rules"][0]["model"][key] = value
+    return out
+
+
+def test_loader_rejects_an_unknown_model_method(rule_doc):
+    # serialize_rules used to write any method back as it was read
+    doc, load = rule_doc
+    for method in ("OLS", "LASSO", "OMP", "MEAN"):
+        load(_model_edited(doc, "method", method))
+    for value in ("FOO", "lasso", None, 1):
+        with pytest.raises(DataError, match="method must be one of OLS, LASSO, OMP, MEAN"):
+            load(_model_edited(doc, "method", value))
+
+
+def test_loader_rejects_a_hyper_that_is_not_null_or_a_finite_real_at_least_zero(rule_doc):
+    doc, load = rule_doc
+    for value in (None, 0, 3, 0.25):
+        load(_model_edited(doc, "hyper", value))
+    for value in ("abc", "1", True, -0.5, math.nan, math.inf, [1.0]):
+        with pytest.raises(DataError, match="hyper must be null or a finite real >= 0"):
+            load(_model_edited(doc, "hyper", value))
+
+
+def test_loader_rejects_a_standardization_of_bad_numbers(rule_doc):
+    doc, load = rule_doc
+    name, (mean, std) = next(iter(doc["rules"][0]["model"]["standardization"].items()))
+    for entry in ([mean, -1.0], [mean, 0.0], [mean, math.inf], [math.nan, std],
+                  [mean, math.nan]):
+        with pytest.raises(DataError, match=f"standardization of '{name}' must be a finite mean"):
+            load(_model_edited(doc, "standardization", {name: entry}))
+    for entry in ("12", {"0": mean, "1": std}):
+        with pytest.raises(DataError, match=f"standardization of '{name}' must be a"):
+            load(_model_edited(doc, "standardization", {name: entry}))
+
+
+def test_loader_rejects_a_standardization_of_a_name_that_is_not_a_numerical_feature(rule_doc):
+    doc, load = rule_doc
+    load(_model_edited(doc, "standardization", {}))
+    entry = [0.5, 0.25]
+    for name in ("segment", "y", "nowhere"):
+        with pytest.raises(DataError, match=f"standardization on '{name}', not a numerical"):
+            load(_model_edited(doc, "standardization", {name: entry}))
+
+
+def test_loader_rejects_an_unknown_solver(rule_doc):
+    doc, load = rule_doc
+    for solver in ("exact", "local-search", "top-q"):
+        edited = json.loads(json.dumps(doc))
+        edited["selection"]["solver"] = solver
+        load(edited)
+    for value in ("greedy", "", None):
+        edited = json.loads(json.dumps(doc))
+        edited["selection"]["solver"] = value
+        with pytest.raises(DataError, match="solver must be one of exact, local-search, top-q"):
+            load(edited)
+
+
 def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
     # both bounds render as 1e+06; each rule must keep its own ebar
     from hipar import (

@@ -117,3 +117,23 @@ def test_every_function_the_tracer_wraps_exists():
     missing = [f"hipar.{layer}.{func}" for pairs in listed.values() for layer, func in pairs
                if not callable(getattr(importlib.import_module(f"hipar.{layer}"), func, None))]
     assert not missing, missing
+
+
+def test_every_private_definition_is_referenced():
+    # a private function, method or class that nothing in hipar names is dead
+    # code: it is no API, so no caller outside the package may keep it alive
+    defined, named = {}, set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    defined[node.name] = f"{path}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert defined, "no private definition found"
+    dead = sorted(where for name, where in defined.items() if name not in named)
+    assert not dead, dead
