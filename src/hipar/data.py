@@ -79,9 +79,11 @@ def sorted_rows(rows: Iterable[int], n: int | None = None) -> np.ndarray:
     index >= n, is a DataError: a row set names each row once.
     """
     idx = row_indices(rows)
-    if not (idx[1:] > idx[:-1]).all():
+    if (idx[1:] > idx[:-1]).all():  # row_indices checked the type; the ends are left
+        _check_bounds(idx, n)
+    else:
         idx = np.sort(idx)
-    check_rows(idx, n)
+        check_rows(idx, n)
     return idx
 
 
@@ -90,17 +92,22 @@ def check_rows(idx: np.ndarray, n: int | None = None) -> None:
     ``sorted_rows`` gives them: integers, nonnegative, strictly increasing
     and, with the table's row count ``n`` given, below n. One pass, no sort."""
     _check_integer(idx)
+    _check_bounds(idx, n)
+    step = idx[1:] > idx[:-1]
+    if not step.all():
+        i = np.flatnonzero(~step)[0]
+        if idx[i] == idx[i + 1]:
+            raise DataError(f"row index {int(idx[i])} is repeated")
+        raise DataError(f"row indices are not sorted: {int(idx[i])} before {int(idx[i + 1])}")
+
+
+def _check_bounds(idx: np.ndarray, n: int | None) -> None:
+    """DataError unless the ends of sorted row indices lie in [0, n)."""
     if len(idx):
         if idx[0] < 0:
             raise DataError(f"row index {int(idx[0])} is negative")
         if n is not None and idx[-1] >= n:
             raise DataError(f"row index {int(idx[-1])} is out of range for {n} rows")
-        step = idx[1:] > idx[:-1]
-        if not step.all():
-            i = np.flatnonzero(~step)[0]
-            if idx[i] == idx[i + 1]:
-                raise DataError(f"row index {int(idx[i])} is repeated")
-            raise DataError(f"row indices are not sorted: {int(idx[i])} before {int(idx[i + 1])}")
 
 
 @dataclass(frozen=True)

@@ -236,8 +236,8 @@ def _condition_from_json(obj: dict):
         return Equals(obj["attribute"], obj["value"])
     if obj["op"] != "in":
         raise ValueError(f"unknown condition op {obj['op']!r}, expected 'eq' or 'in'")
-    lo = -math.inf if obj["lo"] is None else float(obj["lo"])
-    hi = math.inf if obj["hi"] is None else float(obj["hi"])
+    lo = -math.inf if obj["lo"] is None else _real(obj["lo"], "lo")
+    hi = math.inf if obj["hi"] is None else _real(obj["hi"], "hi")
     return Interval(obj["attribute"], lo, hi)
 
 
@@ -285,9 +285,20 @@ _SHARE = (lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _FINITE = (math.isfinite, "finite")
 
 
+def _real(value: object, name: str) -> float:
+    """A JSON number as a float; ``float()`` alone would read a string or a
+    bool as a number, and re-saving would write it back as one."""
+    if not is_real(value):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{name} is out of the float range: {value!r}") from None
+
+
 def _number(obj: dict, key: str, kind: tuple) -> float:
     """``obj[key]`` as a float of the ``kind`` above; NaN passes none of them."""
-    x = float(obj[key])
+    x = _real(obj[key], key)
     test, description = kind
     if not test(x):
         raise ValueError(f"{key} must be {description}, got {obj[key]!r}")
@@ -314,7 +325,7 @@ def _scaling(name: str, value: list) -> tuple[float, float]:
     if not isinstance(value, list):
         raise TypeError(f"the standardization of {name!r} must be a [mean, std] list, "
                         f"got {value!r}")
-    mean, std = map(float, value)
+    mean, std = (_real(v, f"the standardization of {name!r}") for v in value)
     if not (math.isfinite(mean) and 0.0 < std < math.inf):
         raise ValueError(f"the standardization of {name!r} must be a finite mean and a finite "
                          f"std > 0, got {value!r}")
@@ -324,8 +335,9 @@ def _scaling(name: str, value: list) -> tuple[float, float]:
 def _rule_from_json(obj: dict) -> HybridRule:
     m = obj["model"]
     model = LinearModel(
-        intercept=float(m["intercept"]),
-        coefficients={k: float(v) for k, v in m["coefficients"].items()},
+        intercept=_real(m["intercept"], "intercept"),
+        coefficients={k: _real(v, f"the coefficient of {k!r}")
+                      for k, v in m["coefficients"].items()},
         method=_choice(m, "method", (OLS, LASSO, OMP, MEAN)),
         standardization={k: _scaling(k, v) for k, v in m["standardization"].items()},
         hyper=_hyper(m["hyper"]),
@@ -408,7 +420,8 @@ def deserialize_rules(path: str) -> Predictor:
             solver=_choice(doc["selection"], "solver", ("exact", "local-search", "top-q")),
             proof=_flag(doc["selection"]["proof"]),
         )
-        ebar = {r.pattern: float(obj["normalized_error"]) for r, obj in zip(rules, doc["rules"])}
+        ebar = {r.pattern: _real(obj["normalized_error"], "normalized_error")
+                for r, obj in zip(rules, doc["rules"])}
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path} is not a valid rule file: {type(exc).__name__}: {exc}") from exc
     if len(ebar) != len(rules):

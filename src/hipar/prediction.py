@@ -1,5 +1,17 @@
 """Predictions from a selected rule set: error-weighted vote of covering rules,
-default-model fallback for uncovered points."""
+default-model fallback for uncovered points.
+
+``predict`` scores one observation, ``predict_columns`` many. The columnar
+vote reads each voter's rows as index arrays, not masks. Voters whose
+equality conditions test the same attributes form a group, and nearly every
+chosen pattern is such a conjunction of categorical equalities. Per group,
+each row gets one cell code from the group's columns (mixed radix over their
+level tables), one stable sort orders the rows by cell, and a voter's rows
+are its cell's run, in ascending row order. A value a column's level table
+lacks gives no rows, interval conditions narrow the run, and a voter with
+no equality takes the rows of its mask. Each row then gets the same
+additions in the same voter order as in ``predict``, so the two agree bit
+for bit."""
 
 from __future__ import annotations
 
@@ -20,7 +32,7 @@ from .data import (
     row_indices,
 )
 from .enumeration import HybridRule
-from .patterns import Pattern, check_condition
+from .patterns import Equals, Interval, Pattern, check_condition
 from .selection import SelectedRuleSet
 
 
@@ -53,6 +65,10 @@ class Predictor:
     voters: tuple[tuple[HybridRule, float], ...] = field(init=False, repr=False, compare=False)
     # the schema's feature attributes, in schema order
     features: tuple[AttributeSchema, ...] = field(init=False, repr=False, compare=False)
+    # the voters grouped by the attributes their equalities test, first seen
+    # first: (attributes, ((voter position, the equalities' values), ...))
+    groups: tuple[tuple[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_schema(self.schema)
@@ -81,6 +97,12 @@ class Predictor:
                         key=lambda r: r.pattern.order)
         voters = tuple((r, 1.0 / self.normalized_errors[r.pattern]) for r in voting)
         object.__setattr__(self, "voters", voters)
+        groups: dict[tuple[str, ...], list[tuple[int, tuple[str, ...]]]] = {}
+        for i, (r, _) in enumerate(voters):
+            eqs = [c for c in r.pattern.conditions if isinstance(c, Equals)]
+            groups.setdefault(tuple(c.attribute for c in eqs), []).append(
+                (i, tuple(c.value for c in eqs)))
+        object.__setattr__(self, "groups", tuple((a, tuple(m)) for a, m in groups.items()))
 
 
 def _observation(pred: Predictor, x: Mapping[str, object]) -> dict[str, object]:
@@ -154,13 +176,25 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
             col = code(col, f"categorical feature {a.name!r} is not a string")
         checked[a.name] = col
     columns = checked
+    rows: dict[int, np.ndarray] = {}  # voter position -> its rows
+    for attrs, members in pred.groups:
+        if not attrs:
+            for i, _ in members:
+                rows[i] = np.flatnonzero(pred.voters[i][0].pattern.mask(columns))
+            continue
+        runs = _runs([columns[a] for a in attrs], [values for _, values in members], n)
+        for (i, _), run in zip(members, runs):
+            for c in pred.voters[i][0].pattern.conditions:
+                if isinstance(c, Interval):
+                    run = run[c.mask(columns[c.attribute][run])]
+            rows[i] = run
     num = np.zeros(n)
     den = np.zeros(n)
-    for r, w in pred.voters:
-        m = np.broadcast_to(r.pattern.mask(columns), n)
+    for i, (r, w) in enumerate(pred.voters):
+        idx = rows[i]
         model = r.fitted.model
-        num[m] += w * model.predict({name: columns[name][m] for name in model.coefficients})
-        den[m] += w
+        num[idx] += w * model.predict({name: columns[name][idx] for name in model.coefficients})
+        den[idx] += w
     covered = den > 0.0
     out = np.empty(n)
     out[covered] = num[covered] / den[covered]
@@ -168,6 +202,41 @@ def predict_columns(pred: Predictor, columns: Mapping[str, object], n: int) -> n
     model = pred.default_rule.fitted.model
     out[rest] = model.predict({name: columns[name][rest] for name in model.coefficients})
     return out
+
+
+def _runs(cols: list[CodedColumn], keys: list[tuple[str, ...]], n: int) -> list[np.ndarray]:
+    """Per key (one value per column), the ascending rows whose cells equal it.
+
+    Each row's cell code is its codes in mixed radix over the columns' level
+    tables, re-ranked by ``np.unique`` before the radix product could pass
+    2^63. The codes go to the narrowest unsigned dtype before one stable
+    argsort, which numpy runs as a radix sort up to 16 bits; a key's rows are
+    then one run of the sorted order, ascending since the sort is stable. A
+    key with a value its column's table lacks gets no rows."""
+    if not n:
+        return [np.empty(0, dtype=np.intp)] * len(keys)
+    cell, key, size = 0, 0, 1  # scalars until the first column's codes make them arrays
+    found = np.ones(len(keys), dtype=bool)
+    for j, col in enumerate(cols):
+        radix = len(col.levels)
+        if size * radix > 2**63:
+            distinct, cell = np.unique(cell, return_inverse=True)
+            at = np.minimum(np.searchsorted(distinct, key), len(distinct) - 1)
+            found &= distinct[at] == key
+            key, size = at, len(distinct)
+        codes = [col.index.get(values[j], -1) for values in keys]
+        found &= np.array(codes) >= 0
+        cell = cell * radix + col.codes.astype(np.int64, copy=False)
+        key = key * radix + np.maximum(codes, 0)
+        size *= radix
+    narrow = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                  if size <= np.iinfo(t).max + 1)
+    order = np.argsort(cell.astype(narrow), kind="stable")
+    ordered = cell[order]
+    starts = np.searchsorted(ordered, key, "left")
+    ends = np.searchsorted(ordered, key, "right")
+    return [order[s:e] if f else order[:0]
+            for s, e, f in zip(starts.tolist(), ends.tolist(), found.tolist())]
 
 
 def predict_batch(pred: Predictor, d: Dataset, rows) -> np.ndarray:

@@ -362,3 +362,23 @@ def omp_path_oracle(Xs, y_c, k):
         beta[active] = sub
         path.append(beta)
     return path
+
+
+def reference_vote(pred, columns, n):
+    """The columnar vote with one boolean row mask per voter, gathering every
+    model input through it. Columns are checked ones: finite float arrays, and
+    ``str`` cells as an object array or a ``CodedColumn``."""
+    num = np.zeros(n)
+    den = np.zeros(n)
+    for r, w in pred.voters:
+        m = np.broadcast_to(r.pattern.mask(columns), n)
+        model = r.fitted.model
+        num[m] += w * model.predict({name: columns[name][m] for name in model.coefficients})
+        den[m] += w
+    covered = den > 0.0
+    out = np.empty(n)
+    out[covered] = num[covered] / den[covered]
+    rest = ~covered
+    model = pred.default_rule.fitted.model
+    out[rest] = model.predict({name: columns[name][rest] for name in model.coefficients})
+    return out

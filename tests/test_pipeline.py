@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -472,6 +473,52 @@ def test_loader_rejects_a_standardization_of_bad_numbers(rule_doc):
     for entry in ("12", {"0": mean, "1": std}):
         with pytest.raises(DataError, match=f"standardization of '{name}' must be a"):
             load(_model_edited(doc, "standardization", {name: entry}))
+
+
+# (path in the first rule, value, message): a number written as a string or a
+# bool. float() used to read each, and saving the loaded predictor wrote 0.5,
+# 1.0, 2.0, 1.5 and [0.0, 1.0] where the file held "0.5", true, "2", "1.5"
+# and ["0", "1"].
+_NOT_NUMBERS = [
+    (("train_error",), "0.5", "train_error must be a number, got '0.5'"),
+    (("model", "intercept"), True, "intercept must be a number, got True"),
+    (("normalized_error",), "2", "normalized_error must be a number, got '2'"),
+    (("model", "coefficients", "x"), "1.5", "the coefficient of 'x' must be a number, got '1.5'"),
+    (("model", "standardization", "x"), ["0", "1"],
+     "the standardization of 'x' must be a number, got '0'"),
+    (("conditions",), [{"attribute": "x", "op": "in", "lo": "0.5", "hi": None}],
+     "lo must be a number, got '0.5'"),
+    (("conditions",), [{"attribute": "x", "op": "in", "lo": None, "hi": False}],
+     "hi must be a number, got False"),
+    (("model", "intercept"), 10**400, "intercept is out of the float range"),
+]
+
+
+def _set(doc, path, value):
+    """A copy of the rule file with the first rule's field at ``path`` set to value."""
+    out = json.loads(json.dumps(doc))
+    obj = out["rules"][0]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("path, value, message", _NOT_NUMBERS,
+                         ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_loader_rejects_a_number_that_is_not_a_json_number(rule_doc, path, value, message):
+    doc, load = rule_doc
+    assert "x" in doc["rules"][0]["model"]["coefficients"]
+    with pytest.raises(DataError, match=re.escape(message)):
+        load(_set(doc, path, value))
+
+
+def test_loader_rejects_a_file_of_numbers_written_as_strings_and_bools(rule_doc):
+    doc, load = rule_doc
+    for path, value, _ in _NOT_NUMBERS[:5]:
+        doc = _set(doc, path, value)
+    with pytest.raises(DataError, match="must be a number"):
+        load(doc)
 
 
 def test_loader_rejects_a_standardization_of_a_name_that_is_not_a_numerical_feature(rule_doc):

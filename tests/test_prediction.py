@@ -509,3 +509,118 @@ def test_predict_batch_on_a_loaded_file_equals_hipar_predict(tmp_path, digit_lev
     assert out.read_text(encoding="utf-8") == "".join(f"{v!r}\n" for v in batch)
     assert batch == [predict(digit_levels, {"g": g.strip(), "x": 0.125 * i})
                      for i, g in enumerate(cells)]
+
+
+CATS = ("c0", "c1", "c2")
+CELLS = ("a", "b", "c", "d")  # cells; no rule tests "d"
+TESTED = ("a", "b", "c", "zz")  # rule values; no cell holds "zz"
+
+
+def _run_case(rng):
+    """A predictor over three categorical and two numerical features whose
+    voters form several equality groups, with interval-only and mixed voters
+    and a voter on a level no cell holds, beside random ones."""
+    schema = [*(AttributeSchema(a, "categorical") for a in CATS),
+              AttributeSchema("u", "numerical"), AttributeSchema("v", "numerical"),
+              AttributeSchema("y", "numerical", role="target")]
+    intervals = [Interval("u", -np.inf, 4.0), Interval("u", 2.5, 7.5), Interval("v", 0.0, np.inf)]
+    patterns = {
+        Pattern([Interval("u", 2.5, 7.5)]),
+        Pattern([Equals("c0", "zz")]),
+        Pattern([Equals("c0", "a"), Interval("v", 0.0, np.inf)]),
+        Pattern([Equals("c0", "b"), Equals("c2", "a")]),
+    }
+    while len(patterns) < 12:
+        conds = {a: Equals(a, str(rng.choice(TESTED))) for a in CATS if rng.random() < 0.5}
+        for c in intervals:
+            if rng.random() < 0.2:
+                conds.setdefault(c.attribute, c)
+        if conds:
+            patterns.add(Pattern(conds.values()))
+    rules = []
+    for p in sorted(patterns, key=lambda p: p.order):  # draws independent of the hash seed
+        coefs = {a: float(rng.normal(0.0, 2.0)) for a in ("u", "v") if rng.random() < 0.6}
+        model = LinearModel(float(rng.normal(0.0, 10.0)), coefs, "OLS" if coefs else "MEAN")
+        rules.append(_rule(p, model))
+    ebar = {r.pattern: float(rng.uniform(0.05, 2.0)) for r in rules}
+    default = _rule(TOP, LinearModel(float(rng.normal()), {"u": 0.3, "v": -1.7}, "OLS"))
+    ebar[TOP] = 1.0
+    pred = Predictor(rules=SelectedRuleSet(rules, 0.0, "exact", True), default_rule=default,
+                     normalized_errors=ebar, schema=schema, metric="rmse")
+    shapes = {attrs for attrs, _ in pred.groups}
+    assert () in shapes and len(shapes) >= 3
+    return pred
+
+
+def _vote_forms(cells):
+    """``str`` cells as given to ``predict_columns`` and to ``reference_vote``:
+    a list, an object array, a ``CodedColumn`` on the cells' own levels, and
+    one on a larger table ("zz" and levels no cell holds, which moves every
+    code)."""
+    as_array, coded = np.array(cells, dtype=object), code(cells)
+    on_more = code([*cells, " a", "0", "zz"])[:len(cells)]
+    assert on_more.tolist() == list(cells)
+    return [(cells, as_array), (as_array, as_array), (coded, coded), (on_more, on_more)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predict_columns_equals_the_mask_vote_and_predict_bit_for_bit(seed):
+    from .oracles import reference_vote
+
+    rng = np.random.default_rng(seed)
+    pred = _run_case(rng)
+    for n in (0, 1, int(rng.integers(50, 400))):
+        cells = {a: [str(v) for v in rng.choice(CELLS, n)] for a in CATS}
+        nums = {"u": np.round(rng.uniform(0.0, 10.0, n), 1), "v": rng.normal(0.0, 3.0, n)}
+        want = [predict(pred, {a: cells[a][i] for a in CATS}
+                        | {a: float(nums[a][i]) for a in nums}) for i in range(n)]
+        forms = {a: _vote_forms(cells[a]) for a in CATS}
+        for form in range(4):
+            got = predict_columns(pred, {a: forms[a][form][0] for a in CATS} | nums, n)
+            ref = reference_vote(pred, {a: forms[a][form][1] for a in CATS} | nums, n)
+            assert got.tolist() == ref.tolist() == want  # ==: equal bits, as none is NaN
+        if n > 50:
+            covers = [len(covering_rules(pred, {a: cells[a][i] for a in CATS}
+                                         | {a: float(nums[a][i]) for a in nums}))
+                      for i in range(n)]
+            assert 0 in covers and max(covers) >= 3
+
+
+@pytest.mark.parametrize("size, k, past", [(300, 2, 2**16), (2**16 + 1, 4, 2**63)],
+                         ids=["past-2^16", "past-2^63"])
+def test_predict_columns_on_level_tables_whose_product_passes(size, k, past):
+    # a voter group's cells are codes in mixed radix over its columns' level
+    # tables: 300^2 needs 32 bits, and (2^16 + 1)^4 must be re-ranked first
+    from .oracles import reference_vote
+
+    rng = np.random.default_rng(size)
+    levels = tuple(f"{i:06d}" for i in range(size))
+    assert len(levels) ** k > past
+    names = [f"c{j}" for j in range(k)]
+    schema = [*(AttributeSchema(a, "categorical") for a in names),
+              AttributeSchema("u", "numerical"), AttributeSchema("y", "numerical", role="target")]
+    n = 400
+    held = [0, 1, 2, *rng.choice(np.arange(4, size - 1), 5), size - 1]  # the far end too
+    cols = {a: CodedColumn(levels, rng.choice(held, n)) for a in names}
+    u = rng.uniform(0.0, 10.0, n)
+    # the cells of rows; the same with a level no row holds (3) first; random
+    # combinations of levels rows hold; a value outside the table
+    row_cells = [tuple(cols[a].levels[int(cols[a].codes[i])] for a in names) for i in range(40)]
+    keys = {*row_cells[:8], *((levels[3], *cells[1:]) for cells in row_cells[8:])}
+    keys |= {tuple(levels[int(c)] for c in rng.choice(held, k)) for _ in range(8)}
+    keys.add((levels[0],) * (k - 1) + ("zzz",))
+    patterns = {Pattern(Equals(a, v) for a, v in zip(names, key)) for key in keys}
+    patterns |= {Pattern([Equals(names[0], levels[1]), Equals(names[1], levels[size - 1])]),
+                 Pattern([Equals(names[1], levels[2]), Interval("u", 2.0, 8.0)])}
+    rules = [_rule(p, LinearModel(float(i), {"u": 0.5 + i}, "OLS"))
+             for i, p in enumerate(sorted(patterns, key=lambda p: p.order))]
+    ebar = {r.pattern: 0.1 + 0.05 * i for i, r in enumerate(rules)} | {TOP: 1.0}
+    default = _rule(TOP, LinearModel(-3.0, {"u": 2.0}, "OLS"))
+    pred = Predictor(rules=SelectedRuleSet(rules, 0.0, "exact", True), default_rule=default,
+                     normalized_errors=ebar, schema=schema, metric="rmse")
+    columns = cols | {"u": u}
+    got = predict_columns(pred, columns, n).tolist()
+    cells = {a: cols[a].tolist() for a in names}
+    want = [predict(pred, {a: cells[a][i] for a in names} | {"u": float(u[i])}) for i in range(n)]
+    assert got == reference_vote(pred, columns, n).tolist() == want
+    assert len(set(got)) > 8  # the voters on rows' cells, and the default

@@ -24,6 +24,7 @@ from hipar import (
     mdlp_cuts,
     predict_batch,
 )
+from hipar.data import sorted_rows
 
 
 def _dataset(n=160, seed=3):
@@ -164,3 +165,19 @@ def test_predict_batch_rejects_bad_rows(case):
     for rows in (BAD[case], np.array(BAD[case])):
         with pytest.raises(DataError):
             predict_batch(pred, d, rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([-2, 0, 3], "row index -2 is negative"),
+    ([3, -2, 0], "row index -2 is negative"),
+    ([0, 3, 160], "row index 160 is out of range for 160 rows"),
+    ([160, 0, 3], "row index 160 is out of range for 160 rows"),
+    ([3, 0, 3], "row index 3 is repeated"),
+], ids=["negative-increasing", "negative", "out-of-range-increasing", "out-of-range",
+        "repeated"])
+def test_sorted_rows_gives_one_message_whether_or_not_the_rows_come_sorted(rows, message):
+    for form in (rows, np.array(rows)):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            sorted_rows(form, 160)
+    increasing = np.array([0, 3, 159])
+    assert sorted_rows(increasing, 160) is increasing
