@@ -1,27 +1,28 @@
 """End-to-end pipeline: fit, select, predict, cross-validate, serialize.
 
-The rule file written by serialize_rules is a single JSON document carrying a
-human-readable text block plus the machine fields of the whole Predictor
-(schema, metric, per-rule models and normalized errors): deserialize_rules
-rebuilds a Predictor equal to the one saved.
+A rule file (serialize_rules) is one JSON document: a readable text block and
+the fields of the whole Predictor. RULE_FILE_FIELDS, the one statement of its
+format, gives each field's type and range; deserialize_rules checks a file
+against it, then rebuilds a Predictor equal to the one saved.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (AttributeSchema, DataError, Dataset, check_folds, check_seed, is_int, is_real,
-                   k_folds)
+from .data import (CATEGORICAL, NUMERICAL, AttributeSchema, DataError, Dataset, check_folds,
+                   check_schema, check_seed, is_int, is_real, k_folds)
 from .enumeration import (CandidateSet, HybridRule, drive, enumerate_candidates, hipar_init,
                           search_candidates)
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
-from .regression import (LASSO, MEAN, OLS, OMP, FittedRuleModel, LinearModel, check_metric,
-                         evaluate, fit_ols, metric_value)
+from .regression import (LASSO, MEAN, METRICS, OLS, OMP, FittedRuleModel, LinearModel,
+                         check_metric, evaluate, fit_ols, metric_value)
 from .selection import SelectedRuleSet, build_problem, check_biases, select_top_q, solve
 
 
@@ -234,10 +235,8 @@ def _condition_to_json(c) -> dict:
 def _condition_from_json(obj: dict):
     if obj["op"] == "eq":
         return Equals(obj["attribute"], obj["value"])
-    if obj["op"] != "in":
-        raise ValueError(f"unknown condition op {obj['op']!r}, expected 'eq' or 'in'")
-    lo = -math.inf if obj["lo"] is None else _real(obj["lo"], "lo")
-    hi = math.inf if obj["hi"] is None else _real(obj["hi"], "hi")
+    lo = -math.inf if obj["lo"] is None else float(obj["lo"])
+    hi = math.inf if obj["hi"] is None else float(obj["hi"])
     return Interval(obj["attribute"], lo, hi)
 
 
@@ -263,98 +262,105 @@ def _rule_to_json(rule: HybridRule, ebar: float, chosen: bool) -> dict:
     }
 
 
-def _flag(value: object) -> bool:
-    """A JSON true/false; anything else would read as true or false silently."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+_NUMBER = (int, float)
+_NULLABLE = (int, float, type(None))
+_AT_LEAST_ZERO = lambda x: 0.0 <= x < math.inf  # noqa: E731
+
+# The hipar-rules-v1 format, stated once: (path, JSON types, test, description)
+# of every field the loader reads; ``*`` is any item of a list or key of an
+# object. No integer may lie past the float range, null passes untested, a
+# tuple test names the allowed strings and a field's test runs after its own
+# fields pass. A row ending in a key and a value holds only where its object
+# has that value at that key. Besides, ``format`` must be "hipar-rules-v1" and
+# ``include_default_in_coverage`` false or absent; ``text`` is not read.
+RULE_FILE_FIELDS = (
+    ("target", (str,), None, "a string"),
+    ("metric", (str,), lambda m: m.lower() in METRICS, "rmse or meae, in any case"),
+    ("schema", (list,), None, "a list"),
+    ("schema.*", (dict,), None, "an object"),
+    ("schema.*.name", (str,), None, "a string"),
+    ("schema.*.kind", (str,), (CATEGORICAL, NUMERICAL), None),
+    ("schema.*.role", (str,), ("feature", "target"), None),
+    ("selection", (dict,), None, "an object"),
+    ("selection.objective_value", _NUMBER, math.isfinite, "a finite number"),
+    ("selection.solver", (str,), ("exact", "local-search", "top-q"), None),
+    ("selection.proof", (bool,), None, "true or false"),
+    ("rules", (list,), None, "a list"),
+    ("rules.*", (dict,), None, "an object"),
+    ("rules.*.pattern", (str,), None, "a string"),
+    ("rules.*.conditions", (list,), None, "a list"),
+    ("rules.*.conditions.*", (dict,), None, "an object"),
+    ("rules.*.conditions.*.attribute", (str,), None, "a string"),
+    ("rules.*.conditions.*.op", (str,), ("eq", "in"), None),
+    ("rules.*.conditions.*.value", (str,), None, "a string", "op", "eq"),
+    ("rules.*.conditions.*.lo", _NULLABLE, math.isfinite, "a finite number or null", "op", "in"),
+    ("rules.*.conditions.*.hi", _NULLABLE, math.isfinite, "a finite number or null", "op", "in"),
+    ("rules.*.model", (dict,), None, "an object"),
+    ("rules.*.model.method", (str,), (OLS, LASSO, OMP, MEAN), None),
+    ("rules.*.model.intercept", _NUMBER, math.isfinite, "a finite number"),
+    ("rules.*.model.coefficients", (dict,), None, "an object"),
+    ("rules.*.model.coefficients.*", _NUMBER, math.isfinite, "a finite number"),
+    ("rules.*.model.standardization", (dict,), None, "an object"),
+    ("rules.*.model.standardization.*", (list,), lambda v: len(v) == 2 and v[1] > 0.0,
+     "a [mean, std] list with std > 0"),
+    ("rules.*.model.standardization.*.*", _NUMBER, math.isfinite, "a finite number"),
+    ("rules.*.model.hyper", _NULLABLE, _AT_LEAST_ZERO, "a finite number >= 0 or null"),
+    ("rules.*.support_abs", (int,), lambda x: x >= 1, "an integer >= 1"),
+    ("rules.*.support_rel", _NUMBER, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
+    ("rules.*.train_error", _NUMBER, _AT_LEAST_ZERO, "a finite number >= 0"),
+    ("rules.*.holdout_error", _NUMBER, _AT_LEAST_ZERO, "a finite number >= 0"),
+    ("rules.*.normalized_error", _NUMBER, None, "a number"),
+    ("rules.*.is_default", (bool,), None, "true or false"),
+    ("rules.*.chosen", (bool,), None, "true or false"),
+)
 
 
-def _count(value: object) -> int:
-    """A JSON integer >= 1; a fraction would be truncated by ``int()`` silently."""
-    if not is_int(value):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"expected a count of at least 1, got {value!r}")
-    return value
+def _tree() -> tuple:
+    """The table as a tree: the document's row (name, types, test, description,
+    when, fields), ``fields`` being the rows of its own fields, and so on."""
+    rows = {"": ("", (dict,), None, "an object", [], [])}
+    for path, types, test, description, *when in RULE_FILE_FIELDS:
+        head, _, name = path.rpartition(".")
+        rows[path] = (name, types, test, description or f"one of {', '.join(test)}", when, [])
+        rows[head][-1].append(rows[path])
+    return rows[""]
 
 
-# (test, description) of the values a number field of a rule file may take
-_ERROR = (lambda x: 0.0 <= x < math.inf, "finite and >= 0")
-_SHARE = (lambda x: 0.0 < x <= 1.0, "in (0, 1]")
-_FINITE = (math.isfinite, "finite")
+def _check(value, row: tuple = _tree(), where: str = "") -> None:
+    """Check a parsed value at ``where`` in the file against its row of the table,
+    and its fields against theirs; the first failure is a DataError."""
+    _, types, test, description, _, fields = row
+    # exact types: true is no number and 1 no flag; no integer is past the float range
+    ok = type(value) in types and not (type(value) is int and abs(value) > sys.float_info.max)
+    if ok and fields and fields[0][0] == "*":
+        for key, item in enumerate(value) if type(value) is list else value.items():
+            _check(item, fields[0], f"{where}[{key!r}]")
+    elif ok:
+        for field in fields:
+            name, when, place = field[0], field[4], f"{where}.{field[0]}".lstrip(".")
+            if not when or value.get(when[0]) == when[1]:
+                if name not in value:
+                    raise DataError(f"{place} is missing: it must be {field[3]}")
+                _check(value[name], field, place)
+    if ok and value is not None and test is not None:
+        ok = value in test if type(test) is tuple else test(value)
+    if not ok:
+        raise DataError(f"{where} must be {description}, got {value!r}")
 
 
-def _real(value: object, name: str) -> float:
-    """A JSON number as a float; ``float()`` alone would read a string or a
-    bool as a number, and re-saving would write it back as one."""
-    if not is_real(value):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError(f"{name} is out of the float range: {value!r}") from None
-
-
-def _number(obj: dict, key: str, kind: tuple) -> float:
-    """``obj[key]`` as a float of the ``kind`` above; NaN passes none of them."""
-    x = _real(obj[key], key)
-    test, description = kind
-    if not test(x):
-        raise ValueError(f"{key} must be {description}, got {obj[key]!r}")
-    return x
-
-
-def _choice(obj: dict, key: str, allowed: tuple[str, ...]) -> str:
-    """``obj[key]``, which must be one of the ``allowed`` names."""
-    if obj[key] not in allowed:
-        raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {obj[key]!r}")
-    return obj[key]
-
-
-def _hyper(value: object) -> float | None:
-    """A model's hyperparameter: null, or a finite real >= 0 that is not a bool."""
-    if value is not None and not (is_real(value) and 0.0 <= value < math.inf):
-        raise ValueError(f"hyper must be null or a finite real >= 0, got {value!r}")
-    return value
-
-
-def _scaling(name: str, value: list) -> tuple[float, float]:
-    """One standardization entry: a [mean, std] list of a finite mean and a
-    finite std > 0."""
-    if not isinstance(value, list):
-        raise TypeError(f"the standardization of {name!r} must be a [mean, std] list, "
-                        f"got {value!r}")
-    mean, std = (_real(v, f"the standardization of {name!r}") for v in value)
-    if not (math.isfinite(mean) and 0.0 < std < math.inf):
-        raise ValueError(f"the standardization of {name!r} must be a finite mean and a finite "
-                         f"std > 0, got {value!r}")
-    return mean, std
-
-
-def _rule_from_json(obj: dict) -> HybridRule:
+def _rule_from_json(obj: dict, i: int) -> HybridRule:
     m = obj["model"]
-    model = LinearModel(
-        intercept=_real(m["intercept"], "intercept"),
-        coefficients={k: _real(v, f"the coefficient of {k!r}")
-                      for k, v in m["coefficients"].items()},
-        method=_choice(m, "method", (OLS, LASSO, OMP, MEAN)),
-        standardization={k: _scaling(k, v) for k, v in m["standardization"].items()},
-        hyper=_hyper(m["hyper"]),
-    )
-    if not all(map(math.isfinite, [model.intercept, *model.coefficients.values()])):
-        raise ValueError("a model has a non-finite intercept or coefficient")
+    coefficients = {k: float(v) for k, v in m["coefficients"].items()}
+    scaling = {k: (float(mean), float(std)) for k, (mean, std) in m["standardization"].items()}
+    model = LinearModel(float(m["intercept"]), coefficients, m["method"], scaling, m["hyper"])
     pattern = Pattern(_condition_from_json(c) for c in obj["conditions"])
-    if _flag(obj["is_default"]) != pattern.is_empty:
-        raise ValueError(f"rule {pattern.key!r} has is_default {json.dumps(obj['is_default'])}; "
-                         "the default rule is exactly the rule whose pattern is TRUE")
-    return HybridRule(
-        pattern=pattern,
-        fitted=FittedRuleModel(model, train_error=_number(obj, "train_error", _ERROR),
-                               holdout_error=_number(obj, "holdout_error", _ERROR)),
-        support_abs=_count(obj["support_abs"]),
-        support_rel=_number(obj, "support_rel", _SHARE),
-    )
+    if obj["pattern"] != pattern.render():
+        raise DataError(f"rules[{i}].pattern must be {pattern.render()!r}, got {obj['pattern']!r}")
+    if obj["is_default"] != pattern.is_empty:
+        raise DataError(f"rule {pattern.key!r} has is_default {json.dumps(obj['is_default'])}; "
+                        "the default rule is exactly the rule whose pattern is TRUE")
+    fitted = FittedRuleModel(model, float(obj["train_error"]), float(obj["holdout_error"]))
+    return HybridRule(pattern, fitted, obj["support_abs"], float(obj["support_rel"]))
 
 
 def serialize_rules(pred: Predictor, path: str) -> None:
@@ -395,7 +401,7 @@ def serialize_rules(pred: Predictor, path: str) -> None:
 
 
 def deserialize_rules(path: str) -> Predictor:
-    """Rebuild a Predictor from a rule file written by serialize_rules."""
+    """Rebuild a Predictor from a rule file, checked first against RULE_FILE_FIELDS."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -410,32 +416,24 @@ def deserialize_rules(path: str) -> Predictor:
         raise DataError(f"{path}: the default rule no longer joins the vote "
                         "(include_default_in_coverage must be false or absent)")
     try:
-        metric = check_metric(doc["metric"])
-        schema = [AttributeSchema(s["name"], s["kind"], s["role"]) for s in doc["schema"]]
-        rules = [_rule_from_json(obj) for obj in doc["rules"]]
-        chosen = [r for r, obj in zip(rules, doc["rules"]) if _flag(obj["chosen"])]
-        selected = SelectedRuleSet(
-            chosen=chosen,
-            objective_value=_number(doc["selection"], "objective_value", _FINITE),
-            solver=_choice(doc["selection"], "solver", ("exact", "local-search", "top-q")),
-            proof=_flag(doc["selection"]["proof"]),
-        )
-        ebar = {r.pattern: _real(obj["normalized_error"], "normalized_error")
-                for r, obj in zip(rules, doc["rules"])}
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{path} is not a valid rule file: {type(exc).__name__}: {exc}") from exc
-    if len(ebar) != len(rules):
-        raise DataError(f"{path}: two rules share a pattern")
-    defaults = [r for r in rules if r.is_default]
-    if len(defaults) != 1:
-        raise DataError(f"{path} must carry exactly one default rule")
-    try:
-        return Predictor(
-            rules=selected,
-            default_rule=defaults[0],
-            normalized_errors=ebar,
-            schema=schema,
-            metric=metric,
-        )
+        _check(doc)
+        schema = [AttributeSchema(a["name"], a["kind"], a["role"]) for a in doc["schema"]]
+        target = check_schema(schema)
+        if doc["target"] != target:
+            raise DataError(f"target must be {target!r} as in the schema, got {doc['target']!r}")
+        rules = [_rule_from_json(obj, i) for i, obj in enumerate(doc["rules"])]
+        ebar = {r.pattern: float(obj["normalized_error"]) for r, obj in zip(rules, doc["rules"])}
+        if len(ebar) != len(rules):
+            raise DataError("two rules share a pattern")
+        defaults = [r for r in rules if r.is_default]
+        if len(defaults) != 1:
+            raise DataError("the file must carry exactly one default rule")
+        chosen = [r for r, obj in zip(rules, doc["rules"]) if obj["chosen"]]
+        s = doc["selection"]
+        selected = SelectedRuleSet(chosen, float(s["objective_value"]), s["solver"], s["proof"])
+        return Predictor(rules=selected, default_rule=defaults[0], normalized_errors=ebar,
+                         schema=schema, metric=doc["metric"].lower())
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path} is not a valid rule file: {type(exc).__name__}: {exc}") from exc

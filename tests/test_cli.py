@@ -261,6 +261,27 @@ def test_corrupt_rule_file_is_exit_1(tmp_path, segment_csv, capsys):
     assert (tmp_path / "legacy.txt").read_text() == (tmp_path / "o.txt").read_text()
 
 
+@pytest.mark.parametrize("name", [["segment"], {"segment": 1}, 5], ids=["list", "dict", "int"])
+def test_a_schema_name_that_is_not_a_string_is_exit_1(tmp_path, segment_csv, capsys, name):
+    # a list or a dict in schema[0].name exited 2 with a traceback (an unhashable
+    # TypeError); an integer loaded and failed on a missing column named 5
+    rules = tmp_path / "rules.json"
+    assert main(["fit", "--input", segment_csv, "--target", "y", "--min-support", "0.2",
+                 "--seed", "3", "--rules-out", str(rules)]) == 0
+    doc = json.loads(rules.read_text())
+    doc["schema"][0]["name"] = name
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    features = tmp_path / "features.csv"
+    features.write_text("segment,x\nA,0.5\n")
+    capsys.readouterr()
+    assert main(["predict", "--rules", str(bad), "--input", str(features),
+                 "--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert f"schema[0].name must be a string, got {name!r}" in err, err
+
+
 @pytest.mark.parametrize("command, out", [("fit", "--rules-out"), ("eval", "--report-out")])
 def test_negative_seed_is_exit_1(tmp_path, segment_csv, capsys, command, out):
     path = tmp_path / "out.json"

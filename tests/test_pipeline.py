@@ -367,7 +367,8 @@ def _edited(doc, rule_index, key, value):
 def test_loader_rejects_a_support_count_below_one(rule_doc):
     doc, load = rule_doc
     for value in (0, -3):
-        with pytest.raises(DataError, match="at least 1"):
+        message = f"rules[0].support_abs must be an integer >= 1, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load(_edited(doc, 0, "support_abs", value))
 
 
@@ -375,7 +376,8 @@ def test_loader_rejects_a_support_share_outside_the_unit_interval(rule_doc):
     doc, load = rule_doc
     load(_edited(doc, 0, "support_rel", 1.0))
     for value in (0.0, -0.1, 1.5, math.nan, math.inf):
-        with pytest.raises(DataError, match="support_rel must be in"):
+        message = f"rules[0].support_rel must be a number in (0, 1], got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load(_edited(doc, 0, "support_rel", value))
 
 
@@ -384,7 +386,8 @@ def test_loader_rejects_an_error_that_is_not_finite_and_non_negative(rule_doc, k
     doc, load = rule_doc
     load(_edited(doc, 0, key, 0.0))
     for value in (-1.0, math.nan, math.inf):
-        with pytest.raises(DataError, match=f"{key} must be finite and >= 0"):
+        message = f"rules[0].{key} must be a finite number >= 0, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load(_edited(doc, 0, key, value))
 
 
@@ -412,7 +415,8 @@ def test_loader_rejects_an_unknown_condition_op(rule_doc, tmp_path):
     i = next(i for i, r in enumerate(doc["rules"]) if r["conditions"])
     edited = _edited(doc, i, "conditions",
                      [{"attribute": "x", "op": "lt", "lo": None, "hi": 5}])
-    with pytest.raises(DataError, match="unknown condition op 'lt'") as info:
+    message = f"rules[{i}].conditions[0].op must be one of eq, in, got 'lt'"
+    with pytest.raises(DataError, match=re.escape(message)) as info:
         load(edited)
     assert str(info.value).startswith(str(tmp_path / "rules.json"))
 
@@ -422,7 +426,8 @@ def test_loader_rejects_a_non_finite_objective_value(rule_doc):
     for value in (math.nan, math.inf, -math.inf):
         edited = json.loads(json.dumps(doc))
         edited["selection"]["objective_value"] = value
-        with pytest.raises(DataError, match="objective_value must be finite"):
+        message = f"selection.objective_value must be a finite number, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load(edited)
 
 
@@ -459,19 +464,26 @@ def test_loader_rejects_a_hyper_that_is_not_null_or_a_finite_real_at_least_zero(
     for value in (None, 0, 3, 0.25):
         load(_model_edited(doc, "hyper", value))
     for value in ("abc", "1", True, -0.5, math.nan, math.inf, [1.0]):
-        with pytest.raises(DataError, match="hyper must be null or a finite real >= 0"):
+        message = f"rules[0].model.hyper must be a finite number >= 0 or null, got {value!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
             load(_model_edited(doc, "hyper", value))
 
 
 def test_loader_rejects_a_standardization_of_bad_numbers(rule_doc):
     doc, load = rule_doc
     name, (mean, std) = next(iter(doc["rules"][0]["model"]["standardization"].items()))
-    for entry in ([mean, -1.0], [mean, 0.0], [mean, math.inf], [math.nan, std],
-                  [mean, math.nan]):
-        with pytest.raises(DataError, match=f"standardization of '{name}' must be a finite mean"):
-            load(_model_edited(doc, "standardization", {name: entry}))
-    for entry in ("12", {"0": mean, "1": std}):
-        with pytest.raises(DataError, match=f"standardization of '{name}' must be a"):
+    where = f"rules[0].model.standardization[{name!r}]"
+    for entry, message in (
+        ([mean, -1.0], f"{where} must be a [mean, std] list with std > 0, got [{mean!r}, -1.0]"),
+        ([mean, 0.0], f"{where} must be a [mean, std] list with std > 0, got [{mean!r}, 0.0]"),
+        ([mean, math.inf], f"{where}[1] must be a finite number, got inf"),
+        ([math.nan, std], f"{where}[0] must be a finite number, got nan"),
+        ([mean, math.nan], f"{where}[1] must be a finite number, got nan"),
+        ("12", f"{where} must be a [mean, std] list with std > 0, got '12'"),
+        ({"0": mean, "1": std},
+         f"{where} must be a [mean, std] list with std > 0, got {{'0': {mean!r}, '1': {std!r}}}"),
+    ):
+        with pytest.raises(DataError, match=re.escape(message)):
             load(_model_edited(doc, "standardization", {name: entry}))
 
 
@@ -480,17 +492,17 @@ def test_loader_rejects_a_standardization_of_bad_numbers(rule_doc):
 # 1.0, 2.0, 1.5 and [0.0, 1.0] where the file held "0.5", true, "2", "1.5"
 # and ["0", "1"].
 _NOT_NUMBERS = [
-    (("train_error",), "0.5", "train_error must be a number, got '0.5'"),
-    (("model", "intercept"), True, "intercept must be a number, got True"),
+    (("train_error",), "0.5", "train_error must be a finite number >= 0, got '0.5'"),
+    (("model", "intercept"), True, "intercept must be a finite number, got True"),
     (("normalized_error",), "2", "normalized_error must be a number, got '2'"),
-    (("model", "coefficients", "x"), "1.5", "the coefficient of 'x' must be a number, got '1.5'"),
+    (("model", "coefficients", "x"), "1.5", "coefficients['x'] must be a finite number, got '1.5'"),
     (("model", "standardization", "x"), ["0", "1"],
-     "the standardization of 'x' must be a number, got '0'"),
+     "standardization['x'][0] must be a finite number, got '0'"),
     (("conditions",), [{"attribute": "x", "op": "in", "lo": "0.5", "hi": None}],
-     "lo must be a number, got '0.5'"),
+     "lo must be a finite number or null, got '0.5'"),
     (("conditions",), [{"attribute": "x", "op": "in", "lo": None, "hi": False}],
-     "hi must be a number, got False"),
-    (("model", "intercept"), 10**400, "intercept is out of the float range"),
+     "hi must be a finite number or null, got False"),
+    (("model", "intercept"), 10**400, f"intercept must be a finite number, got {10**400!r}"),
 ]
 
 
@@ -509,7 +521,8 @@ def _set(doc, path, value):
 def test_loader_rejects_a_number_that_is_not_a_json_number(rule_doc, path, value, message):
     doc, load = rule_doc
     assert "x" in doc["rules"][0]["model"]["coefficients"]
-    with pytest.raises(DataError, match=re.escape(message)):
+    # the message names the field's place in the first rule, as rules[0].model.intercept
+    with pytest.raises(DataError, match=r"rules\[0\]\.\S*" + re.escape(message)):
         load(_set(doc, path, value))
 
 
@@ -517,7 +530,8 @@ def test_loader_rejects_a_file_of_numbers_written_as_strings_and_bools(rule_doc)
     doc, load = rule_doc
     for path, value, _ in _NOT_NUMBERS[:5]:
         doc = _set(doc, path, value)
-    with pytest.raises(DataError, match="must be a number"):
+    message = "rules[0].model.intercept must be a finite number, got True"
+    with pytest.raises(DataError, match=re.escape(message)):
         load(doc)
 
 
@@ -541,6 +555,97 @@ def test_loader_rejects_an_unknown_solver(rule_doc):
         edited["selection"]["solver"] = value
         with pytest.raises(DataError, match="solver must be one of exact, local-search, top-q"):
             load(edited)
+
+
+@pytest.mark.parametrize("name", [["segment"], {"segment": 1}, 5], ids=["list", "dict", "int"])
+def test_loader_rejects_a_schema_name_that_is_not_a_string(rule_doc, name):
+    # a list or a dict raised an unhashable TypeError; an integer loaded, and
+    # predicting then asked the input for a column named 5
+    doc, load = rule_doc
+    edited = json.loads(json.dumps(doc))
+    edited["schema"][0]["name"] = name
+    message = f"schema[0].name must be a string, got {name!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        load(edited)
+
+
+def test_loader_rejects_a_target_that_is_not_the_schemas(rule_doc):
+    # a wrong target used to load, and the next save wrote the schema's
+    doc, load = rule_doc
+    assert doc["target"] == "y"
+    for target in ("segment", "x", "Y", ""):
+        message = f"target must be 'y' as in the schema, got {target!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load(dict(doc, target=target))
+
+
+def test_loader_rejects_a_pattern_that_is_not_the_rendering_of_its_conditions(rule_doc):
+    # a wrong pattern text used to load, and the next save wrote the rendering
+    doc, load = rule_doc
+    for i, rule in enumerate(doc["rules"]):
+        for pattern in ("nonsense", "TRUE" if rule["conditions"] else "x in [0,1)",
+                        f" {rule['pattern']}"):
+            message = f"rules[{i}].pattern must be {rule['pattern']!r}, got {pattern!r}"
+            with pytest.raises(DataError, match=re.escape(message)):
+                load(_edited(doc, i, "pattern", pattern))
+
+
+# the 18 values each field of a rule file is set to by the mutation test below
+_JUNK = [None, True, False, 0, -1, 1, 2.5, -0.0, 1e308, 10**400, "", "x", "0.5", [], [1], {},
+         {"a": 1}, math.nan]
+
+
+def _places(node, path=()):
+    """The key path of every node under a parsed JSON node: inner ones and leaves."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield (*path, key)
+        yield from _places(child, (*path, key))
+
+
+def test_every_single_field_mutation_of_a_rule_file_is_rejected_or_resaves_stably(tmp_path,
+                                                                                   two_segment):
+    # the loader's contract: a file is a DataError, or it loads to a Predictor
+    # that saves to bytes which load and save again unchanged; any other
+    # exception (a crash) fails. Every node, leaf or not, is set to each junk
+    # value and deleted, one at a time.
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    mutated, saved = tmp_path / "mutated.json", tmp_path / "saved.json"
+    serialize_rules(pred, str(saved))
+    doc = json.loads(saved.read_text())
+    assert len(doc["rules"]) == 3
+    outcomes = {"rejected": 0, "resaved": 0}
+    for place in _places(doc):
+        for value in [*_JUNK, "<deleted>"]:
+            edited = json.loads(json.dumps(doc))
+            parent = edited
+            for key in place[:-1]:
+                parent = parent[key]
+            if value == "<deleted>":
+                del parent[place[-1]]
+            else:
+                parent[place[-1]] = value
+            mutated.write_text(json.dumps(edited))
+            try:
+                try:
+                    loaded = deserialize_rules(str(mutated))
+                except DataError:
+                    outcomes["rejected"] += 1
+                    continue
+                serialize_rules(loaded, str(saved))
+                once = saved.read_bytes()
+                serialize_rules(deserialize_rules(str(saved)), str(saved))
+            except Exception as exc:
+                pytest.fail(f"{place} = {value!r}: {type(exc).__name__}: {exc}")
+            assert saved.read_bytes() == once, (place, value)
+            outcomes["resaved"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["resaved"] > 0, outcomes
+    assert sum(outcomes.values()) == 19 * len(list(_places(doc)))
 
 
 def test_round_trip_keeps_weights_of_rules_with_equal_rendering(tmp_path):
@@ -685,7 +790,8 @@ def _no_target(doc):
 @pytest.mark.parametrize("edit, message", [
     (_no_target, "exactly one target"),
     (lambda doc: doc["schema"].append(doc["schema"][0]), "duplicate attribute names"),
-    (lambda doc: doc["schema"][0].update(role="label"), "unknown role 'label'"),
+    (lambda doc: doc["schema"][0].update(role="label"),
+     re.escape("schema[0].role must be one of feature, target, got 'label'")),
 ], ids=["no-target", "duplicate-name", "unknown-role"])
 def test_deserialize_checks_the_schema_as_a_dataset_does(tmp_path, two_segment, edit, message):
     # such a schema used to load, and serialize_rules then failed on it with
@@ -700,7 +806,8 @@ def test_deserialize_rejects_a_support_that_is_not_an_integer(tmp_path, two_segm
     def edit(doc):
         doc["rules"][0]["support_abs"] = value
 
-    with pytest.raises(DataError, match="expected an integer"):
+    message = f"rules[0].support_abs must be an integer >= 1, got {value!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
         deserialize_rules(_edited_rule_file(tmp_path, two_segment, edit))
     assert deserialize_rules(_edited_rule_file(tmp_path, two_segment, lambda doc: None))
 

@@ -1,5 +1,6 @@
 """Rules on hipar's own source, checked on the syntax tree of every module
-under src/hipar, and on the names bench/tracing.py wraps in it."""
+under src/hipar, on the names bench/tracing.py wraps in it, and on README's
+account of the rule-file format."""
 
 import ast
 import importlib
@@ -137,3 +138,15 @@ def test_every_private_definition_is_referenced():
     assert defined, "no private definition found"
     dead = sorted(where for name, where in defined.items() if name not in named)
     assert not dead, dead
+
+
+def test_the_readme_loader_paragraph_names_every_field_of_the_rule_file_table():
+    # README's loader paragraph is written from pipeline.RULE_FILE_FIELDS, the one
+    # statement of the format: a field the table gains must be described there
+    fields = importlib.import_module("hipar.pipeline").RULE_FILE_FIELDS
+    names = {row[0].rpartition(".")[2] for row in fields} - {"*"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("A rule file holds the whole `Predictor`")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    missing = sorted(name for name in names if f"`{name}`" not in paragraph)
+    assert len(names) > 20 and not missing, missing
