@@ -40,6 +40,7 @@ from .pipeline import (
     RunConfig,
     count_elements,
     cross_validate,
+    cross_validate_and_fit,
     deserialize_rules,
     error_reduction,
     render_model,

@@ -14,7 +14,8 @@ from functools import partial
 import numpy as np
 
 from .data import DataError, load_csv, read_columns
-from .pipeline import RunConfig, cross_validate, deserialize_rules, run_hipar, serialize_rules
+from .pipeline import (RunConfig, cross_validate, cross_validate_and_fit, deserialize_rules,
+                       run_hipar, serialize_rules)
 from .prediction import predict_columns
 from .regression import METRICS
 
@@ -80,12 +81,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _config(args)
     d = load_csv(args.input, args.target, args.categorical)
-    report = cross_validate(d, cfg)
+    # with --rules-out the whole-table fit is the folds' drive's last job
+    if args.rules_out:
+        report, _, predictor = cross_validate_and_fit(d, cfg)
+    else:
+        report = cross_validate(d, cfg)
     with open(args.report_out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     if args.rules_out:
-        _, predictor = run_hipar(d, cfg)
         serialize_rules(predictor, args.rules_out)
     if report.mean_reduction is None:
         print(f"no fold could be scored: the baseline error is zero on the test rows of all "

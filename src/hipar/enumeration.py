@@ -50,10 +50,13 @@ The search is a generator that pauses at its one contest call per node
 it needs and is sent back their fitted models and scored rows. ``drive`` runs
 any number of searches in rounds: it resumes each running search up to its
 next contest call, then fits every region they wait for with one
-``best_local_models`` call. ``enumerate_candidates`` drives one search, and
-``pipeline.cross_validate`` drives its k folds together, so a round's call
-holds regions of k tables of one schema. A rule depends on its region's rows
-alone, so no search's result depends on the others.
+``best_local_models`` call. ``enumerate_candidates`` drives one search. A
+fit, the search and then the selection (``pipeline._train``), is a job too:
+``pipeline.run_hipar`` drives one, and ``pipeline.cross_validate`` drives its
+k folds together, with the whole-table fit as the (k+1)-th job when ``hipar
+eval`` writes rules (``pipeline.cross_validate_and_fit``), so a round's call
+holds regions of up to k+1 tables of one schema. A rule depends on its
+region's rows alone, so no search's result depends on the others.
 """
 
 from __future__ import annotations
@@ -454,17 +457,20 @@ def drive(jobs: Sequence[Generator[Request, Reply, object]],
           metric: str) -> tuple[list, list[float]]:
     """Run the jobs to their ends in rounds, with one contest call per round.
 
-    A job (a search, ``search_candidates``, or a fit that runs one) is a
-    generator that pauses at its contest call: it yields a ``Request`` and is
-    sent back its ``Reply``. A round resumes every running job in order, each
-    up to its next request or its end, then fits every region they asked for
-    with one ``best_local_models`` call. The tables of one drive share one
+    A job (a search, ``search_candidates``, or a fit that runs one and then
+    selects, ``pipeline._train``) is a generator that pauses at its contest
+    call: it yields a ``Request`` and is sent back its ``Reply``. A round
+    resumes every running job in order, each up to its next request or its
+    end, then fits every region they asked for with one ``best_local_models``
+    call. The tables of one drive share one
     schema. A region's fit depends on its rows alone, so a job gets what it
     would get alone.
 
     Returns each job's return value and its seconds: the wall time of its own
     steps plus its share of each contest call, split by the regions it put
-    in. They add up to the wall time of the drive. A job that raises stops,
+    in. They add up to the wall time of the drive; a caller that reports
+    only some jobs' seconds (the folds of ``pipeline.cross_validate_and_fit``,
+    not its whole-table fit) reports less than that. A job that raises stops,
     and so do the jobs after it; once the jobs before it have ended, the
     first failure in job order is raised, as when the jobs run one after
     the other."""

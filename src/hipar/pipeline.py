@@ -11,18 +11,18 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import (CATEGORICAL, NUMERICAL, AttributeSchema, DataError, Dataset, check_folds,
                    check_schema, check_seed, is_int, is_real, k_folds)
-from .enumeration import (CandidateSet, HybridRule, drive, enumerate_candidates, hipar_init,
-                          search_candidates)
+from .enumeration import CandidateSet, HybridRule, drive, hipar_init, search_candidates
 from .patterns import Equals, Interval, Pattern
 from .prediction import Predictor, predict_batch
 from .regression import (LASSO, MEAN, METRICS, OLS, OMP, FittedRuleModel, LinearModel,
-                         check_metric, evaluate, fit_ols, metric_value)
+                         check_metric, evaluate, fit_ols_tables, metric_value)
 from .selection import SelectedRuleSet, build_problem, check_biases, select_top_q, solve
 
 
@@ -67,9 +67,19 @@ def run_hipar(d: Dataset, cfg: RunConfig) -> tuple[SelectedRuleSet, Predictor]:
     The config was checked when it was made. The default rule competes like
     any candidate but is always retained for fallback prediction. The
     Predictor keeps the normalized errors of the chosen rules and the default
-    rule, as its rule file does.
+    rule, as its rule file does. One fit (``_train``), driven alone.
     """
-    return _select(d, cfg, enumerate_candidates(d, hipar_init(d, cfg), cfg))
+    (fit,), _ = drive([_train(d, cfg)], cfg.metric)
+    return fit
+
+
+def _train(d: Dataset, cfg: RunConfig):
+    """The one way a table is fitted, as a job for ``drive``: the search,
+    which yields at its contest calls, then the selection (``_select``). It
+    serves ``run_hipar`` and each job of a cross-validation's drive. Returns
+    the selected rules and the Predictor."""
+    candidates = yield from search_candidates(d, hipar_init(d, cfg), cfg)
+    return _select(d, cfg, candidates)
 
 
 def _select(d: Dataset, cfg: RunConfig,
@@ -94,15 +104,6 @@ def _select(d: Dataset, cfg: RunConfig,
     return selected, predictor
 
 
-def _train(d: Dataset, cfg: RunConfig):
-    """One fold's training as a job for ``drive``: the baseline OLS fit and
-    ``run_hipar``, whose search yields at its contest calls. Returns the
-    baseline, the selected rules and the Predictor."""
-    baseline = fit_ols(np.arange(d.n), d)
-    candidates = yield from search_candidates(d, hipar_init(d, cfg), cfg)
-    return (baseline, *_select(d, cfg, candidates))
-
-
 def error_reduction(baseline: float, model: float) -> float:
     """Percentage error reduction of the model against the baseline."""
     if not baseline > 0:
@@ -119,10 +120,13 @@ def count_elements(rs: SelectedRuleSet) -> int:
 @dataclass(frozen=True)
 class FoldResult:
     """One fold of a cross-validation. ``reduction`` is None for a skipped
-    fold. ``seconds`` is the fold's training time: the folds train together
-    (``cross_validate``), so it is the time of the fold's own steps plus its
-    share of the contest calls it took part in, split by the regions it put
-    in; the folds' seconds add up to the training wall time."""
+    fold. ``seconds`` is the fold's training time: an equal share of the one
+    batch that fits every fold's baseline, and the fold's part of the drive
+    that trains the folds together (``cross_validate``): the time of its own
+    steps plus its share of the contest calls it took part in, split by the
+    regions it put in. A whole-table fit in the same drive
+    (``cross_validate_and_fit``) is no fold's and keeps its own share, so the
+    folds' seconds need not add up to the drive's wall time."""
 
     fold: int
     baseline_error: float
@@ -158,20 +162,44 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
     """k-fold evaluation against the unregularized global linear baseline.
 
     Per fold the baseline OLS and the full pipeline are fit on the training
-    rows and scored on the held-out rows; timing covers training only. The k
-    folds train in lockstep (``enumeration.drive``): each fold's search pauses
-    at its contest call, and one call fits the regions every fold asks for in
-    that round, so the contest's solver steps are paid once per round, not
-    once per fold. A region's fit depends on its rows alone, so every fold
-    gets what it gets alone. Should folds fail, the first failing fold's
-    error is raised. Folds whose baseline error is zero cannot anchor a
-    reduction and are skipped with a note.
+    rows and scored on the held-out rows; timing covers training only. The
+    k baselines are fit in one batch (``regression.fit_ols_tables``), and
+    the k folds train in lockstep (``enumeration.drive``): each fold's fit
+    (``_train``) pauses at its contest call, and one call fits the regions
+    every fold asks for in that round, so the contest's solver steps are
+    paid once per round, not once per fold. A region's fit depends on its
+    rows alone, so every fold gets what it gets alone. Should folds fail, the
+    first failing fold's error is raised. Folds whose baseline error is zero
+    cannot anchor a reduction and are skipped with a note.
     """
+    return _cross_validate(d, cfg, whole=False)[0]
+
+
+def cross_validate_and_fit(
+    d: Dataset, cfg: RunConfig
+) -> tuple[EvaluationReport, SelectedRuleSet, Predictor]:
+    """``cross_validate(d, cfg)`` and ``run_hipar(d, cfg)`` in one drive: the
+    whole-table fit is its last job, after the k folds, so its regions join
+    the folds' contest calls. A fold's error is raised ahead of the whole
+    table's, and the whole table's time is in no fold's ``seconds``."""
+    report, (selected, predictor) = _cross_validate(d, cfg, whole=True)
+    return report, selected, predictor
+
+
+def _cross_validate(d: Dataset, cfg: RunConfig, whole: bool):
+    """The report of ``cross_validate``, and the whole-table fit as the
+    drive's (k+1)-th job if ``whole`` is set, else None."""
     plan = k_folds(d, cfg.folds, cfg.seed)
-    fits, seconds = drive([_train(d.subset(plan.train_rows(fold)), cfg) for fold in range(plan.k)],
-                          cfg.metric)
+    tables = [d.subset(plan.train_rows(fold)) for fold in range(plan.k)]
+    clock = time.perf_counter()
+    baselines = fit_ols_tables(tables)
+    share = (time.perf_counter() - clock) / plan.k
+    jobs = [_train(t, cfg) for t in tables]
+    if whole:
+        jobs.append(_train(d, cfg))
+    fits, seconds = drive(jobs, cfg.metric)
     results: list[FoldResult] = []
-    for fold, ((baseline, selected, predictor), took) in enumerate(zip(fits, seconds)):
+    for fold, (baseline, (selected, predictor), took) in enumerate(zip(baselines, fits, seconds)):
         test_rows = plan.fold_rows(fold)
         baseline_error = evaluate(baseline, test_rows, d, cfg.metric)
         predictions = predict_batch(predictor, d, test_rows)
@@ -185,19 +213,20 @@ def cross_validate(d: Dataset, cfg: RunConfig) -> EvaluationReport:
                 reduction=None if skipped else error_reduction(baseline_error, model_error),
                 rules=len(selected.chosen),
                 elements=count_elements(selected),
-                seconds=took,
+                seconds=share + took,
                 skipped=skipped,
                 note="baseline error is zero on the test rows" if skipped else "",
             )
         )
     reductions = [r.reduction for r in results if not r.skipped]
-    return EvaluationReport(
+    report = EvaluationReport(
         metric=cfg.metric,
         mean_reduction=float(np.mean(reductions)) if reductions else None,
         median_reduction=float(np.median(reductions)) if reductions else None,
         config={"target": d.target, **asdict(cfg)},
         folds=results,
     )
+    return report, (fits[plan.k] if whole else None)
 
 
 def render_model(model: LinearModel, target: str) -> str:
@@ -330,8 +359,11 @@ def _check(value, row: tuple = _tree(), where: str = "") -> None:
     """Check a parsed value at ``where`` in the file against its row of the table,
     and its fields against theirs; the first failure is a DataError."""
     _, types, test, description, _, fields = row
-    # exact types: true is no number and 1 no flag; no integer is past the float range
-    ok = type(value) in types and not (type(value) is int and abs(value) > sys.float_info.max)
+    # exact types: true is no number and 1 no flag; no integer is past the float range.
+    # A float subclass (numpy's float64, in a Predictor built in code) is written as
+    # a float, and so passes as one; a parsed file holds none.
+    ok = ((type(value) in types or float in types and isinstance(value, float))
+          and not (type(value) is int and abs(value) > sys.float_info.max))
     if ok and fields and fields[0][0] == "*":
         for key, item in enumerate(value) if type(value) is list else value.items():
             _check(item, fields[0], f"{where}[{key!r}]")
@@ -364,7 +396,11 @@ def _rule_from_json(obj: dict, i: int) -> HybridRule:
 
 
 def serialize_rules(pred: Predictor, path: str) -> None:
-    """Write the rule file: readable text block plus machine fields, one JSON doc."""
+    """Write the rule file: readable text block plus machine fields, one JSON doc.
+
+    The document is checked against RULE_FILE_FIELDS before the file is
+    opened, so a predictor whose numbers the loader would refuse (a support
+    count of 0, a NaN error) is a DataError and leaves no file."""
     target = next(a.name for a in pred.schema if a.role == "target")
     chosen = {r.pattern for r in pred.rules.chosen}
     entries = list(pred.rules.chosen)
@@ -395,9 +431,10 @@ def serialize_rules(pred: Predictor, path: str) -> None:
             for r in entries
         ],
     }
+    _check(doc)  # never write a file the loader rejects
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def deserialize_rules(path: str) -> Predictor:
@@ -432,7 +469,7 @@ def deserialize_rules(path: str) -> Predictor:
         s = doc["selection"]
         selected = SelectedRuleSet(chosen, float(s["objective_value"]), s["solver"], s["proof"])
         return Predictor(rules=selected, default_rule=defaults[0], normalized_errors=ebar,
-                         schema=schema, metric=doc["metric"].lower())
+                         schema=schema, metric=doc["metric"])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:

@@ -33,6 +33,7 @@ from .data import (
 )
 from .enumeration import HybridRule
 from .patterns import Equals, Interval, Pattern, check_condition
+from .regression import check_metric
 from .selection import SelectedRuleSet
 
 
@@ -53,7 +54,9 @@ class Predictor:
     entry must name a feature of it, of the kind the condition needs (a
     numerical one for a model's entries). A predictor holds no
     level table: a condition compares a categorical column on the column's
-    own table (``data.CodedColumn``).
+    own table (``data.CodedColumn``). ``metric`` is stored lower-cased, as
+    ``RunConfig`` stores it, so a predictor of "RMSE" saves and loads back
+    equal; an unknown metric is a DataError.
     """
 
     rules: SelectedRuleSet
@@ -72,6 +75,7 @@ class Predictor:
 
     def __post_init__(self):
         check_schema(self.schema)
+        object.__setattr__(self, "metric", check_metric(self.metric))
         object.__setattr__(self, "features", tuple(a for a in self.schema if a.role == "feature"))
         features = {a.name: a for a in self.features}
         if not self.default_rule.is_default:

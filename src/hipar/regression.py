@@ -593,8 +593,27 @@ def fit_ols(rows, d: Dataset) -> LinearModel:
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")
-    return _fits(_moments([d.block.take(idx, axis=1)]), OLS, [[None]],
-                 d.numerical_features()).model(0, 0)
+    return _ols([d.block.take(idx, axis=1)], d.numerical_features())[0]
+
+
+def fit_ols_tables(tables: Sequence[Dataset]) -> list[LinearModel]:
+    """``fit_ols`` on all the rows of each table, as one batch: one
+    ``_moments`` over the tables' blocks, read in place, and one OLS
+    ``_fits``. Each table gets exactly the model it gets alone. The tables
+    share one schema (the training tables of a cross-validation's folds)."""
+    if not tables:
+        return []
+    if any(t.schema != tables[0].schema for t in tables):
+        raise DataError("the tables of one batch must share one schema")
+    if any(t.n == 0 for t in tables):
+        raise DataError("fit_ols needs at least 1 row")
+    return _ols([t.block for t in tables], tables[0].numerical_features())
+
+
+def _ols(blocks: Sequence[np.ndarray], names: Sequence[str]) -> list[LinearModel]:
+    """The OLS model of each row set given as Zt = [X, y]^T, one batch."""
+    fits = _fits(_moments(blocks), OLS, [[None]] * len(blocks), names)
+    return [fits.model(i, 0) for i in range(len(blocks))]
 
 
 def _fit_tuned(rows, holdout, d: Dataset, entry: tuple[str, Sequence], metric: str,

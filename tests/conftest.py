@@ -76,6 +76,21 @@ def make_catwide(n: int, seed: int) -> Dataset:
     return Dataset(schema, columns)
 
 
+def make_lockstep_table(rng, n: int) -> Dataset:
+    """Two categorical features and a numerical one: the target shifts with
+    c0="p" and steps at x < 0.5 inside it, slopes in x outside, and shifts
+    with c1="u", so folds search to different depths."""
+    c0 = rng.choice(np.array(["p", "q", "r"], dtype=object), n)
+    c1 = rng.choice(np.array(["u", "v"], dtype=object), n)
+    x = rng.uniform(0.0, 1.0, n)
+    y = (np.where(c0 == "p", 3.0 + 4.0 * (x < 0.5), 2.0 * x) + np.where(c1 == "u", 2.0, 0.0)
+         + rng.normal(0.0, 0.3, n))
+    return Dataset([AttributeSchema("c0", "categorical"), AttributeSchema("c1", "categorical"),
+                    AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical",
+                                                                       role="target")],
+                   {"c0": c0, "c1": c1, "x": x, "y": y})
+
+
 # make_catwide's columns with the target first and the numerical features
 # between the categorical ones, in their relative order
 CATWIDE_TARGET_FIRST = ("y", "k0", "k1", "k2", "n0", "k3", "k4", "n1", "k5", "k6", "k7")

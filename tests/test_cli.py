@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hipar import DataError, RunConfig
 from hipar.cli import main
 
-from .conftest import TOY_CSV, make_two_segment
+from .conftest import TOY_CSV, make_lockstep_table, make_two_segment
 from .test_data import CELLS, MISSING
 
 
@@ -82,6 +83,24 @@ def test_eval_rules_out_writes_the_bytes_fit_writes(tmp_path, segment_csv, seed,
                  "--rules-out", str(evaluated)]) == 0
     assert evaluated.read_bytes() == fitted.read_bytes()
     assert json.loads(fitted.read_text())["metric"] == metric
+
+
+def test_eval_writes_no_report_when_the_whole_table_fit_fails(tmp_path, capsys):
+    # the candidate pools of this table's 3 folds hold 11, 13 and 16 rules, the
+    # whole table's 10: at --sd-q 11 every fold fits and the whole table does not
+    from hipar import write_csv
+
+    data = tmp_path / "lockstep.csv"
+    write_csv(make_lockstep_table(np.random.default_rng(7), 120), str(data))
+    flags = ["--input", str(data), "--target", "y", "--min-support", "0.1", "--folds", "3",
+             "--seed", "1", "--sd-q", "11"]
+    report, rules = tmp_path / "report.json", tmp_path / "rules.json"
+    assert main(["eval", *flags, "--report-out", str(report), "--rules-out", str(rules)]) == 1
+    assert capsys.readouterr().err.startswith("error: sd_q (--sd-q) = 11 out of range [1, 10]")
+    assert not report.exists() and not rules.exists()
+    # without --rules-out no whole table is fitted
+    assert main(["eval", *flags, "--report-out", str(report)]) == 0
+    assert len(json.loads(report.read_text())["folds"]) == 3
 
 
 def test_eval_report_keeps_its_format(tmp_path, segment_csv):
@@ -330,7 +349,8 @@ def test_variant_is_no_flag(tmp_path, segment_csv, variant):
 @pytest.fixture
 def given_config(monkeypatch):
     """Run ``hipar fit|eval`` up to its first fit and return the RunConfig the
-    flags made; the fit itself is replaced by a stop."""
+    flags made; the fit itself is replaced by a stop (``eval`` calls
+    ``cross_validate``, or ``cross_validate_and_fit`` with --rules-out)."""
     import hipar.cli
 
     seen = []
@@ -341,6 +361,7 @@ def given_config(monkeypatch):
 
     monkeypatch.setattr(hipar.cli, "run_hipar", stop)
     monkeypatch.setattr(hipar.cli, "cross_validate", stop)
+    monkeypatch.setattr(hipar.cli, "cross_validate_and_fit", stop)
 
     def config(argv):
         assert main(argv) == 1

@@ -1,7 +1,8 @@
 import json
 import math
 import re
-from dataclasses import asdict
+import time
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hipar import (
     RunConfig,
     count_elements,
     cross_validate,
+    cross_validate_and_fit,
     deserialize_rules,
     error_reduction,
     predict,
@@ -24,9 +26,9 @@ from hipar import (
 )
 from hipar.data import k_folds
 from hipar.enumeration import enumerate_candidates, hipar_init
-from hipar.regression import LinearModel, evaluate, fit_ols, metric_value
+from hipar.regression import LinearModel, evaluate, fit_ols, fit_ols_tables, metric_value
 
-from .conftest import make_two_segment, observation
+from .conftest import make_lockstep_table, make_two_segment, observation
 
 
 def test_error_reduction_values():
@@ -249,21 +251,6 @@ def _fold_by_fold(d, cfg):
     return folds, depths
 
 
-def _lockstep_table(rng, n):
-    """Two categorical features and a numerical one: the target shifts with
-    c0="p" and steps at x < 0.5 inside it, slopes in x outside, and shifts
-    with c1="u", so folds search to different depths."""
-    c0 = rng.choice(np.array(["p", "q", "r"], dtype=object), n)
-    c1 = rng.choice(np.array(["u", "v"], dtype=object), n)
-    x = rng.uniform(0.0, 1.0, n)
-    y = (np.where(c0 == "p", 3.0 + 4.0 * (x < 0.5), 2.0 * x) + np.where(c1 == "u", 2.0, 0.0)
-         + rng.normal(0.0, 0.3, n))
-    return Dataset([AttributeSchema("c0", "categorical"), AttributeSchema("c1", "categorical"),
-                    AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical",
-                                                                       role="target")],
-                   {"c0": c0, "c1": c1, "x": x, "y": y})
-
-
 def _sparse_levels_table():
     """30 rows of four levels of 7 or 8 rows, and a constant x: at theta 0.3
     and 3 folds a level is frequent in some folds' 20 training rows only, and
@@ -285,7 +272,7 @@ def test_lockstep_folds_equal_the_folds_trained_one_by_one():
         cfg = RunConfig(theta=float(rng.uniform(0.08, 0.25)), folds=int(rng.integers(2, 6)),
                         seed=int(rng.integers(0, 100)), metric=("rmse", "meae")[k % 2],
                         sd_q=1 if k % 4 == 1 else None, omega=0.0 if k % 4 == 2 else 1.0)
-        cases.append((_lockstep_table(rng, int(rng.integers(60, 160))), cfg))
+        cases.append((make_lockstep_table(rng, int(rng.integers(60, 160))), cfg))
     depths = set()
     for d, cfg in cases:
         want, fold_depths = _fold_by_fold(d, cfg)
@@ -305,7 +292,7 @@ def test_the_first_failing_fold_in_fold_order_raises():
     # sd_q = 14 exceeds the candidate pools of folds 0 (13) and 2 (8); fold 2's
     # search is shallower and fails first in time, but fold 0's error is raised,
     # as when the folds train one after the other
-    d = _lockstep_table(np.random.default_rng(1), 120)
+    d = make_lockstep_table(np.random.default_rng(1), 120)
     cfg = RunConfig(theta=0.1, folds=4, seed=1, sd_q=14)
     plan = k_folds(d, cfg.folds, cfg.seed)
     messages = []
@@ -318,6 +305,77 @@ def test_the_first_failing_fold_in_fold_order_raises():
     with pytest.raises(DataError) as raised:
         cross_validate(d, cfg)
     assert str(raised.value) == messages[0]
+
+
+@pytest.mark.parametrize("metric", ["rmse", "meae"])
+@pytest.mark.parametrize("table", ["two-segment", "mixed"])
+def test_the_drive_with_the_whole_table_fit_equals_the_folds_and_run_hipar(table, metric):
+    # the whole-table fit is the drive's last job: it gets what run_hipar gets
+    # alone, and the folds get what each gets trained alone
+    if table == "two-segment":
+        d, cfg = make_two_segment(), RunConfig(theta=0.2, seed=3, folds=5, metric=metric)
+    else:
+        d = make_lockstep_table(np.random.default_rng(5), 150)
+        cfg = RunConfig(theta=0.12, seed=4, folds=4, metric=metric)
+    report, selected, predictor = cross_validate_and_fit(d, cfg)
+    assert (selected, predictor) == run_hipar(d, cfg)
+    got = [asdict(f) for f in report.folds]
+    for f in got:
+        f.pop("seconds")
+    assert got == _fold_by_fold(d, cfg)[0]
+    alone = cross_validate(d, cfg).to_dict()
+    for f in alone["folds"]:
+        f.pop("seconds")
+    assert {**report.to_dict(), "folds": got} == alone
+
+
+def test_the_batched_baselines_equal_fit_ols_on_each_table():
+    # folds of unequal size (23 rows in 4 folds), and a table whose x is
+    # constant, so that its OLS drops the column and the batch mixes widths
+    d = make_lockstep_table(np.random.default_rng(3), 23)
+    plan = k_folds(d, 4, 0)
+    tables = [d.subset(plan.train_rows(fold)) for fold in range(plan.k)]
+    x = d.column("x")
+    tables.append(d.subset(np.flatnonzero(x == x[0])))
+    tables.append(d.subset(np.arange(7)))
+    assert len({t.n for t in tables}) > 2
+    got = fit_ols_tables(tables)
+    assert got == [fit_ols(np.arange(t.n), t) for t in tables]
+    assert got[-2].method == "MEAN" and got[0].method == "OLS"
+    assert fit_ols_tables([]) == []
+    with pytest.raises(DataError, match="at least 1 row"):
+        fit_ols_tables([tables[0], d.subset([])])
+    other = Dataset([AttributeSchema("x", "numerical"), AttributeSchema("y", "numerical",
+                                                                        role="target")],
+                    {"x": x, "y": d.column("y")})
+    with pytest.raises(DataError, match="one schema"):
+        fit_ols_tables([tables[0], other])
+
+
+def test_fold_seconds_leave_the_whole_table_fit_out():
+    d = make_lockstep_table(np.random.default_rng(6), 150)
+    cfg = RunConfig(theta=0.1, seed=2, folds=4)
+    start = time.perf_counter()
+    report, _, _ = cross_validate_and_fit(d, cfg)
+    wall = time.perf_counter() - start
+    seconds = [f.seconds for f in report.folds]
+    assert len(seconds) == cfg.folds and all(s > 0.0 for s in seconds)
+    assert sum(seconds) <= wall
+
+
+def test_a_failing_fold_is_raised_ahead_of_the_whole_table_fit():
+    # the candidate pools of the 3 folds hold 11, 13 and 16 rules, the whole
+    # table's 10: at sd_q = 14 folds 0 and 1 and the whole table fail, and
+    # fold 0's error is raised; at sd_q = 11 only the whole table fails
+    d = make_lockstep_table(np.random.default_rng(7), 120)
+    plan = k_folds(d, 3, 1)
+    for sd_q, want in ((14, "[1, 11]"), (11, "[1, 10]")):
+        cfg = RunConfig(theta=0.1, folds=3, seed=1, sd_q=sd_q)
+        with pytest.raises(DataError, match=re.escape(want)):
+            run_hipar(d.subset(plan.train_rows(0)) if sd_q == 14 else d, cfg)
+        with pytest.raises(DataError, match=re.escape(f"= {sd_q} out of range {want}")):
+            cross_validate_and_fit(d, cfg)
+    cross_validate(d, cfg)  # no whole-table fit: every fold fits
 
 
 def test_render_model_grammar():
@@ -339,6 +397,48 @@ def test_serialize_round_trip(tmp_path, two_segment):
     for i in range(0, two_segment.n, 7):
         obs = observation(two_segment, i)
         assert predict(back, obs) == predict(pred, obs)
+
+
+def test_a_predictor_stores_its_metric_lower_cased(tmp_path, two_segment):
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    upper = replace(pred, metric="RMSE")
+    assert upper.metric == "rmse" and upper == pred
+    path = tmp_path / "rules.json"
+    serialize_rules(upper, str(path))
+    assert deserialize_rules(str(path)) == upper
+    with pytest.raises(DataError, match="unknown error metric 'foo'"):
+        replace(pred, metric="foo")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("support_abs", 0, "rules[0].support_abs must be an integer >= 1, got 0"),
+    ("train_error", math.nan, "rules[0].train_error must be a finite number >= 0, got nan"),
+])
+def test_a_predictor_the_loader_would_refuse_is_never_written(tmp_path, two_segment, field,
+                                                              value, message):
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    first = pred.rules.chosen[0]
+    if field == "support_abs":
+        bad = replace(first, support_abs=value)
+    else:
+        bad = replace(first, fitted=replace(first.fitted, train_error=value))
+    rules = replace(pred.rules, chosen=[bad, *pred.rules.chosen[1:]])
+    path = tmp_path / "rules.json"
+    with pytest.raises(DataError, match=re.escape(message)):
+        serialize_rules(replace(pred, rules=rules), str(path))
+    assert not path.exists()
+
+
+def test_a_numpy_float_in_a_predictor_is_written_as_a_float(tmp_path, two_segment):
+    _, pred = run_hipar(two_segment, RunConfig(theta=0.2, seed=3))
+    first = pred.rules.chosen[0]
+    model = replace(first.fitted.model, intercept=np.float64(first.fitted.model.intercept))
+    numpy_rule = replace(first, fitted=replace(first.fitted, model=model))
+    rules = replace(pred.rules, chosen=[numpy_rule, *pred.rules.chosen[1:]])
+    plain, numpy_path = tmp_path / "plain.json", tmp_path / "numpy.json"
+    serialize_rules(pred, str(plain))
+    serialize_rules(replace(pred, rules=rules), str(numpy_path))
+    assert numpy_path.read_bytes() == plain.read_bytes()
 
 
 @pytest.fixture
