@@ -31,7 +31,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     setting("--min-support", type=float, dest="theta", help="relative support threshold theta")
     setting("--support-bias", type=float, dest="sigma", help="support bias sigma")
     setting("--overlap-bias", type=float, dest="omega", help="overlap bias omega; 0 keeps all")
-    setting("--metric", choices=METRICS, help="error metric")
+    setting("--metric", help=f"error metric: {' or '.join(METRICS)}, in any case")
     setting("--sd-q", type=int, dest="sd_q", metavar="N",
             help="keep the top N candidates by support-to-error trade-off (the paper's HiPaR_sd)")
     setting("--seed", type=int, help="seed of the 80/20 split and the folds")

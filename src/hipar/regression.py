@@ -24,14 +24,14 @@ LASSO kill point is lambda_max = max_j |c_j|), both entries of S / n scaled by
 the standard deviations. After that no fit touches an n-row vector:
 
 - OLS is min-norm least squares on (G, c);
-- LASSO is covariance-update coordinate descent on (G, c) (Friedman, Hastie and
-  Tibshirani 2010, section 2.2), warm-started down the lambdas in descending
-  order;
 - OMP is greedy forward selection on the residual correlations c - G beta, with
   the Cholesky factor of the active Gram block grown by one row per step
   (Rubinstein, Zibulevsky and Elad 2008, Batch OMP). A singular block falls
   back to min-norm least squares, and the path stops early once no feature is
-  correlated with the residual, as after an exact fit.
+  correlated with the residual, as after an exact fit;
+- LASSO is solved exactly along its path on the factor OMP grows (LARS with
+  the lasso modification; Efron, Hastie, Johnstone and Tibshirani 2004), each
+  lambda read off its segment.
 
 The coefficients of one method are mapped back to the original scale as one
 matrix B (a column per hyperparameter, zero rows for dropped features) and
@@ -54,14 +54,14 @@ A search node fits all the regions it needs in one contest call
 (``best_local_models``), and the folds of a cross-validation share that call:
 a batch is a sequence of (table, rows, test mask) regions, which may come from
 several tables of one schema. A region's Z^T is one ``take`` of its rows'
-columns from its table's ``block``. The sums and products over a
-region's rows (its co-moments, X B and the residual sums) run as one numpy
-call per region, as for that region alone. The small products G beta and mean B run as one
+columns from its table's ``block``. The sums and products over a region's rows
+(its co-moments, X B and the residual sums) run as one numpy call per region,
+as for that region alone. The small products G beta and mean B run as one
 stacked product per number of varying features, with each region's operands
 laid out as for that region alone. Everything elementwise runs once per batch
-over stacked arrays: the moments, the merge, every LASSO sweep step and OMP
-step, the tie-breaks and the refits. So every region gets bit for bit the
-model it gets alone, whatever else is in its batch.
+over stacked arrays: the moments, the merge, every LASSO and OMP path step,
+the tie-breaks and the refits. So every region gets bit for bit the model it
+gets alone, whatever else is in its batch.
 """
 
 from __future__ import annotations
@@ -306,77 +306,118 @@ def _gram_times(G: np.ndarray, width: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lasso_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, lams,
-                tol: float = 1e-6, max_sweeps: int = 1000) -> np.ndarray:
-    """Cyclic coordinate descent for (1/2n)||y_c - Xs b||^2 + lam ||b||_1 per
-    row set and lambda, on the moments of m row sets (``_Moments``' padded G,
-    c and width): the gradient g = c - G b loses one column of G per
-    coordinate change (standardized columns, so G_jj == 1). A sweep visits
-    the coordinates by decreasing |c_j| (ties by column), so where a solve
-    stops does not depend on the column order. Row set i's lambdas
-    ``lams[i]`` are solved in descending order, each from the previous
-    solution; a solve stops when the largest coefficient change in a sweep
-    drops below tol. Every row set takes the steps it would take alone, and
-    one step updates all of them. Returns the coefficients,
-    m x len(lams[i]) x p, in the order of ``lams``."""
+class _Factor:
+    """Cholesky factors L L^T = G_AA of m row sets' active Gram blocks and
+    z = L^-1 r for the active features' right-hand sides r (c_j for OMP, the
+    entering signs for LASSO), row set i's being ``cols[i, :n[i]]``. Past them
+    L is the identity and z zero: a longer solve gives a row set's own values."""
+
+    def __init__(self, G: np.ndarray, size: int):
+        self.G = np.zeros((len(G), G.shape[1] + 1, G.shape[1] + 1))
+        self.G[:, :-1, :-1] = G  # and a zero feature p, which pads cols
+        self.L, self.z = np.tile(np.eye(size), (len(G), 1, 1)), np.zeros((len(G), size))
+        self.cols, self.n = np.full((len(G), size), G.shape[1]), np.zeros(len(G), dtype=int)
+
+    def grow(self, rows: np.ndarray, j: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Append feature j[i], right-hand side r[i], to row set rows[i] where its pivot
+        (squared distance from the active span) exceeds _RANK_TOL * G_jj; returns where."""
+        s = int(self.n[rows].max(initial=0))
+        L, z = self.L[rows, :s, :s], self.z[rows, :s]
+        v = self.G[rows[:, None], self.cols[rows, :s], j[:, None]]
+        gjj = self.G[rows, j, j]
+        w, d2, zj = np.empty((len(rows), s)), gjj, r
+        for i in range(s):
+            acc = v[:, i]
+            for t in range(i):
+                acc = acc - L[:, i, t] * w[:, t]
+            w[:, i] = acc / L[:, i, i]
+            d2, zj = d2 - w[:, i] * w[:, i], zj - w[:, i] * z[:, i]
+        ok = d2 > _RANK_TOL * gjj
+        good, d = rows[ok], np.sqrt(d2[ok])
+        at = self.n[good]
+        self.L[good, at, :s], self.z[good, at], self.cols[good, at] = w[ok], zj[ok] / d, j[ok]
+        self.L[good, at, at] = d
+        self.n[good] += 1
+        return ok
+
+    def solve(self, rows: np.ndarray) -> np.ndarray:
+        """The x with G_AA x = r of each row set, from L^T x = z solved from
+        the last row up, scattered to its p columns."""
+        s = int(self.n[rows].max(initial=0))
+        L, z = self.L[rows, :s, :s], self.z[rows, :s]
+        x = np.empty((len(rows), s))
+        for i in reversed(range(s)):
+            acc = z[:, i]
+            for t in range(i + 1, s):
+                acc = acc - L[:, t, i] * x[:, t]
+            x[:, i] = acc / L[:, i, i]
+        out = np.zeros((len(rows), len(self.G[0])))  # and the padding feature p, dropped
+        out[np.arange(len(rows))[:, None], self.cols[rows, :s]] = x
+        return out[:, :-1]
+
+    def drop(self, rows: np.ndarray, j: np.ndarray, r: np.ndarray) -> None:
+        """Refactor each row set rows[i] without its active feature j[i]: the
+        others grow again in their order, with right-hand sides r[rows[i]]."""
+        for i, gone in zip(rows.tolist(), j.tolist()):
+            kept = [col for col in self.cols[i, :self.n[i]].tolist() if col != gone]
+            self.L[i], self.z[i], self.n[i] = np.eye(len(self.z[i])), 0.0, 0
+            self.cols[i] = len(r[i])  # the padding feature p
+            for col in kept:
+                self.grow(np.array([i]), np.array([col]), r[i, [col]])
+
+
+def _lasso_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, lams) -> np.ndarray:
+    """The exact path of (1/2n)||y_c - Xs b||^2 + lam ||b||_1 on the moments
+    of m row sets (``_Moments``' padded G, c and width), by LARS with the lasso
+    modification. From b = 0 at lam = max_j |c_j|, b moves along d with
+    G_AA d_A = sign_A, so the active correlations c - G b stay at +-lam as lam
+    falls, until an inactive one reaches +-lam (the feature enters, unless it
+    is in the active span: then it never does) or an active coefficient
+    reaches 0 (it leaves; on the next segment it may enter again only with the
+    other sign); ties go to the first column. Row set i's lambdas ``lams[i]``
+    are read off their segments by linear interpolation, each row set stepping
+    as it does alone. Returns the coefficients at lams, m x len(lams[i]) x p."""
     m, p = c.shape
     lams = np.asarray(lams, dtype=float).reshape(m, -1)
-    out = np.zeros((m, lams.shape[1], p))
-    everyone = np.arange(m)
-    # each row set's coordinates in visiting order (the padding, whose c is 0,
-    # last), so that step t of a sweep updates coordinate t of every row set
-    order = np.argsort(-np.abs(c), axis=1, kind="stable")
-    back = np.argsort(order, axis=1)
-    rows = everyone[:, None]
-    visit = G[rows[:, :, None], order[:, :, None], order[:, None, :]]
-    solve = np.argsort(-lams, axis=1, kind="stable")
-    desc = lams[rows, solve]
-    b = np.zeros((m, p))  # in visiting order
-    for t in range(lams.shape[1]):
-        # a lambda repeated in one row set keeps its solution
-        todo = everyone if t == 0 else np.flatnonzero(desc[:, t] != desc[:, t - 1])
-        if len(todo):
-            here = np.arange(len(todo))[:, None]
-            # g = c - G b, with the product in column order, then in visiting order
-            g = c[todo] - _gram_times(G[todo], width[todo], b[todo][here, back[todo]])
-            b[todo] = _descend(visit[todo], b[todo], g[here, order[todo]], width[todo],
-                               desc[todo, t], tol, max_sweeps)
-        out[everyone, solve[:, t]] = b[rows, back]
+    out, f = np.zeros((m, lams.shape[1], p)), _Factor(G, int(width.max(initial=0)))
+    b, sign, corr = np.zeros((m, p)), np.zeros((m, p)), c.copy()  # corr = c - G b
+    lam, floor = np.abs(c).max(axis=1), lams.min(axis=1)
+    free = np.arange(p) < width[:, None]  # may enter: the padding never does
+    left = np.full(m, -1)  # the feature that left at the last step
+    live = np.flatnonzero(lam > floor)
+    while len(live):
+        at, lam_l, grid, cl = np.arange(len(live)), lam[live], lams[live], corr[live]
+        d = f.solve(live)
+        a = _gram_times(G[live], width[live], d)
+        # the step at which correlation j meets lam - gamma (up) or -(lam - gamma)
+        # (down); a feature that just left meets its own sign's bound only there
+        own = (np.arange(p) == left[live, None]) * sign[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where((a < 1.0) & (own <= 0.0), (lam_l[:, None] - cl) / (1.0 - a), np.inf)
+            down = np.where((a > -1.0) & (own >= 0.0), (lam_l[:, None] + cl) / (1.0 + a), np.inf)
+            leave = np.where(b[live] * d < 0.0, -b[live] / d, np.inf)
+        enter = np.where(free[live], np.maximum(np.minimum(up, down), 0.0), np.inf)
+        je, jl = enter.argmin(axis=1), leave.argmin(axis=1)
+        ge, gl = enter[at, je], leave[at, jl]
+        gamma = np.minimum(np.minimum(ge, gl), lam_l)
+        new = lam_l - gamma
+        go = new > floor[live]
+        # the grid lambdas on this segment (one at its end is read again on the next)
+        r, h = np.nonzero((grid <= lam_l[:, None]) & (grid >= new[:, None]))
+        out[live[r], h] = b[live[r]] + (lam_l[r] - grid[r, h])[:, None] * d[r]
+        b[live] += gamma[:, None] * d
+        corr[live] = cl - gamma[:, None] * a
+        lam[live], left[live] = new, -1
+        drop = go & (gl <= ge)
+        rows, j = live[drop], jl[drop]
+        b[rows, j], free[rows, j], left[rows] = 0.0, True, j
+        f.drop(rows, j, sign)
+        rows, j = live[go & ~drop], je[go & ~drop]
+        sign[rows, j] = np.where(up[at, je] <= down[at, je], 1.0, -1.0)[go & ~drop]
+        f.grow(rows, j, sign[rows, j])
+        free[rows, j] = False
+        live = live[go]
     return out
-
-
-def _descend(G: np.ndarray, b: np.ndarray, g: np.ndarray, width: np.ndarray, lam: np.ndarray,
-             tol: float, max_sweeps: int) -> np.ndarray:
-    """``_lasso_path``'s solve of one lambda per row set, with the
-    coordinates in visiting order, from the coefficients b and gradient g.
-    Coordinates past a row set's width are padding: zero G rows and g, so
-    visiting one changes nothing. x - clip(x, -lam, lam) is the soft
-    threshold of x: x - lam above lam, x + lam below -lam and 0.0 between."""
-    b = b.copy()
-    live = np.arange(len(b))
-    # the live row sets' arrays, narrowed when some row set converges
-    bl, gl, Gl, lam_l, w = b, g.copy(), G, lam, int(width.max(initial=0))
-    for _ in range(max_sweeps):
-        if not len(live):
-            break
-        low, start = -lam_l, bl.copy()
-        for t in range(w):
-            old = bl[:, t]
-            x = gl[:, t] + old
-            new = x - np.minimum(np.maximum(x, low), lam_l)
-            delta = new - old
-            bl[:, t] = new
-            # a zero change leaves g as it was, up to the sign of a zero entry
-            gl -= delta[:, None] * Gl[:, t]
-        # each coordinate moves once per sweep: its change is end - start
-        moving = np.abs(bl - start).max(axis=1) >= tol
-        if not moving.all():
-            b[live] = bl
-            live = live[moving]
-            bl, gl, Gl, lam_l = bl[moving], gl[moving], Gl[moving], lam_l[moving]
-            w = int(width[live].max(initial=0))
-    b[live] = bl
-    return b
 
 
 def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
@@ -385,11 +426,9 @@ def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
     ``_lasso_path``), up to k[i] terms for row set i: add the feature most
     correlated with the residual (largest |c_j - (G beta)_j|), refit least
     squares on the active set; a row set stops early once no correlation
-    exceeds _UNCORRELATED * y_sd. The least-squares solve grows the Cholesky
-    factor L of the active Gram block and z = L^-1 c_active by one row each;
-    once a block is singular its path goes on with min-norm least squares on
-    it. Every row set takes the steps it would take alone, and one step
-    advances all of them.
+    exceeds _UNCORRELATED * y_sd. The refit solves on ``_Factor`` (r = c) until
+    a feature fails its span test, then min-norm least squares on the singular
+    block. Every row set takes the steps it would take alone.
 
     Returns (path, steps): ``path[i, s]`` holds row set i's coefficients
     after s steps, led by the empty model, and ``steps[i]`` the steps it took;
@@ -398,59 +437,26 @@ def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
     m, p = c.shape
     limit = np.minimum(k, width)
     S = int(limit.max(initial=0))
-    path = np.zeros((m, S + 1, p))
-    steps = np.zeros(m, dtype=int)
-    L, z, active = np.zeros((m, S, S)), np.zeros((m, S)), np.zeros((m, S), dtype=int)
+    path, steps, corr = np.zeros((m, S + 1, p)), np.zeros(m, dtype=int), c.copy()
+    f, active = _Factor(G, S), np.zeros((m, S), dtype=int)
     taken = np.arange(p) >= width[:, None]  # padding is never selected
-    singular = np.zeros(m, dtype=bool)
-    corr = c.copy()
     live = np.flatnonzero(limit > 0)
     for s in range(S):
-        score = np.abs(corr[live])
-        score[taken[live]] = -1.0
+        score = np.where(taken[live], -1.0, np.abs(corr[live]))
         j = score.argmax(axis=1)
         go = score[np.arange(len(live)), j] > _UNCORRELATED * y_sd[live]
         live, j = live[go], j[go]
         if not len(live):
             break
-        grow = ~singular[live]
-        rows, jr = live[grow], j[grow]
-        # w with L w = G[active, j], row by row
-        Ls, zs = L[rows, :s, :s], z[rows, :s]
-        v = G[rows[:, None], active[rows, :s], jr[:, None]]
-        w = np.empty((len(rows), s))
-        for i in range(s):
-            acc = v[:, i]
-            for r in range(i):
-                acc = acc - Ls[:, i, r] * w[:, r]
-            w[:, i] = acc / Ls[:, i, i]
-        gjj = G[rows, jr, jr]
-        d2, zj = gjj, c[rows, jr]
-        for i in range(s):
-            d2 = d2 - w[:, i] * w[:, i]
-            zj = zj - w[:, i] * zs[:, i]
-        ok = d2 > _RANK_TOL * gjj
-        good, d = rows[ok], np.sqrt(d2[ok])
-        L[good, s, :s] = w[ok]
-        L[good, s, s] = d
-        z[good, s] = zj[ok] / d
-        singular[rows[~ok]] = True
+        # a row set's factor holds all its s active features until one fails
+        grow = f.n[live] == s
+        f.grow(live[grow], j[grow], c[live[grow], j[grow]])
         active[live, s] = j
         taken[live, j] = True
-
+        solved = f.n[live] == s + 1
         beta = np.zeros((len(live), p))
-        solved = np.flatnonzero(~singular[live])
-        rows = live[solved]
-        # x with L^T x = z, from the last row up
-        Ls, zs = L[rows, : s + 1, : s + 1], z[rows, : s + 1]
-        x = np.empty((len(rows), s + 1))
-        for i in reversed(range(s + 1)):
-            acc = zs[:, i]
-            for r in range(i + 1, s + 1):
-                acc = acc - Ls[:, r, i] * x[:, r]
-            x[:, i] = acc / Ls[:, i, i]
-        beta[solved[:, None], active[rows, : s + 1]] = x
-        for a in np.flatnonzero(singular[live]).tolist():
+        beta[solved] = f.solve(live[solved])
+        for a in np.flatnonzero(~solved).tolist():
             i, act = live[a], active[live[a], : s + 1]
             beta[a, act] = np.linalg.lstsq(G[i][np.ix_(act, act)], c[i, act], rcond=_RANK_TOL)[0]
         corr[live] = c[live] - _gram_times(G[live], width[live], beta)
@@ -492,15 +498,15 @@ def _fits(m: _Moments, method: str, hypers: Sequence[Sequence[float | None]],
     hyperparameter in ``hypers[i]`` (one list per row set, all of one length):
     the single ``None`` for OLS, lambdas for LASSO, term counts (>= 1) for OMP.
     Degenerate rows or the MEAN method give the MEAN model for each
-    hyperparameter, recording it as ``hyper``. The solvers run once for all
-    row sets; each set's coefficients are mapped back to the original scale
-    by the products a fit of that set alone makes."""
+    hyperparameter, recording it as ``hyper``. LASSO and OMP read all of a row
+    set's hyperparameters off one path, run once for all row sets; each set's
+    coefficients are mapped back by the products a fit of that set alone makes."""
     hypers = [list(h) for h in hypers]
     k, H = len(hypers), len(hypers[0]) if hypers else 0
     intercepts = np.repeat(m.y_bar[:, None], H, axis=1)
     B = np.zeros((k, len(names), H))
-    fitted = np.flatnonzero(np.zeros(k, dtype=bool) if method == MEAN else ~m.degenerate)
-    methods = [MEAN] * k
+    fit = np.zeros(k, dtype=bool) if method == MEAN else ~m.degenerate
+    fitted, methods = np.flatnonzero(fit), [method if f else MEAN for f in fit.tolist()]
     if len(fitted):
         sub = m.take(fitted)
         if method == OLS:
@@ -522,8 +528,6 @@ def _fits(m: _Moments, method: str, hypers: Sequence[Sequence[float | None]],
             lead = np.ascontiguousarray(kept[at, :, :w]).transpose(0, 2, 1)
             intercepts[fitted[at]] = (sub.y_bar[at, None]
                                       - np.matmul(sub.mean[at, None, :w], lead)[:, 0])
-        for i in fitted.tolist():
-            methods[i] = method
     return _Fits(names, methods, hypers, intercepts, B, m)
 
 
@@ -660,16 +664,13 @@ def best_local_model(
     fitted model and the rows the contest scored on, sorted: the region's rows
     in the test set, or all of its rows on the MEAN path.
 
-    The region's rows are split by the mask, and each side's matrix
-    Zt = [X, y]^T is one ``take`` of the table's ``block`` whenever it is
-    read. ``_tune`` fits both methods on the rows outside the mask and scores
-    all their models on the rows inside it by one residual matrix; the best
-    (ties to LASSO) is refit on all rows with its hyperparameter, keeping the
-    contest holdout error on record. The refit's moments merge the co-moments
-    of the two sides. A region with fewer than 5 rows, or all on one side of
-    the mask, falls back to the MEAN model, scored on its own rows. OMP tries
-    up to as many terms as the region has features, capped at
-    ``MAX_TERMS_CAP``.
+    ``_tune`` fits both methods on the region's rows outside the mask and
+    scores all their models on the rows inside it by one residual matrix; the
+    best (ties to LASSO) is refit on all rows with its hyperparameter, from
+    the merged co-moments of the two sides, keeping the contest holdout error
+    on record. A region with fewer than 5 rows, or all on one side of the
+    mask, falls back to the MEAN model, scored on its own rows. OMP tries up
+    to as many terms as the region has features, capped at ``MAX_TERMS_CAP``.
     A target constant on the fitting side makes both methods fit the MEAN
     model there, scored on the test side like any other; LASSO wins the tie
     and the MEAN model is refit on all rows. The one-region case of
@@ -733,10 +734,8 @@ def best_local_models(
             Zt = blocks[j]
             train_error = float(_errors(Zt[:-1].T, Zt[-1], refit.intercepts[r], refit.B[r],
                                         metric)[0])
-            i = order[j]
-            if j < len(split):
-                fitted = FittedRuleModel(refit.model(r, 0), train_error, float(holdout_errors[j]))
-                out[i] = fitted, scored[j]
-            else:
-                out[i] = FittedRuleModel(refit.model(r, 0), train_error, train_error), idxs[i]
+            # a region with no split is scored on all its rows
+            hold, on = ((float(holdout_errors[j]), scored[j]) if j < len(split)
+                        else (train_error, idxs[order[j]]))
+            out[order[j]] = FittedRuleModel(refit.model(r, 0), train_error, hold), on
     return out

@@ -178,10 +178,11 @@ def test_a_bad_setting_is_reported_before_the_input_is_read(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("command, out, flags, message", [
+    ("fit", "--rules-out", ["--metric", "foo"], "unknown error metric 'foo'"),
     ("fit", "--rules-out", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     ("eval", "--report-out", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
     ("eval", "--report-out", ["--folds", "1"], "fold count must be an integer >= 2, got 1"),
-], ids=["fit-seed", "eval-seed", "eval-folds"])
+], ids=["fit-metric", "fit-seed", "eval-seed", "eval-folds"])
 def test_a_bad_seed_or_fold_count_is_reported_before_the_input_is_read(
         tmp_path, capsys, command, out, flags, message):
     code = main([command, "--input", str(tmp_path / "missing.csv"), "--target", "y",
@@ -382,10 +383,11 @@ def test_bare_argv_builds_the_default_config(tmp_path, segment_csv, given_config
     ("fit", "--support-bias", "2", "sigma", 2.0),
     ("fit", "--overlap-bias", "0", "omega", 0.0),
     ("fit", "--metric", "meae", "metric", "meae"),
+    ("fit", "--metric", "MEAE", "metric", "meae"),
     ("fit", "--sd-q", "3", "sd_q", 3),
     ("fit", "--seed", "7", "seed", 7),
     ("eval", "--folds", "4", "folds", 4),
-], ids=["theta", "sigma", "omega", "metric", "sd_q", "seed", "folds"])
+], ids=["theta", "sigma", "omega", "metric", "metric-upper", "sd_q", "seed", "folds"])
 def test_each_setting_flag_lands_in_its_field(tmp_path, segment_csv, given_config, command, flag,
                                               value, field, want):
     out = "--rules-out" if command == "fit" else "--report-out"

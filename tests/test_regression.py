@@ -188,7 +188,7 @@ def test_lasso_planted_sparse_signal():
     m = fit_lasso(range(100), d, [0.001, 0.01, 0.1, 1.0], range(100, 125))
     assert m.coefficients["a"] == pytest.approx(3.0, abs=0.05)
     assert m.coefficients.get("b", 0.0) == 0.0
-    assert kkt_violation(m, d, range(100), "y", m.hyper) < 1e-5
+    assert kkt_violation(m, d, range(100), "y", m.hyper) < 1e-9
 
 
 def test_lasso_kkt_random_instances():
@@ -203,7 +203,7 @@ def test_lasso_kkt_random_instances():
         lam = float(rng.choice([0.001, 0.01, 0.1, 1.0]))
         rows = np.arange(n - 5)
         m = fit_lasso(rows, d, [lam], np.arange(n - 5, n))
-        assert kkt_violation(m, d, rows, "y", lam) < 1e-5
+        assert kkt_violation(m, d, rows, "y", lam) < 1e-9
 
 
 def test_lasso_empty_fit_rows_rejected():
@@ -429,9 +429,16 @@ def _random_instance(rng, n_range):
     return _moments([np.vstack([X.T, y])]), (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
 
 
-def _one_lasso_path(m, lams, **kwargs):
+def _kkt(Xs, y_c, beta, lam):
+    """Per feature, the violation of the LASSO stationarity conditions at beta,
+    in standardized coordinates on the rows themselves (as ``kkt_violation``)."""
+    g = Xs.T @ (y_c - Xs @ beta) / len(y_c)
+    return np.where(beta == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(beta)))
+
+
+def _one_lasso_path(m, lams):
     """The LASSO path of the one row set with moments m, in the order of lams."""
-    return list(_lasso_path(m.G, m.c, m.width, [lams], **kwargs)[0])
+    return list(_lasso_path(m.G, m.c, m.width, [lams])[0])
 
 
 def _one_omp_path(m, k):
@@ -454,19 +461,22 @@ def test_gram_lasso_matches_cold_start_oracle_in_any_grid_order():
                 # the path is solved in descending order whatever the caller's order
                 assert got[lam].tolist() == ascending[lam].tolist()
                 assert np.max(np.abs(got[lam] - expected[lam])) < 1e-6
+        for lam in grid:
+            assert np.max(_kkt(Xs, y_c, ascending[lam], lam)) < 1e-9
 
 
 def test_gram_lasso_matches_oracle_at_tight_tolerance():
-    # few rows per feature: both solvers stop well away from each other at the
-    # default tolerance, so compare them converged
+    # few rows per feature: coordinate descent stops well away from the exact
+    # path at its default tolerance, so compare it converged
     rng = np.random.default_rng(13)
     grid = [0.001, 0.01, 0.1, 1.0]
     for _ in range(30):
         m, Xs, y_c = _random_instance(rng, (30, 80))
-        got = _one_lasso_path(m, grid, tol=1e-12, max_sweeps=100_000)
+        got = _one_lasso_path(m, grid)
         for lam, beta in zip(grid, got):
             expected = lasso_cd_oracle(Xs, y_c, lam, tol=1e-12, max_sweeps=100_000)
             assert np.max(np.abs(beta - expected)) < 1e-9
+            assert np.max(_kkt(Xs, y_c, beta, lam)) < 1e-9
 
 
 def test_gram_omp_matches_oracle():
@@ -511,6 +521,81 @@ def test_gram_omp_singular_block_falls_back_to_min_norm():
     assert three[1] == pytest.approx(two[1], rel=1e-6)
     exact = omp_path_oracle((X - X.mean(axis=0)) / X.std(axis=0), y - y.mean(), 3)[3]
     assert np.max(np.abs(exact)) > 100
+
+
+def test_gram_lasso_path_through_a_leave():
+    # the second draw of seed 16: feature 6 enters, its coefficient reaches 0
+    # near lam = 0.01915 and it leaves, then enters again near 0.00295. Of the
+    # 1,200 draws of seeds 0..39, only two paths drop a feature down to lam = 0
+    rng = np.random.default_rng(16)
+    for _ in range(2):
+        m, Xs, y_c = _random_instance(rng, (30, 80))
+    fine = np.linspace(0.03, 0.001, 2901)  # steps of 1e-5
+    out = np.array(_one_lasso_path(m, list(fine)))[:, 6] == 0.0
+    # in, then out over one run of the grid, then in again: exactly 0 while out
+    changes = np.flatnonzero(out[1:] != out[:-1]) + 1
+    assert not out[0] and len(changes) == 2
+    leave, back = changes.tolist()
+    assert back - leave > 1000
+    # the leave to 1e-10: the last lambda with the coefficient, the first without
+    finer = np.linspace(fine[leave - 1], fine[leave], 100_001)
+    at = int(np.flatnonzero(np.array(_one_lasso_path(m, list(finer)))[:, 6] == 0.0)[0])
+    grid = [0.025, finer[at - 1], finer[at], 0.01, 0.005, 0.002]
+    path = _one_lasso_path(m, grid)
+    assert [beta[6] == 0.0 for beta in path] == [False, False, True, True, True, False]
+    for lam, beta in zip(grid, path):
+        expected = lasso_cd_oracle(Xs, y_c, lam, tol=1e-12, max_sweeps=100_000)
+        assert np.max(np.abs(beta - expected)) < 1e-9
+        assert np.max(_kkt(Xs, y_c, beta, lam)) < 1e-9
+
+
+def test_gram_lasso_kkt_along_paths_that_drop_features():
+    # strongly correlated features: most paths drop a feature, which often
+    # enters again with the other sign on the very next segment
+    rng = np.random.default_rng(17)
+    drops = 0
+    for _ in range(40):
+        n, p = int(rng.integers(20, 60)), int(rng.integers(3, 9))
+        X = rng.normal(size=(n, p)) @ (np.eye(p) + rng.normal(size=(p, p)))
+        y = X @ (rng.normal(size=p) * (rng.random(p) < 0.5)) + rng.normal(0, 1.0, n)
+        m = _moments([np.vstack([X.T, y])])
+        grid = np.linspace(np.abs(m.c).max(), 0.0, 200)
+        path = _lasso_path(m.G, m.c, m.width, [grid])[0]
+        Xs, y_c = (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+        for lam, beta in zip(grid, path):
+            assert np.max(_kkt(Xs, y_c, beta, lam)) < 1e-9
+        on = path != 0.0
+        drops += bool((on[:-1] & ~on[1:]).any())  # nonzero at one lambda, 0 at the next
+    assert drops >= 10
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7], ids=["copy", "near-copy"])
+def test_gram_lasso_keeps_a_copied_column_out(noise):
+    # column 2 is column 0, exactly or up to the 1e-7 noise of the OMP test
+    # above: the copy whose correlation reaches lam second lies in the span of
+    # the first and never enters (an exact tie goes to the first column)
+    rng = np.random.default_rng(16)
+    x0, x1, z = rng.normal(size=(3, 200))
+    X = np.column_stack([x0, x1, x0 + noise * z])
+    y = x0 + x1 + rng.normal(0, 1.0, 200)
+    block = np.vstack([X.T, y])
+    m = _moments([block])
+    first = 2 if abs(m.c[0, 2]) > abs(m.c[0, 0]) else 0
+    grid = [0.0, 0.001, 0.01, 0.1, 1.0]
+    path = np.array(_one_lasso_path(m, grid))
+    assert np.isfinite(path).all()
+    assert (path[:, 2 - first] == 0.0).all() and (path[:, [first, 1]] != 0.0).all()
+    Xs, y_c = (X - X.mean(axis=0)) / X.std(axis=0), y - y.mean()
+    for lam, beta in zip(grid, path):
+        assert np.max(_kkt(Xs, y_c, beta, lam)[[first, 1]]) < 1e-9
+    # in a batch, it steps as it does alone
+    others = [rng.normal(size=(4, 150)), block[:, :120], block[:, 50:]]
+    together = _moments([block, *others])
+    lasso = _lasso_path(together.G, together.c, together.width, [grid] * 4)
+    assert lasso[0].tolist() == path.tolist()
+    for i in range(1, 4):
+        one = together.take([i])
+        assert lasso[i].tolist() == _lasso_path(one.G, one.c, one.width, [grid])[0].tolist()
 
 
 @pytest.mark.parametrize("seed", range(12))
