@@ -26,8 +26,8 @@ the standard deviations. After that no fit touches an n-row vector:
 - OLS is min-norm least squares on (G, c);
 - OMP is greedy forward selection on the residual correlations c - G beta, with
   the Cholesky factor of the active Gram block grown by one row per step
-  (Rubinstein, Zibulevsky and Elad 2008, Batch OMP). A singular block falls
-  back to min-norm least squares, and the path stops early once no feature is
+  (Rubinstein, Zibulevsky and Elad 2008, Batch OMP). The path ends early at a
+  feature in the active span, which LASSO never enters, or once no feature is
   correlated with the residual, as after an exact fit;
 - LASSO is solved exactly along its path on the factor OMP grows (LARS with
   the lasso modification; Efron, Hastie, Johnstone and Tibshirani 2004), each
@@ -86,13 +86,13 @@ LASSO = "LASSO"
 OMP = "OMP"
 MEAN = "MEAN"
 
-# A Gram block is singular when a new Cholesky pivot (the squared distance of
-# a standardized feature from the span of the active ones) or a singular value
-# falls below this share of the block's scale; least squares then takes the
-# min-norm solution. That is a direction in which the standardized rows are
-# shorter than ~3e-7 of their longest, close to the rounding error of G; longer
-# ones are kept, so a solve on G stays close to least squares on the rows up
-# to cond(Xs) ~ 1e6.
+# A feature is in the active span when its Cholesky pivot (its squared distance
+# from the span) falls below this share of G_jj: LASSO never enters it and OMP
+# ends there. The OLS baseline's min-norm least squares drops singular values
+# below this share of the largest. Either is a direction in which the
+# standardized rows are shorter than ~3e-7 of their longest, close to the
+# rounding error of G; longer ones are kept, so a solve on G stays close to
+# least squares on the rows up to cond(Xs) ~ 1e6.
 _RANK_TOL = 1e-13
 # OMP stops once no |c_j - (G beta)_j| exceeds this share of the target's
 # standard deviation: the residual is then uncorrelated with every feature.
@@ -310,7 +310,8 @@ class _Factor:
     """Cholesky factors L L^T = G_AA of m row sets' active Gram blocks and
     z = L^-1 r for the active features' right-hand sides r (c_j for OMP, the
     entering signs for LASSO), row set i's being ``cols[i, :n[i]]``. Past them
-    L is the identity and z zero: a longer solve gives a row set's own values."""
+    L is the identity and z zero: a longer solve gives a row set's own values.
+    No feature in the active span is grown, so no factor is ever singular."""
 
     def __init__(self, G: np.ndarray, size: int):
         self.G = np.zeros((len(G), G.shape[1] + 1, G.shape[1] + 1))
@@ -385,6 +386,10 @@ def _lasso_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, lams) -> np.nda
     free = np.arange(p) < width[:, None]  # may enter: the padding never does
     left = np.full(m, -1)  # the feature that left at the last step
     live = np.flatnonzero(lam > floor)
+    # at lam_max the first feature of largest |c_j| enters, with the sign of c_j
+    j = np.abs(c[live]).argmax(axis=1)
+    sign[live, j], free[live, j] = np.sign(c[live, j]), False
+    f.grow(live, j, sign[live, j])
     while len(live):
         at, lam_l, grid, cl = np.arange(len(live)), lam[live], lams[live], corr[live]
         d = f.solve(live)
@@ -425,20 +430,20 @@ def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
     """Greedy forward selection on the moments of m row sets (as for
     ``_lasso_path``), up to k[i] terms for row set i: add the feature most
     correlated with the residual (largest |c_j - (G beta)_j|), refit least
-    squares on the active set; a row set stops early once no correlation
-    exceeds _UNCORRELATED * y_sd. The refit solves on ``_Factor`` (r = c) until
-    a feature fails its span test, then min-norm least squares on the singular
-    block. Every row set takes the steps it would take alone.
+    squares on the active set by a ``_Factor`` grow and solve (r = c). A row
+    set's path ends early once no correlation exceeds _UNCORRELATED * y_sd, or
+    at a feature in its active span, which fails the grow's pivot test (as in
+    Batch OMP; LASSO never enters such a feature). Every row set takes the
+    steps it would take alone.
 
     Returns (path, steps): ``path[i, s]`` holds row set i's coefficients
     after s steps, led by the empty model, and ``steps[i]`` the steps it took;
-    a path that stopped repeats its last entry, so the k-term model is
+    a path that ended repeats its last entry, so the k-term model is
     ``path[i, min(k, path.shape[1] - 1)]``."""
     m, p = c.shape
     limit = np.minimum(k, width)
     S = int(limit.max(initial=0))
-    path, steps, corr = np.zeros((m, S + 1, p)), np.zeros(m, dtype=int), c.copy()
-    f, active = _Factor(G, S), np.zeros((m, S), dtype=int)
+    path, steps, corr, f = np.zeros((m, S + 1, p)), np.zeros(m, dtype=int), c.copy(), _Factor(G, S)
     taken = np.arange(p) >= width[:, None]  # padding is never selected
     live = np.flatnonzero(limit > 0)
     for s in range(S):
@@ -446,22 +451,14 @@ def _omp_path(G: np.ndarray, c: np.ndarray, width: np.ndarray, y_sd: np.ndarray,
         j = score.argmax(axis=1)
         go = score[np.arange(len(live)), j] > _UNCORRELATED * y_sd[live]
         live, j = live[go], j[go]
+        ok = f.grow(live, j, c[live, j])  # False where j lies in the active span
+        live, j = live[ok], j[ok]
         if not len(live):
             break
-        # a row set's factor holds all its s active features until one fails
-        grow = f.n[live] == s
-        f.grow(live[grow], j[grow], c[live[grow], j[grow]])
-        active[live, s] = j
         taken[live, j] = True
-        solved = f.n[live] == s + 1
-        beta = np.zeros((len(live), p))
-        beta[solved] = f.solve(live[solved])
-        for a in np.flatnonzero(~solved).tolist():
-            i, act = live[a], active[live[a], : s + 1]
-            beta[a, act] = np.linalg.lstsq(G[i][np.ix_(act, act)], c[i, act], rcond=_RANK_TOL)[0]
+        beta = f.solve(live)
         corr[live] = c[live] - _gram_times(G[live], width[live], beta)
-        path[live, s + 1] = beta
-        steps[live] = s + 1
+        path[live, s + 1], steps[live] = beta, s + 1
         live = live[s + 1 < limit[live]]
     upto = np.minimum(np.arange(S + 1), steps[:, None])
     return path[np.arange(m)[:, None], upto], steps
@@ -593,7 +590,9 @@ def _tune(m: _Moments, names: Sequence[str], holds: Sequence[np.ndarray],
 def fit_ols(rows, d: Dataset) -> LinearModel:
     """Least-squares fit on standardized features (min-norm for rank-deficient
     systems); zero-variance features are dropped. Degenerate inputs fall back
-    to the intercept-only MEAN model."""
+    to the intercept-only MEAN model. It keeps min-norm ``lstsq``, not a
+    ``_Factor`` solve: that fits y = 2x with an error of exactly 0, as the
+    cross-validation's skip of a fold with no error to reduce needs."""
     idx = sorted_rows(rows, d.n)
     if len(idx) == 0:
         raise DataError("fit_ols needs at least 1 row")

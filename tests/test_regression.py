@@ -16,6 +16,7 @@ from hipar.data import holdout_mask
 from hipar.regression import (
     LASSO,
     OMP,
+    _UNCORRELATED,
     _comoments,
     _fits,
     _lasso_path,
@@ -502,23 +503,28 @@ def test_gram_omp_stops_at_an_exact_fit():
     assert set(np.flatnonzero(path[-1]).tolist()) == {1, 3}
 
 
-def test_gram_omp_singular_block_falls_back_to_min_norm():
-    # column 2 is column 0 up to 1e-7 noise: whichever of the two OMP takes
-    # last makes the active Gram block singular, and min-norm least squares
-    # splits their weight instead of fitting the noise with huge opposite
-    # coefficients as least squares on the rows does
+def _copy_table(noise):
+    """(X, y) of seed 16: column 2 is column 0, exactly or up to the noise."""
     rng = np.random.default_rng(16)
     x0, x1, z = rng.normal(size=(3, 200))
-    X = np.column_stack([x0, x1, x0 + 1e-7 * z])
-    y = x0 + x1 + rng.normal(0, 1.0, 200)
+    X = np.column_stack([x0, x1, x0 + noise * z])
+    return X, x0 + x1 + rng.normal(0, 1.0, 200)
+
+
+def test_gram_omp_path_ends_at_the_active_span():
+    # column 2 is column 0 up to 1e-7 noise: once OMP holds one of the two,
+    # the other lies in the active span and fails the factor's pivot test, so
+    # the path ends there with the weight on one copy, where least squares on
+    # the rows fits the noise with huge opposite coefficients
+    X, y = _copy_table(1e-7)
     m = _moments([np.vstack([X.T, y])])
-    path = _one_omp_path(m, 3)
-    assert len(path) == 4
-    two, three = path[2], path[3]
-    # min norm: the two near-copies share the weight one of them had
-    assert three[0] == pytest.approx(three[2], rel=1e-6)
-    assert three[0] + three[2] == pytest.approx(two[0] + two[2], rel=1e-6)
-    assert three[1] == pytest.approx(two[1], rel=1e-6)
+    path, steps = _omp_path(m.G, m.c, m.width, m.y_sd, np.array([3]))
+    assert steps.tolist() == [2]
+    assert [np.flatnonzero(beta).tolist() for beta in path[0]] == [[], [2], [1, 2], [1, 2]]
+    assert path[0, 3].tolist() == path[0, 2].tolist()  # the 3-term model is the 2-term one
+    # it ended at the span, not at an uncorrelated residual
+    corr = m.c[0] - m.G[0] @ path[0, 2]
+    assert abs(corr[0]) > _UNCORRELATED * m.y_sd[0]
     exact = omp_path_oracle((X - X.mean(axis=0)) / X.std(axis=0), y - y.mean(), 3)[3]
     assert np.max(np.abs(exact)) > 100
 
@@ -596,6 +602,22 @@ def test_gram_lasso_keeps_a_copied_column_out(noise):
     for i in range(1, 4):
         one = together.take([i])
         assert lasso[i].tolist() == _lasso_path(one.G, one.c, one.width, [grid])[0].tolist()
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-7], ids=["copy", "near-copy"])
+def test_no_lasso_or_omp_model_weights_both_copies(noise):
+    # one rule for a dependent feature: LASSO never enters the second copy
+    # and OMP's path ends at it, so no model of either gives weight to both
+    X, y = _copy_table(noise)
+    m = _moments([np.vstack([X.T, y])])
+    assert _omp_path(m.G, m.c, m.width, m.y_sd, np.array([3]))[1].tolist() == [2]
+    grid = np.linspace(np.abs(m.c).max(), 0.0, 400).tolist()  # every lambda down to 0
+    for method, hypers in ((LASSO, grid), (OMP, [1, 2, 3])):
+        fits = _fits(m, method, [hypers], ["x0", "x1", "x2"])
+        models = [fits.model(0, h).coefficients for h in range(len(hypers))]
+        assert all(np.isfinite(list(coefs.values())).all() for coefs in models)
+        assert not any({"x0", "x2"} <= coefs.keys() for coefs in models)
+        assert all(coefs.keys() & {"x0", "x2"} for coefs in models[-3:])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -825,8 +847,8 @@ def test_tune_breaks_exact_ties(monkeypatch, errors, entries, want):
 
 
 def _batch_table():
-    """400 rows: x2 is x0 up to 1e-7 noise, so an OMP path that takes both has
-    a singular Gram block; x3 is constant on rows 0..99 and y on rows 100..199."""
+    """400 rows: x2 is x0 up to 1e-7 noise, so an OMP path that holds one of
+    them ends at the other; x3 is constant on rows 0..99 and y on rows 100..199."""
     rng = np.random.default_rng(21)
     n = 400
     x0, x1, z = rng.normal(size=(3, n))
@@ -865,10 +887,22 @@ def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
     rng = np.random.default_rng(8)
     pool = _region_pool(d, test, rng)
     alone = [best_local_model(rows, d, metric, test) for rows in pool]
-    singular = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(reg.np.linalg, "lstsq",
-                        lambda *a, **k: singular.append(1) or lstsq(*a, **k))
+    # count the OMP paths that end at a feature in their active span: the
+    # factor's grow refuses it inside an OMP path
+    ended = []
+    omp_path, grow = reg._omp_path, reg._Factor.grow
+
+    def spy_omp_path(*args):
+        def spy_grow(self, rows, j, r):
+            ok = grow(self, rows, j, r)
+            ended.append(int(np.count_nonzero(~ok)))
+            return ok
+
+        with monkeypatch.context() as patch:
+            patch.setattr(reg._Factor, "grow", spy_grow)
+            return omp_path(*args)
+
+    monkeypatch.setattr(reg, "_omp_path", spy_omp_path)
     for _ in range(6):
         picks = rng.choice(len(pool), size=int(rng.integers(2, 10)))
         picks = [*picks, picks[0]]  # a region twice in one batch
@@ -877,7 +911,7 @@ def test_a_batch_fits_each_region_as_it_is_fitted_alone(monkeypatch, metric):
     everything = best_local_models([(d, rows, test) for rows in pool[::-1]], metric)[::-1]
     for got, want in zip(everything, alone):
         _same_fit(got, want)
-    assert singular  # some OMP path met the singular block
+    assert sum(ended)  # some OMP path ended at the span
     methods = {fitted.model.method for fitted, _ in alone}
     assert {"MEAN", "LASSO", "OMP"} <= methods
     assert best_local_models([], metric) == []
@@ -945,8 +979,19 @@ def test_batched_solvers_step_each_row_set_as_alone():
             assert together[i].tolist() == _lasso_path(one.G, one.c, one.width, [lams])[0].tolist()
     k = np.array([4, 2, 3, 4])
     path, steps = _omp_path(m.G, m.c, m.width, m.y_sd, k)
+    # row set 3 ends at the span after 3 of its 4 terms: its next pick, x0, lies
+    # in the span of its copy x2, though the residual is still correlated with it
+    assert steps.tolist() == [2, 2, 3, 3]
+    assert np.flatnonzero(path[3, 3]).tolist() == [1, 2, 3]
+    assert abs(m.c[3, 0] - m.G[3, 0] @ path[3, 3]) > _UNCORRELATED * m.y_sd[3]
     for i in range(len(blocks)):
         one = m.take([i])
         alone, alone_steps = _omp_path(one.G, one.c, one.width, one.y_sd, k[[i]])
         assert steps[i] == alone_steps[0]
         assert path[i, : steps[i] + 1].tolist() == alone[0, : steps[i] + 1].tolist()
+    # in a batch with a row set of independent columns, which takes its fourth
+    # step, row set 3 ends at the span as it does alone
+    mixed = _moments([blocks[3], np.random.default_rng(9).normal(size=(5, 150))])
+    both, both_steps = _omp_path(mixed.G, mixed.c, mixed.width, mixed.y_sd, np.array([4, 4]))
+    assert both_steps.tolist() == [3, 4]
+    assert both[0].tolist() == path[3].tolist()

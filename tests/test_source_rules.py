@@ -150,3 +150,25 @@ def test_the_readme_loader_paragraph_names_every_field_of_the_rule_file_table():
     paragraph = readme[start:readme.index("\n\n", start)]
     missing = sorted(name for name in names if f"`{name}`" not in paragraph)
     assert len(names) > 20 and not missing, missing
+
+
+def test_least_squares_has_one_call_site_the_ols_baseline():
+    # every LASSO and OMP step is a grow, solve or drop of one Cholesky factor;
+    # numpy's min-norm lstsq serves only the OLS branch of regression._fits, so
+    # a second call site would be a per-method fallback growing back
+    sites = []
+    for path in MODULES:
+        tree = _tree(path)
+        parents = {id(child): node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lstsq"):
+                funcs, branches, up = [], [], node
+                while id(up) in parents:  # up to the module: the enclosing defs and ifs
+                    below, up = up, parents[id(up)]
+                    if isinstance(up, ast.If) and below in up.body:
+                        branches.append(ast.unparse(up.test))
+                    elif isinstance(up, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        funcs.append(up.name)
+                sites.append((path.name, funcs[:1], "method == OLS" in branches))
+    assert sites == [("regression.py", ["_fits"], True)], sites
