@@ -496,23 +496,35 @@ def _loadtxt_columns(
     csv module, which ``_read_rows`` lets read it. An inferred kind (None) is
     guessed from the first data row; a wrong guess makes ``loadtxt`` raise or
     leaves a non-finite value, so it returns None.
+
+    Each whole-file form is dropped once the next one holds the data: the
+    text once it is split into lines, the lines once ``loadtxt`` has parsed
+    them and no column was cut. So two forms are held at most, the text and
+    its lines during the split, the lines and the table during the parse (the
+    peak). A file with a cut column keeps its lines for that column's second
+    read.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line ends in \n
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
-    if '"' in text or "\0" in text or "\n\n" in text or text.startswith("\n"):
+    if '"' in text or "\0" in text or text.startswith("\n"):
         return None
-    first, _, body = text.partition("\n")
+    size = len(text)
+    lines = text.split("\n")
+    del text  # the lines hold the file from here on
+    first = lines.pop(0)
     header = [h.strip() for h in first.split(",")]
-    lines = body.split("\n")
-    if lines[-1] == "":  # the end of the last line
+    if lines[-1:] == [""]:  # the end of the last line
         lines.pop()
     kinds = kinds_of(header) if len(set(header)) == len(header) else None
-    if (kinds is None or not lines or not set(kinds) <= set(header)
-            or max(len(first), max(map(len, lines))) > csv.field_size_limit()):
+    if kinds is None or not lines or not set(kinds) <= set(header):
         return None
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    if lengths.min() == 0 or max(len(first), lengths.max()) > csv.field_size_limit():
+        return None  # a blank line, or a field the csv module rejects
+    del lengths
     first_row = lines[0].split(",")
     if len(first_row) != len(header):
         return None
@@ -526,14 +538,21 @@ def _loadtxt_columns(
             types[j] = f"U{len(first_row[j]) + 1}"
             categorical[name] = j
     dtype = _fields(types)
-    if len(lines) * dtype.itemsize > _FIXED_WIDTH_BYTES_PER_CHAR * len(text):
+    if len(lines) * dtype.itemsize > _FIXED_WIDTH_BYTES_PER_CHAR * size:
         dtype = _fields([object if j in categorical.values() else t for j, t in enumerate(types)])
     table = _loadtxt(lines, dtype)
     if table is None:
         return None
+    n = len(table)
+    # a fixed-width column -> its longest cell; one that fills its field may have been cut
+    longest = {name: int(np.strings.str_len(table[f"f{j}"]).max())
+               for name, j in categorical.items() if table.dtype[j] != object}
+    cut = [name for name, most in longest.items()
+           if most == table.dtype[categorical[name]].itemsize // 4]
+    if not cut:
+        del lines  # only a cut column's second read needs them
     columns: dict[str, np.ndarray | CodedColumn] = {}
     strings: dict[str, np.ndarray] = {}  # column -> its cells as Python strings
-    cut = []  # columns with a cell that filled its field, so may have been cut
     for name in kinds:
         values = table[f"f{header.index(name)}"]
         if values.dtype == float:
@@ -542,17 +561,13 @@ def _loadtxt_columns(
             columns[name] = values.copy()  # contiguous
         elif values.dtype == object:
             strings[name] = values
-        else:
-            longest = int(np.strings.str_len(values).max())
-            if longest == values.dtype.itemsize // 4:
-                cut.append(name)
-                continue
-            columns[name] = _code_text(values, longest)
+        elif name not in cut:
+            columns[name] = _code_text(values, longest[name])
             if columns[name] is None:
                 return None
     if cut:
         del table, values  # no column left holds a view of it
-        again = _loadtxt(lines, _fields([object] * len(cut)), [categorical[n] for n in cut])
+        again = _loadtxt(lines, _fields([object] * len(cut)), [categorical[name] for name in cut])
         if again is None:
             return None
         strings |= {name: again[f"f{k}"] for k, name in enumerate(cut)}
@@ -561,7 +576,7 @@ def _loadtxt_columns(
         if not all(cells):
             return None
         columns[name] = code(cells)
-    return {name: columns[name] for name in kinds}, len(lines)
+    return {name: columns[name] for name in kinds}, n
 
 
 def read_columns(

@@ -8,6 +8,7 @@ reads the file again and raises any error.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,38 @@ def test_the_fast_path_reads_a_plain_file(mixed_csv, monkeypatch):
     assert columns["k"].tolist()[:6] == ["0", "1", "2", "3", "4", "0"]
     assert load_csv(mixed_csv, target="y", categorical_overrides=["k"]).attribute("k").kind \
         == CATEGORICAL
+
+
+def test_the_fast_path_holds_one_form_of_the_file_at_a_time(tmp_path, monkeypatch):
+    # shaped like the fit-large scoring file: three short labels and six short
+    # reals a row. The text, a copy of it, its lines and the table held at
+    # once took about 8 times the file; the lines and the table take under 5
+    rng = np.random.default_rng(11)
+    n = 40_000
+    labels = [np.array([f"{p}{c}" for c in range(k)])[rng.integers(0, k, n)].tolist()
+              for p, k in (("a", 2), ("bb", 3), ("c", 8))]
+    reals = [*np.round(rng.uniform(0, 10, (4, n)), 3), rng.integers(0, 20, n).astype(float),
+             np.round(rng.normal(0, 5, n), 4)]
+    path = tmp_path / "large.csv"
+    with open(path, "w") as fh:
+        fh.write("c0,c1,c2,x0,x1,x2,x3,x4,y\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip(*labels, *(map(repr, r.tolist()) for r in reals)))
+
+    def no_csv(path):
+        raise AssertionError("the csv module read a plain file")
+
+    monkeypatch.setattr(hipar.data, "_read_rows", no_csv)
+    kinds = {**dict.fromkeys(["c0", "c1", "c2"], CATEGORICAL),
+             **dict.fromkeys(["x0", "x1", "x2", "x3", "x4"], NUMERICAL)}
+    for read in (lambda: read_columns(str(path), kinds), lambda: load_csv(str(path), target="y")):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * path.stat().st_size
 
 
 @pytest.mark.parametrize("text", [
