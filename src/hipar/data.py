@@ -322,19 +322,44 @@ class Dataset:
 _NO_FIELD_LIMIT = 2**31 - 1
 
 
-def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Stripped header names and data rows of a UTF-8 CSV with a mandatory
-    header row, by the csv module; a leading byte-order mark is skipped. A
-    field of any length is read, and the csv module's field limit is left as
-    it was."""
+def _header(
+    path: str, cells: list[str], kinds_of: Callable[[list[str]], dict[str, str | None]]
+) -> tuple[list[str], dict[str, str | None]]:
+    """The stripped header names and the columns to read with their kinds, by
+    the header rules both readers share: the names are distinct, ``kinds_of``
+    (which raises a DataError where the caller rejects the header) maps them to
+    the columns to read, each kind is CATEGORICAL, NUMERICAL or None (inferred)
+    and each column is in the header."""
+    header = [h.strip() for h in cells]
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
+    kinds = kinds_of(header)
+    for name, kind in kinds.items():
+        if kind not in (CATEGORICAL, NUMERICAL, None):
+            raise DataError(f"column {name!r} has unknown kind {kind!r}")
+    missing = [name for name in kinds if name not in header]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    return header, kinds
+
+
+def _read_rows(
+    path: str, kinds_of: Callable[[list[str]], dict[str, str | None]]
+) -> tuple[list[str], dict[str, str | None], list[list[str]]]:
+    """Stripped header names, the columns to read with their kinds and the data
+    rows of a UTF-8 CSV with a mandatory header row, by the csv module; a
+    leading byte-order mark is skipped. The header is checked by ``_header``
+    before any data row is read. A field of any length is read, and the csv
+    module's field limit is left as it was."""
     limit = csv.field_size_limit(_NO_FIELD_LIMIT)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
+                cells = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required") from None
+            header, kinds = _header(path, cells, kinds_of)
             # the reader makes one list per row and none of them can be garbage,
             # so the cyclic collector only costs time while they pile up
             gc_was_enabled = gc.isenabled()
@@ -348,10 +373,7 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise DataError(f"{path}: duplicate column names in header")
-    return header, rows
+    return header, kinds, rows
 
 
 def _real_column(cells: list[str]) -> np.ndarray | None:
@@ -393,8 +415,8 @@ def _bad_row(path: str, header: list[str], rows: list[list[str]], kinds: dict[st
 def _columns(
     path: str, header: list[str], rows: list[list[str]], kinds: dict[str, str | None]
 ) -> dict[str, np.ndarray | CodedColumn]:
-    """The columns named in ``kinds``, by the cell rules ``load_csv`` and ``hipar
-    predict`` share.
+    """The columns named in ``kinds``, all in the header ``_header`` checked, by
+    the cell rules ``load_csv`` and ``hipar predict`` share.
 
     Every row must have one cell per header name, and no read cell may be empty
     or whitespace. A NUMERICAL column must hold finite reals (float64 array); a
@@ -404,9 +426,6 @@ def _columns(
     path, the referee of ``_loadtxt_columns`` and the one source of the
     readers' row errors.
     """
-    missing = [name for name in kinds if name not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing}")
     if any(len(row) != len(header) for row in rows):
         raise _bad_row(path, header, rows, kinds)
     columns: dict[str, np.ndarray | CodedColumn] = {}
@@ -469,13 +488,13 @@ def _code_text(cells: np.ndarray, longest: int) -> CodedColumn | None:
 
 
 def _loadtxt_columns(
-    path: str, kinds_of: Callable[[list[str]], dict[str, str | None] | None]
+    path: str, kinds_of: Callable[[list[str]], dict[str, str | None]]
 ) -> tuple[dict[str, np.ndarray | CodedColumn], int] | None:
     """The columns and data row count that ``_read_rows`` and ``_columns`` give,
     read by ``np.loadtxt`` in numpy's C parser, or None: the csv module then
-    reads the file again and raises any error. ``kinds_of`` maps the header to
-    the columns to read and their kinds, or to None where the caller rejects
-    the header.
+    reads the file again and raises any row error. The header line is checked
+    by ``_header`` before the rest of the file is read; an empty file, a blank
+    first line or a quote or a NUL in the header line returns None first.
 
     Numerical fields are read as float64. numpy reads a subset of the reals
     ``float()`` reads, rounds them with the same routine and strips the same
@@ -489,13 +508,13 @@ def _loadtxt_columns(
     table would take more than ``_FIXED_WIDTH_BYTES_PER_CHAR`` bytes per
     character of its text; their stripped cells are then coded by ``code``,
     as ``_columns`` codes them. Whatever the two readers could read apart
-    returns None: a quote or a NUL, a blank line, no data rows, a repeated or
-    missing name, a cell ``loadtxt`` rejects, a row count other than the line
-    count, a non-finite real or an empty categorical cell. So does a line
-    longer than the csv module's field limit: such a rare file is left to the
-    csv module, which ``_read_rows`` lets read it. An inferred kind (None) is
-    guessed from the first data row; a wrong guess makes ``loadtxt`` raise or
-    leaves a non-finite value, so it returns None.
+    returns None: a quote or a NUL, a blank line, no data rows, a cell
+    ``loadtxt`` rejects, a row count other than the line count, a non-finite
+    real or an empty categorical cell. So does a line longer than the csv
+    module's field limit: such a rare file is left to the csv module, which
+    ``_read_rows`` lets read it. An inferred kind (None) is guessed from the
+    first data row; a wrong guess makes ``loadtxt`` raise or leaves a
+    non-finite value, so it returns None.
 
     Each whole-file form is dropped once the next one holds the data: the
     text once it is split into lines, the lines once ``loadtxt`` has parsed
@@ -506,20 +525,22 @@ def _loadtxt_columns(
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:  # universal newlines: every line ends in \n
+            line = fh.readline()
+            first = line.removesuffix("\n")
+            if not first or '"' in first or "\0" in first:
+                return None
+            header, kinds = _header(path, first.split(","), kinds_of)
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
-    if '"' in text or "\0" in text or text.startswith("\n"):
+    if '"' in text or "\0" in text:
         return None
-    size = len(text)
+    size = len(line) + len(text)
     lines = text.split("\n")
     del text  # the lines hold the file from here on
-    first = lines.pop(0)
-    header = [h.strip() for h in first.split(",")]
     if lines[-1:] == [""]:  # the end of the last line
         lines.pop()
-    kinds = kinds_of(header) if len(set(header)) == len(header) else None
-    if kinds is None or not lines or not set(kinds) <= set(header):
+    if not lines:
         return None
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     if lengths.min() == 0 or max(len(first), lengths.max()) > csv.field_size_limit():
@@ -579,20 +600,30 @@ def _loadtxt_columns(
     return {name: columns[name] for name in kinds}, n
 
 
+def _read(
+    path: str, kinds_of: Callable[[list[str]], dict[str, str | None]]
+) -> tuple[dict[str, np.ndarray | CodedColumn], int]:
+    """The columns that ``kinds_of`` asks for and the number of data rows, read
+    by ``_loadtxt_columns`` when it can and by the csv module otherwise."""
+    fast = _loadtxt_columns(path, kinds_of)
+    if fast is not None:
+        return fast
+    header, kinds, rows = _read_rows(path, kinds_of)
+    return _columns(path, header, rows, kinds), len(rows)
+
+
 def read_columns(
     path: str, kinds: dict[str, str | None]
 ) -> tuple[dict[str, np.ndarray | CodedColumn], int]:
     """The named columns of a CSV by ``load_csv``'s cell rules (see ``_columns``),
-    and the number of data rows; other columns are ignored. A numerical column
-    is a float64 array, a categorical one a ``CodedColumn`` on its sorted
-    distinct stripped cells, coded as the file is read. numpy's C parser reads
-    the file when it gives the same columns, the csv module otherwise, and
-    every error comes from the csv module's path."""
-    fast = _loadtxt_columns(path, lambda header: kinds)
-    if fast is not None:
-        return fast
-    header, rows = _read_rows(path)
-    return _columns(path, header, rows, kinds), len(rows)
+    and the number of data rows; other columns are ignored. A kind is
+    CATEGORICAL, NUMERICAL or None (inferred). A numerical column is a float64
+    array, a categorical one a ``CodedColumn`` on its sorted distinct stripped
+    cells, coded as the file is read. The header is checked once, before any
+    data row, by the same rules whichever parser reads the file. numpy's C
+    parser reads the file when it gives the same columns, the csv module
+    otherwise, and every row error comes from the csv module's path."""
+    return _read(path, lambda header: kinds)
 
 
 def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) -> Dataset:
@@ -600,35 +631,30 @@ def load_csv(path: str, target: str, categorical_overrides: Iterable[str] = ()) 
     byte-order mark skipped) into a Dataset.
 
     A column is numerical iff every cell parses as a finite real, unless it is
-    named in ``categorical_overrides``. Rows containing a missing (empty) cell
-    are rejected with a row-indexed error; there is no imputation. A
-    categorical column is coded on its sorted distinct stripped cells as the
-    file is read, and the Dataset keeps that ``CodedColumn``. numpy's C parser
-    reads the file when it gives the same columns, the csv module otherwise,
-    and every error comes from the csv module's path.
+    named in ``categorical_overrides`` (a sequence of names). Rows containing
+    a missing (empty) cell are rejected with a row-indexed error; there is no
+    imputation. A categorical column is coded on its sorted distinct stripped
+    cells as the file is read, and the Dataset keeps that ``CodedColumn``.
+    The file is read as ``read_columns`` reads it, and the target and the
+    overrides are checked with the header, before any data row.
     """
+    if isinstance(categorical_overrides, str):
+        raise DataError("categorical_overrides takes a sequence of column names, not one name")
     overrides = set(categorical_overrides)
 
-    def kinds_of(header: list[str]) -> dict[str, str | None] | None:
-        if target not in header or not overrides <= set(header) or target in overrides:
-            return None
-        return {name: CATEGORICAL if name in overrides else None for name in header}
-
-    fast = _loadtxt_columns(path, kinds_of)
-    if fast is not None:
-        columns = fast[0]
-    else:
-        header, rows = _read_rows(path)
+    def kinds_of(header: list[str]) -> dict[str, str | None]:
         if target not in header:
             raise DataError(f"target column {target!r} not found (columns: {', '.join(header)})")
         unknown = overrides - set(header)
         if unknown:
             raise DataError(f"categorical override names unknown columns: {sorted(unknown)}")
-        if overrides & {target}:
+        if target in overrides:
             raise DataError(f"target column {target!r} cannot be overridden categorical")
-        if not rows:
-            raise DataError(f"{path}: empty table, no data rows")
-        columns = _columns(path, header, rows, kinds_of(header))
+        return {name: CATEGORICAL if name in overrides else None for name in header}
+
+    columns, n = _read(path, kinds_of)
+    if not n:
+        raise DataError(f"{path}: empty table, no data rows")
     if isinstance(columns[target], CodedColumn):
         raise DataError(f"target column {target!r} is not numerical")
     schema = [

@@ -133,7 +133,7 @@ def _split_entropy(n: int, pos: int, n1: int, pos1: int) -> float:
     return (n1 * _entropy(pos1, n1) + (n - n1) * _entropy(pos - pos1, n - n1)) / n
 
 
-def _mdl_accepts(n: int, pos: int, n1: int, pos1: int) -> tuple[bool, float]:
+def _mdl_accepts(n: int, pos: int, n1: int, pos1: int) -> bool:
     """Fayyad-Irani test for splitting (n, pos) into (n1, pos1) and the rest."""
     n2, pos2 = n - n1, pos - pos1
     ent = _entropy(pos, n)
@@ -142,7 +142,7 @@ def _mdl_accepts(n: int, pos: int, n1: int, pos1: int) -> tuple[bool, float]:
     gain = ent - (n1 * ent1 + n2 * ent2) / n
     k, k1, k2 = _n_classes(pos, n), _n_classes(pos1, n1), _n_classes(pos2, n2)
     delta = math.log2(3**k - 2) - (k * ent - k1 * ent1 - k2 * ent2)
-    return gain > (math.log2(n - 1) + delta) / n, gain
+    return gain > (math.log2(n - 1) + delta) / n
 
 
 def _xlog2x(m: int) -> np.ndarray:
@@ -301,8 +301,7 @@ def _scan(keys: np.ndarray, widths: Sequence[int],
             sn, spos = int(n[s]), int(pos[s])
             i = group[0] if len(group) == 1 else min(
                 group, key=lambda j: _split_entropy(sn, spos, int(n1[j]), int(pos1[j])))
-            accepted, _gain = _mdl_accepts(sn, spos, int(n1[i]), int(pos1[i]))
-            if accepted:
+            if _mdl_accepts(sn, spos, int(n1[i]), int(pos1[i])):
                 chosen[s] = i
                 right = int(cum_n[live[i]])
                 found, levels = segments[int(np.searchsorted(starts, right, "right")) - 1]

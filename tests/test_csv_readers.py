@@ -2,9 +2,11 @@
 
 ``load_csv`` and ``read_columns`` first try one ``np.loadtxt`` pass
 (``_loadtxt_columns``) and otherwise read the file with the csv module
-(``_read_rows`` + ``_columns``). On every input the fast path must return the
-csv path's columns, with bit-equal floats, or return None; then the csv path
-reads the file again and raises any error.
+(``_read_rows`` + ``_columns``). Both check the header by one set of rules
+(``_header``) before any data row, so a bad header raises the same DataError
+on either path. On every other input the fast path must return the csv path's
+columns, with bit-equal floats, or return None; then the csv path reads the
+file again and raises any row error.
 """
 
 import csv
@@ -59,7 +61,8 @@ def _load_both(path, monkeypatch, **kwargs) -> bool:
     read = []
     real_read_rows = hipar.data._read_rows
     with monkeypatch.context() as m:
-        m.setattr(hipar.data, "_read_rows", lambda p: read.append(p) or real_read_rows(p))
+        m.setattr(hipar.data, "_read_rows",
+                  lambda p, kinds_of: read.append(p) or real_read_rows(p, kinds_of))
         fast = _outcome(lambda: _dataset(load_csv(path, **kwargs)))
     with monkeypatch.context() as m:
         m.setattr(hipar.data, "_loadtxt_columns", lambda p, kinds_of: None)
@@ -69,19 +72,22 @@ def _load_both(path, monkeypatch, **kwargs) -> bool:
 
 
 def _columns_both(path, kinds) -> bool:
-    """Assert that the fast path returns the csv path's columns or None, and that
-    ``read_columns`` agrees with the csv path; return whether it was fast."""
-    fast = _loadtxt_columns(path, lambda header: kinds)
+    """Assert that the fast path returns the csv path's columns, raises its
+    error or returns None, and that ``read_columns`` agrees with the csv path;
+    return whether the csv path was not needed."""
+    fast = _outcome(lambda: _loadtxt_columns(path, lambda header: kinds))
 
     def slow_read():
-        header, rows = _read_rows(path)
-        return _table(_columns(path, header, rows, kinds), len(rows))
+        header, kinds_read, rows = _read_rows(path, lambda header: kinds)
+        return _table(_columns(path, header, rows, kinds_read), len(rows))
 
     slow = _outcome(slow_read)
-    if fast is not None:
-        assert slow == ("ok", _table(*fast))
+    if fast[0] == "error":
+        assert slow == fast
+    elif fast[1] is not None:
+        assert slow == ("ok", _table(*fast[1]))
     assert _outcome(lambda: _table(*read_columns(path, kinds))) == slow
-    return fast is not None
+    return fast != ("ok", None)
 
 
 # (id, file text, whether load_csv(target="y") takes the fast path)
@@ -129,8 +135,8 @@ CASES = [
     ("header-only", "g,x,y\n", False),
     ("header-only-no-newline", "g,x,y", False),
     ("empty", "", False),
-    ("duplicate-header", "g,x, g\na,1.5,2\n", False),
-    ("target-absent", "g,x,z\na,1.5,2\n", False),
+    ("duplicate-header", "g,x, g\na,1.5,2\n", True),
+    ("target-absent", "g,x,z\na,1.5,2\n", True),
     ("single-column", "y\n1\n2\n", True),
     # a cell longer than the first row's is cut by a field as wide as that
     # one: "abcd" would read as "abc"
@@ -155,6 +161,7 @@ def test_both_readers_agree_on_each_shape(tmp_path, monkeypatch, text, fast):
     _columns_both(str(path), {"x": NUMERICAL, "g": CATEGORICAL, "y": None})
     _columns_both(str(path), {"x": CATEGORICAL})
     _columns_both(str(path), {"w": NUMERICAL})
+    _columns_both(str(path), {"x": "cat"})
 
 
 def test_unread_columns_may_hold_empty_cells(tmp_path):
@@ -314,7 +321,7 @@ def mixed_csv(tmp_path):
 
 def test_the_fast_path_reads_a_plain_file(mixed_csv, monkeypatch):
     # a silent deferral would lose the gain with every other test still green
-    def no_csv(path):
+    def no_csv(path, kinds_of):
         raise AssertionError("the csv module read a plain file")
 
     monkeypatch.setattr(hipar.data, "_read_rows", no_csv)
@@ -345,7 +352,7 @@ def test_the_fast_path_holds_one_form_of_the_file_at_a_time(tmp_path, monkeypatc
         fh.writelines(",".join(row) + "\n"
                       for row in zip(*labels, *(map(repr, r.tolist()) for r in reals)))
 
-    def no_csv(path):
+    def no_csv(path, kinds_of):
         raise AssertionError("the csv module read a plain file")
 
     monkeypatch.setattr(hipar.data, "_read_rows", no_csv)
@@ -409,7 +416,7 @@ def test_a_categorical_file_is_coded_in_one_loadtxt_pass(tmp_path, monkeypatch):
         passes.append(dtype)
         return real_loadtxt(*args, dtype=dtype, **kwargs)
 
-    def no_csv(path):
+    def no_csv(path, kinds_of):
         raise AssertionError("the csv module read a plain file")
 
     monkeypatch.setattr(hipar.data.np, "loadtxt", loadtxt)
@@ -423,3 +430,89 @@ def test_a_categorical_file_is_coded_in_one_loadtxt_pass(tmp_path, monkeypatch):
     assert n == 400 and [_cells(columns[k]) for k in kinds] == [_cells(d.column(k)) for k in kinds]
     assert len(passes) == 2  # one each
     assert [passes[1][f].str for f in passes[1].names] == ["<U3"] * 8 + ["<f8", "<U1", "<U1"]
+
+
+def _fit_large_body(rows: int) -> str:
+    """Data rows shaped like the fit-large scoring file: three short labels and
+    six short reals a row; a block of 1,000 random rows repeated."""
+    rng = np.random.default_rng(13)
+    labels = [np.array([f"{p}{c}" for c in range(k)])[rng.integers(0, k, 1000)].tolist()
+              for p, k in (("a", 2), ("bb", 3), ("c", 8))]
+    reals = [*np.round(rng.uniform(0, 10, (4, 1000)), 3), rng.integers(0, 20, 1000).astype(float),
+             np.round(rng.normal(0, 5, 1000), 4)]
+    block = "".join(",".join(row) + "\n"
+                    for row in zip(*labels, *(map(repr, r.tolist()) for r in reals)))
+    return block * (rows // 1000)
+
+
+def test_a_bad_header_reads_no_body(tmp_path):
+    # the header is checked before any data row, on either path: a bad one
+    # costs neither numpy's read of the text nor the csv module's parse of
+    # every row (which peaked at about 15 times the file)
+    body = _fit_large_body(100_000)
+    names = "c0,c1,c2,x0,x1,x2,x3,x4,y"
+    at = body.index("\n", len(body) // 2) + 1
+    versions = {"plain": lambda h: h + "\n" + body,
+                "quoted-header": lambda h: '"c0"' + h[2:] + "\n" + body,
+                "quoted-cell": lambda h: h + "\n" + body[:at] + '"a1"' + body[at + 2:]}
+    path = tmp_path / "large.csv"
+    p = str(path)
+    reads = [
+        (names, lambda: load_csv(p, target="nope"),
+         "target column 'nope' not found (columns: c0, c1, c2, x0, x1, x2, x3, x4, y)"),
+        (names, lambda: load_csv(p, "y", ["nope"]),
+         "categorical override names unknown columns: ['nope']"),
+        (names, lambda: load_csv(p, "y", ["y"]),
+         "target column 'y' cannot be overridden categorical"),
+        (names, lambda: read_columns(p, {"x0": NUMERICAL, "nope": CATEGORICAL}),
+         f"{p}: missing columns ['nope']"),
+        (names + ",x0", lambda: load_csv(p, "y"), f"{p}: duplicate column names in header"),
+        (names + ",x0", lambda: read_columns(p, {"x0": NUMERICAL}),
+         f"{p}: duplicate column names in header"),
+    ]
+    for version, text_of in versions.items():
+        for header, read, message in reads:
+            path.write_text(text_of(header))
+            assert path.stat().st_size >= 4 << 20
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError) as error:
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(error.value) == message, version
+            assert peak < 1 << 20, (version, message, peak)
+
+
+def test_a_bad_header_is_reported_before_a_bad_byte_after_it(tmp_path):
+    # a byte past the first read buffer is never decoded when the header is
+    # bad; a bad byte in the header line is decoded with it
+    path = tmp_path / "t.csv"
+    p = str(path)
+    body = b"a,1.5,2\n" * 20_000 + b"\xff,1.5,2\n"
+    for header in (b"g,x,y\n", b'"g",x,y\n'):
+        path.write_bytes(header + body)
+        with pytest.raises(DataError, match="^target column 'nope' not found"):
+            load_csv(p, target="nope")
+        with pytest.raises(DataError, match=r"missing columns \['w'\]$"):
+            read_columns(p, {"w": NUMERICAL})
+        with pytest.raises(DataError, match="^cannot read .*can't decode byte 0xff"):
+            load_csv(p, target="y")
+    for header in (b"g\xff,x,y\n", b'"g\xff",x,y\n'):
+        path.write_bytes(header + body)
+        for read in (lambda: load_csv(p, target="nope"), lambda: read_columns(p, {"w": None})):
+            with pytest.raises(DataError, match="^cannot read .*can't decode byte 0xff"):
+                read()
+
+
+def test_an_unknown_column_kind_is_an_error_on_both_paths(mixed_csv, tmp_path):
+    # the two readers once disagreed: numpy's coded "cat" as categorical, the
+    # csv module's read it as numerical. A quoted header goes to the csv module
+    quoted = tmp_path / "quoted.csv"
+    with open(mixed_csv, encoding="utf-8") as fh:
+        quoted.write_text(fh.read().replace("g,", '"g",', 1))
+    for path in (mixed_csv, str(quoted)):
+        for kind in ("cat", "Numerical", CATEGORICAL.upper()):
+            with pytest.raises(DataError, match=f"column 'x' has unknown kind '{kind}'"):
+                read_columns(path, {"g": CATEGORICAL, "x": kind})

@@ -59,6 +59,17 @@ def test_override_unknown_column(toy_csv):
         load_csv(toy_csv, target="price", categorical_overrides={"zzz"})
 
 
+def test_override_names_are_a_sequence_not_one_name(tmp_path):
+    # a bare string would be split into one-letter names, which a one-letter
+    # column would silently match
+    path = tmp_path / "t.csv"
+    path.write_text("s,seg,y\na,b,1\nc,d,2\n")
+    for overrides in ("seg", "s"):
+        with pytest.raises(DataError, match="sequence of column names, not one name"):
+            load_csv(str(path), "y", overrides)
+    assert load_csv(str(path), "y", ["seg"]).attribute("seg").kind == "categorical"
+
+
 def test_missing_cell_rejected_with_row_index(tmp_path):
     path = tmp_path / "holes.csv"
     path.write_text("a,y\n1,2\n,3\n")
